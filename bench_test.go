@@ -280,11 +280,11 @@ func BenchmarkIndexBuild(b *testing.B) {
 func BenchmarkTaskThroughput(b *testing.B) {
 	ds := synth.Heritages(synth.HeritagesConfig{Seed: 7, Scale: 0.25})
 	srv, err := server.New(server.Config{
-		Dataset:    ds,
-		Inferencer: infer.NewTDH(),
-		Assigner:   assign.EAI{},
-		K:          5,
-		Seed:       7,
+		Dataset:  ds,
+		Engine:   engine.NewCategorical(infer.NewTDH(), engine.Config{}),
+		Assigner: assign.EAI{},
+		K:        5,
+		Seed:     7,
 		// No answers arrive, so no refits: every request hits one snapshot.
 		Policy: server.RefitPolicy{MaxAnswers: -1, MaxStaleness: -1},
 	})
@@ -319,7 +319,7 @@ func BenchmarkServerThroughput(b *testing.B) {
 	ds := synth.Heritages(synth.HeritagesConfig{Seed: 7, Scale: 0.1})
 	srv, err := server.New(server.Config{
 		Dataset:     ds,
-		Inferencer:  infer.NewTDH(),
+		Engine:      engine.NewCategorical(infer.NewTDH(), engine.Config{}),
 		Assigner:    assign.EAI{},
 		OpenAnswers: true, // benchmark workers answer arbitrary objects
 		Policy:      server.RefitPolicy{MaxAnswers: 256, MaxStaleness: 50 * time.Millisecond},
@@ -450,11 +450,10 @@ func BenchmarkLiveGrowth(b *testing.B) {
 			ds := synth.Heritages(synth.HeritagesConfig{Seed: 7, Scale: 0.1})
 			srv, err := server.New(server.Config{
 				Dataset:     ds,
-				Inferencer:  infer.NewTDH(),
+				Engine:      engine.NewCategorical(infer.NewTDH(), engine.Config{}),
 				Assigner:    assign.EAI{},
 				OpenAnswers: true,
 				Log:         log,
-				Mutations:   log,
 				Policy:      server.RefitPolicy{MaxAnswers: 256, MaxStaleness: 50 * time.Millisecond},
 			})
 			if err != nil {
@@ -532,7 +531,7 @@ func BenchmarkShardedIngest(b *testing.B) {
 			ds := synth.Heritages(synth.HeritagesConfig{Seed: 7, Scale: 0.1})
 			srv, err := server.New(server.Config{
 				Dataset:     ds,
-				Inferencer:  infer.NewTDH(),
+				Engine:      engine.NewCategorical(infer.NewTDH(), engine.Config{}),
 				Assigner:    assign.EAI{},
 				OpenAnswers: true, // benchmark workers answer arbitrary objects
 				Policy: server.RefitPolicy{
@@ -591,7 +590,7 @@ func BenchmarkTracedIngest(b *testing.B) {
 			ds := synth.Heritages(synth.HeritagesConfig{Seed: 7, Scale: 0.1})
 			srv, err := server.New(server.Config{
 				Dataset:     ds,
-				Inferencer:  infer.NewTDH(),
+				Engine:      engine.NewCategorical(infer.NewTDH(), engine.Config{}),
 				Assigner:    assign.EAI{},
 				OpenAnswers: true, // benchmark workers answer arbitrary objects
 				Policy: server.RefitPolicy{

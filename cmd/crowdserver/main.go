@@ -5,20 +5,20 @@
 // snapshots. This is the runnable equivalent of the paper's own
 // crowdsourcing system (Section 5.5).
 //
-// Multi-campaign mode hosts many concurrent campaigns in one process,
-// managed over the v1 HTTP API and durable under one data directory:
+// The process hosts any number of concurrent campaigns, managed over the v1
+// HTTP API and durable under one data directory:
 //
 //	crowdserver -data-dir /var/lib/crowd -addr :8080
 //	curl localhost:8080/v1/campaigns
 //	curl -X POST localhost:8080/v1/campaigns -d '{"id":"cities","state":"live","dataset":{...}}'
 //	curl 'localhost:8080/v1/campaigns/cities/task?worker=alice'
 //
-// Every campaign on disk is recovered at boot (answer logs replayed); on
-// shutdown all campaigns close concurrently. Single-campaign mode (-in) is
-// the compatibility path serving one unnamed campaign at the HTTP root:
-//
-//	crowdserver -in dataset.json -addr :8080 -log answers.jsonl -workers -1
-//	curl 'localhost:8080/task?worker=alice'
+// Everything about one campaign — truth model, inference and assignment
+// algorithms, questions per task, refit policy, shard count, admission
+// control — is set per campaign in the create body (campaign.Spec); the
+// flags here configure only the process. Every campaign on disk is recovered
+// at boot (event logs replayed); on shutdown all campaigns close
+// concurrently, each flushing its ingest queue into a final snapshot.
 package main
 
 import (
@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -37,112 +38,103 @@ import (
 	"time"
 
 	"repro/internal/campaign"
-	"repro/internal/data"
-	"repro/internal/engine"
-	"repro/internal/eventlog"
-	"repro/internal/obs"
-	"repro/internal/server"
 )
 
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers, so idle or trickling clients cannot pin connections.
+const readHeaderTimeout = 10 * time.Second
+
+// errUsage marks a command-line error whose message and usage text have
+// already been written to stderr.
+var errUsage = errors.New("usage error")
+
 func main() {
-	var (
-		in        = flag.String("in", "", "input dataset JSON (single-campaign mode)")
-		dataDir   = flag.String("data-dir", "", "campaign data directory (multi-campaign mode, v1 API)")
-		addr      = flag.String("addr", ":8080", "listen address")
-		model     = flag.String("model", "categorical", "truth model: categorical, numeric, multi_truth (single-campaign mode)")
-		alg       = flag.String("alg", "", "inference algorithm (default: the truth model's first) (single-campaign mode)")
-		asgName   = flag.String("assign", "", "task assignment algorithm (default: the truth model's first: EAI / ME) (single-campaign mode)")
-		k         = flag.Int("k", 5, "questions per task request (single-campaign mode)")
-		logPath   = flag.String("log", "", "append-only event log: answers + open-world mutations (single-campaign mode durability)")
-		seed      = flag.Int64("seed", 7, "random seed for sampling assigners (single-campaign mode)")
-		workers   = flag.Int("workers", -1, "E-step goroutines for full refits (TDH only): -1 = all cores, 0/1 = sequential")
-		refitN    = flag.Int("refit-answers", 0, "full refit after this many answers (0 = default 64, <0 = never) (single-campaign mode; multi-campaign policy is per-campaign)")
-		refitAge  = flag.Duration("refit-staleness", 0, "full refit when unrefitted answers are older than this (0 = default 2s, <0 = never) (single-campaign mode)")
-		batch     = flag.Int("batch", 0, "max answers folded per shard per incremental step (0 = default 64) (single-campaign mode)")
-		queue     = flag.Int("queue", 0, "total ingest queue size before /answer applies backpressure (0 = default 1024) (single-campaign mode)")
-		rejectQ   = flag.Int("reject-queue", 0, "shard queue depth above which /answer returns 429 + Retry-After instead of blocking (0 = blocking backpressure) (single-campaign mode)")
-		shards    = flag.Int("shards", 0, "ingest pipeline shards folded concurrently (0 = GOMAXPROCS capped at 8, <0 = 1) (single-campaign mode; multi-campaign policy is per-campaign)")
-		open      = flag.Bool("open", false, "accept answers for objects not assigned to the worker (single-campaign mode)")
-		pprofOn   = flag.Bool("pprof", true, "serve net/http/pprof profiling endpoints under /debug/pprof/")
-		drainWait = flag.Duration("drain", 10*time.Second, "max time to wait for in-flight requests on shutdown")
-		logLevel  = flag.String("log-level", "info", "minimum structured log level: debug, info, warn, error, off")
-		logFormat = flag.String("log-format", "text", "structured log output format: text or json")
-	)
-	flag.Parse()
-	logger, err := newLogger(os.Stderr, *logLevel, *logFormat)
-	if err != nil {
-		fatal(err)
-	}
-	if (*in == "") == (*dataDir == "") {
-		fmt.Fprintln(os.Stderr, "crowdserver: exactly one of -in (single campaign) or -data-dir (multi-campaign) is required")
-		flag.Usage()
-		os.Exit(2)
-	}
-
-	var handler http.Handler
-	var closer io.Closer
-	if *dataDir != "" {
-		mgr, err := campaign.Open(*dataDir, campaign.Options{Workers: *workers, Logger: logger})
-		if err != nil {
-			fatal(err)
-		}
-		n := 0
-		for _, c := range mgr.Campaigns() {
-			rec := c.Recovered()
-			fmt.Printf("campaign %s: %s (%d answers, %d objects, %d records replayed; %d malformed skipped, %d duplicates dropped)\n",
-				c.ID(), c.State(), rec.Answers, rec.Objects, rec.Records, rec.Skipped, rec.Duplicates)
-			n++
-		}
-		fmt.Printf("crowdserver: hosting %d campaigns from %s, listening on %s\n", n, *dataDir, *addr)
-		handler, closer = mgr.Handler(), mgr
-	} else {
-		srv, cl, err := singleCampaign(*in, *model, *alg, *asgName, *k, *logPath, *seed, *workers, server.RefitPolicy{
-			MaxAnswers:       *refitN,
-			MaxStaleness:     *refitAge,
-			BatchSize:        *batch,
-			QueueSize:        *queue,
-			Shards:           *shards,
-			RejectQueueDepth: *rejectQ,
-		}, *open, logger)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("crowdserver: single campaign listening on %s\n", *addr)
-		handler, closer = srv.Handler(), cl
-	}
-
-	if *pprofOn {
-		handler = withPprof(handler)
-	}
-	httpSrv := &http.Server{Addr: *addr, Handler: handler}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.ListenAndServe() }()
-	select {
-	case err := <-errCh:
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fatal(err)
-		}
-	case <-ctx.Done():
-		fmt.Println("crowdserver: shutting down")
-		shutCtx, cancel := context.WithTimeout(context.Background(), *drainWait)
-		defer cancel()
-		if err := httpSrv.Shutdown(shutCtx); err != nil {
-			fmt.Fprintln(os.Stderr, "crowdserver: shutdown:", err)
-		}
-	}
-	// Flush every ingest queue into a final snapshot before exiting, so the
-	// process never drops an accepted answer from its in-memory state.
-	if err := closer.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, "crowdserver: close:", err)
+	err := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	default:
+		fmt.Fprintln(os.Stderr, "crowdserver:", err)
+		os.Exit(1)
 	}
 }
 
-// closeFunc adapts a function to io.Closer.
-type closeFunc func() error
+// run is the whole program: parse args, recover every campaign under
+// -data-dir, serve the v1 API until ctx is cancelled, then drain in-flight
+// requests and flush every campaign's ingest queue into a final snapshot,
+// so the process never drops an accepted answer from its in-memory state.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err error) {
+	fs := flag.NewFlagSet("crowdserver", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		dataDir   = fs.String("data-dir", "", "campaign data directory (required)")
+		addr      = fs.String("addr", ":8080", "listen address")
+		workers   = fs.Int("workers", -1, "E-step goroutines for full refits (TDH only): -1 = all cores, 0/1 = sequential")
+		pprofOn   = fs.Bool("pprof", true, "serve net/http/pprof profiling endpoints under /debug/pprof/")
+		drainWait = fs.Duration("drain", 10*time.Second, "max time to wait for in-flight requests on shutdown")
+		logLevel  = fs.String("log-level", "info", "minimum structured log level: debug, info, warn, error, off")
+		logFormat = fs.String("log-format", "text", "structured log output format: text or json")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return fmt.Errorf("%w: %v", errUsage, err)
+	}
+	if *dataDir == "" {
+		fmt.Fprintln(stderr, "crowdserver: -data-dir is required")
+		fs.Usage()
+		return fmt.Errorf("%w: -data-dir is required", errUsage)
+	}
+	logger, err := newLogger(stderr, *logLevel, *logFormat)
+	if err != nil {
+		return err
+	}
 
-func (f closeFunc) Close() error { return f() }
+	mgr, err := campaign.Open(*dataDir, campaign.Options{Workers: *workers, Logger: logger})
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if cerr := mgr.Close(); err == nil && cerr != nil {
+			err = fmt.Errorf("close: %w", cerr)
+		}
+	}()
+	campaigns := mgr.Campaigns()
+	for _, c := range campaigns {
+		rec := c.Recovered()
+		fmt.Fprintf(stdout, "campaign %s: %s (%d answers, %d objects, %d records replayed; %d malformed skipped, %d duplicates dropped)\n",
+			c.ID(), c.State(), rec.Answers, rec.Objects, rec.Records, rec.Skipped, rec.Duplicates)
+	}
+	handler := mgr.Handler()
+	if *pprofOn {
+		handler = withPprof(handler)
+	}
+
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "crowdserver: hosting %d campaigns from %s, listening on %s\n", len(campaigns), *dataDir, ln.Addr())
+	httpSrv := &http.Server{Handler: handler, ReadHeaderTimeout: readHeaderTimeout}
+	errCh := make(chan error, 1)
+	go func() { errCh <- httpSrv.Serve(ln) }()
+	select {
+	case err := <-errCh:
+		return err // before Shutdown, Serve returns only on a listener failure
+	case <-ctx.Done():
+	}
+	fmt.Fprintln(stdout, "crowdserver: shutting down")
+	shutCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), *drainWait)
+	defer cancel()
+	if err := httpSrv.Shutdown(shutCtx); err != nil {
+		fmt.Fprintln(stderr, "crowdserver: shutdown:", err)
+	}
+	return nil
+}
 
 // withPprof mounts the net/http/pprof handlers next to the application
 // handler (the package's DefaultServeMux registration is useless here since
@@ -157,87 +149,6 @@ func withPprof(app http.Handler) http.Handler {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.Handle("/", app)
 	return mux
-}
-
-// singleCampaign wires the legacy one-campaign-per-process server (the
-// compatibility path: the same flags and root-level endpoints as before
-// multi-campaign hosting). The returned closer drains the server into a
-// final snapshot, then closes the event log.
-func singleCampaign(in, model, alg, asgName string, k int, logPath string, seed int64, workers int, policy server.RefitPolicy, open bool, logger *slog.Logger) (*server.Server, io.Closer, error) {
-	ds, err := data.LoadFile(in)
-	if err != nil {
-		return nil, nil, err
-	}
-	tm, err := engine.ParseTruthModel(model)
-	if err != nil {
-		return nil, nil, err
-	}
-	if alg == "" {
-		alg = engine.DefaultInferencer(tm)
-	}
-	if asgName == "" {
-		asgName = engine.DefaultAssigner(tm)
-	}
-	// Engine construction owns model-specific wiring, including TDH's
-	// parallel E-step (full refits run off the request path).
-	eng, err := engine.New(tm, alg, engine.Config{Workers: workers, Seed: seed})
-	if err != nil {
-		return nil, nil, err
-	}
-	assigner, err := engine.NewAssigner(tm, asgName)
-	if err != nil {
-		return nil, nil, err
-	}
-	// One registry for the whole process: the coordinator and the event log
-	// share it, and GET /metrics serves it from the server mux.
-	reg := obs.NewRegistry()
-	cfg := server.Config{
-		Dataset:     ds,
-		Engine:      eng,
-		Assigner:    assigner,
-		K:           k,
-		Seed:        seed,
-		Policy:      policy,
-		OpenAnswers: open,
-		Metrics:     reg,
-		Logger:      logger,
-	}
-	var l *eventlog.Log
-	if logPath != "" {
-		// Recover previously collected answers and dataset mutations (legacy
-		// answers-only logs replay unchanged), then keep appending.
-		res, err := eventlog.Replay(logPath, ds)
-		if err != nil {
-			return nil, nil, err
-		}
-		if res != (eventlog.ReplayResult{}) {
-			fmt.Printf("recovered %d answers, %d objects, %d records from %s (%d malformed lines skipped, %d duplicates dropped)\n",
-				res.Answers, res.Objects, res.Records, logPath, res.Skipped, res.Duplicates)
-		}
-		if l, err = eventlog.Open(logPath,
-			eventlog.WithMetrics(eventlog.NewMetrics(reg)), eventlog.WithLogger(logger)); err != nil {
-			return nil, nil, err
-		}
-		cfg.Log = l
-		cfg.Mutations = l
-	}
-	srv, err := server.New(cfg)
-	if err != nil {
-		if l != nil {
-			l.Close()
-		}
-		return nil, nil, err
-	}
-	fmt.Printf("crowdserver: %s %s+%s over %d objects\n", tm, eng.Name(), assigner.Name(), len(ds.Objects()))
-	return srv, closeFunc(func() error {
-		err := srv.Close()
-		if l != nil {
-			if cerr := l.Close(); err == nil {
-				err = cerr
-			}
-		}
-		return err
-	}), nil
 }
 
 // newLogger builds the process logger from the -log-level / -log-format
@@ -267,9 +178,4 @@ func newLogger(w io.Writer, level, format string) (*slog.Logger, error) {
 		return slog.New(slog.NewJSONHandler(w, opts)), nil
 	}
 	return nil, fmt.Errorf("unknown -log-format %q (want text or json)", format)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "crowdserver:", err)
-	os.Exit(1)
 }

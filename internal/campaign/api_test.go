@@ -12,14 +12,18 @@ import (
 // TestMethodNotAllowedEverywhere is the satellite 405 pin: every route
 // answers a wrong-method request with 405 and an Allow header naming the
 // accepted method(s) — the collection routes and method-scoped patterns via
-// the ServeMux, the catch-all proxy via the endpointMethods table.
+// the ServeMux, the catch-all proxy via the endpointMethods table. A path
+// that is in no table is 404 whatever the campaign's lifecycle state (rows
+// with an empty allow) — not a draft's 409 "start first".
 func TestMethodNotAllowedEverywhere(t *testing.T) {
 	m := mustOpen(t, t.TempDir())
 	defer m.Close()
 	h := m.Handler()
-	if rec := doReq(t, h, "POST", "/v1/campaigns",
-		createBody(t, Spec{ID: "m405"}, StateLive, testDataset("m405", 4))); rec.Code != http.StatusCreated {
-		t.Fatalf("create: %d: %s", rec.Code, rec.Body.String())
+	for id, state := range map[string]State{"m405": StateLive, "d405": StateDraft} {
+		if rec := doReq(t, h, "POST", "/v1/campaigns",
+			createBody(t, Spec{ID: id}, state, testDataset(id, 4))); rec.Code != http.StatusCreated {
+			t.Fatalf("create %s: %d: %s", id, rec.Code, rec.Body.String())
+		}
 	}
 
 	cases := []struct {
@@ -44,9 +48,19 @@ func TestMethodNotAllowedEverywhere(t *testing.T) {
 		{"POST", "/v1/campaigns/m405/stats", "GET"},
 		{"POST", "/v1/campaigns/m405/trace", "GET"},
 		{"GET", "/v1/campaigns/m405/refresh", "POST"},
+		{"GET", "/v1/campaigns/d405/answer", "POST"}, // 405 outranks the draft gate
+		{"GET", "/v1/campaigns/m405/bogus", ""},
+		{"GET", "/v1/campaigns/d405/bogus", ""},
+		{"POST", "/v1/campaigns/d405/bogus", ""},
 	}
 	for _, tc := range cases {
 		rec := doReq(t, h, tc.method, tc.path, "")
+		if tc.allow == "" {
+			if rec.Code != http.StatusNotFound {
+				t.Errorf("%s %s: %d, want 404 (%s)", tc.method, tc.path, rec.Code, rec.Body.String())
+			}
+			continue
+		}
 		if rec.Code != http.StatusMethodNotAllowed {
 			t.Errorf("%s %s: %d, want 405 (%s)", tc.method, tc.path, rec.Code, rec.Body.String())
 			continue

@@ -178,23 +178,13 @@ func (c *Campaign) serveInfo() (State, http.Handler) {
 	return c.meta.State, c.handler
 }
 
-// metricsRegistry returns the campaign's metrics registry, or nil while the
-// campaign is a draft (no coordinator, nothing to scrape).
-func (c *Campaign) metricsRegistry() *obs.Registry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.srv == nil {
-		return nil
-	}
-	return c.srv.Metrics()
-}
-
 // boot loads the campaign's dataset, replays its event log into it —
 // answers, object adds and record adds interleaved in acknowledgment order
 // — and starts the coordinator. With openLog, the log is opened for
-// appending and wired as the server's durable answer AND mutation sink
-// (live/paused campaigns); closed campaigns boot without a log, serving
-// reads off the recovered state. Callers hold c.mu.
+// appending and wired as the server's durable event sink (live/paused
+// campaigns); closed campaigns boot without a log, serving reads off the
+// recovered state. This is the only place in the tree that wires engine +
+// registry + event log + server.New. Callers hold c.mu.
 func (c *Campaign) boot(opts Options, openLog bool) error {
 	ds, err := data.LoadFile(filepath.Join(c.dir, datasetFile))
 	if err != nil {
@@ -247,7 +237,6 @@ func (c *Campaign) boot(opts Options, openLog bool) error {
 			return fmt.Errorf("campaign %s: %w", c.meta.ID, err)
 		}
 		cfg.Log = l
-		cfg.Mutations = l
 	}
 	srv, err := server.New(cfg)
 	if err != nil {
@@ -260,19 +249,21 @@ func (c *Campaign) boot(opts Options, openLog bool) error {
 	return nil
 }
 
-// shutdown releases the campaign's process resources (coordinator pipeline
-// and log file handle) without touching its persisted state, so a restart
-// resumes the campaign where it stopped. Used by Manager.Close.
-func (c *Campaign) shutdown() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// stop is boot's inverse: it drains the coordinator pipeline into a final
+// snapshot (which keeps serving reads) and closes the log file handle,
+// without touching persisted state. Callers hold c.mu.
+func (c *Campaign) stop() error {
+	var err error
 	if c.srv != nil {
-		_ = c.srv.Close()
+		err = c.srv.Close()
 	}
 	if c.log != nil {
-		_ = c.log.Close()
+		if cerr := c.log.Close(); err == nil {
+			err = cerr
+		}
 		c.log = nil
 	}
+	return err
 }
 
 // persistMeta writes campaign.json atomically (temp file + rename, fsync'd

@@ -234,7 +234,14 @@ func (m *Manager) handleProxy(w http.ResponseWriter, r *http.Request) {
 	}
 	state, h := c.serveInfo()
 	endpoint := r.PathValue("endpoint")
-	if allow, known := endpointMethods[endpoint]; known && r.Method != allow {
+	allow, known := endpointMethods[endpoint]
+	if !known {
+		// Before the lifecycle gate: a path that exists in no state is 404 in
+		// every state, not "is a draft".
+		httpError(w, http.StatusNotFound, fmt.Sprintf("unknown endpoint %q", endpoint))
+		return
+	}
+	if r.Method != allow {
 		w.Header().Set("Allow", allow)
 		httpError(w, http.StatusMethodNotAllowed,
 			fmt.Sprintf("method %s not allowed for %s; use %s", r.Method, endpoint, allow))

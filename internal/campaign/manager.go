@@ -310,11 +310,8 @@ func (m *Manager) Start(id string) error {
 		prev := c.meta
 		c.meta.State = StateLive
 		if err := c.persistMeta(); err != nil {
-			_ = c.srv.Close()
-			if c.log != nil {
-				_ = c.log.Close()
-			}
-			c.srv, c.log, c.handler = nil, nil, nil
+			_ = c.stop()
+			c.srv, c.handler = nil, nil
 			c.recovered = eventlog.ReplayResult{}
 			c.meta = prev
 			return err
@@ -371,13 +368,7 @@ func (m *Manager) CloseCampaign(id string) error {
 			c.meta = prev
 			return err
 		}
-		err := c.srv.Close()
-		if c.log != nil {
-			if cerr := c.log.Close(); err == nil {
-				err = cerr
-			}
-			c.log = nil
-		}
+		err := c.stop()
 		m.log.Info("campaign lifecycle transition",
 			"campaign", id, "from", string(prev.State), "to", string(StateClosed))
 		return err
@@ -468,7 +459,11 @@ func (m *Manager) Close() error {
 		wg.Add(1)
 		go func(c *Campaign) {
 			defer wg.Done()
-			c.shutdown()
+			// Persisted state is untouched, so a restart resumes the
+			// campaign where it stopped.
+			c.mu.Lock()
+			_ = c.stop()
+			c.mu.Unlock()
 		}(c)
 	}
 	wg.Wait()

@@ -45,8 +45,8 @@ func newManagerMetrics(m *Manager) *obs.Registry {
 func (m *Manager) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var regs []obs.LabeledRegistry
 	for _, c := range m.Campaigns() {
-		if reg := c.metricsRegistry(); reg != nil {
-			regs = append(regs, obs.LabeledRegistry{Value: c.ID(), Registry: reg})
+		if srv := c.Server(); srv != nil { // drafts have no coordinator to scrape
+			regs = append(regs, obs.LabeledRegistry{Value: c.ID(), Registry: srv.Metrics()})
 		}
 	}
 	fams := append(m.metrics.Gather(), obs.MergeLabeled("campaign", regs)...)

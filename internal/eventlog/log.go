@@ -93,17 +93,17 @@ func (l *Log) AppendEvent(e Event) error {
 	return err
 }
 
-// Append durably stores one crowd answer (the server's AnswerSink).
+// Append durably stores one crowd answer (the server's EventSink).
 func (l *Log) Append(a data.Answer) error { return l.AppendEvent(AnswerEvent(a)) }
 
 // AppendAddObject durably stores an object addition (the server's
-// MutationSink).
+// EventSink).
 func (l *Log) AppendAddObject(object string, candidates []string) error {
 	return l.AppendEvent(AddObjectEvent(object, candidates))
 }
 
 // AppendAddRecord durably stores a record addition (the server's
-// MutationSink).
+// EventSink).
 func (l *Log) AppendAddRecord(r data.Record) error {
 	return l.AppendEvent(AddRecordEvent(r))
 }

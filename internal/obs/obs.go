@@ -59,12 +59,13 @@ type family struct {
 }
 
 // child is one labeled instrument of a family. Exactly one of counter,
-// gauge, gaugeFn, hist is set, matching the family type.
+// gauge, valueFn, hist is set; valueFn serves both GaugeFunc and
+// CounterFunc, the family type telling them apart.
 type child struct {
 	labels  []string // alternating key, value; sorted by key
 	counter *Counter
 	gauge   *Gauge
-	gaugeFn func() float64
+	valueFn func() float64
 	hist    *Histogram
 }
 
@@ -167,15 +168,27 @@ func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
 // callback, so rebuilt components can re-register without duplicating
 // series.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...string) {
-	f := r.familyFor(name, help, TypeGauge)
+	r.valueFunc(TypeGauge, name, help, fn, labels)
+}
+
+// CounterFunc registers a counter whose value is read at scrape time from
+// storage the caller owns (a count some other package increments through a
+// plain atomic). fn must be monotone. Re-registration replaces the callback,
+// as for GaugeFunc.
+func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...string) {
+	r.valueFunc(TypeCounter, name, help, fn, labels)
+}
+
+func (r *Registry) valueFunc(typ MetricType, name, help string, fn func() float64, labels []string) {
+	f := r.familyFor(name, help, typ)
 	ls := sortLabels(labels)
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if c := f.find(ls); c != nil {
-		c.gauge, c.gaugeFn = nil, fn
+		c.counter, c.gauge, c.valueFn = nil, nil, fn
 		return
 	}
-	f.children = append(f.children, &child{labels: ls, gaugeFn: fn})
+	f.children = append(f.children, &child{labels: ls, valueFn: fn})
 }
 
 // Histogram registers (or returns the existing) fixed-bucket histogram.
@@ -205,10 +218,11 @@ type Counter struct {
 //tdh:hotpath
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n (n must be ≥ 0; counters only go up).
+// Add adds n (n must be ≥ 0; counters only go up) and returns the new
+// count, so a caller that reports "you are the n-th" needs no second store.
 //
 //tdh:hotpath
-func (c *Counter) Add(n int64) { c.v.Add(n) }
+func (c *Counter) Add(n int64) int64 { return c.v.Add(n) }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
@@ -401,8 +415,8 @@ func (r *Registry) Gather() []Family {
 				m.Value = float64(c.counter.Value())
 			case c.gauge != nil:
 				m.Value = c.gauge.Value()
-			case c.gaugeFn != nil:
-				m.Value = c.gaugeFn()
+			case c.valueFn != nil:
+				m.Value = c.valueFn()
 			case c.hist != nil:
 				counts, total, sum := c.hist.snapshot()
 				m.Bounds = c.hist.bounds

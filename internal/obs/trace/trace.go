@@ -1,5 +1,5 @@
 // Package trace is the stdlib-only request-scoped tracing subsystem behind
-// GET /debug/trace: a span recorder that follows one answer (or dataset
+// GET /trace: a span recorder that follows one answer (or dataset
 // mutation) from HTTP accept through shard queue → fold → publish, and a
 // fixed-size lock-free ring buffer of completed traces the debug endpoints
 // read back as span trees.

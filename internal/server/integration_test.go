@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/assign"
 	"repro/internal/data"
+	"repro/internal/engine"
 	"repro/internal/eventlog"
 	"repro/internal/infer"
 	"repro/internal/synth"
@@ -27,11 +28,11 @@ func TestDurableCampaignRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	s1, err := New(Config{
-		Dataset:    ds,
-		Inferencer: infer.NewTDH(),
-		Assigner:   assign.EAI{},
-		K:          2,
-		Log:        log1,
+		Dataset:  ds,
+		Engine:   engine.NewCategorical(infer.NewTDH(), engine.Config{}),
+		Assigner: assign.EAI{},
+		K:        2,
+		Log:      log1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -69,11 +70,11 @@ func TestDurableCampaignRecovery(t *testing.T) {
 	}
 	defer log2.Close()
 	s2, err := New(Config{
-		Dataset:    ds2,
-		Inferencer: infer.NewTDH(),
-		Assigner:   assign.EAI{},
-		K:          2,
-		Log:        log2,
+		Dataset:  ds2,
+		Engine:   engine.NewCategorical(infer.NewTDH(), engine.Config{}),
+		Assigner: assign.EAI{},
+		K:        2,
+		Log:      log2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +96,7 @@ func TestDurableCampaignRecovery(t *testing.T) {
 	// The answered objects' confidence should reflect the extra answers:
 	// D grows by one for each recovered answer relative to a fresh server.
 	dsFresh := synth.Heritages(synth.HeritagesConfig{Seed: 41, Scale: 0.05})
-	sFresh, err := New(Config{Dataset: dsFresh, Inferencer: infer.NewTDH(), Assigner: assign.EAI{}, K: 2})
+	sFresh, err := New(Config{Dataset: dsFresh, Engine: engine.NewCategorical(infer.NewTDH(), engine.Config{}), Assigner: assign.EAI{}, K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

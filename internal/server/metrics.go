@@ -40,9 +40,14 @@ type serverMetrics struct {
 	httpDur  map[string]*obs.Histogram  // route -> latency histogram
 	httpResp map[string][5]*obs.Counter // route -> status-class counters (1xx..5xx)
 
-	answersAccepted   *obs.Counter
-	mutationsAccepted *obs.Counter
-	ingestRejected    *obs.Counter
+	// The accepted-ingest and plan-maintenance counters are the only storage
+	// of these counts: /stats reads them back (Server.Stats).
+	answersAccepted *obs.Counter
+	objectsAdded    *obs.Counter // tdh_mutations_accepted_total{kind="add_object"}
+	recordsAdded    *obs.Counter // tdh_mutations_accepted_total{kind="add_record"}
+	ingestRejected  *obs.Counter
+	planBuilds      *obs.Counter // publishes that built the assignment plan from scratch
+	planAdvances    *obs.Counter // publishes that advanced the previous snapshot's plan
 
 	stageDur   map[string]*obs.Histogram // pipeline stage -> duration histogram
 	batchSize  *obs.Histogram            // answers folded per publish cycle
@@ -70,10 +75,16 @@ func newServerMetrics(s *Server, reg *obs.Registry) *serverMetrics {
 		httpResp: make(map[string][5]*obs.Counter, len(httpRoutes)),
 		answersAccepted: reg.Counter("tdh_answers_accepted_total",
 			"crowd answers accepted (acknowledged durable and queued for inference)"),
-		mutationsAccepted: reg.Counter("tdh_mutations_accepted_total",
-			"open-world dataset mutations accepted (object and record adds)"),
+		objectsAdded: reg.Counter("tdh_mutations_accepted_total",
+			"open-world dataset mutations accepted, by kind", "kind", "add_object"),
+		recordsAdded: reg.Counter("tdh_mutations_accepted_total",
+			"open-world dataset mutations accepted, by kind", "kind", "add_record"),
 		ingestRejected: reg.Counter("tdh_ingest_rejected_total",
 			"answers rejected with 429 because the target shard ingest queue exceeded policy.reject_queue_depth"),
+		planBuilds: reg.Counter("tdh_plan_builds_total",
+			"publishes that built the assignment plan from scratch"),
+		planAdvances: reg.Counter("tdh_plan_advances_total",
+			"publishes that advanced the previous snapshot's assignment plan"),
 		stageDur:  make(map[string]*obs.Histogram, 5),
 		batchSize: reg.Histogram("tdh_pipeline_batch_size", "answers folded per publish cycle", obs.SizeBuckets()),
 		visibility: reg.Histogram("tdh_visibility_seconds",
@@ -98,6 +109,9 @@ func newServerMetrics(s *Server, reg *obs.Registry) *serverMetrics {
 		m.stageDur[stage] = reg.Histogram("tdh_pipeline_stage_seconds",
 			"inference pipeline stage durations", obs.LatencyBuckets(), "stage", stage)
 	}
+	reg.CounterFunc("tdh_plan_fallbacks_total",
+		"/task requests that found a stale attached plan and rebuilt one in-line (nonzero means plan threading regressed)",
+		func() float64 { return float64(s.planFallbacks.Load()) })
 	reg.GaugeFunc("tdh_snapshot_age_seconds",
 		"age of the published snapshot every read is served from",
 		func() float64 {
@@ -139,7 +153,7 @@ func (w *statusWriter) WriteHeader(code int) {
 // trace boundary: the incoming traceparent (if any; malformed ones are
 // ignored, never an error) becomes the request's trace context, and the
 // response carries the server-side traceparent so callers can correlate
-// their request with the span tree /debug/trace returns.
+// their request with the span tree GET /trace returns.
 //
 //tdh:wallclock request latency measurement is observability only; never feeds replayed state
 func (m *serverMetrics) instrument(route string, h http.HandlerFunc) http.Handler {

@@ -1,11 +1,15 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -76,6 +80,118 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+}
+
+// seriesValue returns the sample value of the series whose text-format
+// identity (name plus any {labels}) is exactly id.
+func seriesValue(t *testing.T, exposition, id string) int64 {
+	t.Helper()
+	for _, line := range strings.Split(exposition, "\n") {
+		if rest, ok := strings.CutPrefix(line, id+" "); ok {
+			v, err := strconv.ParseFloat(rest, 64)
+			if err != nil {
+				t.Fatalf("series %s: %v", id, err)
+			}
+			return int64(v)
+		}
+	}
+	t.Fatalf("/metrics has no series %s", id)
+	return 0
+}
+
+// TestStatsReadsTheRegistry pins the single source of truth: the accepted
+// answer, added object/record and plan build/advance/fallback counts in
+// /stats are the very counters /metrics exports, and the "answers" ordinal
+// POST /answer echoes comes from the same counter — every accepted answer
+// gets a distinct one, increasing along each worker's own sequence.
+func TestStatsReadsTheRegistry(t *testing.T) {
+	s, ts, _ := newTestServer(t)
+
+	const workers = 8
+	tasks := make([][]Task, workers)
+	total := 0
+	for i := range tasks {
+		tasks[i] = fetchTasks(t, ts.URL, fmt.Sprintf("sv-%d", i))
+		total += len(tasks[i])
+	}
+	if total == 0 {
+		t.Fatal("no tasks")
+	}
+	ordinals := make([][]int64, workers)
+	var wg sync.WaitGroup
+	for i := range tasks {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for _, task := range tasks[i] {
+				body, _ := json.Marshal(data.Answer{
+					Worker: fmt.Sprintf("sv-%d", i), Object: task.Object, Value: task.Candidates[0]})
+				resp, err := http.Post(ts.URL+"/answer", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var ack struct {
+					Answers int64 `json:"answers"`
+				}
+				err = json.NewDecoder(resp.Body).Decode(&ack)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK {
+					t.Errorf("POST /answer = %s (decode: %v)", resp.Status, err)
+					return
+				}
+				ordinals[i] = append(ordinals[i], ack.Answers)
+			}
+		}(i)
+	}
+	wg.Wait()
+	seen := map[int64]bool{}
+	for i, seq := range ordinals {
+		for j, n := range seq {
+			if n < 1 || n > int64(total) || seen[n] || (j > 0 && n <= seq[j-1]) {
+				t.Fatalf("worker %d: answer ordinals %v not distinct and increasing within 1..%d", i, seq, total)
+			}
+			seen[n] = true
+		}
+	}
+	if len(seen) != total {
+		t.Fatalf("accepted %d of %d answers", len(seen), total)
+	}
+
+	value := tasks[0][0].Candidates[0]
+	if resp := postJSON(t, ts.URL+"/objects", AddObjectRequest{Object: "sv-new", Candidates: []string{value}}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /objects = %s", resp.Status)
+	}
+	if resp := postJSON(t, ts.URL+"/records", data.Record{Object: "sv-new", Source: "sv-src", Value: value}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /records = %s", resp.Status)
+	}
+	if _, err := s.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+
+	var st Stats
+	getJSON(t, ts.URL+"/stats", &st)
+	out := scrapeMetrics(t, ts.URL)
+	for _, c := range []struct {
+		key    string
+		stat   int64
+		series string
+	}{
+		{"answers", int64(st.Answers), "tdh_answers_accepted_total"},
+		{"added_objects", int64(st.AddedObjects), `tdh_mutations_accepted_total{kind="add_object"}`},
+		{"added_records", int64(st.AddedRecords), `tdh_mutations_accepted_total{kind="add_record"}`},
+		{"plan_builds", st.PlanBuilds, "tdh_plan_builds_total"},
+		{"plan_advances", st.PlanAdvances, "tdh_plan_advances_total"},
+		{"plan_fallbacks", st.PlanFallbacks, "tdh_plan_fallbacks_total"},
+	} {
+		if got := seriesValue(t, out, c.series); got != c.stat {
+			t.Errorf("/stats %s = %d, /metrics %s = %d", c.key, c.stat, c.series, got)
+		}
+	}
+	if st.Answers != total || st.AddedObjects != 1 || st.AddedRecords != 1 || st.PlanBuilds < 1 {
+		t.Errorf("stats = %d answers, %d objects, %d records, %d plan builds; want %d, 1, 1, >=1",
+			st.Answers, st.AddedObjects, st.AddedRecords, st.PlanBuilds, total)
 	}
 }
 

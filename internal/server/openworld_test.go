@@ -5,12 +5,14 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/assign"
 	"repro/internal/data"
+	"repro/internal/engine"
 	"repro/internal/hierarchy"
 	"repro/internal/infer"
 )
@@ -35,16 +37,16 @@ func openWorldDataset() *data.Dataset {
 	return ds
 }
 
-func newOpenWorldServer(t *testing.T, mutations MutationSink) (*Server, string) {
+func newOpenWorldServer(t *testing.T, log EventSink) (*Server, string) {
 	t.Helper()
 	s, err := New(Config{
 		Dataset:     openWorldDataset(),
-		Inferencer:  infer.NewTDH(),
+		Engine:      engine.NewCategorical(infer.NewTDH(), engine.Config{}),
 		Assigner:    assign.EAI{},
 		K:           3,
 		Seed:        11,
 		OpenAnswers: true,
-		Mutations:   mutations,
+		Log:         log,
 		Policy:      RefitPolicy{MaxAnswers: 32, MaxStaleness: 20 * time.Millisecond, BatchSize: 8},
 	})
 	if err != nil {
@@ -122,6 +124,8 @@ func TestAddObjectAndRecordFoldIntoSnapshot(t *testing.T) {
 func TestMutationValidation(t *testing.T) {
 	_, base := newOpenWorldServer(t, nil)
 
+	// One field alone pushes the JSON body past maxBodyBytes.
+	huge := strings.Repeat("x", maxBodyBytes)
 	cases := []struct {
 		name string
 		path string
@@ -139,6 +143,12 @@ func TestMutationValidation(t *testing.T) {
 			data.Record{Object: "x", Source: "s", Value: "atlantis"}, http.StatusUnprocessableEntity},
 		{"record duplicate claim", "/records",
 			data.Record{Object: "hq-00", Source: "seed-src-a", Value: "eu-city-2"}, http.StatusConflict},
+		{"oversized object body", "/objects",
+			AddObjectRequest{Object: huge, Candidates: []string{"eu-city-1"}}, http.StatusRequestEntityTooLarge},
+		{"oversized record body", "/records",
+			data.Record{Object: huge, Source: "s", Value: "eu-city-1"}, http.StatusRequestEntityTooLarge},
+		{"oversized answer body", "/answer",
+			data.Answer{Worker: huge, Object: "hq-00", Value: "eu-city-0"}, http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
 		if resp := postJSON(t, base+tc.path, tc.body); resp.StatusCode != tc.want {
@@ -170,6 +180,9 @@ type failingSink struct {
 	objEvents [][]string
 	recEvents []data.Record
 }
+
+// Append accepts answers: the sink's failures are for mutations only.
+func (f *failingSink) Append(data.Answer) error { return nil }
 
 func (f *failingSink) AppendAddObject(o string, c []string) error {
 	f.mu.Lock()

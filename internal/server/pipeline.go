@@ -219,20 +219,20 @@ func (p *pipeline) publish(touched []int, local bool) {
 	switch {
 	case prev == nil || p.sinceRefit == 0:
 		plan = assign.NewPlan(sn.Idx, sn.Res)
-		p.s.planBuilds.Add(1)
+		p.metrics().planBuilds.Inc()
 	case sn.Idx == prev.Idx && sn.Res == prev.Res:
 		plan = prev.Plan() // nothing moved: the previous plan is exact
 	case local:
 		var adv bool
 		plan, adv = prev.Plan().Advance(sn.Idx, sn.Res, touched)
 		if adv {
-			p.s.planAdvances.Add(1)
+			p.metrics().planAdvances.Inc()
 		} else {
-			p.s.planBuilds.Add(1)
+			p.metrics().planBuilds.Inc()
 		}
 	default:
 		plan = assign.NewPlan(sn.Idx, sn.Res)
-		p.s.planBuilds.Add(1)
+		p.metrics().planBuilds.Inc()
 	}
 	plan.Prewarm()
 	p.metrics().observeStage(stagePlan, planStart)
@@ -242,9 +242,6 @@ func (p *pipeline) publish(touched []int, local bool) {
 	p.metrics().publishes[p.sinceRefit == 0].Inc()
 	p.metrics().observeStage(stagePublish, pubStart)
 	p.stamps.pubStart, p.stamps.pubEnd = pubStart, time.Now()
-	for i := range p.drainedSeq {
-		p.s.shardFolded[i].Store(p.drainedSeq[i])
-	}
 	if d := p.stamps.pubEnd.Sub(pubStart); d >= slowPublishAfter && p.s.logEvery(&p.s.lastSlowLog, logRepeatEvery) {
 		p.s.log.Warn("slow publish",
 			"duration_ms", d.Milliseconds(), "round", p.round,
@@ -345,7 +342,7 @@ func (p *pipeline) checkStall(now time.Time) {
 func (p *pipeline) fullRefit() {
 	start := time.Now()
 	p.idx = data.NewIndex(p.work)
-	p.st = p.s.eng.Fit(p.idx)
+	p.st = p.s.cfg.Engine.Fit(p.idx)
 	p.round++
 	p.sinceRefit = 0
 	p.metrics().observeStage(stageRefit, start)
@@ -407,9 +404,9 @@ func (p *pipeline) applyShards(groups [][]data.Answer, muts []*mutation) {
 		idx, t := p.idx.Extend(p.work, mu)
 		p.idx = idx
 		touched = append(touched, t...)
-		if st, ok := p.s.eng.Grow(p.st, idx, t); ok {
+		if st, ok := p.s.cfg.Engine.Grow(p.st, idx, t); ok {
 			p.st = st
-			if _, epochal := p.s.eng.(engine.EpochFolder); !epochal {
+			if _, epochal := p.s.cfg.Engine.(engine.EpochFolder); !epochal {
 				local = false // Grow re-estimated globally (e.g. numeric)
 			}
 		}
@@ -425,7 +422,7 @@ func (p *pipeline) applyShards(groups [][]data.Answer, muts []*mutation) {
 			for _, g := range groups {
 				flat = append(flat, g...)
 			}
-			if st, ok := p.s.eng.ApplyAnswers(p.st, p.idx, flat); ok {
+			if st, ok := p.s.cfg.Engine.ApplyAnswers(p.st, p.idx, flat); ok {
 				p.st = st
 				local = false // no epoch contract: assume a global update
 			}
@@ -442,7 +439,7 @@ func (p *pipeline) applyShards(groups [][]data.Answer, muts []*mutation) {
 // object-disjoint by construction: items are sharded by object name).
 // Reports false when the engine (or its current state) has no epoch path.
 func (p *pipeline) foldEpoch(groups [][]data.Answer, touched *[]int) bool {
-	ef, ok := p.s.eng.(engine.EpochFolder)
+	ef, ok := p.s.cfg.Engine.(engine.EpochFolder)
 	if !ok {
 		return false
 	}

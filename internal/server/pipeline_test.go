@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/assign"
 	"repro/internal/data"
+	"repro/internal/engine"
 	"repro/internal/infer"
 	"repro/internal/synth"
 )
@@ -41,7 +42,7 @@ func TestSnapshotConsistencyDuringRefit(t *testing.T) {
 	calls := &atomic.Int32{}
 	s, err := New(Config{
 		Dataset:     ds,
-		Inferencer:  slowInferencer{inner: infer.NewTDH(), delay: 300 * time.Millisecond, calls: calls},
+		Engine:      engine.NewCategorical(slowInferencer{inner: infer.NewTDH(), delay: 300 * time.Millisecond, calls: calls}, engine.Config{}),
 		Assigner:    assign.EAI{},
 		K:           2,
 		OpenAnswers: true,
@@ -112,7 +113,7 @@ func TestIncrementalUpdatesBetweenRefits(t *testing.T) {
 	ds := synth.Heritages(synth.HeritagesConfig{Seed: 7, Scale: 0.06})
 	s, err := New(Config{
 		Dataset:     ds,
-		Inferencer:  infer.NewTDH(),
+		Engine:      engine.NewCategorical(infer.NewTDH(), engine.Config{}),
 		Assigner:    assign.EAI{},
 		OpenAnswers: true,
 		Policy:      RefitPolicy{MaxAnswers: -1, MaxStaleness: -1},
@@ -158,7 +159,7 @@ func TestCloseFlushesQueue(t *testing.T) {
 	ds := synth.Heritages(synth.HeritagesConfig{Seed: 11, Scale: 0.06})
 	s, err := New(Config{
 		Dataset:     ds,
-		Inferencer:  infer.NewTDH(),
+		Engine:      engine.NewCategorical(infer.NewTDH(), engine.Config{}),
 		Assigner:    assign.EAI{},
 		OpenAnswers: true,
 		Policy:      RefitPolicy{MaxAnswers: -1, MaxStaleness: -1},
@@ -230,12 +231,12 @@ func TestSameWorkerTaskAnswerRace(t *testing.T) {
 func TestConcurrentClients(t *testing.T) {
 	ds := synth.Heritages(synth.HeritagesConfig{Seed: 13, Scale: 0.08})
 	s, err := New(Config{
-		Dataset:    ds,
-		Inferencer: infer.NewTDH(),
-		Assigner:   assign.EAI{},
-		K:          2,
-		Seed:       13,
-		Policy:     RefitPolicy{MaxAnswers: 4, MaxStaleness: 50 * time.Millisecond},
+		Dataset:  ds,
+		Engine:   engine.NewCategorical(infer.NewTDH(), engine.Config{}),
+		Assigner: assign.EAI{},
+		K:        2,
+		Seed:     13,
+		Policy:   RefitPolicy{MaxAnswers: 4, MaxStaleness: 50 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -14,11 +14,17 @@
 //	GET  /trust               per-source and per-worker trust estimates
 //	GET  /stats               campaign statistics (+quality if gold known)
 //	POST /refresh             force a full re-inference and wait for it
+//	GET  /metrics             the campaign's registry, Prometheus text format
+//	GET  /trace               recent sampled requests as span trees
+//
+// The package is embedded, not run: internal/campaign boots one Server per
+// hosted campaign (Campaign.boot is the only non-test caller of New) and
+// serves the routes above under /v1/campaigns/{id}/.
 //
 // Architecture: read endpoints serve from an immutable Snapshot published
 // through an atomic pointer and take no lock shared with inference. POST
 // /answer validates against the current snapshot and the worker's sharded
-// pending state, appends to the durable answer log, and enqueues the answer
+// pending state, appends to the durable event log, and enqueues the answer
 // for the background inference pipeline (see pipeline.go), which folds
 // batches in with incremental EM and debounces full refits per RefitPolicy.
 // The campaign is open-world: POST /objects and /records append typed
@@ -28,6 +34,11 @@
 // append-only event log makes campaigns — answers and dataset growth alike
 // — durable across restarts (see internal/eventlog; logs written by its
 // answers-only ancestor replay unchanged).
+//
+// Every count /stats reports is stored once: applied answers and mutations,
+// rounds and watermarks come from the served Snapshot; accepted answers,
+// added objects/records and plan build/advance/fallback counts are read back
+// from the obs registry GET /metrics exports (metrics.go).
 package server
 
 import (
@@ -47,19 +58,14 @@ import (
 	"repro/internal/assign"
 	"repro/internal/data"
 	"repro/internal/engine"
-	"repro/internal/infer"
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
 )
 
-// AnswerSink receives accepted answers for durable storage.
-type AnswerSink interface {
+// EventSink receives accepted answers and dataset mutations for durable
+// storage before they are acknowledged (implemented by eventlog.Log).
+type EventSink interface {
 	Append(a data.Answer) error
-}
-
-// MutationSink receives accepted dataset mutations for durable storage
-// before they are acknowledged (implemented by eventlog.Log).
-type MutationSink interface {
 	AppendAddObject(object string, candidates []string) error
 	AppendAddRecord(r data.Record) error
 }
@@ -68,24 +74,16 @@ type MutationSink interface {
 type Config struct {
 	Dataset *data.Dataset
 	// Engine is the truth-model engine the campaign runs (fit, incremental
-	// fold, growth, answer validation, wire encoding). When nil, Inferencer
-	// must be set and is wrapped as a categorical engine — the pre-engine
-	// configuration surface, kept working for existing callers.
-	Engine engine.Engine
-	// Inferencer is the legacy categorical configuration: a single-truth
-	// inference algorithm, ignored when Engine is set.
-	Inferencer infer.Inferencer
-	Assigner   assign.Assigner
+	// fold, growth, answer validation, wire encoding).
+	Engine   engine.Engine
+	Assigner assign.Assigner
 	// K is the number of questions handed out per /task call (default 5,
 	// the paper's setting).
 	K int
-	// Log, when non-nil, receives every accepted answer before it is
-	// acknowledged.
-	Log AnswerSink
-	// Mutations, when non-nil, receives every accepted dataset mutation
+	// Log, when non-nil, receives every accepted answer and dataset mutation
 	// (POST /objects, POST /records) before it is acknowledged. Without it
-	// the campaign still grows, just not durably.
-	Mutations MutationSink
+	// the campaign still collects and grows, just not durably.
+	Log EventSink
 	// Seed drives the assigner's sampling.
 	Seed int64
 	// Policy tunes the inference pipeline (zero value = defaults).
@@ -110,9 +108,6 @@ type Config struct {
 	// a sampled W3C traceparent are always captured. Watermarks and the
 	// visibility histogram are always on regardless.
 	TraceSampleEvery int
-	// TraceCapacity is the completed-trace ring size GET /debug/trace reads
-	// (0 = the default 256).
-	TraceCapacity int
 }
 
 // Server is the crowdsourcing coordinator. Reads are lock-free against a
@@ -121,19 +116,14 @@ type Config struct {
 // goroutine (pipeline.go).
 type Server struct {
 	cfg     Config
-	eng     engine.Engine
 	current atomic.Pointer[Snapshot]
 	workers *workerState
 
-	// accepted answers (beyond the seed dataset), for Answers() and /stats.
-	acceptedMu   sync.Mutex
-	acceptedList []data.Answer
-
 	// Accepted open-world mutations: reservation state that gives concurrent
 	// duplicate submissions a deterministic 409 while the winner is still in
-	// flight toward its snapshot, plus counters for /stats. Entries are kept
-	// for the server's lifetime — they are exactly the additions this
-	// instance accepted, the in-memory complement of the snapshot state.
+	// flight toward its snapshot. Entries are kept for the server's lifetime
+	// — they are exactly the additions this instance accepted, the in-memory
+	// complement of the snapshot state.
 	// addedObjects is a refcount, not a set: every accepted creator of an
 	// object (its POST /objects, each POST /records claiming it) holds one
 	// reference, so a failed log append releases only its own reference and
@@ -141,8 +131,6 @@ type Server struct {
 	mutMu        sync.Mutex
 	addedObjects map[string]int     // object name -> accepted creator count
 	addedClaims  map[[2]string]bool // (object, source) added via POST /records
-	objectCount  int                // accepted POST /objects
-	recordCount  int                // accepted POST /records
 
 	// Ingest is sharded by object name: each accepted item goes to its
 	// object's shard queue (stable FNV hash, so an object's stream stays
@@ -155,34 +143,31 @@ type Server struct {
 	// Lineage: every enqueued item gets a per-shard monotonic sequence
 	// number, assigned under seqMu held across the (possibly blocking)
 	// channel send so sequence order is exactly FIFO order within a shard.
-	// shardFolded mirrors the pipeline's folded watermark per shard as
-	// atomics for /stats; the published Snapshot.Watermarks is the
-	// consistent-with-the-snapshot view.
-	shardChs    []chan ingestItem
-	shardDepth  []atomic.Int64
-	seqMu       []sync.Mutex
-	shardSeq    []int64 // guarded by seqMu[i]
-	shardFolded []atomic.Int64
-	kickCh      chan struct{}
-	refreshCh   chan refreshReq
-	quitCh      chan struct{}
-	doneCh      chan struct{}
-	closed      atomic.Bool
-	closeMu     sync.Mutex
-	ingestWG    sync.WaitGroup
-	closeOnce   sync.Once
+	// The folded watermark per shard is the published Snapshot.Watermarks.
+	shardChs   []chan ingestItem
+	shardDepth []atomic.Int64
+	seqMu      []sync.Mutex
+	shardSeq   []int64 // guarded by seqMu[i]
+	kickCh     chan struct{}
+	refreshCh  chan refreshReq
+	quitCh     chan struct{}
+	doneCh     chan struct{}
+	closed     atomic.Bool
+	closeMu    sync.Mutex
+	ingestWG   sync.WaitGroup
+	closeOnce  sync.Once
 
-	// Plan-maintenance observability (/stats): publishes that advanced the
-	// previous snapshot's plan vs built one from scratch, and /task requests
-	// that found a stale attached plan (a threading regression).
-	planBuilds    atomic.Int64
-	planAdvances  atomic.Int64
+	// planFallbacks counts /task requests that found a stale attached plan (a
+	// threading regression). The assigner increments it through
+	// assign.Context; the registry exports it at scrape time.
 	planFallbacks atomic.Int64
 
-	// metrics holds the pre-resolved /metrics instruments (metrics.go).
+	// metrics holds the pre-resolved /metrics instruments (metrics.go). The
+	// accepted-answer, accepted-mutation and plan build/advance counters live
+	// only there: /stats and /metrics read the same storage.
 	metrics *serverMetrics
 
-	// Observability plumbing: the span recorder behind /debug/trace, the
+	// Observability plumbing: the span recorder behind /trace, the
 	// structured logger (never nil; discards by default), the process start
 	// for /stats uptime, the EWMA nanoseconds-per-item drain-rate estimate
 	// Retry-After derives from, and the per-site rate limiters for the
@@ -299,18 +284,14 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Dataset == nil {
 		return nil, errors.New("server: nil dataset")
 	}
-	eng := cfg.Engine
-	if eng == nil {
-		if cfg.Inferencer == nil {
-			return nil, errors.New("server: nil engine and nil inferencer")
-		}
-		eng = engine.NewCategorical(cfg.Inferencer, engine.Config{Seed: cfg.Seed})
+	if cfg.Engine == nil {
+		return nil, errors.New("server: nil engine")
 	}
 	if cfg.Assigner == nil {
 		return nil, errors.New("server: nil assigner")
 	}
-	if eng.Model() != engine.Categorical && cfg.Assigner.Name() == "EAI" {
-		return nil, fmt.Errorf("server: assigner EAI requires a categorical engine, not %s", eng.Model())
+	if tm := cfg.Engine.Model(); tm != engine.Categorical && cfg.Assigner.Name() == "EAI" {
+		return nil, fmt.Errorf("server: assigner EAI requires a categorical engine, not %s", tm)
 	}
 	if cfg.K == 0 {
 		cfg.K = 5
@@ -318,7 +299,6 @@ func New(cfg Config) (*Server, error) {
 	cfg.Policy = cfg.Policy.withDefaults()
 	s := &Server{
 		cfg:          cfg,
-		eng:          eng,
 		workers:      newWorkerState(),
 		addedObjects: map[string]int{},
 		addedClaims:  map[[2]string]bool{},
@@ -339,13 +319,12 @@ func New(cfg Config) (*Server, error) {
 	s.shardDepth = make([]atomic.Int64, cfg.Policy.Shards)
 	s.seqMu = make([]sync.Mutex, cfg.Policy.Shards)
 	s.shardSeq = make([]int64, cfg.Policy.Shards)
-	s.shardFolded = make([]atomic.Int64, cfg.Policy.Shards)
 	s.startTime = time.Now() //tdh:wallclock uptime baseline for /stats; never fed into replayed state
 	s.log = cfg.Logger
 	if s.log == nil {
 		s.log = slog.New(slog.DiscardHandler)
 	}
-	s.tracer = trace.New(cfg.TraceCapacity, cfg.TraceSampleEvery)
+	s.tracer = trace.New(trace.DefaultCapacity, cfg.TraceSampleEvery)
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -414,10 +393,8 @@ func (s *Server) Handler() http.Handler {
 	handle("GET /stats", "/stats", s.handleStats)
 	handle("POST /refresh", "/refresh", s.handleRefresh)
 	mux.Handle("GET /metrics", s.metrics.reg.Handler())
-	// The trace endpoints are deliberately not self-instrumented, like
-	// /metrics. /trace is the same handler at the path the campaign proxy
-	// strips to (GET /v1/campaigns/{id}/trace).
-	mux.Handle("GET /debug/trace", http.HandlerFunc(s.handleTrace))
+	// The trace endpoint is deliberately not self-instrumented, like
+	// /metrics (the campaign proxy serves it as GET /v1/campaigns/{id}/trace).
 	mux.Handle("GET /trace", http.HandlerFunc(s.handleTrace))
 	return mux
 }
@@ -524,8 +501,7 @@ func prunePending(sh *workerShard, worker string, snap *Snapshot) []string {
 
 func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 	var a data.Answer
-	if err := json.NewDecoder(r.Body).Decode(&a); err != nil {
-		httpError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
+	if !decodeRequest(w, r, &a) {
 		return
 	}
 	if a.Worker == "" || a.Object == "" || (a.Value == "" && len(a.Values) == 0 && a.Num == nil) {
@@ -568,7 +544,7 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 	// The engine owns payload validation: candidate membership for
 	// categorical and multi-truth answers, numeric parsing for numeric ones
 	// — plus in-place canonicalization of the typed payload.
-	if err := s.eng.ValidateAnswer(ov, &a); err != nil {
+	if err := s.cfg.Engine.ValidateAnswer(ov, &a); err != nil {
 		httpError(w, http.StatusUnprocessableEntity, err.Error())
 		return
 	}
@@ -609,11 +585,7 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	s.acceptedMu.Lock()
-	s.acceptedList = append(s.acceptedList, a)
-	n := len(s.acceptedList)
-	s.acceptedMu.Unlock()
-	s.metrics.answersAccepted.Inc()
+	n := s.metrics.answersAccepted.Add(1)
 
 	// Enqueue for the inference pipeline; a full shard queue applies
 	// backpressure. The pipeline keeps draining until Close has waited out
@@ -648,8 +620,7 @@ type AddObjectRequest struct {
 // answers means maximal expected information).
 func (s *Server) handleAddObject(w http.ResponseWriter, r *http.Request) {
 	var req AddObjectRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	if req.Object == "" || len(req.Candidates) == 0 {
@@ -688,8 +659,8 @@ func (s *Server) handleAddObject(w http.ResponseWriter, r *http.Request) {
 	s.mutMu.Unlock()
 
 	tc := s.boundaryCtx(r)
-	if s.cfg.Mutations != nil {
-		if err := s.cfg.Mutations.AppendAddObject(req.Object, cands); err != nil {
+	if s.cfg.Log != nil {
+		if err := s.cfg.Log.AppendAddObject(req.Object, cands); err != nil {
 			s.releaseObjectRef(req.Object)
 			s.log.Error("event log append failed",
 				"trace_id", tc.TraceID.String(), "kind", "add_object",
@@ -698,11 +669,7 @@ func (s *Server) handleAddObject(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	s.mutMu.Lock()
-	s.objectCount++
-	n := s.objectCount
-	s.mutMu.Unlock()
-	s.metrics.mutationsAccepted.Inc()
+	n := s.metrics.objectsAdded.Add(1)
 	act := s.tracer.Start(tc, "add_object")
 	act.Annotate(trace.Attr{Key: "object", Value: req.Object})
 	shard, seq := s.enqueue(req.Object, ingestItem{
@@ -719,8 +686,7 @@ func (s *Server) handleAddObject(w http.ResponseWriter, r *http.Request) {
 // nodes are out of scope for live growth.
 func (s *Server) handleAddRecord(w http.ResponseWriter, r *http.Request) {
 	var rec data.Record
-	if err := json.NewDecoder(r.Body).Decode(&rec); err != nil {
-		httpError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
+	if !decodeRequest(w, r, &rec) {
 		return
 	}
 	if rec.Object == "" || rec.Source == "" || rec.Value == "" {
@@ -762,8 +728,8 @@ func (s *Server) handleAddRecord(w http.ResponseWriter, r *http.Request) {
 	s.mutMu.Unlock()
 
 	tc := s.boundaryCtx(r)
-	if s.cfg.Mutations != nil {
-		if err := s.cfg.Mutations.AppendAddRecord(rec); err != nil {
+	if s.cfg.Log != nil {
+		if err := s.cfg.Log.AppendAddRecord(rec); err != nil {
 			s.mutMu.Lock()
 			delete(s.addedClaims, key)
 			s.mutMu.Unlock()
@@ -775,11 +741,7 @@ func (s *Server) handleAddRecord(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	s.mutMu.Lock()
-	s.recordCount++
-	n := s.recordCount
-	s.mutMu.Unlock()
-	s.metrics.mutationsAccepted.Inc()
+	n := s.metrics.recordsAdded.Add(1)
 	act := s.tracer.Start(tc, "add_record")
 	act.Annotate(trace.Attr{Key: "object", Value: rec.Object}, trace.Attr{Key: "source", Value: rec.Source})
 	shard, seq := s.enqueue(rec.Object, ingestItem{
@@ -897,11 +859,10 @@ type Stats struct {
 	// scraping /metrics: UptimeSeconds since this server instance booted;
 	// Watermarks is the served snapshot's per-shard visibility watermark
 	// (max folded ingest seq — an item (shard, seq) is visible once
-	// Watermarks[shard] >= seq); FoldedSeq is the live folded seq per shard
-	// (may lead Watermarks between a fold and its snapshot load);
-	// LastPublishUnixMS is when the served snapshot was published. A
-	// nonzero ShardQueueDepth with FoldedSeq unchanged across polls is a
-	// stalled pipeline.
+	// Watermarks[shard] >= seq); FoldedSeq is the same vector under the
+	// name older clients poll; LastPublishUnixMS is when the served snapshot
+	// was published. A nonzero ShardQueueDepth with Watermarks unchanged
+	// across polls is a stalled pipeline.
 	UptimeSeconds     float64 `json:"uptime_seconds"`
 	Watermarks        []int64 `json:"watermark"`
 	FoldedSeq         []int64 `json:"folded_seq"`
@@ -909,44 +870,38 @@ type Stats struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, s.stats())
+	writeJSON(w, s.Stats())
 }
 
-// Stats returns the campaign status payload (programmatic twin of GET
-// /stats, used by the multi-campaign manager's listing endpoints).
-func (s *Server) Stats() Stats { return s.stats() }
-
-// stats builds the Stats payload from one snapshot load, so round and
-// answer counts are mutually consistent even during a refit.
-func (s *Server) stats() Stats {
+// Stats builds the campaign status payload (GET /stats, and the campaign
+// manager's listing endpoints) as a view over one snapshot load — so round
+// and applied counts are mutually consistent even during a refit — and the
+// metrics registry: every accepted/plan count below is the value /metrics
+// exports, read from the same counter.
+func (s *Server) Stats() Stats {
 	snap := s.snap()
 	base := s.cfg.Dataset
-	s.acceptedMu.Lock()
-	accepted := len(s.acceptedList)
-	s.acceptedMu.Unlock()
-	s.mutMu.Lock()
-	addedObjects, addedRecords := s.objectCount, s.recordCount
-	s.mutMu.Unlock()
+	addedRecords := int(s.metrics.recordsAdded.Value())
 	st := Stats{
 		Objects: snap.Idx.NumObjects(),
 		// The base dataset is immutable; live additions are counted
 		// separately (the pipeline's working copy cannot be read here
 		// without racing it).
 		Records:          len(base.Records) + addedRecords,
-		Answers:          accepted,
+		Answers:          int(s.metrics.answersAccepted.Value()),
 		Applied:          snap.Answers,
-		AddedObjects:     addedObjects,
+		AddedObjects:     int(s.metrics.objectsAdded.Value()),
 		AddedRecords:     addedRecords,
 		AppliedMutations: snap.Mutations,
 		Rounds:           snap.Round,
-		TruthModel:       string(s.eng.Model()),
-		Inference:        s.eng.Name(),
+		TruthModel:       string(s.cfg.Engine.Model()),
+		Inference:        s.cfg.Engine.Name(),
 		Assignment:       s.cfg.Assigner.Name(),
 		HasGold:          len(base.Truth) > 0,
 		Shards:           len(s.shardChs),
 		ShardQueueDepth:  make([]int, len(s.shardChs)),
-		PlanBuilds:       s.planBuilds.Load(),
-		PlanAdvances:     s.planAdvances.Load(),
+		PlanBuilds:       s.metrics.planBuilds.Value(),
+		PlanAdvances:     s.metrics.planAdvances.Value(),
 		PlanFallbacks:    s.planFallbacks.Load(),
 	}
 	// Queue depths come from the enqueue/drain counters, not len(chan): the
@@ -959,10 +914,7 @@ func (s *Server) stats() Stats {
 	}
 	st.UptimeSeconds = time.Since(s.startTime).Seconds() //tdh:wallclock diagnostics gauge in /stats
 	st.Watermarks = append([]int64{}, snap.Watermarks...)
-	st.FoldedSeq = make([]int64, len(s.shardFolded))
-	for i := range s.shardFolded {
-		st.FoldedSeq[i] = s.shardFolded[i].Load()
-	}
+	st.FoldedSeq = st.Watermarks
 	if !snap.PublishedAt.IsZero() {
 		st.SnapshotAgeMS = time.Since(snap.PublishedAt).Milliseconds() //tdh:wallclock diagnostics gauge in /stats
 		st.LastPublishUnixMS = snap.PublishedAt.UnixMilli()
@@ -985,14 +937,6 @@ func (s *Server) handleRefresh(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]any{"refreshed": true, "inference_runs": snap.Round})
 }
 
-// Answers returns a copy of the crowd answers accepted by this server
-// instance (for tests and campaign export).
-func (s *Server) Answers() []data.Answer {
-	s.acceptedMu.Lock()
-	defer s.acceptedMu.Unlock()
-	return append([]data.Answer(nil), s.acceptedList...)
-}
-
 // Truths returns the current inferred truths (programmatic twin of GET
 // /truths).
 func (s *Server) Truths() map[string]string {
@@ -1002,6 +946,27 @@ func (s *Server) Truths() map[string]string {
 		out[k] = v
 	}
 	return out
+}
+
+// maxBodyBytes caps the request bodies of POST /answer, /objects and
+// /records: each is one small JSON object from an untrusted client.
+const maxBodyBytes = 1 << 20
+
+// decodeRequest decodes a size-capped JSON request body into v. On failure it
+// answers 413 (body over maxBodyBytes) or 400 (malformed) and returns false.
+func decodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		httpError(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
+	} else {
+		httpError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
+	}
+	return false
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

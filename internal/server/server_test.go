@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/assign"
 	"repro/internal/data"
+	"repro/internal/engine"
 	"repro/internal/infer"
 	"repro/internal/synth"
 )
@@ -20,11 +21,11 @@ func newTestServer(t *testing.T) (*Server, *httptest.Server, *data.Dataset) {
 	t.Helper()
 	ds := synth.Heritages(synth.HeritagesConfig{Seed: 3, Scale: 0.06})
 	s, err := New(Config{
-		Dataset:    ds,
-		Inferencer: infer.NewTDH(),
-		Assigner:   assign.EAI{},
-		K:          3,
-		Seed:       3,
+		Dataset:  ds,
+		Engine:   engine.NewCategorical(infer.NewTDH(), engine.Config{}),
+		Assigner: assign.EAI{},
+		K:        3,
+		Seed:     3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -78,9 +79,9 @@ func TestNewValidation(t *testing.T) {
 	}
 	ds := synth.Heritages(synth.HeritagesConfig{Seed: 1, Scale: 0.05})
 	if _, err := New(Config{Dataset: ds}); err == nil {
-		t.Fatal("nil inferencer must fail")
+		t.Fatal("nil engine must fail")
 	}
-	if _, err := New(Config{Dataset: ds, Inferencer: infer.Vote{}}); err == nil {
+	if _, err := New(Config{Dataset: ds, Engine: engine.NewCategorical(infer.Vote{}, engine.Config{})}); err == nil {
 		t.Fatal("nil assigner must fail")
 	}
 }
@@ -283,7 +284,7 @@ func TestRefresh(t *testing.T) {
 // the campaign accuracy must improve — the end-to-end version of the
 // paper's Section 5.5 experiment.
 func TestCampaignImprovesAccuracy(t *testing.T) {
-	s, ts, ds := newTestServer(t)
+	_, ts, ds := newTestServer(t)
 	pool := synth.NewWorkerPool(synth.WorkerPoolConfig{Seed: 3, Count: 8, Pi: 0.85})
 	rng := rand.New(rand.NewSource(99))
 
@@ -316,9 +317,6 @@ func TestCampaignImprovesAccuracy(t *testing.T) {
 	}
 	if st.Accuracy <= st0.Accuracy {
 		t.Fatalf("campaign should improve accuracy: %v -> %v", st0.Accuracy, st.Accuracy)
-	}
-	if got := len(s.Answers()); got != st.Answers {
-		t.Fatalf("Answers() = %d, stats = %d", got, st.Answers)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/assign"
 	"repro/internal/data"
+	"repro/internal/engine"
 	"repro/internal/infer"
 	"repro/internal/synth"
 )
@@ -30,7 +31,7 @@ func newShardServer(t *testing.T, ds *data.Dataset, shards int) (*Server, *httpt
 	t.Helper()
 	s, err := New(Config{
 		Dataset:     ds.Clone(),
-		Inferencer:  infer.NewTDH(),
+		Engine:      engine.NewCategorical(infer.NewTDH(), engine.Config{}),
 		Assigner:    assign.EAI{},
 		K:           3,
 		Seed:        42,
@@ -184,7 +185,7 @@ func TestShardedIngestStorm(t *testing.T) {
 	ds := synth.Heritages(synth.HeritagesConfig{Seed: 9, Scale: 0.1})
 	s, err := New(Config{
 		Dataset:     ds.Clone(),
-		Inferencer:  infer.NewTDH(),
+		Engine:      engine.NewCategorical(infer.NewTDH(), engine.Config{}),
 		Assigner:    assign.EAI{},
 		K:           2,
 		Seed:        1,

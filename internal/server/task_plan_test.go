@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/assign"
 	"repro/internal/data"
+	"repro/internal/engine"
 	"repro/internal/infer"
 	"repro/internal/synth"
 )
@@ -46,10 +47,10 @@ func (p partialInferencer) Infer(idx *data.Index) *infer.Result {
 func TestConfidencePartialResult(t *testing.T) {
 	ds := synth.Heritages(synth.HeritagesConfig{Seed: 5, Scale: 0.05})
 	s, err := New(Config{
-		Dataset:    ds,
-		Inferencer: partialInferencer{inner: infer.NewTDH()},
-		Assigner:   assign.ME{}, // plan-only assigner; tolerates partial rows
-		K:          2,
+		Dataset:  ds,
+		Engine:   engine.NewCategorical(partialInferencer{inner: infer.NewTDH()}, engine.Config{}),
+		Assigner: assign.ME{}, // plan-only assigner; tolerates partial rows
+		K:        2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -117,11 +118,11 @@ func TestTaskSeedDecorrelatesWorkers(t *testing.T) {
 func TestQASCASamplingVariesAcrossWorkers(t *testing.T) {
 	ds := synth.Heritages(synth.HeritagesConfig{Seed: 11, Scale: 0.08})
 	s, err := New(Config{
-		Dataset:    ds,
-		Inferencer: infer.NewTDH(),
-		Assigner:   assign.QASCA{},
-		K:          4,
-		Seed:       11,
+		Dataset:  ds,
+		Engine:   engine.NewCategorical(infer.NewTDH(), engine.Config{}),
+		Assigner: assign.QASCA{},
+		K:        4,
+		Seed:     11,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -161,11 +162,11 @@ func TestQASCASamplingVariesAcrossWorkers(t *testing.T) {
 func TestTaskStormSharedPlan(t *testing.T) {
 	ds := synth.Heritages(synth.HeritagesConfig{Seed: 17, Scale: 0.08})
 	s, err := New(Config{
-		Dataset:    ds,
-		Inferencer: infer.NewTDH(),
-		Assigner:   assign.EAI{},
-		K:          3,
-		Seed:       17,
+		Dataset:  ds,
+		Engine:   engine.NewCategorical(infer.NewTDH(), engine.Config{}),
+		Assigner: assign.EAI{},
+		K:        3,
+		Seed:     17,
 		// Disable background refits so every request hits the same snapshot.
 		Policy: RefitPolicy{MaxAnswers: -1, MaxStaleness: -1},
 	})

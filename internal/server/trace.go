@@ -8,9 +8,8 @@ import (
 	"repro/internal/obs/trace"
 )
 
-// The trace read endpoint: GET /debug/trace (and GET /trace, the path the
-// campaign proxy strips /v1/campaigns/{id}/trace to) returns the most
-// recent completed traces from the ring, newest first, as JSON span trees —
+// The trace read endpoint: GET /trace (the path the campaign proxy strips
+// /v1/campaigns/{id}/trace to) returns the most recent completed traces from the ring, newest first, as JSON span trees —
 // the root span is the HTTP accept (one answer or mutation), its children
 // the pipeline stages (queue wait, drain, fold or refit, plan_advance,
 // publish) that carried it to snapshot visibility. ?limit=N caps the count

@@ -81,7 +81,7 @@ func doTraced(t *testing.T, method, url, traceparent string, body string) *http.
 // TestAnswerLineageEndToEnd is the acceptance pin for the lineage tentpole:
 // one traced answer is followed from HTTP accept to snapshot visibility —
 // the caller's trace id is honored, the per-shard watermark advances over
-// the acknowledged sequence number, the span tree in /debug/trace carries
+// the acknowledged sequence number, the span tree in /trace carries
 // the full pipeline lineage (queue → drain → fold/refit → plan_advance →
 // publish), and tdh_visibility_seconds gains exactly one observation for
 // the one accepted item.
@@ -145,9 +145,9 @@ func TestAnswerLineageEndToEnd(t *testing.T) {
 			} `json:"root"`
 		} `json:"traces"`
 	}
-	resp = doTraced(t, http.MethodGet, ts.URL+"/debug/trace", "", "")
+	resp = doTraced(t, http.MethodGet, ts.URL+"/trace", "", "")
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /debug/trace = %s", resp.Status)
+		t.Fatalf("GET /trace = %s", resp.Status)
 	}
 	decodeBody(t, resp, &ring)
 	found := false
@@ -181,7 +181,7 @@ func TestAnswerLineageEndToEnd(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Fatalf("trace %s not in /debug/trace (got %d traces)", sentTrace, ring.Count)
+		t.Fatalf("trace %s not in /trace (got %d traces)", sentTrace, ring.Count)
 	}
 
 	// Exactly one accepted item → exactly one visibility observation.
