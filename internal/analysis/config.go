@@ -33,6 +33,9 @@ func DefaultSnapshotmut() SnapshotmutConfig {
 			"internal/core.Model.initialize",
 			"internal/core.Model.initObjectMu",
 			"internal/core.Run",
+			"internal/core.Model.evaluate",
+			"internal/core.Model.extrapolate",
+			"internal/core.Model.finish",
 			"internal/core.Model.step",
 			"internal/core.Model.StepOnce",
 			"internal/core.Model.scratch",

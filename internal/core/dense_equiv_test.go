@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -12,8 +13,11 @@ import (
 // tables, scratch-buffer E-step) to a reference implementation that mirrors
 // the seed engine: relationship by linear ancestor scan, Pop2/Pop3 computed
 // on the fly, per-iteration accumulator allocation, division instead of
-// precomputed reciprocals. Both must agree on Truths exactly and on
-// μ/φ/ψ within 1e-9 on the synthetic workloads.
+// precomputed reciprocals. The reference is plain EM and stays plain. It
+// pins two things: the dense E/M kernel, driven plainly through StepOnce,
+// agrees with it on Truths exactly and on μ/φ/ψ within 1e-9 on the
+// synthetic workloads; and Run, which accelerates that kernel, stops at a
+// fixed point of the reference step — the optimum plain EM converges to.
 
 // refEngine is the seed EM, ID-indexed for convenience but using none of
 // the precomputed tables.
@@ -281,8 +285,9 @@ func (r *refEngine) step() float64 {
 	return maxDelta
 }
 
-// refRun mirrors core.Run: initialize, iterate to tolerance, refresh
-// sufficient statistics, re-derive μ = N/D.
+// refRun is plain EM as core.Run ran it before acceleration: initialize,
+// iterate to tolerance or MaxIter, refresh sufficient statistics, re-derive
+// μ = N/D.
 func refRun(idx *data.Index, opt Options) *refEngine {
 	opt = opt.WithDefaults()
 	r := &refEngine{idx: idx, opt: opt}
@@ -356,14 +361,30 @@ func (r *refEngine) truths() map[string]string {
 	return out
 }
 
+// plainRun drives the dense kernel the way refRun drives the reference: n
+// plain StepOnce calls from the shared initialization, then Run's own
+// finish. It fails the test if the dense kernel meets Tol before step n —
+// the reference did not.
+func plainRun(t *testing.T, idx *data.Index, opt Options, n int) *Model {
+	t.Helper()
+	m := NewModel(idx, opt)
+	for i := 1; i <= n; i++ {
+		if m.StepOnce() < m.Opt.Tol && i < n {
+			t.Fatalf("dense kernel met Tol at step %d, reference at %d", i, n)
+		}
+	}
+	m.finish()
+	return m
+}
+
 func checkDenseMatchesReference(t *testing.T, ds *data.Dataset, opt Options) {
 	t.Helper()
 	idx := data.NewIndex(ds)
-	m := Run(idx, opt)
 	ref := refRun(data.NewIndex(ds), opt)
+	m := plainRun(t, idx, opt, ref.it)
 
-	if m.Iterations != ref.it {
-		t.Fatalf("iteration counts differ: dense=%d reference=%d", m.Iterations, ref.it)
+	if ref.it < ref.opt.MaxIter && m.FinalDelta >= m.Opt.Tol {
+		t.Fatalf("reference met Tol at step %d, dense kernel did not (delta %v)", ref.it, m.FinalDelta)
 	}
 	want := ref.truths()
 	for o, v := range m.Truths() {
@@ -418,17 +439,21 @@ func TestDenseEngineMatchesSeedHeritages(t *testing.T) {
 	checkDenseMatchesReference(t, ds, DefaultOptions())
 }
 
-func TestDenseEngineMatchesSeedWithWorkersAndAblations(t *testing.T) {
-	ds := synth.BirthPlaces(synth.BirthPlacesConfig{Seed: 5, Scale: 0.02})
-	// Crowd answers exercise the worker model (Pop2/Pop3 tables).
-	objs := ds.Objects()
-	for i, o := range objs {
+// withTruthAnswers adds a correct crowd answer to every third object, so
+// the worker model (Pop2/Pop3 tables) is exercised.
+func withTruthAnswers(ds *data.Dataset) *data.Dataset {
+	for i, o := range ds.Objects() {
 		if i%3 == 0 {
 			ds.Answers = append(ds.Answers, data.Answer{
 				Object: o, Worker: "w" + string(rune('a'+i%7)), Value: ds.Truth[o],
 			})
 		}
 	}
+	return ds
+}
+
+func TestDenseEngineMatchesSeedWithWorkersAndAblations(t *testing.T) {
+	ds := withTruthAnswers(synth.BirthPlaces(synth.BirthPlacesConfig{Seed: 5, Scale: 0.02}))
 	for _, opt := range []Options{
 		DefaultOptions(),
 		func() Options { o := DefaultOptions(); o.FlatModel = true; return o }(),
@@ -438,8 +463,93 @@ func TestDenseEngineMatchesSeedWithWorkersAndAblations(t *testing.T) {
 	}
 }
 
-// TestStepSteadyStateAllocs: after the first iteration builds the scratch
-// buffers, further EM iterations must not allocate.
+// TestRunReachesPlainFixedPoint pins what acceleration must not change: on
+// the package's fixtures Run stops where plain EM would, only sooner. These
+// are pinned fixtures, not a universal property — EM's fixed point depends
+// on the path when the posterior has near-saddles, and a rare input sends
+// the accelerated path to a neighbouring stationary point.
+func TestRunReachesPlainFixedPoint(t *testing.T) {
+	table1Answered := table1Dataset(t)
+	table1Answered.Answers = []data.Answer{
+		{Object: "bigben", Worker: "w1", Value: "London"},
+		{Object: "bigben", Worker: "w2", Value: "London"},
+		{Object: "bigben", Worker: "w3", Value: "London"},
+	}
+	for _, ds := range []*data.Dataset{
+		table1Dataset(t),
+		table1Answered,
+		synth.BirthPlaces(synth.BirthPlacesConfig{Seed: 11, Scale: 0.03}),
+		withTruthAnswers(synth.BirthPlaces(synth.BirthPlacesConfig{Seed: 5, Scale: 0.02})),
+		synth.Heritages(synth.HeritagesConfig{Seed: 11, Scale: 0.1}),
+		withTruthAnswers(synth.Heritages(synth.HeritagesConfig{Seed: 5, Scale: 0.05})),
+	} {
+		name := fmt.Sprintf("%s/%d answers", ds.Name, len(ds.Answers))
+		idx := data.NewIndex(ds)
+		m := Run(idx, DefaultOptions())
+		if m.FinalDelta >= m.Opt.Tol {
+			t.Fatalf("%s: Run stopped at the cap: %d evaluations, delta %v", name, m.Iterations, m.FinalDelta)
+		}
+
+		// A fixed point of the reference step, to the tolerance Run claims.
+		r := &refEngine{idx: idx, opt: m.Opt,
+			phi: append([][3]float64(nil), m.Phi...), psi: append([][3]float64(nil), m.Psi...)}
+		for _, mu := range m.Mu {
+			r.mu = append(r.mu, append([]float64(nil), mu...))
+		}
+		if d := r.step(); d >= m.Opt.Tol {
+			t.Errorf("%s: a reference step moves Run's output by %v", name, d)
+		}
+
+		// Plain EM: at the default cap (what Run returned before it was
+		// accelerated), at Tol, and driven on to 1e-10.
+		plain := NewModel(idx, DefaultOptions())
+		var capped *Model
+		plainIt, it := 0, 0
+		for d := 1.0; d >= 1e-10; {
+			d = plain.StepOnce()
+			it++
+			if plainIt == 0 && d < plain.Opt.Tol {
+				plainIt = it
+			}
+			if it == plain.Opt.MaxIter {
+				capped = plain.Clone()
+			}
+		}
+		if capped == nil {
+			capped = plain
+		}
+		t.Logf("%s: Run %d evaluations, plain EM %d iterations to Tol, %d to 1e-10", name, m.Iterations, plainIt, it)
+		if 2*m.Iterations > plainIt {
+			t.Errorf("%s: Run took %d evaluations, plain EM %d iterations", name, m.Iterations, plainIt)
+		}
+		if f, fc := m.LogPosterior(), capped.LogPosterior(); f < fc-1e-6*math.Abs(fc) {
+			t.Errorf("%s: log-posterior %v below plain EM's %v", name, f, fc)
+		}
+		const tol = 1e-4
+		want := plain.Truths()
+		got := m.Truths()
+		for oid, mu := range m.Mu {
+			top, second := 0.0, 0.0
+			for i, p := range plain.Mu[oid] {
+				if math.Abs(mu[i]-p) > tol {
+					t.Fatalf("%s: mu differs on %s[%d]: Run=%v plain=%v", name, idx.Objects[oid], i, mu[i], p)
+				}
+				if p > top {
+					top, second = p, top
+				} else if p > second {
+					second = p
+				}
+			}
+			if o := idx.Objects[oid]; top-second > tol && got[o] != want[o] {
+				t.Errorf("%s: truth differs on %s: Run=%q plain=%q", name, o, got[o], want[o])
+			}
+		}
+	}
+}
+
+// TestStepSteadyStateAllocs: after the first pass builds the scratch
+// buffers, neither a plain EM iteration nor a whole accelerated cycle (two
+// plain steps, extrapolation and projection, stabilising step) allocates.
 func TestStepSteadyStateAllocs(t *testing.T) {
 	ds := synth.BirthPlaces(synth.BirthPlacesConfig{Seed: 2, Scale: 0.02})
 	idx := data.NewIndex(ds)
@@ -448,5 +558,15 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(5, func() { m.StepOnce() })
 	if allocs > 0 {
 		t.Fatalf("sequential StepOnce allocates %v per iteration in steady state", allocs)
+	}
+	cycle := func() {
+		for i := 0; i < 3; i++ {
+			m.evaluate(1)
+		}
+	}
+	m = NewModel(idx, DefaultOptions())
+	cycle()
+	if allocs := testing.AllocsPerRun(3, cycle); allocs > 0 {
+		t.Fatalf("an accelerated cycle allocates %v in steady state", allocs)
 	}
 }

@@ -27,7 +27,7 @@ import "repro/internal/data"
 // published snapshot holding m keeps serving lock-free.
 func (m *Model) Grow(next *data.Index, touched []int) *Model {
 	g := newModelShell(next, m.Opt)
-	g.Iterations = m.Iterations
+	g.Iterations, g.FinalDelta = m.Iterations, m.FinalDelta
 	copy(g.Phi, m.Phi) // stable prefix; the rest stays at the prior mean
 	copy(g.Psi, m.Psi)
 

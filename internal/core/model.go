@@ -32,7 +32,12 @@ type Model struct {
 	N [][]float64
 	D []float64
 
-	Iterations int // EM iterations actually run
+	// Iterations counts the E/M evaluations Run performed (every step of a
+	// SQUAREM cycle is one), bounded by Opt.MaxIter. FinalDelta is the max
+	// confidence change of the last evaluation: the fit converged if and
+	// only if FinalDelta < Opt.Tol; otherwise Run stopped at the cap.
+	Iterations int
+	FinalDelta float64
 
 	muFlat   []float64  // backing array of Mu
 	nFlat    []float64  // backing array of N
@@ -61,6 +66,7 @@ func (m *Model) Clone() *Model {
 		Idx:        m.Idx,
 		Opt:        m.Opt,
 		Iterations: m.Iterations,
+		FinalDelta: m.FinalDelta,
 		Phi:        append([][3]float64(nil), m.Phi...),
 		Psi:        append([][3]float64(nil), m.Psi...),
 		D:          append([]float64(nil), m.D...),

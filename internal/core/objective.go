@@ -68,9 +68,11 @@ func dirichletLogKernel(x, alpha []float64) float64 {
 	return out
 }
 
-// StepOnce advances the EM by exactly one iteration and reports the max
-// confidence delta — exposed for convergence tests and for streaming
-// applications that interleave EM steps with new data.
+// StepOnce advances the EM by exactly one plain iteration and reports the
+// max confidence delta — exposed for convergence tests and for streaming
+// applications that interleave EM steps with new data. NewModel + StepOnce
+// is plain EM, the iteration Run accelerates; it does not count towards
+// Iterations.
 func (m *Model) StepOnce() float64 {
 	return m.step(m.Opt.effectiveWorkers())
 }

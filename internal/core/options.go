@@ -8,7 +8,9 @@
 // The engine runs on the dense-ID index of internal/data: parameters are
 // ID-indexed slices, the claim model reads precomputed relationship and
 // popularity tables, and the E-step reuses scratch buffers so steady-state
-// iterations allocate nothing. See README.md ("Performance architecture").
+// iterations allocate nothing. Run is the one fit kernel: plain EM steps
+// in SQUAREM cycles, a cold and deterministic function of the index. See
+// README.md ("Performance architecture").
 package core
 
 // Options are the hyperparameters of the TDH model. Zero-value fields are
@@ -22,10 +24,13 @@ type Options struct {
 	Beta [3]float64
 	// Gamma is the symmetric Dirichlet prior of each confidence μo; default 2.
 	Gamma float64
-	// MaxIter bounds the EM iterations; default 200.
+	// MaxIter bounds the E/M evaluations Run performs — every step of an
+	// accelerated cycle is one, so the bound means what it did for plain
+	// EM: full passes over the claims; default 200. A fit that reaches it
+	// has not converged (Model.FinalDelta >= Tol).
 	MaxIter int
 	// Tol is the convergence threshold on the max absolute confidence
-	// change; default 1e-7.
+	// change of one evaluation; default 1e-7.
 	Tol float64
 	// FlatModel, when true, ignores the hierarchy entirely and degrades TDH
 	// to a flat correct/wrong model (ablation hook; zero value = paper model).

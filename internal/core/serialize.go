@@ -21,6 +21,7 @@ import (
 type snapshot struct {
 	Options    Options              `json:"options"`
 	Iterations int                  `json:"iterations"`
+	FinalDelta float64              `json:"final_delta"`
 	Mu         map[string][]float64 `json:"mu"`
 	Phi        map[string][]float64 `json:"phi"`
 	Psi        map[string][]float64 `json:"psi"`
@@ -33,6 +34,7 @@ func (m *Model) Save(w io.Writer) error {
 	sn := snapshot{
 		Options:    m.Opt,
 		Iterations: m.Iterations,
+		FinalDelta: m.FinalDelta,
 		Mu:         make(map[string][]float64, len(m.Mu)),
 		N:          make(map[string][]float64, len(m.N)),
 		D:          make(map[string]float64, len(m.D)),
@@ -68,7 +70,7 @@ func Load(r io.Reader, idx *data.Index) (*Model, error) {
 	}
 	m := newModelShell(idx, sn.Options)
 	m.Opt = sn.Options // the shell fills defaults; keep the stored options verbatim
-	m.Iterations = sn.Iterations
+	m.Iterations, m.FinalDelta = sn.Iterations, sn.FinalDelta
 	for oid, o := range idx.Objects {
 		mu, ok := sn.Mu[o]
 		if !ok {

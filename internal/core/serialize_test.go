@@ -34,8 +34,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			t.Fatalf("phi mismatch on %s", idx.SourceNames[sid])
 		}
 	}
-	if got.Iterations != m.Iterations {
-		t.Fatal("iterations lost")
+	if got.Iterations != m.Iterations || got.FinalDelta != m.FinalDelta {
+		t.Fatal("iterations or final delta lost")
 	}
 	// The loaded model serves identical truths and incremental updates.
 	a := m.Truths()

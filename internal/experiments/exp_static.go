@@ -109,6 +109,6 @@ func Fig5(cfg Config) *Report {
 	}
 	rep.Notes = append(rep.Notes,
 		"expected shape (paper Fig. 5): phi1 ≈ Accuracy, phi1+phi2 ≈ GenAccuracy; ASUMS's t(s) underestimates the heavy generalizers (src-4, src-5, src-7)",
-		fmt.Sprintf("TDH EM iterations: %d", m.Iterations))
+		fmt.Sprintf("TDH E/M evaluations: %d", m.Iterations))
 	return rep
 }

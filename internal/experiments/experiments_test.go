@@ -99,21 +99,40 @@ func TestFig1Shape(t *testing.T) {
 	}
 }
 
+// table3Exceptions are the Table 3 inequalities that do not hold at tinyCfg
+// (360 BirthPlaces objects): TDH is second on BirthPlaces accuracy and
+// fourth on its average distance there. They are listed, not loosened: every
+// other cell of the claim is asserted, and an entry that starts to hold
+// fails the test until it is removed from this list.
+var table3Exceptions = map[string]bool{
+	"LFC/BP-Acc":     true, // 0.8722 vs TDH 0.8556
+	"LCA/BP-AvgDist": true, // 0.4167 vs TDH 0.5083
+	"LFC/BP-AvgDist": true, // 0.4167
+	"CRH/BP-AvgDist": true, // 0.4528
+}
+
+// TestTable3Shape pins the paper's Table 3 claim at tinyCfg: TDH is at least
+// as accurate as, and at most as far from the truth as, each of the nine
+// baselines on both datasets.
 func TestTable3Shape(t *testing.T) {
 	rep := Table3(tinyCfg())
 	if len(rep.Rows) != 10 {
 		t.Fatalf("rows = %d, want 10 algorithms", len(rep.Rows))
 	}
-	tdhAcc := rep.MustCell("TDH", "BP-Acc")
-	voteAcc := rep.MustCell("VOTE", "BP-Acc")
-	if tdhAcc <= voteAcc {
-		t.Fatalf("TDH (%v) must beat VOTE (%v) on BirthPlaces accuracy", tdhAcc, voteAcc)
-	}
-	if rep.MustCell("TDH", "BP-AvgDist") >= rep.MustCell("VOTE", "BP-AvgDist") {
-		t.Fatal("TDH must beat VOTE on AvgDistance")
-	}
-	if rep.MustCell("TDH", "HG-Acc") <= rep.MustCell("ASUMS", "HG-Acc") {
-		t.Fatal("TDH must beat ASUMS on Heritages")
+	for _, row := range rep.Rows {
+		if row.Label == "TDH" {
+			continue
+		}
+		for _, col := range []string{"BP-Acc", "BP-AvgDist", "HG-Acc", "HG-AvgDist"} {
+			tdh, base := rep.MustCell("TDH", col), rep.MustCell(row.Label, col)
+			holds := tdh >= base
+			if strings.HasSuffix(col, "AvgDist") {
+				holds = tdh <= base
+			}
+			if key := row.Label + "/" + col; holds == table3Exceptions[key] {
+				t.Errorf("%s: TDH %v vs %v, listed as an exception: %v", key, tdh, base, table3Exceptions[key])
+			}
+		}
 	}
 }
 
@@ -157,6 +176,14 @@ func TestFig6Shape(t *testing.T) {
 				first = row.Cells[0]
 			} else if row.Cells[0] != first {
 				t.Fatal("round 0 must be identical across assigners")
+			}
+		}
+		// The paper's Fig. 6 claim: by the final round EAI has bought at
+		// least as much accuracy as ME and QASCA.
+		last := rep.Cols[len(rep.Cols)-1]
+		for _, other := range []string{"TDH+ME", "TDH+QASCA"} {
+			if eai, o := rep.MustCell("TDH+EAI", last), rep.MustCell(other, last); eai < o {
+				t.Errorf("%s: TDH+EAI %v below %s %v at %s", rep.Title, eai, other, o, last)
 			}
 		}
 	}

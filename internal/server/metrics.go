@@ -53,6 +53,11 @@ type serverMetrics struct {
 	batchSize  *obs.Histogram            // answers folded per publish cycle
 	publishes  map[bool]*obs.Counter     // key: full refit?
 	visibility *obs.Histogram            // ingest accept -> covering publish
+
+	// Inference health of the last full refit (TDH only; other engines never
+	// set them): E/M evaluations run and the last one's max confidence change.
+	emIterations *obs.Gauge
+	emFinalDelta *obs.Gauge
 }
 
 // httpRoutes are the instrumented data/read-plane routes, label values for
@@ -94,6 +99,10 @@ func newServerMetrics(s *Server, reg *obs.Registry) *serverMetrics {
 			false: reg.Counter("tdh_publishes_total", "snapshots published", "kind", "incremental"),
 			true:  reg.Counter("tdh_publishes_total", "snapshots published", "kind", "refit"),
 		},
+		emIterations: reg.Gauge("tdh_em_iterations",
+			"E/M evaluations the last full refit ran (the fit stopped at the cap if this equals MaxIter and tdh_em_final_delta is at or above the tolerance)"),
+		emFinalDelta: reg.Gauge("tdh_em_final_delta",
+			"max confidence change of the last full refit's final E/M evaluation; below the tolerance (default 1e-7) means converged"),
 	}
 	for _, route := range httpRoutes {
 		m.httpDur[route] = reg.Histogram("tdh_http_request_duration_seconds",

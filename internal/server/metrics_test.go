@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -13,8 +14,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/assign"
+	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/engine"
+	"repro/internal/infer"
 	"repro/internal/synth"
 )
 
@@ -83,9 +87,9 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// seriesValue returns the sample value of the series whose text-format
+// seriesFloat returns the sample value of the series whose text-format
 // identity (name plus any {labels}) is exactly id.
-func seriesValue(t *testing.T, exposition, id string) int64 {
+func seriesFloat(t *testing.T, exposition, id string) float64 {
 	t.Helper()
 	for _, line := range strings.Split(exposition, "\n") {
 		if rest, ok := strings.CutPrefix(line, id+" "); ok {
@@ -93,11 +97,17 @@ func seriesValue(t *testing.T, exposition, id string) int64 {
 			if err != nil {
 				t.Fatalf("series %s: %v", id, err)
 			}
-			return int64(v)
+			return v
 		}
 	}
 	t.Fatalf("/metrics has no series %s", id)
 	return 0
+}
+
+// seriesValue is seriesFloat for counters.
+func seriesValue(t *testing.T, exposition, id string) int64 {
+	t.Helper()
+	return int64(seriesFloat(t, exposition, id))
 }
 
 // TestStatsReadsTheRegistry pins the single source of truth: the accepted
@@ -192,6 +202,65 @@ func TestStatsReadsTheRegistry(t *testing.T) {
 	if st.Answers != total || st.AddedObjects != 1 || st.AddedRecords != 1 || st.PlanBuilds < 1 {
 		t.Errorf("stats = %d answers, %d objects, %d records, %d plan builds; want %d, 1, 1, >=1",
 			st.Answers, st.AddedObjects, st.AddedRecords, st.PlanBuilds, total)
+	}
+}
+
+// TestEMGaugesReadTheModel pins the inference-health series to their one
+// source, the published model: tdh_em_iterations and tdh_em_final_delta are
+// the Iterations and FinalDelta of the last refit's *core.Model, a default
+// fit reports convergence, and a fit cut short by MaxIter says so — in the
+// gauges and in one rate-limited warning, however many refits hit the cap.
+func TestEMGaugesReadTheModel(t *testing.T) {
+	capped := infer.NewTDH()
+	capped.Opt.MaxIter = 3
+	for _, c := range []struct {
+		name      string
+		inf       infer.TDH
+		converged bool
+	}{
+		{"converged", infer.NewTDH(), true},
+		{"capped", capped, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var logs bytes.Buffer
+			s, err := New(Config{
+				Dataset:  synth.Heritages(synth.HeritagesConfig{Seed: 3, Scale: 0.06}),
+				Engine:   engine.NewCategorical(c.inf, engine.Config{}),
+				Assigner: assign.EAI{},
+				Logger:   slog.New(slog.NewTextHandler(&logs, nil)),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+			snap, err := s.Refresh() // a second refit after the boot fit
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := snap.Res.Model.(*core.Model)
+			out := scrapeMetrics(t, ts.URL)
+			if got := seriesFloat(t, out, "tdh_em_iterations"); got != float64(m.Iterations) {
+				t.Errorf("tdh_em_iterations = %v, the model ran %d", got, m.Iterations)
+			}
+			if got := seriesFloat(t, out, "tdh_em_final_delta"); got != m.FinalDelta {
+				t.Errorf("tdh_em_final_delta = %v, the model ended at %v", got, m.FinalDelta)
+			}
+			if converged := m.FinalDelta < m.Opt.Tol; converged != c.converged {
+				t.Errorf("converged = %v after %d evaluations (delta %v)", converged, m.Iterations, m.FinalDelta)
+			}
+			if !c.converged && m.Iterations != c.inf.Opt.MaxIter {
+				t.Errorf("capped fit ran %d evaluations, MaxIter is %d", m.Iterations, c.inf.Opt.MaxIter)
+			}
+			want := 0
+			if !c.converged {
+				want = 1
+			}
+			if got := strings.Count(logs.String(), "EM evaluation cap"); got != want {
+				t.Errorf("%d cap warnings for 2 refits, want %d:\n%s", got, want, logs.String())
+			}
+		})
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/assign"
+	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/engine"
 	"repro/internal/obs/trace"
@@ -30,19 +31,38 @@ import (
 // plan is Advance'd around the touched objects (O(batch + |O|)) instead of
 // rebuilt from scratch (O(Σ|Vo| + |O| log |O|)), and every publish prewarms
 // the plan in the pipeline goroutine so no /task request ever pays a plan
-// build in-line. Full refits — the expensive MAP-EM from scratch, with the
-// parallel E-step when Options.Workers is set — are debounced behind a
-// RefitPolicy and also run entirely off the request path.
+// build in-line. Full refits — the MAP-EM from scratch (core.Run: always a
+// cold, deterministic function of the dataset, so a replayed log refits to
+// the state the live process published), with the parallel E-step when
+// Options.Workers is set — are debounced behind a RefitPolicy and also run
+// entirely off the request path. A refit is the one stage whose cost grows
+// with the whole campaign, and the coordinator is a single goroutine, so
+// whatever is queued when one starts waits for all of it: the policy
+// therefore never starts a count-triggered refit in front of a backlog
+// (shouldRefit) — the cheap fold + publish cycles make the queued answers
+// visible first, and the refit runs once the queue is empty or the
+// staleness bound expires.
 
 // RefitPolicy controls when the pipeline escalates from incremental
 // confidence updates to a full EM refit, and how ingestion is buffered.
 // Zero-value fields take the defaults documented per field.
+//
+// The two refit triggers are not symmetric. MaxStaleness is a deadline: once
+// the oldest unrefitted answer is that old, the next coordinator cycle or
+// tick refits, backlog or not. MaxAnswers is a batch size: it asks for a
+// refit once enough answers accumulated, but while a drain leaves items
+// queued the refit is deferred — the queue is folded and published first —
+// until the queue is empty or MaxStaleness expires, whichever comes first.
+// With staleness refits disabled nothing bounds the deferral, so the count
+// trigger is then not deferred at all.
 type RefitPolicy struct {
 	// MaxAnswers triggers a full refit once this many answers accumulated
-	// since the last one (default 64; <0 disables count-based refits).
+	// since the last one and no backlog is queued (default 64; <0 disables
+	// count-based refits).
 	MaxAnswers int
 	// MaxStaleness triggers a full refit when the oldest unrefitted answer
-	// is older than this (default 2s; <0 disables staleness refits).
+	// is older than this (default 2s; <0 disables staleness refits, and with
+	// them the deferral of count-based ones).
 	MaxStaleness time.Duration
 	// BatchSize caps how many queued answers one incremental step folds in
 	// PER SHARD before publishing a snapshot (default 64).
@@ -144,6 +164,7 @@ type pipeline struct {
 	mutApplied int // dataset mutations folded into the published snapshot
 	sinceRefit int // answers + mutations since the last full refit
 	staleSince time.Time
+	backlog    bool // the last drain left items queued (drainShards)
 
 	// Lineage accounting, all coordinator-owned. drainedSeq is the highest
 	// ingest sequence drained per shard; the next publish copies it onto the
@@ -259,7 +280,8 @@ const (
 	// advancing before the stall warning fires.
 	stallAfter = 2 * time.Second
 	// logRepeatEvery rate-limits the recurring diagnostic warnings
-	// (admission rejections, stalls, slow publishes) to one line per period.
+	// (admission rejections, stalls, slow publishes, capped refits) to one
+	// line per period.
 	logRepeatEvery = 5 * time.Second
 )
 
@@ -346,10 +368,29 @@ func (p *pipeline) fullRefit() {
 	p.round++
 	p.sinceRefit = 0
 	p.metrics().observeStage(stageRefit, start)
+	p.reportConvergence()
 	// When this refit is what makes drained items visible (the refresh
 	// path), their span trees show the refit as the fold stage.
 	p.stamps.foldStart, p.stamps.foldEnd, p.stamps.refit = start, time.Now(), true
 	p.publish(nil, false)
+}
+
+// reportConvergence exports how the refit's EM ended — evaluations run and
+// the last one's max confidence change — and warns when it stopped at the
+// evaluation cap instead of meeting its tolerance: such a fit is not a
+// stationary point, however plausible its truths look. Only a state that
+// carries a TDH model has anything to report.
+func (p *pipeline) reportConvergence() {
+	m, ok := p.st.Res().Model.(*core.Model)
+	if !ok {
+		return
+	}
+	p.metrics().emIterations.Set(float64(m.Iterations))
+	p.metrics().emFinalDelta.Set(m.FinalDelta)
+	if m.FinalDelta >= m.Opt.Tol && p.s.logEvery(&p.s.lastCapLog, logRepeatEvery) {
+		p.s.log.Warn("refit stopped at the EM evaluation cap before meeting its tolerance",
+			"iterations", m.Iterations, "final_delta", m.FinalDelta, "tol", m.Opt.Tol, "round", p.round)
+	}
 }
 
 // ingest extends the dataset and counters with accepted answers, without
@@ -503,25 +544,30 @@ func (p *pipeline) stageMutations(muts []*mutation) data.Mutation {
 	return mu
 }
 
-// shouldRefit applies the count/staleness policy.
+// shouldRefit applies the count/staleness policy (see RefitPolicy): the
+// staleness deadline always fires; the count trigger waits out a backlog
+// when — and only when — that deadline exists to bound the wait.
 func (p *pipeline) shouldRefit(now time.Time) bool {
 	if p.sinceRefit <= 0 {
 		return false
 	}
-	if p.policy.MaxAnswers > 0 && p.sinceRefit >= p.policy.MaxAnswers {
-		return true
+	if p.policy.MaxStaleness > 0 {
+		if now.Sub(p.staleSince) >= p.policy.MaxStaleness {
+			return true
+		}
+		if p.backlog {
+			return false
+		}
 	}
-	if p.policy.MaxStaleness > 0 && now.Sub(p.staleSince) >= p.policy.MaxStaleness {
-		return true
-	}
-	return false
+	return p.policy.MaxAnswers > 0 && p.sinceRefit >= p.policy.MaxAnswers
 }
 
 // drainShards moves what is buffered on every shard queue into per-shard
 // answer batches plus the cycle's mutations, without blocking. limit caps
 // the items taken PER SHARD (0 = unbounded, used during refresh and
-// shutdown); more reports whether any queue still held items afterwards,
-// so the coordinator re-kicks itself instead of stalling a backlog.
+// shutdown); p.backlog records whether any queue still held items
+// afterwards, so the coordinator re-kicks itself instead of stalling a
+// backlog and defers a count-triggered refit behind it.
 // Mutations are returned in shard order (per-object order — the one that
 // matters for dedup and candidate accumulation — is preserved, since an
 // object's mutations all live on one shard). taken counts the items drained
@@ -531,9 +577,10 @@ func (p *pipeline) shouldRefit(now time.Time) bool {
 // accepted-but-unfolded backlog, not just the channel buffers.
 //
 //tdh:wallclock drain-stage timing is observability only; replayed state never reads it
-func (p *pipeline) drainShards(limit int) (groups [][]data.Answer, muts []*mutation, taken []int, more bool) {
+func (p *pipeline) drainShards(limit int) (groups [][]data.Answer, muts []*mutation, taken []int) {
 	start := time.Now()
 	p.stamps.drainStart = start
+	p.backlog = false
 	groups = make([][]data.Answer, len(p.s.shardChs))
 	taken = make([]int, len(p.s.shardChs))
 	for i, ch := range p.s.shardChs {
@@ -560,12 +607,12 @@ func (p *pipeline) drainShards(limit int) (groups [][]data.Answer, muts []*mutat
 			}
 		}
 		if len(ch) > 0 {
-			more = true
+			p.backlog = true
 		}
 	}
 	p.metrics().observeStage(stageDrain, start)
 	p.stamps.drainEnd = time.Now()
-	return groups, muts, taken, more
+	return groups, muts, taken
 }
 
 // releaseDepth retires drained items from the shard depth counters once
@@ -590,13 +637,13 @@ func (p *pipeline) loop() {
 	for {
 		select {
 		case <-p.s.kickCh:
-			groups, muts, taken, more := p.drainShards(p.policy.BatchSize)
+			groups, muts, taken := p.drainShards(p.policy.BatchSize)
 			p.applyShards(groups, muts)
 			if p.shouldRefit(time.Now()) {
 				p.fullRefit()
 			}
 			p.releaseDepth(taken)
-			if more {
+			if p.backlog {
 				p.s.kick() // backlog beyond the batch cap: schedule another cycle
 			}
 		case req := <-p.s.refreshCh:
@@ -604,7 +651,7 @@ func (p *pipeline) loop() {
 			// everything the drained answers would have contributed.
 			// Mutations still extend the working dataset first so the refit
 			// covers them.
-			groups, muts, taken, _ := p.drainShards(0)
+			groups, muts, taken := p.drainShards(0)
 			if len(muts) > 0 {
 				p.stageMutations(muts) // the refit below absorbs them
 			}
@@ -623,7 +670,7 @@ func (p *pipeline) loop() {
 			// Flush: every item accepted before Close was enqueued (Close
 			// waits out in-flight accepts first), so one unbounded drain
 			// folds the backlog into a final snapshot.
-			groups, muts, taken, _ := p.drainShards(0)
+			groups, muts, taken := p.drainShards(0)
 			p.applyShards(groups, muts)
 			p.releaseDepth(taken)
 			return

@@ -285,3 +285,99 @@ func TestConcurrentClients(t *testing.T) {
 		t.Fatalf("snapshot folded %d answers, accepted %d", snap.Answers, acceptedTotal.Load())
 	}
 }
+
+// recordingEngine is a slowEngine (every batch folds through ApplyAnswers,
+// which takes at least delay) that records the order of the coordinator's
+// full refits and folds.
+type recordingEngine struct {
+	slowEngine
+	visible func() uint64 // visibility observations so far, read at each refit
+
+	mu     sync.Mutex
+	events []string
+}
+
+func (e *recordingEngine) record(ev string) {
+	e.mu.Lock()
+	e.events = append(e.events, ev)
+	e.mu.Unlock()
+}
+
+func (e *recordingEngine) Fit(idx *data.Index) engine.State {
+	ev := "fit"
+	if e.visible != nil {
+		ev = fmt.Sprintf("fit@%d", e.visible())
+	}
+	e.record(ev)
+	return e.Engine.Fit(idx)
+}
+
+func (e *recordingEngine) ApplyAnswers(st engine.State, idx *data.Index, answers []data.Answer) (engine.State, bool) {
+	e.record("fold")
+	return e.slowEngine.ApplyAnswers(st, idx, answers)
+}
+
+// TestCountRefitWaitsForBacklog pins the refit predicate on a backlog of
+// five batches queued before the coordinator starts, with the count trigger
+// at one batch: the count trigger is deferred behind the backlog — every
+// queued answer is folded and visible before the one refit that follows —
+// for at most MaxStaleness, and not at all when no staleness bound exists.
+func TestCountRefitWaitsForBacklog(t *testing.T) {
+	const batch, batches = 4, 5
+	for _, c := range []struct {
+		name      string
+		staleness time.Duration
+		foldDelay time.Duration
+		want      string // events after the boot fit; "" = checked below
+	}{
+		{name: "deferred behind the backlog", staleness: time.Minute,
+			want: "[fold fold fold fold fold fit@20]"},
+		// Each fold outlasts the staleness bound, so the deadline has passed
+		// by the end of the first cycle.
+		{name: "staleness bounds the deferral", staleness: time.Millisecond, foldDelay: 5 * time.Millisecond},
+		{name: "no staleness bound, no deferral", staleness: -1,
+			want: "[fold fit@4 fold fit@8 fold fit@12 fold fit@16 fold fit@20]"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ds := synth.Heritages(synth.HeritagesConfig{Seed: 5, Scale: 0.06})
+			rec := &recordingEngine{slowEngine: slowEngine{
+				Engine: engine.NewCategorical(infer.NewTDH(), engine.Config{}), delay: c.foldDelay}}
+			p, err := newPipeline(Config{
+				Dataset: ds, Engine: rec, Assigner: assign.EAI{}, OpenAnswers: true,
+				Policy: RefitPolicy{MaxAnswers: batch, BatchSize: batch, MaxStaleness: c.staleness, Shards: -1},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := p.s
+			rec.visible = s.metrics.visibility.Count
+			snap := s.Snapshot()
+			for i, o := range s.SortedObjects()[:batch*batches] {
+				a := data.Answer{Worker: fmt.Sprintf("w%d", i), Object: o, Value: snap.Idx.View(o).CI.Values[0]}
+				s.enqueue(o, ingestItem{answer: a, at: time.Now()})
+			}
+			go p.loop()
+			// Depth is released at the end of a cycle, after its refit.
+			deadline := time.Now().Add(10 * time.Second)
+			for s.shardDepth[0].Load() > 0 {
+				if time.Now().After(deadline) {
+					t.Fatalf("backlog never drained: depth %d", s.shardDepth[0].Load())
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			events := rec.events[1:] // [0] is the boot fit
+			if c.want != "" {
+				if got := fmt.Sprint(events); got != c.want {
+					t.Fatalf("coordinator ran %s, want %s", got, c.want)
+				}
+				return
+			}
+			if fmt.Sprint(events[:2]) != "[fold fit@4]" || events[len(events)-1] == "fold" {
+				t.Fatalf("coordinator ran %v, want a refit after the first fold and after the last", events)
+			}
+		})
+	}
+}

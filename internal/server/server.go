@@ -179,6 +179,7 @@ type Server struct {
 	lastRejectLog  atomic.Int64
 	lastStallLog   atomic.Int64
 	lastSlowLog    atomic.Int64
+	lastCapLog     atomic.Int64
 }
 
 // shardOf maps an object name to its ingest shard.
@@ -278,9 +279,20 @@ func (s *Server) beginIngest() bool {
 
 // New builds a Server, runs the initial inference synchronously, and starts
 // the inference pipeline.
-//
-//tdh:pipeline boot-time construction: the pipeline goroutine has not started, so New owns all state
 func New(cfg Config) (*Server, error) {
+	p, err := newPipeline(cfg)
+	if err != nil {
+		return nil, err
+	}
+	go p.loop()
+	return p.s, nil
+}
+
+// newPipeline is New without the coordinator goroutine: the server is fully
+// built and its initial inference published, and p.loop has yet to start.
+//
+//tdh:pipeline boot-time construction: the pipeline goroutine has not started, so newPipeline owns all state
+func newPipeline(cfg Config) (*pipeline, error) {
 	if cfg.Dataset == nil {
 		return nil, errors.New("server: nil dataset")
 	}
@@ -340,8 +352,7 @@ func New(cfg Config) (*Server, error) {
 	p := &pipeline{s: s, policy: cfg.Policy, work: cfg.Dataset.Clone(),
 		drainedSeq: make([]int64, cfg.Policy.Shards)}
 	p.fullRefit() // initial inference, published before New returns
-	go p.loop()
-	return s, nil
+	return p, nil
 }
 
 // Close drains the ingest queue into a final snapshot and stops the
