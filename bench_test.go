@@ -683,6 +683,58 @@ func BenchmarkPlanAdvance(b *testing.B) {
 	})
 }
 
+// BenchmarkSealCycle times one coordinator cycle as the server pipeline runs
+// it — open an epoch, fold three answers, seal, advance the previous
+// snapshot's plan around the touched objects — at 1.2k and 12k objects, per
+// stage and whole (ns/op and allocs/op are the whole cycle's). The seal is a
+// view over the folded model, so its cost must not depend on |O|; what still
+// does is the epoch's flat Model.Clone and Plan.Advance's O(|O|) copies and
+// merges, which this benchmark prints so "cycle cost does not grow with |O|
+// beyond Clone + Advance" is a number, not a claim.
+func BenchmarkSealCycle(b *testing.B) {
+	for _, scale := range []float64{0.2, 2} {
+		ds := synth.BirthPlaces(synth.BirthPlacesConfig{Seed: 7, Scale: scale})
+		idx := data.NewIndex(ds)
+		opts := core.DefaultOptions()
+		opts.MaxIter = 3 // cycle cost does not depend on fit quality
+		eng := engine.NewCategorical(infer.TDH{Opt: opts}, engine.Config{})
+		st := eng.Fit(idx)
+		plan := assign.NewPlan(idx, st.Res())
+		plan.Prewarm()
+		b.Run(fmt.Sprintf("objects=%d", idx.NumObjects()), func(b *testing.B) {
+			b.ReportAllocs()
+			var open, fold, seal, advance time.Duration
+			for i := 0; i < b.N; i++ {
+				batch := make([]data.Answer, 3)
+				for j := range batch {
+					ov := idx.ViewAt((i*3 + j) * 131 % idx.NumObjects())
+					batch[j] = data.Answer{Object: ov.Object, Worker: fmt.Sprintf("bw-%d", i%8), Value: ov.CI.Values[0]}
+				}
+				t0 := time.Now()
+				ep, ok := eng.NewEpoch(st, idx)
+				if !ok {
+					b.Fatal("TDH state refused to open an epoch")
+				}
+				t1 := time.Now()
+				ep.Fold(batch)
+				t2 := time.Now()
+				st = ep.Seal()
+				t3 := time.Now()
+				if plan, ok = plan.Advance(idx, st.Res(), ep.Touched()); !ok {
+					b.Fatal("Advance fell back to a full build")
+				}
+				plan.Prewarm()
+				open, fold, seal, advance = open+t1.Sub(t0), fold+t2.Sub(t1), seal+t3.Sub(t2), advance+time.Since(t3)
+			}
+			n := float64(b.N)
+			b.ReportMetric(float64(open.Nanoseconds())/n, "open-ns/op")
+			b.ReportMetric(float64(fold.Nanoseconds())/n, "fold-ns/op")
+			b.ReportMetric(float64(seal.Nanoseconds())/n, "seal-ns/op")
+			b.ReportMetric(float64(advance.Nanoseconds())/n, "advance-ns/op")
+		})
+	}
+}
+
 // BenchmarkCampaignIngest measures durable multi-campaign answer ingest:
 // four concurrent campaigns hosted by one manager under a shared data
 // directory, every accepted answer fsync'd to its campaign's answer log

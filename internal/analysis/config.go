@@ -45,10 +45,19 @@ func DefaultSnapshotmut() SnapshotmutConfig {
 			"internal/core.Model.refreshSufficientStats",
 			"internal/core.Model.refreshObjectStats",
 			"internal/core.Model.Clone",
-			"internal/core.Model.ApplyAnswer",
+			"internal/core.Model.ApplyAnswerAt",
 			"internal/core.Model.Grow",
 			"internal/core.Model.blendPreviousMu",
 			"internal/core.Load",
+			// The numeric engine's state builders: every one writes a state
+			// newNumState or fork just made, which nothing aliases until an
+			// Engine or Epoch method returns it.
+			"internal/engine.newNumState",
+			"internal/engine.numState.fork",
+			"internal/engine.numState.parseClaims",
+			"internal/engine.numState.addClaim",
+			"internal/engine.numState.foldClaim",
+			"internal/engine.numState.setEstimate",
 			// Index construction and open-world extension own their
 			// views and tables until the index is returned.
 			"internal/data.NewIndex",
@@ -89,6 +98,7 @@ func DefaultPipelineonly() PipelineonlyConfig {
 		},
 		Restricted: []string{
 			"internal/core.Model.ApplyAnswer",
+			"internal/core.Model.ApplyAnswerAt",
 			"internal/core.Model.Grow",
 			"internal/data.Index.Extend",
 			"internal/engine.Engine.Fit",

@@ -55,7 +55,11 @@ func (q QASCA) EstimateImprovement(ctx *Context, assignment map[string][]string)
 		objs := assignment[w]
 		t := qascaWorkerQuality(ctx, w)
 		for _, o := range objs {
-			mu := ctx.Res.Confidence[o]
+			oid, ok := ctx.Idx.ObjectID(o)
+			if !ok {
+				continue
+			}
+			mu := ctx.Res.ConfidenceAt(ctx.Idx, oid)
 			if len(mu) == 0 {
 				continue
 			}

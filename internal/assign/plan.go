@@ -29,9 +29,11 @@ type Plan struct {
 	// requires it; QASCA/ME/MB run without).
 	M *core.Model
 
-	// Mu[oid] aliases Res.Confidence keyed by dense object ID (nil when the
-	// inferencer published no row); MaxMu and Ent are the per-object max
-	// confidence and Shannon entropy.
+	// Mu[oid] aliases the result's confidence row of dense object ID oid (nil
+	// when the inferencer published no row) — the sealed model's own row array
+	// when the result is a view (Res.Rows), so a plan never pins rows of any
+	// model but its own; MaxMu and Ent are the per-object max confidence and
+	// Shannon entropy.
 	Mu    [][]float64
 	MaxMu []float64
 	Ent   []float64
@@ -104,13 +106,17 @@ func NewPlan(idx *data.Index, res *infer.Result) *Plan {
 	p := &Plan{
 		Idx:   idx,
 		Res:   res,
-		Mu:    make([][]float64, n),
+		Mu:    res.Rows(idx),
 		MaxMu: make([]float64, n),
 		Ent:   make([]float64, n),
 	}
-	for oid, o := range idx.Objects {
-		mu := res.Confidence[o]
-		p.Mu[oid] = mu
+	if p.Mu == nil {
+		p.Mu = make([][]float64, n)
+		for oid := range p.Mu {
+			p.Mu[oid] = res.ConfidenceAt(idx, oid)
+		}
+	}
+	for oid, mu := range p.Mu {
 		p.MaxMu[oid] = maxOf(mu)
 		p.Ent[oid] = entropy(mu)
 	}
@@ -205,18 +211,22 @@ func (p *Plan) Advance(idx *data.Index, res *infer.Result, touched []int) (advan
 	np := &Plan{
 		Idx:   idx,
 		Res:   res,
-		Mu:    make([][]float64, n),
+		Mu:    res.Rows(idx),
 		MaxMu: make([]float64, n),
 		Ent:   make([]float64, n),
 	}
-	copy(np.Mu, p.Mu)
+	if np.Mu == nil {
+		np.Mu = make([][]float64, n)
+		copy(np.Mu, p.Mu)
+		for _, oid := range ts {
+			np.Mu[oid] = res.ConfidenceAt(idx, int(oid))
+		}
+	}
 	copy(np.MaxMu, p.MaxMu)
 	copy(np.Ent, p.Ent)
 	for _, oid := range ts {
-		mu := res.Confidence[idx.Objects[oid]]
-		np.Mu[oid] = mu
-		np.MaxMu[oid] = maxOf(mu)
-		np.Ent[oid] = entropy(mu)
+		np.MaxMu[oid] = maxOf(np.Mu[oid])
+		np.Ent[oid] = entropy(np.Mu[oid])
 	}
 	// Untouched entropies are copied bits, so the previous ranking's relative
 	// order still holds and a merge repairs it exactly.

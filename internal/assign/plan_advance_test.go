@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/infer"
 )
@@ -234,5 +235,51 @@ func TestPlanFallbackCounter(t *testing.T) {
 	EAI{}.Assign(ctx)
 	if n.Load() != 1 {
 		t.Fatalf("absent plan counted as fallback: %d", n.Load())
+	}
+}
+
+// TestPlanOnViewMatchesCopy: what the server publishes between refits is a
+// VIEW over the sealed model (infer.ViewOf: no maps, rows aliased), not the
+// copied-out result the tests above advance over. Plans built or advanced
+// over the view equal the ones over the copy of the same model — values,
+// scan orders, assignments, QASCA's estimate — and hold the sealed model's
+// own row array, so a plan never pins rows of a model it was advanced away
+// from.
+func TestPlanOnViewMatchesCopy(t *testing.T) {
+	for fi, f := range planFixtures(t) {
+		tag := fmt.Sprintf("fixture %d", fi)
+		prev := NewPlan(f.idx, f.res)
+		prev.Prewarm()
+		copied, touched := foldAnswers(f, 9)
+		m := copied.Model.(*core.Model)
+		view := infer.ViewOf(m, f.res)
+		if view.Confidence != nil || view.Truths != nil {
+			t.Fatalf("%s: a view carries maps", tag)
+		}
+		want := NewPlan(f.idx, copied)
+		built := NewPlan(f.idx, view)
+		advanced, ok := prev.Advance(f.idx, view, touched)
+		if !ok {
+			t.Fatalf("%s: Advance over a view fell back to a full build", tag)
+		}
+		for name, got := range map[string]*Plan{"built": built, "advanced": advanced} {
+			comparePlans(t, tag+" "+name, got, want)
+			if &got.Mu[0] != &m.Mu[0] {
+				t.Fatalf("%s %s: the plan copied the row array instead of taking the sealed model's", tag, name)
+			}
+			for _, asg := range []Assigner{EAI{}, ME{}, QASCA{}} {
+				a := asg.Assign(&Context{Idx: f.idx, Res: view, Plan: got, Workers: f.workers, K: 3, Seed: 1234})
+				b := asg.Assign(&Context{Idx: f.idx, Res: copied, Plan: want, Workers: f.workers, K: 3, Seed: 1234})
+				if !reflect.DeepEqual(a, b) {
+					t.Fatalf("%s %s: %s assigns %v over the view, %v over the copy", tag, name, asg.Name(), a, b)
+				}
+			}
+		}
+		issued := EAI{}.Assign(&Context{Idx: f.idx, Res: copied, Workers: f.workers, K: 3})
+		overView := QASCA{}.EstimateImprovement(&Context{Idx: f.idx, Res: view, Seed: 5}, issued)
+		overCopy := QASCA{}.EstimateImprovement(&Context{Idx: f.idx, Res: copied, Seed: 5}, issued)
+		if overView != overCopy || overView == 0 {
+			t.Fatalf("%s: QASCA estimates %v over the view, %v over the copy", tag, overView, overCopy)
+		}
 	}
 }

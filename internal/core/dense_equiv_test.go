@@ -512,7 +512,11 @@ func TestRunReachesPlainFixedPoint(t *testing.T) {
 				plainIt = it
 			}
 			if it == plain.Opt.MaxIter {
+				// Clone shares φ/ψ — a fold never writes them — but the steps
+				// that follow do, so the capped copy needs its own.
 				capped = plain.Clone()
+				capped.Phi = append([][3]float64(nil), plain.Phi...)
+				capped.Psi = append([][3]float64(nil), plain.Psi...)
 			}
 		}
 		if capped == nil {

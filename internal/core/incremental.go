@@ -109,30 +109,62 @@ func (m *Model) CondMaxConfidenceAt(oid int, psi [3]float64, ans int) float64 {
 }
 
 // ApplyAnswer permanently folds a real answer into the sufficient
-// statistics and confidences with one incremental step. The crowdsourcing
-// loop uses the full EM between rounds; this is exposed for streaming use
-// and for tests of the incremental update.
-//
-// The update is OBJECT-LOCAL: it writes only this object's N, D and Mu
-// rows, reads otherwise immutable shared state (Psi, the index tables),
-// and allocates its posterior scratch fresh. Concurrent ApplyAnswer calls
-// on one model are therefore race-free as long as they target disjoint
-// objects — the contract the sharded server pipeline relies on when it
-// folds object-disjoint shard batches into one cloned model in parallel
-// (engine.EpochFolder). Calls for the same object must stay serialized.
+// statistics and confidences with one incremental step, by name: the
+// spelling for tests and one-off callers. Unknown objects are ignored;
+// unknown workers answer at the prior-mean ψ.
 func (m *Model) ApplyAnswer(o, w string, ans int) {
 	oid, ok := m.Idx.ObjectID(o)
 	if !ok {
 		return
 	}
-	psi := m.PsiOf(w)
-	f := m.PosteriorGivenAnswerAt(oid, psi, ans)
-	n := m.N[oid]
+	wid, ok := m.Idx.WorkerID(w)
+	if !ok {
+		wid = -1
+	}
+	m.ApplyAnswerAt(oid, wid, ans)
+}
+
+// ApplyAnswerAt is the fold itself, by dense IDs (wid < 0: a worker the
+// index has never seen, who answers at the prior-mean ψ): one incremental
+// EM step (Eq. 17) that adds the answer's truth posterior (Eq. 16) to N,
+// bumps D and re-derives μ = N/D.
+//
+// The update is OBJECT-LOCAL: it writes only this object's N, D and Mu
+// rows, reads otherwise immutable shared state (Psi, the index tables) and
+// keeps its posterior scratch on the stack. Concurrent calls on one model
+// are therefore race-free as long as they target disjoint objects — the
+// contract the sharded server pipeline relies on when it folds object-
+// disjoint shard batches into one cloned model in parallel (engine.Epoch).
+// Calls for the same object must stay serialized.
+//
+//tdh:hotpath
+func (m *Model) ApplyAnswerAt(oid, wid, ans int) {
+	psi := priorMean(m.Opt.Beta)
+	if wid >= 0 {
+		psi = m.Psi[wid]
+	}
+	ov := m.Idx.ViewAt(oid)
+	mu, n := m.Mu[oid], m.N[oid]
+	var buf [16]float64
+	f := buf[:]
+	if len(mu) > len(buf) {
+		f = make([]float64, len(mu)) //tdh:allocok spill for >16-candidate objects; absent in steady state
+	}
+	f = f[:len(mu)]
+	z := 0.0
+	for tr := range mu {
+		f[tr] = m.workerClaimProb(ov, ans, tr, psi) * mu[tr]
+		z += f[tr]
+	}
+	uniform := 1.0 / float64(len(f))
 	for i := range n {
-		n[i] += f[i]
+		if z > 0 {
+			n[i] += f[i] / z
+		} else {
+			n[i] += uniform
+		}
 	}
 	m.D[oid]++
-	mu := m.Mu[oid]
 	d := m.D[oid]
 	for i := range mu {
 		mu[i] = n[i] / d

@@ -164,3 +164,80 @@ func TestIncrementalApproximatesFullEM(t *testing.T) {
 		t.Fatalf("incremental and full EM disagree on the winner: %v vs %v", inc, full)
 	}
 }
+
+// TestApplyAnswerAtIsTheFold pins the ID-based fold entry point to its
+// definition — N += the Eq. 16 posterior, D += 1, μ = N/D, bit for bit — for
+// a fitted worker and for one the index has never seen, shows the name-keyed
+// ApplyAnswer is the same call, that Clone shares what a fold cannot write,
+// and that the fold allocates nothing.
+func TestApplyAnswerAtIsTheFold(t *testing.T) {
+	ds := table1Dataset(t)
+	ds.Answers = []data.Answer{{Object: "esb", Worker: "ann", Value: "NY"}}
+	idx := data.NewIndex(ds)
+	m := Run(idx, DefaultOptions())
+	oid, _ := idx.ObjectID("statue")
+	ann, _ := idx.WorkerID("ann")
+	for _, wid := range []int{ann, -1} {
+		name, psi := "ann", m.Psi[ann]
+		if wid < 0 {
+			name, psi = "never-seen", m.DefaultPsi()
+		}
+		for ans := range m.Mu[oid] {
+			f := m.PosteriorGivenAnswerAt(oid, psi, ans)
+			byID, byName := m.Clone(), m.Clone()
+			byID.ApplyAnswerAt(oid, wid, ans)
+			byName.ApplyAnswer("statue", name, ans)
+			if byID.D[oid] != m.D[oid]+1 {
+				t.Fatalf("D = %v, want %v", byID.D[oid], m.D[oid]+1)
+			}
+			for i := range f {
+				n := m.N[oid][i] + f[i]
+				if byID.N[oid][i] != n || byID.Mu[oid][i] != n/byID.D[oid] {
+					t.Fatalf("worker %d answer %d: N, μ = %v, %v; want %v, %v",
+						wid, ans, byID.N[oid][i], byID.Mu[oid][i], n, n/byID.D[oid])
+				}
+				if byName.Mu[oid][i] != byID.Mu[oid][i] {
+					t.Fatalf("ApplyAnswer and ApplyAnswerAt disagree: %v vs %v", byName.Mu[oid], byID.Mu[oid])
+				}
+			}
+		}
+	}
+	c := m.Clone()
+	if &c.Phi[0] != &m.Phi[0] || &c.Psi[0] != &m.Psi[0] || &c.Mu[oid][0] == &m.Mu[oid][0] {
+		t.Fatal("Clone must share φ/ψ and copy μ")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { c.ApplyAnswerAt(oid, ann, 0) }); allocs != 0 {
+		t.Fatalf("ApplyAnswerAt allocates %v times per fold", allocs)
+	}
+}
+
+// TestTruthAtTieBreak: the on-demand argmax keeps Truths' tie-break —
+// within 1e-15 the deeper (more specific) value wins, then the
+// lexicographically smaller.
+func TestTruthAtTieBreak(t *testing.T) {
+	idx := data.NewIndex(table1Dataset(t))
+	m := Run(idx, DefaultOptions())
+	oid, _ := idx.ObjectID("statue")
+	vals := idx.ViewAt(oid).CI.Values // LA, LibertyIsland, NY in some order
+	pos := idx.ViewAt(oid).CI.Pos
+	set := func(la, li, ny float64) {
+		m.Mu[oid][pos["LA"]], m.Mu[oid][pos["LibertyIsland"]], m.Mu[oid][pos["NY"]] = la, li, ny
+	}
+	for _, c := range []struct {
+		la, li, ny float64
+		want       string
+	}{
+		{1. / 3, 1. / 3, 1. / 3, "LibertyIsland"}, // three-way tie: the deepest value
+		{0.4, 0.2, 0.4, "LA"},                     // LA and NY tie at one depth: lexicographic
+		{0.4, 0.2, 0.4 + 1e-16, "LA"},             // a sub-1e-15 lead is still a tie
+		{0.3, 0.3, 0.4, "NY"},                     // a real lead wins outright
+	} {
+		set(c.la, c.li, c.ny)
+		if got := m.TruthAt(oid); got != c.want {
+			t.Errorf("μ(LA, LibertyIsland, NY) = (%v, %v, %v): TruthAt = %q, want %q (values %v)", c.la, c.li, c.ny, got, c.want, vals)
+		}
+		if got := m.Truths()["statue"]; got != m.TruthAt(oid) {
+			t.Errorf("Truths()[statue] = %q, TruthAt = %q", got, m.TruthAt(oid))
+		}
+	}
+}

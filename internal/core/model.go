@@ -57,18 +57,22 @@ func newJagged(off []int) (rows [][]float64, flat []float64) {
 	return rows, flat
 }
 
-// Clone returns a deep copy of the fitted parameters sharing the (immutable)
-// index. The streaming server clones the live model before folding answers
-// in with ApplyAnswer, so previously published models are never mutated and
-// can be read lock-free by concurrent task assigners.
+// Clone returns the copy a fold writes into: fresh Mu, N and D over new
+// backing arrays, and everything an incremental update never writes — the
+// index, the row offsets and the source/worker parameters Phi and Psi —
+// shared with m. The streaming server clones the sealed model before
+// folding answers in with ApplyAnswerAt, so previously published models are
+// never mutated and can be read lock-free by concurrent task assigners. A
+// clone is for folding only: running EM steps on either side would write
+// the shared φ/ψ (Grow, which may add participants, builds its own).
 func (m *Model) Clone() *Model {
 	c := &Model{
 		Idx:        m.Idx,
 		Opt:        m.Opt,
 		Iterations: m.Iterations,
 		FinalDelta: m.FinalDelta,
-		Phi:        append([][3]float64(nil), m.Phi...),
-		Psi:        append([][3]float64(nil), m.Psi...),
+		Phi:        m.Phi,
+		Psi:        m.Psi,
 		D:          append([]float64(nil), m.D...),
 		off:        m.off,
 	}
@@ -78,6 +82,12 @@ func (m *Model) Clone() *Model {
 	copy(c.nFlat, m.nFlat)
 	return c
 }
+
+// Index and Rows (with TruthAt below) are the dense read surface a published
+// result serves from without copying the model (infer.Dense). Rows is Mu
+// itself, not a copy; callers treat it as read-only.
+func (m *Model) Index() *data.Index { return m.Idx }
+func (m *Model) Rows() [][]float64  { return m.Mu }
 
 // MuOf returns μ_{o,·} by object name, or nil for unknown objects.
 func (m *Model) MuOf(o string) []float64 {
@@ -111,6 +121,7 @@ func (m *Model) DefaultPhi() [3]float64 { return priorMean(m.Opt.Alpha) }
 // workers that have not answered anything yet.
 func (m *Model) DefaultPsi() [3]float64 { return priorMean(m.Opt.Beta) }
 
+//tdh:hotpath
 func priorMean(a [3]float64) [3]float64 {
 	s := a[0] + a[1] + a[2]
 	return [3]float64{a[0] / s, a[1] / s, a[2] / s}
@@ -132,27 +143,32 @@ func (m *Model) PhiOf(s string) [3]float64 {
 	return m.DefaultPhi()
 }
 
-// Truths extracts v*_o = argmax_v μ_{o,v} for every object (Eq. 12). Ties
-// break toward the deeper (more specific) value, then lexicographically,
-// so results are deterministic.
+// Truths extracts v*_o = argmax_v μ_{o,v} for every object (Eq. 12).
 func (m *Model) Truths() map[string]string {
 	out := make(map[string]string, len(m.Mu))
-	for oid, mu := range m.Mu {
-		ov := m.Idx.ViewAt(oid)
-		best, bestP, bestDepth := "", -1.0, -1
-		for i, p := range mu {
-			v := ov.CI.Values[i]
-			d := 0
-			if m.Idx.DS.H != nil {
-				d = m.Idx.DS.H.Depth(v)
-			}
-			if p > bestP+1e-15 || (p > bestP-1e-15 && (d > bestDepth || (d == bestDepth && (best == "" || v < best)))) {
-				best, bestP, bestDepth = v, p, d
-			}
-		}
-		out[ov.Object] = best
+	for oid := range m.Mu {
+		out[m.Idx.Objects[oid]] = m.TruthAt(oid)
 	}
 	return out
+}
+
+// TruthAt is v*_o for one object by dense ID: the argmax of its μ row. Ties
+// break toward the deeper (more specific) value, then lexicographically, so
+// results are deterministic.
+func (m *Model) TruthAt(oid int) string {
+	ov := m.Idx.ViewAt(oid)
+	best, bestP, bestDepth := "", -1.0, -1
+	for i, p := range m.Mu[oid] {
+		v := ov.CI.Values[i]
+		d := 0
+		if m.Idx.DS.H != nil {
+			d = m.Idx.DS.H.Depth(v)
+		}
+		if p > bestP+1e-15 || (p > bestP-1e-15 && (d > bestDepth || (d == bestDepth && (best == "" || v < best)))) {
+			best, bestP, bestDepth = v, p, d
+		}
+	}
+	return best
 }
 
 // Confidence returns μ_{o,·} aligned with Idx.View(o).CI.Values, or nil for

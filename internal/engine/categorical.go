@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/data"
@@ -35,38 +36,40 @@ func (e *categorical) Model() TruthModel { return Categorical }
 func (e *categorical) Name() string      { return e.inf.Name() }
 
 // catState is a categorical round: the inference result plus, for TDH, the
-// model behind it.
+// model behind it. A fitted state's result carries the inferencer's maps; a
+// folded or grown one is a view over model (infer.ViewOf), whose truths map
+// is materialised on first use.
 type catState struct {
 	res   *infer.Result
 	model *core.Model // nil for non-TDH inferencers
+
+	truthsOnce sync.Once
+	truths     map[string]string
 }
 
 func (st *catState) Res() *infer.Result { return st.res }
 
-func (st *catState) Truths() any { return st.res.Truths }
+func (st *catState) Truths() any { return st.truthMap() }
 
-func (st *catState) Confidence(ov *data.ObjectView) any {
-	// A partial or custom inferencer may publish no confidence row for an
-	// object, or one shorter than its candidate list (e.g. the candidate set
-	// grew with an out-of-Vo answer since the result was computed). Missing
-	// mass reads as zero instead of panicking the handler.
-	conf := st.res.Confidence[ov.Object]
-	out := make(map[string]float64, len(ov.CI.Values))
-	for i, v := range ov.CI.Values {
-		c := 0.0
-		if i < len(conf) {
-			c = conf[i]
-		}
-		out[v] = c
+// truthMap is the name-keyed truths: the inferencer's own map after a fit,
+// built from the sealed model at most once after a fold.
+//
+//tdh:mutator fills the lazily materialised truths exactly once behind sync.Once; no reader can observe a partial fill
+func (st *catState) truthMap() map[string]string {
+	if st.res.Truths != nil {
+		return st.res.Truths
 	}
-	return out
+	st.truthsOnce.Do(func() { st.truths = st.model.Truths() })
+	return st.truths
 }
+
+func (st *catState) Confidence(ov *data.ObjectView) any { return supportOf(st.res, ov) }
 
 func (st *catState) Quality(ds *data.Dataset, idx *data.Index) map[string]float64 {
 	if len(ds.Truth) == 0 {
 		return nil
 	}
-	sc := eval.Evaluate(ds, idx, st.res.Truths)
+	sc := eval.Evaluate(ds, idx, st.truthMap())
 	return map[string]float64{
 		"accuracy":     sc.Accuracy,
 		"gen_accuracy": sc.GenAccuracy,
@@ -80,20 +83,12 @@ func (e *categorical) Fit(idx *data.Index) State {
 	return &catState{res: res, model: m}
 }
 
-// ApplyAnswers is the single-batch spelling of an epoch fold: open, fold
-// once, seal. Keeping it defined through NewEpoch pins the two paths
-// equivalent by construction.
 func (e *categorical) ApplyAnswers(st State, idx *data.Index, answers []data.Answer) (State, bool) {
-	ep, ok := e.NewEpoch(st, idx)
-	if !ok {
-		return st, false
-	}
-	ep.Fold(answers)
-	return ep.Seal(), true
+	return applyAnswers(e, st, idx, answers)
 }
 
 // NewEpoch implements EpochFolder: TDH's incremental EM step is object-
-// local (core.Model.ApplyAnswer writes only the answer's object rows and
+// local (core.Model.ApplyAnswerAt writes only the answer's object rows and
 // reads immutable shared state), so disjoint-object Fold calls can share
 // one cloned model without synchronization. Non-TDH states have no
 // incremental path and report ok=false.
@@ -102,32 +97,45 @@ func (e *categorical) NewEpoch(st State, idx *data.Index) (Epoch, bool) {
 	if cs.model == nil {
 		return nil, false
 	}
-	return &catEpoch{idx: idx, m: cs.model.Clone()}, true
+	return &catEpoch{m: cs.model.Clone(), prev: cs.res}, true
 }
 
 // catEpoch folds answers into one cloned TDH model. Fold may be called
 // concurrently for object-disjoint batches (see NewEpoch).
 type catEpoch struct {
-	idx *data.Index
-	m   *core.Model
+	m    *core.Model
+	prev *infer.Result // the state being folded over: its trust maps carry forward
+	touchedIDs
 }
 
+// Fold resolves each answer's names once, against the model's own index —
+// the one its rows are shaped by — and hands dense IDs to the fold kernel.
 func (ep *catEpoch) Fold(answers []data.Answer) {
-	for _, a := range answers {
-		ov := ep.idx.View(a.Object)
-		if ov == nil {
-			continue // object unknown to the current index; refit will pick it up
-		}
-		ans, ok := ov.CI.Pos[a.Value]
+	idx := ep.m.Idx
+	ids := make([]int, 0, len(answers))
+	for i := range answers {
+		a := &answers[i]
+		oid, ok := idx.ObjectID(a.Object)
 		if !ok {
-			continue // not a candidate under the current index
+			continue // object unknown to the fitted model; refit will pick it up
 		}
-		ep.m.ApplyAnswer(a.Object, a.Worker, ans)
+		ans, ok := idx.ViewAt(oid).CI.Pos[a.Value]
+		if !ok {
+			continue // not a candidate under the model's index
+		}
+		wid, ok := idx.WorkerID(a.Worker)
+		if !ok {
+			wid = -1 // unseen worker: folds at the prior-mean ψ
+		}
+		ep.m.ApplyAnswerAt(oid, wid, ans)
+		ids = append(ids, oid)
 	}
+	ep.add(ids)
 }
 
+// Seal publishes the folded model as it is: nothing is copied or rebuilt.
 func (ep *catEpoch) Seal() State {
-	return &catState{res: infer.ResultFromModel(ep.m), model: ep.m}
+	return &catState{res: infer.ViewOf(ep.m, ep.prev), model: ep.m}
 }
 
 func (e *categorical) Grow(st State, idx *data.Index, touched []int) (State, bool) {
@@ -136,7 +144,7 @@ func (e *categorical) Grow(st State, idx *data.Index, touched []int) (State, boo
 		return st, false
 	}
 	m := cs.model.Grow(idx, touched)
-	return &catState{res: infer.ResultFromModel(m), model: m}, true
+	return &catState{res: infer.ViewOf(m, cs.res), model: m}, true
 }
 
 func (e *categorical) ValidateAnswer(ov *data.ObjectView, a *data.Answer) error {

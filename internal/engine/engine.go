@@ -12,6 +12,19 @@
 //     VOTE over source records and worker answers;
 //   - multi_truth: value-SET truths discovered by LTM / DART / LFC-MT.
 //
+// All three speak one incremental contract, the epoch (EpochFolder): the
+// update between fits is object-local — it writes what the cycle's answers
+// touched and nothing else — with whatever is global (TDH's φ/ψ, numeric's
+// provider weights) frozen at the last Fit, and an engine with no such
+// update (multi-truth, the categorical baselines) says so in one line. What
+// a sealed epoch publishes is a VIEW over the sealed state, not a copy of
+// it (State.Res): confidence rows are shared with the state, truths are
+// computed from a row on demand, trust maps carry over from the previous
+// result, and the name-keyed /truths map is materialised on first use, at
+// most once per state. A publish therefore costs what it touched; the one
+// thing every engine owes in return is never to write a State it has
+// returned — folds and growth copy what they write first.
+//
 // The server's pipeline, snapshot and handlers speak only this interface
 // (internal/server), and campaigns declare their truth model at create time
 // (internal/campaign). The registry (registry.go) maps per-model inferencer
@@ -20,6 +33,7 @@ package engine
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/data"
 	"repro/internal/infer"
@@ -65,9 +79,21 @@ type State interface {
 	// Res is the assigner-facing view — confidence rows shaped like the
 	// index, trust maps, and (when the engine has one) the fitted model —
 	// which is what assign.NewPlan and every Assigner consume. Never nil.
+	//
+	// What it holds depends on how the state came to be. After Fit, a
+	// categorical or multi-truth result carries every name-keyed map, filled
+	// once by the inferencer. After a fold or a Grow, a TDH result — and a
+	// numeric one always — is a VIEW over the sealed state (infer.ViewOf /
+	// infer.Dense): it shares the sealed state's confidence rows instead of
+	// copying them, its Truths and Confidence maps are nil, and its trust
+	// maps are the previous result's own unless growth added participants
+	// (always valid, in every form). Readers therefore go through the
+	// ID-based read API (Result.ConfidenceAt / TruthAt / Rows), which serves
+	// both forms.
 	Res() *infer.Result
 	// Truths is the GET /truths payload: map[object]value (categorical),
 	// map[object]float64 (numeric), or map[object][]value (multi_truth).
+	// A folded state materialises the map on first use, once.
 	Truths() any
 	// Confidence is the GET /confidence payload for one object view.
 	Confidence(ov *data.ObjectView) any
@@ -79,7 +105,7 @@ type State interface {
 
 // Engine is one truth-model implementation. All methods are called from a
 // single pipeline goroutine; implementations never mutate a State after
-// returning it (incremental updates clone first).
+// returning it (incremental updates copy what they write first).
 type Engine interface {
 	// Model reports which truth-model family this engine implements.
 	Model() TruthModel
@@ -87,15 +113,18 @@ type Engine interface {
 	Name() string
 	// Fit runs full inference over the index.
 	Fit(idx *data.Index) State
-	// ApplyAnswers folds freshly accepted answers into a new State without
-	// a full refit. ok=false means the engine has no incremental path for
-	// its current state; the caller keeps publishing the old (stale) state
-	// and the answers wait for the next policy-triggered Fit. The answers
-	// are already appended to idx.DS when called.
+	// EpochFolder is the one incremental contract: every engine opens
+	// epochs, and one with no incremental path says so with ok=false.
+	EpochFolder
+	// ApplyAnswers is the single-batch spelling of an epoch — open, fold
+	// once, seal (applyAnswers) — with NewEpoch's ok. The server never calls
+	// it; it stays for callers that fold one batch at a time.
 	ApplyAnswers(st State, idx *data.Index, answers []data.Answer) (State, bool)
-	// Grow re-seeds the state after the index was extended in place
-	// (data.Index.Extend) with the touched object IDs. Same ok contract as
-	// ApplyAnswers.
+	// Grow re-seeds the state after the index was extended
+	// (data.Index.Extend) with the touched object IDs: object-local, like a
+	// fold. ok=false means the engine has no incremental path for its
+	// current state; the caller keeps publishing the old (stale) state until
+	// the next policy-triggered Fit.
 	Grow(st State, idx *data.Index, touched []int) (State, bool)
 	// ValidateAnswer checks (and canonicalizes, in place) one worker
 	// answer's typed payload against the object's candidate view. The
@@ -103,28 +132,79 @@ type Engine interface {
 	ValidateAnswer(ov *data.ObjectView, a *data.Answer) error
 }
 
-// EpochFolder is an optional Engine capability: folding one publish's worth
-// of answers as a set of object-disjoint batches that may run CONCURRENTLY.
-// An engine implements it when — and only when — its incremental update is
-// object-local (folding an answer reads shared immutable state and writes
-// only that object's rows, TDH's Section 4.2 property), which also implies
-// its Grow is object-local. The sharded server pipeline uses the capability
-// twice: to fold shard batches in parallel, and as the signal that a
-// publish's state delta touched only known objects, so the previous
-// snapshot's assignment plan can be Advance'd instead of rebuilt.
+// EpochFolder folds one publish's worth of answers as a set of object-
+// disjoint batches that may run CONCURRENTLY. The contract every
+// implementation keeps: the update is object-local — folding an answer
+// reads shared immutable state and writes only that object's rows (TDH's
+// Section 4.2 property; numeric estimates given frozen provider weights) —
+// so the sharded pipeline can fold shard batches in parallel, and a
+// publish's state delta is exactly the epoch's touched objects, around
+// which the previous snapshot's assignment plan is Advance'd instead of
+// rebuilt. What is global — TDH's φ/ψ, numeric's provider weights — stays
+// frozen at the last Fit; RefitPolicy's refit_answers / refit_staleness_ms
+// bound how stale that may get.
 type EpochFolder interface {
-	// NewEpoch opens a fold epoch over st for idx. ok=false means the
-	// current state has no incremental path (the same cases where
-	// ApplyAnswers reports false); callers fall back to ApplyAnswers.
+	// NewEpoch opens a fold epoch over st for idx, the answers already
+	// appended to idx.DS. ok=false means the state has no incremental path
+	// (a baseline inferencer, multi-truth discovery): the answers wait for
+	// the next policy-triggered Fit and the old state keeps being served.
 	NewEpoch(st State, idx *data.Index) (Epoch, bool)
 }
 
 // Epoch is one in-flight fold. Fold calls whose answer batches touch
 // disjoint object sets may run concurrently; Seal is called once, after all
-// Fold calls returned, and yields the folded State. An epoch is single-use.
+// Fold calls returned, and yields the folded State; Touched then lists the
+// dense IDs of the objects the folds wrote (duplicates allowed). An epoch
+// is single-use.
 type Epoch interface {
 	Fold(answers []data.Answer)
 	Seal() State
+	Touched() []int
+}
+
+// applyAnswers is Engine.ApplyAnswers for every engine.
+func applyAnswers(e EpochFolder, st State, idx *data.Index, answers []data.Answer) (State, bool) {
+	ep, ok := e.NewEpoch(st, idx)
+	if !ok {
+		return st, false
+	}
+	ep.Fold(answers)
+	return ep.Seal(), true
+}
+
+// touchedIDs collects an epoch's touched object IDs across concurrent Fold
+// calls: each call gathers its own and adds them under the lock once.
+type touchedIDs struct {
+	mu  sync.Mutex
+	ids []int
+}
+
+func (t *touchedIDs) add(ids []int) {
+	t.mu.Lock()
+	t.ids = append(t.ids, ids...)
+	t.mu.Unlock()
+}
+
+// Touched implements Epoch.
+func (t *touchedIDs) Touched() []int { return t.ids }
+
+// supportOf is the per-candidate half of a /confidence payload: the state's
+// confidence row keyed by candidate value. A partial or custom inferencer
+// may publish no row for an object, or one shorter than its candidate list
+// (e.g. the candidate set grew with an out-of-Vo answer since the result
+// was computed); missing mass reads as zero instead of panicking the
+// handler.
+func supportOf(res *infer.Result, ov *data.ObjectView) map[string]float64 {
+	conf := res.ConfidenceAt(ov.Index(), ov.ID)
+	out := make(map[string]float64, len(ov.CI.Values))
+	for i, v := range ov.CI.Values {
+		c := 0.0
+		if i < len(conf) {
+			c = conf[i]
+		}
+		out[v] = c
+	}
+	return out
 }
 
 // normalize scales xs into a distribution in place; all-zero rows become

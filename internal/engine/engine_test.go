@@ -188,12 +188,13 @@ func TestCategoricalIncrementalContract(t *testing.T) {
 
 	tdh := NewCategorical(infer.NewTDH(), Config{})
 	st := tdh.Fit(idx)
-	before := st.Res().Confidence["oa"][idx.View("oa").CI.Pos["NY"]]
+	oa, ny := idx.View("oa").ID, idx.View("oa").CI.Pos["NY"]
+	before := st.Res().ConfidenceAt(idx, oa)[ny]
 	st2, ok := tdh.ApplyAnswers(st, idx, answers)
 	if !ok {
 		t.Fatal("TDH must have an incremental path")
 	}
-	after := st2.Res().Confidence["oa"][idx.View("oa").CI.Pos["NY"]]
+	after := st2.Res().ConfidenceAt(idx, oa)[ny]
 	if after < before {
 		t.Fatalf("two supporting answers lowered confidence: %g -> %g", before, after)
 	}
@@ -256,7 +257,10 @@ func TestNumericEngine(t *testing.T) {
 	)
 	st2, ok := eng.ApplyAnswers(st, idx, ds.Answers)
 	if !ok {
-		t.Fatal("numeric engine must re-estimate on answers")
+		t.Fatal("numeric engine must fold answers")
+	}
+	if got := st.Truths().(map[string]float64)["na"]; math.Abs(got-(10+10.2+18)/3) > 1e-9 {
+		t.Fatalf("the fold moved the state it folded over: %g", got)
 	}
 	if got := st2.Truths().(map[string]float64)["na"]; math.Abs(got-(10+10.2+18+10+10)/5) > 1e-9 {
 		t.Fatalf("post-answer estimate = %g", got)

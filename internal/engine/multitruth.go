@@ -13,9 +13,10 @@ import (
 // campaign's truth model: truths are value SETS, and workers answer with
 // sets too (the typed Values payload, which the index turns into one claim
 // per value for the same worker). Discovery is a full pass — LTM's Gibbs
-// chain has no incremental step — so answers and growth publish stale sets
-// until the refit policy triggers, the same contract the categorical
-// non-TDH baselines have always had.
+// chain has no incremental step — so the engine is refit-only: NewEpoch and
+// Grow report ok=false, and answers and growth publish stale sets until the
+// refit policy triggers, the same contract the categorical non-TDH
+// baselines have always had.
 type multiEngine struct {
 	disc multitruth.Discoverer
 }
@@ -42,16 +43,7 @@ func (st *multiState) Truths() any { return st.sets }
 // Confidence reports the discovered set alongside the per-candidate claim
 // support the assigners rank by.
 func (st *multiState) Confidence(ov *data.ObjectView) any {
-	conf := st.res.Confidence[ov.Object]
-	support := make(map[string]float64, len(ov.CI.Values))
-	for i, v := range ov.CI.Values {
-		c := 0.0
-		if i < len(conf) {
-			c = conf[i]
-		}
-		support[v] = c
-	}
-	out := map[string]any{"support": support}
+	out := map[string]any{"support": supportOf(st.res, ov)}
 	if set, ok := st.sets[ov.Object]; ok {
 		out["set"] = set
 	}
@@ -99,10 +91,12 @@ func (e *multiEngine) Fit(idx *data.Index) State {
 	return &multiState{sets: sets, res: res}
 }
 
-// ApplyAnswers has no incremental path: discovery reruns at the next
+// NewEpoch reports no incremental path: discovery reruns at the next
 // policy-triggered Fit, and the published sets stay as they are meanwhile.
+func (e *multiEngine) NewEpoch(st State, idx *data.Index) (Epoch, bool) { return nil, false }
+
 func (e *multiEngine) ApplyAnswers(st State, idx *data.Index, answers []data.Answer) (State, bool) {
-	return st, false
+	return applyAnswers(e, st, idx, answers)
 }
 
 func (e *multiEngine) Grow(st State, idx *data.Index, touched []int) (State, bool) {

@@ -8,7 +8,11 @@ import (
 	"repro/internal/data"
 )
 
-// Result is the output of one truth-inference run.
+// Result is the output of one truth-inference run. Every Inferencer fills
+// all of it; a live engine's sealed fold publishes the same type as a view
+// with Truths and Confidence nil and the per-object content served from
+// Model (view.go), so code on the serving path reads per-object content
+// through ConfidenceAt / TruthAt rather than the maps.
 type Result struct {
 	// Truths maps object -> estimated most-specific true value.
 	Truths map[string]string
@@ -18,6 +22,7 @@ type Result struct {
 	Confidence map[string][]float64
 	// SourceTrust / WorkerTrust are scalar reliabilities in [0,1]; the
 	// exact semantics are algorithm-specific (documented per algorithm).
+	// Valid on views too: a fold cannot change them, so they carry over.
 	SourceTrust map[string]float64
 	WorkerTrust map[string]float64
 	// Model carries algorithm-specific state (e.g. *core.Model for TDH)

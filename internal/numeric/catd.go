@@ -24,6 +24,15 @@ func (CATD) Name() string { return "CATD" }
 
 // Estimate implements Estimator.
 func (c CATD) Estimate(records []data.Record) map[string]float64 {
+	truth, _ := c.Fit(records)
+	return truth
+}
+
+// Local implements Estimator: the truth step for one object.
+func (CATD) Local(claims []Claim) float64 { return weightedMean(claims) }
+
+// Fit implements Estimator.
+func (c CATD) Fit(records []data.Record) (map[string]float64, map[string]float64) {
 	if c.MaxIter == 0 {
 		c.MaxIter = 20
 	}
@@ -70,7 +79,7 @@ func (c CATD) Estimate(records []data.Record) map[string]float64 {
 			break
 		}
 	}
-	return truth
+	return truth, w
 }
 
 // ChiSquaredQuantile returns the p-quantile of the chi-squared distribution

@@ -23,6 +23,30 @@ func (CRH) Name() string { return "CRH" }
 
 // Estimate implements Estimator.
 func (c CRH) Estimate(records []data.Record) map[string]float64 {
+	truth, _ := c.Fit(records)
+	return truth
+}
+
+// Local implements Estimator: the truth step for one object.
+func (CRH) Local(claims []Claim) float64 { return weightedMean(claims) }
+
+// weightedMean is the CRH / CATD truth step for one object under frozen
+// source weights; like the step inside Fit, an object whose weights do not
+// sum positive keeps its starting point, the median.
+func weightedMean(claims []Claim) float64 {
+	num, den := 0.0, 0.0
+	for _, cl := range claims {
+		num += cl.W * cl.V
+		den += cl.W
+	}
+	if den > 0 {
+		return num / den
+	}
+	return Median{}.Local(claims)
+}
+
+// Fit implements Estimator.
+func (c CRH) Fit(records []data.Record) (map[string]float64, map[string]float64) {
 	if c.MaxIter == 0 {
 		c.MaxIter = 20
 	}
@@ -97,5 +121,5 @@ func (c CRH) Estimate(records []data.Record) map[string]float64 {
 			break
 		}
 	}
-	return truth
+	return truth, w
 }

@@ -16,7 +16,21 @@ import (
 type Estimator interface {
 	Name() string
 	Estimate(records []data.Record) map[string]float64
+	// Fit is Estimate plus the per-source weights its last truth step used;
+	// weights is nil for the estimators that weigh every source alike (MEAN,
+	// MEDIAN, VOTE).
+	Fit(records []data.Record) (truth, weights map[string]float64)
+	// Local re-estimates ONE object from its claims, in record order, each
+	// carrying its source's weight frozen at the last Fit: the object-local
+	// half of the algorithm, which is all of it for the weightless
+	// estimators (Local over an object's claims ≡ Estimate's entry, bit for
+	// bit) and the truth step of CRH / CATD. NaN when there are no claims.
+	Local(claims []Claim) float64
 }
+
+// Claim is one parsed numeric claim on an object: the value, and the weight
+// of the source that made it (ignored by the weightless estimators).
+type Claim struct{ V, W float64 }
 
 // table groups parsed numeric claims per object and per source.
 type table struct {
@@ -68,15 +82,34 @@ type Mean struct{}
 func (Mean) Name() string { return "MEAN" }
 
 // Estimate implements Estimator.
-func (Mean) Estimate(records []data.Record) map[string]float64 {
+func (e Mean) Estimate(records []data.Record) map[string]float64 { return estimateLocally(e, records) }
+
+// Fit implements Estimator.
+func (e Mean) Fit(records []data.Record) (truth, weights map[string]float64) {
+	return e.Estimate(records), nil
+}
+
+// Local implements Estimator.
+func (Mean) Local(claims []Claim) float64 {
+	s := 0.0
+	for _, c := range claims {
+		s += c.V
+	}
+	return s / float64(len(claims))
+}
+
+// estimateLocally is Estimate for the weightless estimators: every object's
+// entry is Local over its claims.
+func estimateLocally(e Estimator, records []data.Record) map[string]float64 {
 	t := buildTable(records)
 	out := make(map[string]float64, len(t.objects))
+	var row []Claim
 	for _, o := range t.objects {
-		s := 0.0
+		row = row[:0]
 		for _, c := range t.claims[o] {
-			s += c.v
+			row = append(row, Claim{V: c.v})
 		}
-		out[o] = s / float64(len(t.claims[o]))
+		out[o] = e.Local(row)
 	}
 	return out
 }
@@ -89,13 +122,22 @@ type Median struct{}
 func (Median) Name() string { return "MEDIAN" }
 
 // Estimate implements Estimator.
-func (Median) Estimate(records []data.Record) map[string]float64 {
-	t := buildTable(records)
-	out := make(map[string]float64, len(t.objects))
-	for _, o := range t.objects {
-		out[o] = median(t.claims[o])
+func (e Median) Estimate(records []data.Record) map[string]float64 {
+	return estimateLocally(e, records)
+}
+
+// Fit implements Estimator.
+func (e Median) Fit(records []data.Record) (truth, weights map[string]float64) {
+	return e.Estimate(records), nil
+}
+
+// Local implements Estimator.
+func (Median) Local(claims []Claim) float64 {
+	vs := make([]float64, len(claims))
+	for i, c := range claims {
+		vs[i] = c.V
 	}
-	return out
+	return medianOf(vs)
 }
 
 func median(cs []claim) float64 {
@@ -103,6 +145,11 @@ func median(cs []claim) float64 {
 	for i, c := range cs {
 		vs[i] = c.v
 	}
+	return medianOf(vs)
+}
+
+// medianOf sorts vs in place and returns its midpoint (NaN when empty).
+func medianOf(vs []float64) float64 {
 	sort.Float64s(vs)
 	n := len(vs)
 	if n == 0 {
@@ -122,23 +169,31 @@ type Vote struct{}
 func (Vote) Name() string { return "VOTE" }
 
 // Estimate implements Estimator.
-func (Vote) Estimate(records []data.Record) map[string]float64 {
-	t := buildTable(records)
-	out := make(map[string]float64, len(t.objects))
-	for _, o := range t.objects {
-		counts := map[float64]int{}
-		for _, c := range t.claims[o] {
-			counts[c.v]++
-		}
-		med := median(t.claims[o])
-		best, bestN, bestD := math.NaN(), -1, math.Inf(1)
-		for v, n := range counts {
-			d := math.Abs(v - med)
-			if n > bestN || (n == bestN && d < bestD) {
-				best, bestN, bestD = v, n, d
-			}
-		}
-		out[o] = best
+func (e Vote) Estimate(records []data.Record) map[string]float64 { return estimateLocally(e, records) }
+
+// Fit implements Estimator.
+func (e Vote) Fit(records []data.Record) (truth, weights map[string]float64) {
+	return e.Estimate(records), nil
+}
+
+// Local implements Estimator. Values are scanned in ascending order, so a
+// tie on both count and distance to the median goes to the smaller value.
+func (Vote) Local(claims []Claim) float64 {
+	vs := make([]float64, len(claims))
+	for i, c := range claims {
+		vs[i] = c.V
 	}
-	return out
+	med := medianOf(vs) // sorts vs
+	best, bestN, bestD := math.NaN(), -1, math.Inf(1)
+	for i := 0; i < len(vs); {
+		j := i
+		for j < len(vs) && vs[j] == vs[i] {
+			j++
+		}
+		if n, d := j-i, math.Abs(vs[i]-med); n > bestN || (n == bestN && d < bestD) {
+			best, bestN, bestD = vs[i], n, d
+		}
+		i = j
+	}
+	return best
 }

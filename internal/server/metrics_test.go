@@ -264,18 +264,17 @@ func TestEMGaugesReadTheModel(t *testing.T) {
 	}
 }
 
-// slowEngine embeds the categorical TDH engine but sleeps in ApplyAnswers,
-// holding items in the accepted-but-unfolded window. Because the embedded
-// interface does not promote optional capabilities, the pipeline's
-// EpochFolder assertion fails and every batch takes this slow path.
+// slowEngine embeds the categorical TDH engine but sleeps before opening
+// each epoch, holding every cycle's items in the accepted-but-unfolded
+// window for at least delay.
 type slowEngine struct {
 	engine.Engine
 	delay time.Duration
 }
 
-func (e slowEngine) ApplyAnswers(st engine.State, idx *data.Index, answers []data.Answer) (engine.State, bool) {
+func (e slowEngine) NewEpoch(st engine.State, idx *data.Index) (engine.Epoch, bool) {
 	time.Sleep(e.delay)
-	return e.Engine.ApplyAnswers(st, idx, answers)
+	return e.Engine.NewEpoch(st, idx)
 }
 
 // TestAdmissionControl asserts the RejectQueueDepth satellite end to end: a

@@ -18,30 +18,29 @@ import (
 // endpoints) route each accepted item to its object's shard queue — FNV of
 // the object name, so an object's stream stays FIFO — and nudge the
 // coordinator. One background coordinator goroutine drains every shard
-// queue, folds the per-shard answer batches CONCURRENTLY when the engine
-// supports object-disjoint folding (engine.EpochFolder; TDH's incremental
-// E-step touches one object per answer, so shards never conflict), and
-// stitches the epoch into a single immutable Snapshot — readers always see
-// one consistent (index, state, plan) tuple no matter how many shards fed
-// it. Engines without the capability fold sequentially through
-// ApplyAnswers, exactly as the unsharded pipeline did.
+// queue, folds the per-shard answer batches CONCURRENTLY through one engine
+// epoch (engine.EpochFolder: every engine's incremental update is object-
+// local, so shards never conflict), and stitches the epoch into a single
+// immutable Snapshot — readers always see one consistent (index, state,
+// plan) tuple no matter how many shards fed it. An engine with no
+// incremental path opens no epoch and keeps serving its last fit.
 //
-// Publishes also maintain the snapshot's assignment plan incrementally:
-// when the batch's state delta was object-local, the previous snapshot's
-// plan is Advance'd around the touched objects (O(batch + |O|)) instead of
-// rebuilt from scratch (O(Σ|Vo| + |O| log |O|)), and every publish prewarms
-// the plan in the pipeline goroutine so no /task request ever pays a plan
-// build in-line. Full refits — the MAP-EM from scratch (core.Run: always a
-// cold, deterministic function of the dataset, so a replayed log refits to
-// the state the live process published), with the parallel E-step when
-// Options.Workers is set — are debounced behind a RefitPolicy and also run
-// entirely off the request path. A refit is the one stage whose cost grows
-// with the whole campaign, and the coordinator is a single goroutine, so
-// whatever is queued when one starts waits for all of it: the policy
-// therefore never starts a count-triggered refit in front of a backlog
-// (shouldRefit) — the cheap fold + publish cycles make the queued answers
-// visible first, and the refit runs once the queue is empty or the
-// staleness bound expires.
+// A cycle costs what it touched: sealing an epoch copies nothing (the
+// published result is a view over the sealed state, see engine.State.Res),
+// and the snapshot's assignment plan is Advance'd around the epoch's touched
+// objects (O(batch + |O|)) instead of rebuilt from scratch (O(Σ|Vo| + |O|
+// log |O|)); every publish prewarms the plan in the pipeline goroutine so no
+// /task request ever pays a plan build in-line. Full refits — the MAP-EM
+// from scratch (core.Run: always a cold, deterministic function of the
+// dataset, so a replayed log refits to the state the live process
+// published), with the parallel E-step when Options.Workers is set — are
+// debounced behind a RefitPolicy and also run entirely off the request path.
+// A refit is the one stage whose cost grows with the whole campaign, and the
+// coordinator is a single goroutine, so whatever is queued when one starts
+// waits for all of it: the policy therefore never starts a count-triggered
+// refit in front of a backlog (shouldRefit) — the cheap fold + publish
+// cycles make the queued answers visible first, and the refit runs once the
+// queue is empty or the staleness bound expires.
 
 // RefitPolicy controls when the pipeline escalates from incremental
 // confidence updates to a full EM refit, and how ingestion is buffered.
@@ -204,22 +203,20 @@ type cycleStamps struct {
 func (p *pipeline) metrics() *serverMetrics { return p.s.metrics }
 
 // publish makes the pipeline's current state visible to readers, with its
-// assignment plan already attached and prewarmed — built, advanced or
-// reused in this goroutine so no /task request ever pays for it in-line:
+// assignment plan already attached and prewarmed — built, reused or advanced
+// in this goroutine so no /task request ever pays for it in-line:
 //
 //   - after a full refit (or the very first publish) the plan is built from
 //     scratch;
-//   - when the batch left index and result untouched (an engine with no
+//   - when the cycle left index and result untouched (an engine with no
 //     incremental path publishing its previous state), the previous plan is
 //     exact and is reused outright;
-//   - when the state delta was object-local (the engine folds through
-//     epochs, or did not change state at all while the index grew), the
-//     previous plan is Advance'd around the touched object IDs;
-//   - otherwise (an engine that re-estimates globally, e.g. numeric), the
-//     plan is rebuilt.
+//   - otherwise the state delta is object-local — every engine folds and
+//     grows through that contract — and the previous plan is Advance'd
+//     around the touched object IDs.
 //
 //tdh:wallclock stage timings and PublishedAt are observability metadata; replayed state never reads them
-func (p *pipeline) publish(touched []int, local bool) {
+func (p *pipeline) publish(touched []int) {
 	pubStart := time.Now()
 	prev := p.s.current.Load()
 	sn := &Snapshot{
@@ -243,7 +240,7 @@ func (p *pipeline) publish(touched []int, local bool) {
 		p.metrics().planBuilds.Inc()
 	case sn.Idx == prev.Idx && sn.Res == prev.Res:
 		plan = prev.Plan() // nothing moved: the previous plan is exact
-	case local:
+	default:
 		var adv bool
 		plan, adv = prev.Plan().Advance(sn.Idx, sn.Res, touched)
 		if adv {
@@ -251,9 +248,6 @@ func (p *pipeline) publish(touched []int, local bool) {
 		} else {
 			p.metrics().planBuilds.Inc()
 		}
-	default:
-		plan = assign.NewPlan(sn.Idx, sn.Res)
-		p.metrics().planBuilds.Inc()
 	}
 	plan.Prewarm()
 	p.metrics().observeStage(stagePlan, planStart)
@@ -273,8 +267,9 @@ func (p *pipeline) publish(touched []int, local bool) {
 
 const (
 	// slowPublishAfter is the publish-duration threshold for the slow-publish
-	// warning (a publish this slow means plan maintenance or Res() copying is
-	// falling behind ingest).
+	// warning (a publish is plan maintenance plus one pointer store, so one
+	// this slow means Plan.Advance's O(|O|) copies and merges are falling
+	// behind ingest).
 	slowPublishAfter = 500 * time.Millisecond
 	// stallAfter is how long queued items may sit without the watermark
 	// advancing before the stall warning fires.
@@ -372,7 +367,7 @@ func (p *pipeline) fullRefit() {
 	// When this refit is what makes drained items visible (the refresh
 	// path), their span trees show the refit as the fold stage.
 	p.stamps.foldStart, p.stamps.foldEnd, p.stamps.refit = start, time.Now(), true
-	p.publish(nil, false)
+	p.publish(nil)
 }
 
 // reportConvergence exports how the refit's EM ended — evaluations run and
@@ -418,12 +413,12 @@ func (p *pipeline) markDirty(n int) {
 // epoch-stitched snapshot covering all of it. Mutations first: they extend
 // the index (data.Index.Extend) and re-seed the engine state (Engine.Grow)
 // so the cycle's answers — and every /task after the publish — already see
-// the new objects. Answers then fold in concurrently when the engine folds
-// epochs (each shard's batch touches only that shard's objects), or
-// sequentially through ApplyAnswers otherwise. Engines without an
-// incremental path keep publishing their previous state (stale confidences,
-// fresh counters); the additions' effect on the result waits for the next
-// policy-triggered refit.
+// the new objects. Answers then fold through one epoch, one goroutine per
+// non-empty shard batch (the batches are object-disjoint by construction:
+// items are sharded by object name), and the epoch reports what it touched.
+// An engine without an incremental path keeps publishing its previous state
+// (stale confidences, fresh counters); the additions' effect on the result
+// waits for the next policy-triggered refit.
 //
 //tdh:wallclock fold-stage timing is observability only; replayed state never reads it
 func (p *pipeline) applyShards(groups [][]data.Answer, muts []*mutation) {
@@ -436,86 +431,40 @@ func (p *pipeline) applyShards(groups [][]data.Answer, muts []*mutation) {
 	}
 	foldStart := time.Now()
 	p.stamps.foldStart, p.stamps.refit = foldStart, false
-	// local tracks whether every state change this cycle was object-local —
-	// the precondition for advancing the previous snapshot's plan.
-	local := true
+	eng := p.s.cfg.Engine
 	var touched []int
 	if len(muts) > 0 {
-		mu := p.stageMutations(muts)
-		idx, t := p.idx.Extend(p.work, mu)
-		p.idx = idx
-		touched = append(touched, t...)
-		if st, ok := p.s.cfg.Engine.Grow(p.st, idx, t); ok {
+		p.idx, touched = p.idx.Extend(p.work, p.stageMutations(muts))
+		if st, ok := eng.Grow(p.st, p.idx, touched); ok {
 			p.st = st
-			if _, epochal := p.s.cfg.Engine.(engine.EpochFolder); !epochal {
-				local = false // Grow re-estimated globally (e.g. numeric)
-			}
 		}
 	}
 	if total > 0 {
 		for _, g := range groups {
-			p.work.Answers = append(p.work.Answers, g...)
+			p.ingest(g)
 		}
-		p.markDirty(total)
-		p.applied += total
-		if !p.foldEpoch(groups, &touched) {
-			flat := make([]data.Answer, 0, total)
+		if ep, ok := eng.NewEpoch(p.st, p.idx); ok {
+			var wg sync.WaitGroup
 			for _, g := range groups {
-				flat = append(flat, g...)
+				if len(g) == total {
+					ep.Fold(g) // the cycle's only batch: fold it here
+				} else if len(g) > 0 {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						ep.Fold(g)
+					}()
+				}
 			}
-			if st, ok := p.s.cfg.Engine.ApplyAnswers(p.st, p.idx, flat); ok {
-				p.st = st
-				local = false // no epoch contract: assume a global update
-			}
+			wg.Wait()
+			p.st = ep.Seal()
+			touched = append(touched, ep.Touched()...)
 		}
 		p.metrics().batchSize.Observe(float64(total))
 	}
 	p.metrics().observeStage(stageFold, foldStart)
 	p.stamps.foldEnd = time.Now()
-	p.publish(touched, local)
-}
-
-// foldEpoch folds the per-shard answer batches through the engine's epoch
-// capability, one goroutine per non-empty shard batch (the batches are
-// object-disjoint by construction: items are sharded by object name).
-// Reports false when the engine (or its current state) has no epoch path.
-func (p *pipeline) foldEpoch(groups [][]data.Answer, touched *[]int) bool {
-	ef, ok := p.s.cfg.Engine.(engine.EpochFolder)
-	if !ok {
-		return false
-	}
-	ep, ok := ef.NewEpoch(p.st, p.idx)
-	if !ok {
-		return false
-	}
-	var busy []int
-	for i, g := range groups {
-		if len(g) > 0 {
-			busy = append(busy, i)
-		}
-	}
-	if len(busy) == 1 {
-		ep.Fold(groups[busy[0]])
-	} else {
-		var wg sync.WaitGroup
-		for _, i := range busy {
-			wg.Add(1)
-			go func(g []data.Answer) {
-				defer wg.Done()
-				ep.Fold(g)
-			}(groups[i])
-		}
-		wg.Wait()
-	}
-	p.st = ep.Seal()
-	for _, g := range groups {
-		for _, a := range g {
-			if oid, ok := p.idx.ObjectID(a.Object); ok {
-				*touched = append(*touched, oid)
-			}
-		}
-	}
-	return true
+	p.publish(touched)
 }
 
 // stageMutations appends accepted mutations to the working dataset and the

@@ -286,9 +286,9 @@ func TestConcurrentClients(t *testing.T) {
 	}
 }
 
-// recordingEngine is a slowEngine (every batch folds through ApplyAnswers,
-// which takes at least delay) that records the order of the coordinator's
-// full refits and folds.
+// recordingEngine is a slowEngine (every cycle's epoch takes at least delay
+// to open) that records the order of the coordinator's full refits and
+// folds.
 type recordingEngine struct {
 	slowEngine
 	visible func() uint64 // visibility observations so far, read at each refit
@@ -312,9 +312,9 @@ func (e *recordingEngine) Fit(idx *data.Index) engine.State {
 	return e.Engine.Fit(idx)
 }
 
-func (e *recordingEngine) ApplyAnswers(st engine.State, idx *data.Index, answers []data.Answer) (engine.State, bool) {
+func (e *recordingEngine) NewEpoch(st engine.State, idx *data.Index) (engine.Epoch, bool) {
 	e.record("fold")
-	return e.slowEngine.ApplyAnswers(st, idx, answers)
+	return e.slowEngine.NewEpoch(st, idx)
 }
 
 // TestCountRefitWaitsForBacklog pins the refit predicate on a backlog of

@@ -26,7 +26,8 @@
 // /answer validates against the current snapshot and the worker's sharded
 // pending state, appends to the durable event log, and enqueues the answer
 // for the background inference pipeline (see pipeline.go), which folds
-// batches in with incremental EM and debounces full refits per RefitPolicy.
+// batches in through the engine's epochs and debounces full refits per
+// RefitPolicy.
 // The campaign is open-world: POST /objects and /records append typed
 // mutation events the same way and the pipeline folds them into the next
 // published snapshot by extending the index (data.Index.Extend) and growing
@@ -951,12 +952,8 @@ func (s *Server) handleRefresh(w http.ResponseWriter, r *http.Request) {
 // Truths returns the current inferred truths (programmatic twin of GET
 // /truths).
 func (s *Server) Truths() map[string]string {
-	truths := s.snap().Res.Truths
-	out := make(map[string]string, len(truths))
-	for k, v := range truths {
-		out[k] = v
-	}
-	return out
+	snap := s.snap()
+	return snap.Res.TruthMap(snap.Idx)
 }
 
 // maxBodyBytes caps the request bodies of POST /answer, /objects and

@@ -132,7 +132,10 @@ func TestShardEquivalence(t *testing.T) {
 				if b.Idx.Objects[oid] != o {
 					t.Fatalf("object %d named %q vs %q", oid, o, b.Idx.Objects[oid])
 				}
-				mu1, muN := a.Res.Confidence[o], b.Res.Confidence[o]
+				mu1, muN := a.Res.ConfidenceAt(a.Idx, oid), b.Res.ConfidenceAt(b.Idx, oid)
+				if len(mu1) == 0 {
+					t.Fatalf("%s: no confidence row", o)
+				}
 				if len(mu1) != len(muN) {
 					t.Fatalf("%s: confidence row lengths %d vs %d", o, len(mu1), len(muN))
 				}

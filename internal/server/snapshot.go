@@ -16,11 +16,14 @@ import (
 // consistent (index, result, round, answer-count) tuple even while a full
 // refit is in flight — and never waits for one.
 //
-// Nothing reachable from a Snapshot is mutated after publication: the
-// pipeline clones the model before applying incremental updates and builds
-// a fresh Result for every publish. The assignment plan is the one
-// exception in mechanism, not in contract: it is materialized at most once
-// per snapshot behind a sync.Once and is immutable from then on.
+// Nothing reachable from a Snapshot is mutated after publication: a fold
+// writes a clone of the sealed model, never the model itself, and the
+// published Result is a view over that sealed model — sharing its rows, not
+// copying them — so the guarantee rests on the engine never writing a state
+// it has returned. Two things are filled lazily, in mechanism but not in
+// contract: the assignment plan and the state's name-keyed truths map are
+// each materialized at most once, behind a sync.Once, and immutable from
+// then on.
 type Snapshot struct {
 	// Idx is the candidate-set index the St was computed against.
 	Idx *data.Index
@@ -28,7 +31,9 @@ type Snapshot struct {
 	// inference output plus its wire encoders (/truths, /confidence shapes).
 	St engine.State
 	// Res is St.Res(), cached at publish: the assigner-facing view
-	// (confidence rows, trust maps, model) every truth model provides.
+	// (confidence rows, trust maps, model) every truth model provides. Read
+	// per-object content through its ID-based API (ConfidenceAt, TruthAt):
+	// between refits the Truths and Confidence maps are nil.
 	Res *infer.Result
 	// Round counts completed full refits (the old "inference_runs").
 	Round int64

@@ -1,0 +1,315 @@
+package server
+
+import (
+	"bytes"
+	"fmt"
+	"io"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/assign"
+	"repro/internal/core"
+	"repro/internal/data"
+	"repro/internal/engine"
+	"repro/internal/infer"
+	"repro/internal/synth"
+)
+
+// waitApplied blocks until the served snapshot has folded the given number
+// of answers and mutations.
+func waitApplied(t *testing.T, s *Server, answers, mutations int) *Snapshot {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if sn := s.Snapshot(); sn.Answers >= answers && sn.Mutations >= mutations {
+			return sn
+		}
+		if time.Now().After(deadline) {
+			sn := s.Snapshot()
+			t.Fatalf("snapshot stuck at %d answers / %d mutations, want %d / %d", sn.Answers, sn.Mutations, answers, mutations)
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+}
+
+// reachable deep-copies every value a reader can reach from one snapshot:
+// the Result read API, the state's wire encoders, the plan's per-object
+// arrays and the trust maps.
+type reachable struct {
+	Rows, PlanMu     [][]float64
+	Truths           []string
+	TruthMap         any
+	Confidence       []any
+	MaxMu, Ent       []float64
+	Sources, Workers map[string]float64
+}
+
+func captureReachable(sn *Snapshot) reachable {
+	var r reachable
+	for oid := range sn.Idx.Objects {
+		r.Rows = append(r.Rows, append([]float64(nil), sn.Res.ConfidenceAt(sn.Idx, oid)...))
+		r.Truths = append(r.Truths, sn.Res.TruthAt(sn.Idx, oid))
+		r.Confidence = append(r.Confidence, sn.St.Confidence(sn.Idx.ViewAt(oid)))
+		r.PlanMu = append(r.PlanMu, append([]float64(nil), sn.Plan().Mu[oid]...))
+	}
+	truths := map[string]string{}
+	for o, v := range sn.St.Truths().(map[string]string) {
+		truths[o] = v
+	}
+	r.TruthMap = truths
+	r.MaxMu = append([]float64(nil), sn.Plan().MaxMu...)
+	r.Ent = append([]float64(nil), sn.Plan().Ent...)
+	r.Sources, r.Workers = map[string]float64{}, map[string]float64{}
+	for k, v := range sn.Res.SourceTrust {
+		r.Sources[k] = v
+	}
+	for k, v := range sn.Res.WorkerTrust {
+		r.Workers[k] = v
+	}
+	return r
+}
+
+// TestSnapshotImmutableUnderAliasing is the test of the design's classic
+// failure: a published result now ALIASES the sealed model's rows instead
+// of copying them, so a single fold that wrote a published model would
+// corrupt every snapshot still held by a reader. Hold snapshot k — itself a
+// folded, grown view — run 60 further fold/seal cycles and 6 growths that
+// touch the same objects, with shards=4 and concurrent /task, /truths,
+// /confidence and /trust readers (the -race jobs run this), and require every
+// value reachable from snapshot k to be bit-identical to what it was at
+// publish.
+func TestSnapshotImmutableUnderAliasing(t *testing.T) {
+	ds := synth.Heritages(synth.HeritagesConfig{Seed: 4, Scale: 0.08})
+	s, ts := newShardServer(t, ds, 4)
+	defer s.Close()
+	hot := s.SortedObjects()[:8]
+	answers, mutations := 0, 0
+	answer := func(round int) {
+		for i, o := range hot {
+			vals := s.Snapshot().Idx.View(o).CI.Values
+			a := data.Answer{Worker: fmt.Sprintf("w%d-%d", round, i), Object: o, Value: vals[(round+i)%len(vals)]}
+			if resp := postJSON(t, ts.URL+"/answer", a); resp.StatusCode != 200 {
+				t.Fatalf("answer %s/%s status %d", a.Worker, o, resp.StatusCode)
+			}
+			answers++
+		}
+	}
+	grow := func(round int) {
+		vals := s.Snapshot().Idx.View(hot[round%len(hot)]).CI.Values
+		rec := data.Record{Object: hot[round%len(hot)], Source: fmt.Sprintf("src-%d", round), Value: vals[0]}
+		if resp := postJSON(t, ts.URL+"/records", rec); resp.StatusCode != 200 {
+			t.Fatalf("add record status %d", resp.StatusCode)
+		}
+		obj := AddObjectRequest{Object: fmt.Sprintf("zz-grown-%d", round), Candidates: vals}
+		if resp := postJSON(t, ts.URL+"/objects", obj); resp.StatusCode != 200 {
+			t.Fatalf("add object status %d", resp.StatusCode)
+		}
+		mutations += 2
+	}
+
+	answer(0)
+	grow(0)
+	waitApplied(t, s, answers, mutations)
+	answer(1)
+	held := waitApplied(t, s, answers, mutations)
+	if held.Res.Confidence != nil {
+		t.Fatal("snapshot k is not a view: the test would not exercise aliasing")
+	}
+	before := captureReachable(held)
+
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for i, path := range []string{"/task?worker=reader", "/truths", "/confidence?object=" + hot[0], "/trust"} {
+		readers.Add(1)
+		go func(i int, path string) {
+			defer readers.Done()
+			for n := 0; ; n++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				url := ts.URL + path
+				if i == 0 {
+					url += fmt.Sprint(n % 16)
+				}
+				resp, err := http.Get(url)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != 200 {
+					t.Errorf("GET %s = %d", path, resp.StatusCode)
+					return
+				}
+			}
+		}(i, path)
+	}
+	for round := 2; round < 62; round++ {
+		answer(round)
+		if round%10 == 0 {
+			grow(round)
+		}
+		waitApplied(t, s, answers, mutations) // one coordinator cycle (at least) per round
+	}
+	close(stop)
+	readers.Wait()
+
+	last := s.Snapshot()
+	if st := s.Stats(); st.PlanBuilds != 1 || st.PlanFallbacks != 0 || st.PlanAdvances < 60 {
+		t.Fatalf("plan maintenance left the delta path: %+v", st)
+	}
+	// The other half of aliasing: a plan carried forward by Advance must hold
+	// rows of the model it was advanced TO only. Rows are sub-slices of one
+	// backing array per model, so a plan that kept an untouched object's row
+	// from an older model would pin that model's whole array — one per cycle.
+	for oid := range last.Idx.Objects {
+		if &last.Plan().Mu[oid][0] != &last.Res.ConfidenceAt(last.Idx, oid)[0] {
+			t.Fatalf("the served plan still holds a past model's row for %s", last.Idx.Objects[oid])
+		}
+	}
+	oid := held.Idx.View(hot[0]).ID
+	if reflect.DeepEqual(last.Res.ConfidenceAt(last.Idx, oid), before.Rows[oid]) {
+		t.Fatal("60 rounds of answers never moved the hot object's row")
+	}
+	if after := captureReachable(held); !reflect.DeepEqual(after, before) {
+		for oid := range before.Rows {
+			if !reflect.DeepEqual(after.Rows[oid], before.Rows[oid]) {
+				t.Errorf("object %s: row was %v at publish, reads %v now", held.Idx.Objects[oid], before.Rows[oid], after.Rows[oid])
+			}
+		}
+		t.Fatal("a value reachable from a held snapshot changed after it was published")
+	}
+}
+
+// body GETs a path on the handler and returns the response bytes.
+func body(t *testing.T, h http.Handler, path string) []byte {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET %s = %d: %s", path, rec.Code, rec.Body.String())
+	}
+	return rec.Body.Bytes()
+}
+
+// encoded is what writeJSON puts on the wire for v.
+func encoded(v any) []byte {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, v)
+	return rec.Body.Bytes()
+}
+
+// TestReadEndpointsServeTheCopy: after folds and a growth, every read
+// endpoint answers byte for byte what it answered when each publish copied
+// the model into name-keyed maps (infer.ResultFromModel over the same sealed
+// model is exactly that copy).
+func TestReadEndpointsServeTheCopy(t *testing.T) {
+	for name, ds := range map[string]*data.Dataset{
+		"birthplaces": synth.BirthPlaces(synth.BirthPlacesConfig{Seed: 3, Scale: 0.04}),
+		"heritages":   synth.Heritages(synth.HeritagesConfig{Seed: 3, Scale: 0.08}),
+	} {
+		t.Run(name, func(t *testing.T) {
+			s, ts := newShardServer(t, ds, 2)
+			defer s.Close()
+			answers, mutations := driveCampaign(t, s, ts.URL)
+			sn := waitApplied(t, s, answers, mutations)
+			want := infer.ResultFromModel(sn.Res.Model.(*core.Model))
+			h := s.Handler()
+			if got := body(t, h, "/truths"); !bytes.Equal(got, encoded(want.Truths)) {
+				t.Fatal("GET /truths differs from the copied result's")
+			}
+			if got := body(t, h, "/trust"); !bytes.Equal(got, encoded(map[string]any{
+				"sources": want.SourceTrust, "workers": want.WorkerTrust})) {
+				t.Fatal("GET /trust differs from the copied result's")
+			}
+			for _, o := range sn.Idx.Objects {
+				conf := map[string]float64{}
+				for i, v := range sn.Idx.View(o).CI.Values {
+					conf[v] = want.Confidence[o][i]
+				}
+				if got := body(t, h, "/confidence?object="+o); !bytes.Equal(got, encoded(conf)) {
+					t.Fatalf("GET /confidence?object=%s differs from the copied result's", o)
+				}
+			}
+			if !reflect.DeepEqual(s.Truths(), want.Truths) {
+				t.Fatal("Server.Truths differs from the copied result's")
+			}
+		})
+	}
+}
+
+// TestNumericTrustEndpoint pins the /trust bugfix end to end: a CRH campaign
+// serves its fitted provider weights — sources and workers, in [0,1] —
+// where it used to serve two empty objects, folds keep serving them, and
+// plan maintenance stays on the delta path now that the numeric fold is
+// object-local.
+func TestNumericTrustEndpoint(t *testing.T) {
+	attr := synth.Stock(synth.StockConfig{Seed: 2, Symbols: 30})[1]
+	eng, err := engine.New(engine.Numeric, "CRH", engine.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{
+		Dataset: &data.Dataset{Name: "stock", Records: attr.Records}, Engine: eng, Assigner: assign.ME{},
+		OpenAnswers: true, Policy: RefitPolicy{MaxAnswers: 8, MaxStaleness: -1, BatchSize: 4},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	objs := s.SortedObjects()
+	post := func(from, to int) {
+		for i := from; i < to; i++ {
+			v := attr.Gold[objs[i]]
+			a := data.Answer{Worker: fmt.Sprintf("w%d", i%3), Object: objs[i], Num: &v}
+			if resp := postJSON(t, ts.URL+"/answer", a); resp.StatusCode != 200 {
+				t.Fatalf("answer status %d", resp.StatusCode)
+			}
+		}
+	}
+	var trust struct{ Sources, Workers map[string]float64 }
+	check := func(tag string, workers int) {
+		t.Helper()
+		getJSON(t, ts.URL+"/trust", &trust)
+		if len(trust.Sources) == 0 || len(trust.Workers) != workers {
+			t.Fatalf("%s: /trust = %d sources, %d workers; want every source and %d workers", tag, len(trust.Sources), len(trust.Workers), workers)
+		}
+		for _, m := range []map[string]float64{trust.Sources, trust.Workers} {
+			for p, v := range m {
+				if v < 0 || v > 1 || math.IsNaN(v) {
+					t.Fatalf("%s: trust[%s] = %v outside [0,1]", tag, p, v)
+				}
+			}
+		}
+	}
+	check("boot", 0)
+	post(0, 8) // the eighth answer triggers a refit: the workers get weights
+	deadline := time.Now().Add(10 * time.Second)
+	for s.Snapshot().Round < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("count-triggered refit never ran")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	check("refit", 3)
+	post(8, 12) // folds: weights frozen, trust carried over
+	sn := waitApplied(t, s, 12, 0)
+	check("fold", 3)
+	if sn.Res.Confidence != nil {
+		t.Fatal("a numeric fold rebuilt the name-keyed maps")
+	}
+	if st := s.Stats(); st.PlanAdvances == 0 || st.PlanBuilds != 2 {
+		t.Fatalf("numeric folds must advance the plan, refits build it: %+v", st)
+	}
+}
