@@ -170,15 +170,19 @@ func namedMatches(n *types.Named, syms []symbol) bool {
 // calleeOf resolves the *types.Func a call invokes, or nil for builtins,
 // type conversions and calls through function-typed values.
 func calleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
+	var fn *types.Func
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
-		fn, _ := info.Uses[fun].(*types.Func)
-		return fn
+		fn, _ = info.Uses[fun].(*types.Func)
 	case *ast.SelectorExpr:
-		fn, _ := info.Uses[fun.Sel].(*types.Func)
-		return fn
+		fn, _ = info.Uses[fun.Sel].(*types.Func)
 	}
-	return nil
+	if fn != nil {
+		// A method of an instantiated generic type is its own object; the
+		// declaration the analyzers key on is its origin.
+		fn = fn.Origin()
+	}
+	return fn
 }
 
 // builtinOf resolves the *types.Builtin a call invokes, or nil.

@@ -25,6 +25,7 @@ func DefaultSnapshotmut() SnapshotmutConfig {
 			// Plan construction and delta maintenance.
 			"internal/assign.NewPlan",
 			"internal/assign.Plan.Advance",
+			"internal/assign.Plan.grow",
 			// Model construction, the EM itself, incremental folds and
 			// open-world growth. Run and its helpers own the model until
 			// they return it.
@@ -45,6 +46,9 @@ func DefaultSnapshotmut() SnapshotmutConfig {
 			"internal/core.Model.refreshSufficientStats",
 			"internal/core.Model.refreshObjectStats",
 			"internal/core.Model.Clone",
+			// The page-owning writers: the fold and the copy-on-write step
+			// it takes first. Both write only pages the model owns.
+			"internal/core.Model.OwnPage",
 			"internal/core.Model.ApplyAnswerAt",
 			"internal/core.Model.Grow",
 			"internal/core.Model.blendPreviousMu",
@@ -69,6 +73,12 @@ func DefaultSnapshotmut() SnapshotmutConfig {
 			// Inferencers build their Result before handing it over;
 			// nothing outside the package may touch one afterwards.
 			"internal/infer.*",
+		},
+		// The copy-on-write containers under the model and the plan have no
+		// assignable elements; these are their only write paths.
+		Writers: []string{
+			"internal/cow.table.Own",
+			"internal/cow.Vec.Set",
 		},
 	}
 }
@@ -99,6 +109,7 @@ func DefaultPipelineonly() PipelineonlyConfig {
 		Restricted: []string{
 			"internal/core.Model.ApplyAnswer",
 			"internal/core.Model.ApplyAnswerAt",
+			"internal/core.Model.OwnPage",
 			"internal/core.Model.Grow",
 			"internal/data.Index.Extend",
 			"internal/engine.Engine.Fit",

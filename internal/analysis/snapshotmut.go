@@ -15,6 +15,11 @@ type SnapshotmutConfig struct {
 	// protected values: "pkg.Func", "pkg.Recv.Method", or "pkg.*" for a
 	// whole package. Functions annotated //tdh:mutator are also allowed.
 	Allowed []string
+	// Writers names methods that write their receiver ("pkg.Recv.Method"):
+	// calling one on a receiver reached through a protected value is a write
+	// to that value, like an assignment through it. The copy-on-write
+	// containers under the model and the plan are written only this way.
+	Writers []string
 }
 
 // Snapshotmut flags writes to fields or elements of protected types —
@@ -28,10 +33,12 @@ type SnapshotmutConfig struct {
 // write, and locals assigned from such chains are tracked as aliases
 // (mu := p.Mu[o]; mu[i] = x is still a write into the plan). Chains broken
 // by a function call are not tracked — append([]T(nil), s...) copies are
-// legitimately fresh.
+// legitimately fresh. A call to a configured writer method (cfg.Writers) on a
+// receiver reached through such a chain counts as a write too.
 func Snapshotmut(cfg SnapshotmutConfig) *Analyzer {
 	protected := parseSymbols(cfg.Protected)
 	allowed := parseSymbols(cfg.Allowed)
+	writers := parseSymbols(cfg.Writers)
 	return &Analyzer{
 		Name: "snapshotmut",
 		Doc:  "flag mutations of published snapshot/plan/model values outside constructors",
@@ -43,14 +50,14 @@ func Snapshotmut(cfg SnapshotmutConfig) *Analyzer {
 				if funcMatches(declaredFunc(pass.TypesInfo, fd), allowed) {
 					return
 				}
-				checkFuncMutations(pass, fd, protected)
+				checkFuncMutations(pass, fd, protected, writers)
 			})
 			return nil
 		},
 	}
 }
 
-func checkFuncMutations(pass *Pass, fd *ast.FuncDecl, protected []symbol) {
+func checkFuncMutations(pass *Pass, fd *ast.FuncDecl, protected, writers []symbol) {
 	tainted := taintedAliases(pass.TypesInfo, fd, protected)
 	report := func(node ast.Node, what string) {
 		if _, ok := pass.Notes.At(node.Pos(), noteMutator); ok {
@@ -76,6 +83,12 @@ func checkFuncMutations(pass *Pass, fd *ast.FuncDecl, protected []symbol) {
 			if b := builtinOf(pass.TypesInfo, n); b != nil && (b.Name() == "copy" || b.Name() == "clear") && len(n.Args) > 0 {
 				if name, ok := protectedRoot(pass.TypesInfo, n.Args[0], protected, tainted); ok {
 					report(n, b.Name()+" into "+name)
+				}
+			}
+			// v.Set(…) on a writer method writes through its receiver.
+			if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok && funcMatches(calleeOf(pass.TypesInfo, n), writers) {
+				if name, ok := protectedRoot(pass.TypesInfo, sel.X, protected, tainted); ok {
+					report(n, sel.Sel.Name+" on "+name)
 				}
 			}
 		}

@@ -6,6 +6,7 @@ import "snaptypes"
 func NewPlan(n int) *snaptypes.Plan {
 	p := &snaptypes.Plan{}
 	p.MaxMu = make([]float64, n)
+	p.Scores.Set(0, 1)
 	p.Round = 1
 	return p
 }
@@ -42,6 +43,13 @@ func bump(p *snaptypes.Plan) {
 	p.Round++ // want "write to snaptypes.Plan mutates a published value"
 }
 
+// A writer method on a container reached through a protected value writes
+// that value; a reader method does not.
+func rescore(s *snaptypes.Snapshot) float64 {
+	s.P.Scores.Set(0, 1) // want "Set on snaptypes.Plan mutates a published value"
+	return s.P.Scores.At(0)
+}
+
 // freshCopy writes into a copy: the append call breaks the alias chain.
 func freshCopy(p *snaptypes.Plan) []float64 {
 	cp := append([]float64(nil), p.MaxMu...)
@@ -63,5 +71,6 @@ var _ = aliased
 var _ = rangeAlias
 var _ = fill
 var _ = bump
+var _ = rescore
 var _ = freshCopy
 var _ = publish

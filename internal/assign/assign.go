@@ -5,7 +5,7 @@
 //
 // All assigners run dense-ID-based over a shared, immutable Plan — the
 // worker-independent precompute (UEAI bounds and scan order, per-object
-// max-confidence and entropy, confidence rows keyed by object ID) that the
+// max-confidence and entropy, confidence rows read by object ID) that the
 // crowd server builds once per published snapshot and attaches to the
 // Context. Per request, an assigner only does the worker-dependent part:
 // filtering the worker's answered set and scoring/ranking against the plan.
@@ -17,6 +17,7 @@ import (
 	"math"
 	"sync/atomic"
 
+	"repro/internal/cow"
 	"repro/internal/data"
 	"repro/internal/infer"
 )
@@ -83,10 +84,10 @@ func workerTrustOf(res *infer.Result, w string, def float64) float64 {
 	return def
 }
 
-// dealOut assigns ranked object IDs round-robin to workers, skipping objects
+// dealOut assigns ranked objects round-robin to workers, skipping objects
 // a worker has already answered, with at most k per worker and each object
 // to at most one worker (the paper's single-answer-per-round policy).
-func dealOut(ctx *Context, ranked []int32) map[string][]string {
+func dealOut(ctx *Context, ranked cow.Ranking) map[string][]string {
 	out := make(map[string][]string, len(ctx.Workers))
 	if len(ctx.Workers) == 0 || ctx.K <= 0 {
 		return out
@@ -94,22 +95,24 @@ func dealOut(ctx *Context, ranked []int32) map[string][]string {
 	wids := workerIDs(ctx.Idx, ctx.Workers)
 	need := len(ctx.Workers) * ctx.K
 	wi := 0
-	for _, oid := range ranked {
-		if need == 0 {
-			break
-		}
-		// Find the next worker (starting at wi) with room who hasn't
-		// answered oid.
-		for probe := 0; probe < len(ctx.Workers); probe++ {
-			j := (wi + probe) % len(ctx.Workers)
-			w := ctx.Workers[j]
-			if len(out[w]) >= ctx.K || ctx.Idx.HasAnsweredAt(wids[j], int(oid)) {
-				continue
+	for _, chunk := range ranked.Chunks() {
+		for _, en := range chunk {
+			if need == 0 {
+				return out
 			}
-			out[w] = append(out[w], ctx.Idx.Objects[oid])
-			wi = (wi + probe + 1) % len(ctx.Workers)
-			need--
-			break
+			// Find the next worker (starting at wi) with room who hasn't
+			// answered the object.
+			for probe := 0; probe < len(ctx.Workers); probe++ {
+				j := (wi + probe) % len(ctx.Workers)
+				w := ctx.Workers[j]
+				if len(out[w]) >= ctx.K || ctx.Idx.HasAnsweredAt(wids[j], int(en.ID)) {
+					continue
+				}
+				out[w] = append(out[w], ctx.Idx.Objects[en.ID])
+				wi = (wi + probe + 1) % len(ctx.Workers)
+				need--
+				break
+			}
 		}
 	}
 	return out

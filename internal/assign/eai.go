@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/cow"
 )
 
 // EAI implements the paper's Expected Accuracy Increase assigner
@@ -116,7 +117,7 @@ func (e EAI) AssignWithStats(ctx *Context) (map[string][]string, EAIStats) {
 		cached[i] = attached && p.M == m && psis[i] == p.defaultPsi
 		anyCached = anyCached || cached[i]
 	}
-	var defScores []float64
+	var defScores *cow.Vec[float64]
 	if anyCached {
 		defScores = p.defaultScores()
 	}
@@ -146,36 +147,40 @@ func (e EAI) AssignWithStats(ctx *Context) (map[string][]string, EAIStats) {
 	}
 
 	// Walk the precomputed UEAI order — the same sequence the original
-	// per-call max-heap popped, without rebuilding bounds per request.
-	for _, en := range p.ueaiOrder {
-		if !e.DisablePruning && full() && minOverAll() > en.ub {
-			break // no remaining object can displace anything (Alg. 1, l.8)
-		}
-		cur := en.oid
-		for wi := 0; wi < len(workers) && cur >= 0; wi++ {
-			if ctx.Idx.HasAnsweredAt(wids[wi], int(cur)) {
-				continue
+	// per-call max-heap popped, without rebuilding bounds per request —
+	// chunk by chunk, each entry carrying its bound.
+scan:
+	for _, chunk := range p.ueaiRank.Chunks() {
+		for _, en := range chunk {
+			if !e.DisablePruning && full() && minOverAll() > en.Key {
+				break scan // no remaining object can displace anything (Alg. 1, l.8)
 			}
-			if !e.DisablePruning && len(heaps[wi]) >= ctx.K && heaps[wi][0].score >= p.ueai[cur] {
-				stats.Pruned++
-				continue // cannot beat this worker's current minimum
-			}
-			var score float64
-			if cached[wi] {
-				score = defScores[cur]
-			} else {
-				score = eaiAt(m, int(p.modelOid[cur]), psis[wi], nObj)
-			}
-			stats.Evaluated++
-			if len(heaps[wi]) < ctx.K {
-				heap.Push(&heaps[wi], eaiEntry{score, cur})
-				cur = -1
-				break
-			}
-			if score > heaps[wi][0].score {
-				displaced := heap.Pop(&heaps[wi]).(eaiEntry)
-				heap.Push(&heaps[wi], eaiEntry{score, cur})
-				cur = displaced.oid // hand the evicted object to the next worker
+			cur := en.ID
+			for wi := 0; wi < len(workers) && cur >= 0; wi++ {
+				if ctx.Idx.HasAnsweredAt(wids[wi], int(cur)) {
+					continue
+				}
+				if !e.DisablePruning && len(heaps[wi]) >= ctx.K && heaps[wi][0].score >= p.ueai.At(int(cur)) {
+					stats.Pruned++
+					continue // cannot beat this worker's current minimum
+				}
+				var score float64
+				if cached[wi] {
+					score = defScores.At(int(cur))
+				} else {
+					score = eaiAt(m, int(p.modelOid[cur]), psis[wi], nObj)
+				}
+				stats.Evaluated++
+				if len(heaps[wi]) < ctx.K {
+					heap.Push(&heaps[wi], eaiEntry{score, cur})
+					cur = -1
+					break
+				}
+				if score > heaps[wi][0].score {
+					displaced := heap.Pop(&heaps[wi]).(eaiEntry)
+					heap.Push(&heaps[wi], eaiEntry{score, cur})
+					cur = displaced.oid // hand the evicted object to the next worker
+				}
 			}
 		}
 	}
@@ -203,17 +208,7 @@ func eaiAt(m *core.Model, oid int, psi [3]float64, nObj float64) float64 {
 	if oid < 0 {
 		return 0
 	}
-	mu := m.Mu[oid]
-	cur := maxOf(mu)
-	exp := 0.0
-	for ans := range mu {
-		pAns := m.AnswerLikelihoodAt(oid, psi, ans)
-		if pAns <= 0 {
-			continue
-		}
-		exp += pAns * m.CondMaxConfidenceAt(oid, psi, ans)
-	}
-	score := (exp - cur) / nObj
+	score := (m.ExpectedCondMaxAt(oid, psi) - maxOf(m.MuAt(oid))) / nObj
 	// Clamp the numerical noise floor: when no single answer can move the
 	// argmax, the exact expectation is zero but floating-point evaluation
 	// leaves ±1e-12-grade residue that would otherwise order the heap

@@ -2,9 +2,11 @@ package assign
 
 import (
 	"container/heap"
+	"reflect"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/cow"
 	"repro/internal/data"
 	"repro/internal/infer"
 	"repro/internal/synth"
@@ -68,16 +70,17 @@ func TestPlanUEAIOrderSorted(t *testing.T) {
 	idx := data.NewIndex(ds)
 	res := infer.NewTDH().Infer(idx)
 	p := NewPlan(idx, res)
-	if len(p.ueaiOrder) != idx.NumObjects() {
-		t.Fatalf("plan order covers %d of %d objects", len(p.ueaiOrder), idx.NumObjects())
+	order := p.ueaiRank.AppendTo(nil)
+	if len(order) != idx.NumObjects() {
+		t.Fatalf("plan order covers %d of %d objects", len(order), idx.NumObjects())
 	}
-	for i := 1; i < len(p.ueaiOrder); i++ {
-		a, b := p.ueaiOrder[i-1], p.ueaiOrder[i]
-		if a.ub < b.ub || (a.ub == b.ub && a.oid >= b.oid) {
-			t.Fatalf("entry %d out of order: (%v,%d) before (%v,%d)", i, a.ub, a.oid, b.ub, b.oid)
+	for i := 1; i < len(order); i++ {
+		a, b := order[i-1], order[i]
+		if a.Key < b.Key || (a.Key == b.Key && a.ID >= b.ID) {
+			t.Fatalf("entry %d out of order: (%v,%d) before (%v,%d)", i, a.Key, a.ID, b.Key, b.ID)
 		}
-		if p.ueai[a.oid] != a.ub {
-			t.Fatalf("ueai[%d] = %v disagrees with order entry %v", a.oid, p.ueai[a.oid], a.ub)
+		if p.ueai.At(int(a.ID)) != a.Key {
+			t.Fatalf("ueai[%d] = %v disagrees with order entry %v", a.ID, p.ueai.At(int(a.ID)), a.Key)
 		}
 	}
 }
@@ -90,34 +93,34 @@ func TestPlanEntropyOrderDeterministic(t *testing.T) {
 	res := infer.NewTDH().Infer(idx)
 	a := NewPlan(idx, res)
 	b := NewPlan(idx, res)
-	for i := range a.entOrder {
-		if a.entOrder[i] != b.entOrder[i] {
-			t.Fatal("entropy ranking with ties must be deterministic")
-		}
+	order := a.entRank.AppendTo(nil)
+	if !reflect.DeepEqual(order, b.entRank.AppendTo(nil)) {
+		t.Fatal("entropy ranking with ties must be deterministic")
 	}
-	for i := 1; i < len(a.entOrder); i++ {
-		if a.Ent[a.entOrder[i]] > a.Ent[a.entOrder[i-1]] {
+	for i := 1; i < len(order); i++ {
+		if a.Ent(int(order[i].ID)) > a.Ent(int(order[i-1].ID)) {
 			t.Fatal("not sorted by entropy")
 		}
 	}
 	seen := map[int32]bool{}
-	for _, oid := range a.entOrder {
-		if seen[oid] {
-			t.Fatalf("object %d ranked twice", oid)
+	for _, en := range order {
+		if seen[en.ID] {
+			t.Fatalf("object %d ranked twice", en.ID)
 		}
-		seen[oid] = true
+		seen[en.ID] = true
 	}
 	if len(seen) != idx.NumObjects() {
 		t.Fatalf("ranking covers %d of %d objects", len(seen), idx.NumObjects())
 	}
 }
 
-func rankedIDs(idx *data.Index) []int32 {
-	ids := make([]int32, idx.NumObjects())
+// rankedIDs ranks the objects in ID order (equal keys tie-break by ID).
+func rankedIDs(idx *data.Index) cow.Ranking {
+	ids := make([]cow.Entry, idx.NumObjects())
 	for i := range ids {
-		ids[i] = int32(i)
+		ids[i].ID = int32(i)
 	}
-	return ids
+	return cow.NewRanking(ids)
 }
 
 func TestDealOut(t *testing.T) {

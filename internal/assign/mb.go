@@ -39,11 +39,11 @@ func (MB) Assign(ctx *Context) map[string][]string {
 		}
 		var cand []scored
 		var post []float64
-		for oid := range p.Mu {
+		for oid := range ctx.Idx.Objects {
 			if ctx.Idx.HasAnsweredAt(wids[widx], oid) {
 				continue
 			}
-			mu := p.Mu[oid]
+			mu := p.Row(oid)
 			n := len(mu)
 			if n < 2 {
 				continue
@@ -59,7 +59,7 @@ func (MB) Assign(ctx *Context) map[string][]string {
 				q = workerTrustOf(ctx.Res, w, 0.7)
 			}
 			wrong := (1 - q) / float64(n-1)
-			h0 := p.Ent[oid]
+			h0 := p.Ent(oid)
 			expH := 0.0
 			if cap(post) < n {
 				post = make([]float64, n)

@@ -13,5 +13,5 @@ func (ME) Name() string { return "ME" }
 
 // Assign implements Assigner.
 func (ME) Assign(ctx *Context) map[string][]string {
-	return dealOut(ctx, ctx.plan().entOrder)
+	return dealOut(ctx, ctx.plan().entRank)
 }

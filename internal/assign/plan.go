@@ -1,10 +1,11 @@
 package assign
 
 import (
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/cow"
 	"repro/internal/data"
 	"repro/internal/infer"
 )
@@ -17,9 +18,15 @@ import (
 //
 // The crowd server builds one Plan per published Snapshot and attaches it
 // to every assignment Context, so a cold-worker /task request is a bounded
-// scan over shared read-only arrays instead of an O(|O| log |O|) per-request
-// heap-and-map rebuild. A Plan is immutable after NewPlan: assigners only
-// read it, which is what lets concurrent /task requests share one.
+// scan over shared read-only state instead of an O(|O| log |O|) per-request
+// heap-and-map rebuild. A Plan is immutable after NewPlan / Advance:
+// assigners only read it, which is what lets concurrent /task requests
+// share one.
+//
+// Everything per object is persistent (internal/cow): the score arrays are
+// copy-on-write pages of 256 objects and the two rankings tables of sorted
+// chunks of at most 512 entries, so the plan Advance derives shares all of
+// it with this one except the pages and chunks the touched objects lie in.
 type Plan struct {
 	// Idx and Res identify the snapshot the plan was computed from;
 	// assigners rebuild the plan when either differs from their Context.
@@ -29,40 +36,64 @@ type Plan struct {
 	// requires it; QASCA/ME/MB run without).
 	M *core.Model
 
-	// Mu[oid] aliases the result's confidence row of dense object ID oid (nil
-	// when the inferencer published no row) — the sealed model's own row array
-	// when the result is a view (Res.Rows), so a plan never pins rows of any
-	// model but its own; MaxMu and Ent are the per-object max confidence and
-	// Shannon entropy.
-	Mu    [][]float64
-	MaxMu []float64
-	Ent   []float64
+	// Confidence rows (Row). When Res is a sealed view shaped by Idx the plan
+	// holds no rows of its own: view is the result's dense model and a row is
+	// read from it, so a plan never pins memory of any model but the one it
+	// serves. Otherwise rows holds the rows the inferencer published (nil
+	// where it published none), looked up once per object.
+	view infer.Dense
+	rows cow.Vec[[]float64]
+	// maxMu and ent are the per-object max confidence and Shannon entropy.
+	maxMu, ent cow.Vec[float64]
 
-	// entOrder ranks object IDs by decreasing entropy (ID-ascending on
+	// entRank ranks every object by decreasing entropy (ID-ascending on
 	// ties, which is name-ascending since Idx.Objects is sorted) — ME's
 	// ranking, shared by every worker.
-	entOrder []int32
+	entRank cow.Ranking
 
-	// EAI precompute, nil when M is nil. modelOid maps dense IDs of Idx to
+	// EAI precompute, zero when M is nil. modelOid maps dense IDs of Idx to
 	// dense IDs of M.Idx (-1 when the fitted model lags a freshly rebuilt
 	// index and does not know the object); ueai is the Lemma 4.1 bound
-	// (1-maxμ)/(|O|·(D_o+1)) per object; ueaiOrder lists model-known
-	// objects by decreasing bound — the order Algorithm 1 pops them.
-	modelOid  []int32
-	ueai      []float64
-	ueaiOrder []ueaiPlanEntry
+	// (1-maxμ)/(|O|·(D_o+1)) per object; ueaiRank ranks the model-known
+	// objects by decreasing bound — the order Algorithm 1 pops them, each
+	// entry carrying its bound inline.
+	modelOid []int32
+	ueai     cow.Vec[float64]
+	ueaiRank cow.Ranking
 
-	// eaiDefault[oid] is EAI(w, o) for a worker at the prior-mean ψ — the
-	// score EVERY cold worker shares, since a worker with no answer history
-	// sits exactly at the prior. It turns a cold /task request from |O|
-	// incremental-EM evaluations into |O| array reads; workers with fitted
-	// ψ still evaluate per call. Filled on first use behind a sync.Once
-	// (callers without cold workers never pay for it); the server prewarms
-	// it at publish time so no request bears the fill. defaultPsi tags the
-	// ψ the cache is valid for.
+	// eaiDefault is EAI(w, o) per object for a worker at the prior-mean ψ —
+	// the score EVERY cold worker shares, since a worker with no answer
+	// history sits exactly at the prior. It turns a cold /task request from
+	// |O| incremental-EM evaluations into |O| array reads; workers with
+	// fitted ψ still evaluate per call. Filled on first use behind a
+	// sync.Once (callers without cold workers never pay for it); the server
+	// prewarms it at publish time so no request bears the fill. defaultPsi
+	// tags the ψ the cache is valid for.
 	eaiDefaultOnce sync.Once
-	eaiDefault     []float64
+	eaiDefault     cow.Vec[float64]
 	defaultPsi     [3]float64
+}
+
+// Row is the confidence row of object oid (nil when the inferencer
+// published none), read-only. MaxMu and Ent are its max and its entropy.
+func (p *Plan) Row(oid int) []float64 {
+	if p.view != nil {
+		return p.view.Row(oid)
+	}
+	return p.rows.At(oid)
+}
+
+func (p *Plan) MaxMu(oid int) float64 { return p.maxMu.At(oid) }
+func (p *Plan) Ent(oid int) float64   { return p.ent.At(oid) }
+
+// UEAIMax is the largest Lemma 4.1 bound of the plan — the head of the UEAI
+// ranking: no task the plan can hand out adds more than this to the expected
+// accuracy. 0 when the result carries no TDH model or ranks no object.
+func (p *Plan) UEAIMax() float64 {
+	if chunks := p.ueaiRank.Chunks(); len(chunks) > 0 {
+		return chunks[0][0].Key
+	}
+	return 0
 }
 
 // defaultScores returns the cold-worker EAI score cache, computing it on
@@ -70,20 +101,22 @@ type Plan struct {
 // Nil when the plan has no TDH model.
 //
 //tdh:mutator fills the lazy cold-worker cache exactly once behind sync.Once; no reader can observe a partial fill
-func (p *Plan) defaultScores() []float64 {
+func (p *Plan) defaultScores() *cow.Vec[float64] {
 	if p.M == nil {
 		return nil
 	}
-	p.eaiDefaultOnce.Do(func() {
-		n := len(p.modelOid)
-		nObj := float64(n)
-		scores := make([]float64, n)
-		for oid := 0; oid < n; oid++ {
-			scores[oid] = eaiAt(p.M, int(p.modelOid[oid]), p.defaultPsi, nObj)
-		}
-		p.eaiDefault = scores
-	})
-	return p.eaiDefault
+	p.eaiDefaultOnce.Do(func() { p.eaiDefault = cow.Paged(p.scoreAll()) })
+	return &p.eaiDefault
+}
+
+// scoreAll evaluates the cold-worker EAI score of every object.
+func (p *Plan) scoreAll() []float64 {
+	nObj := float64(len(p.modelOid))
+	scores := make([]float64, len(p.modelOid))
+	for oid, moid := range p.modelOid {
+		scores[oid] = eaiAt(p.M, int(moid), p.defaultPsi, nObj)
+	}
+	return scores
 }
 
 // Prewarm fills the lazy parts of the plan (the cold-worker EAI score
@@ -91,56 +124,43 @@ func (p *Plan) defaultScores() []float64 {
 // the pipeline goroutine right before publishing a snapshot.
 func (p *Plan) Prewarm() { p.defaultScores() }
 
-// ueaiPlanEntry is one slot of the precomputed UEAI scan order.
-type ueaiPlanEntry struct {
-	ub  float64
-	oid int32
+// ueaiBound is the Lemma 4.1 bound of model object moid among nObj objects.
+func ueaiBound(m *core.Model, moid int, nObj float64) float64 {
+	return (1 - m.MaxConfidenceAt(moid)) / (nObj * (m.DAt(moid) + 1))
 }
 
 // NewPlan precomputes the worker-independent assignment state for one
 // inference result. Cost: O(Σ|Vo|) for the confidence scans plus
-// O(|O| log |O|) for the two rankings — paid once per published snapshot,
-// off the request path.
+// O(|O| log |O|) for the two rankings, one allocation per array and one
+// sort per ranking — paid once per published fit, off the request path.
 func NewPlan(idx *data.Index, res *infer.Result) *Plan {
 	n := idx.NumObjects()
-	p := &Plan{
-		Idx:   idx,
-		Res:   res,
-		Mu:    res.Rows(idx),
-		MaxMu: make([]float64, n),
-		Ent:   make([]float64, n),
-	}
-	if p.Mu == nil {
-		p.Mu = make([][]float64, n)
-		for oid := range p.Mu {
-			p.Mu[oid] = res.ConfidenceAt(idx, oid)
+	p := &Plan{Idx: idx, Res: res, view: res.View(idx)}
+	if p.view == nil {
+		rows := make([][]float64, n)
+		for oid := range rows {
+			rows[oid] = res.ConfidenceAt(idx, oid)
 		}
+		p.rows = cow.Paged(rows)
 	}
-	for oid, mu := range p.Mu {
-		p.MaxMu[oid] = maxOf(mu)
-		p.Ent[oid] = entropy(mu)
+	maxMu, ent, ranked := make([]float64, n), make([]float64, n), make([]cow.Entry, n)
+	for oid := range maxMu {
+		mu := p.Row(oid)
+		maxMu[oid], ent[oid] = maxOf(mu), entropy(mu)
+		ranked[oid] = cow.Entry{Key: ent[oid], ID: int32(oid)}
 	}
-	p.entOrder = make([]int32, n)
-	for i := range p.entOrder {
-		p.entOrder[i] = int32(i)
-	}
-	sort.Slice(p.entOrder, func(i, j int) bool {
-		a, b := p.entOrder[i], p.entOrder[j]
-		if p.Ent[a] != p.Ent[b] {
-			return p.Ent[a] > p.Ent[b]
-		}
-		return a < b
-	})
+	p.maxMu, p.ent, p.entRank = cow.Paged(maxMu), cow.Paged(ent), cow.NewRanking(ranked)
 
 	m, ok := res.Model.(*core.Model)
 	if !ok {
 		return p
 	}
 	p.M = m
+	p.defaultPsi = m.DefaultPsi()
 	nObj := float64(n)
 	p.modelOid = make([]int32, n)
-	p.ueai = make([]float64, n)
-	p.ueaiOrder = make([]ueaiPlanEntry, 0, n)
+	ueai := make([]float64, n)
+	ranked = make([]cow.Entry, 0, n)
 	sameIdx := m.Idx == idx
 	for oid := 0; oid < n; oid++ {
 		moid := oid
@@ -153,26 +173,37 @@ func NewPlan(idx *data.Index, res *infer.Result) *Plan {
 			moid = id
 		}
 		p.modelOid[oid] = int32(moid)
-		b := (1 - m.MaxConfidenceAt(moid)) / (nObj * (m.D[moid] + 1))
-		p.ueai[oid] = b
-		p.ueaiOrder = append(p.ueaiOrder, ueaiPlanEntry{b, int32(oid)})
+		ueai[oid] = ueaiBound(m, moid, nObj)
+		ranked = append(ranked, cow.Entry{Key: ueai[oid], ID: int32(oid)})
 	}
-	sort.Slice(p.ueaiOrder, func(i, j int) bool {
-		if p.ueaiOrder[i].ub != p.ueaiOrder[j].ub {
-			return p.ueaiOrder[i].ub > p.ueaiOrder[j].ub
-		}
-		return p.ueaiOrder[i].oid < p.ueaiOrder[j].oid
-	})
-	p.defaultPsi = m.DefaultPsi()
+	p.ueai, p.ueaiRank = cow.Paged(ueai), cow.NewRanking(ranked)
 	return p
 }
 
 // Advance derives the plan for (idx, res) from this plan — the previous
 // snapshot's — recomputing only the entries of the objects in touched and
-// merge-repairing the rankings around them, instead of NewPlan's full
-// O(Σ|Vo| + |O| log |O|) rebuild. It is the publish-rate path of the crowd
-// server: an incremental publish touches O(batch) objects, so its plan
-// costs O(batch·|Vo| + |O|) instead of a from-scratch build per publish.
+// re-ranking only them, instead of NewPlan's full O(Σ|Vo| + |O| log |O|)
+// rebuild. It is the publish-rate path of the crowd server: an incremental
+// publish touches O(batch) objects.
+//
+// Cost. With the object count unchanged — every fold — the new plan clones
+// the page tables of the score arrays (a slice header per 256 objects) and
+// the chunk tables of the two rankings (one per ≤ 512 entries), copies the
+// page each touched object lies in, once, and re-ranks the touched objects
+// in one cow.Ranking.Update per ranking: every chunk that loses an old
+// (key, ID) or gains a new one is rebuilt once, by one merge. That is at
+// most O(|touched| · (page + chunk + log |O|)) and no allocation
+// proportional to |O|. When the index
+// grew, the 1/|O| factor of Lemma 4.1 moves every bound, so the score arrays
+// are rebuilt (untouched confidences and entropies carried over, bounds and
+// cold-worker scores recomputed) and both rankings go through the ranking's
+// bulk constructor again, seeded with the previous order: O(|O|), and rare —
+// open-world growth, not the fold.
+//
+// Order contract. Both rankings are strict total orders — key descending,
+// dense ID ascending on equal keys — so a ranking is a function of its keys
+// alone: re-ranking the touched objects in place yields exactly the sequence
+// a full sort of all keys would.
 //
 // The contract mirrors how the pipeline produces snapshots: idx is either
 // the plan's own index or one derived from it by data.Index.Extend (dense
@@ -183,16 +214,18 @@ func NewPlan(idx *data.Index, res *infer.Result) *Plan {
 // exactly what NewPlan(idx, res) would build — same values, same ranking
 // orders — which the server's equivalence suite pins.
 //
-// When a precondition fails (index shrank, model attached/detached, or a
-// model index that does not match its result's — the cases where entries
-// cannot be carried over) it falls back to NewPlan and reports advanced =
-// false.
+// When a precondition fails (index shrank, model attached/detached, a model
+// index that does not match its result's, or a result that carries maps
+// after one that was a view — the cases where entries cannot be carried
+// over) it falls back to NewPlan and reports advanced = false.
 func (p *Plan) Advance(idx *data.Index, res *infer.Result, touched []int) (advanced *Plan, ok bool) {
 	n := idx.NumObjects()
-	nPrev := len(p.MaxMu)
+	nPrev := p.Idx.NumObjects()
 	m, hasM := res.Model.(*core.Model)
+	view := res.View(idx)
 	if n < nPrev || hasM != (p.M != nil) ||
-		(hasM && m.Idx != idx) || (p.M != nil && p.M.Idx != p.Idx) {
+		(hasM && m.Idx != idx) || (p.M != nil && p.M.Idx != p.Idx) ||
+		(view == nil && p.view != nil) {
 		return NewPlan(idx, res), false
 	}
 	if idx != p.Idx {
@@ -207,153 +240,130 @@ func (p *Plan) Advance(idx *data.Index, res *infer.Result, touched []int) (advan
 		}
 	}
 	ts := normalizeTouched(touched, nPrev, n)
+	np := &Plan{Idx: idx, Res: res, view: view, M: m}
+	if hasM {
+		np.defaultPsi = m.DefaultPsi()
+	}
+	if n > nPrev {
+		np.grow(p, ts)
+		return np, true
+	}
 
-	np := &Plan{
-		Idx:   idx,
-		Res:   res,
-		Mu:    res.Rows(idx),
-		MaxMu: make([]float64, n),
-		Ent:   make([]float64, n),
-	}
-	if np.Mu == nil {
-		np.Mu = make([][]float64, n)
-		copy(np.Mu, p.Mu)
+	if view == nil {
+		np.rows = p.rows.Clone()
 		for _, oid := range ts {
-			np.Mu[oid] = res.ConfidenceAt(idx, int(oid))
+			np.rows.Set(oid, res.ConfidenceAt(idx, oid))
 		}
 	}
-	copy(np.MaxMu, p.MaxMu)
-	copy(np.Ent, p.Ent)
-	for _, oid := range ts {
-		np.MaxMu[oid] = maxOf(np.Mu[oid])
-		np.Ent[oid] = entropy(np.Mu[oid])
+	np.maxMu, np.ent = p.maxMu.Clone(), p.ent.Clone()
+	moves := make([]cow.Rekey, len(ts))
+	for i, oid := range ts {
+		mu := np.Row(oid)
+		e := entropy(mu)
+		moves[i] = cow.Rekey{ID: int32(oid), Old: p.ent.At(oid), New: e}
+		np.maxMu.Set(oid, maxOf(mu))
+		np.ent.Set(oid, e)
 	}
-	// Untouched entropies are copied bits, so the previous ranking's relative
-	// order still holds and a merge repairs it exactly.
-	np.entOrder = mergeOrder(p.entOrder, ts, n, func(a, b int32) bool {
-		if np.Ent[a] != np.Ent[b] {
-			return np.Ent[a] > np.Ent[b]
-		}
-		return a < b
-	})
+	np.entRank = p.entRank.Update(moves)
 	if m == nil {
 		return np, true
 	}
-	np.M = m
-	np.defaultPsi = m.DefaultPsi()
-	if n == nPrev {
-		np.modelOid = p.modelOid // identity mapping, guarded above; immutable
-	} else {
-		np.modelOid = make([]int32, n)
-		for oid := range np.modelOid {
-			np.modelOid[oid] = int32(oid)
-		}
-	}
+	np.modelOid = p.modelOid // identity mapping, guarded above; immutable
 	nObj := float64(n)
-	np.ueai = make([]float64, n)
-	if n == nPrev {
-		copy(np.ueai, p.ueai)
-		for _, oid := range ts {
-			np.ueai[oid] = (1 - m.MaxConfidenceAt(int(oid))) / (nObj * (m.D[oid] + 1))
-		}
-	} else {
-		// |O| changed: the 1/|O| factor moves every bound, so recompute the
-		// values outright (same expression as NewPlan, hence bit-identical).
-		// The common factor preserves the relative order of untouched
-		// objects, so the ranking below still merge-repairs.
-		for oid := 0; oid < n; oid++ {
-			np.ueai[oid] = (1 - m.MaxConfidenceAt(oid)) / (nObj * (m.D[oid] + 1))
-		}
+	np.ueai = p.ueai.Clone()
+	for i, oid := range ts {
+		b := ueaiBound(m, oid, nObj)
+		moves[i] = cow.Rekey{ID: int32(oid), Old: p.ueai.At(oid), New: b}
+		np.ueai.Set(oid, b)
 	}
-	prevOids := make([]int32, len(p.ueaiOrder))
-	for i, en := range p.ueaiOrder {
-		prevOids[i] = en.oid
-	}
-	order := mergeOrder(prevOids, ts, n, func(a, b int32) bool {
-		if np.ueai[a] != np.ueai[b] {
-			return np.ueai[a] > np.ueai[b]
-		}
-		return a < b
-	})
-	np.ueaiOrder = make([]ueaiPlanEntry, len(order))
-	for i, oid := range order {
-		np.ueaiOrder[i] = ueaiPlanEntry{np.ueai[oid], oid}
-	}
+	np.ueaiRank = p.ueaiRank.Update(moves)
 	// Carry the cold-worker score cache forward: untouched objects score
 	// identically (same model rows, same |O|), so only touched entries need
 	// the incremental-EM evaluation. p.defaultScores() fills the previous
 	// cache if nothing ever had — Advance runs in the pipeline goroutine, so
 	// that one-time cost stays off the request path either way.
 	if np.defaultPsi == p.defaultPsi {
-		scores := make([]float64, n)
-		if n == nPrev {
-			copy(scores, p.defaultScores())
-			for _, oid := range ts {
-				scores[oid] = eaiAt(m, int(oid), np.defaultPsi, nObj)
-			}
-		} else {
-			for oid := 0; oid < n; oid++ {
-				scores[oid] = eaiAt(m, oid, np.defaultPsi, nObj)
-			}
+		scores := p.defaultScores().Clone()
+		for _, oid := range ts {
+			scores.Set(oid, eaiAt(m, oid, np.defaultPsi, nObj))
 		}
 		np.eaiDefaultOnce.Do(func() { np.eaiDefault = scores })
 	}
 	return np, true
 }
 
+// grow fills a plan advanced across index growth (Advance's n > nPrev case)
+// from the previous plan p: the per-object arrays are rebuilt at the new
+// size — confidences and entropies of untouched objects carried over, every
+// Lemma 4.1 bound and cold-worker score recomputed under the new |O| — and
+// each ranking is rebuilt by cow.NewRanking from the previous ranking's
+// order re-keyed, which is already sorted but for the touched and the new
+// objects.
+func (np *Plan) grow(p *Plan, ts []int) {
+	n, nPrev := np.Idx.NumObjects(), p.Idx.NumObjects()
+	if np.view == nil {
+		rows := p.rows.AppendTo(make([][]float64, 0, n))[:n]
+		for _, oid := range ts {
+			rows[oid] = np.Res.ConfidenceAt(np.Idx, oid)
+		}
+		np.rows = cow.Paged(rows)
+	}
+	maxMu := p.maxMu.AppendTo(make([]float64, 0, n))[:n]
+	ent := p.ent.AppendTo(make([]float64, 0, n))[:n]
+	for _, oid := range ts {
+		mu := np.Row(oid)
+		maxMu[oid], ent[oid] = maxOf(mu), entropy(mu)
+	}
+	np.maxMu, np.ent = cow.Paged(maxMu), cow.Paged(ent)
+	np.entRank = rerank(p.entRank, ent, nPrev)
+	if np.M == nil {
+		return
+	}
+	nObj := float64(n)
+	np.modelOid = make([]int32, n)
+	ueai := make([]float64, n)
+	for oid := range ueai {
+		np.modelOid[oid] = int32(oid)
+		ueai[oid] = ueaiBound(np.M, oid, nObj)
+	}
+	np.ueai = cow.Paged(ueai)
+	np.ueaiRank = rerank(p.ueaiRank, ueai, nPrev)
+	if np.defaultPsi == p.defaultPsi {
+		// Same rule as the fold case: a plan derived in the pipeline
+		// goroutine carries a filled cache, so no request pays the fill.
+		np.eaiDefaultOnce.Do(func() { np.eaiDefault = cow.Paged(np.scoreAll()) })
+	}
+}
+
+// rerank ranks objects 0..len(keys)-1 by keys, visiting them in prev's order
+// (then the objects prev does not rank, IDs nPrev and up) so the bulk
+// constructor's sort starts from a nearly sorted sequence.
+func rerank(prev cow.Ranking, keys []float64, nPrev int) cow.Ranking {
+	ranked := prev.AppendTo(make([]cow.Entry, 0, len(keys)))
+	for i := range ranked {
+		ranked[i].Key = keys[ranked[i].ID]
+	}
+	for oid := nPrev; oid < len(keys); oid++ {
+		ranked = append(ranked, cow.Entry{Key: keys[oid], ID: int32(oid)})
+	}
+	return cow.NewRanking(ranked)
+}
+
 // normalizeTouched sorts and dedups the caller's touched IDs, drops
 // out-of-range entries, and forces every ID the previous plan did not cover
 // (fresh objects from index growth) to count as touched.
-func normalizeTouched(touched []int, nPrev, n int) []int32 {
-	seen := make([]bool, n)
-	out := make([]int32, 0, len(touched)+n-nPrev)
+func normalizeTouched(touched []int, nPrev, n int) []int {
+	out := make([]int, 0, len(touched)+n-nPrev)
 	for _, t := range touched {
-		if t >= 0 && t < n && !seen[t] {
-			seen[t] = true
-			out = append(out, int32(t))
+		if t >= 0 && t < nPrev {
+			out = append(out, t)
 		}
 	}
 	for oid := nPrev; oid < n; oid++ {
-		if !seen[oid] {
-			out = append(out, int32(oid))
-		}
+		out = append(out, oid)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// mergeOrder repairs a ranking around a touched set: the untouched
-// subsequence of prevOrder keeps its relative order (its keys did not
-// change), the touched IDs are sorted among themselves, and a two-way merge
-// under less stitches them. Because less is a strict total order (every
-// comparator tie-breaks by oid), the merge reproduces exactly what a full
-// sort of all n IDs would — in O(n + |touched| log |touched|).
-func mergeOrder(prevOrder, touched []int32, n int, less func(a, b int32) bool) []int32 {
-	isTouched := make([]bool, n)
-	for _, t := range touched {
-		isTouched[t] = true
-	}
-	kept := make([]int32, 0, len(prevOrder))
-	for _, oid := range prevOrder {
-		if int(oid) < n && !isTouched[oid] {
-			kept = append(kept, oid)
-		}
-	}
-	ins := append([]int32(nil), touched...)
-	sort.Slice(ins, func(i, j int) bool { return less(ins[i], ins[j]) })
-	out := make([]int32, 0, len(kept)+len(ins))
-	i, j := 0, 0
-	for i < len(kept) && j < len(ins) {
-		if less(ins[j], kept[i]) {
-			out = append(out, ins[j])
-			j++
-		} else {
-			out = append(out, kept[i])
-			i++
-		}
-	}
-	out = append(out, kept[i:]...)
-	return append(out, ins[j:]...)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // plan returns the Context's attached Plan when it matches the Context's

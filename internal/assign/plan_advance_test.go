@@ -49,13 +49,15 @@ func floatsClose(t *testing.T, tag string, got, want []float64) {
 // comparePlans pins an advanced plan to its from-scratch twin.
 func comparePlans(t *testing.T, tag string, got, want *Plan) {
 	t.Helper()
-	if !reflect.DeepEqual(got.entOrder, want.entOrder) {
-		t.Fatalf("%s: entOrder differs", tag)
+	if !reflect.DeepEqual(got.entRank.AppendTo(nil), want.entRank.AppendTo(nil)) {
+		t.Fatalf("%s: entRank differs", tag)
 	}
-	floatsClose(t, tag+": MaxMu", got.MaxMu, want.MaxMu)
-	floatsClose(t, tag+": Ent", got.Ent, want.Ent)
-	if !reflect.DeepEqual(got.Mu, want.Mu) {
-		t.Fatalf("%s: Mu rows differ", tag)
+	floatsClose(t, tag+": MaxMu", got.maxMu.AppendTo(nil), want.maxMu.AppendTo(nil))
+	floatsClose(t, tag+": Ent", got.ent.AppendTo(nil), want.ent.AppendTo(nil))
+	for oid := range want.Idx.Objects {
+		if !reflect.DeepEqual(got.Row(oid), want.Row(oid)) {
+			t.Fatalf("%s: Mu rows differ", tag)
+		}
 	}
 	if (got.M == nil) != (want.M == nil) {
 		t.Fatalf("%s: model presence differs", tag)
@@ -66,23 +68,24 @@ func comparePlans(t *testing.T, tag string, got, want *Plan) {
 	if !reflect.DeepEqual(got.modelOid, want.modelOid) {
 		t.Fatalf("%s: modelOid differs", tag)
 	}
-	floatsClose(t, tag+": ueai", got.ueai, want.ueai)
-	if len(got.ueaiOrder) != len(want.ueaiOrder) {
-		t.Fatalf("%s: ueaiOrder length %d != %d", tag, len(got.ueaiOrder), len(want.ueaiOrder))
+	floatsClose(t, tag+": ueai", got.ueai.AppendTo(nil), want.ueai.AppendTo(nil))
+	gotOrder, wantOrder := got.ueaiRank.AppendTo(nil), want.ueaiRank.AppendTo(nil)
+	if len(gotOrder) != len(wantOrder) {
+		t.Fatalf("%s: ueaiRank length %d != %d", tag, len(gotOrder), len(wantOrder))
 	}
-	for i := range got.ueaiOrder {
-		if got.ueaiOrder[i].oid != want.ueaiOrder[i].oid {
-			t.Fatalf("%s: ueaiOrder[%d] oid %d != %d (scan order diverged)",
-				tag, i, got.ueaiOrder[i].oid, want.ueaiOrder[i].oid)
+	for i := range gotOrder {
+		if gotOrder[i].ID != wantOrder[i].ID {
+			t.Fatalf("%s: ueaiRank[%d] oid %d != %d (scan order diverged)",
+				tag, i, gotOrder[i].ID, wantOrder[i].ID)
 		}
-		if math.Abs(got.ueaiOrder[i].ub-want.ueaiOrder[i].ub) > 1e-9 {
-			t.Fatalf("%s: ueaiOrder[%d] bound %g != %g", tag, i, got.ueaiOrder[i].ub, want.ueaiOrder[i].ub)
+		if math.Abs(gotOrder[i].Key-wantOrder[i].Key) > 1e-9 {
+			t.Fatalf("%s: ueaiRank[%d] bound %g != %g", tag, i, gotOrder[i].Key, wantOrder[i].Key)
 		}
 	}
 	if got.defaultPsi != want.defaultPsi {
 		t.Fatalf("%s: defaultPsi differs", tag)
 	}
-	floatsClose(t, tag+": eaiDefault", got.defaultScores(), want.defaultScores())
+	floatsClose(t, tag+": eaiDefault", got.defaultScores().AppendTo(nil), want.defaultScores().AppendTo(nil))
 }
 
 // compareAssignments runs EAI, ME and QASCA against both plans and requires
@@ -242,9 +245,8 @@ func TestPlanFallbackCounter(t *testing.T) {
 // VIEW over the sealed model (infer.ViewOf: no maps, rows aliased), not the
 // copied-out result the tests above advance over. Plans built or advanced
 // over the view equal the ones over the copy of the same model — values,
-// scan orders, assignments, QASCA's estimate — and hold the sealed model's
-// own row array, so a plan never pins rows of a model it was advanced away
-// from.
+// scan orders, assignments, QASCA's estimate — and read the sealed model's
+// own rows, so a plan never pins rows of a model it was advanced away from.
 func TestPlanOnViewMatchesCopy(t *testing.T) {
 	for fi, f := range planFixtures(t) {
 		tag := fmt.Sprintf("fixture %d", fi)
@@ -264,8 +266,10 @@ func TestPlanOnViewMatchesCopy(t *testing.T) {
 		}
 		for name, got := range map[string]*Plan{"built": built, "advanced": advanced} {
 			comparePlans(t, tag+" "+name, got, want)
-			if &got.Mu[0] != &m.Mu[0] {
-				t.Fatalf("%s %s: the plan copied the row array instead of taking the sealed model's", tag, name)
+			for oid := range f.idx.Objects {
+				if &got.Row(oid)[0] != &m.MuAt(oid)[0] {
+					t.Fatalf("%s %s: the plan holds a copy of object %d's row instead of reading the sealed model's", tag, name, oid)
+				}
 			}
 			for _, asg := range []Assigner{EAI{}, ME{}, QASCA{}} {
 				a := asg.Assign(&Context{Idx: f.idx, Res: view, Plan: got, Workers: f.workers, K: 3, Seed: 1234})

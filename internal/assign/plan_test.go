@@ -72,7 +72,7 @@ func legacyEAI(m *core.Model, o string, psi [3]float64, nObj float64) float64 {
 	if !ok {
 		return 0
 	}
-	mu := m.Mu[oid]
+	mu := m.MuAt(oid)
 	cur := maxOf(mu)
 	exp := 0.0
 	for ans := range mu {
@@ -105,7 +105,7 @@ func legacyEAIAssign(e EAI, ctx *Context) (map[string][]string, EAIStats) {
 		if !ok {
 			continue
 		}
-		b := (1 - m.MaxConfidenceAt(oid)) / (nObj * (m.D[oid] + 1))
+		b := (1 - m.MaxConfidenceAt(oid)) / (nObj * (m.DAt(oid) + 1))
 		ubOf[o] = b
 		ub = append(ub, legacyUEAIEntry{b, o})
 	}
@@ -342,10 +342,10 @@ func TestPlanQASCADeterministicAcrossBuilds(t *testing.T) {
 func TestPlanImmutableUnderAssign(t *testing.T) {
 	f := newFixture(t, 71, true)
 	plan := NewPlan(f.idx, f.res)
-	snapUEAI := append([]float64(nil), plan.ueai...)
-	snapOrder := append([]ueaiPlanEntry(nil), plan.ueaiOrder...)
-	snapMaxMu := append([]float64(nil), plan.MaxMu...)
-	snapEnt := append([]float64(nil), plan.Ent...)
+	snapUEAI := plan.ueai.AppendTo(nil)
+	snapOrder := plan.ueaiRank.AppendTo(nil)
+	snapMaxMu := plan.maxMu.AppendTo(nil)
+	snapEnt := plan.ent.AppendTo(nil)
 	for i := 0; i < 4; i++ {
 		ctx := f.ctx(3)
 		ctx.Plan = plan
@@ -354,10 +354,10 @@ func TestPlanImmutableUnderAssign(t *testing.T) {
 		QASCA{}.Assign(ctx)
 		ME{}.Assign(ctx)
 	}
-	if !reflect.DeepEqual(snapUEAI, plan.ueai) ||
-		!reflect.DeepEqual(snapOrder, plan.ueaiOrder) ||
-		!reflect.DeepEqual(snapMaxMu, plan.MaxMu) ||
-		!reflect.DeepEqual(snapEnt, plan.Ent) {
+	if !reflect.DeepEqual(snapUEAI, plan.ueai.AppendTo(nil)) ||
+		!reflect.DeepEqual(snapOrder, plan.ueaiRank.AppendTo(nil)) ||
+		!reflect.DeepEqual(snapMaxMu, plan.maxMu.AppendTo(nil)) ||
+		!reflect.DeepEqual(snapEnt, plan.ent.AppendTo(nil)) {
 		t.Fatal("Assign mutated the shared plan")
 	}
 }

@@ -57,11 +57,11 @@ func (q QASCA) Assign(ctx *Context) map[string][]string {
 		}
 		var cand []scored
 		var upd []float64
-		for oid := range p.Mu {
+		for oid := range ctx.Idx.Objects {
 			if ctx.Idx.HasAnsweredAt(wids[widx], oid) {
 				continue
 			}
-			mu := p.Mu[oid]
+			mu := p.Row(oid)
 			if len(mu) == 0 {
 				continue
 			}
@@ -100,7 +100,7 @@ func (q QASCA) Assign(ctx *Context) map[string][]string {
 					}
 				}
 			}
-			cand = append(cand, scored{int32(oid), best - p.MaxMu[oid]})
+			cand = append(cand, scored{int32(oid), best - p.MaxMu(oid)})
 		}
 		sort.Slice(cand, func(i, j int) bool {
 			if cand[i].s != cand[j].s {

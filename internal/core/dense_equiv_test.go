@@ -285,6 +285,15 @@ func (r *refEngine) step() float64 {
 	return maxDelta
 }
 
+// muRows lists every object's μ row by dense ID.
+func muRows(m *Model) [][]float64 {
+	rows := make([][]float64, m.NumObjects())
+	for oid := range rows {
+		rows[oid] = m.MuAt(oid)
+	}
+	return rows
+}
+
 // refRun is plain EM as core.Run ran it before acceleration: initialize,
 // iterate to tolerance or MaxIter, refresh sufficient statistics, re-derive
 // μ = N/D.
@@ -293,8 +302,8 @@ func refRun(idx *data.Index, opt Options) *refEngine {
 	r := &refEngine{idx: idx, opt: opt}
 	// Initialization is identical by construction: reuse the model's.
 	m := NewModel(idx, opt)
-	r.mu = make([][]float64, len(m.Mu))
-	for i, mu := range m.Mu {
+	r.mu = make([][]float64, m.NumObjects())
+	for i, mu := range muRows(m) {
 		r.mu[i] = append([]float64(nil), mu...)
 	}
 	r.phi = append([][3]float64(nil), m.Phi...)
@@ -393,7 +402,7 @@ func checkDenseMatchesReference(t *testing.T, ds *data.Dataset, opt Options) {
 		}
 	}
 	const tol = 1e-9
-	for oid, mu := range m.Mu {
+	for oid, mu := range muRows(m) {
 		for i := range mu {
 			if math.Abs(mu[i]-ref.mu[oid][i]) > tol {
 				t.Fatalf("mu differs on %s[%d]: dense=%v reference=%v",
@@ -417,12 +426,12 @@ func checkDenseMatchesReference(t *testing.T, ds *data.Dataset, opt Options) {
 			}
 		}
 	}
-	for oid := range m.N {
-		if math.Abs(m.D[oid]-ref.d[oid]) > tol {
+	for oid := range muRows(m) {
+		if math.Abs(m.DAt(oid)-ref.d[oid]) > tol {
 			t.Fatalf("D differs on %s", idx.Objects[oid])
 		}
-		for i := range m.N[oid] {
-			if math.Abs(m.N[oid][i]-ref.n[oid][i]) > tol {
+		for i := range m.NAt(oid) {
+			if math.Abs(m.NAt(oid)[i]-ref.n[oid][i]) > tol {
 				t.Fatalf("N differs on %s[%d]", idx.Objects[oid], i)
 			}
 		}
@@ -493,7 +502,7 @@ func TestRunReachesPlainFixedPoint(t *testing.T) {
 		// A fixed point of the reference step, to the tolerance Run claims.
 		r := &refEngine{idx: idx, opt: m.Opt,
 			phi: append([][3]float64(nil), m.Phi...), psi: append([][3]float64(nil), m.Psi...)}
-		for _, mu := range m.Mu {
+		for _, mu := range muRows(m) {
 			r.mu = append(r.mu, append([]float64(nil), mu...))
 		}
 		if d := r.step(); d >= m.Opt.Tol {
@@ -503,8 +512,7 @@ func TestRunReachesPlainFixedPoint(t *testing.T) {
 		// Plain EM: at the default cap (what Run returned before it was
 		// accelerated), at Tol, and driven on to 1e-10.
 		plain := NewModel(idx, DefaultOptions())
-		var capped *Model
-		plainIt, it := 0, 0
+		cappedLP, plainIt, it := math.NaN(), 0, 0
 		for d := 1.0; d >= 1e-10; {
 			d = plain.StepOnce()
 			it++
@@ -512,29 +520,28 @@ func TestRunReachesPlainFixedPoint(t *testing.T) {
 				plainIt = it
 			}
 			if it == plain.Opt.MaxIter {
-				// Clone shares φ/ψ — a fold never writes them — but the steps
-				// that follow do, so the capped copy needs its own.
-				capped = plain.Clone()
-				capped.Phi = append([][3]float64(nil), plain.Phi...)
-				capped.Psi = append([][3]float64(nil), plain.Psi...)
+				// Scored here, not from a Clone scored later: a clone shares
+				// φ/ψ and every page with plain, which the steps that follow
+				// keep writing.
+				cappedLP = plain.LogPosterior()
 			}
 		}
-		if capped == nil {
-			capped = plain
+		if math.IsNaN(cappedLP) {
+			cappedLP = plain.LogPosterior()
 		}
 		t.Logf("%s: Run %d evaluations, plain EM %d iterations to Tol, %d to 1e-10", name, m.Iterations, plainIt, it)
 		if 2*m.Iterations > plainIt {
 			t.Errorf("%s: Run took %d evaluations, plain EM %d iterations", name, m.Iterations, plainIt)
 		}
-		if f, fc := m.LogPosterior(), capped.LogPosterior(); f < fc-1e-6*math.Abs(fc) {
+		if f, fc := m.LogPosterior(), cappedLP; f < fc-1e-6*math.Abs(fc) {
 			t.Errorf("%s: log-posterior %v below plain EM's %v", name, f, fc)
 		}
 		const tol = 1e-4
 		want := plain.Truths()
 		got := m.Truths()
-		for oid, mu := range m.Mu {
+		for oid, mu := range muRows(m) {
 			top, second := 0.0, 0.0
-			for i, p := range plain.Mu[oid] {
+			for i, p := range plain.MuAt(oid) {
 				if math.Abs(mu[i]-p) > tol {
 					t.Fatalf("%s: mu differs on %s[%d]: Run=%v plain=%v", name, idx.Objects[oid], i, mu[i], p)
 				}

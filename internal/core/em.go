@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync"
 
+	"repro/internal/cow"
 	"repro/internal/data"
 )
 
@@ -54,8 +55,8 @@ func Run(idx *data.Index, opt Options) *Model {
 // confidences and the sufficient statistics agree exactly.
 func (m *Model) finish() {
 	m.refreshSufficientStats()
-	for oid, mu := range m.Mu {
-		n, d := m.N[oid], m.D[oid]
+	for oid, d := range m.dFlat {
+		mu, n := m.muRow(oid), m.nRow(oid)
 		if d <= 0 {
 			continue
 		}
@@ -76,8 +77,9 @@ func NewModel(idx *data.Index, opt Options) *Model {
 
 // newModelShell allocates the dense parameter arrays with φ/ψ at their
 // prior means and μ zeroed — the shared skeleton of NewModel (which adds
-// the vote initialization) and Load (which overwrites everything from a
-// snapshot).
+// the vote initialization), Grow and Load (which overwrite everything from a
+// previous model or a snapshot). μ, N and D are one flat array each, and the
+// model's pages are cut from them without copying.
 func newModelShell(idx *data.Index, opt Options) *Model {
 	opt = opt.WithDefaults()
 	m := &Model{
@@ -85,14 +87,14 @@ func newModelShell(idx *data.Index, opt Options) *Model {
 		Opt: opt,
 		Phi: make([][3]float64, len(idx.SourceNames)),
 		Psi: make([][3]float64, len(idx.WorkerNames)),
-		D:   make([]float64, len(idx.Objects)),
 	}
-	m.off = make([]int, len(idx.Objects)+1)
+	n := len(idx.Objects)
+	m.off = make([]int, n+1)
 	for i := range idx.Views {
 		m.off[i+1] = m.off[i] + idx.Views[i].CI.NumValues()
 	}
-	m.Mu, m.muFlat = newJagged(m.off)
-	m.N, m.nFlat = newJagged(m.off)
+	m.muFlat, m.nFlat, m.dFlat = make([]float64, m.off[n]), make([]float64, m.off[n]), make([]float64, n)
+	m.mu, m.n, m.d = cow.PagedRows(m.muFlat, m.off), cow.PagedRows(m.nFlat, m.off), cow.Paged(m.dFlat)
 	phi0 := priorMean(opt.Alpha)
 	for s := range m.Phi {
 		m.Phi[s] = phi0
@@ -103,6 +105,17 @@ func newModelShell(idx *data.Index, opt Options) *Model {
 	}
 	return m
 }
+
+// muRow and nRow are object oid's μ and N rows in the fit's own flat arrays:
+// how the EM kernel and the other builders of a model address them. A clone
+// has no flat arrays; everything that reads an arbitrary model goes through
+// MuAt / NAt / DAt instead.
+//
+//tdh:hotpath
+func (m *Model) muRow(oid int) []float64 { return m.muFlat[m.off[oid]:m.off[oid+1]] }
+
+//tdh:hotpath
+func (m *Model) nRow(oid int) []float64 { return m.nFlat[m.off[oid]:m.off[oid+1]] }
 
 // initialize sets μ to a smoothed, hierarchy-aware vote distribution
 // (φ and ψ start at their prior means, set by newModelShell). A candidate
@@ -138,7 +151,7 @@ func (m *Model) initObjectMu(oid int, counts []float64) []float64 {
 	for _, cl := range ov.WorkerClaims {
 		counts[cl.Val]++
 	}
-	mu := m.Mu[oid]
+	mu := m.muRow(oid)
 	total := 0.0
 	for i := range mu {
 		mu[i] = counts[i] + 1
@@ -172,6 +185,9 @@ type emScratch struct {
 
 // scratch returns the reusable E-step buffers, growing fBufs to nWorkers.
 func (m *Model) scratch(nWorkers int) *emScratch {
+	if m.muFlat == nil {
+		panic("core: EM step on a cloned model; a clone is fold-only")
+	}
 	if m.scr == nil {
 		maxNV := 0
 		for i := range m.Idx.Views {
@@ -256,8 +272,8 @@ func (m *Model) extrapolate(scr *emScratch) {
 		v := (x2 - t1[i]) - r
 		t2[i] = t0[i] - 2*alpha*r + alpha*alpha*v
 	}
-	for oid, mu := range m.Mu {
-		projectSimplex(mu, t2[m.off[oid]:m.off[oid+1]])
+	for oid := range m.dFlat {
+		projectSimplex(m.muRow(oid), t2[m.off[oid]:m.off[oid+1]])
 	}
 	n := len(m.muFlat)
 	for i := range m.Phi {
@@ -336,7 +352,7 @@ func (m *Model) step(workers int) float64 {
 func (m *Model) eStepObjects(lo, hi int, muNum []float64, scr *emScratch, f []float64) {
 	for oid := lo; oid < hi; oid++ {
 		ov := m.Idx.ViewAt(oid)
-		mu := m.Mu[oid]
+		mu := m.muRow(oid)
 		acc := muNum[m.off[oid]:m.off[oid+1]]
 		flat := flatObject(m, ov)
 		sBase := int(m.Idx.SrcClaimStart[oid])
@@ -485,7 +501,7 @@ func (m *Model) updateMu(scr *emScratch, lo, hi int) float64 {
 	localMax := 0.0
 	for oid := lo; oid < hi; oid++ {
 		ov := m.Idx.ViewAt(oid)
-		mu := m.Mu[oid]
+		mu := m.muRow(oid)
 		nClaims := len(ov.SourceClaims) + len(ov.WorkerClaims)
 		den := float64(nClaims) + float64(len(mu))*(gamma-1)
 		if den <= 0 {
@@ -574,9 +590,9 @@ func (m *Model) refreshSufficientStats() {
 	refresh := func(lo, hi int, f []float64) {
 		for oid := lo; oid < hi; oid++ {
 			ov := m.Idx.ViewAt(oid)
-			mu := m.Mu[oid]
+			mu := m.muRow(oid)
 			flat := flatObject(m, ov)
-			num := m.N[oid]
+			num := m.nRow(oid)
 			clear(num)
 			for _, cl := range ov.SourceClaims {
 				fr := f[:len(mu)]
@@ -597,7 +613,7 @@ func (m *Model) refreshSufficientStats() {
 			for i := range num {
 				num[i] += gamma - 1
 			}
-			m.D[oid] = float64(len(ov.SourceClaims)+len(ov.WorkerClaims)) + float64(len(mu))*(gamma-1)
+			m.dFlat[oid] = float64(len(ov.SourceClaims)+len(ov.WorkerClaims)) + float64(len(mu))*(gamma-1)
 		}
 	}
 	if workers == 1 {

@@ -87,7 +87,7 @@ func TestModelInvariants(t *testing.T) {
 	ds := table1Dataset(t)
 	idx := data.NewIndex(ds)
 	m := Run(idx, DefaultOptions())
-	for oid, mu := range m.Mu {
+	for oid, mu := range muRows(m) {
 		o := idx.Objects[oid]
 		sum := 0.0
 		for _, p := range mu {
@@ -101,7 +101,7 @@ func TestModelInvariants(t *testing.T) {
 		}
 		// μ = N / D must hold after the final stats refresh.
 		for i := range mu {
-			if math.Abs(mu[i]-m.N[oid][i]/m.D[oid]) > 1e-9 {
+			if math.Abs(mu[i]-m.NAt(oid)[i]/m.DAt(oid)) > 1e-9 {
 				t.Fatalf("mu != N/D on %s", o)
 			}
 		}
@@ -232,9 +232,9 @@ func TestDeterminism(t *testing.T) {
 	idx2 := data.NewIndex(ds.Clone())
 	m1 := Run(idx1, DefaultOptions())
 	m2 := Run(idx2, DefaultOptions())
-	for oid, mu := range m1.Mu {
+	for oid, mu := range muRows(m1) {
 		for i := range mu {
-			if mu[i] != m2.Mu[oid][i] {
+			if mu[i] != m2.MuAt(oid)[i] {
 				t.Fatalf("non-deterministic result on %s", idx1.Objects[oid])
 			}
 		}

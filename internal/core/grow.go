@@ -23,8 +23,10 @@ import "repro/internal/data"
 // since their D is small. Touched objects converge fully at the next
 // policy-triggered refit; Grow keeps them consistent, not optimal.
 //
-// Grow never mutates m: like Clone, it builds fresh backing arrays, so a
-// published snapshot holding m keeps serving lock-free.
+// Grow never mutates m and shares no page with it: it is a fresh build, flat
+// arrays and all, read out of m — a fitted model or a folded clone — through
+// the page accessors, so a published snapshot holding m keeps serving
+// lock-free and the result can be cloned and folded like any fit.
 func (m *Model) Grow(next *data.Index, touched []int) *Model {
 	g := newModelShell(next, m.Opt)
 	g.Iterations, g.FinalDelta = m.Iterations, m.FinalDelta
@@ -39,9 +41,9 @@ func (m *Model) Grow(next *data.Index, touched []int) *Model {
 		if touchedSet[oid] {
 			continue
 		}
-		copy(g.Mu[oid], m.Mu[oid])
-		copy(g.N[oid], m.N[oid])
-		g.D[oid] = m.D[oid]
+		copy(g.muRow(oid), m.MuAt(oid))
+		copy(g.nRow(oid), m.NAt(oid))
+		g.dFlat[oid] = m.DAt(oid)
 	}
 
 	var counts, f []float64
@@ -63,8 +65,8 @@ func (m *Model) Grow(next *data.Index, touched []int) *Model {
 // initialization would give them.
 func (g *Model) blendPreviousMu(oid int, prev *Model) {
 	oldOv := prev.Idx.ViewAt(oid)
-	oldMu := prev.Mu[oid]
-	mu := g.Mu[oid]
+	oldMu := prev.MuAt(oid)
+	mu := g.muRow(oid)
 	ci := g.Idx.ViewAt(oid).CI
 	//tdh:orderok CI.Pos maps each candidate value to a distinct mu slot, so iterations write disjoint state
 	for v, oldPos := range oldOv.CI.Pos {
@@ -94,12 +96,12 @@ func (g *Model) blendPreviousMu(oid int, prev *Model) {
 // The f buffer is reused across calls and returned grown.
 func (m *Model) refreshObjectStats(oid int, f []float64) []float64 {
 	ov := m.Idx.ViewAt(oid)
-	mu := m.Mu[oid]
+	mu := m.muRow(oid)
 	if cap(f) < len(mu) {
 		f = make([]float64, len(mu))
 	}
 	flat := flatObject(m, ov)
-	num := m.N[oid]
+	num := m.nRow(oid)
 	clear(num)
 	for _, cl := range ov.SourceClaims {
 		fr := f[:len(mu)]
@@ -122,7 +124,7 @@ func (m *Model) refreshObjectStats(oid int, f []float64) []float64 {
 		num[i] += gamma - 1
 	}
 	d := float64(len(ov.SourceClaims)+len(ov.WorkerClaims)) + float64(len(mu))*(gamma-1)
-	m.D[oid] = d
+	m.dFlat[oid] = d
 	if d > 0 {
 		for i := range mu {
 			mu[i] = num[i] / d

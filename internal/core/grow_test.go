@@ -87,14 +87,14 @@ func TestGrowThenInferMatchesScratch(t *testing.T) {
 				if gv.CI.NumValues() != sv.CI.NumValues() {
 					t.Fatalf("%q candidate counts differ", o)
 				}
-				for i := range ms.Mu[oid] {
-					if d := math.Abs(mg.Mu[gid][i] - ms.Mu[oid][i]); d > tol {
+				for i := range ms.MuAt(oid) {
+					if d := math.Abs(mg.MuAt(gid)[i] - ms.MuAt(oid)[i]); d > tol {
 						t.Fatalf("mu differs on %s[%s]: grown=%v scratch=%v",
-							o, sv.CI.Values[i], mg.Mu[gid][i], ms.Mu[oid][i])
+							o, sv.CI.Values[i], mg.MuAt(gid)[i], ms.MuAt(oid)[i])
 					}
 				}
-				if d := math.Abs(mg.D[gid] - ms.D[oid]); d > tol {
-					t.Fatalf("D differs on %s: grown=%v scratch=%v", o, mg.D[gid], ms.D[oid])
+				if d := math.Abs(mg.DAt(gid) - ms.DAt(oid)); d > tol {
+					t.Fatalf("D differs on %s: grown=%v scratch=%v", o, mg.DAt(gid), ms.DAt(oid))
 				}
 			}
 			for sid, s := range scratch.SourceNames {
@@ -166,12 +166,12 @@ func TestGrowTransfersFittedState(t *testing.T) {
 		if touchedSet[oid] {
 			continue
 		}
-		for i := range m.Mu[oid] {
-			if g.Mu[oid][i] != m.Mu[oid][i] || g.N[oid][i] != m.N[oid][i] {
+		for i := range m.MuAt(oid) {
+			if g.MuAt(oid)[i] != m.MuAt(oid)[i] || g.NAt(oid)[i] != m.NAt(oid)[i] {
 				t.Fatalf("untouched object %d row changed", oid)
 			}
 		}
-		if g.D[oid] != m.D[oid] {
+		if g.DAt(oid) != m.DAt(oid) {
 			t.Fatalf("untouched object %d D changed", oid)
 		}
 	}
@@ -194,7 +194,7 @@ func TestGrowTransfersFittedState(t *testing.T) {
 
 	// Touched rows are a consistent (μ, N, D) triple with μ normalized.
 	for _, oid := range touched {
-		mu, n, d := g.Mu[oid], g.N[oid], g.D[oid]
+		mu, n, d := g.MuAt(oid), g.NAt(oid), g.DAt(oid)
 		if len(mu) != g.Idx.ViewAt(oid).CI.NumValues() {
 			t.Fatalf("object %d row mis-sized", oid)
 		}
@@ -211,18 +211,18 @@ func TestGrowTransfersFittedState(t *testing.T) {
 	}
 
 	// The old model is untouched and still serves its own index.
-	if m.Idx != baseIdx || len(m.Mu) != baseIdx.NumObjects() {
+	if m.Idx != baseIdx || m.NumObjects() != baseIdx.NumObjects() {
 		t.Fatal("Grow mutated the source model")
 	}
 
 	// Incremental EM picks new objects up: one answer moves μ and D.
 	newOid := grown.NumObjects() - 1
 	o := grown.Objects[newOid]
-	before := g.D[newOid]
+	before := g.DAt(newOid)
 	g2 := g.Clone()
 	g2.ApplyAnswer(o, "brand-new-worker", 0)
-	if g2.D[newOid] != before+1 {
-		t.Fatalf("ApplyAnswer on grown object: D %v -> %v", before, g2.D[newOid])
+	if g2.DAt(newOid) != before+1 {
+		t.Fatalf("ApplyAnswer on grown object: D %v -> %v", before, g2.DAt(newOid))
 	}
 	if g2.MaxConfidenceAt(newOid) <= 0 {
 		t.Fatal("grown object has zero confidence after an answer")

@@ -1,5 +1,7 @@
 package core
 
+import "repro/internal/data"
+
 // Incremental EM (Section 4.2): instead of re-running the full EM after a
 // hypothetical extra answer (o, w, v'), perform a single EM step touching
 // only the new answer, using the cached sufficient statistics N_{o,v}, D_o.
@@ -20,7 +22,7 @@ func (m *Model) PosteriorGivenAnswer(o string, psi [3]float64, ans int) []float6
 // PosteriorGivenAnswerAt is PosteriorGivenAnswer by dense object ID.
 func (m *Model) PosteriorGivenAnswerAt(oid int, psi [3]float64, ans int) []float64 {
 	ov := m.Idx.ViewAt(oid)
-	mu := m.Mu[oid]
+	mu := m.MuAt(oid)
 	f := make([]float64, len(mu))
 	z := 0.0
 	for tr := range mu {
@@ -50,8 +52,8 @@ func (m *Model) CondConfidence(o string, psi [3]float64, ans int) []float64 {
 		return nil
 	}
 	f := m.PosteriorGivenAnswerAt(oid, psi, ans)
-	n := m.N[oid]
-	d := m.D[oid] + 1
+	n := m.NAt(oid)
+	d := m.DAt(oid) + 1
 	out := make([]float64, len(f))
 	for i := range f {
 		out[i] = (n[i] + f[i]) / d
@@ -68,13 +70,18 @@ func (m *Model) CondMaxConfidence(o string, psi [3]float64, ans int) float64 {
 	return m.CondMaxConfidenceAt(oid, psi, ans)
 }
 
-// CondMaxConfidenceAt is CondMaxConfidence by dense object ID — the inner
-// loop of the EAI assigner.
+// CondMaxConfidenceAt is CondMaxConfidence by dense object ID.
 //
 //tdh:hotpath
 func (m *Model) CondMaxConfidenceAt(oid int, psi [3]float64, ans int) float64 {
-	ov := m.Idx.ViewAt(oid)
-	mu := m.Mu[oid]
+	return m.condMax(m.Idx.ViewAt(oid), m.MuAt(oid), m.NAt(oid), m.DAt(oid), psi, ans)
+}
+
+// condMax is max_v μ_{o,v | v_o^w = ans} over the object's rows — the inner
+// loop of the EAI assigner.
+//
+//tdh:hotpath
+func (m *Model) condMax(ov *data.ObjectView, mu, n []float64, d float64, psi [3]float64, ans int) float64 {
 	// Inline PosteriorGivenAnswer to avoid the slice allocation: compute
 	// unnormalized posteriors and track the max of (N + f)/(D+1).
 	z := 0.0
@@ -91,8 +98,7 @@ func (m *Model) CondMaxConfidenceAt(oid int, psi [3]float64, ans int) float64 {
 		rawS[tr] = p
 		z += p
 	}
-	n := m.N[oid]
-	d := m.D[oid] + 1
+	d++
 	best := 0.0
 	for i := 0; i < nVals; i++ {
 		fi := 0.0
@@ -106,6 +112,28 @@ func (m *Model) CondMaxConfidenceAt(oid int, psi [3]float64, ans int) float64 {
 		}
 	}
 	return best
+}
+
+// ExpectedCondMaxAt is Σ_{v'} P(v_o^w = v') · max_v μ_{o,v | v_o^w = v'}: the
+// expected top confidence after one more answer from a worker with
+// trustworthiness psi (Eq. 15 over Eqs. 6 and 18) — what EAI scores an
+// (object, worker) pair by. It is AnswerLikelihoodAt × CondMaxConfidenceAt
+// summed over the answers, float for float, reading the object's rows once
+// instead of once per answer.
+//
+//tdh:hotpath
+func (m *Model) ExpectedCondMaxAt(oid int, psi [3]float64) float64 {
+	ov := m.Idx.ViewAt(oid)
+	mu, n, d := m.MuAt(oid), m.NAt(oid), m.DAt(oid)
+	exp := 0.0
+	for ans := range mu {
+		pAns := m.answerLikelihood(ov, mu, psi, ans)
+		if pAns <= 0 {
+			continue
+		}
+		exp += pAns * m.condMax(ov, mu, n, d, psi, ans)
+	}
+	return exp
 }
 
 // ApplyAnswer permanently folds a real answer into the sufficient
@@ -129,13 +157,22 @@ func (m *Model) ApplyAnswer(o, w string, ans int) {
 // EM step (Eq. 17) that adds the answer's truth posterior (Eq. 16) to N,
 // bumps D and re-derives μ = N/D.
 //
-// The update is OBJECT-LOCAL: it writes only this object's N, D and Mu
-// rows, reads otherwise immutable shared state (Psi, the index tables) and
-// keeps its posterior scratch on the stack. Concurrent calls on one model
-// are therefore race-free as long as they target disjoint objects — the
-// contract the sharded server pipeline relies on when it folds object-
-// disjoint shard batches into one cloned model in parallel (engine.Epoch).
-// Calls for the same object must stay serialized.
+// Ownership is part of the write, not the caller's duty: the fold first
+// makes the object's page of μ, N and D this model's own (OwnPage — on a
+// clone the first fold into a page copies it, the one allocation a fold can
+// make; on a page already owned, and on a fitted model, which owns all of
+// its pages, it is three flag reads), so no call sequence on any model can
+// write a page a published snapshot still shares.
+//
+// The update is OBJECT-LOCAL: it writes only this object's N, D and μ
+// elements, reads otherwise immutable shared state (Psi, the index tables)
+// and keeps its posterior scratch on the stack. Concurrent calls on one
+// model are therefore race-free as long as they target disjoint objects
+// whose pages are already owned — the contract the sharded server pipeline
+// relies on when it folds object-disjoint shard batches into one cloned
+// model in parallel (engine.Epoch, which owns each batch's pages under its
+// lock first, since two shards' objects may share a page). Calls for the
+// same object must stay serialized.
 //
 //tdh:hotpath
 func (m *Model) ApplyAnswerAt(oid, wid, ans int) {
@@ -144,7 +181,8 @@ func (m *Model) ApplyAnswerAt(oid, wid, ans int) {
 		psi = m.Psi[wid]
 	}
 	ov := m.Idx.ViewAt(oid)
-	mu, n := m.Mu[oid], m.N[oid]
+	m.OwnPage(oid)
+	mu, n := m.MuAt(oid), m.NAt(oid)
 	var buf [16]float64
 	f := buf[:]
 	if len(mu) > len(buf) {
@@ -164,8 +202,8 @@ func (m *Model) ApplyAnswerAt(oid, wid, ans int) {
 			n[i] += uniform
 		}
 	}
-	m.D[oid]++
-	d := m.D[oid]
+	d := m.DAt(oid) + 1
+	m.d.Set(oid, d)
 	for i := range mu {
 		mu[i] = n[i] / d
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/data"
@@ -182,32 +183,50 @@ func TestApplyAnswerAtIsTheFold(t *testing.T) {
 		if wid < 0 {
 			name, psi = "never-seen", m.DefaultPsi()
 		}
-		for ans := range m.Mu[oid] {
+		for ans := range m.MuAt(oid) {
 			f := m.PosteriorGivenAnswerAt(oid, psi, ans)
 			byID, byName := m.Clone(), m.Clone()
 			byID.ApplyAnswerAt(oid, wid, ans)
 			byName.ApplyAnswer("statue", name, ans)
-			if byID.D[oid] != m.D[oid]+1 {
-				t.Fatalf("D = %v, want %v", byID.D[oid], m.D[oid]+1)
+			if byID.DAt(oid) != m.DAt(oid)+1 {
+				t.Fatalf("D = %v, want %v", byID.DAt(oid), m.DAt(oid)+1)
 			}
 			for i := range f {
-				n := m.N[oid][i] + f[i]
-				if byID.N[oid][i] != n || byID.Mu[oid][i] != n/byID.D[oid] {
+				n := m.NAt(oid)[i] + f[i]
+				if byID.NAt(oid)[i] != n || byID.MuAt(oid)[i] != n/byID.DAt(oid) {
 					t.Fatalf("worker %d answer %d: N, μ = %v, %v; want %v, %v",
-						wid, ans, byID.N[oid][i], byID.Mu[oid][i], n, n/byID.D[oid])
+						wid, ans, byID.NAt(oid)[i], byID.MuAt(oid)[i], n, n/byID.DAt(oid))
 				}
-				if byName.Mu[oid][i] != byID.Mu[oid][i] {
-					t.Fatalf("ApplyAnswer and ApplyAnswerAt disagree: %v vs %v", byName.Mu[oid], byID.Mu[oid])
+				if byName.MuAt(oid)[i] != byID.MuAt(oid)[i] {
+					t.Fatalf("ApplyAnswer and ApplyAnswerAt disagree: %v vs %v", byName.MuAt(oid), byID.MuAt(oid))
 				}
 			}
 		}
 	}
+	// Clone shares φ/ψ and every page; the first fold into a page copies it —
+	// the object's rows and its neighbours' move together, m's stay put —
+	// and from then on the fold allocates nothing.
 	c := m.Clone()
-	if &c.Phi[0] != &m.Phi[0] || &c.Psi[0] != &m.Psi[0] || &c.Mu[oid][0] == &m.Mu[oid][0] {
-		t.Fatal("Clone must share φ/ψ and copy μ")
+	other := (oid + 1) % m.NumObjects()
+	if &c.Phi[0] != &m.Phi[0] || &c.Psi[0] != &m.Psi[0] || &c.MuAt(oid)[0] != &m.MuAt(oid)[0] || &c.NAt(oid)[0] != &m.NAt(oid)[0] {
+		t.Fatal("Clone must share φ/ψ and the pages of μ and N")
+	}
+	before := append([]float64(nil), m.MuAt(oid)...)
+	c.ApplyAnswerAt(oid, ann, 0)
+	if &c.MuAt(oid)[0] == &m.MuAt(oid)[0] || &c.NAt(oid)[0] == &m.NAt(oid)[0] || &c.MuAt(other)[0] == &m.MuAt(other)[0] {
+		t.Fatal("the first fold into a clone must copy the object's page of μ and N")
+	}
+	if !reflect.DeepEqual(m.MuAt(oid), before) || c.DAt(oid) != m.DAt(oid)+1 || !reflect.DeepEqual(c.MuAt(other), m.MuAt(other)) {
+		t.Fatal("a fold into a clone wrote the model it was cloned from, or a neighbour's row")
 	}
 	if allocs := testing.AllocsPerRun(100, func() { c.ApplyAnswerAt(oid, ann, 0) }); allocs != 0 {
-		t.Fatalf("ApplyAnswerAt allocates %v times per fold", allocs)
+		t.Fatalf("ApplyAnswerAt allocates %v times per fold on an owned page", allocs)
+	}
+	// A fitted model owns all of its pages: the fold writes in place.
+	own := Run(idx, DefaultOptions())
+	row := &own.MuAt(oid)[0]
+	if allocs := testing.AllocsPerRun(10, func() { own.ApplyAnswerAt(oid, ann, 0) }); allocs != 0 || &own.MuAt(oid)[0] != row {
+		t.Fatalf("a fold into a fitted model copied a page (%v allocs)", allocs)
 	}
 }
 
@@ -221,7 +240,7 @@ func TestTruthAtTieBreak(t *testing.T) {
 	vals := idx.ViewAt(oid).CI.Values // LA, LibertyIsland, NY in some order
 	pos := idx.ViewAt(oid).CI.Pos
 	set := func(la, li, ny float64) {
-		m.Mu[oid][pos["LA"]], m.Mu[oid][pos["LibertyIsland"]], m.Mu[oid][pos["NY"]] = la, li, ny
+		m.MuAt(oid)[pos["LA"]], m.MuAt(oid)[pos["LibertyIsland"]], m.MuAt(oid)[pos["NY"]] = la, li, ny
 	}
 	for _, c := range []struct {
 		la, li, ny float64

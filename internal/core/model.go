@@ -3,6 +3,7 @@ package core
 import (
 	"sort"
 
+	"repro/internal/cow"
 	"repro/internal/data"
 )
 
@@ -11,26 +12,24 @@ import (
 // along with the sufficient statistics N_{o,v} and D_o needed by the
 // incremental EM of the task-assignment algorithm (Section 4.2).
 //
-// All parameters are dense, ID-indexed slices: object, source and worker
-// IDs are positions in Idx.Objects / Idx.SourceNames / Idx.WorkerNames.
-// Name-keyed accessors (MuOf, PhiOf, PsiOf, NOf, DOf) are provided for the
-// server and experiment layers.
+// All parameters are dense and ID-indexed: object, source and worker IDs
+// are positions in Idx.Objects / Idx.SourceNames / Idx.WorkerNames. The
+// per-object state is read through MuAt / NAt / DAt (by name: MuOf, NOf,
+// DOf); φ and ψ are plain slices.
+//
+// μ, N and D live in copy-on-write pages of 256 objects (internal/cow). A
+// fit — Run, NewModel, Grow, Load — allocates them as three flat arrays,
+// which the EM kernel addresses directly, and the pages of a fitted model
+// are sub-slices of those arrays: one representation, nothing copied at the
+// end of a fit. Clone derives the model a fold writes into by copying the
+// three page tables only.
 type Model struct {
 	Idx *data.Index
 	Opt Options
-	// Mu[oid][i] is μ_{o,v} for candidate i of object oid (same order as
-	// Idx.ViewAt(oid).CI.Values). The rows are contiguous sub-slices of one
-	// flat backing array.
-	Mu [][]float64
 	// Phi[sid] = (φ_{s,1}, φ_{s,2}, φ_{s,3}).
 	Phi [][3]float64
 	// Psi[wid] = (ψ_{w,1}, ψ_{w,2}, ψ_{w,3}).
 	Psi [][3]float64
-	// N[oid][i] and D[oid] are the numerator and denominator of the μ update
-	// (Eq. 9) at the final E-step; μ = N/D. They let the incremental EM
-	// fold one extra answer in O(|Vo|) (Eq. 17).
-	N [][]float64
-	D []float64
 
 	// Iterations counts the E/M evaluations Run performed (every step of a
 	// SQUAREM cycle is one), bounded by Opt.MaxIter. FinalDelta is the max
@@ -39,60 +38,88 @@ type Model struct {
 	Iterations int
 	FinalDelta float64
 
-	muFlat   []float64  // backing array of Mu
-	nFlat    []float64  // backing array of N
+	// mu row oid is μ_{o,·} in the order of Idx.ViewAt(oid).CI.Values; n row
+	// oid and d element oid are the numerator and denominator of the μ
+	// update (Eq. 9) at the final E-step, μ = N/D, which let the incremental
+	// EM fold one extra answer in O(|Vo|) (Eq. 17).
+	mu, n cow.Rows
+	d     cow.Vec[float64]
+	// The arrays the pages of a fitted model are cut from; nil on a clone,
+	// which is fold-only and has nothing to step EM on.
+	muFlat, nFlat, dFlat []float64
+
 	off      []int      // off[oid] is the flat offset of object oid's candidates
 	scr      *emScratch // reusable E-step buffers, built lazily, never cloned
 	scrMaxNV int        // largest candidate set, sizes the posterior buffers
 }
 
-// newJagged builds rows over one flat backing array using offsets off.
-func newJagged(off []int) (rows [][]float64, flat []float64) {
-	n := len(off) - 1
-	flat = make([]float64, off[n])
-	rows = make([][]float64, n)
-	for i := 0; i < n; i++ {
-		rows[i] = flat[off[i]:off[i+1]:off[i+1]]
-	}
-	return rows, flat
-}
-
-// Clone returns the copy a fold writes into: fresh Mu, N and D over new
-// backing arrays, and everything an incremental update never writes — the
-// index, the row offsets and the source/worker parameters Phi and Psi —
-// shared with m. The streaming server clones the sealed model before
-// folding answers in with ApplyAnswerAt, so previously published models are
-// never mutated and can be read lock-free by concurrent task assigners. A
-// clone is for folding only: running EM steps on either side would write
-// the shared φ/ψ (Grow, which may add participants, builds its own).
+// Clone returns the model a fold writes into. It shares everything with m:
+// the index, the offsets, φ and ψ — which an incremental update never
+// writes — and every page of μ, N and D; what it copies is the three page
+// tables (a slice header per 256 objects). ApplyAnswerAt then copies the one
+// page an answer's object lies in, once per clone, before writing it, so
+// every model cloned from — the published ones concurrent task assigners
+// read lock-free — keeps reading what it always held.
+//
+// Who may write what: a clone may be folded into (ApplyAnswer,
+// ApplyAnswerAt) and nothing else — it has no flat arrays, so an EM step on
+// it panics, and one on m would write the shared φ/ψ and, through the flat
+// arrays, the pages the clone still shares. m itself is sealed by the call:
+// a later write to it of any kind would show through every clone. Grow,
+// which may add participants, builds its own arrays.
 func (m *Model) Clone() *Model {
-	c := &Model{
+	return &Model{
 		Idx:        m.Idx,
 		Opt:        m.Opt,
 		Iterations: m.Iterations,
 		FinalDelta: m.FinalDelta,
 		Phi:        m.Phi,
 		Psi:        m.Psi,
-		D:          append([]float64(nil), m.D...),
+		mu:         m.mu.Clone(),
+		n:          m.n.Clone(),
+		d:          m.d.Clone(),
 		off:        m.off,
 	}
-	c.Mu, c.muFlat = newJagged(m.off)
-	copy(c.muFlat, m.muFlat)
-	c.N, c.nFlat = newJagged(m.off)
-	copy(c.nFlat, m.nFlat)
-	return c
 }
 
-// Index and Rows (with TruthAt below) are the dense read surface a published
-// result serves from without copying the model (infer.Dense). Rows is Mu
-// itself, not a copy; callers treat it as read-only.
-func (m *Model) Index() *data.Index { return m.Idx }
-func (m *Model) Rows() [][]float64  { return m.Mu }
+// NumObjects is the number of objects the model holds state for.
+func (m *Model) NumObjects() int { return len(m.off) - 1 }
+
+// MuAt, NAt and DAt read one object's μ row, N row and D by dense ID. The
+// rows alias a page other models may share: read-only.
+//
+//tdh:hotpath
+func (m *Model) MuAt(oid int) []float64 { return m.mu.Row(oid) }
+
+//tdh:hotpath
+func (m *Model) NAt(oid int) []float64 { return m.n.Row(oid) }
+
+//tdh:hotpath
+func (m *Model) DAt(oid int) float64 { return m.d.At(oid) }
+
+// OwnPage takes the copy-on-write step of a fold ahead of it: after the
+// call, ApplyAnswerAt on oid — or on any object of the same page — writes in
+// place and allocates nothing. ApplyAnswerAt takes the step itself when
+// nobody did; callers that fold object-disjoint batches into one clone from
+// several goroutines call OwnPage first, under their own lock, because two
+// objects may share a page and the copy must happen once.
+//
+//tdh:hotpath
+func (m *Model) OwnPage(oid int) {
+	m.mu.Own(oid)
+	m.n.Own(oid)
+	m.d.Own(oid)
+}
+
+// Index, Row and TruthAt are the dense read surface a published result
+// serves from without copying the model (infer.Dense).
+func (m *Model) Index() *data.Index    { return m.Idx }
+func (m *Model) Row(oid int) []float64 { return m.MuAt(oid) }
 
 // MuOf returns μ_{o,·} by object name, or nil for unknown objects.
 func (m *Model) MuOf(o string) []float64 {
 	if oid, ok := m.Idx.ObjectID(o); ok {
-		return m.Mu[oid]
+		return m.MuAt(oid)
 	}
 	return nil
 }
@@ -100,7 +127,7 @@ func (m *Model) MuOf(o string) []float64 {
 // NOf returns N_{o,·} by object name, or nil for unknown objects.
 func (m *Model) NOf(o string) []float64 {
 	if oid, ok := m.Idx.ObjectID(o); ok {
-		return m.N[oid]
+		return m.NAt(oid)
 	}
 	return nil
 }
@@ -108,7 +135,7 @@ func (m *Model) NOf(o string) []float64 {
 // DOf returns D_o by object name, or 0 for unknown objects.
 func (m *Model) DOf(o string) float64 {
 	if oid, ok := m.Idx.ObjectID(o); ok {
-		return m.D[oid]
+		return m.DAt(oid)
 	}
 	return 0
 }
@@ -145,8 +172,9 @@ func (m *Model) PhiOf(s string) [3]float64 {
 
 // Truths extracts v*_o = argmax_v μ_{o,v} for every object (Eq. 12).
 func (m *Model) Truths() map[string]string {
-	out := make(map[string]string, len(m.Mu))
-	for oid := range m.Mu {
+	n := m.NumObjects()
+	out := make(map[string]string, n)
+	for oid := 0; oid < n; oid++ {
 		out[m.Idx.Objects[oid]] = m.TruthAt(oid)
 	}
 	return out
@@ -158,7 +186,7 @@ func (m *Model) Truths() map[string]string {
 func (m *Model) TruthAt(oid int) string {
 	ov := m.Idx.ViewAt(oid)
 	best, bestP, bestDepth := "", -1.0, -1
-	for i, p := range m.Mu[oid] {
+	for i, p := range m.MuAt(oid) {
 		v := ov.CI.Values[i]
 		d := 0
 		if m.Idx.DS.H != nil {
@@ -187,7 +215,7 @@ func (m *Model) MaxConfidence(o string) float64 {
 // MaxConfidenceAt is MaxConfidence by dense object ID.
 func (m *Model) MaxConfidenceAt(oid int) float64 {
 	mx := 0.0
-	for _, p := range m.Mu[oid] {
+	for _, p := range m.MuAt(oid) {
 		if p > mx {
 			mx = p
 		}

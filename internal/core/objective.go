@@ -12,7 +12,7 @@ func (m *Model) LogPosterior() float64 {
 	// Likelihood: Σ_o Σ_s log Σ_v P(v_o^s | φ_s, v*=v)·μ_v  (+ workers).
 	for oid := range m.Idx.Views {
 		ov := m.Idx.ViewAt(oid)
-		mu := m.Mu[oid]
+		mu := m.MuAt(oid)
 		for _, cl := range ov.SourceClaims {
 			phi := m.Phi[cl.Part]
 			p := 0.0
@@ -44,7 +44,8 @@ func (m *Model) LogPosterior() float64 {
 	for _, psi := range m.Psi {
 		f += dirichletLogKernel(psi[:], []float64{m.Opt.Beta[0], m.Opt.Beta[1], m.Opt.Beta[2]})
 	}
-	for _, mu := range m.Mu {
+	for oid := range m.Idx.Views {
+		mu := m.MuAt(oid)
 		gammas := make([]float64, len(mu))
 		for i := range gammas {
 			gammas[i] = m.Opt.Gamma

@@ -9,8 +9,17 @@
 // ID-indexed slices, the claim model reads precomputed relationship and
 // popularity tables, and the E-step reuses scratch buffers so steady-state
 // iterations allocate nothing. Run is the one fit kernel: plain EM steps
-// in SQUAREM cycles, a cold and deterministic function of the index. See
-// README.md ("Performance architecture").
+// in SQUAREM cycles, a cold and deterministic function of the index.
+//
+// Between fits the streaming layers fold answers into clones (Section 4.2's
+// one-step incremental EM). A fitted model's μ, N and D are three flat
+// arrays cut into copy-on-write pages of 256 objects; Model.Clone copies the
+// page tables, shares every page, φ, ψ and the offsets, and the fold
+// (ApplyAnswerAt) copies the one page it writes, once per clone. A clone is
+// therefore fold-only — it has no flat arrays to step EM on — and a model is
+// sealed from the moment it is cloned: the only legal writer of any page is
+// the fold of a clone that has not been cloned itself. See README.md
+// ("Performance architecture").
 package core
 
 // Options are the hyperparameters of the TDH model. Zero-value fields are

@@ -26,8 +26,8 @@ func TestParallelMatchesSequential(t *testing.T) {
 		if mSeq.Iterations != mPar.Iterations {
 			t.Fatalf("workers=%d: iteration counts differ: %d vs %d", workers, mSeq.Iterations, mPar.Iterations)
 		}
-		for oid, mu := range mSeq.Mu {
-			pmu := mPar.Mu[oid]
+		for oid, mu := range muRows(mSeq) {
+			pmu := mPar.MuAt(oid)
 			for i := range mu {
 				if mu[i] != pmu[i] {
 					t.Fatalf("workers=%d: mu differs on %s[%d]: %v vs %v",

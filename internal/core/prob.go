@@ -291,8 +291,11 @@ func (m *Model) AnswerLikelihood(o string, psi [3]float64, c int) float64 {
 //
 //tdh:hotpath
 func (m *Model) AnswerLikelihoodAt(oid int, psi [3]float64, c int) float64 {
-	ov := m.Idx.ViewAt(oid)
-	mu := m.Mu[oid]
+	return m.answerLikelihood(m.Idx.ViewAt(oid), m.MuAt(oid), psi, c)
+}
+
+//tdh:hotpath
+func (m *Model) answerLikelihood(ov *data.ObjectView, mu []float64, psi [3]float64, c int) float64 {
 	p := 0.0
 	for tr := range mu {
 		p += m.workerClaimProb(ov, c, tr, psi) * mu[tr]

@@ -35,16 +35,16 @@ func (m *Model) Save(w io.Writer) error {
 		Options:    m.Opt,
 		Iterations: m.Iterations,
 		FinalDelta: m.FinalDelta,
-		Mu:         make(map[string][]float64, len(m.Mu)),
-		N:          make(map[string][]float64, len(m.N)),
-		D:          make(map[string]float64, len(m.D)),
+		Mu:         make(map[string][]float64, m.NumObjects()),
+		N:          make(map[string][]float64, m.NumObjects()),
+		D:          make(map[string]float64, m.NumObjects()),
 		Phi:        make(map[string][]float64, len(m.Phi)),
 		Psi:        make(map[string][]float64, len(m.Psi)),
 	}
 	for oid, o := range m.Idx.Objects {
-		sn.Mu[o] = m.Mu[oid]
-		sn.N[o] = m.N[oid]
-		sn.D[o] = m.D[oid]
+		sn.Mu[o] = m.MuAt(oid)
+		sn.N[o] = m.NAt(oid)
+		sn.D[o] = m.DAt(oid)
 	}
 	for sid, s := range m.Idx.SourceNames {
 		sn.Phi[s] = m.Phi[sid][:]
@@ -83,9 +83,9 @@ func Load(r io.Reader, idx *data.Index) (*Model, error) {
 		if len(n) != len(mu) {
 			return nil, fmt.Errorf("core: object %q has inconsistent sufficient statistics", o)
 		}
-		copy(m.Mu[oid], mu)
-		copy(m.N[oid], n)
-		m.D[oid] = sn.D[o]
+		copy(m.muRow(oid), mu)
+		copy(m.nRow(oid), n)
+		m.dFlat[oid] = sn.D[o]
 	}
 	//tdh:orderok each source name maps to a unique dense ID, so Phi rows are written disjointly
 	for s, v := range sn.Phi {

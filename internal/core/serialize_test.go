@@ -22,9 +22,9 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for oid, mu := range m.Mu {
+	for oid, mu := range muRows(m) {
 		for i := range mu {
-			if math.Abs(mu[i]-got.Mu[oid][i]) > 1e-15 {
+			if math.Abs(mu[i]-got.MuAt(oid)[i]) > 1e-15 {
 				t.Fatalf("mu mismatch on %s", idx.Objects[oid])
 			}
 		}

@@ -90,8 +90,10 @@ func (e *categorical) ApplyAnswers(st State, idx *data.Index, answers []data.Ans
 // NewEpoch implements EpochFolder: TDH's incremental EM step is object-
 // local (core.Model.ApplyAnswerAt writes only the answer's object rows and
 // reads immutable shared state), so disjoint-object Fold calls can share
-// one cloned model without synchronization. Non-TDH states have no
-// incremental path and report ok=false.
+// one cloned model, synchronizing only to take ownership of the pages they
+// are about to write. Opening the epoch copies the model's page tables,
+// nothing per object. Non-TDH states have no incremental path and report
+// ok=false.
 func (e *categorical) NewEpoch(st State, idx *data.Index) (Epoch, bool) {
 	cs := st.(*catState)
 	if cs.model == nil {
@@ -108,11 +110,19 @@ type catEpoch struct {
 	touchedIDs
 }
 
+// catFold is one answer resolved to the model's dense IDs.
+type catFold struct{ oid, wid, ans int }
+
 // Fold resolves each answer's names once, against the model's own index —
-// the one its rows are shaped by — and hands dense IDs to the fold kernel.
+// the one its rows are shaped by — takes ownership of the pages the batch
+// writes, and hands dense IDs to the fold kernel. Object-disjoint batches
+// may still share a page of 256 objects, and a page must be copied once,
+// before anyone writes it: the copy-on-write step runs under the epoch's
+// lock, with the touched-ID bookkeeping, and the kernel — which then finds
+// every page owned and writes only its own object's elements — outside it.
 func (ep *catEpoch) Fold(answers []data.Answer) {
 	idx := ep.m.Idx
-	ids := make([]int, 0, len(answers))
+	folds := make([]catFold, 0, len(answers))
 	for i := range answers {
 		a := &answers[i]
 		oid, ok := idx.ObjectID(a.Object)
@@ -127,10 +137,17 @@ func (ep *catEpoch) Fold(answers []data.Answer) {
 		if !ok {
 			wid = -1 // unseen worker: folds at the prior-mean ψ
 		}
-		ep.m.ApplyAnswerAt(oid, wid, ans)
-		ids = append(ids, oid)
+		folds = append(folds, catFold{oid, wid, ans})
 	}
-	ep.add(ids)
+	ep.mu.Lock()
+	for _, f := range folds {
+		ep.m.OwnPage(f.oid)
+		ep.ids = append(ep.ids, f.oid)
+	}
+	ep.mu.Unlock()
+	for _, f := range folds {
+		ep.m.ApplyAnswerAt(f.oid, f.wid, f.ans)
+	}
 }
 
 // Seal publishes the folded model as it is: nothing is copied or rebuilt.

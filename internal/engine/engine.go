@@ -88,7 +88,7 @@ type State interface {
 	// copying them, its Truths and Confidence maps are nil, and its trust
 	// maps are the previous result's own unless growth added participants
 	// (always valid, in every form). Readers therefore go through the
-	// ID-based read API (Result.ConfidenceAt / TruthAt / Rows), which serves
+	// ID-based read API (Result.ConfidenceAt / TruthAt / View), which serves
 	// both forms.
 	Res() *infer.Result
 	// Truths is the GET /truths payload: map[object]value (categorical),

@@ -5,7 +5,9 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"strconv"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -144,6 +146,93 @@ func TestViewEqualsCopy(t *testing.T) {
 			fold(99, 5)
 			requireViewEqualsCopy(t, "fold after grow", st, idx)
 		})
+	}
+}
+
+// TestConcurrentFoldsSharePages: the sharded pipeline folds object-disjoint
+// batches into one epoch from several goroutines, and since the fold model
+// is paged, disjoint objects are not disjoint memory any more — every batch
+// here (objects dealt out by ID mod 4) has objects in every page of 256, so
+// four goroutines race to copy the same pages. The epoch copies each page
+// once, under its lock, before anyone writes it: the concurrent fold must
+// equal the sequential one bit for bit, touch the same objects, and leave
+// the state folded over as it was (the -race jobs run this).
+func TestConcurrentFoldsSharePages(t *testing.T) {
+	const shards = 4
+	ds := synth.Heritages(synth.HeritagesConfig{Seed: 5, Scale: 0.8}) // 600+ objects: three pages
+	idx := data.NewIndex(ds)
+	for i := 0; i < 60; i++ { // a few workers with a fitted ψ
+		ov := idx.ViewAt(i * 7 % len(idx.Objects))
+		ds.Answers = append(ds.Answers, data.Answer{Object: ov.Object, Worker: fmt.Sprintf("w%d", i%4), Value: ov.CI.Values[i%len(ov.CI.Values)]})
+	}
+	idx = data.NewIndex(ds)
+	eng := NewCategorical(infer.NewTDH(), Config{})
+	st := eng.Fit(idx)
+	fitted := st.Res().Model.(*core.Model)
+	if fitted.NumObjects() <= 512 {
+		t.Fatalf("%d objects: the batches would not share three pages", fitted.NumObjects())
+	}
+	type object struct {
+		mu, n []float64
+		d     float64
+	}
+	capture := func(m *core.Model) []object {
+		out := make([]object, m.NumObjects())
+		for oid := range out {
+			out[oid] = object{append([]float64(nil), m.MuAt(oid)...), append([]float64(nil), m.NAt(oid)...), m.DAt(oid)}
+		}
+		return out
+	}
+	before := capture(fitted)
+
+	rng := rand.New(rand.NewSource(17))
+	batches := make([][]data.Answer, shards)
+	for i := 0; i < 400; i++ {
+		ov := idx.ViewAt(rng.Intn(len(idx.Objects)))
+		worker := fmt.Sprintf("fresh-%d", i%5) // folds at the prior-mean ψ
+		if i%2 == 0 {
+			worker = idx.WorkerNames[rng.Intn(len(idx.WorkerNames))]
+		}
+		batches[ov.ID%shards] = append(batches[ov.ID%shards], data.Answer{
+			Object: ov.Object, Worker: worker, Value: ov.CI.Values[rng.Intn(len(ov.CI.Values))]})
+	}
+	fold := func(concurrent bool) (*core.Model, []int) {
+		ep, ok := eng.NewEpoch(st, idx)
+		if !ok {
+			t.Fatal("TDH state refused to open an epoch")
+		}
+		var wg sync.WaitGroup
+		for _, batch := range batches {
+			if !concurrent {
+				ep.Fold(batch)
+				continue
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				ep.Fold(batch)
+			}()
+		}
+		wg.Wait()
+		touched := append([]int(nil), ep.Touched()...)
+		sort.Ints(touched)
+		return ep.Seal().Res().Model.(*core.Model), touched
+	}
+	seq, seqTouched := fold(false)
+	for run := 0; run < 4; run++ {
+		par, parTouched := fold(true)
+		if !reflect.DeepEqual(capture(par), capture(seq)) {
+			t.Fatalf("run %d: the concurrent fold differs from the sequential one", run)
+		}
+		if !reflect.DeepEqual(parTouched, seqTouched) || len(seqTouched) != 400 {
+			t.Fatalf("run %d: touched %d objects concurrently, %d sequentially", run, len(parTouched), len(seqTouched))
+		}
+	}
+	if reflect.DeepEqual(capture(seq), before) {
+		t.Fatal("400 answers folded nothing")
+	}
+	if !reflect.DeepEqual(capture(fitted), before) {
+		t.Fatal("folding into epochs wrote the state they were opened over")
 	}
 }
 

@@ -72,9 +72,9 @@ type numState struct {
 
 func (st *numState) Res() *infer.Result { return st.res }
 
-// Index, Rows and TruthAt implement infer.Dense.
-func (st *numState) Index() *data.Index { return st.idx }
-func (st *numState) Rows() [][]float64  { return st.rows }
+// Index, Row and TruthAt implement infer.Dense.
+func (st *numState) Index() *data.Index    { return st.idx }
+func (st *numState) Row(oid int) []float64 { return st.rows[oid] }
 
 func (st *numState) TruthAt(oid int) string {
 	if math.IsNaN(st.est[oid]) {

@@ -39,12 +39,12 @@ func ResultFromModel(m *core.Model) *Result {
 	idx := m.Idx
 	res := &Result{
 		Truths:     m.Truths(),
-		Confidence: make(map[string][]float64, len(m.Mu)),
+		Confidence: make(map[string][]float64, m.NumObjects()),
 		Model:      m,
 	}
 	res.SourceTrust, res.WorkerTrust = trustMaps(m)
 	for oid, o := range idx.Objects {
-		res.Confidence[o] = append([]float64(nil), m.Mu[oid]...)
+		res.Confidence[o] = append([]float64(nil), m.MuAt(oid)...)
 	}
 	return res
 }

@@ -10,9 +10,9 @@ import "repro/internal/data"
 type Dense interface {
 	// Index is the index the model's object IDs are positions in.
 	Index() *data.Index
-	// Rows is every object's confidence row by dense ID — the model's own
-	// array, read-only, never written again once the model is sealed.
-	Rows() [][]float64
+	// Row is object oid's confidence row — the model's own memory, read-only,
+	// never written again once the model is sealed.
+	Row(oid int) []float64
 	// TruthAt is the estimated truth of object oid, "" when it has none.
 	TruthAt(oid int) string
 }
@@ -43,21 +43,21 @@ func (r *Result) ConfidenceAt(idx *data.Index, oid int) []float64 {
 		return r.Confidence[idx.Objects[oid]]
 	}
 	if d, id, ok := r.denseAt(idx, oid); ok {
-		return d.Rows()[id]
+		return d.Row(id)
 	}
 	return nil
 }
 
-// Rows returns every object's confidence row by dense ID of idx when the
-// result already holds them in exactly that form — a sealed view whose model
-// is shaped by idx — and nil otherwise (read row by row with ConfidenceAt
-// then). A holder that keeps per-object rows across publishes, the
-// assignment plan, takes the whole array: rows of one sealed model are
-// sub-slices of one backing array, so keeping a few rows of every past
-// model alive would keep every past backing array alive with them.
-func (r *Result) Rows(idx *data.Index) [][]float64 {
+// View returns the result's Dense model when the result is a sealed view
+// shaped by idx — no maps, rows read straight from the model by idx's own
+// dense IDs — and nil otherwise (read row by row with ConfidenceAt then). A
+// holder that reads rows across publishes, the assignment plan, keeps the
+// model instead of any row of it: rows of one model are sub-slices of pages
+// it shares with the models it was cloned from, so holding a few rows of
+// every past model would keep every past page alive with them.
+func (r *Result) View(idx *data.Index) Dense {
 	if d, ok := r.Model.(Dense); ok && r.Confidence == nil && d.Index() == idx {
-		return d.Rows()
+		return d
 	}
 	return nil
 }

@@ -48,6 +48,7 @@ type serverMetrics struct {
 	ingestRejected  *obs.Counter
 	planBuilds      *obs.Counter // publishes that built the assignment plan from scratch
 	planAdvances    *obs.Counter // publishes that advanced the previous snapshot's plan
+	ueaiMax         *obs.Gauge   // head of the served plan's UEAI ranking
 
 	stageDur   map[string]*obs.Histogram // pipeline stage -> duration histogram
 	batchSize  *obs.Histogram            // answers folded per publish cycle
@@ -90,6 +91,8 @@ func newServerMetrics(s *Server, reg *obs.Registry) *serverMetrics {
 			"publishes that built the assignment plan from scratch"),
 		planAdvances: reg.Counter("tdh_plan_advances_total",
 			"publishes that advanced the previous snapshot's assignment plan"),
+		ueaiMax: reg.Gauge("tdh_ueai_max",
+			"largest Lemma 4.1 bound of the served plan: no task it can hand out adds more than this to the expected accuracy (0 without a TDH model)"),
 		stageDur:  make(map[string]*obs.Histogram, 5),
 		batchSize: reg.Histogram("tdh_pipeline_batch_size", "answers folded per publish cycle", obs.SizeBuckets()),
 		visibility: reg.Histogram("tdh_visibility_seconds",

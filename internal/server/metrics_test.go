@@ -199,6 +199,11 @@ func TestStatsReadsTheRegistry(t *testing.T) {
 			t.Errorf("/stats %s = %d, /metrics %s = %d", c.key, c.stat, c.series, got)
 		}
 	}
+	// The same rule for the stopping signal: tdh_ueai_max is the head bound of
+	// the plan being served, nothing recomputed at scrape time.
+	if got, head := seriesFloat(t, out, "tdh_ueai_max"), s.Snapshot().Plan().UEAIMax(); got != head || head <= 0 {
+		t.Errorf("tdh_ueai_max = %v, the served plan's largest UEAI bound is %v", got, head)
+	}
 	if st.Answers != total || st.AddedObjects != 1 || st.AddedRecords != 1 || st.PlanBuilds < 1 {
 		t.Errorf("stats = %d answers, %d objects, %d records, %d plan builds; want %d, 1, 1, >=1",
 			st.Answers, st.AddedObjects, st.AddedRecords, st.PlanBuilds, total)

@@ -25,12 +25,15 @@ import (
 // plan) tuple no matter how many shards fed it. An engine with no
 // incremental path opens no epoch and keeps serving its last fit.
 //
-// A cycle costs what it touched: sealing an epoch copies nothing (the
-// published result is a view over the sealed state, see engine.State.Res),
-// and the snapshot's assignment plan is Advance'd around the epoch's touched
-// objects (O(batch + |O|)) instead of rebuilt from scratch (O(Σ|Vo| + |O|
-// log |O|)); every publish prewarms the plan in the pipeline goroutine so no
-// /task request ever pays a plan build in-line. Full refits — the MAP-EM
+// A cycle costs what it touched: opening a TDH epoch clones page tables and
+// the fold copies the pages of 256 objects its answers land in (core.Model.
+// Clone), sealing copies nothing (the published result is a view over the
+// sealed state, see engine.State.Res), and the snapshot's assignment plan is
+// Advance'd around the epoch's touched objects — O(batch · (page + chunk +
+// log |O|)), the persistent arrays and rankings of assign.Plan — instead of
+// rebuilt from scratch (O(Σ|Vo| + |O| log |O|)); every publish prewarms the
+// plan in the pipeline goroutine so no /task request ever pays a plan build
+// in-line. Full refits — the MAP-EM
 // from scratch (core.Run: always a cold, deterministic function of the
 // dataset, so a replayed log refits to the state the live process
 // published), with the parallel E-step when Options.Workers is set — are
@@ -250,6 +253,7 @@ func (p *pipeline) publish(touched []int) {
 		}
 	}
 	plan.Prewarm()
+	p.metrics().ueaiMax.Set(plan.UEAIMax())
 	p.metrics().observeStage(stagePlan, planStart)
 	p.stamps.planEnd = time.Now()
 	sn.setPlan(plan)
@@ -267,9 +271,10 @@ func (p *pipeline) publish(touched []int) {
 
 const (
 	// slowPublishAfter is the publish-duration threshold for the slow-publish
-	// warning (a publish is plan maintenance plus one pointer store, so one
-	// this slow means Plan.Advance's O(|O|) copies and merges are falling
-	// behind ingest).
+	// warning. A publish is plan maintenance plus one pointer store, and plan
+	// maintenance after a fold costs what the batch touched, so one this slow
+	// is a from-scratch NewPlan (a refit, a fallback) or an O(|O|) growth
+	// advance on a campaign large enough for that to fall behind ingest.
 	slowPublishAfter = 500 * time.Millisecond
 	// stallAfter is how long queued items may sit without the watermark
 	// advancing before the stall warning fires.

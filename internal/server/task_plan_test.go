@@ -178,8 +178,7 @@ func TestTaskStormSharedPlan(t *testing.T) {
 
 	snap := s.Snapshot()
 	plan := snap.Plan()
-	maxMuBefore := append([]float64(nil), plan.MaxMu...)
-	entBefore := append([]float64(nil), plan.Ent...)
+	maxMuBefore, entBefore := planScores(plan)
 
 	const workers = 48
 	var wg sync.WaitGroup
@@ -223,7 +222,7 @@ func TestTaskStormSharedPlan(t *testing.T) {
 	if snap.Plan() != plan {
 		t.Fatal("snapshot rebuilt its plan mid-storm")
 	}
-	if !reflect.DeepEqual(maxMuBefore, plan.MaxMu) || !reflect.DeepEqual(entBefore, plan.Ent) {
+	if maxMu, ent := planScores(plan); !reflect.DeepEqual(maxMuBefore, maxMu) || !reflect.DeepEqual(entBefore, ent) {
 		t.Fatal("concurrent /task storm mutated the shared plan")
 	}
 }

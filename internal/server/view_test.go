@@ -49,21 +49,28 @@ type reachable struct {
 	Sources, Workers map[string]float64
 }
 
+// planScores copies the plan's per-object max confidence and entropy out.
+func planScores(p *assign.Plan) (maxMu, ent []float64) {
+	for oid := range p.Idx.Objects {
+		maxMu, ent = append(maxMu, p.MaxMu(oid)), append(ent, p.Ent(oid))
+	}
+	return maxMu, ent
+}
+
 func captureReachable(sn *Snapshot) reachable {
 	var r reachable
 	for oid := range sn.Idx.Objects {
 		r.Rows = append(r.Rows, append([]float64(nil), sn.Res.ConfidenceAt(sn.Idx, oid)...))
 		r.Truths = append(r.Truths, sn.Res.TruthAt(sn.Idx, oid))
 		r.Confidence = append(r.Confidence, sn.St.Confidence(sn.Idx.ViewAt(oid)))
-		r.PlanMu = append(r.PlanMu, append([]float64(nil), sn.Plan().Mu[oid]...))
+		r.PlanMu = append(r.PlanMu, append([]float64(nil), sn.Plan().Row(oid)...))
 	}
 	truths := map[string]string{}
 	for o, v := range sn.St.Truths().(map[string]string) {
 		truths[o] = v
 	}
 	r.TruthMap = truths
-	r.MaxMu = append([]float64(nil), sn.Plan().MaxMu...)
-	r.Ent = append([]float64(nil), sn.Plan().Ent...)
+	r.MaxMu, r.Ent = planScores(sn.Plan())
 	r.Sources, r.Workers = map[string]float64{}, map[string]float64{}
 	for k, v := range sn.Res.SourceTrust {
 		r.Sources[k] = v
@@ -75,16 +82,23 @@ func captureReachable(sn *Snapshot) reachable {
 }
 
 // TestSnapshotImmutableUnderAliasing is the test of the design's classic
-// failure: a published result now ALIASES the sealed model's rows instead
-// of copying them, so a single fold that wrote a published model would
-// corrupt every snapshot still held by a reader. Hold snapshot k — itself a
-// folded, grown view — run 60 further fold/seal cycles and 6 growths that
-// touch the same objects, with shards=4 and concurrent /task, /truths,
-// /confidence and /trust readers (the -race jobs run this), and require every
-// value reachable from snapshot k to be bit-identical to what it was at
-// publish.
+// failure: a published result ALIASES the sealed model's rows instead of
+// copying them, and the model a fold writes into shares every page of 256
+// objects with the sealed one until it writes it, so a single fold that
+// wrote a page it did not own would corrupt every snapshot still held by a
+// reader. Hold snapshot k — itself a folded, grown view — run 60 further
+// fold/seal cycles and 6 growths that touch the same objects, with shards=4
+// and concurrent /task, /truths, /confidence and /trust readers (the -race
+// jobs run this), and require every value reachable from snapshot k to be
+// bit-identical to what it was at publish. Then the same over 60 more
+// fold-only cycles from the last growth on (a growth is a fresh build; folds
+// are what share pages), with the sharing itself pinned: an untouched
+// neighbour in the hot objects' page has had that page copied under it,
+// value for value, while objects in pages no fold touched still read the
+// very memory the held snapshot reads — shared, not copied. Last, the
+// negative control: a write that skips the page copy fails the check.
 func TestSnapshotImmutableUnderAliasing(t *testing.T) {
-	ds := synth.Heritages(synth.HeritagesConfig{Seed: 4, Scale: 0.08})
+	ds := synth.Heritages(synth.HeritagesConfig{Seed: 4, Scale: 1}) // 785 objects: four pages
 	s, ts := newShardServer(t, ds, 4)
 	defer s.Close()
 	hot := s.SortedObjects()[:8]
@@ -166,12 +180,12 @@ func TestSnapshotImmutableUnderAliasing(t *testing.T) {
 	if st := s.Stats(); st.PlanBuilds != 1 || st.PlanFallbacks != 0 || st.PlanAdvances < 60 {
 		t.Fatalf("plan maintenance left the delta path: %+v", st)
 	}
-	// The other half of aliasing: a plan carried forward by Advance must hold
-	// rows of the model it was advanced TO only. Rows are sub-slices of one
-	// backing array per model, so a plan that kept an untouched object's row
-	// from an older model would pin that model's whole array — one per cycle.
+	// The other half of aliasing: a plan carried forward by Advance must read
+	// rows of the model it was advanced TO only. Rows are sub-slices of pages,
+	// so a plan that kept an untouched object's row from an older model would
+	// pin pages the current model has long replaced — more every cycle.
 	for oid := range last.Idx.Objects {
-		if &last.Plan().Mu[oid][0] != &last.Res.ConfidenceAt(last.Idx, oid)[0] {
+		if &last.Plan().Row(oid)[0] != &last.Res.ConfidenceAt(last.Idx, oid)[0] {
 			t.Fatalf("the served plan still holds a past model's row for %s", last.Idx.Objects[oid])
 		}
 	}
@@ -179,13 +193,55 @@ func TestSnapshotImmutableUnderAliasing(t *testing.T) {
 	if reflect.DeepEqual(last.Res.ConfidenceAt(last.Idx, oid), before.Rows[oid]) {
 		t.Fatal("60 rounds of answers never moved the hot object's row")
 	}
-	if after := captureReachable(held); !reflect.DeepEqual(after, before) {
-		for oid := range before.Rows {
-			if !reflect.DeepEqual(after.Rows[oid], before.Rows[oid]) {
-				t.Errorf("object %s: row was %v at publish, reads %v now", held.Idx.Objects[oid], before.Rows[oid], after.Rows[oid])
+	requireUnchanged := func(tag string, sn *Snapshot, before reachable) {
+		t.Helper()
+		if after := captureReachable(sn); !reflect.DeepEqual(after, before) {
+			for oid := range before.Rows {
+				if !reflect.DeepEqual(after.Rows[oid], before.Rows[oid]) {
+					t.Errorf("%s: object %s: row was %v at publish, reads %v now", tag, sn.Idx.Objects[oid], before.Rows[oid], after.Rows[oid])
+				}
 			}
+			t.Fatalf("%s: a value reachable from a held snapshot changed after it was published", tag)
 		}
-		t.Fatal("a value reachable from a held snapshot changed after it was published")
+	}
+	requireUnchanged("across folds and growths", held, before)
+
+	// Page sharing, from the last growth on. The hot objects are IDs 0..7;
+	// neighbour shares their page and is never answered, far1 and far2 lie in
+	// pages no fold of this phase writes.
+	const neighbour, far1, far2 = 200, 300, 600
+	mid := last
+	midModel := mid.Res.Model.(*core.Model)
+	midBefore, midAdvances := captureReachable(mid), s.Stats().PlanAdvances
+	for round := 62; round < 122; round++ {
+		answer(round)
+		waitApplied(t, s, answers, mutations)
+	}
+	final := s.Snapshot()
+	finalModel := final.Res.Model.(*core.Model)
+	if st := s.Stats(); st.PlanBuilds != 1 || st.PlanFallbacks != 0 || st.PlanAdvances < midAdvances+60 {
+		t.Fatalf("the fold-only phase left the delta path: %+v", st)
+	}
+	for _, far := range []int{far1, far2} {
+		if &finalModel.MuAt(far)[0] != &midModel.MuAt(far)[0] || &finalModel.NAt(far)[0] != &midModel.NAt(far)[0] {
+			t.Fatalf("object %d lies in a page no fold touched, yet 60 cycles later its rows are a copy", far)
+		}
+	}
+	if &finalModel.MuAt(neighbour)[0] == &midModel.MuAt(neighbour)[0] {
+		t.Fatal("the hot objects' page was written in place: their neighbour still reads the held snapshot's memory")
+	}
+	if !reflect.DeepEqual(finalModel.MuAt(neighbour), midModel.MuAt(neighbour)) || finalModel.DAt(neighbour) != midModel.DAt(neighbour) {
+		t.Fatal("copying the page changed an untouched neighbour's values")
+	}
+	requireUnchanged("across fold-only cycles", held, before)
+	requireUnchanged("across fold-only cycles, from the last growth", mid, midBefore)
+
+	// Negative control: what a fold that skipped the ownership step would do
+	// — write the row it reads, which still aliases the held snapshot's page.
+	rogue := midModel.Clone()
+	rogue.MuAt(neighbour)[0] += 0.25
+	if reflect.DeepEqual(captureReachable(mid), midBefore) {
+		t.Fatal("a write that skipped the page copy went unnoticed: the check above cannot see aliasing")
 	}
 }
 
@@ -311,5 +367,8 @@ func TestNumericTrustEndpoint(t *testing.T) {
 	}
 	if st := s.Stats(); st.PlanAdvances == 0 || st.PlanBuilds != 2 {
 		t.Fatalf("numeric folds must advance the plan, refits build it: %+v", st)
+	}
+	if got := seriesFloat(t, scrapeMetrics(t, ts.URL), "tdh_ueai_max"); got != 0 {
+		t.Fatalf("tdh_ueai_max = %v on a campaign with no TDH model", got)
 	}
 }
