@@ -43,7 +43,6 @@ func DefaultSnapshotmut() SnapshotmutConfig {
 			"internal/core.Model.updateMu",
 			"internal/core.Model.updatePhi",
 			"internal/core.Model.updatePsi",
-			"internal/core.Model.refreshSufficientStats",
 			"internal/core.Model.refreshObjectStats",
 			"internal/core.Model.Clone",
 			// The page-owning writers: the fold and the copy-on-write step

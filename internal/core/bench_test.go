@@ -45,9 +45,8 @@ func BenchmarkRun(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			idx := data.NewIndex(c.ds())
 			b.ReportAllocs()
-			b.ResetTimer()
 			evals := 0
-			for i := 0; i < b.N; i++ {
+			for b.Loop() {
 				evals = Run(idx, DefaultOptions()).Iterations
 			}
 			b.ReportMetric(float64(evals), "evaluations/op")

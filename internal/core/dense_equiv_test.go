@@ -472,6 +472,38 @@ func TestDenseEngineMatchesSeedWithWorkersAndAblations(t *testing.T) {
 	}
 }
 
+// singleCandidateAnswered is BirthPlaces with two worker answers on every
+// object whose sources all agree, answers that keep its one candidate, plus
+// withTruthAnswers' answers: most answered objects then take the claim
+// kernel's single-candidate path.
+func singleCandidateAnswered() *data.Dataset {
+	ds := synth.BirthPlaces(synth.BirthPlacesConfig{Seed: 7, Scale: 0.02})
+	idx := data.NewIndex(ds)
+	for oid := range idx.Views {
+		if ov := idx.ViewAt(oid); ov.CI.NumValues() == 1 {
+			for _, w := range []string{"wa", "wb"} {
+				ds.Answers = append(ds.Answers, data.Answer{Object: ov.Object, Worker: w, Value: ov.CI.Values[0]})
+			}
+		}
+	}
+	return withTruthAnswers(ds)
+}
+
+// TestDenseEngineMatchesSeedWideAndSingleCandidate covers the two claim
+// kernel paths the synthetic workloads reach least: an object above the
+// dense-table cap (wideDataset, with both ablations) and answered objects
+// with a single candidate.
+func TestDenseEngineMatchesSeedWideAndSingleCandidate(t *testing.T) {
+	for _, opt := range []Options{
+		DefaultOptions(),
+		func() Options { o := DefaultOptions(); o.FlatModel = true; return o }(),
+		func() Options { o := DefaultOptions(); o.UniformWorkerErrors = true; return o }(),
+	} {
+		checkDenseMatchesReference(t, wideDataset(), opt)
+	}
+	checkDenseMatchesReference(t, singleCandidateAnswered(), DefaultOptions())
+}
+
 // TestRunReachesPlainFixedPoint pins what acceleration must not change: on
 // the package's fixtures Run stops where plain EM would, only sooner. These
 // are pinned fixtures, not a universal property — EM's fixed point depends
@@ -560,24 +592,50 @@ func TestRunReachesPlainFixedPoint(t *testing.T) {
 
 // TestStepSteadyStateAllocs: after the first pass builds the scratch
 // buffers, neither a plain EM iteration nor a whole accelerated cycle (two
-// plain steps, extrapolation and projection, stabilising step) allocates.
+// plain steps, extrapolation and projection, stabilising step) allocates —
+// nor do the other users of the claim kernel: finish, Grow's local step on
+// a rebuilt object, and LogPosterior. The wide fixture adds the rows an
+// object above the dense-table cap materialises.
 func TestStepSteadyStateAllocs(t *testing.T) {
-	ds := synth.BirthPlaces(synth.BirthPlacesConfig{Seed: 2, Scale: 0.02})
-	idx := data.NewIndex(ds)
-	m := NewModel(idx, DefaultOptions())
-	m.StepOnce() // warm up scratch
-	allocs := testing.AllocsPerRun(5, func() { m.StepOnce() })
-	if allocs > 0 {
-		t.Fatalf("sequential StepOnce allocates %v per iteration in steady state", allocs)
-	}
-	cycle := func() {
-		for i := 0; i < 3; i++ {
-			m.evaluate(1)
+	for _, ds := range []*data.Dataset{synth.BirthPlaces(synth.BirthPlacesConfig{Seed: 2, Scale: 0.02}), wideDataset()} {
+		idx := data.NewIndex(ds)
+		m := NewModel(idx, DefaultOptions())
+		m.StepOnce() // warm up scratch
+		allocs := testing.AllocsPerRun(5, func() { m.StepOnce() })
+		if allocs > 0 {
+			t.Fatalf("%s: sequential StepOnce allocates %v per iteration in steady state", ds.Name, allocs)
 		}
-	}
-	m = NewModel(idx, DefaultOptions())
-	cycle()
-	if allocs := testing.AllocsPerRun(3, cycle); allocs > 0 {
-		t.Fatalf("an accelerated cycle allocates %v in steady state", allocs)
+		cycle := func() {
+			for i := 0; i < 3; i++ {
+				m.evaluate(1)
+			}
+		}
+		m = NewModel(idx, DefaultOptions())
+		cycle()
+		if allocs := testing.AllocsPerRun(3, cycle); allocs > 0 {
+			t.Fatalf("%s: an accelerated cycle allocates %v in steady state", ds.Name, allocs)
+		}
+		if allocs := testing.AllocsPerRun(3, m.finish); allocs > 0 {
+			t.Fatalf("%s: finish allocates %v in steady state", ds.Name, allocs)
+		}
+		if allocs := testing.AllocsPerRun(3, func() { m.LogPosterior() }); allocs > 0 {
+			t.Fatalf("%s: LogPosterior allocates %v in steady state", ds.Name, allocs)
+		}
+		// Grow's local step, with the kernel Grow prepares for it.
+		oids := make([]int, idx.NumObjects())
+		for oid := range oids {
+			oids[oid] = oid
+		}
+		var k claimKernel
+		k.prepareObjects(m, oids)
+		local := func() {
+			for _, oid := range oids {
+				m.refreshObjectStats(oid, &k, &k.bufs[0])
+			}
+		}
+		local()
+		if allocs := testing.AllocsPerRun(3, local); allocs > 0 {
+			t.Fatalf("%s: Grow's local step allocates %v in steady state", ds.Name, allocs)
+		}
 	}
 }

@@ -27,15 +27,20 @@ import (
 // still a deterministic from-scratch function of the index: there is no
 // warm start and no state carried between calls.
 //
-// The E-step runs in two allocation-free passes over reusable scratch
-// buffers: pass A walks objects (range-partitioned across workers),
-// computing each claim's truth posterior — pure table lookups thanks to the
-// precomputed relationship/popularity tables in data.ObjectView — and
-// storing the per-claim class posterior; pass B reduces those per-claim
-// posteriors participant-major through the index's CSR transpose. Because
-// every float is accumulated in an order fixed by the index (never by the
-// goroutine schedule) and the extrapolation is sequential, results are
-// bit-for-bit identical for any worker count.
+// The E-step is one claim kernel over reusable scratch buffers. At the top
+// of each evaluation it builds a table per source and per worker of what a
+// claim takes from θ alone (partTab: the case scales, the flat split), so
+// every claim is a fixed pass over its object's precomputed relationship and
+// popularity tables in data.ObjectView. Pass A walks objects
+// (range-partitioned across workers) and dispatches once per object: a flat
+// object with one candidate has the truth posterior [1] whatever θ and μ, so
+// its claims only count; every other claim takes two passes over its
+// object's candidates, one filling the row and its sum z, one normalising it
+// into the μ numerator and the claim's class posterior, which is stored per
+// claim. Pass B reduces those class posteriors participant-major through
+// the index's CSR transpose. Every float is computed in one order fixed by
+// the index (never by the goroutine schedule) and the extrapolation is
+// sequential, so results are bit-for-bit identical for any worker count.
 func Run(idx *data.Index, opt Options) *Model {
 	m := NewModel(idx, opt)
 	opt = m.Opt
@@ -52,14 +57,43 @@ func Run(idx *data.Index, opt Options) *Model {
 // finish ends a fit: one final E-step refresh of N and D so the incremental
 // EM of the task-assignment stage sees sufficient statistics consistent
 // with the final parameters, then μ = N/D re-derived so the exported
-// confidences and the sufficient statistics agree exactly.
+// confidences and the sufficient statistics agree exactly. Each object's
+// refresh reads only its own μ row, so re-deriving it object by object
+// gives what refreshing every object first would.
 func (m *Model) finish() {
-	m.refreshSufficientStats()
-	for oid, d := range m.dFlat {
-		mu, n := m.muRow(oid), m.nRow(oid)
-		if d <= 0 {
-			continue
-		}
+	workers := m.clampWorkers(m.Opt.effectiveWorkers())
+	scr := m.scratch()
+	scr.prepare(m, workers)
+	m.fanOut(workers, scr, (*Model).refreshObjects)
+}
+
+// refreshObjects is finish's body over objects [lo, hi) on goroutine g.
+//
+//tdh:hotpath
+func (m *Model) refreshObjects(scr *emScratch, g, lo, hi int) {
+	for oid := lo; oid < hi; oid++ {
+		m.refreshObjectStats(oid, &scr.claimKernel, &scr.bufs[g])
+	}
+}
+
+// refreshObjectStats recomputes one object's sufficient statistics N, D
+// under the current parameters and re-derives μ = N/D: one local E+M step,
+// finish's body and Grow's for a rebuilt object.
+//
+//tdh:hotpath
+func (m *Model) refreshObjectStats(oid int, k *claimKernel, b *claimBuf) {
+	ov := m.Idx.ViewAt(oid)
+	mu, n := m.muRow(oid), m.nRow(oid)
+	clear(n)
+	m.claimList(ov, ov.SourceClaims, k.src, false, mu, n, nil, b)
+	m.claimList(ov, ov.WorkerClaims, k.wkr, true, mu, n, nil, b)
+	gamma := m.Opt.Gamma
+	for i := range n {
+		n[i] += gamma - 1
+	}
+	d := float64(len(ov.SourceClaims)+len(ov.WorkerClaims)) + float64(len(mu))*(gamma-1)
+	m.dFlat[oid] = d
+	if d > 0 {
 		for i := range mu {
 			mu[i] = n[i] / d
 		}
@@ -171,30 +205,71 @@ func (m *Model) initObjectMu(oid int, counts []float64) []float64 {
 	return counts
 }
 
+// claimKernel is the claim kernel's working set: one table per source and
+// per worker, refilled from φ and ψ before every pass over the claims, and
+// one claim buffer per goroutine.
+type claimKernel struct {
+	src, wkr []partTab
+	bufs     []claimBuf
+}
+
+// prepare refills the participant tables from m's φ and ψ and makes sure
+// there are n claim buffers. It allocates the first time only (and when
+// the model has more participants than the tables).
+func (k *claimKernel) prepare(m *Model, n int) {
+	k.src = fillTabs(k.src, m.Phi)
+	k.wkr = fillTabs(k.wkr, m.Psi)
+	for len(k.bufs) < n {
+		k.bufs = append(k.bufs, claimBuf{})
+	}
+}
+
+// prepareObjects is prepare for one claim buffer and a pass over the
+// objects oids alone, as Grow's local step makes: only participants with a
+// claim on one of them get a table.
+func (k *claimKernel) prepareObjects(m *Model, oids []int) {
+	k.src, k.wkr, k.bufs = make([]partTab, len(m.Phi)), make([]partTab, len(m.Psi)), make([]claimBuf, 1)
+	for _, oid := range oids {
+		ov := m.Idx.ViewAt(oid)
+		for _, cl := range ov.SourceClaims {
+			k.src[cl.Part] = newPartTab(m.Phi[cl.Part])
+		}
+		for _, cl := range ov.WorkerClaims {
+			k.wkr[cl.Part] = newPartTab(m.Psi[cl.Part])
+		}
+	}
+}
+
+// fillTabs writes the table of every θ into dst, growing it if needed.
+func fillTabs(dst []partTab, thetas [][3]float64) []partTab {
+	if cap(dst) < len(thetas) {
+		dst = make([]partTab, len(thetas))
+	}
+	dst = dst[:len(thetas)]
+	for i, theta := range thetas {
+		dst[i] = newPartTab(theta)
+	}
+	return dst
+}
+
 // emScratch holds the E-step working set, allocated once per Model and
 // reused every iteration so the steady state allocates nothing.
 type emScratch struct {
+	claimKernel
 	muNum []float64    // flat μ numerators, same layout as Model.muFlat
 	srcG  [][3]float64 // class posterior of every source claim (global ID)
 	wkrG  [][3]float64 // class posterior of every worker answer (global ID)
-	fBufs [][]float64  // per-goroutine truth-posterior buffers
 	// The SQUAREM cycle's three iterates θ0, θ1, θ2, each the flattened
 	// parameter vector (μ, φ, ψ) in saveParams layout.
 	th0, th1, th2 []float64
 }
 
-// scratch returns the reusable E-step buffers, growing fBufs to nWorkers.
-func (m *Model) scratch(nWorkers int) *emScratch {
+// scratch returns the reusable E-step buffers.
+func (m *Model) scratch() *emScratch {
 	if m.muFlat == nil {
-		panic("core: EM step on a cloned model; a clone is fold-only")
+		panic("core: EM on a cloned model; a clone is fold-only")
 	}
 	if m.scr == nil {
-		maxNV := 0
-		for i := range m.Idx.Views {
-			if n := m.Idx.Views[i].CI.NumValues(); n > maxNV {
-				maxNV = n
-			}
-		}
 		nParams := len(m.muFlat) + 3*len(m.Phi) + 3*len(m.Psi)
 		m.scr = &emScratch{
 			muNum: make([]float64, len(m.muFlat)),
@@ -204,19 +279,46 @@ func (m *Model) scratch(nWorkers int) *emScratch {
 			th1:   make([]float64, nParams),
 			th2:   make([]float64, nParams),
 		}
-		m.scrMaxNV = maxNV
-	}
-	for len(m.scr.fBufs) < nWorkers {
-		m.scr.fBufs = append(m.scr.fBufs, make([]float64, m.scrMaxNV))
 	}
 	return m.scr
+}
+
+// clampWorkers bounds a goroutine count to [1, |O|].
+func (m *Model) clampWorkers(workers int) int {
+	return max(1, min(workers, len(m.Idx.Views)))
+}
+
+// fanOut runs body over the object IDs [0, |O|) cut into `workers`
+// contiguous ranges, range g on goroutine g, and waits for all of them; one
+// worker runs inline and allocates nothing. Every range is owned by one
+// goroutine, so per-object and per-claim slots are written without
+// synchronization.
+func (m *Model) fanOut(workers int, scr *emScratch, body func(m *Model, scr *emScratch, g, lo, hi int)) {
+	nObj := len(m.Idx.Views)
+	if workers <= 1 {
+		body(m, scr, 0, 0, nObj)
+		return
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		lo, hi := g*nObj/workers, (g+1)*nObj/workers
+		if lo == hi {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			body(m, scr, g, lo, hi)
+		}()
+	}
+	wg.Wait()
 }
 
 // evaluate performs Run's next E/M evaluation and returns its max confidence
 // delta. The position in the three-evaluation SQUAREM cycle is the
 // evaluation count itself, so a capped run simply ends mid-cycle.
 func (m *Model) evaluate(workers int) float64 {
-	switch scr := m.scratch(1); m.Iterations % 3 {
+	switch scr := m.scratch(); m.Iterations % 3 {
 	case 0:
 		m.saveParams(scr.th0)
 	case 1:
@@ -307,36 +409,15 @@ func projectSimplex(dst, src []float64) {
 // which it also records as FinalDelta. workers > 1 parallelizes both E-step
 // passes; results are independent of the worker count.
 func (m *Model) step(workers int) float64 {
-	nObj := len(m.Idx.Views)
-	if workers > nObj {
-		workers = nObj
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	scr := m.scratch(workers)
+	workers = m.clampWorkers(workers)
+	scr := m.scratch()
+	scr.prepare(m, workers)
 	clear(scr.muNum)
 
-	// Pass A: per-object truth posteriors. Objects are range-partitioned;
-	// each goroutine owns a contiguous ID range, so every muNum segment and
-	// every per-claim slot is written by exactly one goroutine.
-	if workers == 1 {
-		m.eStepObjects(0, nObj, scr.muNum, scr, scr.fBufs[0])
-	} else {
-		var wg sync.WaitGroup
-		for g := 0; g < workers; g++ {
-			lo, hi := g*nObj/workers, (g+1)*nObj/workers
-			if lo == hi {
-				continue
-			}
-			wg.Add(1)
-			go func(lo, hi int, f []float64) {
-				defer wg.Done()
-				m.eStepObjects(lo, hi, scr.muNum, scr, f)
-			}(lo, hi, scr.fBufs[g])
-		}
-		wg.Wait()
-	}
+	// Pass A: per-object truth posteriors. Each goroutine owns a contiguous
+	// object range, so every muNum segment and every per-claim slot is
+	// written by exactly one goroutine.
+	m.fanOut(workers, scr, (*Model).eStepObjects)
 
 	// Pass B folded into the M-step: per-participant reductions over the
 	// CSR transpose (order fixed by the index, not the schedule).
@@ -344,116 +425,20 @@ func (m *Model) step(workers int) float64 {
 	return m.FinalDelta
 }
 
-// eStepObjects computes, for every claim of objects [lo, hi): the truth
-// posterior f (accumulated into the object's μ numerator) and the
-// relationship-class posterior g (stored per claim for pass B).
+// eStepObjects is pass A over objects [lo, hi) on goroutine g: the claim
+// kernel over every claim, the truth posteriors accumulating into the
+// objects' μ numerators and the class posteriors landing in the per-claim
+// slots pass B reduces.
 //
 //tdh:hotpath
-func (m *Model) eStepObjects(lo, hi int, muNum []float64, scr *emScratch, f []float64) {
+func (m *Model) eStepObjects(scr *emScratch, g, lo, hi int) {
+	idx, b := m.Idx, &scr.bufs[g]
 	for oid := lo; oid < hi; oid++ {
-		ov := m.Idx.ViewAt(oid)
-		mu := m.muRow(oid)
-		acc := muNum[m.off[oid]:m.off[oid+1]]
-		flat := flatObject(m, ov)
-		sBase := int(m.Idx.SrcClaimStart[oid])
-		for k, cl := range ov.SourceClaims {
-			phi := m.Phi[cl.Part]
-			fr := f[:len(mu)]
-			m.sourceClaimRow(ov, int(cl.Val), phi, flat, fr)
-			posteriorFromRow(fr, mu)
-			for i, fi := range fr {
-				acc[i] += fi
-			}
-			scr.srcG[sBase+k] = classPosterior(ov, int(cl.Val), phi, flat, fr)
-		}
-		wBase := int(m.Idx.WkrClaimStart[oid])
-		for k, cl := range ov.WorkerClaims {
-			psi := m.Psi[cl.Part]
-			fr := f[:len(mu)]
-			m.workerClaimRow(ov, int(cl.Val), psi, flat, fr)
-			posteriorFromRow(fr, mu)
-			for i, fi := range fr {
-				acc[i] += fi
-			}
-			scr.wkrG[wBase+k] = classPosterior(ov, int(cl.Val), psi, flat, fr)
-		}
+		ov := idx.ViewAt(oid)
+		mu, acc := m.muRow(oid), scr.muNum[m.off[oid]:m.off[oid+1]]
+		m.claimList(ov, ov.SourceClaims, scr.src, false, mu, acc, scr.srcG[idx.SrcClaimStart[oid]:idx.SrcClaimStart[oid+1]], b)
+		m.claimList(ov, ov.WorkerClaims, scr.wkr, true, mu, acc, scr.wkrG[idx.WkrClaimStart[oid]:idx.WkrClaimStart[oid+1]], b)
 	}
-}
-
-// posteriorFromRow turns a claim-probability row into the truth posterior
-// f^v in place: f[tr] = P(claim | tr)·μ_tr, normalized (uniform when the
-// total mass underflows to zero).
-//
-//tdh:hotpath
-func posteriorFromRow(f, mu []float64) {
-	z := 0.0
-	for tr, p := range f {
-		p *= mu[tr]
-		f[tr] = p
-		z += p
-	}
-	if z <= 0 {
-		u := 1.0 / float64(len(f))
-		for i := range f {
-			f[i] = u
-		}
-		return
-	}
-	for i := range f {
-		f[i] /= z
-	}
-}
-
-// classPosterior computes (g¹,g²,g³) from the truth posterior f: the
-// relationship classes partition the candidate space, so g^t is the f-mass
-// of candidates in relationship t with the claim (Figure 4). For truths
-// whose likelihood merged the exact and generalized cases (Eq. 2 — whole
-// objects outside OH, and candidate truths without candidate ancestors),
-// the exact-match mass splits between classes 1 and 2 in proportion θ₁:θ₂.
-//
-//tdh:hotpath
-func classPosterior(ov *data.ObjectView, c int, theta [3]float64, flat bool, f []float64) [3]float64 {
-	var g [3]float64
-	if flat {
-		// Eq. (2): the exact-match likelihood carried θ₁+θ₂, so its mass
-		// splits between classes 1 and 2 in that proportion.
-		split := theta[0] + theta[1]
-		if split <= 0 {
-			split = 1
-		}
-		g[0] = f[c] * theta[0] / split
-		g[1] = f[c] * theta[1] / split
-		for i, fi := range f {
-			if i != c {
-				g[2] += fi
-			}
-		}
-		return g
-	}
-	if rel := ov.RelRow(c); rel != nil {
-		for tr, fi := range f {
-			switch rel[tr] {
-			case 1:
-				g[0] += fi
-			case 2:
-				g[1] += fi
-			default:
-				g[2] += fi
-			}
-		}
-		return g
-	}
-	for tr, fi := range f {
-		switch ov.Rel(c, tr) {
-		case 1:
-			g[0] += fi
-		case 2:
-			g[1] += fi
-		default:
-			g[2] += fi
-		}
-	}
-	return g
 }
 
 // mStep applies the M-step updates (Eqs. 9–11) from the aggregated E-step
@@ -571,68 +556,6 @@ func (m *Model) updatePsi(scr *emScratch, lo, hi int) {
 			(num[2] + m.Opt.Beta[2] - 1) / den,
 		})
 	}
-}
-
-// refreshSufficientStats recomputes N_{o,v} and D_o (the numerator and
-// denominator of Eq. 9) under the final parameters, in parallel over
-// object ranges.
-func (m *Model) refreshSufficientStats() {
-	workers := m.Opt.effectiveWorkers()
-	nObj := len(m.Idx.Views)
-	if workers > nObj {
-		workers = nObj
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	scr := m.scratch(workers)
-	gamma := m.Opt.Gamma
-	refresh := func(lo, hi int, f []float64) {
-		for oid := lo; oid < hi; oid++ {
-			ov := m.Idx.ViewAt(oid)
-			mu := m.muRow(oid)
-			flat := flatObject(m, ov)
-			num := m.nRow(oid)
-			clear(num)
-			for _, cl := range ov.SourceClaims {
-				fr := f[:len(mu)]
-				m.sourceClaimRow(ov, int(cl.Val), m.Phi[cl.Part], flat, fr)
-				posteriorFromRow(fr, mu)
-				for i, fi := range fr {
-					num[i] += fi
-				}
-			}
-			for _, cl := range ov.WorkerClaims {
-				fr := f[:len(mu)]
-				m.workerClaimRow(ov, int(cl.Val), m.Psi[cl.Part], flat, fr)
-				posteriorFromRow(fr, mu)
-				for i, fi := range fr {
-					num[i] += fi
-				}
-			}
-			for i := range num {
-				num[i] += gamma - 1
-			}
-			m.dFlat[oid] = float64(len(ov.SourceClaims)+len(ov.WorkerClaims)) + float64(len(mu))*(gamma-1)
-		}
-	}
-	if workers == 1 {
-		refresh(0, nObj, scr.fBufs[0])
-		return
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < workers; g++ {
-		lo, hi := g*nObj/workers, (g+1)*nObj/workers
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int, f []float64) {
-			defer wg.Done()
-			refresh(lo, hi, f)
-		}(lo, hi, scr.fBufs[g])
-	}
-	wg.Wait()
 }
 
 //tdh:hotpath

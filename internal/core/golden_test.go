@@ -146,3 +146,23 @@ func TestRunGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestGrowGolden pins Model.Grow's local step the same way: the hashes of
+// a grown model were recorded before the claim kernel replaced Grow's own
+// copy of the claim loop.
+func TestGrowGolden(t *testing.T) {
+	for _, c := range []struct {
+		ds   *data.Dataset
+		want uint64
+	}{
+		{withTruthAnswers(synth.BirthPlaces(synth.BirthPlacesConfig{Seed: 5, Scale: 0.02})), 0xd249c5f3aebc605d},
+		{withTruthAnswers(synth.Heritages(synth.HeritagesConfig{Seed: 5, Scale: 0.05})), 0xac109341d74bbe1d},
+	} {
+		base, mut := splitForGrowth(c.ds)
+		baseIdx := data.NewIndex(base)
+		grown, touched := baseIdx.Extend(applyMutation(base, mut), mut)
+		if got := fitHash(Run(baseIdx, DefaultOptions()).Grow(grown, touched)); got != c.want {
+			t.Errorf("%s: grown model hash %#x, want %#x", c.ds.Name, got, c.want)
+		}
+	}
+}

@@ -46,13 +46,15 @@ func (m *Model) Grow(next *data.Index, touched []int) *Model {
 		g.dFlat[oid] = m.DAt(oid)
 	}
 
-	var counts, f []float64
+	var counts []float64
+	var k claimKernel
+	k.prepareObjects(g, touched)
 	for _, oid := range touched {
 		counts = g.initObjectMu(oid, counts)
 		if oid < len(m.Idx.Views) {
 			g.blendPreviousMu(oid, m)
 		}
-		f = g.refreshObjectStats(oid, f)
+		g.refreshObjectStats(oid, &k, &k.bufs[0])
 	}
 	return g
 }
@@ -88,47 +90,4 @@ func (g *Model) blendPreviousMu(oid int, prev *Model) {
 	for i := range mu {
 		mu[i] /= total
 	}
-}
-
-// refreshObjectStats recomputes one object's sufficient statistics N, D
-// under the current parameters (the single-object body of
-// refreshSufficientStats) and re-derives μ = N/D, i.e. one local E+M step.
-// The f buffer is reused across calls and returned grown.
-func (m *Model) refreshObjectStats(oid int, f []float64) []float64 {
-	ov := m.Idx.ViewAt(oid)
-	mu := m.muRow(oid)
-	if cap(f) < len(mu) {
-		f = make([]float64, len(mu))
-	}
-	flat := flatObject(m, ov)
-	num := m.nRow(oid)
-	clear(num)
-	for _, cl := range ov.SourceClaims {
-		fr := f[:len(mu)]
-		m.sourceClaimRow(ov, int(cl.Val), m.Phi[cl.Part], flat, fr)
-		posteriorFromRow(fr, mu)
-		for i, fi := range fr {
-			num[i] += fi
-		}
-	}
-	for _, cl := range ov.WorkerClaims {
-		fr := f[:len(mu)]
-		m.workerClaimRow(ov, int(cl.Val), m.Psi[cl.Part], flat, fr)
-		posteriorFromRow(fr, mu)
-		for i, fi := range fr {
-			num[i] += fi
-		}
-	}
-	gamma := m.Opt.Gamma
-	for i := range num {
-		num[i] += gamma - 1
-	}
-	d := float64(len(ov.SourceClaims)+len(ov.WorkerClaims)) + float64(len(mu))*(gamma-1)
-	m.dFlat[oid] = d
-	if d > 0 {
-		for i := range mu {
-			mu[i] = num[i] / d
-		}
-	}
-	return f
 }

@@ -48,9 +48,8 @@ type Model struct {
 	// which is fold-only and has nothing to step EM on.
 	muFlat, nFlat, dFlat []float64
 
-	off      []int      // off[oid] is the flat offset of object oid's candidates
-	scr      *emScratch // reusable E-step buffers, built lazily, never cloned
-	scrMaxNV int        // largest candidate set, sizes the posterior buffers
+	off []int      // off[oid] is the flat offset of object oid's candidates
+	scr *emScratch // reusable E-step buffers, built lazily, never cloned
 }
 
 // Clone returns the model a fold writes into. It shares everything with m:

@@ -7,64 +7,51 @@ import "math"
 // priors of φ, ψ and μ. EM is guaranteed not to decrease F; the test suite
 // verifies that property on every workload, which catches E/M-step
 // mismatches that accuracy metrics can miss.
+//
+// The likelihood of each claim is z of the E-step's claim kernel, under
+// participant tables refilled from the current φ and ψ, so F costs one pass
+// over the claims and allocates nothing once the model's scratch exists.
+// Like an EM step it writes that scratch: it runs on a fitted model (not a
+// clone) and not concurrently with a fit.
 func (m *Model) LogPosterior() float64 {
+	scr := m.scratch()
+	scr.prepare(m, 1)
+	b := &scr.bufs[0]
 	f := 0.0
 	// Likelihood: Σ_o Σ_s log Σ_v P(v_o^s | φ_s, v*=v)·μ_v  (+ workers).
 	for oid := range m.Idx.Views {
 		ov := m.Idx.ViewAt(oid)
-		mu := m.MuAt(oid)
-		for _, cl := range ov.SourceClaims {
-			phi := m.Phi[cl.Part]
-			p := 0.0
-			for tr := range mu {
-				p += m.sourceClaimProb(ov, int(cl.Val), tr, phi) * mu[tr]
-			}
-			if p < eps {
-				p = eps
-			}
-			f += math.Log(p)
-		}
-		for _, cl := range ov.WorkerClaims {
-			psi := m.Psi[cl.Part]
-			p := 0.0
-			for tr := range mu {
-				p += m.workerClaimProb(ov, int(cl.Val), tr, psi) * mu[tr]
-			}
-			if p < eps {
-				p = eps
-			}
-			f += math.Log(p)
-		}
+		mu := m.muRow(oid)
+		f += m.claimList(ov, ov.SourceClaims, scr.src, false, mu, nil, nil, b)
+		f += m.claimList(ov, ov.WorkerClaims, scr.wkr, true, mu, nil, nil, b)
 	}
 	// Dirichlet log-priors (up to the normalizing constants, which are
 	// parameter-independent and therefore irrelevant for monotonicity).
 	for _, phi := range m.Phi {
-		f += dirichletLogKernel(phi[:], []float64{m.Opt.Alpha[0], m.Opt.Alpha[1], m.Opt.Alpha[2]})
+		f += dirichletLogKernel(phi[:], m.Opt.Alpha[:])
 	}
 	for _, psi := range m.Psi {
-		f += dirichletLogKernel(psi[:], []float64{m.Opt.Beta[0], m.Opt.Beta[1], m.Opt.Beta[2]})
+		f += dirichletLogKernel(psi[:], m.Opt.Beta[:])
 	}
+	gamma := [1]float64{m.Opt.Gamma}
 	for oid := range m.Idx.Views {
-		mu := m.MuAt(oid)
-		gammas := make([]float64, len(mu))
-		for i := range gammas {
-			gammas[i] = m.Opt.Gamma
-		}
-		f += dirichletLogKernel(mu, gammas)
+		f += dirichletLogKernel(m.muRow(oid), gamma[:])
 	}
 	return f
 }
 
 // dirichletLogKernel returns Σ (α_i - 1)·log(x_i), the parameter-dependent
-// part of a Dirichlet log-density.
+// part of a Dirichlet log-density. alpha repeats cyclically over x: a single
+// entry is a symmetric prior.
+//
+//tdh:hotpath
 func dirichletLogKernel(x, alpha []float64) float64 {
 	out := 0.0
-	for i := range x {
-		xi := x[i]
+	for i, xi := range x {
 		if xi < eps {
 			xi = eps
 		}
-		out += (alpha[i] - 1) * math.Log(xi)
+		out += (alpha[i%len(alpha)] - 1) * math.Log(xi)
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/data"
@@ -139,6 +140,74 @@ func TestStepOnceMatchesRun(t *testing.T) {
 			for i := 0; i < 3; i++ {
 				if diff := phi[i] - mphi[i]; diff > tol || diff < -tol {
 					t.Fatalf("MaxIter=%d: phi(%s) differs: %v vs %v", maxIter, idx.SourceNames[sid], phi, mphi)
+				}
+			}
+		}
+	}
+}
+
+// refLogPosterior is LogPosterior as the scalar claim model computes it:
+// each claim's likelihood summed truth by truth from sourceClaimProb /
+// workerClaimProb, one Dirichlet parameter slice per μ row.
+func refLogPosterior(m *Model) float64 {
+	f := 0.0
+	for oid := range m.Idx.Views {
+		ov := m.Idx.ViewAt(oid)
+		mu := m.MuAt(oid)
+		for _, cl := range ov.SourceClaims {
+			p := 0.0
+			for tr := range mu {
+				p += m.sourceClaimProb(ov, int(cl.Val), tr, m.Phi[cl.Part]) * mu[tr]
+			}
+			f += math.Log(math.Max(p, eps))
+		}
+		for _, cl := range ov.WorkerClaims {
+			p := 0.0
+			for tr := range mu {
+				p += m.workerClaimProb(ov, int(cl.Val), tr, m.Psi[cl.Part]) * mu[tr]
+			}
+			f += math.Log(math.Max(p, eps))
+		}
+	}
+	for _, phi := range m.Phi {
+		f += dirichletLogKernel(phi[:], []float64{m.Opt.Alpha[0], m.Opt.Alpha[1], m.Opt.Alpha[2]})
+	}
+	for _, psi := range m.Psi {
+		f += dirichletLogKernel(psi[:], []float64{m.Opt.Beta[0], m.Opt.Beta[1], m.Opt.Beta[2]})
+	}
+	for oid := range m.Idx.Views {
+		mu := m.MuAt(oid)
+		gammas := make([]float64, len(mu))
+		for i := range gammas {
+			gammas[i] = m.Opt.Gamma
+		}
+		f += dirichletLogKernel(mu, gammas)
+	}
+	return f
+}
+
+// TestLogPosteriorMatchesScalarReference: the objective read off the claim
+// kernel's z equals the scalar claim model's, to 1e-12 relative, at the
+// initialization and at the fit, on every fixture of TestRunGolden.
+func TestLogPosteriorMatchesScalarReference(t *testing.T) {
+	flat := DefaultOptions()
+	flat.FlatModel = true
+	uniform := DefaultOptions()
+	uniform.UniformWorkerErrors = true
+	for _, ds := range []*data.Dataset{
+		synth.BirthPlaces(synth.BirthPlacesConfig{Seed: 11, Scale: 0.03}),
+		withTruthAnswers(synth.BirthPlaces(synth.BirthPlacesConfig{Seed: 5, Scale: 0.02})),
+		synth.Heritages(synth.HeritagesConfig{Seed: 11, Scale: 0.1}),
+		withTruthAnswers(synth.Heritages(synth.HeritagesConfig{Seed: 5, Scale: 0.05})),
+		wideDataset(),
+	} {
+		idx := data.NewIndex(ds)
+		for _, opt := range []Options{DefaultOptions(), flat, uniform} {
+			for _, m := range []*Model{NewModel(idx, opt), Run(idx, opt)} {
+				got, want := m.LogPosterior(), refLogPosterior(m)
+				if math.Abs(got-want) > 1e-12*math.Abs(want) {
+					t.Errorf("%s (flat %v, uniform %v, %d evaluations): LogPosterior %v, scalar reference %v",
+						ds.Name, opt.FlatModel, opt.UniformWorkerErrors, m.Iterations, got, want)
 				}
 			}
 		}

@@ -9,7 +9,11 @@
 // ID-indexed slices, the claim model reads precomputed relationship and
 // popularity tables, and the E-step reuses scratch buffers so steady-state
 // iterations allocate nothing. Run is the one fit kernel: plain EM steps
-// in SQUAREM cycles, a cold and deterministic function of the index.
+// in SQUAREM cycles, a cold and deterministic function of the index. Every
+// claim goes through one claim kernel (claimList), which builds what a claim
+// takes from θ once per participant per pass and dispatches once per object;
+// the E-step, the sufficient-statistic refresh that ends a fit, Grow's local
+// step and LogPosterior all run it.
 //
 // Between fits the streaming layers fold answers into clones (Section 4.2's
 // one-step incremental EM). A fitted model's μ, N and D are three flat

@@ -1,14 +1,20 @@
 package core
 
-import "repro/internal/data"
+import (
+	"math"
+
+	"repro/internal/data"
+)
 
 // The claim model (Eqs. 1–4) evaluated over the precomputed tables of
 // data.ObjectView: relationship classes, case-possibility masks, 1/|Go|,
 // 1/|rest| and the popularity distributions are all index-time constants,
-// so the per-(claim, truth) probability is a handful of lookups and
-// multiplies. Row variants fill P(claim | truth=·) for every truth at once
-// — the E-step inner loop — and scalar variants serve the incremental EM
-// and external callers.
+// and what a claim takes from its participant's θ is a partTab built once
+// per pass, so the per-(claim, truth) probability is a handful of lookups
+// and a multiply. The claim kernel (claimList) fills a claim's row for every
+// truth at once and turns it into the claim's truth and class posteriors:
+// the E-step's inner loop. Scalar variants serve the incremental EM and
+// external callers.
 
 // flatObject reports whether the whole object is handled by Eq. (2): no
 // ancestor-descendant pair among its candidates (o ∉ OH), or the flat-model
@@ -46,158 +52,210 @@ func caseScale(theta [3]float64, genPossible, wrongPossible bool) float64 {
 	return 1 / s
 }
 
-// caseScaleTab precomputes caseScale for the four possibility masks, so the
-// per-truth scale inside a row fill is a table lookup.
-//
-//tdh:hotpath
-func caseScaleTab(theta [3]float64) [4]float64 {
-	return [4]float64{
-		caseScale(theta, false, false),
-		caseScale(theta, true, false),
-		caseScale(theta, false, true),
-		caseScale(theta, true, true),
-	}
+// partTab is what the claim model takes from one participant's θ (φs or ψw)
+// alone. θ is fixed for a whole pass over the claims, so the kernel builds
+// one table per source and per worker per pass instead of one per claim.
+type partTab struct {
+	theta [3]float64
+	// w[mask][k] = caseScale(θ, mask)·θ_{k+1}: the likelihood weight of a
+	// class-(k+1) claim at a truth with possibility mask `mask` (Eqs. 1 and
+	// 3), before its 1/|Go|, 1/|rest| or popularity factor. The wrong-class
+	// weight is 0 where no wrong value exists.
+	w [4][3]float64
+	// split = θ1+θ2, the likelihood of the exact claim on a flat object
+	// (Eq. 2), or 1 if that is not positive: the exact claim's mass splits
+	// between classes 1 and 2 in proportion θ1:θ2 of it.
+	split float64
+	// one is the class posterior of a claim on a flat object with a single
+	// candidate, whose truth posterior is [1] whatever θ and μ.
+	one [3]float64
 }
 
-// sourceClaimRow fills dst[tr] = P(v_o^s = c | v*_o = tr, φs) for every
-// truth tr (Eqs. 1 and 2).
+// newPartTab builds the table of a participant with trustworthiness θ.
 //
 //tdh:hotpath
-func (m *Model) sourceClaimRow(ov *data.ObjectView, c int, phi [3]float64, flat bool, dst []float64) {
-	nV := len(dst)
-	if flat {
-		if nV <= 1 {
-			dst[0] = 1
-			return
-		}
-		wrong := maxf(phi[2]/float64(nV-1), eps)
-		for tr := range dst {
-			dst[tr] = wrong
-		}
-		dst[c] = phi[0] + phi[1]
-		return
+func newPartTab(theta [3]float64) partTab {
+	t := partTab{theta: theta, split: theta[0] + theta[1]}
+	if t.split <= 0 {
+		t.split = 1
 	}
-	scaleTab := caseScaleTab(phi)
-	masks := ov.CaseMasks()
-	invGo := ov.InvGoSizes()
-	invRest := ov.InvRestSizes()
-	if rel := ov.RelRow(c); rel != nil {
-		for tr := range dst {
-			sc := scaleTab[masks[tr]]
-			var p float64
-			switch rel[tr] {
-			case 1:
-				p = sc * phi[0]
-			case 2:
-				p = sc * phi[1] * invGo[tr]
-			default:
-				p = sc * phi[2] * invRest[tr]
-			}
-			if p < eps {
-				p = eps
-			}
-			dst[tr] = p
+	t.one = [3]float64{theta[0] / t.split, theta[1] / t.split, 0}
+	for mask := range t.w {
+		sc := caseScale(theta, mask&1 != 0, mask&2 != 0)
+		t.w[mask] = [3]float64{sc * theta[0], sc * theta[1], sc * theta[2]}
+		if mask&2 == 0 {
+			t.w[mask][2] = 0
 		}
-		return
 	}
-	for tr := range dst {
-		sc := scaleTab[masks[tr]]
-		var p float64
-		switch ov.Rel(c, tr) {
-		case 1:
-			p = sc * phi[0]
-		case 2:
-			p = sc * phi[1] * invGo[tr]
-		default:
-			p = sc * phi[2] * invRest[tr]
-		}
-		if p < eps {
-			p = eps
-		}
-		dst[tr] = p
-	}
+	return t
 }
 
-// workerClaimRow fills dst[tr] = P(v_o^w = c | v*_o = tr, ψw) for every
-// truth tr (Eqs. 3 and 4), mixing the popularity distributions Pop2/Pop3
-// computed from the source records unless the ablation flag disables them.
+// claimBuf is one goroutine's working rows, grown to the widest object it
+// has met: a claim's row, and the relationship and popularity rows of a claim
+// on an object above the index's dense-table cap.
+type claimBuf struct {
+	row, p2, p3 []float64
+	rel         []uint8
+}
+
+// rowFor returns the claim row for an object with n candidates.
 //
 //tdh:hotpath
-func (m *Model) workerClaimRow(ov *data.ObjectView, c int, psi [3]float64, flat bool, dst []float64) {
-	nV := len(dst)
-	uniform := m.Opt.UniformWorkerErrors
-	pop2 := ov.Pop2Row(c)
-	pop3 := ov.Pop3Row(c)
-	if flat {
-		if nV <= 1 {
-			dst[0] = 1
-			return
-		}
-		switch {
-		case uniform:
-			wrong := maxf(psi[2]/float64(nV-1), eps)
-			for tr := range dst {
-				dst[tr] = wrong
-			}
-		case pop3 != nil:
-			for tr := range dst {
-				dst[tr] = maxf(psi[2]*pop3[tr], eps)
-			}
-		default: // above the table cap: per-truth Pop3 fallback
-			for tr := range dst {
-				dst[tr] = maxf(psi[2]*ov.Pop3(c, tr), eps)
-			}
-		}
-		dst[c] = psi[0] + psi[1]
-		return
+func (b *claimBuf) rowFor(n int) []float64 {
+	if cap(b.row) < n {
+		b.row = make([]float64, n) //tdh:allocok grows to the widest object once, then steady
 	}
-	scaleTab := caseScaleTab(psi)
-	masks := ov.CaseMasks()
-	invGo := ov.InvGoSizes()
-	invRest := ov.InvRestSizes()
-	rel := ov.RelRow(c)
-	for tr := range dst {
-		sc := scaleTab[masks[tr]]
-		var r uint8
-		if rel != nil {
-			r = rel[tr]
+	return b.row[:n]
+}
+
+// wideRows materialises into b what the index keeps no table for on an
+// object above its dense-table cap: claim value c's relationship row and,
+// with pop, its popularity rows Pop2/Pop3, from the per-truth fallbacks.
+// Without pop, p2 and p3 pass through.
+//
+//tdh:hotpath
+func (b *claimBuf) wideRows(ov *data.ObjectView, c int, pop bool, p2, p3 []float64) ([]uint8, []float64, []float64) {
+	nV := ov.CI.NumValues()
+	if cap(b.rel) < nV {
+		b.rel = make([]uint8, nV)  //tdh:allocok grows once to the widest object above the table cap
+		b.p2 = make([]float64, nV) //tdh:allocok as above
+		b.p3 = make([]float64, nV) //tdh:allocok as above
+	}
+	rel := b.rel[:nV]
+	for tr := range rel {
+		rel[tr] = ov.Rel(c, tr)
+	}
+	if pop {
+		p2, p3 = b.p2[:nV], b.p3[:nV]
+		for tr := range p2 {
+			p2[tr], p3[tr] = ov.Pop2(c, tr), ov.Pop3(c, tr)
+		}
+	}
+	return rel, p2, p3
+}
+
+// claimList is the claim kernel over one of ov's claim lists under the μ
+// row mu, tabs holding the participant tables of the list's kind. It
+// dispatches once per object: a flat object with one candidate has the
+// truth posterior [1] whatever θ and μ, so its claims only count; every
+// other claim takes two passes over the candidates. Pass 1 fills
+// row[tr] = P(claim | v* = tr)·μ_tr (Eqs. 1–4, each probability floored at
+// eps before the product) and its sum z, the claim's likelihood under μ
+// (Eq. 6). Pass 2 normalises the row into the truth posterior f (uniform
+// when z underflowed), adds it into acc and sums the class posterior g
+// (Figure 4): the f-mass of the truths in each relationship class with the
+// claim — on a flat object the exact-match mass split between classes 1 and
+// 2 in proportion θ1:θ2, since its likelihood merged the two (Eq. 2). g is
+// stored at the claim's position in gs unless gs is nil.
+//
+// With acc nil the kernel stops after pass 1, writes nothing, and returns
+// Σ log z over the list, each z floored at eps: the likelihood term of the
+// MAP objective (LogPosterior). Otherwise it returns 0.
+//
+//tdh:hotpath
+func (m *Model) claimList(ov *data.ObjectView, claims []data.Claim, tabs []partTab, worker bool, mu, acc []float64, gs [][3]float64, b *claimBuf) (ll float64) {
+	if len(claims) == 0 {
+		return 0
+	}
+	flat := flatObject(m, ov)
+	if flat && len(mu) == 1 {
+		for k, cl := range claims {
+			if acc == nil {
+				ll += math.Log(maxf(mu[0], eps))
+				continue
+			}
+			acc[0]++
+			if gs != nil {
+				gs[k] = tabs[cl.Part].one
+			}
+		}
+		return ll
+	}
+	// A claim reads its relationship row and the per-truth factors p2, p3 of
+	// the generalized and wrong classes: 1/|Go| and 1/|rest| for a source or
+	// under UniformWorkerErrors, the popularity rows Pop2/Pop3 for a worker
+	// (Eq. 3). On a flat object p3 is the worker's Pop3 or nil, uniform over
+	// the other candidates (Eq. 2).
+	pop := worker && !m.Opt.UniformWorkerErrors
+	invGo, invRest := ov.InvGoSizes(), ov.InvRestSizes()
+	if flat {
+		invGo, invRest = nil, nil
+	}
+	row, masks := b.rowFor(len(mu)), ov.CaseMasks()
+	for k, cl := range claims {
+		c, t := int(cl.Val), &tabs[cl.Part]
+		rel, p2, p3 := ov.RelRow(c), invGo, invRest
+		if pop {
+			p2, p3 = ov.Pop2Row(c), ov.Pop3Row(c)
+		}
+		if rel == nil {
+			rel, p2, p3 = b.wideRows(ov, c, pop, p2, p3)
+		}
+		z := 0.0
+		if flat {
+			wrong := 0.0
+			if p3 == nil {
+				wrong = maxf(t.theta[2]/float64(len(mu)-1), eps)
+			}
+			for tr, mt := range mu {
+				p := wrong
+				if tr == c {
+					p = t.theta[0] + t.theta[1]
+				} else if p3 != nil {
+					p = maxf(t.theta[2]*p3[tr], eps)
+				}
+				p *= mt
+				row[tr] = p
+				z += p
+			}
 		} else {
-			r = ov.Rel(c, tr)
-		}
-		var p float64
-		switch r {
-		case 1:
-			p = sc * psi[0]
-		case 2:
-			p2 := invGo[tr]
-			if !uniform {
-				if pop2 != nil {
-					p2 = pop2[tr]
-				} else {
-					p2 = ov.Pop2(c, tr)
+			for tr, mt := range mu {
+				// Class r+1's weight times its factor: 1, 1/|Go| or Pop2, 1/|rest| or Pop3.
+				r := rel[tr] - 1
+				p := t.w[masks[tr]&3][r] * [3]float64{1, p2[tr], p3[tr]}[r]
+				if p < eps {
+					p = eps
 				}
-			}
-			p = sc * psi[1] * p2
-		default:
-			if masks[tr]&2 == 0 {
-				p = 0 // no wrong value possible; floored to eps below
-			} else {
-				p3 := invRest[tr]
-				if !uniform {
-					if pop3 != nil {
-						p3 = pop3[tr]
-					} else {
-						p3 = ov.Pop3(c, tr)
-					}
-				}
-				p = sc * psi[2] * p3
+				p *= mt
+				row[tr] = p
+				z += p
 			}
 		}
-		if p < eps {
-			p = eps
+		if acc == nil {
+			ll += math.Log(maxf(z, eps))
+			continue
 		}
-		dst[tr] = p
+
+		if z <= 0 {
+			for tr := range row {
+				row[tr] = 1
+			}
+			z = float64(len(row))
+		}
+		var g [3]float64
+		if flat {
+			for tr, p := range row {
+				f := p / z
+				acc[tr] += f
+				if tr != c {
+					g[2] += f
+				}
+			}
+			fc := row[c] / z
+			g[0] = fc * t.theta[0] / t.split
+			g[1] = fc * t.theta[1] / t.split
+		} else {
+			for tr, p := range row {
+				f := p / z
+				acc[tr] += f
+				g[rel[tr]-1] += f
+			}
+		}
+		if gs != nil {
+			gs[k] = g
+		}
 	}
+	return ll
 }
 
 // sourceClaimProb implements Eqs. (1) and (2): P(v_o^s = c | v*_o = tr, φs).

@@ -155,6 +155,18 @@ func TestCategoricalFitEquivalence(t *testing.T) {
 	}
 }
 
+// TestCategoricalWorkersReachTheFit: the Workers a TDH engine is built with
+// is the core.Options.Workers it fits with — -1 ("all cores") included —
+// and 0 leaves the inferencer's own setting.
+func TestCategoricalWorkersReachTheFit(t *testing.T) {
+	for _, c := range []struct{ cfg, want int }{{0, 0}, {1, 1}, {4, 4}, {-1, -1}} {
+		e := NewCategorical(infer.NewTDH(), Config{Workers: c.cfg}).(*categorical)
+		if got := e.inf.(infer.TDH).Opt.Workers; got != c.want {
+			t.Errorf("Config{Workers: %d}: TDH fits with Workers %d, want %d", c.cfg, got, c.want)
+		}
+	}
+}
+
 // TestCategoricalWorkersEquivalence pins the moved TDH special-case: the
 // Workers knob (now wired in NewCategorical, previously a type-assertion in
 // the campaign layer) parallelizes the E-step without changing the result.
