@@ -263,15 +263,6 @@ func BenchmarkDatasetGeneration(b *testing.B) {
 	})
 }
 
-// BenchmarkIndexBuild times the candidate-set index construction.
-func BenchmarkIndexBuild(b *testing.B) {
-	ds := synth.BirthPlaces(synth.BirthPlacesConfig{Seed: 7, Scale: 0.25})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		data.NewIndex(ds)
-	}
-}
-
 // BenchmarkTaskThroughput measures cold-worker /task serving: every request
 // arrives from a worker with no pending assignment, so each one runs the
 // full EAI assignment path against the published snapshot. With the

@@ -66,9 +66,8 @@ func DefaultSnapshotmut() SnapshotmutConfig {
 			"internal/data.NewIndex",
 			"internal/data.Index.buildDerived",
 			"internal/data.Index.Extend",
-			"internal/data.Index.rebuildViews",
-			"internal/data.appendAnswerClaims",
-			"internal/data.ObjectView.precompute",
+			"internal/data.builder.views",
+			"internal/data.ObjectView.fillTables",
 			// Inferencers build their Result before handing it over;
 			// nothing outside the package may touch one afterwards.
 			"internal/infer.*",

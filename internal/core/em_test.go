@@ -10,6 +10,15 @@ import (
 	"repro/internal/hierarchy"
 )
 
+// candPos is the position of candidate v, which the test knows is in Vo.
+func candPos(ci *hierarchy.CandidateIndex, v string) int {
+	i, ok := ci.Pos(v)
+	if !ok {
+		panic("candidate " + v + " not in Vo")
+	}
+	return i
+}
+
 func geoTree(t testing.TB) *hierarchy.Tree {
 	t.Helper()
 	tr := hierarchy.New(hierarchy.Root)
@@ -128,7 +137,7 @@ func TestWorkerAnswersShiftConfidence(t *testing.T) {
 		t.Fatalf("bigben = %q, want London", got)
 	}
 	ov := idx.View("bigben")
-	london := ov.CI.Pos["London"]
+	london := candPos(ov.CI, "London")
 	if m.MuOf("bigben")[london] < 0.6 {
 		t.Fatalf("London confidence too low: %v", m.MuOf("bigben"))
 	}
@@ -151,8 +160,8 @@ func TestFlatModelAblation(t *testing.T) {
 	// longer has NY's backing, so its confidence must not dominate.
 	ov := idx.View("statue")
 	mu := m.MuOf("statue")
-	li := ov.CI.Pos["LibertyIsland"]
-	ny := ov.CI.Pos["NY"]
+	li := candPos(ov.CI, "LibertyIsland")
+	ny := candPos(ov.CI, "NY")
 	if mu[li] > mu[ny]+0.2 {
 		t.Fatalf("flat model should not give LibertyIsland hierarchical support: %v", mu)
 	}

@@ -70,9 +70,8 @@ func (g *Model) blendPreviousMu(oid int, prev *Model) {
 	oldMu := prev.MuAt(oid)
 	mu := g.muRow(oid)
 	ci := g.Idx.ViewAt(oid).CI
-	//tdh:orderok CI.Pos maps each candidate value to a distinct mu slot, so iterations write disjoint state
-	for v, oldPos := range oldOv.CI.Pos {
-		if pos, ok := ci.Pos[v]; ok {
+	for oldPos, v := range oldOv.CI.Values {
+		if pos, ok := ci.Pos(v); ok {
 			mu[pos] = oldMu[oldPos]
 		}
 	}

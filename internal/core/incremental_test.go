@@ -14,7 +14,7 @@ func TestPosteriorGivenAnswer(t *testing.T) {
 	m := Run(idx, DefaultOptions())
 	psi := [3]float64{0.8, 0.1, 0.1}
 	ov := idx.View("bigben")
-	london := ov.CI.Pos["London"]
+	london := candPos(ov.CI, "London")
 	f := m.PosteriorGivenAnswer("bigben", psi, london)
 	sum := 0.0
 	for _, p := range f {
@@ -36,7 +36,7 @@ func TestCondConfidenceMatchesManualUpdate(t *testing.T) {
 	psi := m.DefaultPsi()
 	o := "statue"
 	ov := idx.View(o)
-	ans := ov.CI.Pos["LibertyIsland"]
+	ans := candPos(ov.CI, "LibertyIsland")
 	cond := m.CondConfidence(o, psi, ans)
 	f := m.PosteriorGivenAnswer(o, psi, ans)
 	for i := range cond {
@@ -92,9 +92,9 @@ func TestCondConfidenceDampedByClaims(t *testing.T) {
 	mm := Run(data.NewIndex(many), DefaultOptions())
 	psi := [3]float64{0.9, 0.05, 0.05}
 	ovF := data.NewIndex(few).View("o")
-	ansF := ovF.CI.Pos["NY"]
+	ansF := candPos(ovF.CI, "NY")
 	ovM := data.NewIndex(many).View("o")
-	ansM := ovM.CI.Pos["NY"]
+	ansM := candPos(ovM.CI, "NY")
 	shiftFew := mf.CondMaxConfidence("o", psi, ansF) - mf.MaxConfidence("o")
 	shiftMany := mm.CondMaxConfidence("o", psi, ansM) - mm.MaxConfidence("o")
 	if shiftFew <= shiftMany {
@@ -108,7 +108,7 @@ func TestApplyAnswer(t *testing.T) {
 	m := Run(idx, DefaultOptions())
 	o := "bigben"
 	ov := idx.View(o)
-	london := ov.CI.Pos["London"]
+	london := candPos(ov.CI, "London")
 	before := m.MuOf(o)[london]
 	dBefore := m.DOf(o)
 	m.ApplyAnswer(o, "fresh-worker", london)
@@ -136,7 +136,7 @@ func TestIncrementalApproximatesFullEM(t *testing.T) {
 	m := Run(idx, DefaultOptions())
 	o := "bigben"
 	ov := idx.View(o)
-	london := ov.CI.Pos["London"]
+	london := candPos(ov.CI, "London")
 	psi := m.DefaultPsi()
 	inc := m.CondConfidence(o, psi, london)
 
@@ -238,9 +238,9 @@ func TestTruthAtTieBreak(t *testing.T) {
 	m := Run(idx, DefaultOptions())
 	oid, _ := idx.ObjectID("statue")
 	vals := idx.ViewAt(oid).CI.Values // LA, LibertyIsland, NY in some order
-	pos := idx.ViewAt(oid).CI.Pos
+	ci := idx.ViewAt(oid).CI
 	set := func(la, li, ny float64) {
-		m.MuAt(oid)[pos["LA"]], m.MuAt(oid)[pos["LibertyIsland"]], m.MuAt(oid)[pos["NY"]] = la, li, ny
+		m.MuAt(oid)[candPos(ci, "LA")], m.MuAt(oid)[candPos(ci, "LibertyIsland")], m.MuAt(oid)[candPos(ci, "NY")] = la, li, ny
 	}
 	for _, c := range []struct {
 		la, li, ny float64

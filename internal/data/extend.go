@@ -1,9 +1,8 @@
 package data
 
 import (
-	"sort"
-
-	"repro/internal/hierarchy"
+	"cmp"
+	"slices"
 )
 
 // Mutation is a batch of dataset additions applied by Index.Extend: source
@@ -46,7 +45,9 @@ func (mu *Mutation) objects() map[string]bool {
 // its ID, and new names are interned after the existing ones (sorted among
 // themselves, for determinism). Only the objects the mutation touches get
 // their views — candidate index, claim lists, precomputed relationship and
-// popularity tables — rebuilt; untouched views, which dominate under live
+// popularity tables — rebuilt, by the same builder NewIndex runs, over their
+// full claim lists in dataset order, so each rebuilt view equals the one a
+// from-scratch build gives it. Untouched views, which dominate under live
 // growth, are shared with idx. The derived claim numbering and CSR
 // transpose are recomputed (a linear integer pass), so the result is a
 // full-fidelity Index: inference on it matches NewIndex(ds) up to summation
@@ -62,143 +63,57 @@ func (idx *Index) Extend(ds *Dataset, mu Mutation) (*Index, []int) {
 		return idx, nil
 	}
 
-	next := &Index{DS: ds}
-
-	// Gather the touched objects' full value lists in dataset order — the
-	// same order NewIndex sees, so the rebuilt candidate sets are identical
-	// to a from-scratch build — and every participant claiming a touched
-	// object that the old index has not interned. New sources from the
-	// mutation are the common case; a touched object can also carry answers
-	// from workers accepted since the last full refit (the dataset leads
-	// the fitted index under streaming), and their claims must not be
-	// orphaned by the rebuild.
-	perObjVals := make(map[string][]string, len(touchedNames))
-	newSources := map[string]bool{}
-	newWorkers := map[string]bool{}
-	for _, r := range ds.Records {
-		if touchedNames[r.Object] {
-			perObjVals[r.Object] = append(perObjVals[r.Object], r.Value)
-			if _, ok := idx.sourceID[r.Source]; !ok {
-				newSources[r.Source] = true
-			}
+	// Intern the touched objects' claims and seeds. A touched object can
+	// carry claims from participants the old index has not interned: new
+	// sources from the mutation are the common case, and answers from
+	// workers accepted since the last full refit (the dataset leads the
+	// fitted index under streaming) must not be orphaned by the rebuild.
+	b := newBuilder(len(mu.Records), len(mu.Answers))
+	for o := range touchedNames {
+		b.objs.id(o)
+	}
+	for i := range ds.Records {
+		if r := &ds.Records[i]; touchedNames[r.Object] {
+			b.addRecord(r)
 		}
 	}
-	for _, a := range ds.Answers {
-		if touchedNames[a.Object] {
-			perObjVals[a.Object] = append(perObjVals[a.Object], a.Value)
-			perObjVals[a.Object] = append(perObjVals[a.Object], a.Values...)
-			if _, ok := idx.workerID[a.Worker]; !ok {
-				newWorkers[a.Worker] = true
-			}
+	for i := range ds.Answers {
+		if a := &ds.Answers[i]; touchedNames[a.Object] {
+			b.addAnswer(a)
 		}
 	}
 	for o, vals := range ds.Candidates {
 		if touchedNames[o] {
-			perObjVals[o] = append(perObjVals[o], vals...)
+			b.addSeeds(o, vals)
 		}
 	}
 
-	// Intern names: existing IDs are positions in the old slices and stay
-	// put; new names are appended (sorted among themselves).
-	next.Objects, next.objectID = extendNames(idx.Objects, idx.objectID, touchedNames)
-	next.SourceNames, next.sourceID = extendNames(idx.SourceNames, idx.sourceID, newSources)
-	next.WorkerNames, next.workerID = extendNames(idx.WorkerNames, idx.workerID, newWorkers)
+	next := &Index{DS: ds}
+	var objFinal, srcFinal, wkrFinal []int32
+	next.Objects, next.objectID, objFinal = b.objs.extend(idx.Objects, idx.objectID)
+	next.SourceNames, next.sourceID, srcFinal = b.srcs.extend(idx.SourceNames, idx.sourceID)
+	next.WorkerNames, next.workerID, wkrFinal = b.wkrs.extend(idx.WorkerNames, idx.workerID)
 
 	// Views: untouched objects share their (immutable) inner structures;
 	// the shallow struct copy exists only to point the back-reference at
-	// the new index. Touched objects are rebuilt from the dataset below.
+	// the new index. Touched objects are rebuilt below.
 	next.Views = make([]ObjectView, len(next.Objects))
 	copy(next.Views, idx.Views)
 	for i := range next.Views {
 		next.Views[i].idx = next
 	}
 
-	touched := make([]int, 0, len(touchedNames))
-	for o := range touchedNames {
-		touched = append(touched, next.objectID[o])
+	procs := make([]int32, len(objFinal))
+	for p := range procs {
+		procs[p] = int32(p)
 	}
-	sort.Ints(touched)
-	next.rebuildViews(touched, perObjVals)
+	slices.SortFunc(procs, func(a, b int32) int { return cmp.Compare(objFinal[a], objFinal[b]) })
+	b.views(next, procs, objFinal, srcFinal, wkrFinal)
 	next.buildDerived()
+
+	touched := make([]int, len(procs))
+	for k, p := range procs {
+		touched[k] = int(objFinal[p])
+	}
 	return next, touched
-}
-
-// extendNames appends the new names (sorted) to the existing ID-ordered
-// slice and returns the slice plus a fresh name→ID map. The map is copied
-// rather than mutated: the old index's map is read lock-free by snapshot
-// readers. Names already interned are ignored.
-func extendNames(names []string, ids map[string]int, add map[string]bool) ([]string, map[string]int) {
-	fresh := make([]string, 0, len(add))
-	for n := range add {
-		if _, ok := ids[n]; !ok {
-			fresh = append(fresh, n)
-		}
-	}
-	sort.Strings(fresh)
-	out := make([]string, len(names), len(names)+len(fresh))
-	copy(out, names)
-	out = append(out, fresh...)
-	m := make(map[string]int, len(out))
-	for i, n := range out {
-		m[n] = i
-	}
-	return out, m
-}
-
-// rebuildViews reconstructs the views of the touched object IDs from the
-// dataset, exactly as NewIndex would: candidate index over the object's full
-// value list, first-wins claim dedup, ID-sorted claim lists, and the
-// precomputed tables.
-func (idx *Index) rebuildViews(touched []int, perObjVals map[string][]string) {
-	ds := idx.DS
-	touchedSet := make(map[int]bool, len(touched))
-	for _, oid := range touched {
-		o := idx.Objects[oid]
-		ci := hierarchy.NewCandidateIndex(ds.H, perObjVals[o])
-		idx.Views[oid] = ObjectView{
-			Object:     o,
-			ID:         oid,
-			CI:         ci,
-			ValueCount: make([]int, ci.NumValues()),
-			idx:        idx,
-		}
-		touchedSet[oid] = true
-	}
-	type pair struct{ o, p int }
-	seen := map[pair]bool{}
-	for _, r := range ds.Records {
-		oid := idx.objectID[r.Object]
-		if !touchedSet[oid] {
-			continue
-		}
-		sid := idx.sourceID[r.Source]
-		if seen[pair{oid, sid}] {
-			continue
-		}
-		seen[pair{oid, sid}] = true
-		ov := &idx.Views[oid]
-		vi := ov.CI.Pos[r.Value]
-		ov.SourceClaims = append(ov.SourceClaims, Claim{int32(sid), int32(vi)})
-		ov.ValueCount[vi]++
-	}
-	clear(seen)
-	for i := range ds.Answers {
-		a := &ds.Answers[i]
-		oid := idx.objectID[a.Object]
-		if !touchedSet[oid] {
-			continue
-		}
-		wid := idx.workerID[a.Worker]
-		if seen[pair{oid, wid}] {
-			continue
-		}
-		seen[pair{oid, wid}] = true
-		appendAnswerClaims(&idx.Views[oid], wid, a)
-	}
-	for _, oid := range touched {
-		ov := &idx.Views[oid]
-		sortClaims(ov.SourceClaims)
-		sortClaims(ov.WorkerClaims)
-		ov.precompute()
-	}
 }

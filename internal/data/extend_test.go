@@ -134,28 +134,14 @@ func TestExtendMatchesScratch(t *testing.T) {
 			scratch.NumSourceClaims(), scratch.NumWorkerClaims())
 	}
 	for _, o := range scratch.Objects {
-		g, s := grown.View(o), scratch.View(o)
+		g := grown.View(o)
 		if g == nil {
 			t.Fatalf("grown index missing object %q", o)
 		}
-		if !reflect.DeepEqual(g.CI.Values, s.CI.Values) {
-			t.Fatalf("%q candidates: grown %v scratch %v", o, g.CI.Values, s.CI.Values)
-		}
-		if !reflect.DeepEqual(g.ValueCount, s.ValueCount) {
-			t.Fatalf("%q value counts: grown %v scratch %v", o, g.ValueCount, s.ValueCount)
-		}
-		// Claims by (participant name, value): same set in both.
-		gs := claimSet(g, true)
-		ss := claimSet(s, true)
-		if !reflect.DeepEqual(gs, ss) {
-			t.Fatalf("%q source claims: grown %v scratch %v", o, gs, ss)
-		}
-		gw := claimSet(g, false)
-		sw := claimSet(s, false)
-		if !reflect.DeepEqual(gw, sw) {
-			t.Fatalf("%q worker claims: grown %v scratch %v", o, gw, sw)
-		}
+		checkSameView(t, g, scratch.View(o))
 	}
+	checkCarved(t, grown)
+	checkCarved(t, scratch)
 	// Participant object lists agree by name.
 	for _, s := range scratch.SourceNames {
 		if got, want := grown.ObjectsOfSource(s), scratch.ObjectsOfSource(s); !sameStringSet(got, want) {
@@ -168,6 +154,90 @@ func TestExtendMatchesScratch(t *testing.T) {
 		}
 	}
 }
+
+// checkSameView compares two views of one object by name: candidate set
+// and hierarchy relations, value counts, claims by participant name, and
+// every precomputed table. Candidate positions agree because Values is
+// sorted in both, so the tables compare entry for entry.
+func checkSameView(t testing.TB, g, s *ObjectView) {
+	t.Helper()
+	o := s.Object
+	if g.Object != o {
+		t.Fatalf("views of %q and %q", g.Object, o)
+	}
+	for _, c := range []struct {
+		what      string
+		got, want any
+	}{
+		{"candidates", g.CI.Values, s.CI.Values},
+		{"Anc", g.CI.Anc, s.CI.Anc},
+		{"Desc", g.CI.Desc, s.CI.Desc},
+		{"Hier", g.CI.Hier, s.CI.Hier},
+		{"value counts", g.ValueCount, s.ValueCount},
+		{"source claims", claimSet(g, true), claimSet(s, true)},
+		{"worker claims", claimSet(g, false), claimSet(s, false)},
+		{"case masks", g.CaseMasks(), s.CaseMasks()},
+		{"1/|Go|", g.InvGoSizes(), s.InvGoSizes()},
+		{"1/|rest|", g.InvRestSizes(), s.InvRestSizes()},
+	} {
+		if !reflect.DeepEqual(c.got, c.want) {
+			t.Fatalf("%q %s: grown %v scratch %v", o, c.what, c.got, c.want)
+		}
+	}
+	nV := s.CI.NumValues()
+	for c := 0; c < nV; c++ {
+		if !reflect.DeepEqual(g.RelRow(c), s.RelRow(c)) ||
+			!reflect.DeepEqual(g.Pop2Row(c), s.Pop2Row(c)) ||
+			!reflect.DeepEqual(g.Pop3Row(c), s.Pop3Row(c)) {
+			t.Fatalf("%q: Rel/Pop2/Pop3 rows of candidate %d differ", o, c)
+		}
+		for tr := 0; tr < nV; tr++ {
+			if g.IsCandAncestor(c, tr) != s.IsCandAncestor(c, tr) {
+				t.Fatalf("%q: IsCandAncestor(%d, %d) differs", o, c, tr)
+			}
+		}
+	}
+}
+
+// checkCarved asserts that every per-object slice of idx is a
+// capacity-limited piece (cap == len), so no append through one view can
+// write into a neighbour's slab region.
+func checkCarved(t testing.TB, idx *Index) {
+	t.Helper()
+	for i := range idx.Views {
+		ov := &idx.Views[i]
+		pieces := []struct {
+			what string
+			ok   bool
+		}{
+			{"Values", carved(ov.CI.Values)},
+			{"Anc", carved(ov.CI.Anc)},
+			{"Desc", carved(ov.CI.Desc)},
+			{"ValueCount", carved(ov.ValueCount)},
+			{"SourceClaims", carved(ov.SourceClaims)},
+			{"WorkerClaims", carved(ov.WorkerClaims)},
+			{"rel", carved(ov.rel)},
+			{"pop2", carved(ov.pop2)},
+			{"pop3", carved(ov.pop3)},
+			{"caseMask", carved(ov.caseMask)},
+			{"invGo", carved(ov.invGo)},
+			{"invRest", carved(ov.invRest)},
+			{"ancBits", carved(ov.ancBits)},
+		}
+		for _, p := range pieces {
+			if !p.ok {
+				t.Fatalf("%q %s: cap != len", ov.Object, p.what)
+			}
+		}
+		for c := range ov.CI.Values {
+			if !carved(ov.CI.Anc[c]) || !carved(ov.CI.Desc[c]) {
+				t.Fatalf("%q Anc/Desc[%d]: cap != len", ov.Object, c)
+			}
+		}
+	}
+}
+
+func carved[T any](s []T) bool { return len(s) == cap(s) }
 
 // claimSet renders an object's claims as participantName->value (candidate
 // value ordering is sorted in both indices, so names are comparable).

@@ -1,10 +1,6 @@
 package data
 
-import (
-	"sort"
-
-	"repro/internal/hierarchy"
-)
+import "repro/internal/hierarchy"
 
 // maxDenseTableValues caps the candidate-set size for which the O(|Vo|²)
 // relationship/popularity tables are materialized — 17 bytes per (claim,
@@ -26,7 +22,9 @@ type Claim struct {
 // ObjectView is the per-object slice of the index: candidate values Vo with
 // their hierarchy relations, the claims grouped by participant, and the
 // static tables the EM hot path reads (relationship classes, case masks,
-// popularity distributions). Everything here is immutable after NewIndex.
+// popularity distributions). Everything here is immutable after NewIndex or
+// Extend returns. Every slice is a capacity-limited piece of an index-wide
+// slab (cap == len), shared with the views built alongside it.
 type ObjectView struct {
 	Object string
 	// ID is the dense object ID: the position of Object in Index.Objects.
@@ -43,7 +41,7 @@ type ObjectView struct {
 
 	idx *Index // back-pointer for name resolution
 
-	// Precomputed parameter-independent tables (see precompute).
+	// Precomputed parameter-independent tables (see fillTables).
 	rel      []uint8   // rel[c*|Vo|+tr] ∈ {1,2,3}; nil above maxDenseTableValues
 	pop2     []float64 // pop2[c*|Vo|+tr] = Pop2(c|tr); nil above the cap
 	pop3     []float64 // pop3[c*|Vo|+tr] = Pop3(c|tr); nil above the cap
@@ -215,76 +213,6 @@ func (ov *ObjectView) Pop3(v, tr int) float64 {
 	return float64(ov.ValueCount[v]) / float64(den)
 }
 
-// precompute builds the parameter-independent tables after claims have been
-// ingested. Everything the EM inner loop needs per (claim, truth) becomes a
-// lookup: relationship class, case-possibility mask, 1/|Go|, 1/|rest|, and
-// the popularity distributions.
-func (ov *ObjectView) precompute() {
-	nV := ov.CI.NumValues()
-	ov.ancWords = (nV + 63) / 64
-	ov.ancBits = make([]uint64, nV*ov.ancWords)
-	ov.caseMask = make([]uint8, nV)
-	ov.invGo = make([]float64, nV)
-	ov.invRest = make([]float64, nV)
-	total := 0
-	for _, c := range ov.ValueCount {
-		total += c
-	}
-	for tr := 0; tr < nV; tr++ {
-		row := ov.ancBits[tr*ov.ancWords:]
-		for _, a := range ov.CI.Anc[tr] {
-			row[a/64] |= 1 << (a % 64)
-		}
-		g := ov.CI.GoSize(tr)
-		rest := nV - g - 1
-		if g > 0 {
-			ov.caseMask[tr] |= 1
-			ov.invGo[tr] = 1 / float64(g)
-		}
-		if rest > 0 {
-			ov.caseMask[tr] |= 2
-			ov.invRest[tr] = 1 / float64(rest)
-		}
-	}
-	if nV > maxDenseTableValues {
-		return
-	}
-	ov.rel = make([]uint8, nV*nV)
-	ov.pop2 = make([]float64, nV*nV)
-	ov.pop3 = make([]float64, nV*nV)
-	for tr := 0; tr < nV; tr++ {
-		// Denominators shared by every claim column at this truth.
-		ancCount := 0
-		for _, a := range ov.CI.Anc[tr] {
-			ancCount += ov.ValueCount[a]
-		}
-		goSize := ov.CI.GoSize(tr)
-		wrong := nV - 1 - goSize
-		restCount := total - ancCount - ov.ValueCount[tr]
-		for c := 0; c < nV; c++ {
-			k := c*nV + tr
-			switch {
-			case c == tr:
-				ov.rel[k] = 1
-			case ov.IsCandAncestor(c, tr):
-				ov.rel[k] = 2
-			default:
-				ov.rel[k] = 3
-			}
-			if ancCount > 0 {
-				ov.pop2[k] = float64(ov.ValueCount[c]) / float64(ancCount)
-			} else if goSize > 0 {
-				ov.pop2[k] = 1 / float64(goSize)
-			}
-			if restCount > 0 {
-				ov.pop3[k] = float64(ov.ValueCount[c]) / float64(restCount)
-			} else if wrong > 0 {
-				ov.pop3[k] = 1 / float64(wrong)
-			}
-		}
-	}
-}
-
 // Index is the precomputed view of a Dataset that all inference algorithms
 // consume. Objects, sources and workers are interned into dense IDs (their
 // positions in the sorted name slices); per-object views live in a flat
@@ -327,94 +255,41 @@ type Index struct {
 	workerID map[string]int
 }
 
-// NewIndex builds the index. Worker answers contribute to candidate sets
-// (workers answered from Vo in the paper's setting, but the index tolerates
-// out-of-Vo answers by extending the candidate set, which also covers
-// free-text crowdsourcing). Candidate seeds (Dataset.Candidates) contribute
-// objects and values exactly like claims, minus the claim itself.
+// NewIndex builds the index. Every object's candidate set Vo is the set of
+// values claimed on it: worker answers contribute too (workers answered from
+// Vo in the paper's setting, but the index tolerates out-of-Vo answers by
+// extending the candidate set, which also covers free-text crowdsourcing),
+// and candidate seeds (Dataset.Candidates) contribute objects and values
+// exactly like claims, minus the claim itself. There is one claim per
+// (object, source) and per (object, worker): the first in dataset order
+// wins and later duplicates are dropped, so the claim lists, ValueCount and
+// the participant object lists stay mutually consistent — the EM's M-step
+// normalizers depend on it.
+//
+// The build resolves every name once into integer IDs and groups claims by
+// object ID; the per-object lists and tables are capacity-limited pieces of
+// a few index-wide slabs (see builder).
 func NewIndex(ds *Dataset) *Index {
-	idx := &Index{DS: ds}
-
-	perObjVals := map[string][]string{}
-	for _, r := range ds.Records {
-		perObjVals[r.Object] = append(perObjVals[r.Object], r.Value)
+	b := newBuilder(len(ds.Records), len(ds.Answers))
+	for i := range ds.Records {
+		b.addRecord(&ds.Records[i])
 	}
-	for _, a := range ds.Answers {
-		perObjVals[a.Object] = append(perObjVals[a.Object], a.Value)
-		perObjVals[a.Object] = append(perObjVals[a.Object], a.Values...)
-	}
-	for o, vals := range ds.Candidates {
-		perObjVals[o] = append(perObjVals[o], vals...)
-	}
-	idx.Objects = make([]string, 0, len(perObjVals))
-	for o := range perObjVals {
-		idx.Objects = append(idx.Objects, o)
-	}
-	sort.Strings(idx.Objects)
-	idx.objectID = make(map[string]int, len(idx.Objects))
-	for i, o := range idx.Objects {
-		idx.objectID[o] = i
-	}
-
-	idx.SourceNames = internNames(len(ds.Records), func(i int) string { return ds.Records[i].Source })
-	idx.WorkerNames = internNames(len(ds.Answers), func(i int) string { return ds.Answers[i].Worker })
-	idx.sourceID = make(map[string]int, len(idx.SourceNames))
-	for i, s := range idx.SourceNames {
-		idx.sourceID[s] = i
-	}
-	idx.workerID = make(map[string]int, len(idx.WorkerNames))
-	for i, w := range idx.WorkerNames {
-		idx.workerID[w] = i
-	}
-
-	idx.Views = make([]ObjectView, len(idx.Objects))
-	for i, o := range idx.Objects {
-		ci := hierarchy.NewCandidateIndex(ds.H, perObjVals[o])
-		idx.Views[i] = ObjectView{
-			Object:     o,
-			ID:         i,
-			CI:         ci,
-			ValueCount: make([]int, ci.NumValues()),
-			idx:        idx,
-		}
-	}
-
-	// Claim ingestion. One claim per (object, source) and per (object,
-	// worker): later duplicates are dropped so the claim lists, ValueCount
-	// and the participant object lists stay mutually consistent — the EM's
-	// M-step normalizers depend on it.
-	type pair struct{ o, p int }
-	seen := make(map[pair]bool, len(ds.Records))
-	for _, r := range ds.Records {
-		oid := idx.objectID[r.Object]
-		sid := idx.sourceID[r.Source]
-		if seen[pair{oid, sid}] {
-			continue
-		}
-		seen[pair{oid, sid}] = true
-		ov := &idx.Views[oid]
-		vi := ov.CI.Pos[r.Value]
-		ov.SourceClaims = append(ov.SourceClaims, Claim{int32(sid), int32(vi)})
-		ov.ValueCount[vi]++
-	}
-	clear(seen)
 	for i := range ds.Answers {
-		a := &ds.Answers[i]
-		oid := idx.objectID[a.Object]
-		wid := idx.workerID[a.Worker]
-		if seen[pair{oid, wid}] {
-			continue
-		}
-		seen[pair{oid, wid}] = true
-		appendAnswerClaims(&idx.Views[oid], wid, a)
+		b.addAnswer(&ds.Answers[i])
+	}
+	// The seeds' map order only permutes provisional IDs, which the sort
+	// below renumbers.
+	for o, vals := range ds.Candidates {
+		b.addSeeds(o, vals)
 	}
 
-	for i := range idx.Views {
-		ov := &idx.Views[i]
-		sortClaims(ov.SourceClaims)
-		sortClaims(ov.WorkerClaims)
-		ov.precompute()
-	}
+	idx := &Index{DS: ds}
+	var objFinal, procs, srcFinal, wkrFinal []int32
+	idx.Objects, idx.objectID, objFinal, procs = b.objs.sorted()
+	idx.SourceNames, idx.sourceID, srcFinal, _ = b.srcs.sorted()
+	idx.WorkerNames, idx.workerID, wkrFinal, _ = b.wkrs.sorted()
+	idx.Views = make([]ObjectView, len(idx.Objects))
+	b.views(idx, procs, objFinal, srcFinal, wkrFinal)
 	idx.buildDerived()
 	return idx
 }
@@ -424,13 +299,28 @@ func NewIndex(ds *Dataset) *Index {
 // the global claim numbering, and the participant-major CSR transpose.
 // Shared by NewIndex and Extend — walking objects in ascending ID keeps the
 // per-participant lists sorted and gives every claim its stable global ID.
+// The lists are counted first and carved from one slab.
 func (idx *Index) buildDerived() {
-	idx.SourceObjIDs = make([][]int32, len(idx.SourceNames))
-	idx.WorkerObjIDs = make([][]int32, len(idx.WorkerNames))
+	srcN := make([]int32, len(idx.SourceNames))
+	wkrN := make([]int32, len(idx.WorkerNames))
+	var nClaims int
+	for i := range idx.Views {
+		ov := &idx.Views[i]
+		for _, cl := range ov.SourceClaims {
+			srcN[cl.Part]++
+		}
+		for _, cl := range ov.WorkerClaims {
+			wkrN[cl.Part]++
+		}
+		nClaims += len(ov.SourceClaims) + len(ov.WorkerClaims)
+	}
+	slab := make([]int32, 2*nClaims)
+	idx.SourceObjIDs = emptyLists(&slab, srcN)
+	idx.SourceClaimRefs = emptyLists(&slab, srcN)
+	idx.WorkerObjIDs = emptyLists(&slab, wkrN)
+	idx.WorkerClaimRefs = emptyLists(&slab, wkrN)
 	idx.SrcClaimStart = make([]int32, len(idx.Views)+1)
 	idx.WkrClaimStart = make([]int32, len(idx.Views)+1)
-	idx.SourceClaimRefs = make([][]int32, len(idx.SourceNames))
-	idx.WorkerClaimRefs = make([][]int32, len(idx.WorkerNames))
 	var sGlob, wGlob int32
 	for i := range idx.Views {
 		ov := &idx.Views[i]
@@ -451,6 +341,18 @@ func (idx *Index) buildDerived() {
 	idx.WkrClaimStart[len(idx.Views)] = wGlob
 }
 
+// emptyLists carves one empty list per participant from slab, with room for
+// exactly counts[p] appends; a participant with no claims gets nil.
+func emptyLists(slab *[]int32, counts []int32) [][]int32 {
+	out := make([][]int32, len(counts))
+	for p, n := range counts {
+		if n > 0 {
+			out[p] = carve(slab, int(n))[:0]
+		}
+	}
+	return out
+}
+
 // NumSourceClaims returns the total number of deduplicated source claims.
 func (idx *Index) NumSourceClaims() int {
 	return int(idx.SrcClaimStart[len(idx.SrcClaimStart)-1])
@@ -459,61 +361,6 @@ func (idx *Index) NumSourceClaims() int {
 // NumWorkerClaims returns the total number of deduplicated worker answers.
 func (idx *Index) NumWorkerClaims() int {
 	return int(idx.WkrClaimStart[len(idx.WkrClaimStart)-1])
-}
-
-// internNames collects, dedups and sorts the names produced by get.
-func internNames(n int, get func(int) string) []string {
-	seen := make(map[string]bool, n)
-	out := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		s := get(i)
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// sortClaims orders a claim slice by participant ID.
-func sortClaims(cs []Claim) {
-	sort.Slice(cs, func(i, j int) bool {
-		if cs[i].Part != cs[j].Part {
-			return cs[i].Part < cs[j].Part
-		}
-		// Multi-valued (multi-truth) answers put several claims under one
-		// worker; the value tie-break keeps their order deterministic.
-		return cs[i].Val < cs[j].Val
-	})
-}
-
-// appendAnswerClaims adds the worker's claim(s) for one answer: the primary
-// value plus, for a multi-valued (multi-truth) answer, one claim per
-// distinct extra value. Single-valued answers keep the exactly-one-claim-
-// per-(object, worker) invariant the categorical EM path relies on;
-// multi-claim workers only appear in multi-truth campaigns, whose
-// discoverers group a worker's claims back into one claimed set.
-func appendAnswerClaims(ov *ObjectView, wid int, a *Answer) {
-	primary := int32(ov.CI.Pos[a.Value])
-	ov.WorkerClaims = append(ov.WorkerClaims, Claim{int32(wid), primary})
-	if len(a.Values) == 0 {
-		return
-	}
-	start := len(ov.WorkerClaims) - 1
-extras:
-	for _, v := range a.Values {
-		ci, ok := ov.CI.Pos[v]
-		if !ok {
-			continue // not interned for this object (cannot happen after NewIndex seeds candidates)
-		}
-		for _, c := range ov.WorkerClaims[start:] {
-			if c.Val == int32(ci) {
-				continue extras // duplicate within the answer set
-			}
-		}
-		ov.WorkerClaims = append(ov.WorkerClaims, Claim{int32(wid), int32(ci)})
-	}
 }
 
 // NumObjects returns |O|.

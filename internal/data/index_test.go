@@ -8,6 +8,15 @@ import (
 	"repro/internal/hierarchy"
 )
 
+// candPos is the position of candidate v, which the test knows is in Vo.
+func candPos(ci *hierarchy.CandidateIndex, v string) int {
+	i, ok := ci.Pos(v)
+	if !ok {
+		panic("candidate " + v + " not in Vo")
+	}
+	return i
+}
+
 func TestIndexStructure(t *testing.T) {
 	ds := tinyDataset(t)
 	idx := NewIndex(ds)
@@ -57,9 +66,9 @@ func TestValueCountsAndPop(t *testing.T) {
 	ds.Records = append(ds.Records, Record{"statue", "extra", "NY"})
 	idx := NewIndex(ds)
 	ov := idx.View("statue")
-	ny := ov.CI.Pos["NY"]
-	li := ov.CI.Pos["LibertyIsland"]
-	la := ov.CI.Pos["LA"]
+	ny := candPos(ov.CI, "NY")
+	li := candPos(ov.CI, "LibertyIsland")
+	la := candPos(ov.CI, "LA")
 	if ov.ValueCount[ny] != 2 || ov.ValueCount[li] != 1 || ov.ValueCount[la] != 1 {
 		t.Fatalf("ValueCount = %v", ov.ValueCount)
 	}
@@ -94,8 +103,8 @@ func TestPopFallbacks(t *testing.T) {
 	}
 	idx := NewIndex(ds)
 	ov := idx.View("o")
-	li := ov.CI.Pos["LibertyIsland"]
-	ny := ov.CI.Pos["NY"]
+	li := candPos(ov.CI, "LibertyIsland")
+	ny := candPos(ov.CI, "NY")
 	// Go(LI) = {NY} with one claiming source → Pop2(NY|LI) = 1.
 	if got := ov.Pop2(ny, li); got != 1 {
 		t.Fatalf("Pop2 = %v", got)
@@ -113,11 +122,11 @@ func TestIndexWorkerExtendsCandidates(t *testing.T) {
 	ds.Answers = append(ds.Answers, Answer{Object: "statue", Worker: "w9", Value: "London"})
 	idx := NewIndex(ds)
 	ov := idx.View("statue")
-	if _, ok := ov.CI.Pos["London"]; !ok {
+	if _, ok := ov.CI.Pos("London"); !ok {
 		t.Fatal("worker-only value must join the candidate set")
 	}
 	// Its source count is zero.
-	if ov.ValueCount[ov.CI.Pos["London"]] != 0 {
+	if ov.ValueCount[candPos(ov.CI, "London")] != 0 {
 		t.Fatal("worker answers must not bump source ValueCount")
 	}
 }
@@ -139,7 +148,7 @@ func TestIndexMultiValuedAnswerClaims(t *testing.T) {
 		claimed[c.Val] = true
 	}
 	for _, v := range []string{"NY", "USA"} {
-		pos, ok := ov.CI.Pos[v]
+		pos, ok := ov.CI.Pos(v)
 		if !ok {
 			t.Fatalf("set element %q must join the candidate set", v)
 		}
@@ -148,7 +157,7 @@ func TestIndexMultiValuedAnswerClaims(t *testing.T) {
 		}
 	}
 	// WorkerClaim (single-claim lookup) resolves to the canonical Value.
-	if got, ok := ov.WorkerClaim("w9"); !ok || got != ov.CI.Pos["NY"] {
+	if got, ok := ov.WorkerClaim("w9"); !ok || got != candPos(ov.CI, "NY") {
 		t.Fatalf("WorkerClaim = (%d, %v), want canonical NY", got, ok)
 	}
 	if !idx.HasAnswered("w9", "statue") {
@@ -241,10 +250,10 @@ func TestPrecomputedTablesMatchNaive(t *testing.T) {
 	checkTablesMatchNaive(t, idx.View("bigben"))
 }
 
-// TestLargeCandidateSetFallback drives an object past maxDenseTableValues:
-// the O(|Vo|²) tables are skipped but Rel/Pop2/Pop3 must still answer
-// correctly (via the ancestor bitsets) without allocating per call.
-func TestLargeCandidateSetFallback(t *testing.T) {
+// largeCandidateDataset is one object past maxDenseTableValues: candidates
+// v0000…v0262 under a common parent P, each claimed by its own source, plus
+// P itself.
+func largeCandidateDataset() *Dataset {
 	tr := hierarchy.New(hierarchy.Root)
 	tr.MustAdd("P", hierarchy.Root)
 	names := make([]string, 0, maxDenseTableValues+8)
@@ -259,14 +268,21 @@ func TestLargeCandidateSetFallback(t *testing.T) {
 		ds.Records = append(ds.Records, Record{"o", fmt.Sprintf("s%04d", i), v})
 	}
 	ds.Records = append(ds.Records, Record{"o", "sP", "P"})
-	idx := NewIndex(ds)
+	return ds
+}
+
+// TestLargeCandidateSetFallback drives an object past maxDenseTableValues:
+// the O(|Vo|²) tables are skipped but Rel/Pop2/Pop3 must still answer
+// correctly (via the ancestor bitsets) without allocating per call.
+func TestLargeCandidateSetFallback(t *testing.T) {
+	idx := NewIndex(largeCandidateDataset())
 	ov := idx.View("o")
 	if ov.RelRow(0) != nil || ov.Pop2Row(0) != nil || ov.Pop3Row(0) != nil {
 		t.Fatal("dense tables must be skipped above maxDenseTableValues")
 	}
-	p := ov.CI.Pos["P"]
-	v0 := ov.CI.Pos["v0000"]
-	v1 := ov.CI.Pos["v0001"]
+	p := candPos(ov.CI, "P")
+	v0 := candPos(ov.CI, "v0000")
+	v1 := candPos(ov.CI, "v0001")
 	if ov.Rel(p, v0) != 2 || ov.Rel(v0, v0) != 1 || ov.Rel(v1, v0) != 3 {
 		t.Fatalf("Rel fallback wrong: %d %d %d", ov.Rel(p, v0), ov.Rel(v0, v0), ov.Rel(v1, v0))
 	}

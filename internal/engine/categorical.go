@@ -130,7 +130,7 @@ func (ep *catEpoch) Fold(answers []data.Answer) {
 		if !ok {
 			continue // object unknown to the fitted model; refit will pick it up
 		}
-		ans, ok := idx.ViewAt(oid).CI.Pos[a.Value]
+		ans, ok := idx.ViewAt(oid).CI.Pos(a.Value)
 		if !ok {
 			continue // not a candidate under the model's index
 		}
@@ -172,7 +172,7 @@ func (e *categorical) ValidateAnswer(ov *data.ObjectView, a *data.Answer) error 
 	if a.Num != nil {
 		return fmt.Errorf("categorical campaign takes a candidate value, not a number")
 	}
-	if _, ok := ov.CI.Pos[a.Value]; !ok {
+	if _, ok := ov.CI.Pos(a.Value); !ok {
 		return fmt.Errorf("value %q is not a candidate for %q", a.Value, a.Object)
 	}
 	return nil

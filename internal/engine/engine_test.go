@@ -12,6 +12,15 @@ import (
 	"repro/internal/infer"
 )
 
+// candPos is the position of candidate v, which the test knows is in Vo.
+func candPos(ci *hierarchy.CandidateIndex, v string) int {
+	i, ok := ci.Pos(v)
+	if !ok {
+		panic("candidate " + v + " not in Vo")
+	}
+	return i
+}
+
 // geoDataset builds a small categorical dataset: three sources of differing
 // quality claim a place for every object over a geography hierarchy.
 func geoDataset(t testing.TB, objects int) *data.Dataset {
@@ -200,7 +209,7 @@ func TestCategoricalIncrementalContract(t *testing.T) {
 
 	tdh := NewCategorical(infer.NewTDH(), Config{})
 	st := tdh.Fit(idx)
-	oa, ny := idx.View("oa").ID, idx.View("oa").CI.Pos["NY"]
+	oa, ny := idx.View("oa").ID, candPos(idx.View("oa").CI, "NY")
 	before := st.Res().ConfidenceAt(idx, oa)[ny]
 	st2, ok := tdh.ApplyAnswers(st, idx, answers)
 	if !ok {

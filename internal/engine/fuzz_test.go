@@ -55,7 +55,7 @@ func FuzzAnswerValidate(f *testing.F) {
 			if len(a.Values) > 0 || a.Num != nil {
 				t.Fatalf("categorical accepted a typed payload: %+v", a)
 			}
-			if _, ok := catOv.CI.Pos[a.Value]; !ok {
+			if _, ok := catOv.CI.Pos(a.Value); !ok {
 				t.Fatalf("categorical accepted non-candidate %q", a.Value)
 			}
 		}
@@ -86,14 +86,14 @@ func FuzzAnswerValidate(f *testing.F) {
 					t.Fatalf("multi-truth kept a duplicate in %v", a.Values)
 				}
 				seen[v] = true
-				if _, ok := catOv.CI.Pos[v]; !ok {
+				if _, ok := catOv.CI.Pos(v); !ok {
 					t.Fatalf("multi-truth accepted non-candidate %q", v)
 				}
 			}
 			if len(a.Values) > 0 && a.Value != a.Values[0] {
 				t.Fatalf("multi-truth Value %q is not the set head of %v", a.Value, a.Values)
 			}
-			if _, ok := catOv.CI.Pos[a.Value]; !ok {
+			if _, ok := catOv.CI.Pos(a.Value); !ok {
 				t.Fatalf("multi-truth accepted non-candidate head %q", a.Value)
 			}
 		}

@@ -113,7 +113,7 @@ func (e *multiEngine) ValidateAnswer(ov *data.ObjectView, a *data.Answer) error 
 		return fmt.Errorf("multi-truth campaign takes candidate values, not a number")
 	}
 	if len(a.Values) == 0 {
-		if _, ok := ov.CI.Pos[a.Value]; !ok {
+		if _, ok := ov.CI.Pos(a.Value); !ok {
 			return fmt.Errorf("value %q is not a candidate for %q", a.Value, a.Object)
 		}
 		return nil
@@ -132,7 +132,7 @@ func (e *multiEngine) ValidateAnswer(ov *data.ObjectView, a *data.Answer) error 
 		merged = append(merged, v)
 	}
 	for _, v := range merged {
-		if _, ok := ov.CI.Pos[v]; !ok {
+		if _, ok := ov.CI.Pos(v); !ok {
 			return fmt.Errorf("value %q is not a candidate for %q", v, a.Object)
 		}
 	}

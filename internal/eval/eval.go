@@ -28,7 +28,7 @@ func adjustGold(ds *data.Dataset, idx *data.Index, o, gold string) string {
 	if ov == nil {
 		return gold
 	}
-	if _, in := ov.CI.Pos[gold]; in {
+	if _, in := ov.CI.Pos(gold); in {
 		return gold
 	}
 	if ds.H == nil || !ds.H.Contains(gold) {
@@ -120,7 +120,7 @@ func EvaluateMulti(ds *data.Dataset, idx *data.Index, pred map[string][]string) 
 			if ov := idx.View(o); ov != nil {
 				reachable := map[string]bool{}
 				for g := range gs {
-					if _, in := ov.CI.Pos[g]; in {
+					if _, in := ov.CI.Pos(g); in {
 						reachable[g] = true
 					}
 				}

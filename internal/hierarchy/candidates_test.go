@@ -2,9 +2,19 @@ package hierarchy
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
+
+// candPos is the position of candidate v, which the test knows is in Vo.
+func candPos(ci *CandidateIndex, v string) int {
+	i, ok := ci.Pos(v)
+	if !ok {
+		panic("candidate " + v + " not in Vo")
+	}
+	return i
+}
 
 func TestCandidateIndexBasics(t *testing.T) {
 	tr := buildGeo(t)
@@ -15,9 +25,9 @@ func TestCandidateIndexBasics(t *testing.T) {
 	if !ci.Hier {
 		t.Fatal("NY/LibertyIsland are related: Hier must be true")
 	}
-	li := ci.Pos["LibertyIsland"]
-	ny := ci.Pos["NY"]
-	la := ci.Pos["LA"]
+	li := candPos(ci, "LibertyIsland")
+	ny := candPos(ci, "NY")
+	la := candPos(ci, "LA")
 	if ci.GoSize(li) != 1 || ci.Anc[li][0] != ny {
 		t.Fatalf("Go(LibertyIsland) wrong: %v", ci.Anc[li])
 	}
@@ -55,7 +65,7 @@ func TestCandidateIndexOutOfTreeValues(t *testing.T) {
 	if ci.Hier {
 		t.Fatal("out-of-tree value cannot create relations")
 	}
-	if _, ok := ci.Pos["Atlantis"]; !ok {
+	if _, ok := ci.Pos("Atlantis"); !ok {
 		t.Fatal("out-of-tree value must still be indexed")
 	}
 	// Nil tree: everything flat.
@@ -87,8 +97,19 @@ func TestQuickCandidateIndex(t *testing.T) {
 			if i > 0 && ci.Values[i-1] >= v {
 				return false // sorted, unique
 			}
-			if ci.Pos[v] != i {
+			if p, ok := ci.Pos(v); !ok || p != i {
 				return false
+			}
+		}
+		for i := range ci.Values {
+			// Desc ascending; Anc parent first, i.e. strictly shallower.
+			if !slices.IsSorted(ci.Desc[i]) {
+				return false
+			}
+			for k := 1; k < len(ci.Anc[i]); k++ {
+				if tr.Depth(ci.Values[ci.Anc[i][k]]) >= tr.Depth(ci.Values[ci.Anc[i][k-1]]) {
+					return false
+				}
 			}
 		}
 		hier := false

@@ -157,7 +157,7 @@ func TestAccuVoteCountScaling(t *testing.T) {
 	// And confidence for London must be clearly above half.
 	idx := data.NewIndex(ds)
 	ov := idx.View("probe")
-	if res.Confidence["probe"][ov.CI.Pos["London"]] < 0.6 {
+	if res.Confidence["probe"][candPos(ov.CI, "London")] < 0.6 {
 		t.Fatalf("probe confidence too timid: %v", res.Confidence["probe"])
 	}
 }

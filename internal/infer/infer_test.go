@@ -8,6 +8,15 @@ import (
 	"repro/internal/hierarchy"
 )
 
+// candPos is the position of candidate v, which the test knows is in Vo.
+func candPos(ci *hierarchy.CandidateIndex, v string) int {
+	i, ok := ci.Pos(v)
+	if !ok {
+		panic("candidate " + v + " not in Vo")
+	}
+	return i
+}
+
 func geoTree(t testing.TB) *hierarchy.Tree {
 	t.Helper()
 	tr := hierarchy.New(hierarchy.Root)
@@ -273,8 +282,8 @@ func TestAccuDependenceDiscount(t *testing.T) {
 	for _, o := range idx.Objects {
 		ov := idx.View(o)
 		conf := res.Confidence[o]
-		conf[ov.CI.Pos["NY"]] = 0.9
-		conf[ov.CI.Pos["LA"]] = 0.1
+		conf[candPos(ov.CI, "NY")] = 0.9
+		conf[candPos(ov.CI, "LA")] = 0.1
 	}
 	trust := map[provider]float64{}
 	for _, o := range idx.Objects {

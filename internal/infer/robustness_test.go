@@ -126,7 +126,7 @@ func TestRobustnessMatrix(t *testing.T) {
 				if !ok {
 					t.Fatalf("%s on %s: missing truth for %s", alg.Name(), ds.Name, o)
 				}
-				if _, in := ov.CI.Pos[truth]; !in {
+				if _, in := ov.CI.Pos(truth); !in {
 					t.Fatalf("%s on %s: truth %q for %s outside Vo", alg.Name(), ds.Name, truth, o)
 				}
 				if len(res.Confidence[o]) != ov.CI.NumValues() {

@@ -32,8 +32,8 @@ func TestTruthFinderImplication(t *testing.T) {
 	idx := data.NewIndex(ds)
 	with := TruthFinder{Rho: 0.9}.Infer(idx)
 	ov := idx.View("o")
-	li := ov.CI.Pos["LibertyIsland"]
-	man := ov.CI.Pos["Manchester"]
+	li := candPos(ov.CI, "LibertyIsland")
+	man := candPos(ov.CI, "Manchester")
 	// With strong implication, the NY-branch pair should rival the exact
 	// Manchester pair; the LibertyIsland confidence must clearly beat what
 	// a lone unsupported claim would earn.

@@ -36,7 +36,7 @@ func (f FromSingleTruth) Discover(idx *data.Index) map[string][]string {
 		// multi-truth answer is a subset of the claimed values, and
 		// unclaimed closure levels are not answerable by any algorithm.
 		if ov := idx.View(o); ov != nil {
-			if vi, ok := ov.CI.Pos[v]; ok {
+			if vi, ok := ov.CI.Pos(v); ok {
 				for _, ai := range ov.CI.Anc[vi] {
 					set = append(set, ov.CI.Values[ai])
 				}

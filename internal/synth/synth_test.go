@@ -220,7 +220,7 @@ func TestWorkerAnswerDistribution(t *testing.T) {
 		}
 		for rep := 0; rep < 5; rep++ {
 			ans := w.Answer(rng, ds, ov)
-			if _, ok := ov.CI.Pos[ans]; !ok {
+			if _, ok := ov.CI.Pos(ans); !ok {
 				t.Fatalf("answer %q outside the candidate set", ans)
 			}
 			if ans == eff {

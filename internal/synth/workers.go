@@ -67,7 +67,7 @@ func (w Worker) Answer(rng *rand.Rand, ds *data.Dataset, ov *data.ObjectView) st
 		// Correct: the exact truth if it is a candidate, else the most
 		// specific candidate ancestor, else a random candidate (the worker
 		// cannot answer outside Vo in the paper's setting).
-		if _, ok := ov.CI.Pos[truth]; ok {
+		if _, ok := ov.CI.Pos(truth); ok {
 			return truth
 		}
 		if ds.H != nil && ds.H.Contains(truth) {
