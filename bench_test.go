@@ -643,7 +643,7 @@ func BenchmarkPlanAdvance(b *testing.B) {
 	opts := core.DefaultOptions()
 	opts.MaxIter = 3
 	m := core.Run(idx, opts)
-	res := infer.ResultFromModel(m)
+	res := infer.ViewOf(m, nil)
 	b.Logf("objects: %d", idx.NumObjects())
 
 	// One incremental publish: 64 answers spread over 16 objects.
@@ -655,7 +655,7 @@ func BenchmarkPlanAdvance(b *testing.B) {
 		m2.ApplyAnswer(o, fmt.Sprintf("bw-%d", i%8), 0)
 		touched = append(touched, oid)
 	}
-	res2 := infer.ResultFromModel(m2)
+	res2 := infer.ViewOf(m2, nil)
 
 	prev := assign.NewPlan(idx, res)
 	prev.Prewarm()

@@ -11,7 +11,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/data"
@@ -45,17 +44,12 @@ func main() {
 	idx := data.NewIndex(ds)
 	res := inferencer.Infer(idx)
 
-	objs := make([]string, 0, len(res.Truths))
-	for o := range res.Truths {
-		objs = append(objs, o)
-	}
-	sort.Strings(objs)
-	for _, o := range objs {
-		fmt.Printf("%s\t%s\n", o, res.Truths[o])
+	for oid, o := range idx.Objects { // sorted by NewIndex
+		fmt.Printf("%s\t%s\n", o, res.TruthAt(idx, oid))
 		if *showConf {
-			ov := idx.View(o)
-			for i, v := range ov.CI.Values {
-				fmt.Printf("  %-30s %.4f\n", v, res.Confidence[o][i])
+			conf := res.ConfidenceAt(idx, oid)
+			for i, v := range idx.ViewAt(oid).CI.Values {
+				fmt.Printf("  %-30s %.4f\n", v, conf[i])
 			}
 		}
 	}

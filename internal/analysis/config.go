@@ -15,6 +15,7 @@ func DefaultSnapshotmut() SnapshotmutConfig {
 			"internal/data.Index",
 			"internal/data.ObjectView",
 			"internal/infer.Result",
+			"internal/infer.Table",
 			// engine.State implementations: immutable once returned by
 			// Fit/Seal/Grow.
 			"internal/engine.catState",
@@ -73,10 +74,12 @@ func DefaultSnapshotmut() SnapshotmutConfig {
 			"internal/infer.*",
 		},
 		// The copy-on-write containers under the model and the plan have no
-		// assignable elements; these are their only write paths.
+		// assignable elements; these are their only write paths. A Table's
+		// truths are written through SetTruth.
 		Writers: []string{
 			"internal/cow.table.Own",
 			"internal/cow.Vec.Set",
+			"internal/infer.Table.SetTruth",
 		},
 	}
 }

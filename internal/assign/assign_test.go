@@ -177,8 +177,8 @@ func TestMEAssignsHighestEntropy(t *testing.T) {
 	checkAssignment(t, f, tasks, 2, true)
 	// The globally most-entropic object must be assigned to someone.
 	best, bestH := "", -1.0
-	for _, o := range f.idx.Objects {
-		h := entropy(f.res.Confidence[o])
+	for oid, o := range f.idx.Objects {
+		h := entropy(f.res.ConfidenceAt(f.idx, oid))
 		if h > bestH {
 			best, bestH = o, h
 		}

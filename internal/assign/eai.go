@@ -168,7 +168,7 @@ scan:
 				if cached[wi] {
 					score = defScores.At(int(cur))
 				} else {
-					score = eaiAt(m, int(p.modelOid[cur]), psis[wi], nObj)
+					score = eaiAt(m, p.id(int(cur)), psis[wi], nObj)
 				}
 				stats.Evaluated++
 				if len(heaps[wi]) < ctx.K {

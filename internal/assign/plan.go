@@ -11,8 +11,8 @@ import (
 )
 
 // Plan is the worker-independent half of a task-assignment round,
-// precomputed once per (Index, Result) pair: per-object confidence rows,
-// max-confidence and entropy keyed by dense object ID, ME's entropy
+// precomputed once per (Index, Result) pair: max-confidence and entropy of
+// each object's confidence row keyed by dense object ID, ME's entropy
 // ranking, and — when the result carries a TDH model — the UEAI bounds of
 // Lemma 4.1 with the decreasing-bound scan order of Algorithm 1.
 //
@@ -32,17 +32,17 @@ type Plan struct {
 	// assigners rebuild the plan when either differs from their Context.
 	Idx *data.Index
 	Res *infer.Result
-	// M is the TDH model behind Res, nil for non-TDH inferencers (EAI
-	// requires it; QASCA/ME/MB run without).
+	// M is the TDH model behind Res — Res.Rows itself — and nil for non-TDH
+	// inferencers (EAI requires it; QASCA/ME/MB run without).
 	M *core.Model
 
-	// Confidence rows (Row). When Res is a sealed view shaped by Idx the plan
-	// holds no rows of its own: view is the result's dense model and a row is
-	// read from it, so a plan never pins memory of any model but the one it
-	// serves. Otherwise rows holds the rows the inferencer published (nil
-	// where it published none), looked up once per object.
-	view infer.Dense
-	rows cow.Vec[[]float64]
+	// d is Res.Rows: the plan reads confidence rows (Row) from it and holds
+	// none of its own, so it never pins memory of any result but the one it
+	// serves. ids maps dense IDs of Idx to d's (-1 where d does not know the
+	// object: a fitted model lagging a freshly extended index), nil when d is
+	// shaped by Idx; for TDH d is M, so ids addresses the model too.
+	d   infer.Dense
+	ids []int32
 	// maxMu and ent are the per-object max confidence and Shannon entropy.
 	maxMu, ent cow.Vec[float64]
 
@@ -51,13 +51,10 @@ type Plan struct {
 	// ranking, shared by every worker.
 	entRank cow.Ranking
 
-	// EAI precompute, zero when M is nil. modelOid maps dense IDs of Idx to
-	// dense IDs of M.Idx (-1 when the fitted model lags a freshly rebuilt
-	// index and does not know the object); ueai is the Lemma 4.1 bound
+	// EAI precompute, zero when M is nil: ueai is the Lemma 4.1 bound
 	// (1-maxμ)/(|O|·(D_o+1)) per object; ueaiRank ranks the model-known
 	// objects by decreasing bound — the order Algorithm 1 pops them, each
 	// entry carrying its bound inline.
-	modelOid []int32
 	ueai     cow.Vec[float64]
 	ueaiRank cow.Ranking
 
@@ -74,13 +71,22 @@ type Plan struct {
 	defaultPsi     [3]float64
 }
 
-// Row is the confidence row of object oid (nil when the inferencer
-// published none), read-only. MaxMu and Ent are its max and its entropy.
+// Row is the confidence row of object oid (nil when the result has none),
+// read-only. MaxMu and Ent are its max and its entropy.
 func (p *Plan) Row(oid int) []float64 {
-	if p.view != nil {
-		return p.view.Row(oid)
+	if id := p.id(oid); id >= 0 {
+		return p.d.Row(id)
 	}
-	return p.rows.At(oid)
+	return nil
+}
+
+// id is object oid's ID in d (and, under TDH, in M); -1 when d does not
+// know it.
+func (p *Plan) id(oid int) int {
+	if p.ids == nil {
+		return oid
+	}
+	return int(p.ids[oid])
 }
 
 func (p *Plan) MaxMu(oid int) float64 { return p.maxMu.At(oid) }
@@ -111,10 +117,9 @@ func (p *Plan) defaultScores() *cow.Vec[float64] {
 
 // scoreAll evaluates the cold-worker EAI score of every object.
 func (p *Plan) scoreAll() []float64 {
-	nObj := float64(len(p.modelOid))
-	scores := make([]float64, len(p.modelOid))
-	for oid, moid := range p.modelOid {
-		scores[oid] = eaiAt(p.M, int(moid), p.defaultPsi, nObj)
+	scores := make([]float64, p.Idx.NumObjects())
+	for oid := range scores {
+		scores[oid] = eaiAt(p.M, p.id(oid), p.defaultPsi, float64(len(scores)))
 	}
 	return scores
 }
@@ -135,14 +140,8 @@ func ueaiBound(m *core.Model, moid int, nObj float64) float64 {
 // sort per ranking — paid once per published fit, off the request path.
 func NewPlan(idx *data.Index, res *infer.Result) *Plan {
 	n := idx.NumObjects()
-	p := &Plan{Idx: idx, Res: res, view: res.View(idx)}
-	if p.view == nil {
-		rows := make([][]float64, n)
-		for oid := range rows {
-			rows[oid] = res.ConfidenceAt(idx, oid)
-		}
-		p.rows = cow.Paged(rows)
-	}
+	m, _ := res.Rows.(*core.Model)
+	p := &Plan{Idx: idx, Res: res, M: m, d: res.Rows, ids: objectMap(idx, res.Rows)}
 	maxMu, ent, ranked := make([]float64, n), make([]float64, n), make([]cow.Entry, n)
 	for oid := range maxMu {
 		mu := p.Row(oid)
@@ -151,33 +150,41 @@ func NewPlan(idx *data.Index, res *infer.Result) *Plan {
 	}
 	p.maxMu, p.ent, p.entRank = cow.Paged(maxMu), cow.Paged(ent), cow.NewRanking(ranked)
 
-	m, ok := res.Model.(*core.Model)
-	if !ok {
+	if m == nil {
 		return p
 	}
-	p.M = m
 	p.defaultPsi = m.DefaultPsi()
 	nObj := float64(n)
-	p.modelOid = make([]int32, n)
 	ueai := make([]float64, n)
 	ranked = make([]cow.Entry, 0, n)
-	sameIdx := m.Idx == idx
 	for oid := 0; oid < n; oid++ {
-		moid := oid
-		if !sameIdx {
-			id, known := m.Idx.ObjectID(idx.Objects[oid])
-			if !known {
-				p.modelOid[oid] = -1
-				continue // unknown to the fitted model; skip until refit
-			}
-			moid = id
+		moid := p.id(oid)
+		if moid < 0 {
+			continue // unknown to the fitted model; skip until refit
 		}
-		p.modelOid[oid] = int32(moid)
 		ueai[oid] = ueaiBound(m, moid, nObj)
 		ranked = append(ranked, cow.Entry{Key: ueai[oid], ID: int32(oid)})
 	}
 	p.ueai, p.ueaiRank = cow.Paged(ueai), cow.NewRanking(ranked)
 	return p
+}
+
+// objectMap maps dense IDs of idx to d's by object name, -1 for an object
+// d does not know; nil when d is shaped by idx.
+func objectMap(idx *data.Index, d infer.Dense) []int32 {
+	own := d.Index()
+	if own == idx {
+		return nil
+	}
+	ids := make([]int32, idx.NumObjects())
+	for oid, o := range idx.Objects {
+		id, ok := own.ObjectID(o)
+		if !ok {
+			id = -1
+		}
+		ids[oid] = int32(id)
+	}
+	return ids
 }
 
 // Advance derives the plan for (idx, res) from this plan — the previous
@@ -214,18 +221,16 @@ func NewPlan(idx *data.Index, res *infer.Result) *Plan {
 // exactly what NewPlan(idx, res) would build — same values, same ranking
 // orders — which the server's equivalence suite pins.
 //
-// When a precondition fails (index shrank, model attached/detached, a model
-// index that does not match its result's, or a result that carries maps
-// after one that was a view — the cases where entries cannot be carried
-// over) it falls back to NewPlan and reports advanced = false.
+// When a precondition fails (index shrank, model attached/detached, or a
+// model index that does not match its plan's — the cases where entries
+// cannot be carried over) it falls back to NewPlan and reports advanced =
+// false.
 func (p *Plan) Advance(idx *data.Index, res *infer.Result, touched []int) (advanced *Plan, ok bool) {
 	n := idx.NumObjects()
 	nPrev := p.Idx.NumObjects()
-	m, hasM := res.Model.(*core.Model)
-	view := res.View(idx)
-	if n < nPrev || hasM != (p.M != nil) ||
-		(hasM && m.Idx != idx) || (p.M != nil && p.M.Idx != p.Idx) ||
-		(view == nil && p.view != nil) {
+	m, _ := res.Rows.(*core.Model)
+	if n < nPrev || (m != nil) != (p.M != nil) ||
+		(m != nil && m.Idx != idx) || (p.M != nil && p.M.Idx != p.Idx) {
 		return NewPlan(idx, res), false
 	}
 	if idx != p.Idx {
@@ -240,8 +245,8 @@ func (p *Plan) Advance(idx *data.Index, res *infer.Result, touched []int) (advan
 		}
 	}
 	ts := normalizeTouched(touched, nPrev, n)
-	np := &Plan{Idx: idx, Res: res, view: view, M: m}
-	if hasM {
+	np := &Plan{Idx: idx, Res: res, M: m, d: res.Rows, ids: objectMap(idx, res.Rows)}
+	if m != nil {
 		np.defaultPsi = m.DefaultPsi()
 	}
 	if n > nPrev {
@@ -249,12 +254,6 @@ func (p *Plan) Advance(idx *data.Index, res *infer.Result, touched []int) (advan
 		return np, true
 	}
 
-	if view == nil {
-		np.rows = p.rows.Clone()
-		for _, oid := range ts {
-			np.rows.Set(oid, res.ConfidenceAt(idx, oid))
-		}
-	}
 	np.maxMu, np.ent = p.maxMu.Clone(), p.ent.Clone()
 	moves := make([]cow.Rekey, len(ts))
 	for i, oid := range ts {
@@ -268,7 +267,6 @@ func (p *Plan) Advance(idx *data.Index, res *infer.Result, touched []int) (advan
 	if m == nil {
 		return np, true
 	}
-	np.modelOid = p.modelOid // identity mapping, guarded above; immutable
 	nObj := float64(n)
 	np.ueai = p.ueai.Clone()
 	for i, oid := range ts {
@@ -301,13 +299,6 @@ func (p *Plan) Advance(idx *data.Index, res *infer.Result, touched []int) (advan
 // objects.
 func (np *Plan) grow(p *Plan, ts []int) {
 	n, nPrev := np.Idx.NumObjects(), p.Idx.NumObjects()
-	if np.view == nil {
-		rows := p.rows.AppendTo(make([][]float64, 0, n))[:n]
-		for _, oid := range ts {
-			rows[oid] = np.Res.ConfidenceAt(np.Idx, oid)
-		}
-		np.rows = cow.Paged(rows)
-	}
 	maxMu := p.maxMu.AppendTo(make([]float64, 0, n))[:n]
 	ent := p.ent.AppendTo(make([]float64, 0, n))[:n]
 	for _, oid := range ts {
@@ -320,10 +311,8 @@ func (np *Plan) grow(p *Plan, ts []int) {
 		return
 	}
 	nObj := float64(n)
-	np.modelOid = make([]int32, n)
 	ueai := make([]float64, n)
 	for oid := range ueai {
-		np.modelOid[oid] = int32(oid)
 		ueai[oid] = ueaiBound(np.M, oid, nObj)
 	}
 	np.ueai = cow.Paged(ueai)

@@ -20,7 +20,9 @@ import (
 
 // foldAnswers simulates one incremental publish: clone the fixture's model,
 // apply nAns answers round-robin over the first objects (the pipeline's
-// ApplyAnswers path), and return the new result plus touched object IDs.
+// ApplyAnswers path), and return the new result — the folded model packaged
+// as TDH.Infer packages a fit, truths map included — plus touched object
+// IDs.
 func foldAnswers(f *fixture, nAns int) (*infer.Result, []int) {
 	m := f.m.Clone()
 	var touched []int
@@ -31,7 +33,14 @@ func foldAnswers(f *fixture, nAns int) (*infer.Result, []int) {
 		m.ApplyAnswer(o, w, i%len(f.idx.View(o).CI.Values))
 		touched = append(touched, oid)
 	}
-	return infer.ResultFromModel(m), touched
+	return fitResult(m), touched
+}
+
+// fitResult packages a model as TDH.Infer packages a fitted one.
+func fitResult(m *core.Model) *infer.Result {
+	res := infer.ViewOf(m, nil)
+	res.Truths = m.Truths()
+	return res
 }
 
 func floatsClose(t *testing.T, tag string, got, want []float64) {
@@ -65,8 +74,8 @@ func comparePlans(t *testing.T, tag string, got, want *Plan) {
 	if got.M == nil {
 		return
 	}
-	if !reflect.DeepEqual(got.modelOid, want.modelOid) {
-		t.Fatalf("%s: modelOid differs", tag)
+	if !reflect.DeepEqual(got.ids, want.ids) {
+		t.Fatalf("%s: object maps differ", tag)
 	}
 	floatsClose(t, tag+": ueai", got.ueai.AppendTo(nil), want.ueai.AppendTo(nil))
 	gotOrder, wantOrder := got.ueaiRank.AppendTo(nil), want.ueaiRank.AppendTo(nil)
@@ -161,7 +170,7 @@ func TestPlanAdvanceAfterGrowth(t *testing.T) {
 		work.Records = append(work.Records, mu.Records...)
 		idx2, touched := f.idx.Extend(work, mu)
 		m2 := f.m.Grow(idx2, touched)
-		res2 := infer.ResultFromModel(m2)
+		res2 := fitResult(m2)
 
 		want := NewPlan(idx2, res2)
 		got, ok := prev.Advance(idx2, res2, touched)
@@ -202,8 +211,9 @@ func TestPlanAdvanceFallsBack(t *testing.T) {
 	comparePlans(t, "foreign-names fallback", got, want)
 	compareAssignments(t, "foreign-names fallback", big, big.idx, big.res, got, want)
 
-	// Model detached: the result lost its TDH model (custom inferencer swap).
-	noModel := &infer.Result{Confidence: f.res.Confidence}
+	// Model detached: the result lost its TDH model (custom inferencer swap
+	// to a baseline, whose rows are a Table).
+	noModel := infer.Vote{}.Infer(f.idx)
 	got, ok = NewPlan(f.idx, f.res).Advance(f.idx, noModel, nil)
 	if ok {
 		t.Fatal("Advance across a model detach must fall back")
@@ -242,11 +252,12 @@ func TestPlanFallbackCounter(t *testing.T) {
 }
 
 // TestPlanOnViewMatchesCopy: what the server publishes between refits is a
-// VIEW over the sealed model (infer.ViewOf: no maps, rows aliased), not the
-// copied-out result the tests above advance over. Plans built or advanced
-// over the view equal the ones over the copy of the same model — values,
-// scan orders, assignments, QASCA's estimate — and read the sealed model's
-// own rows, so a plan never pins rows of a model it was advanced away from.
+// VIEW over the sealed model (infer.ViewOf over the previous result: no
+// truths map, the previous trust maps), not the fit-shaped result the tests
+// above advance over. Plans built or advanced over the view equal the ones
+// over the fit-shaped result of the same model — values, scan orders,
+// assignments, QASCA's estimate — and read the sealed model's own rows, so a
+// plan never pins rows of a model it was advanced away from.
 func TestPlanOnViewMatchesCopy(t *testing.T) {
 	for fi, f := range planFixtures(t) {
 		tag := fmt.Sprintf("fixture %d", fi)
@@ -255,8 +266,8 @@ func TestPlanOnViewMatchesCopy(t *testing.T) {
 		copied, touched := foldAnswers(f, 9)
 		m := copied.Model.(*core.Model)
 		view := infer.ViewOf(m, f.res)
-		if view.Confidence != nil || view.Truths != nil {
-			t.Fatalf("%s: a view carries maps", tag)
+		if view.Truths != nil || view.Rows != m {
+			t.Fatalf("%s: a view carries a truths map or rows other than the model's", tag)
 		}
 		want := NewPlan(f.idx, copied)
 		built := NewPlan(f.idx, view)

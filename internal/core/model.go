@@ -179,23 +179,15 @@ func (m *Model) Truths() map[string]string {
 	return out
 }
 
-// TruthAt is v*_o for one object by dense ID: the argmax of its μ row. Ties
-// break toward the deeper (more specific) value, then lexicographically, so
-// results are deterministic.
+// TruthAt is v*_o for one object by dense ID: the argmax of its μ row
+// (data.ObjectView.Argmax: ties toward the deeper value), "" for an object
+// without candidates.
 func (m *Model) TruthAt(oid int) string {
 	ov := m.Idx.ViewAt(oid)
-	best, bestP, bestDepth := "", -1.0, -1
-	for i, p := range m.MuAt(oid) {
-		v := ov.CI.Values[i]
-		d := 0
-		if m.Idx.DS.H != nil {
-			d = m.Idx.DS.H.Depth(v)
-		}
-		if p > bestP+1e-15 || (p > bestP-1e-15 && (d > bestDepth || (d == bestDepth && (best == "" || v < best)))) {
-			best, bestP, bestDepth = v, p, d
-		}
+	if i := ov.Argmax(m.MuAt(oid)); i >= 0 {
+		return ov.CI.Values[i]
 	}
-	return best
+	return ""
 }
 
 // Confidence returns μ_{o,·} aligned with Idx.View(o).CI.Values, or nil for

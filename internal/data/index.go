@@ -96,6 +96,27 @@ func findClaim(claims []Claim, part int32) (int, bool) {
 	return 0, false
 }
 
+// Argmax is the position of the truth a confidence row over CI.Values picks
+// (v*_o = argmax_v μ_{o,v}, Eq. 12), -1 for an empty row. Entries within
+// 1e-15 of the best tie, and ties break toward the deeper (more specific)
+// value, then the lexicographically smaller one, so the pick is
+// deterministic.
+func (ov *ObjectView) Argmax(row []float64) int {
+	h := ov.idx.DS.H
+	bi, best, bestP, bestD := -1, "", -1.0, -1
+	for i, p := range row {
+		v := ov.CI.Values[i]
+		d := 0
+		if h != nil {
+			d = h.Depth(v)
+		}
+		if p > bestP+1e-15 || (p > bestP-1e-15 && (d > bestD || (d == bestD && (best == "" || v < best)))) {
+			bi, best, bestP, bestD = i, v, p, d
+		}
+	}
+	return bi
+}
+
 // IsCandAncestor reports whether candidate c is a proper ancestor of
 // candidate tr within the candidate set (c ∈ Go(tr)), in O(1).
 func (ov *ObjectView) IsCandAncestor(c, tr int) bool {

@@ -36,13 +36,12 @@ func NewCategorical(inf infer.Inferencer, cfg Config) Engine {
 func (e *categorical) Model() TruthModel { return Categorical }
 func (e *categorical) Name() string      { return e.inf.Name() }
 
-// catState is a categorical round: the inference result plus, for TDH, the
-// model behind it. A fitted state's result carries the inferencer's maps; a
-// folded or grown one is a view over model (infer.ViewOf), whose truths map
-// is materialised on first use.
+// catState is a categorical round: the inference result, whose Model — for
+// TDH — is the model the state folds and grows. A fitted state's result
+// carries the inferencer's truths map; a folded or grown one is a view over
+// the model (infer.ViewOf), whose truths map is materialised on first use.
 type catState struct {
-	res   *infer.Result
-	model *core.Model // nil for non-TDH inferencers
+	res *infer.Result
 
 	truthsOnce sync.Once
 	truths     map[string]string
@@ -53,14 +52,14 @@ func (st *catState) Res() *infer.Result { return st.res }
 func (st *catState) Truths() any { return st.truthMap() }
 
 // truthMap is the name-keyed truths: the inferencer's own map after a fit,
-// built from the sealed model at most once after a fold.
+// built from the result's rows at most once after a fold.
 //
 //tdh:mutator fills the lazily materialised truths exactly once behind sync.Once; no reader can observe a partial fill
 func (st *catState) truthMap() map[string]string {
 	if st.res.Truths != nil {
 		return st.res.Truths
 	}
-	st.truthsOnce.Do(func() { st.truths = st.model.Truths() })
+	st.truthsOnce.Do(func() { st.truths = st.res.TruthMap(st.res.Rows.Index()) })
 	return st.truths
 }
 
@@ -79,9 +78,7 @@ func (st *catState) Quality(ds *data.Dataset, idx *data.Index) map[string]float6
 }
 
 func (e *categorical) Fit(idx *data.Index) State {
-	res := e.inf.Infer(idx)
-	m, _ := res.Model.(*core.Model)
-	return &catState{res: res, model: m}
+	return &catState{res: e.inf.Infer(idx)}
 }
 
 func (e *categorical) ApplyAnswers(st State, idx *data.Index, answers []data.Answer) (State, bool) {
@@ -97,10 +94,11 @@ func (e *categorical) ApplyAnswers(st State, idx *data.Index, answers []data.Ans
 // ok=false.
 func (e *categorical) NewEpoch(st State, idx *data.Index) (Epoch, bool) {
 	cs := st.(*catState)
-	if cs.model == nil {
+	m, ok := cs.res.Model.(*core.Model)
+	if !ok {
 		return nil, false
 	}
-	return &catEpoch{m: cs.model.Clone(), prev: cs.res}, true
+	return &catEpoch{m: m.Clone(), prev: cs.res}, true
 }
 
 // catEpoch folds answers into one cloned TDH model. Fold may be called
@@ -153,16 +151,16 @@ func (ep *catEpoch) Fold(answers []data.Answer) {
 
 // Seal publishes the folded model as it is: nothing is copied or rebuilt.
 func (ep *catEpoch) Seal() State {
-	return &catState{res: infer.ViewOf(ep.m, ep.prev), model: ep.m}
+	return &catState{res: infer.ViewOf(ep.m, ep.prev)}
 }
 
 func (e *categorical) Grow(st State, idx *data.Index, touched []int) (State, bool) {
 	cs := st.(*catState)
-	if cs.model == nil {
+	m, ok := cs.res.Model.(*core.Model)
+	if !ok {
 		return st, false
 	}
-	m := cs.model.Grow(idx, touched)
-	return &catState{res: infer.ViewOf(m, cs.res), model: m}, true
+	return &catState{res: infer.ViewOf(m.Grow(idx, touched), cs.res)}, true
 }
 
 func (e *categorical) ValidateAnswer(ov *data.ObjectView, a *data.Answer) error {

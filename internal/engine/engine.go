@@ -16,14 +16,16 @@
 // update between fits is object-local — it writes what the cycle's answers
 // touched and nothing else — with whatever is global (TDH's φ/ψ, numeric's
 // provider weights) frozen at the last Fit, and an engine with no such
-// update (multi-truth, the categorical baselines) says so in one line. What
-// a sealed epoch publishes is a VIEW over the sealed state, not a copy of
-// it (State.Res): confidence rows are shared with the state, truths are
-// computed from a row on demand, trust maps carry over from the previous
-// result, and the name-keyed /truths map is materialised on first use, at
-// most once per state. A publish therefore costs what it touched; the one
-// thing every engine owes in return is never to write a State it has
-// returned — folds and growth copy what they write first.
+// update (multi-truth, the categorical baselines) says so in one line. Every
+// state publishes its per-object content in one shape, a dense table read
+// by object ID (infer.Result.Rows), and a sealed epoch's table is the sealed
+// state itself, not a copy of it (State.Res): confidence rows are shared
+// with the state, truths are computed from a row on demand, trust maps
+// carry over from the previous result, and the name-keyed /truths map is
+// materialised on first use, at most once per state. A publish therefore
+// costs what it touched; the one thing every engine owes in return is never
+// to write a State it has returned — folds and growth copy what they write
+// first.
 //
 // The server's pipeline, snapshot and handlers speak only this interface
 // (internal/server), and campaigns declare their truth model at create time
@@ -76,20 +78,19 @@ type Config struct {
 // lock. Its wire encoders define the per-model /truths and /confidence
 // response shapes.
 type State interface {
-	// Res is the assigner-facing view — confidence rows shaped like the
-	// index, trust maps, and (when the engine has one) the fitted model —
-	// which is what assign.NewPlan and every Assigner consume. Never nil.
+	// Res is the assigner-facing view — the per-object rows and truths (an
+	// infer.Dense by object ID), trust maps, and (when the engine has one)
+	// the fitted model — which is what assign.NewPlan and every Assigner
+	// consume. Never nil, and its Rows never nil.
 	//
-	// What it holds depends on how the state came to be. After Fit, a
-	// categorical or multi-truth result carries every name-keyed map, filled
-	// once by the inferencer. After a fold or a Grow, a TDH result — and a
-	// numeric one always — is a VIEW over the sealed state (infer.ViewOf /
-	// infer.Dense): it shares the sealed state's confidence rows instead of
-	// copying them, its Truths and Confidence maps are nil, and its trust
-	// maps are the previous result's own unless growth added participants
-	// (always valid, in every form). Readers therefore go through the
-	// ID-based read API (Result.ConfidenceAt / TruthAt / View), which serves
-	// both forms.
+	// Rows is the fitted *core.Model for TDH, an infer.Table for the
+	// categorical baselines and multi-truth discovery, and the numeric state
+	// itself for numeric models; after a fold or a Grow it is the sealed
+	// state, shared rather than copied (infer.ViewOf). The trust maps are
+	// the previous result's own unless growth added participants. Truths is
+	// filled only by a categorical Fit: readers go through the ID-based read
+	// API (Result.ConfidenceAt / TruthAt / TruthMap), which serves every
+	// state alike.
 	Res() *infer.Result
 	// Truths is the GET /truths payload: map[object]value (categorical),
 	// map[object]float64 (numeric), or map[object][]value (multi_truth).

@@ -141,14 +141,15 @@ func TestRegistry(t *testing.T) {
 func TestCategoricalFitEquivalence(t *testing.T) {
 	ds := geoDataset(t, 6)
 	for i, inf := range CategoricalInferencers() {
-		direct := CategoricalInferencers()[i].Infer(data.NewIndex(ds.Clone()))
+		idx := data.NewIndex(ds.Clone())
+		direct := CategoricalInferencers()[i].Infer(idx)
 		st := NewCategorical(inf, Config{}).Fit(data.NewIndex(ds.Clone()))
 		res := st.Res()
 		if !reflect.DeepEqual(res.Truths, direct.Truths) {
 			t.Fatalf("%s: engine truths diverge from direct path", inf.Name())
 		}
-		for o, want := range direct.Confidence {
-			got := res.Confidence[o]
+		for oid, o := range idx.Objects {
+			got, want := res.ConfidenceAt(idx, oid), direct.ConfidenceAt(idx, oid)
 			if len(got) != len(want) {
 				t.Fatalf("%s: confidence row %q length %d vs %d", inf.Name(), o, len(got), len(want))
 			}
@@ -186,8 +187,9 @@ func TestCategoricalWorkersEquivalence(t *testing.T) {
 	if !reflect.DeepEqual(seq.Res().Truths, par.Res().Truths) {
 		t.Fatal("parallel E-step changed the truths")
 	}
-	for o, want := range seq.Res().Confidence {
-		got := par.Res().Confidence[o]
+	idx := seq.Res().Rows.Index()
+	for oid, o := range idx.Objects {
+		got, want := par.Res().ConfidenceAt(idx, oid), seq.Res().ConfidenceAt(idx, oid)
 		for j := range want {
 			if math.Abs(got[j]-want[j]) > 1e-9 {
 				t.Fatalf("parallel confidence[%q][%d] = %g vs %g", o, j, got[j], want[j])

@@ -30,7 +30,8 @@ func (e *multiEngine) Model() TruthModel { return MultiTruth }
 func (e *multiEngine) Name() string      { return e.disc.Name() }
 
 // multiState is one discovery round: the per-object truth sets plus the
-// assigner-facing result derived from claim support.
+// assigner-facing result, whose rows are claim support and whose truth is
+// each set's first value.
 type multiState struct {
 	sets map[string][]string
 	res  *infer.Result
@@ -58,27 +59,17 @@ func (st *multiState) Quality(ds *data.Dataset, idx *data.Index) map[string]floa
 	return map[string]float64{"precision": sc.Precision, "recall": sc.Recall, "f1": sc.F1}
 }
 
-//tdh:mutator builds a fresh Result for the next state; nothing aliases it until the state is returned
+//tdh:mutator fills a fresh Table for the next state; nothing aliases it until the state is returned
 func (e *multiEngine) Fit(idx *data.Index) State {
 	sets := e.disc.Discover(idx)
 
 	// The assigner-facing confidence row is each candidate's claim share —
 	// the fraction of the object's providers (sources and workers alike)
 	// claiming it — so ME and QASCA rank the most contested objects first.
-	res := &infer.Result{
-		Truths:      make(map[string]string, len(sets)),
-		Confidence:  make(map[string][]float64, len(idx.Objects)),
-		SourceTrust: map[string]float64{},
-		WorkerTrust: map[string]float64{},
-	}
-	for o, set := range sets {
-		if len(set) > 0 {
-			res.Truths[o] = set[0]
-		}
-	}
-	for oid, o := range idx.Objects {
+	tab := infer.NewTable(idx)
+	for oid := range idx.Views {
 		ov := &idx.Views[oid]
-		row := make([]float64, len(ov.CI.Values))
+		row := tab.Row(oid)
 		for _, c := range ov.SourceClaims {
 			row[c.Val]++
 		}
@@ -86,8 +77,13 @@ func (e *multiEngine) Fit(idx *data.Index) State {
 			row[c.Val]++
 		}
 		normalize(row)
-		res.Confidence[o] = row
+		if set := sets[ov.Object]; len(set) > 0 {
+			if pos, ok := ov.CI.Pos(set[0]); ok {
+				tab.SetTruth(oid, pos)
+			}
+		}
 	}
+	res := &infer.Result{Rows: tab, SourceTrust: map[string]float64{}, WorkerTrust: map[string]float64{}}
 	return &multiState{sets: sets, res: res}
 }
 

@@ -47,9 +47,9 @@ func (e *numericEngine) Name() string      { return e.est.Name() }
 const workerPrefix = "w:"
 
 // numState is one numeric round, dense by object ID of idx. It is its own
-// result's Model (infer.Dense): nothing name-keyed is built per round — a
-// fold copies three slice-header arrays and replaces the touched entries —
-// and the /truths map is materialised on first use.
+// result's Rows (infer.Dense) and Model: nothing name-keyed is built per
+// round — a fold copies three slice-header arrays and replaces the touched
+// entries — and the /truths map is materialised on first use.
 type numState struct {
 	idx *data.Index
 	// claims[oid] is the object's parsed claims in dataset order (records,
@@ -134,7 +134,7 @@ func newNumState(idx *data.Index, weights map[string]float64) *numState {
 	st := &numState{idx: idx, weights: weights,
 		claims: make([][]numeric.Claim, n), est: make([]float64, n), rows: make([][]float64, n),
 		res: &infer.Result{SourceTrust: map[string]float64{}, WorkerTrust: map[string]float64{}}}
-	st.res.Model = st
+	st.res.Rows, st.res.Model = st, st
 	if len(weights) == 0 {
 		return st
 	}
@@ -169,7 +169,7 @@ func (st *numState) fork(idx *data.Index) *numState {
 	copy(next.claims, st.claims)
 	copy(next.est, st.est)
 	copy(next.rows, st.rows)
-	next.res = &infer.Result{SourceTrust: st.res.SourceTrust, WorkerTrust: st.res.WorkerTrust, Model: next}
+	next.res = &infer.Result{Rows: next, SourceTrust: st.res.SourceTrust, WorkerTrust: st.res.WorkerTrust, Model: next}
 	return next
 }
 

@@ -54,25 +54,25 @@ func (a Accu) Infer(idx *data.Index) *Result {
 	if a.CopyPrior == 0 {
 		a.CopyPrior = 0.1
 	}
-	res := newResult(idx)
+	res, tab := newResult(idx)
 	trust := map[provider]float64{}
-	for _, o := range idx.Objects {
-		for _, cl := range claimsOf(idx.View(o)) {
+	for oid := range idx.Views {
+		for _, cl := range claimsOf(&idx.Views[oid]) {
 			trust[cl.p] = accuInitTrust
 		}
 	}
-	// Copier discount weights per (object, provider): probability the
+	// Copier discount weights per (object ID, provider): probability the
 	// provider supplied the value independently.
-	indep := map[string]map[provider]float64{}
+	var indep []map[provider]float64
 
 	for iter := 0; iter < a.MaxIter; iter++ {
 		if a.DetectDependence {
-			indep = a.dependenceDiscount(idx, res, trust, iter == 0)
+			indep = a.dependenceDiscount(idx, tab, trust, iter == 0)
 		}
 		maxDelta := 0.0
-		for _, o := range idx.Objects {
-			ov := idx.View(o)
-			conf := res.Confidence[o]
+		for oid := range idx.Views {
+			ov := &idx.Views[oid]
+			conf := tab.Row(oid)
 			n := float64(ov.CI.NumValues() - 1)
 			if n < 1 {
 				n = 1
@@ -82,10 +82,8 @@ func (a Accu) Infer(idx *data.Index) *Result {
 				t := clampTrust(trust[cl.p])
 				w := 1.0
 				if a.DetectDependence {
-					if m := indep[o]; m != nil {
-						if iw, ok := m[cl.p]; ok {
-							w = iw
-						}
+					if iw, ok := indep[oid][cl.p]; ok {
+						w = iw
 					}
 				}
 				score[cl.c] += w * math.Log(n*t/(1-t))
@@ -113,10 +111,9 @@ func (a Accu) Infer(idx *data.Index) *Result {
 		// Re-estimate accuracies.
 		sum := map[provider]float64{}
 		cnt := map[provider]int{}
-		for _, o := range idx.Objects {
-			ov := idx.View(o)
-			conf := res.Confidence[o]
-			for _, cl := range claimsOf(ov) {
+		for oid := range idx.Views {
+			conf := tab.Row(oid)
+			for _, cl := range claimsOf(&idx.Views[oid]) {
 				sum[cl.p] += conf[cl.c]
 				cnt[cl.p]++
 			}
@@ -134,7 +131,7 @@ func (a Accu) Infer(idx *data.Index) *Result {
 	for p, t := range trust {
 		res.setTrust(p, t)
 	}
-	res.finalize(idx)
+	res.finalize(tab)
 	return res
 }
 
@@ -155,18 +152,16 @@ func clampTrust(t float64) float64 {
 // true values. Each claim's vote is then discounted by the probability the
 // provider is independent on that object, I(p) = Π_{p' shares value}
 // (1 - c·P(p' -> p)).
-func (a Accu) dependenceDiscount(idx *data.Index, res *Result, trust map[provider]float64, first bool) map[string]map[provider]float64 {
+func (a Accu) dependenceDiscount(idx *data.Index, tab *Table, trust map[provider]float64, first bool) []map[provider]float64 {
 	// Gather per-object claim lists once.
 	type claim struct {
 		p provider
 		c int
 	}
-	objClaims := make(map[string][]claim, len(idx.Objects))
-	providerObjs := map[provider][]string{}
-	for _, o := range idx.Objects {
-		for _, cl := range claimsOf(idx.View(o)) {
-			objClaims[o] = append(objClaims[o], claim{cl.p, cl.c})
-			providerObjs[cl.p] = append(providerObjs[cl.p], o)
+	objClaims := make([][]claim, len(idx.Views))
+	for oid := range idx.Views {
+		for _, cl := range claimsOf(&idx.Views[oid]) {
+			objClaims[oid] = append(objClaims[oid], claim{cl.p, cl.c})
 		}
 	}
 	// Pair statistics: kt = #shared objects with same value that looks
@@ -175,12 +170,11 @@ func (a Accu) dependenceDiscount(idx *data.Index, res *Result, trust map[provide
 	type pairKey struct{ a, b provider }
 	type pairStat struct{ kt, kf, kd int }
 	stats := map[pairKey]*pairStat{}
-	for _, o := range idx.Objects {
-		cls := objClaims[o]
+	for oid, cls := range objClaims {
 		if len(cls) < 2 {
 			continue
 		}
-		conf := res.Confidence[o]
+		conf := tab.Row(oid)
 		for i := 0; i < len(cls); i++ {
 			for j := i + 1; j < len(cls); j++ {
 				pi, pj := cls[i].p, cls[j].p
@@ -232,9 +226,8 @@ func (a Accu) dependenceDiscount(idx *data.Index, res *Result, trust map[provide
 	// Discount: iterate each object's claims; providers sharing a value
 	// form a copy-suspect clique; more accurate providers are treated as
 	// originals (processed first), per ACCU's ordering heuristic.
-	out := make(map[string]map[provider]float64, len(objClaims))
-	//tdh:orderok out is keyed by object and each object's clique discount is self-contained
-	for o, cls := range objClaims {
+	out := make([]map[provider]float64, len(objClaims))
+	for oid, cls := range objClaims {
 		byVal := map[int][]claim{}
 		for _, cl := range cls {
 			byVal[cl.c] = append(byVal[cl.c], cl)
@@ -265,7 +258,7 @@ func (a Accu) dependenceDiscount(idx *data.Index, res *Result, trust map[provide
 				m[cl.p] = w
 			}
 		}
-		out[o] = m
+		out[oid] = m
 	}
 	return out
 }

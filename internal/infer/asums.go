@@ -29,25 +29,22 @@ func (a ASUMS) Infer(idx *data.Index) *Result {
 	if a.Threshold == 0 {
 		a.Threshold = 0.8
 	}
-	res := newResult(idx)
+	res, tab := newResult(idx)
 	trust := map[provider]float64{}
 	counts := map[provider]int{}
-	for _, o := range idx.Objects {
-		for _, cl := range claimsOf(idx.View(o)) {
+	for oid := range idx.Views {
+		for _, cl := range claimsOf(&idx.Views[oid]) {
 			trust[cl.p] = 1
 			counts[cl.p]++
 		}
 	}
-	belief := make(map[string][]float64, len(idx.Objects))
-	for _, o := range idx.Objects {
-		belief[o] = make([]float64, idx.View(o).CI.NumValues())
-	}
+	belief := NewTable(idx) // working beliefs, shaped like the confidences
 	for iter := 0; iter < a.MaxIter; iter++ {
 		// Belief step: B(v) = Σ_{claims c of v or of a descendant of v} t(p).
 		maxB := 0.0
-		for _, o := range idx.Objects {
-			ov := idx.View(o)
-			b := belief[o]
+		for oid := range idx.Views {
+			ov := &idx.Views[oid]
+			b := belief.Row(oid)
 			for i := range b {
 				b[i] = 0
 			}
@@ -67,10 +64,8 @@ func (a ASUMS) Infer(idx *data.Index) *Result {
 		if maxB == 0 {
 			maxB = 1
 		}
-		for _, b := range belief {
-			for i := range b {
-				b[i] /= maxB
-			}
+		for i := range belief.conf {
+			belief.conf[i] /= maxB
 		}
 		// Trust step: t(p) = Σ_{claims} B(claimed value), normalized by
 		// max — the original Sums fixpoint, which ASUMS inherits. The sum
@@ -78,10 +73,9 @@ func (a ASUMS) Infer(idx *data.Index) *Result {
 		// why Figure 5 shows ASUMS underestimating the reliability of the
 		// small sources 4, 5 and 7.
 		newTrust := map[provider]float64{}
-		for _, o := range idx.Objects {
-			ov := idx.View(o)
-			b := belief[o]
-			for _, cl := range claimsOf(ov) {
+		for oid := range idx.Views {
+			b := belief.Row(oid)
+			for _, cl := range claimsOf(&idx.Views[oid]) {
 				newTrust[cl.p] += b[cl.c]
 			}
 		}
@@ -108,10 +102,10 @@ func (a ASUMS) Infer(idx *data.Index) *Result {
 	}
 	// Confidences = normalized beliefs; truth = deepest candidate whose
 	// belief reaches the threshold share of the max.
-	for _, o := range idx.Objects {
-		ov := idx.View(o)
-		b := belief[o]
-		conf := res.Confidence[o]
+	for oid := range idx.Views {
+		ov := &idx.Views[oid]
+		b := belief.Row(oid)
+		conf := tab.Row(oid)
 		copy(conf, b)
 		normalize(conf)
 		mx := 0.0
@@ -120,7 +114,7 @@ func (a ASUMS) Infer(idx *data.Index) *Result {
 				mx = x
 			}
 		}
-		best, bestDepth := "", -1
+		bi, best, bestDepth := -1, "", -1
 		for i, x := range b {
 			if x+1e-15 >= a.Threshold*mx {
 				v := ov.CI.Values[i]
@@ -129,12 +123,13 @@ func (a ASUMS) Infer(idx *data.Index) *Result {
 					d = idx.DS.H.Depth(v)
 				}
 				if d > bestDepth || (d == bestDepth && (best == "" || v < best)) {
-					best, bestDepth = v, d
+					bi, best, bestDepth = i, v, d
 				}
 			}
 		}
-		res.Truths[o] = best
+		tab.SetTruth(oid, bi)
 	}
+	res.Truths = tab.truthMap()
 	// Per-provider normalized trust, scaled to the average belief of its
 	// claims (the t(s) plotted in Figure 5).
 	//tdh:orderok setTrust writes one keyed entry per provider; iteration order is immaterial

@@ -119,9 +119,10 @@ func TestLCAGuessDistribution(t *testing.T) {
 	guess := LCA{}.Infer(idx)
 	uniform := SimpleLCA{}.Infer(idx)
 	maxDiff := 0.0
-	for _, o := range idx.Objects {
-		for i := range guess.Confidence[o] {
-			d := guess.Confidence[o][i] - uniform.Confidence[o][i]
+	for oid := range idx.Objects {
+		g, u := guess.ConfidenceAt(idx, oid), uniform.ConfidenceAt(idx, oid)
+		for i := range g {
+			d := g[i] - u[i]
 			if d < 0 {
 				d = -d
 			}
@@ -154,11 +155,12 @@ func TestAccuVoteCountScaling(t *testing.T) {
 	if res.Truths["probe"] != "London" {
 		t.Fatalf("probe = %q", res.Truths["probe"])
 	}
-	// And confidence for London must be clearly above half.
+	// And confidence for London must be clearly above half — read through
+	// a second index of the same dataset, which maps by object name.
 	idx := data.NewIndex(ds)
 	ov := idx.View("probe")
-	if res.Confidence["probe"][candPos(ov.CI, "London")] < 0.6 {
-		t.Fatalf("probe confidence too timid: %v", res.Confidence["probe"])
+	if conf := res.ConfidenceAt(idx, ov.ID); conf[candPos(ov.CI, "London")] < 0.6 {
+		t.Fatalf("probe confidence too timid: %v", conf)
 	}
 }
 

@@ -25,24 +25,23 @@ func (c CRH) Infer(idx *data.Index) *Result {
 	if c.MaxIter == 0 {
 		c.MaxIter = 20
 	}
-	res := newResult(idx)
+	res, tab := newResult(idx)
 	w := map[provider]float64{}
-	for _, o := range idx.Objects {
-		for _, cl := range claimsOf(idx.View(o)) {
+	for oid := range idx.Views {
+		for _, cl := range claimsOf(&idx.Views[oid]) {
 			w[cl.p] = 1
 		}
 	}
-	prevTruth := map[string]int{}
+	prevTruth := make([]int, len(idx.Views))
 	for iter := 0; iter < c.MaxIter; iter++ {
 		// Truth step: weighted vote.
 		changed := false
-		for _, o := range idx.Objects {
-			ov := idx.View(o)
-			conf := res.Confidence[o]
+		for oid := range idx.Views {
+			conf := tab.Row(oid)
 			for i := range conf {
 				conf[i] = 0
 			}
-			for _, cl := range claimsOf(ov) {
+			for _, cl := range claimsOf(&idx.Views[oid]) {
 				conf[cl.c] += w[cl.p]
 			}
 			normalize(conf)
@@ -52,20 +51,19 @@ func (c CRH) Infer(idx *data.Index) *Result {
 					best, bestP = i, p
 				}
 			}
-			if prevTruth[o] != best {
+			if prevTruth[oid] != best {
 				changed = true
-				prevTruth[o] = best
+				prevTruth[oid] = best
 			}
 		}
 		// Weight step: 0-1 losses against the current truths.
 		loss := map[provider]float64{}
 		cnt := map[provider]int{}
 		var totalLoss float64
-		for _, o := range idx.Objects {
-			ov := idx.View(o)
-			for _, cl := range claimsOf(ov) {
+		for oid := range idx.Views {
+			for _, cl := range claimsOf(&idx.Views[oid]) {
 				cnt[cl.p]++
-				if cl.c != prevTruth[o] {
+				if cl.c != prevTruth[oid] {
 					loss[cl.p]++
 					totalLoss++
 				}
@@ -89,12 +87,11 @@ func (c CRH) Infer(idx *data.Index) *Result {
 	}
 	// Report trust as normalized accuracy of claims vs final truths.
 	acc := map[provider][2]float64{}
-	for _, o := range idx.Objects {
-		ov := idx.View(o)
-		for _, cl := range claimsOf(ov) {
+	for oid := range idx.Views {
+		for _, cl := range claimsOf(&idx.Views[oid]) {
 			a := acc[cl.p]
 			a[1]++
-			if cl.c == prevTruth[o] {
+			if cl.c == prevTruth[oid] {
 				a[0]++
 			}
 			acc[cl.p] = a
@@ -106,6 +103,6 @@ func (c CRH) Infer(idx *data.Index) *Result {
 			res.setTrust(p, a[0]/a[1])
 		}
 	}
-	res.finalize(idx)
+	res.finalize(tab)
 	return res
 }

@@ -29,11 +29,16 @@ type DOCS struct {
 // Name implements Inferencer.
 func (DOCS) Name() string { return "DOCS" }
 
-func domainOf(idx *data.Index, o string) string {
-	if d, ok := idx.DS.Domains[o]; ok && d != "" {
-		return d
+// domainsOf lists each object's domain by object ID.
+func domainsOf(idx *data.Index) []string {
+	doms := make([]string, len(idx.Objects))
+	for oid, o := range idx.Objects {
+		doms[oid] = "~"
+		if d, ok := idx.DS.Domains[o]; ok && d != "" {
+			doms[oid] = d
+		}
 	}
-	return "~"
+	return doms
 }
 
 // Infer implements Inferencer.
@@ -47,25 +52,24 @@ func (dc DOCS) Infer(idx *data.Index) *Result {
 	if dc.BetaB == 0 {
 		dc.BetaB = 2
 	}
-	res := newResult(idx)
+	res, tab := newResult(idx)
+	doms := domainsOf(idx)
 	q := map[provDomain]float64{}
 	prior := dc.BetaA / (dc.BetaA + dc.BetaB)
-	for _, o := range idx.Objects {
-		ov := idx.View(o)
-		conf := res.Confidence[o]
-		dom := domainOf(idx, o)
-		for _, cl := range claimsOf(ov) {
+	for oid := range idx.Views {
+		conf := tab.Row(oid)
+		for _, cl := range claimsOf(&idx.Views[oid]) {
 			conf[cl.c]++
-			q[provDomain{cl.p, dom}] = prior
+			q[provDomain{cl.p, doms[oid]}] = prior
 		}
 		normalize(conf)
 	}
 	for iter := 0; iter < dc.MaxIter; iter++ {
 		maxDelta := 0.0
-		for _, o := range idx.Objects {
-			ov := idx.View(o)
-			conf := res.Confidence[o]
-			dom := domainOf(idx, o)
+		for oid := range idx.Views {
+			ov := &idx.Views[oid]
+			conf := tab.Row(oid)
+			dom := doms[oid]
 			nV := float64(ov.CI.NumValues())
 			post := make([]float64, len(conf))
 			copy(post, conf)
@@ -102,12 +106,10 @@ func (dc DOCS) Infer(idx *data.Index) *Result {
 		// Quality update per (provider, domain) with Beta smoothing.
 		hit := map[provDomain]float64{}
 		cnt := map[provDomain]int{}
-		for _, o := range idx.Objects {
-			ov := idx.View(o)
-			conf := res.Confidence[o]
-			dom := domainOf(idx, o)
-			for _, cl := range claimsOf(ov) {
-				k := provDomain{cl.p, dom}
+		for oid := range idx.Views {
+			conf := tab.Row(oid)
+			for _, cl := range claimsOf(&idx.Views[oid]) {
+				k := provDomain{cl.p, doms[oid]}
 				hit[k] += conf[cl.c]
 				cnt[k]++
 			}
@@ -122,11 +124,9 @@ func (dc DOCS) Infer(idx *data.Index) *Result {
 	// Trust: claim-weighted mean quality across domains.
 	sum := map[provider]float64{}
 	cnt := map[provider]int{}
-	for _, o := range idx.Objects {
-		ov := idx.View(o)
-		dom := domainOf(idx, o)
-		for _, cl := range claimsOf(ov) {
-			sum[cl.p] += q[provDomain{cl.p, dom}]
+	for oid := range idx.Views {
+		for _, cl := range claimsOf(&idx.Views[oid]) {
+			sum[cl.p] += q[provDomain{cl.p, doms[oid]}]
 			cnt[cl.p]++
 		}
 	}
@@ -137,7 +137,7 @@ func (dc DOCS) Infer(idx *data.Index) *Result {
 		}
 	}
 	res.Model = &DOCSState{Q: flattenQ(q), Prior: prior}
-	res.finalize(idx)
+	res.finalize(tab)
 	return res
 }
 

@@ -8,25 +8,28 @@ import (
 	"repro/internal/data"
 )
 
-// Result is the output of one truth-inference run. Every Inferencer fills
-// all of it; a live engine's sealed fold publishes the same type as a view
-// with Truths and Confidence nil and the per-object content served from
-// Model (view.go), so code on the serving path reads per-object content
-// through ConfidenceAt / TruthAt rather than the maps.
+// Result is the output of one truth-inference run. Its per-object content —
+// each object's confidence distribution μ_o over Vo and its truth v*_o — is
+// Rows, one Dense table read by dense object ID: the fitted *core.Model
+// itself for TDH, a Table for the baselines. A live engine's sealed fold
+// publishes the same type around the folded model (ViewOf). Readers go
+// through ConfidenceAt / TruthAt / TruthMap (view.go).
 type Result struct {
-	// Truths maps object -> estimated most-specific true value.
+	// Rows is the per-object content. Never nil.
+	Rows Dense
+	// Truths maps object -> estimated truth: a name-keyed copy of Rows'
+	// truths that every Inferencer.Infer fills once, for batch consumers
+	// that score a map (eval.Evaluate). Nil on a sealed fold; nothing on the
+	// serving path reads it.
 	Truths map[string]string
-	// Confidence maps object -> distribution over the candidate values, in
-	// the order of idx.View(o).CI.Values. All algorithms publish it so the
-	// generic task assigners (ME, QASCA) can run on top of any of them.
-	Confidence map[string][]float64
 	// SourceTrust / WorkerTrust are scalar reliabilities in [0,1]; the
 	// exact semantics are algorithm-specific (documented per algorithm).
 	// Valid on views too: a fold cannot change them, so they carry over.
 	SourceTrust map[string]float64
 	WorkerTrust map[string]float64
-	// Model carries algorithm-specific state (e.g. *core.Model for TDH)
-	// for task assigners that need more than confidences.
+	// Model carries algorithm-specific state for task assigners that need
+	// more than confidences: the *core.Model that is Rows for TDH (EAI), the
+	// *DOCSState for DOCS (MB).
 	Model any
 }
 
@@ -36,39 +39,70 @@ type Inferencer interface {
 	Infer(idx *data.Index) *Result
 }
 
-// newResult allocates a Result with confidence slices shaped like the index.
-func newResult(idx *data.Index) *Result {
-	r := &Result{
-		Truths:      make(map[string]string, len(idx.Objects)),
-		Confidence:  make(map[string][]float64, len(idx.Objects)),
-		SourceTrust: map[string]float64{},
-		WorkerTrust: map[string]float64{},
-	}
-	for _, o := range idx.Objects {
-		r.Confidence[o] = make([]float64, idx.View(o).CI.NumValues())
-	}
-	return r
+// Table is the Dense a baseline publishes: every object's confidence row,
+// aligned with its CI.Values, in one flat slice on per-object offsets, and
+// the candidate position of its truth (-1: none). Whoever makes a table
+// fills it before the Result that holds it is returned, and nobody writes
+// it afterwards.
+type Table struct {
+	idx   *data.Index
+	off   []int
+	conf  []float64
+	truth []int32
 }
 
-// finalize fills Truths from Confidence by argmax with deterministic
-// (deeper-then-lexicographic) tie-breaking.
-func (r *Result) finalize(idx *data.Index) {
-	for _, o := range idx.Objects {
-		ov := idx.View(o)
-		conf := r.Confidence[o]
-		best, bestP, bestD := "", -1.0, -1
-		for i, p := range conf {
-			v := ov.CI.Values[i]
-			d := 0
-			if idx.DS.H != nil {
-				d = idx.DS.H.Depth(v)
-			}
-			if p > bestP+1e-15 || (p > bestP-1e-15 && (d > bestD || (d == bestD && (best == "" || v < best)))) {
-				best, bestP, bestD = v, p, d
-			}
-		}
-		r.Truths[o] = best
+// NewTable returns a zeroed table shaped like idx, with no truths.
+func NewTable(idx *data.Index) *Table {
+	n := idx.NumObjects()
+	t := &Table{idx: idx, off: make([]int, n+1), truth: make([]int32, n)}
+	for oid := range idx.Views {
+		t.off[oid+1] = t.off[oid] + idx.Views[oid].CI.NumValues()
+		t.truth[oid] = -1
 	}
+	t.conf = make([]float64, t.off[n])
+	return t
+}
+
+// Index, Row and TruthAt implement Dense. Row is capacity-limited, so an
+// append to it cannot run into the next object's row.
+func (t *Table) Index() *data.Index    { return t.idx }
+func (t *Table) Row(oid int) []float64 { return t.conf[t.off[oid]:t.off[oid+1]:t.off[oid+1]] }
+
+func (t *Table) TruthAt(oid int) string {
+	if i := t.truth[oid]; i >= 0 {
+		return t.idx.Views[oid].CI.Values[i]
+	}
+	return ""
+}
+
+// SetTruth makes candidate pos object oid's truth.
+func (t *Table) SetTruth(oid, pos int) { t.truth[oid] = int32(pos) }
+
+// truthMap is the name-keyed copy of the table's truths, one entry per
+// object ("" for an object without one), as Result.Truths publishes it.
+func (t *Table) truthMap() map[string]string {
+	out := make(map[string]string, len(t.truth))
+	for oid, o := range t.idx.Objects {
+		out[o] = t.TruthAt(oid)
+	}
+	return out
+}
+
+// newResult allocates a Result over a fresh Table, which the inferencer
+// fills by object ID.
+func newResult(idx *data.Index) (*Result, *Table) {
+	t := NewTable(idx)
+	return &Result{Rows: t, SourceTrust: map[string]float64{}, WorkerTrust: map[string]float64{}}, t
+}
+
+// finalize makes every object's truth the argmax of its row
+// (data.ObjectView.Argmax: ties toward the deeper value) and publishes the
+// truths map.
+func (r *Result) finalize(t *Table) {
+	for oid := range t.truth {
+		t.truth[oid] = int32(t.idx.Views[oid].Argmax(t.Row(oid)))
+	}
+	r.Truths = t.truthMap()
 }
 
 // provider is one claim-maker: a source or a worker. Baselines that have no

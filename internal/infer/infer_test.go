@@ -95,7 +95,7 @@ func TestConfidencesNormalized(t *testing.T) {
 	} {
 		res := alg.Infer(idx)
 		for _, o := range idx.Objects {
-			conf := res.Confidence[o]
+			conf := res.ConfidenceAt(idx, idx.View(o).ID)
 			if len(conf) != idx.View(o).CI.NumValues() {
 				t.Fatalf("%s: confidence shape wrong on %s", alg.Name(), o)
 			}
@@ -276,12 +276,12 @@ func TestAccuDependenceDiscount(t *testing.T) {
 	}
 	idx := data.NewIndex(ds)
 	a := Accu{DetectDependence: true, MaxIter: 20, CopyRate: 0.8, CopyPrior: 0.1}
-	res := newResult(idx)
+	_, tab := newResult(idx)
 	// Seed confidences at the majority outcome (NY true, LA false), then
 	// inspect the pairwise analysis directly.
-	for _, o := range idx.Objects {
-		ov := idx.View(o)
-		conf := res.Confidence[o]
+	for oid := range idx.Objects {
+		ov := idx.ViewAt(oid)
+		conf := tab.Row(oid)
 		conf[candPos(ov.CI, "NY")] = 0.9
 		conf[candPos(ov.CI, "LA")] = 0.1
 	}
@@ -291,8 +291,8 @@ func TestAccuDependenceDiscount(t *testing.T) {
 			trust[cl.p] = 0.8
 		}
 	}
-	indep := a.dependenceDiscount(idx, res, trust, false)
-	m := indep["x0"]
+	indep := a.dependenceDiscount(idx, tab, trust, false)
+	m := indep[idx.View("x0").ID]
 	if m == nil {
 		t.Fatal("no discount map")
 	}

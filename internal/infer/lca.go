@@ -24,12 +24,12 @@ func (l LCA) Infer(idx *data.Index) *Result {
 	if l.MaxIter == 0 {
 		l.MaxIter = 50
 	}
-	res := newResult(idx)
+	res, tab := newResult(idx)
 	theta := map[provider]float64{}
 	// Guess distributions: claim popularity with Laplace smoothing.
-	guess := make(map[string][]float64, len(idx.Objects))
-	for _, o := range idx.Objects {
-		ov := idx.View(o)
+	guess := make([][]float64, len(idx.Views))
+	for oid := range idx.Views {
+		ov := &idx.Views[oid]
 		g := make([]float64, ov.CI.NumValues())
 		for i := range g {
 			g[i] = float64(ov.ValueCount[i]) + 1
@@ -38,9 +38,8 @@ func (l LCA) Infer(idx *data.Index) *Result {
 			g[cl.Val]++
 		}
 		normalize(g)
-		guess[o] = g
-		conf := res.Confidence[o]
-		copy(conf, g)
+		guess[oid] = g
+		copy(tab.Row(oid), g)
 		for _, cl := range claimsOf(ov) {
 			theta[cl.p] = 0.7
 		}
@@ -48,13 +47,12 @@ func (l LCA) Infer(idx *data.Index) *Result {
 	for iter := 0; iter < l.MaxIter; iter++ {
 		// E-step for truths.
 		maxDelta := 0.0
-		for _, o := range idx.Objects {
-			ov := idx.View(o)
-			conf := res.Confidence[o]
-			g := guess[o]
+		for oid := range idx.Views {
+			conf := tab.Row(oid)
+			g := guess[oid]
 			post := make([]float64, len(conf))
 			copy(post, conf)
-			for _, cl := range claimsOf(ov) {
+			for _, cl := range claimsOf(&idx.Views[oid]) {
 				th := theta[cl.p]
 				for v := range post {
 					p := (1 - th) * g[cl.c]
@@ -83,11 +81,10 @@ func (l LCA) Infer(idx *data.Index) *Result {
 		// E+M step for θ: posterior probability each claim was "honest".
 		hon := map[provider]float64{}
 		cnt := map[provider]int{}
-		for _, o := range idx.Objects {
-			ov := idx.View(o)
-			conf := res.Confidence[o]
-			g := guess[o]
-			for _, cl := range claimsOf(ov) {
+		for oid := range idx.Views {
+			conf := tab.Row(oid)
+			g := guess[oid]
+			for _, cl := range claimsOf(&idx.Views[oid]) {
 				th := theta[cl.p]
 				// P(honest, claim) = θ·μ_c ; P(guess, claim) = (1-θ)·g_c.
 				ph := th * conf[cl.c]
@@ -112,7 +109,7 @@ func (l LCA) Infer(idx *data.Index) *Result {
 	for p, t := range theta {
 		res.setTrust(p, t)
 	}
-	res.finalize(idx)
+	res.finalize(tab)
 	return res
 }
 

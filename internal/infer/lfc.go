@@ -29,12 +29,11 @@ func (l LFC) Infer(idx *data.Index) *Result {
 	if l.Lambda == 0 {
 		l.Lambda = 1
 	}
-	res := newResult(idx)
+	res, tab := newResult(idx)
 	// Init with vote shares.
-	for _, o := range idx.Objects {
-		ov := idx.View(o)
-		conf := res.Confidence[o]
-		for _, cl := range claimsOf(ov) {
+	for oid := range idx.Views {
+		conf := tab.Row(oid)
+		for _, cl := range claimsOf(&idx.Views[oid]) {
 			conf[cl.c]++
 		}
 		normalize(conf)
@@ -49,9 +48,9 @@ func (l LFC) Infer(idx *data.Index) *Result {
 		// M-step over confusion counts (uses current confidences).
 		cm = map[provider]map[string]row{}
 		rowTotal = map[provider]row{}
-		for _, o := range idx.Objects {
-			ov := idx.View(o)
-			conf := res.Confidence[o]
+		for oid := range idx.Views {
+			ov := &idx.Views[oid]
+			conf := tab.Row(oid)
 			for _, cl := range claimsOf(ov) {
 				pm := cm[cl.p]
 				if pm == nil {
@@ -73,9 +72,9 @@ func (l LFC) Infer(idx *data.Index) *Result {
 		}
 		// E-step: recompute confidences from the confusion model.
 		maxDelta := 0.0
-		for _, o := range idx.Objects {
-			ov := idx.View(o)
-			conf := res.Confidence[o]
+		for oid := range idx.Views {
+			ov := &idx.Views[oid]
+			conf := tab.Row(oid)
 			nV := float64(ov.CI.NumValues())
 			post := make([]float64, len(conf))
 			for ti := range post {
@@ -148,6 +147,6 @@ func (l LFC) Infer(idx *data.Index) *Result {
 			res.setTrust(p, diag/tot)
 		}
 	}
-	res.finalize(idx)
+	res.finalize(tab)
 	return res
 }

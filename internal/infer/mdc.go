@@ -27,12 +27,12 @@ func (m MDC) Infer(idx *data.Index) *Result {
 	if m.MaxIter == 0 {
 		m.MaxIter = 40
 	}
-	res := newResult(idx)
+	res, tab := newResult(idx)
 	rel := map[provider]float64{}
 	// Pre-compute per-object similarity kernels sim[c][v].
-	sims := make(map[string][][]float64, len(idx.Objects))
-	for _, o := range idx.Objects {
-		ov := idx.View(o)
+	sims := make([][][]float64, len(idx.Views))
+	for oid := range idx.Views {
+		ov := &idx.Views[oid]
 		n := ov.CI.NumValues()
 		sim := make([][]float64, n)
 		for c := 0; c < n; c++ {
@@ -62,8 +62,8 @@ func (m MDC) Infer(idx *data.Index) *Result {
 				}
 			}
 		}
-		sims[o] = sim
-		conf := res.Confidence[o]
+		sims[oid] = sim
+		conf := tab.Row(oid)
 		for _, cl := range claimsOf(ov) {
 			conf[cl.c]++
 			rel[cl.p] = 0.7
@@ -72,13 +72,12 @@ func (m MDC) Infer(idx *data.Index) *Result {
 	}
 	for iter := 0; iter < m.MaxIter; iter++ {
 		maxDelta := 0.0
-		for _, o := range idx.Objects {
-			ov := idx.View(o)
-			conf := res.Confidence[o]
-			sim := sims[o]
+		for oid := range idx.Views {
+			conf := tab.Row(oid)
+			sim := sims[oid]
 			post := make([]float64, len(conf))
 			copy(post, conf)
-			for _, cl := range claimsOf(ov) {
+			for _, cl := range claimsOf(&idx.Views[oid]) {
 				r := rel[cl.p]
 				for v := range post {
 					p := (1 - r) * sim[cl.c][v]
@@ -107,10 +106,9 @@ func (m MDC) Infer(idx *data.Index) *Result {
 		// Reliability update: expected fraction of exact hits.
 		hit := map[provider]float64{}
 		cnt := map[provider]int{}
-		for _, o := range idx.Objects {
-			ov := idx.View(o)
-			conf := res.Confidence[o]
-			for _, cl := range claimsOf(ov) {
+		for oid := range idx.Views {
+			conf := tab.Row(oid)
+			for _, cl := range claimsOf(&idx.Views[oid]) {
 				hit[cl.p] += conf[cl.c]
 				cnt[cl.p]++
 			}
@@ -128,6 +126,6 @@ func (m MDC) Infer(idx *data.Index) *Result {
 	for p, r := range rel {
 		res.setTrust(p, r)
 	}
-	res.finalize(idx)
+	res.finalize(tab)
 	return res
 }

@@ -26,18 +26,18 @@ func (pa PopAccu) Infer(idx *data.Index) *Result {
 	if pa.MaxIter == 0 {
 		pa.MaxIter = 20
 	}
-	res := newResult(idx)
+	res, tab := newResult(idx)
 	trust := map[provider]float64{}
-	for _, o := range idx.Objects {
-		for _, cl := range claimsOf(idx.View(o)) {
+	for oid := range idx.Views {
+		for _, cl := range claimsOf(&idx.Views[oid]) {
 			trust[cl.p] = accuInitTrust
 		}
 	}
 	for iter := 0; iter < pa.MaxIter; iter++ {
 		maxDelta := 0.0
-		for _, o := range idx.Objects {
-			ov := idx.View(o)
-			conf := res.Confidence[o]
+		for oid := range idx.Views {
+			ov := &idx.Views[oid]
+			conf := tab.Row(oid)
 			total := 0
 			for _, c := range ov.ValueCount {
 				total += c
@@ -71,10 +71,9 @@ func (pa PopAccu) Infer(idx *data.Index) *Result {
 		}
 		sum := map[provider]float64{}
 		cnt := map[provider]int{}
-		for _, o := range idx.Objects {
-			ov := idx.View(o)
-			conf := res.Confidence[o]
-			for _, cl := range claimsOf(ov) {
+		for oid := range idx.Views {
+			conf := tab.Row(oid)
+			for _, cl := range claimsOf(&idx.Views[oid]) {
 				sum[cl.p] += conf[cl.c]
 				cnt[cl.p]++
 			}
@@ -92,6 +91,6 @@ func (pa PopAccu) Infer(idx *data.Index) *Result {
 	for p, t := range trust {
 		res.setTrust(p, t)
 	}
-	res.finalize(idx)
+	res.finalize(tab)
 	return res
 }

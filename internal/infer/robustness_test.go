@@ -17,7 +17,6 @@ func allInferencers() []Inferencer {
 		NewTDH(), flat, noPop,
 		Vote{}, LCA{}, SimpleLCA{}, DOCS{}, ASUMS{}, Sums{}, MDC{},
 		Accu{DetectDependence: true}, Accu{}, PopAccu{}, LFC{}, CRH{},
-		TruthFinder{},
 	}
 }
 
@@ -129,7 +128,7 @@ func TestRobustnessMatrix(t *testing.T) {
 				if _, in := ov.CI.Pos(truth); !in {
 					t.Fatalf("%s on %s: truth %q for %s outside Vo", alg.Name(), ds.Name, truth, o)
 				}
-				if len(res.Confidence[o]) != ov.CI.NumValues() {
+				if len(res.ConfidenceAt(idx, ov.ID)) != ov.CI.NumValues() {
 					t.Fatalf("%s on %s: confidence misaligned for %s", alg.Name(), ds.Name, o)
 				}
 			}

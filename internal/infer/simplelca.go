@@ -22,12 +22,11 @@ func (l SimpleLCA) Infer(idx *data.Index) *Result {
 	if l.MaxIter == 0 {
 		l.MaxIter = 50
 	}
-	res := newResult(idx)
+	res, tab := newResult(idx)
 	theta := map[provider]float64{}
-	for _, o := range idx.Objects {
-		ov := idx.View(o)
-		conf := res.Confidence[o]
-		for _, cl := range claimsOf(ov) {
+	for oid := range idx.Views {
+		conf := tab.Row(oid)
+		for _, cl := range claimsOf(&idx.Views[oid]) {
 			conf[cl.c]++
 			theta[cl.p] = 0.7
 		}
@@ -35,9 +34,9 @@ func (l SimpleLCA) Infer(idx *data.Index) *Result {
 	}
 	for iter := 0; iter < l.MaxIter; iter++ {
 		maxDelta := 0.0
-		for _, o := range idx.Objects {
-			ov := idx.View(o)
-			conf := res.Confidence[o]
+		for oid := range idx.Views {
+			ov := &idx.Views[oid]
+			conf := tab.Row(oid)
 			n := float64(ov.CI.NumValues())
 			post := make([]float64, len(conf))
 			copy(post, conf)
@@ -73,10 +72,9 @@ func (l SimpleLCA) Infer(idx *data.Index) *Result {
 		}
 		hit := map[provider]float64{}
 		cnt := map[provider]int{}
-		for _, o := range idx.Objects {
-			ov := idx.View(o)
-			conf := res.Confidence[o]
-			for _, cl := range claimsOf(ov) {
+		for oid := range idx.Views {
+			conf := tab.Row(oid)
+			for _, cl := range claimsOf(&idx.Views[oid]) {
 				hit[cl.p] += conf[cl.c]
 				cnt[cl.p]++
 			}
@@ -94,6 +92,6 @@ func (l SimpleLCA) Infer(idx *data.Index) *Result {
 	for p, t := range theta {
 		res.setTrust(p, t)
 	}
-	res.finalize(idx)
+	res.finalize(tab)
 	return res
 }

@@ -24,28 +24,24 @@ func (su Sums) Infer(idx *data.Index) *Result {
 	if su.MaxIter == 0 {
 		su.MaxIter = 50
 	}
-	res := newResult(idx)
+	res, tab := newResult(idx)
 	trust := map[provider]float64{}
 	counts := map[provider]int{}
-	for _, o := range idx.Objects {
-		for _, cl := range claimsOf(idx.View(o)) {
+	for oid := range idx.Views {
+		for _, cl := range claimsOf(&idx.Views[oid]) {
 			trust[cl.p] = 1
 			counts[cl.p]++
 		}
 	}
-	belief := make(map[string][]float64, len(idx.Objects))
-	for _, o := range idx.Objects {
-		belief[o] = make([]float64, idx.View(o).CI.NumValues())
-	}
+	belief := NewTable(idx) // working beliefs, shaped like the confidences
 	for iter := 0; iter < su.MaxIter; iter++ {
 		maxB := 0.0
-		for _, o := range idx.Objects {
-			ov := idx.View(o)
-			b := belief[o]
+		for oid := range idx.Views {
+			b := belief.Row(oid)
 			for i := range b {
 				b[i] = 0
 			}
-			for _, cl := range claimsOf(ov) {
+			for _, cl := range claimsOf(&idx.Views[oid]) {
 				b[cl.c] += trust[cl.p]
 			}
 			for _, x := range b {
@@ -57,18 +53,15 @@ func (su Sums) Infer(idx *data.Index) *Result {
 		if maxB == 0 {
 			maxB = 1
 		}
-		for _, b := range belief {
-			for i := range b {
-				b[i] /= maxB
-			}
+		for i := range belief.conf {
+			belief.conf[i] /= maxB
 		}
 		// t(p) = Σ_{claims} B(claimed value), normalized by max (the
 		// original Sums fixpoint; trust scales with claim volume).
 		newTrust := map[provider]float64{}
-		for _, o := range idx.Objects {
-			ov := idx.View(o)
-			b := belief[o]
-			for _, cl := range claimsOf(ov) {
+		for oid := range idx.Views {
+			b := belief.Row(oid)
+			for _, cl := range claimsOf(&idx.Views[oid]) {
 				newTrust[cl.p] += b[cl.c]
 			}
 		}
@@ -93,15 +86,14 @@ func (su Sums) Infer(idx *data.Index) *Result {
 			break
 		}
 	}
-	for _, o := range idx.Objects {
-		conf := res.Confidence[o]
-		copy(conf, belief[o])
-		normalize(conf)
+	copy(tab.conf, belief.conf)
+	for oid := range idx.Views {
+		normalize(tab.Row(oid))
 	}
 	//tdh:orderok setTrust writes one keyed entry per provider; iteration order is immaterial
 	for p, t := range trust {
 		res.setTrust(p, t)
 	}
-	res.finalize(idx)
+	res.finalize(tab)
 	return res
 }

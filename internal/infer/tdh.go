@@ -6,8 +6,9 @@ import (
 )
 
 // TDH wraps the paper's hierarchical truth-inference model (internal/core)
-// behind the common Inferencer interface. Result.Model carries the fitted
-// *core.Model so the EAI assigner can reach the sufficient statistics.
+// behind the common Inferencer interface. Result.Rows and Result.Model are
+// the fitted *core.Model itself, so the EAI assigner reaches the sufficient
+// statistics and nothing is copied out of the fit.
 type TDH struct {
 	Opt core.Options
 }
@@ -26,38 +27,26 @@ func (t TDH) Name() string {
 	return "TDH"
 }
 
-// Infer implements Inferencer.
+// Infer implements Inferencer: the fitted model packaged by ViewOf, plus
+// the truths map batch consumers read, filled once per fit.
 func (t TDH) Infer(idx *data.Index) *Result {
-	return ResultFromModel(core.Run(idx, t.Opt))
-}
-
-// ResultFromModel packages a fitted TDH model as a Result with every map
-// filled — once per FIT, which is what batch consumers (the crowd loop, the
-// experiments, cmd/tdh) read. Confidence slices are copied, so the maps stay
-// valid even if the caller later advances the model in place.
-func ResultFromModel(m *core.Model) *Result {
-	idx := m.Idx
-	res := &Result{
-		Truths:     m.Truths(),
-		Confidence: make(map[string][]float64, m.NumObjects()),
-		Model:      m,
-	}
-	res.SourceTrust, res.WorkerTrust = trustMaps(m)
-	for oid, o := range idx.Objects {
-		res.Confidence[o] = append([]float64(nil), m.MuAt(oid)...)
-	}
+	m := core.Run(idx, t.Opt)
+	res := ViewOf(m, nil)
+	res.Truths = m.Truths()
 	return res
 }
 
 // ViewOf packages a sealed — never again mutated — model as a Result
-// WITHOUT copying it: per-object content is served from m through the read
-// API (view.go; Truths and Confidence stay nil), and the trust maps are
-// prev's own, since a fold never writes φ/ψ; only growth that added
-// participants rebuilds them. This is what a live engine publishes between
-// fits, so sealing a fold costs O(1), not O(|O|).
+// without copying it: Rows and Model are m. The trust maps are prev's own
+// when m has prev's participants, since a fold never writes φ/ψ; a fit
+// (prev nil) or growth that added participants builds them from m. This is
+// what a live engine publishes between fits, so sealing a fold costs O(1),
+// not O(|O|).
 func ViewOf(m *core.Model, prev *Result) *Result {
-	res := &Result{Model: m, SourceTrust: prev.SourceTrust, WorkerTrust: prev.WorkerTrust}
-	if len(m.Phi) != len(prev.SourceTrust) || len(m.Psi) != len(prev.WorkerTrust) {
+	res := &Result{Rows: m, Model: m}
+	if prev != nil && len(m.Phi) == len(prev.SourceTrust) && len(m.Psi) == len(prev.WorkerTrust) {
+		res.SourceTrust, res.WorkerTrust = prev.SourceTrust, prev.WorkerTrust
+	} else {
 		res.SourceTrust, res.WorkerTrust = trustMaps(m)
 	}
 	return res

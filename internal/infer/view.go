@@ -2,62 +2,41 @@ package infer
 
 import "repro/internal/data"
 
-// Dense is implemented by Result.Model values that can serve the result by
-// dense object ID without the name-keyed maps: *core.Model (TDH) and the
-// numeric engine's state. A live engine seals every fold as a Result whose
-// only per-object content is such a model — Truths and Confidence stay nil,
-// nothing is copied — so a publish costs what the fold touched, not |O|.
+// Dense is a result's per-object content (Result.Rows), by dense object ID
+// of its own index: *core.Model (TDH), *Table (the baselines and the
+// multi-truth engine) and the numeric engine's state. A published Dense is
+// never written again, so concurrent readers read it without a lock and a
+// live engine publishes a sealed fold's model as it is — nothing copied, a
+// publish costs what the fold touched, not |O|.
 type Dense interface {
-	// Index is the index the model's object IDs are positions in.
+	// Index is the index the object IDs are positions in.
 	Index() *data.Index
-	// Row is object oid's confidence row — the model's own memory, read-only,
-	// never written again once the model is sealed.
+	// Row is object oid's confidence row, aligned with its CI.Values — the
+	// Dense's own memory, read-only.
 	Row(oid int) []float64
 	// TruthAt is the estimated truth of object oid, "" when it has none.
 	TruthAt(oid int) string
 }
 
-// The read API below is how everything on the serving path reads a Result:
-// by dense object ID of the caller's index. A result that carries the
-// name-keyed maps — anything straight from Inferencer.Infer — answers from
-// them (they are what the inferencer published, and a custom one may
-// publish less than its model holds); a sealed fold has none and answers
-// from its Dense model. Batch consumers that hold a Result straight from
-// Inferencer.Infer may keep reading the maps.
+// The read API below is how everything reads a Result: by dense object ID
+// of the caller's index, which need not be the one Rows is shaped by — a
+// fitted model lags an index extended since the fit — so an object is
+// mapped through its name when the two differ.
 
-// denseAt resolves object oid of idx in the result's Dense model, mapping
-// through the object name when the model is shaped by another index; ok is
-// false when there is no such model or it does not know the object.
-func (r *Result) denseAt(idx *data.Index, oid int) (Dense, int, bool) {
-	d, ok := r.Model.(Dense)
-	if ok && d.Index() != idx {
-		oid, ok = d.Index().ObjectID(idx.Objects[oid])
+// rowID resolves object oid of idx to its ID in Rows; ok is false when Rows
+// does not know the object.
+func (r *Result) rowID(idx *data.Index, oid int) (int, bool) {
+	if own := r.Rows.Index(); own != idx {
+		return own.ObjectID(idx.Objects[oid])
 	}
-	return d, oid, ok
+	return oid, true
 }
 
 // ConfidenceAt returns the confidence row of object oid of idx, aligned
 // with idx.ViewAt(oid).CI.Values; nil when the result has none.
 func (r *Result) ConfidenceAt(idx *data.Index, oid int) []float64 {
-	if r.Confidence != nil {
-		return r.Confidence[idx.Objects[oid]]
-	}
-	if d, id, ok := r.denseAt(idx, oid); ok {
-		return d.Row(id)
-	}
-	return nil
-}
-
-// View returns the result's Dense model when the result is a sealed view
-// shaped by idx — no maps, rows read straight from the model by idx's own
-// dense IDs — and nil otherwise (read row by row with ConfidenceAt then). A
-// holder that reads rows across publishes, the assignment plan, keeps the
-// model instead of any row of it: rows of one model are sub-slices of pages
-// it shares with the models it was cloned from, so holding a few rows of
-// every past model would keep every past page alive with them.
-func (r *Result) View(idx *data.Index) Dense {
-	if d, ok := r.Model.(Dense); ok && r.Confidence == nil && d.Index() == idx {
-		return d
+	if id, ok := r.rowID(idx, oid); ok {
+		return r.Rows.Row(id)
 	}
 	return nil
 }
@@ -65,11 +44,8 @@ func (r *Result) View(idx *data.Index) Dense {
 // TruthAt returns the estimated truth of object oid of idx, "" when the
 // result has none.
 func (r *Result) TruthAt(idx *data.Index, oid int) string {
-	if r.Truths != nil {
-		return r.Truths[idx.Objects[oid]]
-	}
-	if d, id, ok := r.denseAt(idx, oid); ok {
-		return d.TruthAt(id)
+	if id, ok := r.rowID(idx, oid); ok {
+		return r.Rows.TruthAt(id)
 	}
 	return ""
 }

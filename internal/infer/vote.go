@@ -12,10 +12,10 @@ func (Vote) Name() string { return "VOTE" }
 
 // Infer implements Inferencer.
 func (Vote) Infer(idx *data.Index) *Result {
-	res := newResult(idx)
-	for _, o := range idx.Objects {
-		ov := idx.View(o)
-		conf := res.Confidence[o]
+	res, tab := newResult(idx)
+	for oid := range idx.Views {
+		ov := &idx.Views[oid]
+		conf := tab.Row(oid)
 		for _, cl := range claimsOf(ov) {
 			conf[cl.c]++
 		}
@@ -25,7 +25,7 @@ func (Vote) Infer(idx *data.Index) *Result {
 		// the ancestor. This reproduces the paper's observation that VOTE
 		// tends to output generalized truths (high GenAccuracy, lower
 		// Accuracy).
-		best, bestP, bestD := "", -1.0, 1<<30
+		bi, best, bestP, bestD := -1, "", -1.0, 1<<30
 		for i, p := range conf {
 			v := ov.CI.Values[i]
 			d := 0
@@ -33,20 +33,19 @@ func (Vote) Infer(idx *data.Index) *Result {
 				d = idx.DS.H.Depth(v)
 			}
 			if p > bestP+1e-15 || (p > bestP-1e-15 && (d < bestD || (d == bestD && (best == "" || v < best)))) {
-				best, bestP, bestD = v, p, d
+				bi, best, bestP, bestD = i, v, p, d
 			}
 		}
-		res.Truths[o] = best
+		tab.SetTruth(oid, bi)
 	}
+	res.Truths = tab.truthMap()
 	// Agreement-rate trust (informational only; VOTE never uses it).
 	agree := map[provider][2]int{}
-	for _, o := range idx.Objects {
-		ov := idx.View(o)
-		winner := res.Truths[o]
-		for _, cl := range claimsOf(ov) {
+	for oid := range idx.Views {
+		for _, cl := range claimsOf(&idx.Views[oid]) {
 			a := agree[cl.p]
 			a[1]++
-			if ov.CI.Values[cl.c] == winner {
+			if int32(cl.c) == tab.truth[oid] {
 				a[0]++
 			}
 			agree[cl.p] = a

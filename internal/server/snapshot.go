@@ -32,8 +32,8 @@ type Snapshot struct {
 	St engine.State
 	// Res is St.Res(), cached at publish: the assigner-facing view
 	// (confidence rows, trust maps, model) every truth model provides. Read
-	// per-object content through its ID-based API (ConfidenceAt, TruthAt):
-	// between refits the Truths and Confidence maps are nil.
+	// per-object content through its ID-based API (ConfidenceAt, TruthAt,
+	// TruthMap): between refits its Truths map is nil.
 	Res *infer.Result
 	// Round counts completed full refits (the old "inference_runs").
 	Round int64

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"sort"
 	"sync"
 	"testing"
 
@@ -17,9 +16,9 @@ import (
 	"repro/internal/synth"
 )
 
-// partialInferencer wraps an inferencer and corrupts its confidence table
-// the way a custom or partial implementation might: the first object's row
-// is truncated, the second's deleted entirely.
+// partialInferencer wraps an inferencer and publishes less than its model
+// holds, the way a custom or partial implementation might: its rows are a
+// partialRows over the inner result's.
 type partialInferencer struct {
 	inner infer.Inferencer
 }
@@ -28,17 +27,23 @@ func (p partialInferencer) Name() string { return "PARTIAL(" + p.inner.Name() + 
 
 func (p partialInferencer) Infer(idx *data.Index) *infer.Result {
 	res := p.inner.Infer(idx)
-	objs := append([]string(nil), idx.Objects...)
-	sort.Strings(objs)
-	if len(objs) > 0 {
-		if row := res.Confidence[objs[0]]; len(row) > 1 {
-			res.Confidence[objs[0]] = row[:1]
-		}
-	}
-	if len(objs) > 1 {
-		delete(res.Confidence, objs[1])
-	}
+	res.Rows = partialRows{res.Rows}
 	return res
+}
+
+// partialRows truncates the first object's row to one entry and publishes
+// no row for the second; every other row is the wrapped Dense's.
+type partialRows struct{ infer.Dense }
+
+func (p partialRows) Row(oid int) []float64 {
+	switch row := p.Dense.Row(oid); oid {
+	case 0:
+		return row[:min(len(row), 1)]
+	case 1:
+		return nil
+	default:
+		return row
+	}
 }
 
 // TestConfidencePartialResult is the regression test for the /confidence
@@ -93,6 +98,13 @@ func TestConfidencePartialResult(t *testing.T) {
 		if c != 0 {
 			t.Fatalf("missing row must read as zeros, got %s=%v", v, c)
 		}
+	}
+
+	// ME ranks the partial rows with the rest: a /task still assigns.
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/task?worker=w1", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/task over partial rows: status %d: %s", rec.Code, rec.Body.String())
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/engine"
-	"repro/internal/infer"
 	"repro/internal/synth"
 )
 
@@ -131,7 +130,7 @@ func TestSnapshotImmutableUnderAliasing(t *testing.T) {
 	waitApplied(t, s, answers, mutations)
 	answer(1)
 	held := waitApplied(t, s, answers, mutations)
-	if held.Res.Confidence != nil {
+	if held.Res.Truths != nil {
 		t.Fatal("snapshot k is not a view: the test would not exercise aliasing")
 	}
 	before := captureReachable(held)
@@ -264,9 +263,10 @@ func encoded(v any) []byte {
 }
 
 // TestReadEndpointsServeTheCopy: after folds and a growth, every read
-// endpoint answers byte for byte what it answered when each publish copied
-// the model into name-keyed maps (infer.ResultFromModel over the same sealed
-// model is exactly that copy).
+// endpoint answers byte for byte what the sealed model itself holds — its
+// truths (m.Truths), its μ rows (m.MuAt) and φ_{s,1} / ψ_{w,1} — which is
+// what each publish served back when it copied the model into name-keyed
+// maps.
 func TestReadEndpointsServeTheCopy(t *testing.T) {
 	for name, ds := range map[string]*data.Dataset{
 		"birthplaces": synth.BirthPlaces(synth.BirthPlacesConfig{Seed: 3, Scale: 0.04}),
@@ -277,26 +277,33 @@ func TestReadEndpointsServeTheCopy(t *testing.T) {
 			defer s.Close()
 			answers, mutations := driveCampaign(t, s, ts.URL)
 			sn := waitApplied(t, s, answers, mutations)
-			want := infer.ResultFromModel(sn.Res.Model.(*core.Model))
+			m := sn.Res.Model.(*core.Model)
 			h := s.Handler()
-			if got := body(t, h, "/truths"); !bytes.Equal(got, encoded(want.Truths)) {
-				t.Fatal("GET /truths differs from the copied result's")
+			if got := body(t, h, "/truths"); !bytes.Equal(got, encoded(m.Truths())) {
+				t.Fatal("GET /truths differs from the model's truths")
+			}
+			sources, workers := map[string]float64{}, map[string]float64{}
+			for _, src := range sn.Idx.SourceNames {
+				sources[src] = m.PhiOf(src)[0]
+			}
+			for _, w := range sn.Idx.WorkerNames {
+				workers[w] = m.PsiOf(w)[0]
 			}
 			if got := body(t, h, "/trust"); !bytes.Equal(got, encoded(map[string]any{
-				"sources": want.SourceTrust, "workers": want.WorkerTrust})) {
-				t.Fatal("GET /trust differs from the copied result's")
+				"sources": sources, "workers": workers})) {
+				t.Fatal("GET /trust differs from the model's φ/ψ")
 			}
-			for _, o := range sn.Idx.Objects {
+			for oid, o := range sn.Idx.Objects {
 				conf := map[string]float64{}
-				for i, v := range sn.Idx.View(o).CI.Values {
-					conf[v] = want.Confidence[o][i]
+				for i, v := range sn.Idx.ViewAt(oid).CI.Values {
+					conf[v] = m.MuAt(oid)[i]
 				}
 				if got := body(t, h, "/confidence?object="+o); !bytes.Equal(got, encoded(conf)) {
-					t.Fatalf("GET /confidence?object=%s differs from the copied result's", o)
+					t.Fatalf("GET /confidence?object=%s differs from the model's row", o)
 				}
 			}
-			if !reflect.DeepEqual(s.Truths(), want.Truths) {
-				t.Fatal("Server.Truths differs from the copied result's")
+			if !reflect.DeepEqual(s.Truths(), m.Truths()) {
+				t.Fatal("Server.Truths differs from the model's truths")
 			}
 		})
 	}
@@ -362,8 +369,8 @@ func TestNumericTrustEndpoint(t *testing.T) {
 	post(8, 12) // folds: weights frozen, trust carried over
 	sn := waitApplied(t, s, 12, 0)
 	check("fold", 3)
-	if sn.Res.Confidence != nil {
-		t.Fatal("a numeric fold rebuilt the name-keyed maps")
+	if sn.Res.Truths != nil || sn.Res.Rows != sn.Res.Model {
+		t.Fatal("a numeric fold built a name-keyed map or rows other than its state's")
 	}
 	if st := s.Stats(); st.PlanAdvances == 0 || st.PlanBuilds != 2 {
 		t.Fatalf("numeric folds must advance the plan, refits build it: %+v", st)
