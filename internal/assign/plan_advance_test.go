@@ -21,7 +21,7 @@ import (
 // foldAnswers simulates one incremental publish: clone the fixture's model,
 // apply nAns answers round-robin over the first objects (the pipeline's
 // ApplyAnswers path), and return the new result — the folded model packaged
-// as TDH.Infer packages a fit, truths map included — plus touched object
+// as TDH.Infer packages a fit, with fresh trust maps — plus touched object
 // IDs.
 func foldAnswers(f *fixture, nAns int) (*infer.Result, []int) {
 	m := f.m.Clone()
@@ -33,14 +33,7 @@ func foldAnswers(f *fixture, nAns int) (*infer.Result, []int) {
 		m.ApplyAnswer(o, w, i%len(f.idx.View(o).CI.Values))
 		touched = append(touched, oid)
 	}
-	return fitResult(m), touched
-}
-
-// fitResult packages a model as TDH.Infer packages a fitted one.
-func fitResult(m *core.Model) *infer.Result {
-	res := infer.ViewOf(m, nil)
-	res.Truths = m.Truths()
-	return res
+	return infer.ViewOf(m, nil), touched
 }
 
 func floatsClose(t *testing.T, tag string, got, want []float64) {
@@ -170,7 +163,7 @@ func TestPlanAdvanceAfterGrowth(t *testing.T) {
 		work.Records = append(work.Records, mu.Records...)
 		idx2, touched := f.idx.Extend(work, mu)
 		m2 := f.m.Grow(idx2, touched)
-		res2 := fitResult(m2)
+		res2 := infer.ViewOf(m2, nil)
 
 		want := NewPlan(idx2, res2)
 		got, ok := prev.Advance(idx2, res2, touched)
@@ -252,10 +245,10 @@ func TestPlanFallbackCounter(t *testing.T) {
 }
 
 // TestPlanOnViewMatchesCopy: what the server publishes between refits is a
-// VIEW over the sealed model (infer.ViewOf over the previous result: no
-// truths map, the previous trust maps), not the fit-shaped result the tests
-// above advance over. Plans built or advanced over the view equal the ones
-// over the fit-shaped result of the same model — values, scan orders,
+// VIEW over the sealed model that carries the previous result's trust maps
+// (infer.ViewOf(m, prev)), not the fit-shaped result with fresh ones the
+// tests above advance over. Plans built or advanced over the view equal the
+// ones over the fit-shaped result of the same model — values, scan orders,
 // assignments, QASCA's estimate — and read the sealed model's own rows, so a
 // plan never pins rows of a model it was advanced away from.
 func TestPlanOnViewMatchesCopy(t *testing.T) {
@@ -266,8 +259,8 @@ func TestPlanOnViewMatchesCopy(t *testing.T) {
 		copied, touched := foldAnswers(f, 9)
 		m := copied.Model.(*core.Model)
 		view := infer.ViewOf(m, f.res)
-		if view.Truths != nil || view.Rows != m {
-			t.Fatalf("%s: a view carries a truths map or rows other than the model's", tag)
+		if view.Rows != m || reflect.ValueOf(view.SourceTrust).Pointer() != reflect.ValueOf(f.res.SourceTrust).Pointer() {
+			t.Fatalf("%s: the view copied the model or rebuilt the trust maps", tag)
 		}
 		want := NewPlan(f.idx, copied)
 		built := NewPlan(f.idx, view)
