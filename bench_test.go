@@ -508,71 +508,15 @@ func BenchmarkLiveGrowth(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedIngest measures the ingest pipeline's incremental path —
-// POST /answer through the epoch fold to an epoch-stitched publish with the
-// assignment plan advanced in the pipeline goroutine — at 1 vs N ingest
-// shards. Refits are disabled so every accepted answer pays exactly the
-// sharded critical path under test: route to shard, fold concurrently,
-// stitch, advance + prewarm the plan. On a multi-core box the N-shard
-// variant folds batches in parallel; on one core it must stay within noise
-// of the single-shard pipeline (the sharding overhead is one FNV hash and a
-// channel hop per answer).
-func BenchmarkShardedIngest(b *testing.B) {
-	for _, shards := range []int{1, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			ds := synth.Heritages(synth.HeritagesConfig{Seed: 7, Scale: 0.1})
-			srv, err := server.New(server.Config{
-				Dataset:     ds,
-				Engine:      engine.NewCategorical(infer.NewTDH(), engine.Config{}),
-				Assigner:    assign.EAI{},
-				OpenAnswers: true, // benchmark workers answer arbitrary objects
-				Policy: server.RefitPolicy{
-					MaxAnswers: -1, MaxStaleness: -1, Shards: shards,
-				},
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer srv.Close()
-			h := srv.Handler()
-			snap := srv.Snapshot()
-			objs := srv.SortedObjects()
-			vals := make([]string, len(objs))
-			for i, o := range objs {
-				vals[i] = snap.Idx.View(o).CI.Values[0]
-			}
-			var seq atomic.Int64
-			start := time.Now()
-			b.ResetTimer()
-			b.SetParallelism(16)
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					i := int(seq.Add(1))
-					oi := i % len(objs)
-					body := fmt.Sprintf(`{"worker":"bw-%d","object":%q,"value":%q}`, i, objs[oi], vals[oi])
-					req := httptest.NewRequest("POST", "/answer", strings.NewReader(body))
-					rec := httptest.NewRecorder()
-					h.ServeHTTP(rec, req)
-					if rec.Code != 200 {
-						b.Fatalf("answer %d: status %d: %s", i, rec.Code, rec.Body.String())
-					}
-				}
-			})
-			b.StopTimer()
-			if secs := time.Since(start).Seconds(); secs > 0 {
-				b.ReportMetric(float64(b.N)/secs, "answers/sec")
-			}
-		})
-	}
-}
-
-// BenchmarkTracedIngest is the lineage-tentpole overhead pin: the same
-// incremental-path ingest workload as BenchmarkShardedIngest, interleaved
-// A/B between tracing disabled and the default probabilistic sampling
-// (1-in-64 requests carry a full span tree; watermarks and sequence numbers
-// are maintained in both). The acceptance bound is ≤2% answers/sec
-// regression for the "default" variant — the unsampled hot path pays one
-// traceparent parse, one nil recorder check and a per-shard seq increment.
+// BenchmarkTracedIngest is the lineage-tentpole overhead pin: the ingest
+// pipeline's incremental path — POST /answer through the epoch fold to a
+// publish with the assignment plan advanced in the pipeline goroutine, with
+// refits disabled — interleaved A/B between tracing disabled and the
+// default probabilistic sampling (1-in-64 requests carry a full span tree;
+// watermarks and sequence numbers are maintained in both). The acceptance
+// bound is ≤2% answers/sec regression for the "default" variant — the
+// unsampled hot path pays one traceparent parse, one nil recorder check and
+// one seq increment.
 func BenchmarkTracedIngest(b *testing.B) {
 	for _, mode := range []struct {
 		name   string

@@ -46,9 +46,8 @@ func DefaultSnapshotmut() SnapshotmutConfig {
 			"internal/core.Model.updatePsi",
 			"internal/core.Model.refreshObjectStats",
 			"internal/core.Model.Clone",
-			// The page-owning writers: the fold and the copy-on-write step
-			// it takes first. Both write only pages the model owns.
-			"internal/core.Model.OwnPage",
+			// The page-owning writer: the fold, which takes the
+			// copy-on-write step first and writes only pages the model owns.
 			"internal/core.Model.ApplyAnswerAt",
 			"internal/core.Model.Grow",
 			"internal/core.Model.blendPreviousMu",
@@ -110,7 +109,6 @@ func DefaultPipelineonly() PipelineonlyConfig {
 		Restricted: []string{
 			"internal/core.Model.ApplyAnswer",
 			"internal/core.Model.ApplyAnswerAt",
-			"internal/core.Model.OwnPage",
 			"internal/core.Model.Grow",
 			"internal/data.Index.Extend",
 			"internal/engine.Engine.Fit",

@@ -79,13 +79,15 @@ type PolicySpec struct {
 	RefitStalenessMS int64 `json:"refit_staleness_ms,omitempty"`
 	BatchSize        int   `json:"batch_size,omitempty"`
 	QueueSize        int   `json:"queue_size,omitempty"`
-	// Shards sets the campaign's ingest shard count (0 = server default:
-	// GOMAXPROCS capped at 8; <0 = 1).
+	// Shards is read by nothing. It stays so existing specs and
+	// campaign.json files still parse.
+	//
+	// Deprecated: a campaign has one ingest queue.
 	Shards int `json:"shards,omitempty"`
-	// RejectQueueDepth, when > 0, turns on admission control: answers
-	// targeting a shard with at least this many accepted-but-unfolded items
-	// are rejected with 429 + Retry-After instead of blocking (0 keeps
-	// blocking backpressure).
+	// RejectQueueDepth, when > 0, turns on admission control: once the
+	// ingest queue holds this many accepted-but-unfolded items, answers are
+	// rejected with 429 + Retry-After instead of blocking (0 keeps blocking
+	// backpressure).
 	RejectQueueDepth int `json:"reject_queue_depth,omitempty"`
 }
 
@@ -95,7 +97,6 @@ func (p PolicySpec) refitPolicy() server.RefitPolicy {
 		MaxStaleness:     time.Duration(p.RefitStalenessMS) * time.Millisecond,
 		BatchSize:        p.BatchSize,
 		QueueSize:        p.QueueSize,
-		Shards:           p.Shards,
 		RejectQueueDepth: p.RejectQueueDepth,
 	}
 }

@@ -157,22 +157,18 @@ func (m *Model) ApplyAnswer(o, w string, ans int) {
 // EM step (Eq. 17) that adds the answer's truth posterior (Eq. 16) to N,
 // bumps D and re-derives μ = N/D.
 //
-// Ownership is part of the write, not the caller's duty: the fold first
-// makes the object's page of μ, N and D this model's own (OwnPage — on a
-// clone the first fold into a page copies it, the one allocation a fold can
-// make; on a page already owned, and on a fitted model, which owns all of
-// its pages, it is three flag reads), so no call sequence on any model can
-// write a page a published snapshot still shares.
+// Ownership is part of the write: the fold first makes the object's page of
+// μ, N and D this model's own (cow Own — on a clone the first fold into a
+// page copies it, the one allocation a fold can make; on a page already
+// owned, and on a fitted model, which owns all of its pages, it is three
+// flag reads), so no call sequence on any model can write a page a
+// published snapshot still shares.
 //
 // The update is OBJECT-LOCAL: it writes only this object's N, D and μ
 // elements, reads otherwise immutable shared state (Psi, the index tables)
-// and keeps its posterior scratch on the stack. Concurrent calls on one
-// model are therefore race-free as long as they target disjoint objects
-// whose pages are already owned — the contract the sharded server pipeline
-// relies on when it folds object-disjoint shard batches into one cloned
-// model in parallel (engine.Epoch, which owns each batch's pages under its
-// lock first, since two shards' objects may share a page). Calls for the
-// same object must stay serialized.
+// and keeps its posterior scratch on the stack. Calls on one model must be
+// serialized: the server folds each cycle's answers from its one
+// coordinator goroutine (engine.Epoch).
 //
 //tdh:hotpath
 func (m *Model) ApplyAnswerAt(oid, wid, ans int) {
@@ -181,7 +177,9 @@ func (m *Model) ApplyAnswerAt(oid, wid, ans int) {
 		psi = m.Psi[wid]
 	}
 	ov := m.Idx.ViewAt(oid)
-	m.OwnPage(oid)
+	m.mu.Own(oid)
+	m.n.Own(oid)
+	m.d.Own(oid)
 	mu, n := m.MuAt(oid), m.NAt(oid)
 	var buf [16]float64
 	f := buf[:]

@@ -96,20 +96,6 @@ func (m *Model) NAt(oid int) []float64 { return m.n.Row(oid) }
 //tdh:hotpath
 func (m *Model) DAt(oid int) float64 { return m.d.At(oid) }
 
-// OwnPage takes the copy-on-write step of a fold ahead of it: after the
-// call, ApplyAnswerAt on oid — or on any object of the same page — writes in
-// place and allocates nothing. ApplyAnswerAt takes the step itself when
-// nobody did; callers that fold object-disjoint batches into one clone from
-// several goroutines call OwnPage first, under their own lock, because two
-// objects may share a page and the copy must happen once.
-//
-//tdh:hotpath
-func (m *Model) OwnPage(oid int) {
-	m.mu.Own(oid)
-	m.n.Own(oid)
-	m.d.Own(oid)
-}
-
 // Index, Row and TruthAt are the dense read surface a published result
 // serves from without copying the model (infer.Dense).
 func (m *Model) Index() *data.Index    { return m.Idx }

@@ -87,11 +87,9 @@ func (e *categorical) ApplyAnswers(st State, idx *data.Index, answers []data.Ans
 
 // NewEpoch implements EpochFolder: TDH's incremental EM step is object-
 // local (core.Model.ApplyAnswerAt writes only the answer's object rows and
-// reads immutable shared state), so disjoint-object Fold calls can share
-// one cloned model, synchronizing only to take ownership of the pages they
-// are about to write. Opening the epoch copies the model's page tables,
-// nothing per object. Non-TDH states have no incremental path and report
-// ok=false.
+// reads immutable shared state) and folds into a clone of the published
+// model. Opening the epoch copies the model's page tables, nothing per
+// object. Non-TDH states have no incremental path and report ok=false.
 func (e *categorical) NewEpoch(st State, idx *data.Index) (Epoch, bool) {
 	cs := st.(*catState)
 	m, ok := cs.res.Model.(*core.Model)
@@ -101,27 +99,18 @@ func (e *categorical) NewEpoch(st State, idx *data.Index) (Epoch, bool) {
 	return &catEpoch{m: m.Clone(), prev: cs.res}, true
 }
 
-// catEpoch folds answers into one cloned TDH model. Fold may be called
-// concurrently for object-disjoint batches (see NewEpoch).
+// catEpoch folds answers into one cloned TDH model.
 type catEpoch struct {
 	m    *core.Model
 	prev *infer.Result // the state being folded over: its trust maps carry forward
 	touchedIDs
 }
 
-// catFold is one answer resolved to the model's dense IDs.
-type catFold struct{ oid, wid, ans int }
-
-// Fold resolves each answer's names once, against the model's own index —
-// the one its rows are shaped by — takes ownership of the pages the batch
-// writes, and hands dense IDs to the fold kernel. Object-disjoint batches
-// may still share a page of 256 objects, and a page must be copied once,
-// before anyone writes it: the copy-on-write step runs under the epoch's
-// lock, with the touched-ID bookkeeping, and the kernel — which then finds
-// every page owned and writes only its own object's elements — outside it.
+// Fold resolves each answer's names against the model's own index — the one
+// its rows are shaped by — and folds it by dense IDs; ApplyAnswerAt copies
+// the page it writes the first time the clone writes it.
 func (ep *catEpoch) Fold(answers []data.Answer) {
 	idx := ep.m.Idx
-	folds := make([]catFold, 0, len(answers))
 	for i := range answers {
 		a := &answers[i]
 		oid, ok := idx.ObjectID(a.Object)
@@ -136,16 +125,8 @@ func (ep *catEpoch) Fold(answers []data.Answer) {
 		if !ok {
 			wid = -1 // unseen worker: folds at the prior-mean ψ
 		}
-		folds = append(folds, catFold{oid, wid, ans})
-	}
-	ep.mu.Lock()
-	for _, f := range folds {
-		ep.m.OwnPage(f.oid)
-		ep.ids = append(ep.ids, f.oid)
-	}
-	ep.mu.Unlock()
-	for _, f := range folds {
-		ep.m.ApplyAnswerAt(f.oid, f.wid, f.ans)
+		ep.m.ApplyAnswerAt(oid, wid, ans)
+		ep.ids = append(ep.ids, oid)
 	}
 }
 

@@ -35,7 +35,6 @@ package engine
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/data"
 	"repro/internal/infer"
@@ -133,17 +132,16 @@ type Engine interface {
 	ValidateAnswer(ov *data.ObjectView, a *data.Answer) error
 }
 
-// EpochFolder folds one publish's worth of answers as a set of object-
-// disjoint batches that may run CONCURRENTLY. The contract every
-// implementation keeps: the update is object-local — folding an answer
-// reads shared immutable state and writes only that object's rows (TDH's
-// Section 4.2 property; numeric estimates given frozen provider weights) —
-// so the sharded pipeline can fold shard batches in parallel, and a
-// publish's state delta is exactly the epoch's touched objects, around
-// which the previous snapshot's assignment plan is Advance'd instead of
-// rebuilt. What is global — TDH's φ/ψ, numeric's provider weights — stays
-// frozen at the last Fit; RefitPolicy's refit_answers / refit_staleness_ms
-// bound how stale that may get.
+// EpochFolder folds one publish's worth of answers into a copy of the
+// published state. The contract every implementation keeps: the update is
+// object-local — folding an answer reads shared immutable state and writes
+// only that object's rows (TDH's Section 4.2 property; numeric estimates
+// given frozen provider weights) — so a publish's state delta is exactly
+// the epoch's touched objects, around which the previous snapshot's
+// assignment plan is Advance'd instead of rebuilt. What is global — TDH's
+// φ/ψ, numeric's provider weights — stays frozen at the last Fit;
+// RefitPolicy's refit_answers / refit_staleness_ms bound how stale that may
+// get.
 type EpochFolder interface {
 	// NewEpoch opens a fold epoch over st for idx, the answers already
 	// appended to idx.DS. ok=false means the state has no incremental path
@@ -152,11 +150,10 @@ type EpochFolder interface {
 	NewEpoch(st State, idx *data.Index) (Epoch, bool)
 }
 
-// Epoch is one in-flight fold. Fold calls whose answer batches touch
-// disjoint object sets may run concurrently; Seal is called once, after all
-// Fold calls returned, and yields the folded State; Touched then lists the
-// dense IDs of the objects the folds wrote (duplicates allowed). An epoch
-// is single-use.
+// Epoch is one in-flight fold, driven from one goroutine: Fold may be called
+// any number of times, then Seal once, which yields the folded State;
+// Touched then lists the dense IDs of the objects the folds wrote
+// (duplicates allowed). An epoch is single-use.
 type Epoch interface {
 	Fold(answers []data.Answer)
 	Seal() State
@@ -173,18 +170,8 @@ func applyAnswers(e EpochFolder, st State, idx *data.Index, answers []data.Answe
 	return ep.Seal(), true
 }
 
-// touchedIDs collects an epoch's touched object IDs across concurrent Fold
-// calls: each call gathers its own and adds them under the lock once.
-type touchedIDs struct {
-	mu  sync.Mutex
-	ids []int
-}
-
-func (t *touchedIDs) add(ids []int) {
-	t.mu.Lock()
-	t.ids = append(t.ids, ids...)
-	t.mu.Unlock()
-}
+// touchedIDs collects the object IDs an epoch's folds wrote.
+type touchedIDs struct{ ids []int }
 
 // Touched implements Epoch.
 func (t *touchedIDs) Touched() []int { return t.ids }

@@ -5,9 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"sort"
 	"strconv"
-	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -87,11 +85,28 @@ func requireServesModel(t *testing.T, tag string, st State, idx *data.Index) {
 	}
 }
 
+// foldedObject is one object's fold state: its μ row, N row and D.
+type foldedObject struct {
+	mu, n []float64
+	d     float64
+}
+
+// captureFolded copies every object's fold state out of a model.
+func captureFolded(m *core.Model) []foldedObject {
+	out := make([]foldedObject, m.NumObjects())
+	for oid := range out {
+		out[oid] = foldedObject{append([]float64(nil), m.MuAt(oid)...), append([]float64(nil), m.NAt(oid)...), m.DAt(oid)}
+	}
+	return out
+}
+
 // TestViewEqualsCopy: after N folds and after a Grow, on Table 1,
 // BirthPlaces and Heritages, the state a fold or a growth seals serves its
 // own model, uncopied (TestInferencerGolden in internal/infer pins what
 // every inferencer's result holds); folds share the fitted trust maps, and
-// growth rebuilds them to list the participants it added.
+// growth rebuilds them to list the participants it added. Every fold equals
+// ApplyAnswer over a clone, one answer after another, bit for bit, and
+// leaves the state it was opened over as it was.
 func TestViewEqualsCopy(t *testing.T) {
 	for name, ds := range map[string]*data.Dataset{
 		"table1":      table1(t),
@@ -114,9 +129,21 @@ func TestViewEqualsCopy(t *testing.T) {
 						Value: ov.CI.Values[rng.Intn(len(ov.CI.Values))]})
 				}
 				ds.Answers = append(ds.Answers, batch...)
+				prev := st.Res().Model.(*core.Model)
+				before, want := captureFolded(prev), prev.Clone()
+				for _, a := range batch {
+					ans, _ := want.Idx.View(a.Object).CI.Pos(a.Value)
+					want.ApplyAnswer(a.Object, a.Worker, ans)
+				}
 				var ok bool
 				if st, ok = eng.ApplyAnswers(st, idx, batch); !ok {
 					t.Fatal("TDH state refused to fold")
+				}
+				if !reflect.DeepEqual(captureFolded(st.Res().Model.(*core.Model)), captureFolded(want)) {
+					t.Fatalf("fold %d differs from ApplyAnswer one answer after another", round)
+				}
+				if !reflect.DeepEqual(captureFolded(prev), before) {
+					t.Fatalf("fold %d wrote the state it was opened over", round)
 				}
 			}
 			for round := 0; round < 6; round++ {
@@ -149,93 +176,6 @@ func TestViewEqualsCopy(t *testing.T) {
 			fold(99, 5)
 			requireServesModel(t, "fold after grow", st, idx)
 		})
-	}
-}
-
-// TestConcurrentFoldsSharePages: the sharded pipeline folds object-disjoint
-// batches into one epoch from several goroutines, and since the fold model
-// is paged, disjoint objects are not disjoint memory any more — every batch
-// here (objects dealt out by ID mod 4) has objects in every page of 256, so
-// four goroutines race to copy the same pages. The epoch copies each page
-// once, under its lock, before anyone writes it: the concurrent fold must
-// equal the sequential one bit for bit, touch the same objects, and leave
-// the state folded over as it was (the -race jobs run this).
-func TestConcurrentFoldsSharePages(t *testing.T) {
-	const shards = 4
-	ds := synth.Heritages(synth.HeritagesConfig{Seed: 5, Scale: 0.8}) // 600+ objects: three pages
-	idx := data.NewIndex(ds)
-	for i := 0; i < 60; i++ { // a few workers with a fitted ψ
-		ov := idx.ViewAt(i * 7 % len(idx.Objects))
-		ds.Answers = append(ds.Answers, data.Answer{Object: ov.Object, Worker: fmt.Sprintf("w%d", i%4), Value: ov.CI.Values[i%len(ov.CI.Values)]})
-	}
-	idx = data.NewIndex(ds)
-	eng := NewCategorical(infer.NewTDH(), Config{})
-	st := eng.Fit(idx)
-	fitted := st.Res().Model.(*core.Model)
-	if fitted.NumObjects() <= 512 {
-		t.Fatalf("%d objects: the batches would not share three pages", fitted.NumObjects())
-	}
-	type object struct {
-		mu, n []float64
-		d     float64
-	}
-	capture := func(m *core.Model) []object {
-		out := make([]object, m.NumObjects())
-		for oid := range out {
-			out[oid] = object{append([]float64(nil), m.MuAt(oid)...), append([]float64(nil), m.NAt(oid)...), m.DAt(oid)}
-		}
-		return out
-	}
-	before := capture(fitted)
-
-	rng := rand.New(rand.NewSource(17))
-	batches := make([][]data.Answer, shards)
-	for i := 0; i < 400; i++ {
-		ov := idx.ViewAt(rng.Intn(len(idx.Objects)))
-		worker := fmt.Sprintf("fresh-%d", i%5) // folds at the prior-mean ψ
-		if i%2 == 0 {
-			worker = idx.WorkerNames[rng.Intn(len(idx.WorkerNames))]
-		}
-		batches[ov.ID%shards] = append(batches[ov.ID%shards], data.Answer{
-			Object: ov.Object, Worker: worker, Value: ov.CI.Values[rng.Intn(len(ov.CI.Values))]})
-	}
-	fold := func(concurrent bool) (*core.Model, []int) {
-		ep, ok := eng.NewEpoch(st, idx)
-		if !ok {
-			t.Fatal("TDH state refused to open an epoch")
-		}
-		var wg sync.WaitGroup
-		for _, batch := range batches {
-			if !concurrent {
-				ep.Fold(batch)
-				continue
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				ep.Fold(batch)
-			}()
-		}
-		wg.Wait()
-		touched := append([]int(nil), ep.Touched()...)
-		sort.Ints(touched)
-		return ep.Seal().Res().Model.(*core.Model), touched
-	}
-	seq, seqTouched := fold(false)
-	for run := 0; run < 4; run++ {
-		par, parTouched := fold(true)
-		if !reflect.DeepEqual(capture(par), capture(seq)) {
-			t.Fatalf("run %d: the concurrent fold differs from the sequential one", run)
-		}
-		if !reflect.DeepEqual(parTouched, seqTouched) || len(seqTouched) != 400 {
-			t.Fatalf("run %d: touched %d objects concurrently, %d sequentially", run, len(parTouched), len(seqTouched))
-		}
-	}
-	if reflect.DeepEqual(capture(seq), before) {
-		t.Fatal("400 answers folded nothing")
-	}
-	if !reflect.DeepEqual(capture(fitted), before) {
-		t.Fatal("folding into epochs wrote the state they were opened over")
 	}
 }
 

@@ -275,8 +275,7 @@ func (e *numericEngine) ApplyAnswers(st State, idx *data.Index, answers []data.A
 	return applyAnswers(e, st, idx, answers)
 }
 
-// NewEpoch implements EpochFolder. An epoch writes distinct elements of the
-// forked arrays per object, so object-disjoint Fold calls need no lock.
+// NewEpoch implements EpochFolder: an epoch folds into a fork of the state.
 func (e *numericEngine) NewEpoch(st State, idx *data.Index) (Epoch, bool) {
 	ns := st.(*numState)
 	if ns.idx != idx {
@@ -293,7 +292,6 @@ type numEpoch struct {
 }
 
 func (ep *numEpoch) Fold(answers []data.Answer) {
-	ids := make([]int, 0, len(answers))
 	for i := range answers {
 		a := &answers[i]
 		oid, ok := ep.st.idx.ObjectID(a.Object)
@@ -305,9 +303,8 @@ func (ep *numEpoch) Fold(answers []data.Answer) {
 			continue
 		}
 		ep.st.foldClaim(ep.est, oid, v, workerPrefix+a.Worker)
-		ids = append(ids, oid)
+		ep.ids = append(ep.ids, oid)
 	}
-	ep.add(ids)
 }
 
 func (ep *numEpoch) Seal() State { return ep.st }

@@ -2,7 +2,6 @@ package server
 
 import (
 	"net/http"
-	"strconv"
 	"time"
 
 	"repro/internal/obs"
@@ -86,7 +85,7 @@ func newServerMetrics(s *Server, reg *obs.Registry) *serverMetrics {
 		recordsAdded: reg.Counter("tdh_mutations_accepted_total",
 			"open-world dataset mutations accepted, by kind", "kind", "add_record"),
 		ingestRejected: reg.Counter("tdh_ingest_rejected_total",
-			"answers rejected with 429 because the target shard ingest queue exceeded policy.reject_queue_depth"),
+			"answers rejected with 429 because the ingest queue held policy.reject_queue_depth items"),
 		planBuilds: reg.Counter("tdh_plan_builds_total",
 			"publishes that built the assignment plan from scratch"),
 		planAdvances: reg.Counter("tdh_plan_advances_total",
@@ -132,13 +131,9 @@ func newServerMetrics(s *Server, reg *obs.Registry) *serverMetrics {
 			}
 			return 0
 		})
-	for i := range s.shardDepth {
-		sd := &s.shardDepth[i]
-		reg.GaugeFunc("tdh_ingest_queue_depth",
-			"items waiting in each shard ingest queue (enqueue/drain accounting, stable under concurrent drains)",
-			func() float64 { return float64(sd.Load()) },
-			"shard", strconv.Itoa(i))
-	}
+	reg.GaugeFunc("tdh_ingest_queue_depth",
+		"items accepted but not yet folded (enqueue/release accounting, stable under concurrent drains)",
+		func() float64 { return float64(s.queueDepth.Load()) })
 	return m
 }
 

@@ -76,7 +76,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		`tdh_pipeline_stage_seconds_count{stage="refit"}`,
 		`tdh_pipeline_stage_seconds_count{stage="drain"}`,
 		"tdh_answers_accepted_total 1",
-		`tdh_ingest_queue_depth{shard="0"}`,
+		"tdh_ingest_queue_depth 0",
 		"tdh_snapshot_age_seconds",
 		`tdh_publishes_total{kind="refit"}`,
 		"tdh_http_in_flight_requests 0",
@@ -283,9 +283,9 @@ func (e slowEngine) NewEpoch(st engine.State, idx *data.Index) (engine.Epoch, bo
 }
 
 // TestAdmissionControl asserts the RejectQueueDepth satellite end to end: a
-// slow fold backs up the shard queue, POST /answer starts returning 429
+// slow fold backs up the ingest queue, POST /answer starts returning 429
 // with Retry-After, tdh_ingest_rejected_total counts it, and the depth
-// counters drain back to zero once the backlog is folded.
+// counter drains back to zero once the backlog is folded.
 func TestAdmissionControl(t *testing.T) {
 	ds := synth.Heritages(synth.HeritagesConfig{Seed: 5, Scale: 0.06})
 	eng, err := engine.New(engine.Categorical, "TDH", engine.Config{})
@@ -305,7 +305,6 @@ func TestAdmissionControl(t *testing.T) {
 		Policy: RefitPolicy{
 			MaxAnswers:       -1, // no refits: keep every cycle on the slow path
 			MaxStaleness:     -1,
-			Shards:           -1, // single shard: every answer shares one bound
 			BatchSize:        2,
 			RejectQueueDepth: 4,
 		},
@@ -359,20 +358,17 @@ func TestAdmissionControl(t *testing.T) {
 		t.Error("tdh_ingest_rejected_total did not count the rejection")
 	}
 
-	// The depth counters are enqueue/release accounting, so once the
-	// pipeline folds the backlog they must return exactly to zero — the
-	// stable-snapshot guarantee len(chan) could not give.
+	// The depth counter is enqueue/release accounting, so once the pipeline
+	// folds the backlog it must return exactly to zero — the stable-snapshot
+	// guarantee len(chan) could not give.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		depth := 0
-		for _, d := range s.Stats().ShardQueueDepth {
-			depth += d
-		}
+		depth := s.Stats().ShardQueueDepth[0]
 		if depth == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("shard queue depth stuck at %d", depth)
+			t.Fatalf("ingest queue depth stuck at %d", depth)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}

@@ -1,9 +1,7 @@
 package server
 
 import (
-	"runtime"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/assign"
@@ -13,17 +11,16 @@ import (
 	"repro/internal/obs/trace"
 )
 
-// The inference pipeline decouples answer ingestion from inference. Ingest
-// is SHARDED by object: POST /answer (and the open-world mutation
-// endpoints) route each accepted item to its object's shard queue — FNV of
-// the object name, so an object's stream stays FIFO — and nudge the
-// coordinator. One background coordinator goroutine drains every shard
-// queue, folds the per-shard answer batches CONCURRENTLY through one engine
-// epoch (engine.EpochFolder: every engine's incremental update is object-
-// local, so shards never conflict), and stitches the epoch into a single
-// immutable Snapshot — readers always see one consistent (index, state,
-// plan) tuple no matter how many shards fed it. An engine with no
-// incremental path opens no epoch and keeps serving its last fit.
+// The inference pipeline decouples answer ingestion from inference. POST
+// /answer (and the open-world mutation endpoints) put each accepted item on
+// one FIFO ingest queue and nudge the coordinator. One background
+// coordinator goroutine drains the queue, folds the cycle's answers through
+// one engine epoch (engine.EpochFolder: every engine's incremental update is
+// object-local) and publishes the sealed epoch as a single immutable
+// Snapshot — readers always see one consistent (index, state, plan) tuple.
+// An engine with no incremental path opens no epoch and keeps serving its
+// last fit; the items such a cycle drained stay behind the visibility
+// watermark until the refit that absorbs them.
 //
 // A cycle costs what it touched: opening a TDH epoch clones page tables and
 // the fold copies the pages of 256 objects its answers land in (core.Model.
@@ -66,24 +63,17 @@ type RefitPolicy struct {
 	// is older than this (default 2s; <0 disables staleness refits, and with
 	// them the deferral of count-based ones).
 	MaxStaleness time.Duration
-	// BatchSize caps how many queued answers one incremental step folds in
-	// PER SHARD before publishing a snapshot (default 64).
+	// BatchSize caps how many queued items (answers and mutations) one
+	// coordinator cycle drains before publishing a snapshot (default 64).
 	BatchSize int
-	// QueueSize is the total ingest buffer, split evenly across shards;
-	// /answer blocks (backpressure) when its object's shard queue is full
-	// (default 1024).
+	// QueueSize is the ingest queue's buffer; /answer blocks (backpressure)
+	// while it is full (default 1024).
 	QueueSize int
-	// Shards partitions ingestion and incremental folding across this many
-	// object shards (default: GOMAXPROCS, capped at 8; <0 means 1). One
-	// shard reproduces the unsharded pipeline exactly; the equivalence suite
-	// pins shards=N to it.
-	Shards int
 	// RejectQueueDepth, when > 0, is the admission-control bound: POST
 	// /answer returns 429 with a Retry-After header (and increments
-	// tdh_ingest_rejected_total) once the target object's shard holds at
-	// least this many accepted-but-unfolded items, instead of blocking the
-	// connection until the queue drains. 0 keeps the default blocking
-	// backpressure.
+	// tdh_ingest_rejected_total) once the ingest queue holds at least this
+	// many accepted-but-unfolded items, instead of blocking the connection
+	// until the queue drains. 0 keeps the default blocking backpressure.
 	RejectQueueDepth int
 }
 
@@ -92,7 +82,6 @@ const (
 	defaultMaxStaleness = 2 * time.Second
 	defaultBatchSize    = 64
 	defaultQueueSize    = 1024
-	maxDefaultShards    = 8
 )
 
 func (p RefitPolicy) withDefaults() RefitPolicy {
@@ -108,15 +97,6 @@ func (p RefitPolicy) withDefaults() RefitPolicy {
 	if p.QueueSize <= 0 {
 		p.QueueSize = defaultQueueSize
 	}
-	if p.Shards == 0 {
-		p.Shards = runtime.GOMAXPROCS(0)
-		if p.Shards > maxDefaultShards {
-			p.Shards = maxDefaultShards
-		}
-	}
-	if p.Shards < 1 {
-		p.Shards = 1
-	}
 	return p
 }
 
@@ -128,9 +108,9 @@ type refreshReq struct {
 
 // ingestItem is one accepted unit of campaign growth queued for the
 // pipeline: a crowd answer, or a dataset mutation (object / record add).
-// Lineage rides along: seq is the item's per-shard ingest sequence number
-// (assigned under the shard's enqueue lock, so sequence order is exactly
-// channel FIFO order), at is the accept timestamp the visibility histogram
+// Lineage rides along: seq is the item's ingest sequence number (assigned
+// under the enqueue lock, so sequence order is exactly channel FIFO
+// order), at is the accept timestamp the visibility histogram
 // measures from, and tr is the sampled-request span recorder (nil for the
 // unsampled majority) whose ownership transfers to the coordinator with the
 // channel send.
@@ -151,8 +131,8 @@ type mutation struct {
 }
 
 // pipeline is the state owned exclusively by the coordinator goroutine. No
-// lock protects it: handlers communicate with it only through the shard
-// queues and read only the published snapshots.
+// lock protects it: handlers communicate with it only through the ingest
+// queue and read only the published snapshots.
 type pipeline struct {
 	s      *Server
 	policy RefitPolicy
@@ -166,17 +146,21 @@ type pipeline struct {
 	mutApplied int // dataset mutations folded into the published snapshot
 	sinceRefit int // answers + mutations since the last full refit
 	staleSince time.Time
-	backlog    bool // the last drain left items queued (drainShards)
+	backlog    bool // the last drain left items queued (drain)
 
 	// Lineage accounting, all coordinator-owned. drainedSeq is the highest
-	// ingest sequence drained per shard; the next publish copies it onto the
-	// snapshot as the visibility watermark. cycle holds the items drained
-	// this cycle until the publish that makes them visible completes them
-	// (visibility histogram + span trees); stamps carries the cycle's stage
-	// timestamps for those spans. lastVisible is the last publish that
-	// completed drained items — the progress signal the stall watchdog
+	// ingest sequence drained; the next publish copies it onto the snapshot
+	// as the visibility watermark. cycle holds the drained items until the
+	// publish that makes them visible completes them (visibility histogram +
+	// span trees); stamps carries the cycle's stage timestamps for those
+	// spans. held is set when the engine refused to fold or grow a drained
+	// item (no epoch, no incremental growth): the published state does not
+	// reflect it, so publishes keep the previous watermark and hold cycle
+	// until the next full refit absorbs it. lastVisible is the last publish
+	// that completed drained items — the progress signal the stall watchdog
 	// checks against queue depth.
-	drainedSeq  []int64
+	drainedSeq  int64
+	held        bool
 	cycle       []itemMeta
 	stamps      cycleStamps
 	lastVisible time.Time
@@ -185,10 +169,9 @@ type pipeline struct {
 // itemMeta is the coordinator-side record of one drained item awaiting its
 // covering publish.
 type itemMeta struct {
-	shard int
-	seq   int64
-	at    time.Time
-	tr    *trace.Active
+	seq int64
+	at  time.Time
+	tr  *trace.Active
 }
 
 // cycleStamps are the stage boundary timestamps of one coordinator cycle,
@@ -222,17 +205,21 @@ func (p *pipeline) metrics() *serverMetrics { return p.s.metrics }
 func (p *pipeline) publish(touched []int) {
 	pubStart := time.Now()
 	prev := p.s.current.Load()
+	// The visibility watermark: everything drained so far is in the state
+	// this snapshot publishes (every loop path folds what it drains before
+	// the next drain) — unless the engine refused some of it, which the
+	// previous watermark then still describes.
+	wm := p.drainedSeq
+	if p.held {
+		wm = prev.Watermark
+	}
 	sn := &Snapshot{
 		Idx: p.idx, St: p.st, Res: p.st.Res(), Round: p.round,
 		// PublishedAt is observability metadata (snapshot age in /stats);
 		// replay rebuilds state from the log, never timestamps.
 		//tdh:wallclock snapshot age metadata; never fed back into replayed state
 		Answers: p.applied, Mutations: p.mutApplied, PublishedAt: time.Now(),
-		// The visibility watermark: everything drained so far is in the
-		// state this snapshot publishes (every loop path folds what it
-		// drains before the next drain). Copied, never aliased — the
-		// snapshot is immutable, drainedSeq keeps advancing.
-		Watermarks: append([]int64(nil), p.drainedSeq...),
+		Watermark: wm,
 	}
 	planStart := time.Now()
 	p.stamps.planStart = planStart
@@ -266,7 +253,9 @@ func (p *pipeline) publish(touched []int) {
 			"duration_ms", d.Milliseconds(), "round", p.round,
 			"answers", p.applied, "objects", sn.Idx.NumObjects())
 	}
-	p.completeCycle(sn.PublishedAt)
+	if !p.held {
+		p.completeCycle(sn.PublishedAt)
+	}
 }
 
 const (
@@ -289,9 +278,10 @@ const (
 // drained item gets a visibility observation (accept → covering publish),
 // and each sampled item's span recorder gets the cycle's stage spans before
 // being finished into the trace ring. It also feeds the drain-rate estimate
-// behind Retry-After. Called from publish, so a cycle that folds and then
-// immediately refits completes its items at the first publish — the one
-// that made them visible — and the second finds the cycle empty.
+// behind Retry-After. Called from every publish that is not held, so a
+// cycle that folds and then immediately refits completes its items at the
+// first publish — the one that made them visible — and the second finds the
+// cycle empty, while items a held cycle drained wait for the refit's.
 func (p *pipeline) completeCycle(pub time.Time) {
 	if len(p.cycle) == 0 {
 		return
@@ -304,7 +294,6 @@ func (p *pipeline) completeCycle(pub time.Time) {
 			continue
 		}
 		it.tr.Child("queue", it.at, st.drainStart,
-			trace.Attr{Key: "shard", Value: strconv.Itoa(it.shard)},
 			trace.Attr{Key: "seq", Value: strconv.FormatInt(it.seq, 10)})
 		it.tr.Child("drain", st.drainStart, st.drainEnd)
 		if st.refit {
@@ -339,10 +328,7 @@ func (p *pipeline) completeCycle(pub time.Time) {
 //
 //tdh:wallclock stall detection compares wall-clock progress timestamps; diagnostics only
 func (p *pipeline) checkStall(now time.Time) {
-	var depth int64
-	for i := range p.s.shardDepth {
-		depth += p.s.shardDepth[i].Load()
-	}
+	depth := p.s.queueDepth.Load()
 	if depth == 0 {
 		return
 	}
@@ -366,11 +352,12 @@ func (p *pipeline) fullRefit() {
 	p.idx = data.NewIndex(p.work)
 	p.st = p.s.cfg.Engine.Fit(p.idx)
 	p.round++
-	p.sinceRefit = 0
+	p.sinceRefit, p.held = 0, false
 	p.metrics().observeStage(stageRefit, start)
 	p.reportConvergence()
 	// When this refit is what makes drained items visible (the refresh
-	// path), their span trees show the refit as the fold stage.
+	// path, or items a held cycle drained), their span trees show the refit
+	// as the fold stage.
 	p.stamps.foldStart, p.stamps.foldEnd, p.stamps.refit = start, time.Now(), true
 	p.publish(nil)
 }
@@ -413,25 +400,19 @@ func (p *pipeline) markDirty(n int) {
 	p.sinceRefit += n
 }
 
-// applyShards folds one coordinator cycle — per-shard answer batches plus
-// the cycle's mutations — into the campaign state and publishes one
-// epoch-stitched snapshot covering all of it. Mutations first: they extend
-// the index (data.Index.Extend) and re-seed the engine state (Engine.Grow)
-// so the cycle's answers — and every /task after the publish — already see
-// the new objects. Answers then fold through one epoch, one goroutine per
-// non-empty shard batch (the batches are object-disjoint by construction:
-// items are sharded by object name), and the epoch reports what it touched.
-// An engine without an incremental path keeps publishing its previous state
-// (stale confidences, fresh counters); the additions' effect on the result
-// waits for the next policy-triggered refit.
+// apply folds one coordinator cycle — its answers plus its mutations — into
+// the campaign state and publishes one snapshot covering all of it.
+// Mutations first: they extend the index (data.Index.Extend) and re-seed the
+// engine state (Engine.Grow) so the cycle's answers — and every /task after
+// the publish — already see the new objects. Answers then fold through one
+// epoch, which reports what it touched. An engine without an incremental
+// path keeps publishing its previous state (stale confidences, fresh
+// counters) and the cycle is held: the additions' effect on the result, and
+// with it the watermark, waits for the next refit.
 //
 //tdh:wallclock fold-stage timing is observability only; replayed state never reads it
-func (p *pipeline) applyShards(groups [][]data.Answer, muts []*mutation) {
-	total := 0
-	for _, g := range groups {
-		total += len(g)
-	}
-	if total == 0 && len(muts) == 0 {
+func (p *pipeline) apply(answers []data.Answer, muts []*mutation) {
+	if len(answers) == 0 && len(muts) == 0 {
 		return
 	}
 	foldStart := time.Now()
@@ -442,30 +423,20 @@ func (p *pipeline) applyShards(groups [][]data.Answer, muts []*mutation) {
 		p.idx, touched = p.idx.Extend(p.work, p.stageMutations(muts))
 		if st, ok := eng.Grow(p.st, p.idx, touched); ok {
 			p.st = st
+		} else {
+			p.held = true
 		}
 	}
-	if total > 0 {
-		for _, g := range groups {
-			p.ingest(g)
-		}
+	if len(answers) > 0 {
+		p.ingest(answers)
 		if ep, ok := eng.NewEpoch(p.st, p.idx); ok {
-			var wg sync.WaitGroup
-			for _, g := range groups {
-				if len(g) == total {
-					ep.Fold(g) // the cycle's only batch: fold it here
-				} else if len(g) > 0 {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						ep.Fold(g)
-					}()
-				}
-			}
-			wg.Wait()
+			ep.Fold(answers)
 			p.st = ep.Seal()
 			touched = append(touched, ep.Touched()...)
+		} else {
+			p.held = true
 		}
-		p.metrics().batchSize.Observe(float64(total))
+		p.metrics().batchSize.Observe(float64(len(answers)))
 	}
 	p.metrics().observeStage(stageFold, foldStart)
 	p.stamps.foldEnd = time.Now()
@@ -474,8 +445,8 @@ func (p *pipeline) applyShards(groups [][]data.Answer, muts []*mutation) {
 
 // stageMutations appends accepted mutations to the working dataset and the
 // counters, returning them in data.Mutation form. Callers either Extend the
-// live index with the result (applyShards) or let an imminent full refit
-// absorb them (the refresh path).
+// live index with the result (apply) or let an imminent full refit absorb
+// them (the refresh path).
 func (p *pipeline) stageMutations(muts []*mutation) data.Mutation {
 	mu := data.Mutation{}
 	for _, m := range muts {
@@ -516,68 +487,51 @@ func (p *pipeline) shouldRefit(now time.Time) bool {
 	return p.policy.MaxAnswers > 0 && p.sinceRefit >= p.policy.MaxAnswers
 }
 
-// drainShards moves what is buffered on every shard queue into per-shard
-// answer batches plus the cycle's mutations, without blocking. limit caps
-// the items taken PER SHARD (0 = unbounded, used during refresh and
-// shutdown); p.backlog records whether any queue still held items
-// afterwards, so the coordinator re-kicks itself instead of stalling a
-// backlog and defers a count-triggered refit behind it.
-// Mutations are returned in shard order (per-object order — the one that
-// matters for dedup and candidate accumulation — is preserved, since an
-// object's mutations all live on one shard). taken counts the items drained
-// per shard; callers release the shard depth counters by it only AFTER the
-// drained batch is folded and published (releaseDepth), so queue depth —
-// what /stats, /metrics and admission control read — covers the whole
-// accepted-but-unfolded backlog, not just the channel buffers.
+// drain moves what is buffered on the ingest queue into the cycle's answers
+// and mutations, in enqueue order, without blocking. limit caps the items
+// taken (0 = unbounded, used during refresh and shutdown); p.backlog records
+// whether the queue still held items afterwards, so the coordinator
+// re-kicks itself instead of stalling a backlog and defers a count-triggered
+// refit behind it. taken counts the items drained; callers release the
+// depth counter by it only AFTER the drained batch is folded and published
+// (releaseDepth), so queue depth — what /stats, /metrics and admission
+// control read — covers the whole accepted-but-unfolded backlog, not just
+// the channel buffer.
 //
 //tdh:wallclock drain-stage timing is observability only; replayed state never reads it
-func (p *pipeline) drainShards(limit int) (groups [][]data.Answer, muts []*mutation, taken []int) {
+func (p *pipeline) drain(limit int) (answers []data.Answer, muts []*mutation, taken int) {
 	start := time.Now()
 	p.stamps.drainStart = start
-	p.backlog = false
-	groups = make([][]data.Answer, len(p.s.shardChs))
-	taken = make([]int, len(p.s.shardChs))
-	for i, ch := range p.s.shardChs {
-	drain:
-		for limit <= 0 || taken[i] < limit {
-			select {
-			case it := <-ch:
-				taken[i]++
-				if it.mut != nil {
-					muts = append(muts, it.mut)
-				} else {
-					groups[i] = append(groups[i], it.answer)
-				}
-				// Sequence numbers are FIFO within a shard (assigned under
-				// the enqueue lock), so the last drained seq is the max.
-				if it.seq > p.drainedSeq[i] {
-					p.drainedSeq[i] = it.seq
-				}
-				if !it.at.IsZero() {
-					p.cycle = append(p.cycle, itemMeta{shard: i, seq: it.seq, at: it.at, tr: it.tr})
-				}
-			default:
-				break drain
+	ch := p.s.ingestCh
+loop:
+	for limit <= 0 || taken < limit {
+		select {
+		case it := <-ch:
+			taken++
+			if it.mut != nil {
+				muts = append(muts, it.mut)
+			} else {
+				answers = append(answers, it.answer)
 			}
-		}
-		if len(ch) > 0 {
-			p.backlog = true
+			// Sequence numbers follow channel order (assigned under the
+			// enqueue lock), so the last drained seq is the max.
+			p.drainedSeq = it.seq
+			if !it.at.IsZero() {
+				p.cycle = append(p.cycle, itemMeta{seq: it.seq, at: it.at, tr: it.tr})
+			}
+		default:
+			break loop
 		}
 	}
+	p.backlog = len(ch) > 0
 	p.metrics().observeStage(stageDrain, start)
 	p.stamps.drainEnd = time.Now()
-	return groups, muts, taken
+	return answers, muts, taken
 }
 
-// releaseDepth retires drained items from the shard depth counters once
+// releaseDepth retires drained items from the queue depth counter once
 // their batch has been folded into a published snapshot.
-func (p *pipeline) releaseDepth(taken []int) {
-	for i, n := range taken {
-		if n > 0 {
-			p.s.shardDepth[i].Add(-int64(n))
-		}
-	}
-}
+func (p *pipeline) releaseDepth(taken int) { p.s.queueDepth.Add(-int64(taken)) }
 
 // loop is the coordinator goroutine. It exits when Server.Close signals
 // quit, after flushing every queued item into a final snapshot.
@@ -591,8 +545,8 @@ func (p *pipeline) loop() {
 	for {
 		select {
 		case <-p.s.kickCh:
-			groups, muts, taken := p.drainShards(p.policy.BatchSize)
-			p.applyShards(groups, muts)
+			answers, muts, taken := p.drain(p.policy.BatchSize)
+			p.apply(answers, muts)
 			if p.shouldRefit(time.Now()) {
 				p.fullRefit()
 			}
@@ -605,13 +559,11 @@ func (p *pipeline) loop() {
 			// everything the drained answers would have contributed.
 			// Mutations still extend the working dataset first so the refit
 			// covers them.
-			groups, muts, taken := p.drainShards(0)
+			answers, muts, taken := p.drain(0)
 			if len(muts) > 0 {
 				p.stageMutations(muts) // the refit below absorbs them
 			}
-			for _, g := range groups {
-				p.ingest(g)
-			}
+			p.ingest(answers)
 			p.fullRefit()
 			p.releaseDepth(taken)
 			req.done <- p.s.snap()
@@ -623,9 +575,10 @@ func (p *pipeline) loop() {
 		case <-p.s.quitCh:
 			// Flush: every item accepted before Close was enqueued (Close
 			// waits out in-flight accepts first), so one unbounded drain
-			// folds the backlog into a final snapshot.
-			groups, muts, taken := p.drainShards(0)
-			p.applyShards(groups, muts)
+			// folds the backlog into a final snapshot. Items a held cycle
+			// drained stay held: no refit absorbs them before shutdown.
+			answers, muts, taken := p.drain(0)
+			p.apply(answers, muts)
 			p.releaseDepth(taken)
 			return
 		}

@@ -344,7 +344,7 @@ func TestCountRefitWaitsForBacklog(t *testing.T) {
 				Engine: engine.NewCategorical(infer.NewTDH(), engine.Config{}), delay: c.foldDelay}}
 			p, err := newPipeline(Config{
 				Dataset: ds, Engine: rec, Assigner: assign.EAI{}, OpenAnswers: true,
-				Policy: RefitPolicy{MaxAnswers: batch, BatchSize: batch, MaxStaleness: c.staleness, Shards: -1},
+				Policy: RefitPolicy{MaxAnswers: batch, BatchSize: batch, MaxStaleness: c.staleness},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -354,14 +354,14 @@ func TestCountRefitWaitsForBacklog(t *testing.T) {
 			snap := s.Snapshot()
 			for i, o := range s.SortedObjects()[:batch*batches] {
 				a := data.Answer{Worker: fmt.Sprintf("w%d", i), Object: o, Value: snap.Idx.View(o).CI.Values[0]}
-				s.enqueue(o, ingestItem{answer: a, at: time.Now()})
+				s.enqueue(ingestItem{answer: a, at: time.Now()})
 			}
 			go p.loop()
 			// Depth is released at the end of a cycle, after its refit.
 			deadline := time.Now().Add(10 * time.Second)
-			for s.shardDepth[0].Load() > 0 {
+			for s.queueDepth.Load() > 0 {
 				if time.Now().After(deadline) {
-					t.Fatalf("backlog never drained: depth %d", s.shardDepth[0].Load())
+					t.Fatalf("backlog never drained: depth %d", s.queueDepth.Load())
 				}
 				time.Sleep(time.Millisecond)
 			}

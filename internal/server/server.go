@@ -25,9 +25,9 @@
 // through an atomic pointer and take no lock shared with inference. POST
 // /answer validates against the current snapshot and the worker's sharded
 // pending state, appends to the durable event log, and enqueues the answer
-// for the background inference pipeline (see pipeline.go), which folds
-// batches in through the engine's epochs and debounces full refits per
-// RefitPolicy.
+// on the one FIFO ingest queue of the background inference pipeline (see
+// pipeline.go), which folds batches in through the engine's epochs and
+// debounces full refits per RefitPolicy.
 // The campaign is open-world: POST /objects and /records append typed
 // mutation events the same way and the pipeline folds them into the next
 // published snapshot by extending the index (data.Index.Extend) and growing
@@ -113,7 +113,7 @@ type Config struct {
 
 // Server is the crowdsourcing coordinator. Reads are lock-free against a
 // published Snapshot; per-worker assignment state is sharded (pending.go);
-// ingestion is sharded by object and folded by the background coordinator
+// ingestion goes through one queue, folded by the background coordinator
 // goroutine (pipeline.go).
 type Server struct {
 	cfg     Config
@@ -133,22 +133,20 @@ type Server struct {
 	addedObjects map[string]int     // object name -> accepted creator count
 	addedClaims  map[[2]string]bool // (object, source) added via POST /records
 
-	// Ingest is sharded by object name: each accepted item goes to its
-	// object's shard queue (stable FNV hash, so an object's stream stays
-	// FIFO and a growing index never re-homes it) and kickCh nudges the
-	// coordinator, which drains all shards into one epoch-stitched publish.
-	// shardDepth counts items waiting per shard by enqueue/drain accounting
-	// — unlike len(chan) reads racing the coordinator's drain, the counters
-	// give /stats and /metrics a stable queue-depth snapshot, and they are
-	// what admission control (RefitPolicy.RejectQueueDepth) reads.
-	// Lineage: every enqueued item gets a per-shard monotonic sequence
-	// number, assigned under seqMu held across the (possibly blocking)
-	// channel send so sequence order is exactly FIFO order within a shard.
-	// The folded watermark per shard is the published Snapshot.Watermarks.
-	shardChs   []chan ingestItem
-	shardDepth []atomic.Int64
-	seqMu      []sync.Mutex
-	shardSeq   []int64 // guarded by seqMu[i]
+	// Ingest: each accepted item goes onto ingestCh, one FIFO queue, and
+	// kickCh nudges the coordinator, which drains it into one publish.
+	// queueDepth counts accepted-but-unfolded items by enqueue/release
+	// accounting — unlike a len(chan) read racing the coordinator's drain,
+	// it gives /stats and /metrics a stable queue depth, and it is what
+	// admission control (RefitPolicy.RejectQueueDepth) reads.
+	// Lineage: every enqueued item gets a monotonic sequence number,
+	// assigned under seqMu held across the (possibly blocking) channel send
+	// so sequence order is exactly FIFO order. The folded watermark is the
+	// published Snapshot.Watermark.
+	ingestCh   chan ingestItem
+	queueDepth atomic.Int64
+	seqMu      sync.Mutex
+	seq        int64 // guarded by seqMu
 	kickCh     chan struct{}
 	refreshCh  chan refreshReq
 	quitCh     chan struct{}
@@ -183,38 +181,31 @@ type Server struct {
 	lastCapLog     atomic.Int64
 }
 
-// shardOf maps an object name to its ingest shard.
-func (s *Server) shardOf(object string) int {
-	h := fnv.New32a()
-	_, _ = io.WriteString(h, object)
-	return int(h.Sum32() % uint32(len(s.shardChs)))
-}
-
-// enqueue routes one accepted item to its object's shard queue (blocking
-// there is the ingest backpressure) and nudges the coordinator. The order —
-// enqueue, then kick — makes the wakeup race-free: a dropped kick means a
-// token is already pending, so the coordinator will drain again after this
-// item is visible. The depth counter is incremented before the (possibly
-// blocking) send so admission control sees demand, not just buffered items.
+// enqueue puts one accepted item on the ingest queue (blocking there is the
+// ingest backpressure) and nudges the coordinator. The order — enqueue,
+// then kick — makes the wakeup race-free: a dropped kick means a token is
+// already pending, so the coordinator will drain again after this item is
+// visible. The depth counter is incremented before the (possibly blocking)
+// send so admission control sees demand, not just buffered items.
 //
-// Each item is stamped with the shard's next ingest sequence number under
-// seqMu, held across the channel send: sequence order is therefore exactly
-// the shard's FIFO order, which is what makes the published watermark
-// (Snapshot.Watermarks, max folded seq) a complete visibility statement —
-// every item at or below it has been folded. A full queue blocks the send
-// inside the lock, so same-shard enqueuers queue on the mutex instead of
-// the channel; the backpressure is identical. Returns the shard and the
-// assigned sequence, which /answer echoes so clients can poll visibility.
-func (s *Server) enqueue(object string, it ingestItem) (shard int, seq int64) {
-	sh := s.shardOf(object)
-	s.shardDepth[sh].Add(1)
-	s.seqMu[sh].Lock()
-	s.shardSeq[sh]++
-	it.seq = s.shardSeq[sh]
-	s.shardChs[sh] <- it
-	s.seqMu[sh].Unlock()
+// Each item is stamped with the next ingest sequence number under seqMu,
+// held across the channel send: sequence order is therefore exactly FIFO
+// order, which is what makes the published watermark (Snapshot.Watermark,
+// max folded seq) a complete visibility statement — every item at or below
+// it has been folded. A full queue blocks the send inside the lock, so
+// enqueuers queue on the mutex instead of the channel; the backpressure is
+// identical. Returns the assigned sequence, which /answer echoes (with
+// shard 0, the wire's name for the one queue) so clients can poll
+// visibility.
+func (s *Server) enqueue(it ingestItem) int64 {
+	s.queueDepth.Add(1)
+	s.seqMu.Lock()
+	s.seq++
+	it.seq = s.seq
+	s.ingestCh <- it
+	s.seqMu.Unlock()
 	s.kick()
-	return sh, it.seq
+	return it.seq
 }
 
 // boundaryCtx returns the request's trace context, attached by the metrics
@@ -315,23 +306,12 @@ func newPipeline(cfg Config) (*pipeline, error) {
 		workers:      newWorkerState(),
 		addedObjects: map[string]int{},
 		addedClaims:  map[[2]string]bool{},
-		shardChs:     make([]chan ingestItem, cfg.Policy.Shards),
+		ingestCh:     make(chan ingestItem, cfg.Policy.QueueSize),
 		kickCh:       make(chan struct{}, 1),
 		refreshCh:    make(chan refreshReq),
 		quitCh:       make(chan struct{}),
 		doneCh:       make(chan struct{}),
 	}
-	// QueueSize is the total ingest buffer, split across the shard queues.
-	perShard := (cfg.Policy.QueueSize + cfg.Policy.Shards - 1) / cfg.Policy.Shards
-	if perShard < 1 {
-		perShard = 1
-	}
-	for i := range s.shardChs {
-		s.shardChs[i] = make(chan ingestItem, perShard)
-	}
-	s.shardDepth = make([]atomic.Int64, cfg.Policy.Shards)
-	s.seqMu = make([]sync.Mutex, cfg.Policy.Shards)
-	s.shardSeq = make([]int64, cfg.Policy.Shards)
 	s.startTime = time.Now() //tdh:wallclock uptime baseline for /stats; never fed into replayed state
 	s.log = cfg.Logger
 	if s.log == nil {
@@ -350,8 +330,7 @@ func newPipeline(cfg Config) (*pipeline, error) {
 		sh := s.workers.shardFor(a.Worker)
 		sh.markAnswered(a.Worker, a.Object)
 	}
-	p := &pipeline{s: s, policy: cfg.Policy, work: cfg.Dataset.Clone(),
-		drainedSeq: make([]int64, cfg.Policy.Shards)}
+	p := &pipeline{s: s, policy: cfg.Policy, work: cfg.Dataset.Clone()}
 	p.fullRefit() // initial inference, published before New returns
 	return p, nil
 }
@@ -532,24 +511,22 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, fmt.Sprintf("unknown object %q", a.Object))
 		return
 	}
-	// Admission control: with RejectQueueDepth set, a saturated shard queue
+	// Admission control: with RejectQueueDepth set, a saturated ingest queue
 	// sheds load with a fast 429 instead of blocking the connection on the
 	// enqueue below. Checked before any reservation or log I/O so a
 	// rejected request does no work and rolls back nothing. Retry-After is
 	// derived from the pipeline's observed drain rate, not a constant.
 	if bound := s.cfg.Policy.RejectQueueDepth; bound > 0 {
-		sh := s.shardOf(a.Object)
-		if depth := s.shardDepth[sh].Load(); depth >= int64(bound) {
+		if depth := s.queueDepth.Load(); depth >= int64(bound) {
 			s.metrics.ingestRejected.Inc()
 			retry := s.retryAfter(depth)
 			w.Header().Set("Retry-After", strconv.FormatInt(retry, 10))
 			if s.logEvery(&s.lastRejectLog, logRepeatEvery) {
 				s.log.Warn("admission control rejected answer",
-					"trace_id", tc.TraceID.String(), "shard", sh,
+					"trace_id", tc.TraceID.String(),
 					"depth", depth, "retry_after_s", retry, "object", a.Object)
 			}
-			httpError(w, http.StatusTooManyRequests,
-				fmt.Sprintf("ingest queue for object %q is saturated; retry later", a.Object))
+			httpError(w, http.StatusTooManyRequests, "ingest queue is saturated; retry later")
 			return
 		}
 	}
@@ -599,7 +576,7 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 
 	n := s.metrics.answersAccepted.Add(1)
 
-	// Enqueue for the inference pipeline; a full shard queue applies
+	// Enqueue for the inference pipeline; a full queue applies
 	// backpressure. The pipeline keeps draining until Close has waited out
 	// every in-flight accept (beginIngest/ingestWG), so this send cannot
 	// block forever. The item carries its lineage: the accept timestamp the
@@ -610,10 +587,10 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 	// watermark[shard] >= seq to observe its answer become visible.
 	act := s.tracer.Start(tc, "answer")
 	act.Annotate(trace.Attr{Key: "object", Value: a.Object}, trace.Attr{Key: "worker", Value: a.Worker})
-	shard, seq := s.enqueue(a.Object, ingestItem{answer: a, at: tc.Start, tr: act})
+	seq := s.enqueue(ingestItem{answer: a, at: tc.Start, tr: act})
 	writeJSON(w, map[string]any{
 		"accepted": true, "answers": n,
-		"trace_id": tc.TraceID.String(), "shard": shard, "seq": seq,
+		"trace_id": tc.TraceID.String(), "shard": 0, "seq": seq,
 	})
 }
 
@@ -684,11 +661,11 @@ func (s *Server) handleAddObject(w http.ResponseWriter, r *http.Request) {
 	n := s.metrics.objectsAdded.Add(1)
 	act := s.tracer.Start(tc, "add_object")
 	act.Annotate(trace.Attr{Key: "object", Value: req.Object})
-	shard, seq := s.enqueue(req.Object, ingestItem{
+	seq := s.enqueue(ingestItem{
 		mut: &mutation{object: req.Object, candidates: cands}, at: tc.Start, tr: act})
 	writeJSON(w, map[string]any{
 		"accepted": true, "object": req.Object, "added_objects": n,
-		"trace_id": tc.TraceID.String(), "shard": shard, "seq": seq,
+		"trace_id": tc.TraceID.String(), "shard": 0, "seq": seq,
 	})
 }
 
@@ -756,11 +733,11 @@ func (s *Server) handleAddRecord(w http.ResponseWriter, r *http.Request) {
 	n := s.metrics.recordsAdded.Add(1)
 	act := s.tracer.Start(tc, "add_record")
 	act.Annotate(trace.Attr{Key: "object", Value: rec.Object}, trace.Attr{Key: "source", Value: rec.Source})
-	shard, seq := s.enqueue(rec.Object, ingestItem{
+	seq := s.enqueue(ingestItem{
 		mut: &mutation{object: rec.Object, record: &rec}, at: tc.Start, tr: act})
 	writeJSON(w, map[string]any{
 		"accepted": true, "object": rec.Object, "added_records": n,
-		"trace_id": tc.TraceID.String(), "shard": shard, "seq": seq,
+		"trace_id": tc.TraceID.String(), "shard": 0, "seq": seq,
 	})
 }
 
@@ -853,10 +830,11 @@ type Stats struct {
 	GenAccuracy float64 `json:"gen_accuracy,omitempty"`
 	AvgDistance float64 `json:"avg_distance,omitempty"`
 	HasGold     bool    `json:"has_gold"`
-	// Pipeline / plan-maintenance observability. Shards is the configured
-	// ingest shard count; ShardQueueDepth the momentary queue length per
-	// shard (approximate — queues drain concurrently). SnapshotAgeMS is how
-	// long ago the served snapshot was published. PlanAdvances / PlanBuilds
+	// Pipeline / plan-maintenance observability. Shards is always 1 and
+	// ShardQueueDepth the one ingest queue's accepted-but-unfolded depth, a
+	// one-element list: the shape clients of the sharded pipeline parse.
+	// SnapshotAgeMS is how long ago the served snapshot was published.
+	// PlanAdvances / PlanBuilds
 	// split publishes by whether the assignment plan was advanced from the
 	// previous snapshot's or built from scratch; PlanFallbacks counts /task
 	// requests that found a stale attached plan and rebuilt one in-line
@@ -869,12 +847,12 @@ type Stats struct {
 	PlanFallbacks   int64 `json:"plan_fallbacks"`
 	// Visibility lineage, the operator's stalled-pipeline view without
 	// scraping /metrics: UptimeSeconds since this server instance booted;
-	// Watermarks is the served snapshot's per-shard visibility watermark
-	// (max folded ingest seq — an item (shard, seq) is visible once
-	// Watermarks[shard] >= seq); FoldedSeq is the same vector under the
-	// name older clients poll; LastPublishUnixMS is when the served snapshot
-	// was published. A nonzero ShardQueueDepth with Watermarks unchanged
-	// across polls is a stalled pipeline.
+	// Watermarks is the served snapshot's visibility watermark as a
+	// one-element list (an item acknowledged with (shard 0, seq) is visible
+	// once Watermarks[0] >= seq); FoldedSeq is the same list under the name
+	// older clients poll; LastPublishUnixMS is when the served snapshot was
+	// published. A nonzero ShardQueueDepth with Watermarks unchanged across
+	// polls is a stalled pipeline.
 	UptimeSeconds     float64 `json:"uptime_seconds"`
 	Watermarks        []int64 `json:"watermark"`
 	FoldedSeq         []int64 `json:"folded_seq"`
@@ -910,23 +888,15 @@ func (s *Server) Stats() Stats {
 		Inference:        s.cfg.Engine.Name(),
 		Assignment:       s.cfg.Assigner.Name(),
 		HasGold:          len(base.Truth) > 0,
-		Shards:           len(s.shardChs),
-		ShardQueueDepth:  make([]int, len(s.shardChs)),
+		Shards:           1,
+		ShardQueueDepth:  []int{int(s.queueDepth.Load())},
 		PlanBuilds:       s.metrics.planBuilds.Value(),
 		PlanAdvances:     s.metrics.planAdvances.Value(),
 		PlanFallbacks:    s.planFallbacks.Load(),
+		Watermarks:       []int64{snap.Watermark},
 	}
-	// Queue depths come from the enqueue/drain counters, not len(chan): the
-	// coordinator drains concurrently, so channel-length reads taken one by
-	// one mix before/after-drain views. The counters are each read once and
-	// count every accepted-but-unfolded item, including those a drain has
-	// taken off the channel but not yet published.
-	for i := range s.shardDepth {
-		st.ShardQueueDepth[i] = int(s.shardDepth[i].Load())
-	}
-	st.UptimeSeconds = time.Since(s.startTime).Seconds() //tdh:wallclock diagnostics gauge in /stats
-	st.Watermarks = append([]int64{}, snap.Watermarks...)
 	st.FoldedSeq = st.Watermarks
+	st.UptimeSeconds = time.Since(s.startTime).Seconds() //tdh:wallclock diagnostics gauge in /stats
 	if !snap.PublishedAt.IsZero() {
 		st.SnapshotAgeMS = time.Since(snap.PublishedAt).Milliseconds() //tdh:wallclock diagnostics gauge in /stats
 		st.LastPublishUnixMS = snap.PublishedAt.UnixMilli()

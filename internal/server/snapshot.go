@@ -50,14 +50,13 @@ type Snapshot struct {
 	// PublishedAt is when the pipeline stored this snapshot (feeds the
 	// /stats snapshot-age gauge).
 	PublishedAt time.Time
-	// Watermarks is the per-shard visibility watermark: the highest ingest
-	// sequence number (assigned at enqueue, monotonic per shard) folded into
-	// this snapshot, indexed by shard. An accepted item with sequence s on
-	// shard i is visible — its answer counted, its mutation indexed, its
-	// effect on truths published — exactly when a snapshot with
-	// Watermarks[i] >= s is current. Nil on snapshots constructed outside
-	// the pipeline (tests, embedders).
-	Watermarks []int64
+	// Watermark is the visibility watermark: the highest ingest sequence
+	// number (assigned at enqueue, monotonic) folded into this snapshot. An
+	// accepted item with sequence s is visible — its answer counted, its
+	// mutation indexed, its effect on truths published — exactly when a
+	// snapshot with Watermark >= s is current. Zero on snapshots constructed
+	// outside the pipeline (tests, embedders).
+	Watermark int64
 
 	planOnce sync.Once
 	plan     *assign.Plan

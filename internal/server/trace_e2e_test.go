@@ -80,7 +80,7 @@ func doTraced(t *testing.T, method, url, traceparent string, body string) *http.
 
 // TestAnswerLineageEndToEnd is the acceptance pin for the lineage tentpole:
 // one traced answer is followed from HTTP accept to snapshot visibility —
-// the caller's trace id is honored, the per-shard watermark advances over
+// the caller's trace id is honored, the watermark advances over
 // the acknowledged sequence number, the span tree in /trace carries
 // the full pipeline lineage (queue → drain → fold/refit → plan_advance →
 // publish), and tdh_visibility_seconds gains exactly one observation for
@@ -121,13 +121,13 @@ func TestAnswerLineageEndToEnd(t *testing.T) {
 		t.Fatalf("POST /refresh = %s", resp.Status)
 	}
 
-	// The published watermark must cover the acknowledged (shard, seq).
+	// The published watermark must cover the acknowledged (shard 0, seq).
 	st := s.Stats()
-	if len(st.Watermarks) <= *accepted.Shard {
-		t.Fatalf("stats watermark vector %v does not cover shard %d", st.Watermarks, *accepted.Shard)
+	if *accepted.Shard != 0 || len(st.Watermarks) != 1 {
+		t.Fatalf("ack names shard %d, stats carry watermarks %v; want shard 0 and one watermark", *accepted.Shard, st.Watermarks)
 	}
-	if wm := st.Watermarks[*accepted.Shard]; wm < accepted.Seq {
-		t.Fatalf("watermark[%d] = %d, want >= %d", *accepted.Shard, wm, accepted.Seq)
+	if wm := st.Watermarks[0]; wm < accepted.Seq {
+		t.Fatalf("watermark[0] = %d, want >= %d", wm, accepted.Seq)
 	}
 
 	// The completed trace is in the ring with the full pipeline lineage.
@@ -166,8 +166,8 @@ func TestAnswerLineageEndToEnd(t *testing.T) {
 		for _, ch := range tr.Root.Children {
 			stages[ch.Name] = true
 			if ch.Name == "queue" {
-				if ch.Attrs["seq"] == "" || ch.Attrs["shard"] == "" {
-					t.Errorf("queue span lacks shard/seq attrs: %v", ch.Attrs)
+				if ch.Attrs["seq"] == "" {
+					t.Errorf("queue span lacks its seq attr: %v", ch.Attrs)
 				}
 			}
 		}

@@ -86,8 +86,8 @@ func captureReachable(sn *Snapshot) reachable {
 // objects with the sealed one until it writes it, so a single fold that
 // wrote a page it did not own would corrupt every snapshot still held by a
 // reader. Hold snapshot k — itself a folded, grown view — run 60 further
-// fold/seal cycles and 6 growths that touch the same objects, with shards=4
-// and concurrent /task, /truths, /confidence and /trust readers (the -race
+// fold/seal cycles and 6 growths that touch the same objects, with
+// concurrent /task, /truths, /confidence and /trust readers (the -race
 // jobs run this), and require every value reachable from snapshot k to be
 // bit-identical to what it was at publish. Then the same over 60 more
 // fold-only cycles from the last growth on (a growth is a fresh build; folds
@@ -98,7 +98,7 @@ func captureReachable(sn *Snapshot) reachable {
 // negative control: a write that skips the page copy fails the check.
 func TestSnapshotImmutableUnderAliasing(t *testing.T) {
 	ds := synth.Heritages(synth.HeritagesConfig{Seed: 4, Scale: 1}) // 785 objects: four pages
-	s, ts := newShardServer(t, ds, 4)
+	s, ts := newFoldServer(t, ds)
 	defer s.Close()
 	hot := s.SortedObjects()[:8]
 	answers, mutations := 0, 0
@@ -273,7 +273,7 @@ func TestReadEndpointsServeTheCopy(t *testing.T) {
 		"heritages":   synth.Heritages(synth.HeritagesConfig{Seed: 3, Scale: 0.08}),
 	} {
 		t.Run(name, func(t *testing.T) {
-			s, ts := newShardServer(t, ds, 2)
+			s, ts := newFoldServer(t, ds)
 			defer s.Close()
 			answers, mutations := driveCampaign(t, s, ts.URL)
 			sn := waitApplied(t, s, answers, mutations)
