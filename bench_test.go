@@ -13,6 +13,7 @@ package repro_bench
 
 import (
 	"fmt"
+	"math/rand"
 	"net/http/httptest"
 	"path/filepath"
 	"runtime"
@@ -186,20 +187,32 @@ func BenchmarkInferencers(b *testing.B) {
 
 // --- Micro-benchmarks: task assignment ----------------------------------
 
-func assignmentContext(b *testing.B, scale float64) *assign.Context {
+// assignmentContext is one round's assignment input on Heritages: a fitted
+// TDH result and a 10-worker pool. With history, the pool first answers 20
+// objects each, so every worker has a fitted ψ and EAI scores it with the
+// incremental EM (eaiAt) under that ψ, as a /task for a returning worker does.
+func assignmentContext(b *testing.B, scale float64, history bool) *assign.Context {
 	b.Helper()
-	idx := heritagesIndex(scale)
-	res := infer.NewTDH().Infer(idx)
+	ds := synth.Heritages(synth.HeritagesConfig{Seed: 7, Scale: scale})
 	workers := synth.NewWorkerPool(synth.WorkerPoolConfig{Seed: 7, Count: 10, Pi: 0.75})
 	names := make([]string, len(workers))
 	for i, w := range workers {
 		names[i] = w.Name
 	}
-	return &assign.Context{Idx: idx, Res: res, Workers: names, K: 5, Seed: 7}
+	if history {
+		idx := data.NewIndex(ds)
+		rng := rand.New(rand.NewSource(7))
+		for i := 0; i < 20*len(workers); i++ {
+			w, ov := workers[i%len(workers)], idx.ViewAt((i*37)%idx.NumObjects())
+			ds.Answers = append(ds.Answers, data.Answer{Object: ov.Object, Worker: w.Name, Value: w.Answer(rng, ds, ov)})
+		}
+	}
+	idx := data.NewIndex(ds)
+	return &assign.Context{Idx: idx, Res: infer.NewTDH().Infer(idx), Workers: names, K: 5, Seed: 7}
 }
 
 func BenchmarkEAIAssignWithPruning(b *testing.B) {
-	ctx := assignmentContext(b, 0.25)
+	ctx := assignmentContext(b, 0.25, true)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		assign.EAI{}.Assign(ctx)
@@ -207,7 +220,7 @@ func BenchmarkEAIAssignWithPruning(b *testing.B) {
 }
 
 func BenchmarkEAIAssignNoPruning(b *testing.B) {
-	ctx := assignmentContext(b, 0.25)
+	ctx := assignmentContext(b, 0.25, true)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		assign.EAI{DisablePruning: true}.Assign(ctx)
@@ -215,7 +228,7 @@ func BenchmarkEAIAssignNoPruning(b *testing.B) {
 }
 
 func BenchmarkQASCAAssign(b *testing.B) {
-	ctx := assignmentContext(b, 0.25)
+	ctx := assignmentContext(b, 0.25, false)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		assign.QASCA{}.Assign(ctx)
@@ -223,7 +236,7 @@ func BenchmarkQASCAAssign(b *testing.B) {
 }
 
 func BenchmarkMEAssign(b *testing.B) {
-	ctx := assignmentContext(b, 0.25)
+	ctx := assignmentContext(b, 0.25, false)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		assign.ME{}.Assign(ctx)

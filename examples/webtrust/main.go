@@ -52,9 +52,8 @@ func main() {
 		fmt.Printf("\nsuspected extraction errors of %s:\n", worst.name)
 		shown := 0
 		for _, o := range idx.ObjectsOfSource(worst.name) {
-			ov := idx.View(o)
-			ci, _ := ov.SourceClaim(worst.name)
-			claimed := ov.CI.Values[ci]
+			ci, _ := idx.SourceClaim(o, worst.name)
+			claimed := idx.View(o).CI.Values[ci]
 			if claimed != truths[o] && (ds.H == nil || !ds.H.IsAncestor(claimed, truths[o])) {
 				fmt.Printf("  %-12s claimed %-22s inferred %s\n", o, claimed, truths[o])
 				shown++

@@ -51,6 +51,10 @@ func Run(idx *data.Index, opt Options) *Model {
 		}
 	}
 	m.finish()
+	// A fitted model is published and kept; its E-step scratch (the μ
+	// numerators, the per-claim class posteriors and the three SQUAREM
+	// iterates) is not, and LogPosterior or StepOnce re-allocate it lazily.
+	m.scr = nil
 	return m
 }
 

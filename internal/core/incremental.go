@@ -118,20 +118,38 @@ func (m *Model) condMax(ov *data.ObjectView, mu, n []float64, d float64, psi [3]
 // expected top confidence after one more answer from a worker with
 // trustworthiness psi (Eq. 15 over Eqs. 6 and 18) — what EAI scores an
 // (object, worker) pair by. It is AnswerLikelihoodAt × CondMaxConfidenceAt
-// summed over the answers, float for float, reading the object's rows once
-// instead of once per answer.
+// summed over the answers, float for float, in one pass: each answer's row
+// of products P(v′|tr, ψ)·μ_tr is computed once, and its sum is both P(v′)
+// (Eq. 6) and the normaliser of Eq. 16 that the conditional max divides by.
 //
 //tdh:hotpath
 func (m *Model) ExpectedCondMaxAt(oid int, psi [3]float64) float64 {
 	ov := m.Idx.ViewAt(oid)
-	mu, n, d := m.MuAt(oid), m.NAt(oid), m.DAt(oid)
+	mu, n, d := m.MuAt(oid), m.NAt(oid), m.DAt(oid)+1
+	var buf [16]float64
+	raw := buf[:]
+	if len(mu) > len(buf) {
+		raw = make([]float64, len(mu)) //tdh:allocok spill for >16-candidate objects; absent in steady state
+	}
+	raw = raw[:len(mu)]
 	exp := 0.0
 	for ans := range mu {
-		pAns := m.answerLikelihood(ov, mu, psi, ans)
+		pAns := 0.0
+		for tr := range mu {
+			p := m.workerClaimProb(ov, ans, tr, psi) * mu[tr]
+			raw[tr] = p
+			pAns += p
+		}
 		if pAns <= 0 {
 			continue
 		}
-		exp += pAns * m.condMax(ov, mu, n, d, psi, ans)
+		best := 0.0
+		for i, p := range raw {
+			if v := (n[i] + p/pAns) / d; v > best {
+				best = v
+			}
+		}
+		exp += pAns * best
 	}
 	return exp
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/data"
+	"repro/internal/synth"
 )
 
 func TestPosteriorGivenAnswer(t *testing.T) {
@@ -26,6 +27,33 @@ func TestPosteriorGivenAnswer(t *testing.T) {
 	// A reliable worker answering London must put most mass on London.
 	if f[london] < 0.7 {
 		t.Fatalf("posterior should favor the answered value: %v", f)
+	}
+}
+
+// TestExpectedCondMaxIsItsDefinition pins ExpectedCondMaxAt's fused pass to
+// the bit against Eq. 15 spelled out: Σ over answers v′ with P(v′) > 0 of
+// AnswerLikelihoodAt(v′) × CondMaxConfidenceAt(v′). The wide fixture's
+// 260-candidate object takes the pass's spill path.
+func TestExpectedCondMaxIsItsDefinition(t *testing.T) {
+	for _, ds := range []*data.Dataset{
+		wideDataset(),
+		withTruthAnswers(synth.Heritages(synth.HeritagesConfig{Seed: 5, Scale: 0.05})),
+	} {
+		m := Run(data.NewIndex(ds), DefaultOptions())
+		psis := append([][3]float64{m.DefaultPsi(), {0.2, 0.1, 0.7}}, m.Psi...)
+		for oid := 0; oid < m.NumObjects(); oid++ {
+			for _, psi := range psis {
+				want := 0.0
+				for ans := range m.MuAt(oid) {
+					if p := m.AnswerLikelihoodAt(oid, psi, ans); p > 0 {
+						want += p * m.CondMaxConfidenceAt(oid, psi, ans)
+					}
+				}
+				if got := m.ExpectedCondMaxAt(oid, psi); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s object %d, ψ %v: ExpectedCondMaxAt %v, definition %v", ds.Name, oid, psi, got, want)
+				}
+			}
+		}
 	}
 }
 

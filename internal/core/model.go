@@ -49,7 +49,7 @@ type Model struct {
 	muFlat, nFlat, dFlat []float64
 
 	off []int      // off[oid] is the flat offset of object oid's candidates
-	scr *emScratch // reusable E-step buffers, built lazily, never cloned
+	scr *emScratch // reusable E-step buffers, built lazily, dropped by Run, never cloned
 }
 
 // Clone returns the model a fold writes into. It shares everything with m:
@@ -170,7 +170,7 @@ func (m *Model) Truths() map[string]string {
 // without candidates.
 func (m *Model) TruthAt(oid int) string {
 	ov := m.Idx.ViewAt(oid)
-	if i := ov.Argmax(m.MuAt(oid)); i >= 0 {
+	if i := ov.Argmax(m.Idx.DS.H, m.MuAt(oid)); i >= 0 {
 		return ov.CI.Values[i]
 	}
 	return ""

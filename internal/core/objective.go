@@ -10,7 +10,8 @@ import "math"
 //
 // The likelihood of each claim is z of the E-step's claim kernel, under
 // participant tables refilled from the current φ and ψ, so F costs one pass
-// over the claims and allocates nothing once the model's scratch exists.
+// over the claims and allocates nothing once the model's scratch exists (a
+// model Run returns has dropped it, so the first call re-allocates it).
 // Like an EM step it writes that scratch: it runs on a fitted model (not a
 // clone) and not concurrently with a fit.
 func (m *Model) LogPosterior() float64 {

@@ -23,7 +23,7 @@ import (
 //
 //tdh:hotpath
 func flatObject(m *Model, ov *data.ObjectView) bool {
-	return m.Opt.FlatModel || !ov.CI.Hier
+	return m.Opt.FlatModel || !ov.Hier()
 }
 
 // caseScale renormalizes the trustworthiness mass over the relationship
@@ -115,7 +115,7 @@ func (b *claimBuf) rowFor(n int) []float64 {
 //
 //tdh:hotpath
 func (b *claimBuf) wideRows(ov *data.ObjectView, c int, pop bool, p2, p3 []float64) ([]uint8, []float64, []float64) {
-	nV := ov.CI.NumValues()
+	nV := ov.NumValues()
 	if cap(b.rel) < nV {
 		b.rel = make([]uint8, nV)  //tdh:allocok grows once to the widest object above the table cap
 		b.p2 = make([]float64, nV) //tdh:allocok as above
@@ -262,7 +262,7 @@ func (m *Model) claimList(ov *data.ObjectView, claims []data.Claim, tabs []partT
 //
 //tdh:hotpath
 func (m *Model) sourceClaimProb(ov *data.ObjectView, c, tr int, phi [3]float64) float64 {
-	nV := ov.CI.NumValues()
+	nV := ov.NumValues()
 	if flatObject(m, ov) {
 		if nV <= 1 {
 			return 1
@@ -291,7 +291,7 @@ func (m *Model) sourceClaimProb(ov *data.ObjectView, c, tr int, phi [3]float64) 
 //
 //tdh:hotpath
 func (m *Model) workerClaimProb(ov *data.ObjectView, c, tr int, psi [3]float64) float64 {
-	nV := ov.CI.NumValues()
+	nV := ov.NumValues()
 	if flatObject(m, ov) {
 		if nV <= 1 {
 			return 1

@@ -6,6 +6,7 @@ package crowd
 
 import (
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/assign"
@@ -79,10 +80,29 @@ type estimator interface {
 
 // RunLoop executes the crowdsourced truth-discovery loop: infer, evaluate,
 // assign, collect simulated answers; repeat. The input dataset is not
-// modified.
+// modified: the loop appends to a shallow copy whose answer slice is
+// clipped, so the first append reallocates it.
+//
+// The index is extended by each round's answers (data.Index.Extend): a
+// round re-indexes only the objects it answered and shares every other view
+// with the previous round's index. An extended index still holds the memory
+// of the views it replaced, which share slabs with live ones, and keeps the
+// rebuilt views apart from the rest, which costs the fit's scans over the
+// views their locality. So once the answers since the last build reach an
+// eighth of the objects, the loop builds the index from scratch instead:
+// both costs stay within about an eighth of the index, for one
+// data.NewIndex per |O|/8 answers.
+//
+// Between builds, IDs follow Extend's rule: a worker who first answers after
+// the index was built gets an ID after every known worker rather than its
+// sorted position, so sums over workers (μ's among them) run in a different
+// order than in a from-scratch build, and may differ in the last bits, until
+// the next build. No in-tree configuration hits this: every worker of the
+// pool is assigned tasks in round 0, so they all enter the index together.
 func RunLoop(ds *data.Dataset, inf infer.Inferencer, asg assign.Assigner, cfg Config) *Trace {
 	cfg = cfg.WithDefaults()
-	work := ds.Clone()
+	work := *ds
+	work.Answers = slices.Clip(work.Answers)
 	rng := rand.New(rand.NewSource(cfg.Seed + 505))
 	workerNames := make([]string, len(cfg.Workers))
 	workerByName := map[string]synth.Worker{}
@@ -92,15 +112,16 @@ func RunLoop(ds *data.Dataset, inf infer.Inferencer, asg assign.Assigner, cfg Co
 	}
 	tr := &Trace{Inference: inf.Name(), Assignment: asg.Name()}
 
+	idx := data.NewIndex(&work)
+	extended := 0 // answers the index was extended by since it was built
 	for round := 0; round <= cfg.Rounds; round++ {
-		idx := data.NewIndex(work)
 		t0 := time.Now()
 		res := inf.Infer(idx)
 		inferTime := time.Since(t0)
 
 		st := RoundStat{Round: round, InferTime: inferTime, Answers: len(work.Answers)}
 		if round%cfg.EvalEvery == 0 || round == cfg.Rounds {
-			st.Scores = eval.Evaluate(work, idx, res.Truths)
+			st.Scores = eval.Evaluate(&work, idx, res.Truths)
 		}
 		if round == cfg.Rounds {
 			tr.Rounds = append(tr.Rounds, st)
@@ -122,7 +143,8 @@ func RunLoop(ds *data.Dataset, inf infer.Inferencer, asg assign.Assigner, cfg Co
 		}
 		tr.Rounds = append(tr.Rounds, st)
 
-		// Collect simulated answers.
+		// Collect simulated answers and index them.
+		before := len(work.Answers)
 		for _, w := range workerNames {
 			worker := workerByName[w]
 			for _, o := range tasks[w] {
@@ -130,9 +152,15 @@ func RunLoop(ds *data.Dataset, inf infer.Inferencer, asg assign.Assigner, cfg Co
 				if ov == nil {
 					continue
 				}
-				v := worker.Answer(rng, work, ov)
+				v := worker.Answer(rng, &work, ov)
 				work.Answers = append(work.Answers, data.Answer{Object: o, Worker: w, Value: v})
 			}
+		}
+		fresh := work.Answers[before:]
+		if extended += len(fresh); extended < idx.NumObjects()/8 {
+			idx, _ = idx.Extend(&work, data.Mutation{Answers: fresh})
+		} else {
+			idx, extended = data.NewIndex(&work), 0
 		}
 	}
 	// Fill actual improvements: realized accuracy deltas between

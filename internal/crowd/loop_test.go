@@ -21,6 +21,7 @@ func smallConfig(seed int64, rounds int) Config {
 
 func TestRunLoopBasics(t *testing.T) {
 	ds := synth.Heritages(synth.HeritagesConfig{Seed: 3, Scale: 0.06})
+	ds.Answers = make([]data.Answer, 0, 64) // spare capacity the loop must not write into
 	tr := RunLoop(ds, infer.NewTDH(), assign.EAI{}, smallConfig(3, 4))
 	if tr.Inference != "TDH" || tr.Assignment != "EAI" {
 		t.Fatalf("trace labels: %s+%s", tr.Inference, tr.Assignment)
@@ -44,7 +45,7 @@ func TestRunLoopBasics(t *testing.T) {
 		}
 	}
 	// The input dataset must not be mutated.
-	if len(ds.Answers) != 0 {
+	if len(ds.Answers) != 0 || ds.Answers[:cap(ds.Answers)][0].Object != "" {
 		t.Fatal("RunLoop mutated the input dataset")
 	}
 	// Final() returns the last round's scores.

@@ -183,9 +183,10 @@ func byObject[T interface{ object() int32 }](n int, items []T) (start, order []i
 	return start[:n+1], order
 }
 
-// views builds the views of the interned objects into idx.Views. procs lists
-// the provisional object IDs in ascending final ID; objFinal, srcFinal and
-// wkrFinal map provisional IDs to the final IDs idx already carries.
+// views builds the views of the interned objects into idx.Views, replacing
+// the entries at their final IDs. procs lists the provisional object IDs in
+// ascending final ID; objFinal, srcFinal and wkrFinal map provisional IDs to
+// the final IDs idx already carries.
 func (b *builder) views(idx *Index, procs, objFinal, srcFinal, wkrFinal []int32) {
 	valNames, valIDs, valFinal, _ := b.vals.sorted()
 	b.renumber(srcFinal, wkrFinal, valFinal)
@@ -246,6 +247,7 @@ func (b *builder) views(idx *Index, procs, objFinal, srcFinal, wkrFinal []int32)
 	// The slabs. Claims are sized by their upper bound (every record and
 	// every answer value kept); the rest exactly.
 	s := slabs{
+		views:  make([]ObjectView, len(procs)),
 		cis:    make([]hierarchy.CandidateIndex, len(procs)),
 		strs:   make([]string, nVals),
 		rows:   make([][]int, 2*nVals),
@@ -268,8 +270,9 @@ func (b *builder) views(idx *Index, procs, objFinal, srcFinal, wkrFinal []int32)
 			pos[v] = int32(i + 1)
 		}
 		oid := int(objFinal[p])
-		ov := &idx.Views[oid]
-		*ov = ObjectView{Object: idx.Objects[oid], ID: oid, CI: &s.cis[k], idx: idx}
+		ov := &s.views[k]
+		*ov = ObjectView{Object: idx.Objects[oid], ID: oid, CI: &s.cis[k]}
+		idx.Views[oid] = ov
 		ci := ov.CI
 		ci.Values = carve(&s.strs, len(ids))
 		for i, v := range ids {
@@ -337,6 +340,7 @@ extras:
 // slabs are the index-wide backing arrays every view's lists and tables
 // are carved from.
 type slabs struct {
+	views  []ObjectView
 	cis    []hierarchy.CandidateIndex
 	strs   []string
 	rows   [][]int
@@ -384,6 +388,7 @@ func ancWordsFor(nV int) int { return (nV + 63) / 64 }
 // 1/|rest|, and the popularity distributions.
 func (ov *ObjectView) fillTables(s *slabs) {
 	nV := ov.CI.NumValues()
+	ov.hier = ov.CI.Hier
 	ov.ancWords = ancWordsFor(nV)
 	ov.ancBits = carve(&s.words, nV*ov.ancWords)
 	ov.caseMask = carve(&s.bytes, nV)

@@ -48,11 +48,15 @@ func (mu *Mutation) objects() map[string]bool {
 // popularity tables — rebuilt, by the same builder NewIndex runs, over their
 // full claim lists in dataset order, so each rebuilt view equals the one a
 // from-scratch build gives it. Untouched views, which dominate under live
-// growth, are shared with idx. The derived claim numbering and CSR
-// transpose are recomputed (a linear integer pass), so the result is a
-// full-fidelity Index: inference on it matches NewIndex(ds) up to summation
-// order, which is what pins the grow-then-infer ≡ build-from-scratch
-// equivalence.
+// growth, are shared with idx: the same *ObjectView sits in both indexes.
+// The derived claim numbering and CSR transpose are recomputed (a linear
+// integer pass), so the result is a full-fidelity Index: inference on it
+// matches NewIndex(ds) up to summation order, which is what pins the
+// grow-then-infer ≡ build-from-scratch equivalence.
+//
+// Cost: O(touched views + |O| words + claims) — the touched views' rebuild,
+// a copy of the view pointer slice, and integer passes over the dataset's
+// claims (collecting the touched objects' claims, renumbering every claim).
 //
 // The second return value lists the touched object IDs (rebuilt and new) in
 // ascending order, which is what core.Model.Grow needs to re-seed exactly
@@ -94,14 +98,10 @@ func (idx *Index) Extend(ds *Dataset, mu Mutation) (*Index, []int) {
 	next.SourceNames, next.sourceID, srcFinal = b.srcs.extend(idx.SourceNames, idx.sourceID)
 	next.WorkerNames, next.workerID, wkrFinal = b.wkrs.extend(idx.WorkerNames, idx.workerID)
 
-	// Views: untouched objects share their (immutable) inner structures;
-	// the shallow struct copy exists only to point the back-reference at
-	// the new index. Touched objects are rebuilt below.
-	next.Views = make([]ObjectView, len(next.Objects))
+	// Untouched views are shared with idx as they are; touched ones are
+	// rebuilt below into fresh views.
+	next.Views = make([]*ObjectView, len(next.Objects))
 	copy(next.Views, idx.Views)
-	for i := range next.Views {
-		next.Views[i].idx = next
-	}
 
 	procs := make([]int32, len(objFinal))
 	for p := range procs {

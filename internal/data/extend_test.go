@@ -92,11 +92,8 @@ func TestExtendKeepsDenseIDsStable(t *testing.T) {
 		t.Fatalf("touched = %v, want %v", touched, want)
 	}
 	bigbenID, _ := idx.ObjectID("bigben")
-	if next.ViewAt(bigbenID).CI != idx.ViewAt(bigbenID).CI {
+	if next.ViewAt(bigbenID) != idx.ViewAt(bigbenID) {
 		t.Fatal("untouched view was rebuilt instead of shared")
-	}
-	if idx.ViewAt(bigbenID).Index() != idx || next.ViewAt(bigbenID).Index() != next {
-		t.Fatal("view back-references not fixed up")
 	}
 
 	// The old index is untouched: statue still has its original candidates.
@@ -134,11 +131,7 @@ func TestExtendMatchesScratch(t *testing.T) {
 			scratch.NumSourceClaims(), scratch.NumWorkerClaims())
 	}
 	for _, o := range scratch.Objects {
-		g := grown.View(o)
-		if g == nil {
-			t.Fatalf("grown index missing object %q", o)
-		}
-		checkSameView(t, g, scratch.View(o))
+		checkSameView(t, grown, scratch, o)
 	}
 	checkCarved(t, grown)
 	checkCarved(t, scratch)
@@ -155,15 +148,18 @@ func TestExtendMatchesScratch(t *testing.T) {
 	}
 }
 
-// checkSameView compares two views of one object by name: candidate set
-// and hierarchy relations, value counts, claims by participant name, and
-// every precomputed table. Candidate positions agree because Values is
-// sorted in both, so the tables compare entry for entry.
-func checkSameView(t testing.TB, g, s *ObjectView) {
+// checkSameView compares object o's views in two indexes by name:
+// candidate set and hierarchy relations, value counts, claims by participant
+// name, and every precomputed table. Candidate positions agree because
+// Values is sorted in both, so the tables compare entry for entry.
+func checkSameView(t testing.TB, grown, scratch *Index, o string) {
 	t.Helper()
-	o := s.Object
-	if g.Object != o {
-		t.Fatalf("views of %q and %q", g.Object, o)
+	g, s := grown.View(o), scratch.View(o)
+	if g == nil || s == nil {
+		t.Fatalf("%q: grown view %v, scratch view %v", o, g != nil, s != nil)
+	}
+	if g.Object != o || s.Object != o {
+		t.Fatalf("views of %q and %q under %q", g.Object, s.Object, o)
 	}
 	for _, c := range []struct {
 		what      string
@@ -174,8 +170,8 @@ func checkSameView(t testing.TB, g, s *ObjectView) {
 		{"Desc", g.CI.Desc, s.CI.Desc},
 		{"Hier", g.CI.Hier, s.CI.Hier},
 		{"value counts", g.ValueCount, s.ValueCount},
-		{"source claims", claimSet(g, true), claimSet(s, true)},
-		{"worker claims", claimSet(g, false), claimSet(s, false)},
+		{"source claims", claimSet(grown, g, true), claimSet(scratch, s, true)},
+		{"worker claims", claimSet(grown, g, false), claimSet(scratch, s, false)},
 		{"case masks", g.CaseMasks(), s.CaseMasks()},
 		{"1/|Go|", g.InvGoSizes(), s.InvGoSizes()},
 		{"1/|rest|", g.InvRestSizes(), s.InvRestSizes()},
@@ -204,8 +200,7 @@ func checkSameView(t testing.TB, g, s *ObjectView) {
 // write into a neighbour's slab region.
 func checkCarved(t testing.TB, idx *Index) {
 	t.Helper()
-	for i := range idx.Views {
-		ov := &idx.Views[i]
+	for _, ov := range idx.Views {
 		pieces := []struct {
 			what string
 			ok   bool
@@ -239,17 +234,18 @@ func checkCarved(t testing.TB, idx *Index) {
 
 func carved[T any](s []T) bool { return len(s) == cap(s) }
 
-// claimSet renders an object's claims as participantName->value (candidate
-// value ordering is sorted in both indices, so names are comparable).
-func claimSet(ov *ObjectView, sources bool) map[string]string {
+// claimSet renders the claims of idx's view ov as participantName->value
+// (candidate value ordering is sorted in both indices, so names are
+// comparable).
+func claimSet(idx *Index, ov *ObjectView, sources bool) map[string]string {
 	out := map[string]string{}
 	if sources {
 		for _, cl := range ov.SourceClaims {
-			out[ov.SourceName(cl.Part)] = ov.CI.Values[cl.Val]
+			out[idx.SourceNames[cl.Part]] = ov.CI.Values[cl.Val]
 		}
 	} else {
 		for _, cl := range ov.WorkerClaims {
-			out[ov.WorkerName(cl.Part)] = ov.CI.Values[cl.Val]
+			out[idx.WorkerNames[cl.Part]] = ov.CI.Values[cl.Val]
 		}
 	}
 	return out
@@ -291,11 +287,11 @@ func TestExtendDedupsAndMergesIdempotently(t *testing.T) {
 	next, _ := idx.Extend(ds2, mu)
 
 	st := next.View("statue")
-	if v, ok := st.SourceClaim("unesco"); !ok || st.CI.Values[v] != "NY" {
+	if v, ok := next.SourceClaim("statue", "unesco"); !ok || st.CI.Values[v] != "NY" {
 		t.Fatalf("duplicate claim overwrote original: %v %v", v, ok)
 	}
 	tw := next.View("tower")
-	if v, ok := tw.SourceClaim("wiki"); !ok || tw.CI.Values[v] != "London" {
+	if v, ok := next.SourceClaim("tower", "wiki"); !ok || tw.CI.Values[v] != "London" {
 		t.Fatalf("first-wins dedup broken: %v %v", v, ok)
 	}
 	if got := next.View("palace").CI.NumValues(); got != 1 {

@@ -23,8 +23,10 @@ type Claim struct {
 // their hierarchy relations, the claims grouped by participant, and the
 // static tables the EM hot path reads (relationship classes, case masks,
 // popularity distributions). Everything here is immutable after NewIndex or
-// Extend returns. Every slice is a capacity-limited piece of an index-wide
-// slab (cap == len), shared with the views built alongside it.
+// Extend returns, and a view holds no reference to the index that built it:
+// an index Extend derives shares every untouched view with its parent.
+// Every slice is a capacity-limited piece of an index-wide slab (cap ==
+// len), shared with the views built alongside it.
 type ObjectView struct {
 	Object string
 	// ID is the dense object ID: the position of Object in Index.Objects.
@@ -39,8 +41,6 @@ type ObjectView struct {
 	// popularity terms Pop2/Pop3 of the worker model are ratios of these.
 	ValueCount []int
 
-	idx *Index // back-pointer for name resolution
-
 	// Precomputed parameter-independent tables (see fillTables).
 	rel      []uint8   // rel[c*|Vo|+tr] ∈ {1,2,3}; nil above maxDenseTableValues
 	pop2     []float64 // pop2[c*|Vo|+tr] = Pop2(c|tr); nil above the cap
@@ -50,34 +50,18 @@ type ObjectView struct {
 	invRest  []float64 // per truth: 1/(|Vo|-|Go(tr)|-1), 0 when empty
 	ancBits  []uint64  // ancestor bitsets: bit c of row tr set iff c ∈ Go(tr)
 	ancWords int       // words per ancBits row
+	hier     bool      // CI.Hier, kept beside the tables (see Hier)
 }
 
-// Index returns the owning index (for resolving participant IDs to names).
-func (ov *ObjectView) Index() *Index { return ov.idx }
+// Hier is CI.Hier (o ∈ OH) and NumValues is CI.NumValues() (|Vo|), read
+// from the view itself. They are all the EM and EAI kernels need of the
+// candidate index, and reading them here keeps a second dependent load per
+// object off those kernels' path: Extend allocates rebuilt views apart from
+// the rest, where the hardware prefetcher does not follow a scan.
+func (ov *ObjectView) Hier() bool { return ov.hier }
 
-// SourceName resolves a source claim's participant ID to its name.
-func (ov *ObjectView) SourceName(id int32) string { return ov.idx.SourceNames[id] }
-
-// WorkerName resolves a worker claim's participant ID to its name.
-func (ov *ObjectView) WorkerName(id int32) string { return ov.idx.WorkerNames[id] }
-
-// SourceClaim returns the candidate index claimed by source s, if any.
-func (ov *ObjectView) SourceClaim(s string) (int, bool) {
-	id, ok := ov.idx.SourceID(s)
-	if !ok {
-		return 0, false
-	}
-	return findClaim(ov.SourceClaims, int32(id))
-}
-
-// WorkerClaim returns the candidate index answered by worker w, if any.
-func (ov *ObjectView) WorkerClaim(w string) (int, bool) {
-	id, ok := ov.idx.WorkerID(w)
-	if !ok {
-		return 0, false
-	}
-	return findClaim(ov.WorkerClaims, int32(id))
-}
+// NumValues is |Vo|: the view holds one case mask per candidate.
+func (ov *ObjectView) NumValues() int { return len(ov.caseMask) }
 
 // findClaim binary-searches a Part-sorted claim slice.
 func findClaim(claims []Claim, part int32) (int, bool) {
@@ -99,10 +83,9 @@ func findClaim(claims []Claim, part int32) (int, bool) {
 // Argmax is the position of the truth a confidence row over CI.Values picks
 // (v*_o = argmax_v μ_{o,v}, Eq. 12), -1 for an empty row. Entries within
 // 1e-15 of the best tie, and ties break toward the deeper (more specific)
-// value, then the lexicographically smaller one, so the pick is
-// deterministic.
-func (ov *ObjectView) Argmax(row []float64) int {
-	h := ov.idx.DS.H
+// value in h (the dataset's hierarchy, nil for none), then the
+// lexicographically smaller one, so the pick is deterministic.
+func (ov *ObjectView) Argmax(h *hierarchy.Tree, row []float64) int {
 	bi, best, bestP, bestD := -1, "", -1.0, -1
 	for i, p := range row {
 		v := ov.CI.Values[i]
@@ -130,7 +113,7 @@ func (ov *ObjectView) Rel(c, tr int) uint8 {
 		return 1
 	}
 	if ov.rel != nil {
-		return ov.rel[c*ov.CI.NumValues()+tr]
+		return ov.rel[c*ov.NumValues()+tr]
 	}
 	if ov.IsCandAncestor(c, tr) {
 		return 2
@@ -144,7 +127,7 @@ func (ov *ObjectView) RelRow(c int) []uint8 {
 	if ov.rel == nil {
 		return nil
 	}
-	nV := ov.CI.NumValues()
+	nV := ov.NumValues()
 	return ov.rel[c*nV : (c+1)*nV]
 }
 
@@ -173,7 +156,7 @@ func (ov *ObjectView) Pop2Row(c int) []float64 {
 	if ov.pop2 == nil {
 		return nil
 	}
-	nV := ov.CI.NumValues()
+	nV := ov.NumValues()
 	return ov.pop2[c*nV : (c+1)*nV]
 }
 
@@ -182,7 +165,7 @@ func (ov *ObjectView) Pop3Row(c int) []float64 {
 	if ov.pop3 == nil {
 		return nil
 	}
-	nV := ov.CI.NumValues()
+	nV := ov.NumValues()
 	return ov.pop3[c*nV : (c+1)*nV]
 }
 
@@ -192,7 +175,7 @@ func (ov *ObjectView) Pop3Row(c int) []float64 {
 // generalized the truth. A table lookup below maxDenseTableValues.
 func (ov *ObjectView) Pop2(v, tr int) float64 {
 	if ov.pop2 != nil {
-		return ov.pop2[v*ov.CI.NumValues()+tr]
+		return ov.pop2[v*ov.NumValues()+tr]
 	}
 	den := 0
 	for _, a := range ov.CI.Anc[tr] {
@@ -214,7 +197,7 @@ func (ov *ObjectView) Pop2(v, tr int) float64 {
 // of allocating a membership map.
 func (ov *ObjectView) Pop3(v, tr int) float64 {
 	if ov.pop3 != nil {
-		return ov.pop3[v*ov.CI.NumValues()+tr]
+		return ov.pop3[v*ov.NumValues()+tr]
 	}
 	den := 0
 	wrong := 0
@@ -236,10 +219,9 @@ func (ov *ObjectView) Pop3(v, tr int) float64 {
 
 // Index is the precomputed view of a Dataset that all inference algorithms
 // consume. Objects, sources and workers are interned into dense IDs (their
-// positions in the sorted name slices); per-object views live in a flat
-// slice addressed by object ID, and per-participant claim lists are sorted
-// ID slices. Name-keyed accessors are kept for the server and experiment
-// layers.
+// positions in the sorted name slices); per-object views are addressed by
+// object ID, and per-participant claim lists are sorted ID slices.
+// Name-keyed accessors are kept for the server and experiment layers.
 type Index struct {
 	DS *Dataset
 	// Objects holds one name per object; the position of a name is its
@@ -250,8 +232,9 @@ type Index struct {
 	// participant IDs.
 	SourceNames []string
 	WorkerNames []string
-	// Views[id] is the per-object view of Objects[id].
-	Views []ObjectView
+	// Views[id] is the per-object view of Objects[id]. A view may be shared
+	// with the index this one was extended from (see Extend).
+	Views []*ObjectView
 	// SourceObjIDs[sid] / WorkerObjIDs[wid] are the sorted object IDs
 	// claimed by that participant (Os / Ow).
 	SourceObjIDs [][]int32
@@ -309,7 +292,7 @@ func NewIndex(ds *Dataset) *Index {
 	idx.Objects, idx.objectID, objFinal, procs = b.objs.sorted()
 	idx.SourceNames, idx.sourceID, srcFinal, _ = b.srcs.sorted()
 	idx.WorkerNames, idx.workerID, wkrFinal, _ = b.wkrs.sorted()
-	idx.Views = make([]ObjectView, len(idx.Objects))
+	idx.Views = make([]*ObjectView, len(idx.Objects))
 	b.views(idx, procs, objFinal, srcFinal, wkrFinal)
 	idx.buildDerived()
 	return idx
@@ -325,8 +308,7 @@ func (idx *Index) buildDerived() {
 	srcN := make([]int32, len(idx.SourceNames))
 	wkrN := make([]int32, len(idx.WorkerNames))
 	var nClaims int
-	for i := range idx.Views {
-		ov := &idx.Views[i]
+	for _, ov := range idx.Views {
 		for _, cl := range ov.SourceClaims {
 			srcN[cl.Part]++
 		}
@@ -343,8 +325,7 @@ func (idx *Index) buildDerived() {
 	idx.SrcClaimStart = make([]int32, len(idx.Views)+1)
 	idx.WkrClaimStart = make([]int32, len(idx.Views)+1)
 	var sGlob, wGlob int32
-	for i := range idx.Views {
-		ov := &idx.Views[i]
+	for i, ov := range idx.Views {
 		idx.SrcClaimStart[i] = sGlob
 		idx.WkrClaimStart[i] = wGlob
 		for _, cl := range ov.SourceClaims {
@@ -399,11 +380,11 @@ func (idx *Index) View(o string) *ObjectView {
 	if !ok {
 		return nil
 	}
-	return &idx.Views[id]
+	return idx.Views[id]
 }
 
 // ViewAt returns the view of the object with dense ID id.
-func (idx *Index) ViewAt(id int) *ObjectView { return &idx.Views[id] }
+func (idx *Index) ViewAt(id int) *ObjectView { return idx.Views[id] }
 
 // ObjectID returns the dense ID of object o.
 func (idx *Index) ObjectID(o string) (int, bool) {
@@ -421,6 +402,20 @@ func (idx *Index) SourceID(s string) (int, bool) {
 func (idx *Index) WorkerID(w string) (int, bool) {
 	id, ok := idx.workerID[w]
 	return id, ok
+}
+
+// SourceClaim returns the candidate index source s claims on object o, if
+// any.
+func (idx *Index) SourceClaim(o, s string) (int, bool) {
+	oid, ok := idx.objectID[o]
+	if !ok {
+		return 0, false
+	}
+	sid, ok := idx.sourceID[s]
+	if !ok {
+		return 0, false
+	}
+	return findClaim(idx.Views[oid].SourceClaims, int32(sid))
 }
 
 // ObjectsOfSource returns the sorted object names source s claimed (Os).

@@ -3,6 +3,7 @@ package data_test
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/data"
@@ -85,8 +86,14 @@ func TestNewIndexMatchesReference(t *testing.T) {
 }
 
 // TestExtendChainMatchesScratch grows a BirthPlaces index through three
-// mutations and compares every step, view by view, with a from-scratch
-// build of the same dataset.
+// mixed mutations and then 24 answer-only steps shaped like crowd.RunLoop's
+// rounds: 10 workers answer 5 objects each, and from step 12 on an eleventh
+// worker, whose name sorts before every earlier one, answers too, so its
+// appended ID differs from the one a from-scratch build gives it. At every
+// step each view equals a from-scratch build's by name, every view the step
+// did not touch is the parent's own (the same pointer) and every touched one
+// is fresh, and the parent index still equals the previous step's
+// from-scratch build.
 func TestExtendChainMatchesScratch(t *testing.T) {
 	base := synth.BirthPlaces(synth.BirthPlacesConfig{Seed: 3, Scale: 0.1})
 	leaves := base.H.Leaves()
@@ -115,29 +122,85 @@ func TestExtendChainMatchesScratch(t *testing.T) {
 			Candidates: map[string][]string{r1.Object: {leaves[5]}},
 		},
 	}
+	const rounds, lateFrom = 24, 12
+	pool := synth.NewWorkerPool(synth.WorkerPoolConfig{Seed: 3, Count: 11, Pi: 0.75})
+	pool[10].Name = "w-late"
+	rng := rand.New(rand.NewSource(3))
+
 	ds, idx := base, data.NewIndex(base)
-	for k, mu := range muts {
+	prevScratch := idx
+	for k := 0; k < len(muts)+rounds; k++ {
+		var mu data.Mutation
+		if k < len(muts) {
+			mu = muts[k]
+		} else {
+			workers := pool[:10]
+			if k-len(muts) >= lateFrom {
+				workers = pool
+			}
+			mu = data.Mutation{Answers: loopRound(rng, ds, idx, workers, 5)}
+		}
 		ds = data.ApplyMutation(ds, mu)
-		idx, _ = idx.Extend(ds, mu)
+		next, touched := idx.Extend(ds, mu)
 		scratch := data.NewIndex(ds)
-		if idx.NumObjects() != scratch.NumObjects() || idx.NumSources() != scratch.NumSources() ||
-			idx.NumWorkers() != scratch.NumWorkers() || idx.NumSourceClaims() != scratch.NumSourceClaims() ||
-			idx.NumWorkerClaims() != scratch.NumWorkerClaims() {
-			t.Fatalf("mutation %d: grown and scratch indexes differ in size", k)
-		}
-		for _, o := range scratch.Objects {
-			g := idx.View(o)
-			if g == nil {
-				t.Fatalf("mutation %d: grown index missing %q", k, o)
-			}
-			data.CheckSameView(t, g, scratch.View(o))
-		}
+		checkSameIndex(t, next, scratch)
 		for _, w := range scratch.WorkerNames {
-			if got, want := idx.ObjectsOfWorker(w), scratch.ObjectsOfWorker(w); !reflect.DeepEqual(got, want) {
-				t.Fatalf("mutation %d: Ow(%s) grown %v scratch %v", k, w, got, want)
+			if got, want := next.ObjectsOfWorker(w), scratch.ObjectsOfWorker(w); !reflect.DeepEqual(got, want) {
+				t.Fatalf("step %d: Ow(%s) grown %v scratch %v", k, w, got, want)
 			}
 		}
-		data.CheckCarved(t, idx)
+		data.CheckCarved(t, next)
+
+		isTouched := make(map[int]bool, len(touched))
+		for _, oid := range touched {
+			isTouched[oid] = true
+		}
+		for oid, ov := range idx.Views {
+			if shared := next.Views[oid] == ov; shared == isTouched[oid] {
+				t.Fatalf("step %d: object %q touched %v but view shared %v", k, ov.Object, isTouched[oid], shared)
+			}
+		}
+		checkSameIndex(t, idx, prevScratch)
+		idx, prevScratch = next, scratch
+	}
+	if id, _ := idx.WorkerID("w-late"); id != idx.NumWorkers()-1 {
+		t.Fatalf("late worker has ID %d, want the last, %d", id, idx.NumWorkers()-1)
+	}
+	if id, _ := prevScratch.WorkerID("w-late"); id != 0 {
+		t.Fatalf("late worker sorts to ID %d in a from-scratch build, want 0", id)
+	}
+}
+
+// loopRound draws one crowd round: each worker answers k random objects it
+// has not answered yet, as a simulated worker of the pool would.
+func loopRound(rng *rand.Rand, ds *data.Dataset, idx *data.Index, workers []synth.Worker, k int) []data.Answer {
+	var out []data.Answer
+	for _, w := range workers {
+		for n := 0; n < k; {
+			ov := idx.ViewAt(rng.Intn(idx.NumObjects()))
+			if idx.HasAnswered(w.Name, ov.Object) || slices.ContainsFunc(out, func(a data.Answer) bool {
+				return a.Worker == w.Name && a.Object == ov.Object
+			}) {
+				continue
+			}
+			out = append(out, data.Answer{Object: ov.Object, Worker: w.Name, Value: w.Answer(rng, ds, ov)})
+			n++
+		}
+	}
+	return out
+}
+
+// checkSameIndex asserts that grown and scratch index the same dataset:
+// the same sizes and claim totals, and every object's view equal by name.
+func checkSameIndex(t *testing.T, grown, scratch *data.Index) {
+	t.Helper()
+	if grown.NumObjects() != scratch.NumObjects() || grown.NumSources() != scratch.NumSources() ||
+		grown.NumWorkers() != scratch.NumWorkers() || grown.NumSourceClaims() != scratch.NumSourceClaims() ||
+		grown.NumWorkerClaims() != scratch.NumWorkerClaims() {
+		t.Fatal("grown and scratch indexes differ in size")
+	}
+	for _, o := range scratch.Objects {
+		data.CheckSameView(t, grown, scratch, o)
 	}
 }
 
@@ -188,23 +251,42 @@ func BenchmarkNewIndex(b *testing.B) {
 	}
 }
 
-// BenchmarkExtend times one open-world growth op — a new object with three
-// candidates and two source records — on the 12k-object BirthPlaces index.
+// BenchmarkExtend times two Extend shapes: one open-world growth op — a new
+// object with three candidates and two source records — on ingest_publish's
+// 12k-object BirthPlaces index, and one crowd round — 50 answers from 10
+// workers, as crowd.RunLoop extends its index by — on crowd_batch's
+// BirthPlaces.
 func BenchmarkExtend(b *testing.B) {
-	ds := synth.BirthPlaces(synth.BirthPlacesConfig{Seed: 1, Scale: 2})
-	idx := data.NewIndex(ds)
-	leaves := ds.H.Leaves()
-	mu := data.Mutation{
-		Candidates: map[string][]string{"grown:0": leaves[:3]},
-		Records: []data.Record{
-			{Object: "grown:0", Source: "grown-src-0", Value: leaves[0]},
-			{Object: "grown:0", Source: "grown-src-1", Value: leaves[1]},
-		},
-	}
-	grown := data.ApplyMutation(ds, mu)
+	b.Run("Growth", func(b *testing.B) {
+		ds := synth.BirthPlaces(synth.BirthPlacesConfig{Seed: 1, Scale: 2})
+		idx := data.NewIndex(ds)
+		leaves := ds.H.Leaves()
+		mu := data.Mutation{
+			Candidates: map[string][]string{"grown:0": leaves[:3]},
+			Records: []data.Record{
+				{Object: "grown:0", Source: "grown-src-0", Value: leaves[0]},
+				{Object: "grown:0", Source: "grown-src-1", Value: leaves[1]},
+			},
+		}
+		benchExtend(b, idx, data.ApplyMutation(ds, mu), mu)
+	})
+	b.Run("CrowdRound", func(b *testing.B) {
+		ds := synth.BirthPlaces(synth.BirthPlacesConfig{Seed: 1, Scale: 1})
+		pool := synth.NewWorkerPool(synth.WorkerPoolConfig{Seed: 1, Count: 10, Pi: 0.75})
+		rng := rand.New(rand.NewSource(1))
+		// The index after one earlier round, so every worker is known.
+		first := data.Mutation{Answers: loopRound(rng, ds, data.NewIndex(ds), pool, 5)}
+		ds = data.ApplyMutation(ds, first)
+		idx := data.NewIndex(ds)
+		mu := data.Mutation{Answers: loopRound(rng, ds, idx, pool, 5)}
+		benchExtend(b, idx, data.ApplyMutation(ds, mu), mu)
+	})
+}
+
+func benchExtend(b *testing.B, idx *data.Index, ds *data.Dataset, mu data.Mutation) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		idx.Extend(grown, mu)
+		idx.Extend(ds, mu)
 	}
 }

@@ -87,17 +87,16 @@ func refNewIndex(ds *Dataset) *Index {
 		idx.workerID[w] = i
 	}
 
-	idx.Views = make([]ObjectView, len(idx.Objects))
+	idx.Views = make([]*ObjectView, len(idx.Objects))
 	pos := make([]map[string]int, len(idx.Objects))
 	for i, o := range idx.Objects {
 		var ci *hierarchy.CandidateIndex
 		ci, pos[i] = refCandidateIndex(ds.H, perObjVals[o])
-		idx.Views[i] = ObjectView{
+		idx.Views[i] = &ObjectView{
 			Object:     o,
 			ID:         i,
 			CI:         ci,
 			ValueCount: make([]int, ci.NumValues()),
-			idx:        idx,
 		}
 	}
 
@@ -110,7 +109,7 @@ func refNewIndex(ds *Dataset) *Index {
 			continue
 		}
 		seen[pair{oid, sid}] = true
-		ov := &idx.Views[oid]
+		ov := idx.Views[oid]
 		vi := pos[oid][r.Value]
 		ov.SourceClaims = append(ov.SourceClaims, Claim{int32(sid), int32(vi)})
 		ov.ValueCount[vi]++
@@ -124,11 +123,10 @@ func refNewIndex(ds *Dataset) *Index {
 			continue
 		}
 		seen[pair{oid, wid}] = true
-		refAppendAnswerClaims(&idx.Views[oid], pos[oid], wid, a)
+		refAppendAnswerClaims(idx.Views[oid], pos[oid], wid, a)
 	}
 
-	for i := range idx.Views {
-		ov := &idx.Views[i]
+	for _, ov := range idx.Views {
 		refSortClaims(ov.SourceClaims)
 		refSortClaims(ov.WorkerClaims)
 		refPrecompute(ov)
@@ -184,6 +182,7 @@ extras:
 
 func refPrecompute(ov *ObjectView) {
 	nV := ov.CI.NumValues()
+	ov.hier = ov.CI.Hier
 	ov.ancWords = (nV + 63) / 64
 	ov.ancBits = make([]uint64, nV*ov.ancWords)
 	ov.caseMask = make([]uint8, nV)
@@ -255,8 +254,7 @@ func refBuildDerived(idx *Index) {
 	idx.SourceClaimRefs = make([][]int32, len(idx.SourceNames))
 	idx.WorkerClaimRefs = make([][]int32, len(idx.WorkerNames))
 	var sGlob, wGlob int32
-	for i := range idx.Views {
-		ov := &idx.Views[i]
+	for i, ov := range idx.Views {
 		idx.SrcClaimStart[i] = sGlob
 		idx.WkrClaimStart[i] = wGlob
 		for _, cl := range ov.SourceClaims {

@@ -63,7 +63,7 @@ func (st *catState) truthMap() map[string]string {
 	return st.truths
 }
 
-func (st *catState) Confidence(ov *data.ObjectView) any { return supportOf(st.res, ov) }
+func (st *catState) Confidence(idx *data.Index, oid int) any { return supportOf(st.res, idx, oid) }
 
 func (st *catState) Quality(ds *data.Dataset, idx *data.Index) map[string]float64 {
 	if len(ds.Truth) == 0 {

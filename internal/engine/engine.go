@@ -95,8 +95,9 @@ type State interface {
 	// map[object]float64 (numeric), or map[object][]value (multi_truth).
 	// A folded state materialises the map on first use, once.
 	Truths() any
-	// Confidence is the GET /confidence payload for one object view.
-	Confidence(ov *data.ObjectView) any
+	// Confidence is the GET /confidence payload for object oid of idx (the
+	// index the caller serves, which may be ahead of the state's own).
+	Confidence(idx *data.Index, oid int) any
 	// Quality scores the state against the dataset's gold standard for
 	// /stats, keyed by metric name (e.g. accuracy, mae, f1). Nil when the
 	// dataset has no gold or the model defines no quality metric.
@@ -182,10 +183,11 @@ func (t *touchedIDs) Touched() []int { return t.ids }
 // (e.g. the candidate set grew with an out-of-Vo answer since the result
 // was computed); missing mass reads as zero instead of panicking the
 // handler.
-func supportOf(res *infer.Result, ov *data.ObjectView) map[string]float64 {
-	conf := res.ConfidenceAt(ov.Index(), ov.ID)
-	out := make(map[string]float64, len(ov.CI.Values))
-	for i, v := range ov.CI.Values {
+func supportOf(res *infer.Result, idx *data.Index, oid int) map[string]float64 {
+	conf := res.ConfidenceAt(idx, oid)
+	values := idx.ViewAt(oid).CI.Values
+	out := make(map[string]float64, len(values))
+	for i, v := range values {
 		c := 0.0
 		if i < len(conf) {
 			c = conf[i]

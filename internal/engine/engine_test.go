@@ -290,7 +290,8 @@ func TestNumericEngine(t *testing.T) {
 	}
 
 	// /confidence carries the estimate plus per-candidate support.
-	conf := st2.Confidence(idx.View("na")).(map[string]any)
+	naID, _ := idx.ObjectID("na")
+	conf := st2.Confidence(idx, naID).(map[string]any)
 	if _, ok := conf["estimate"].(float64); !ok {
 		t.Fatalf("confidence payload = %#v", conf)
 	}
@@ -374,7 +375,8 @@ func TestMultiTruthEngine(t *testing.T) {
 		t.Fatal("multi-truth Grow must keep the stale state with ok=false")
 	}
 
-	conf := st.Confidence(idx.View("oa")).(map[string]any)
+	oaID, _ := idx.ObjectID("oa")
+	conf := st.Confidence(idx, oaID).(map[string]any)
 	if _, ok := conf["set"].([]string); !ok {
 		t.Fatalf("confidence payload = %#v", conf)
 	}

@@ -62,7 +62,7 @@ func requireServesModel(t *testing.T, tag string, st State, idx *data.Index) {
 		for i, v := range idx.ViewAt(oid).CI.Values {
 			conf[v] = m.MuAt(oid)[i]
 		}
-		if got := st.Confidence(idx.ViewAt(oid)); !reflect.DeepEqual(got, conf) {
+		if got := st.Confidence(idx, oid); !reflect.DeepEqual(got, conf) {
 			t.Fatalf("%s: Confidence(%s) = %v, the model holds %v", tag, o, got, conf)
 		}
 	}

@@ -43,9 +43,9 @@ func (st *multiState) Truths() any { return st.sets }
 
 // Confidence reports the discovered set alongside the per-candidate claim
 // support the assigners rank by.
-func (st *multiState) Confidence(ov *data.ObjectView) any {
-	out := map[string]any{"support": supportOf(st.res, ov)}
-	if set, ok := st.sets[ov.Object]; ok {
+func (st *multiState) Confidence(idx *data.Index, oid int) any {
+	out := map[string]any{"support": supportOf(st.res, idx, oid)}
+	if set, ok := st.sets[idx.Objects[oid]]; ok {
 		out["set"] = set
 	}
 	return out
@@ -67,8 +67,7 @@ func (e *multiEngine) Fit(idx *data.Index) State {
 	// the fraction of the object's providers (sources and workers alike)
 	// claiming it — so ME and QASCA rank the most contested objects first.
 	tab := infer.NewTable(idx)
-	for oid := range idx.Views {
-		ov := &idx.Views[oid]
+	for oid, ov := range idx.Views {
 		row := tab.Row(oid)
 		for _, c := range ov.SourceClaims {
 			row[c.Val]++

@@ -57,7 +57,7 @@ func (a Accu) Infer(idx *data.Index) *Result {
 	res, tab := newResult(idx)
 	trust := map[provider]float64{}
 	for oid := range idx.Views {
-		for _, cl := range claimsOf(&idx.Views[oid]) {
+		for _, cl := range claimsOf(idx, oid) {
 			trust[cl.p] = accuInitTrust
 		}
 	}
@@ -70,15 +70,14 @@ func (a Accu) Infer(idx *data.Index) *Result {
 			indep = a.dependenceDiscount(idx, tab, trust, iter == 0)
 		}
 		maxDelta := 0.0
-		for oid := range idx.Views {
-			ov := &idx.Views[oid]
+		for oid, ov := range idx.Views {
 			conf := tab.Row(oid)
 			n := float64(ov.CI.NumValues() - 1)
 			if n < 1 {
 				n = 1
 			}
 			score := make([]float64, len(conf))
-			for _, cl := range claimsOf(ov) {
+			for _, cl := range claimsOf(idx, oid) {
 				t := clampTrust(trust[cl.p])
 				w := 1.0
 				if a.DetectDependence {
@@ -113,7 +112,7 @@ func (a Accu) Infer(idx *data.Index) *Result {
 		cnt := map[provider]int{}
 		for oid := range idx.Views {
 			conf := tab.Row(oid)
-			for _, cl := range claimsOf(&idx.Views[oid]) {
+			for _, cl := range claimsOf(idx, oid) {
 				sum[cl.p] += conf[cl.c]
 				cnt[cl.p]++
 			}
@@ -160,7 +159,7 @@ func (a Accu) dependenceDiscount(idx *data.Index, tab *Table, trust map[provider
 	}
 	objClaims := make([][]claim, len(idx.Views))
 	for oid := range idx.Views {
-		for _, cl := range claimsOf(&idx.Views[oid]) {
+		for _, cl := range claimsOf(idx, oid) {
 			objClaims[oid] = append(objClaims[oid], claim{cl.p, cl.c})
 		}
 	}

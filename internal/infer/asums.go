@@ -33,7 +33,7 @@ func (a ASUMS) Infer(idx *data.Index) *Result {
 	trust := map[provider]float64{}
 	counts := map[provider]int{}
 	for oid := range idx.Views {
-		for _, cl := range claimsOf(&idx.Views[oid]) {
+		for _, cl := range claimsOf(idx, oid) {
 			trust[cl.p] = 1
 			counts[cl.p]++
 		}
@@ -42,13 +42,12 @@ func (a ASUMS) Infer(idx *data.Index) *Result {
 	for iter := 0; iter < a.MaxIter; iter++ {
 		// Belief step: B(v) = Σ_{claims c of v or of a descendant of v} t(p).
 		maxB := 0.0
-		for oid := range idx.Views {
-			ov := &idx.Views[oid]
+		for oid, ov := range idx.Views {
 			b := belief.Row(oid)
 			for i := range b {
 				b[i] = 0
 			}
-			for _, cl := range claimsOf(ov) {
+			for _, cl := range claimsOf(idx, oid) {
 				t := trust[cl.p]
 				b[cl.c] += t
 				for _, anc := range ov.CI.Anc[cl.c] {
@@ -75,7 +74,7 @@ func (a ASUMS) Infer(idx *data.Index) *Result {
 		newTrust := map[provider]float64{}
 		for oid := range idx.Views {
 			b := belief.Row(oid)
-			for _, cl := range claimsOf(&idx.Views[oid]) {
+			for _, cl := range claimsOf(idx, oid) {
 				newTrust[cl.p] += b[cl.c]
 			}
 		}
@@ -102,8 +101,7 @@ func (a ASUMS) Infer(idx *data.Index) *Result {
 	}
 	// Confidences = normalized beliefs; truth = deepest candidate whose
 	// belief reaches the threshold share of the max.
-	for oid := range idx.Views {
-		ov := &idx.Views[oid]
+	for oid, ov := range idx.Views {
 		b := belief.Row(oid)
 		conf := tab.Row(oid)
 		copy(conf, b)

@@ -28,7 +28,7 @@ func (c CRH) Infer(idx *data.Index) *Result {
 	res, tab := newResult(idx)
 	w := map[provider]float64{}
 	for oid := range idx.Views {
-		for _, cl := range claimsOf(&idx.Views[oid]) {
+		for _, cl := range claimsOf(idx, oid) {
 			w[cl.p] = 1
 		}
 	}
@@ -41,7 +41,7 @@ func (c CRH) Infer(idx *data.Index) *Result {
 			for i := range conf {
 				conf[i] = 0
 			}
-			for _, cl := range claimsOf(&idx.Views[oid]) {
+			for _, cl := range claimsOf(idx, oid) {
 				conf[cl.c] += w[cl.p]
 			}
 			normalize(conf)
@@ -61,7 +61,7 @@ func (c CRH) Infer(idx *data.Index) *Result {
 		cnt := map[provider]int{}
 		var totalLoss float64
 		for oid := range idx.Views {
-			for _, cl := range claimsOf(&idx.Views[oid]) {
+			for _, cl := range claimsOf(idx, oid) {
 				cnt[cl.p]++
 				if cl.c != prevTruth[oid] {
 					loss[cl.p]++
@@ -88,7 +88,7 @@ func (c CRH) Infer(idx *data.Index) *Result {
 	// Report trust as normalized accuracy of claims vs final truths.
 	acc := map[provider][2]float64{}
 	for oid := range idx.Views {
-		for _, cl := range claimsOf(&idx.Views[oid]) {
+		for _, cl := range claimsOf(idx, oid) {
 			a := acc[cl.p]
 			a[1]++
 			if cl.c == prevTruth[oid] {

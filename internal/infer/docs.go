@@ -58,7 +58,7 @@ func (dc DOCS) Infer(idx *data.Index) *Result {
 	prior := dc.BetaA / (dc.BetaA + dc.BetaB)
 	for oid := range idx.Views {
 		conf := tab.Row(oid)
-		for _, cl := range claimsOf(&idx.Views[oid]) {
+		for _, cl := range claimsOf(idx, oid) {
 			conf[cl.c]++
 			q[provDomain{cl.p, doms[oid]}] = prior
 		}
@@ -66,14 +66,13 @@ func (dc DOCS) Infer(idx *data.Index) *Result {
 	}
 	for iter := 0; iter < dc.MaxIter; iter++ {
 		maxDelta := 0.0
-		for oid := range idx.Views {
-			ov := &idx.Views[oid]
+		for oid, ov := range idx.Views {
 			conf := tab.Row(oid)
 			dom := doms[oid]
 			nV := float64(ov.CI.NumValues())
 			post := make([]float64, len(conf))
 			copy(post, conf)
-			for _, cl := range claimsOf(ov) {
+			for _, cl := range claimsOf(idx, oid) {
 				qq := q[provDomain{cl.p, dom}]
 				var wrong float64
 				if nV > 1 {
@@ -108,7 +107,7 @@ func (dc DOCS) Infer(idx *data.Index) *Result {
 		cnt := map[provDomain]int{}
 		for oid := range idx.Views {
 			conf := tab.Row(oid)
-			for _, cl := range claimsOf(&idx.Views[oid]) {
+			for _, cl := range claimsOf(idx, oid) {
 				k := provDomain{cl.p, doms[oid]}
 				hit[k] += conf[cl.c]
 				cnt[k]++
@@ -125,7 +124,7 @@ func (dc DOCS) Infer(idx *data.Index) *Result {
 	sum := map[provider]float64{}
 	cnt := map[provider]int{}
 	for oid := range idx.Views {
-		for _, cl := range claimsOf(&idx.Views[oid]) {
+		for _, cl := range claimsOf(idx, oid) {
 			sum[cl.p] += q[provDomain{cl.p, doms[oid]}]
 			cnt[cl.p]++
 		}

@@ -100,7 +100,7 @@ func newResult(idx *data.Index) (*Result, *Table) {
 // truths map.
 func (r *Result) finalize(t *Table) {
 	for oid := range t.truth {
-		t.truth[oid] = int32(t.idx.Views[oid].Argmax(t.Row(oid)))
+		t.truth[oid] = int32(t.idx.Views[oid].Argmax(t.idx.DS.H, t.Row(oid)))
 	}
 	r.Truths = t.truthMap()
 }
@@ -112,13 +112,14 @@ type provider struct {
 	isWorker bool
 }
 
-// claimsOf lists (provider, candidate-index) claims of an object view in
+// claimsOf lists (provider, candidate-index) claims of object oid of idx in
 // deterministic order: sources then workers, each sorted by name (claim
 // slices are sorted by dense ID, and IDs follow sorted-name order).
-func claimsOf(ov *data.ObjectView) []struct {
+func claimsOf(idx *data.Index, oid int) []struct {
 	p provider
 	c int
 } {
+	ov := idx.Views[oid]
 	out := make([]struct {
 		p provider
 		c int
@@ -127,13 +128,13 @@ func claimsOf(ov *data.ObjectView) []struct {
 		out = append(out, struct {
 			p provider
 			c int
-		}{provider{ov.SourceName(cl.Part), false}, int(cl.Val)})
+		}{provider{idx.SourceNames[cl.Part], false}, int(cl.Val)})
 	}
 	for _, cl := range ov.WorkerClaims {
 		out = append(out, struct {
 			p provider
 			c int
-		}{provider{ov.WorkerName(cl.Part), true}, int(cl.Val)})
+		}{provider{idx.WorkerNames[cl.Part], true}, int(cl.Val)})
 	}
 	return out
 }

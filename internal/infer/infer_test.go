@@ -286,8 +286,8 @@ func TestAccuDependenceDiscount(t *testing.T) {
 		conf[candPos(ov.CI, "LA")] = 0.1
 	}
 	trust := map[provider]float64{}
-	for _, o := range idx.Objects {
-		for _, cl := range claimsOf(idx.View(o)) {
+	for oid := range idx.Objects {
+		for _, cl := range claimsOf(idx, oid) {
 			trust[cl.p] = 0.8
 		}
 	}

@@ -28,8 +28,7 @@ func (l LCA) Infer(idx *data.Index) *Result {
 	theta := map[provider]float64{}
 	// Guess distributions: claim popularity with Laplace smoothing.
 	guess := make([][]float64, len(idx.Views))
-	for oid := range idx.Views {
-		ov := &idx.Views[oid]
+	for oid, ov := range idx.Views {
 		g := make([]float64, ov.CI.NumValues())
 		for i := range g {
 			g[i] = float64(ov.ValueCount[i]) + 1
@@ -40,7 +39,7 @@ func (l LCA) Infer(idx *data.Index) *Result {
 		normalize(g)
 		guess[oid] = g
 		copy(tab.Row(oid), g)
-		for _, cl := range claimsOf(ov) {
+		for _, cl := range claimsOf(idx, oid) {
 			theta[cl.p] = 0.7
 		}
 	}
@@ -52,7 +51,7 @@ func (l LCA) Infer(idx *data.Index) *Result {
 			g := guess[oid]
 			post := make([]float64, len(conf))
 			copy(post, conf)
-			for _, cl := range claimsOf(&idx.Views[oid]) {
+			for _, cl := range claimsOf(idx, oid) {
 				th := theta[cl.p]
 				for v := range post {
 					p := (1 - th) * g[cl.c]
@@ -84,7 +83,7 @@ func (l LCA) Infer(idx *data.Index) *Result {
 		for oid := range idx.Views {
 			conf := tab.Row(oid)
 			g := guess[oid]
-			for _, cl := range claimsOf(&idx.Views[oid]) {
+			for _, cl := range claimsOf(idx, oid) {
 				th := theta[cl.p]
 				// P(honest, claim) = θ·μ_c ; P(guess, claim) = (1-θ)·g_c.
 				ph := th * conf[cl.c]

@@ -33,7 +33,7 @@ func (l LFC) Infer(idx *data.Index) *Result {
 	// Init with vote shares.
 	for oid := range idx.Views {
 		conf := tab.Row(oid)
-		for _, cl := range claimsOf(&idx.Views[oid]) {
+		for _, cl := range claimsOf(idx, oid) {
 			conf[cl.c]++
 		}
 		normalize(conf)
@@ -48,10 +48,9 @@ func (l LFC) Infer(idx *data.Index) *Result {
 		// M-step over confusion counts (uses current confidences).
 		cm = map[provider]map[string]row{}
 		rowTotal = map[provider]row{}
-		for oid := range idx.Views {
-			ov := &idx.Views[oid]
+		for oid, ov := range idx.Views {
 			conf := tab.Row(oid)
-			for _, cl := range claimsOf(ov) {
+			for _, cl := range claimsOf(idx, oid) {
 				pm := cm[cl.p]
 				if pm == nil {
 					pm = map[string]row{}
@@ -72,15 +71,14 @@ func (l LFC) Infer(idx *data.Index) *Result {
 		}
 		// E-step: recompute confidences from the confusion model.
 		maxDelta := 0.0
-		for oid := range idx.Views {
-			ov := &idx.Views[oid]
+		for oid, ov := range idx.Views {
 			conf := tab.Row(oid)
 			nV := float64(ov.CI.NumValues())
 			post := make([]float64, len(conf))
 			for ti := range post {
 				post[ti] = 1
 			}
-			for _, cl := range claimsOf(ov) {
+			for _, cl := range claimsOf(idx, oid) {
 				claimVal := ov.CI.Values[cl.c]
 				pm := cm[cl.p]
 				rt := rowTotal[cl.p]

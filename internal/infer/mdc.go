@@ -31,8 +31,7 @@ func (m MDC) Infer(idx *data.Index) *Result {
 	rel := map[provider]float64{}
 	// Pre-compute per-object similarity kernels sim[c][v].
 	sims := make([][][]float64, len(idx.Views))
-	for oid := range idx.Views {
-		ov := &idx.Views[oid]
+	for oid, ov := range idx.Views {
 		n := ov.CI.NumValues()
 		sim := make([][]float64, n)
 		for c := 0; c < n; c++ {
@@ -64,7 +63,7 @@ func (m MDC) Infer(idx *data.Index) *Result {
 		}
 		sims[oid] = sim
 		conf := tab.Row(oid)
-		for _, cl := range claimsOf(ov) {
+		for _, cl := range claimsOf(idx, oid) {
 			conf[cl.c]++
 			rel[cl.p] = 0.7
 		}
@@ -77,7 +76,7 @@ func (m MDC) Infer(idx *data.Index) *Result {
 			sim := sims[oid]
 			post := make([]float64, len(conf))
 			copy(post, conf)
-			for _, cl := range claimsOf(&idx.Views[oid]) {
+			for _, cl := range claimsOf(idx, oid) {
 				r := rel[cl.p]
 				for v := range post {
 					p := (1 - r) * sim[cl.c][v]
@@ -108,7 +107,7 @@ func (m MDC) Infer(idx *data.Index) *Result {
 		cnt := map[provider]int{}
 		for oid := range idx.Views {
 			conf := tab.Row(oid)
-			for _, cl := range claimsOf(&idx.Views[oid]) {
+			for _, cl := range claimsOf(idx, oid) {
 				hit[cl.p] += conf[cl.c]
 				cnt[cl.p]++
 			}

@@ -29,14 +29,13 @@ func (pa PopAccu) Infer(idx *data.Index) *Result {
 	res, tab := newResult(idx)
 	trust := map[provider]float64{}
 	for oid := range idx.Views {
-		for _, cl := range claimsOf(&idx.Views[oid]) {
+		for _, cl := range claimsOf(idx, oid) {
 			trust[cl.p] = accuInitTrust
 		}
 	}
 	for iter := 0; iter < pa.MaxIter; iter++ {
 		maxDelta := 0.0
-		for oid := range idx.Views {
-			ov := &idx.Views[oid]
+		for oid, ov := range idx.Views {
 			conf := tab.Row(oid)
 			total := 0
 			for _, c := range ov.ValueCount {
@@ -45,7 +44,7 @@ func (pa PopAccu) Infer(idx *data.Index) *Result {
 			score := make([]float64, len(conf))
 			// Popularity of each candidate among all claims; Laplace
 			// smoothing keeps unseen (worker-only) values non-zero.
-			for _, cl := range claimsOf(ov) {
+			for _, cl := range claimsOf(idx, oid) {
 				t := clampTrust(trust[cl.p])
 				rho := (float64(ov.ValueCount[cl.c]) + 1) / (float64(total) + float64(len(conf)))
 				score[cl.c] += math.Log(t/(1-t)) - math.Log(rho)
@@ -73,7 +72,7 @@ func (pa PopAccu) Infer(idx *data.Index) *Result {
 		cnt := map[provider]int{}
 		for oid := range idx.Views {
 			conf := tab.Row(oid)
-			for _, cl := range claimsOf(&idx.Views[oid]) {
+			for _, cl := range claimsOf(idx, oid) {
 				sum[cl.p] += conf[cl.c]
 				cnt[cl.p]++
 			}

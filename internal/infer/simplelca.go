@@ -26,7 +26,7 @@ func (l SimpleLCA) Infer(idx *data.Index) *Result {
 	theta := map[provider]float64{}
 	for oid := range idx.Views {
 		conf := tab.Row(oid)
-		for _, cl := range claimsOf(&idx.Views[oid]) {
+		for _, cl := range claimsOf(idx, oid) {
 			conf[cl.c]++
 			theta[cl.p] = 0.7
 		}
@@ -34,13 +34,12 @@ func (l SimpleLCA) Infer(idx *data.Index) *Result {
 	}
 	for iter := 0; iter < l.MaxIter; iter++ {
 		maxDelta := 0.0
-		for oid := range idx.Views {
-			ov := &idx.Views[oid]
+		for oid, ov := range idx.Views {
 			conf := tab.Row(oid)
 			n := float64(ov.CI.NumValues())
 			post := make([]float64, len(conf))
 			copy(post, conf)
-			for _, cl := range claimsOf(ov) {
+			for _, cl := range claimsOf(idx, oid) {
 				th := theta[cl.p]
 				var wrong float64
 				if n > 1 {
@@ -74,7 +73,7 @@ func (l SimpleLCA) Infer(idx *data.Index) *Result {
 		cnt := map[provider]int{}
 		for oid := range idx.Views {
 			conf := tab.Row(oid)
-			for _, cl := range claimsOf(&idx.Views[oid]) {
+			for _, cl := range claimsOf(idx, oid) {
 				hit[cl.p] += conf[cl.c]
 				cnt[cl.p]++
 			}

@@ -28,7 +28,7 @@ func (su Sums) Infer(idx *data.Index) *Result {
 	trust := map[provider]float64{}
 	counts := map[provider]int{}
 	for oid := range idx.Views {
-		for _, cl := range claimsOf(&idx.Views[oid]) {
+		for _, cl := range claimsOf(idx, oid) {
 			trust[cl.p] = 1
 			counts[cl.p]++
 		}
@@ -41,7 +41,7 @@ func (su Sums) Infer(idx *data.Index) *Result {
 			for i := range b {
 				b[i] = 0
 			}
-			for _, cl := range claimsOf(&idx.Views[oid]) {
+			for _, cl := range claimsOf(idx, oid) {
 				b[cl.c] += trust[cl.p]
 			}
 			for _, x := range b {
@@ -61,7 +61,7 @@ func (su Sums) Infer(idx *data.Index) *Result {
 		newTrust := map[provider]float64{}
 		for oid := range idx.Views {
 			b := belief.Row(oid)
-			for _, cl := range claimsOf(&idx.Views[oid]) {
+			for _, cl := range claimsOf(idx, oid) {
 				newTrust[cl.p] += b[cl.c]
 			}
 		}

@@ -13,10 +13,9 @@ func (Vote) Name() string { return "VOTE" }
 // Infer implements Inferencer.
 func (Vote) Infer(idx *data.Index) *Result {
 	res, tab := newResult(idx)
-	for oid := range idx.Views {
-		ov := &idx.Views[oid]
+	for oid, ov := range idx.Views {
 		conf := tab.Row(oid)
-		for _, cl := range claimsOf(ov) {
+		for _, cl := range claimsOf(idx, oid) {
 			conf[cl.c]++
 		}
 		normalize(conf)
@@ -42,7 +41,7 @@ func (Vote) Infer(idx *data.Index) *Result {
 	// Agreement-rate trust (informational only; VOTE never uses it).
 	agree := map[provider][2]int{}
 	for oid := range idx.Views {
-		for _, cl := range claimsOf(&idx.Views[oid]) {
+		for _, cl := range claimsOf(idx, oid) {
 			a := agree[cl.p]
 			a[1]++
 			if int32(cl.c) == tab.truth[oid] {

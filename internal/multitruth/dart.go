@@ -53,7 +53,7 @@ func (d DART) Discover(idx *data.Index) map[string][]string {
 	od := map[string]*objData{}
 	for _, o := range idx.Objects {
 		ov := idx.View(o)
-		providers, claims := claimersOf(ov, true)
+		providers, claims := claimersOf(idx, ov, true)
 		od[o] = &objData{providers, claims}
 		conf[o] = make([]float64, ov.CI.NumValues())
 		for i := range conf[o] {

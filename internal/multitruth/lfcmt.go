@@ -30,7 +30,7 @@ func (l LFCMT) Discover(idx *data.Index) map[string][]string {
 	var pairs []pairObs
 	for _, o := range idx.Objects {
 		ov := idx.View(o)
-		providers, claims := claimersOf(ov, true)
+		providers, claims := claimersOf(idx, ov, true)
 		for v := 0; v < ov.CI.NumValues(); v++ {
 			po := pairObs{o: o, v: v}
 			for pi, p := range providers {

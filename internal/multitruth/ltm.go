@@ -69,7 +69,7 @@ func (l LTM) Discover(idx *data.Index) map[string][]string {
 	var observations [][]obs // per pair
 	for _, o := range idx.Objects {
 		ov := idx.View(o)
-		providers, claims := claimersOf(ov, true)
+		providers, claims := claimersOf(idx, ov, true)
 		for v := 0; v < ov.CI.NumValues(); v++ {
 			p := pair{o, v}
 			pairIdx[p] = len(pairs)

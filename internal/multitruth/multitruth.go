@@ -47,7 +47,7 @@ func (f FromSingleTruth) Discover(idx *data.Index) map[string][]string {
 	return out
 }
 
-// claimersOf returns, for one object view, the boolean claim matrix:
+// claimersOf returns, for one view of idx, the boolean claim matrix:
 // providers × candidate values (true where the provider claimed the value
 // or, when closure is set, an ancestor-closed version where claiming v also
 // claims every candidate ancestor of v). A provider with several claims on
@@ -56,7 +56,7 @@ func (f FromSingleTruth) Discover(idx *data.Index) map[string][]string {
 // value: the discoverers model a provider claiming a set, and splitting the
 // set into contradictory single-cell observations would bias them against
 // exactly the multi-valued answers they exist to aggregate.
-func claimersOf(ov *data.ObjectView, closure bool) (providers []string, claims [][]bool) {
+func claimersOf(idx *data.Index, ov *data.ObjectView, closure bool) (providers []string, claims [][]bool) {
 	type cl struct {
 		name string
 		c    int
@@ -66,10 +66,10 @@ func claimersOf(ov *data.ObjectView, closure bool) (providers []string, claims [
 	// sources then workers is already the deterministic prefixed-name order.
 	var cls []cl
 	for _, c := range ov.SourceClaims {
-		cls = append(cls, cl{"s:" + ov.SourceName(c.Part), int(c.Val)})
+		cls = append(cls, cl{"s:" + idx.SourceNames[c.Part], int(c.Val)})
 	}
 	for _, c := range ov.WorkerClaims {
-		cls = append(cls, cl{"w:" + ov.WorkerName(c.Part), int(c.Val)})
+		cls = append(cls, cl{"w:" + idx.WorkerNames[c.Part], int(c.Val)})
 	}
 	n := ov.CI.NumValues()
 	for i := 0; i < len(cls); {

@@ -701,13 +701,11 @@ func (s *Server) handleAddRecord(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("source %q already claims object %q", rec.Source, rec.Object))
 		return
 	}
-	if ov := snap.Idx.View(rec.Object); ov != nil {
-		if _, dup := ov.SourceClaim(rec.Source); dup {
-			s.mutMu.Unlock()
-			httpError(w, http.StatusConflict,
-				fmt.Sprintf("source %q already claims object %q", rec.Source, rec.Object))
-			return
-		}
+	if _, dup := snap.Idx.SourceClaim(rec.Object, rec.Source); dup {
+		s.mutMu.Unlock()
+		httpError(w, http.StatusConflict,
+			fmt.Sprintf("source %q already claims object %q", rec.Source, rec.Object))
+		return
 	}
 	s.addedClaims[key] = true
 	// A record implicitly creates its object; hold a reference on the name
@@ -786,12 +784,12 @@ func (s *Server) handleTruths(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleConfidence(w http.ResponseWriter, r *http.Request) {
 	object := r.URL.Query().Get("object")
 	snap := s.snap()
-	ov := snap.Idx.View(object)
-	if ov == nil {
+	oid, ok := snap.Idx.ObjectID(object)
+	if !ok {
 		httpError(w, http.StatusNotFound, fmt.Sprintf("unknown object %q", object))
 		return
 	}
-	writeJSON(w, snap.St.Confidence(ov))
+	writeJSON(w, snap.St.Confidence(snap.Idx, oid))
 }
 
 func (s *Server) handleTrust(w http.ResponseWriter, r *http.Request) {

@@ -61,7 +61,7 @@ func captureReachable(sn *Snapshot) reachable {
 	for oid := range sn.Idx.Objects {
 		r.Rows = append(r.Rows, append([]float64(nil), sn.Res.ConfidenceAt(sn.Idx, oid)...))
 		r.Truths = append(r.Truths, sn.Res.TruthAt(sn.Idx, oid))
-		r.Confidence = append(r.Confidence, sn.St.Confidence(sn.Idx.ViewAt(oid)))
+		r.Confidence = append(r.Confidence, sn.St.Confidence(sn.Idx, oid))
 		r.PlanMu = append(r.PlanMu, append([]float64(nil), sn.Plan().Row(oid)...))
 	}
 	truths := map[string]string{}
