@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -188,7 +187,7 @@ func (m *Manager) handleCreate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "missing dataset")
 		return
 	}
-	ds, err := data.Read(bytes.NewReader(req.Dataset))
+	ds, err := data.Decode(req.Dataset)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "dataset: "+err.Error())
 		return

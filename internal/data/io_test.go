@@ -2,8 +2,10 @@ package data
 
 import (
 	"bytes"
+	"math"
+	"os"
 	"path/filepath"
-	"strings"
+	"reflect"
 	"testing"
 )
 
@@ -13,7 +15,7 @@ func TestIORoundTrip(t *testing.T) {
 	if err := Write(&buf, ds); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(&buf)
+	got, err := Decode(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,17 +42,17 @@ func TestIORoundTrip(t *testing.T) {
 }
 
 func TestReadErrors(t *testing.T) {
-	if _, err := Read(strings.NewReader("{not json")); err == nil {
+	if _, err := Decode([]byte("{not json")); err == nil {
 		t.Fatal("invalid JSON must fail")
 	}
 	// Orphan edge: parent never declared.
 	bad := `{"name":"x","root":"r","edges":[["a","ghost"]],"records":[],"truth":{}}`
-	if _, err := Read(strings.NewReader(bad)); err == nil {
+	if _, err := Decode([]byte(bad)); err == nil {
 		t.Fatal("orphan edges must fail")
 	}
 	// No hierarchy at all is fine.
 	ok := `{"name":"x","records":[{"object":"o","source":"s","value":"v"}],"truth":{}}`
-	ds, err := Read(strings.NewReader(ok))
+	ds, err := Decode([]byte(ok))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,5 +77,37 @@ func TestSaveLoadFile(t *testing.T) {
 	}
 	if _, err := LoadFile(filepath.Join(dir, "missing.json")); err == nil {
 		t.Fatal("missing file must error")
+	}
+}
+
+// TestSaveFileFailureKeepsPrevious: SaveFile replaces the file atomically,
+// so a save that fails midway leaves the previous file readable and no
+// temporary file behind.
+func TestSaveFileFailureKeepsPrevious(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "ds.json")
+	ds := tinyDataset(t)
+	if err := SaveFile(path, ds); err != nil {
+		t.Fatal(err)
+	}
+	bad := ds.Clone()
+	nan := math.NaN()
+	bad.Answers = append(bad.Answers, Answer{Object: "statue", Worker: "w", Value: "NY", Num: &nan})
+	if err := SaveFile(path, bad); err == nil {
+		t.Fatal("saving a NaN answer must fail")
+	}
+	got, err := LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Answers, ds.Answers) {
+		t.Fatalf("answers after failed save = %+v, want %+v", got.Answers, ds.Answers)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "ds.json" {
+		t.Fatalf("directory after failed save holds %v", entries)
 	}
 }

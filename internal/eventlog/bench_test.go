@@ -1,6 +1,8 @@
 package eventlog
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"path/filepath"
 	"sync/atomic"
@@ -31,4 +33,30 @@ func BenchmarkAppendParallel(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkReplay times one in-memory replay of 7,500 plain answer lines
+// (1,500 objects, five answers each) into an empty dataset: the per-line
+// decode, validation and dedup a campaign boot pays.
+func BenchmarkReplay(b *testing.B) {
+	var log bytes.Buffer
+	for i := 0; i < 7500; i++ {
+		line, err := json.Marshal(AnswerEvent(data.Answer{
+			Object: fmt.Sprintf("bp:person-%d", i/5),
+			Worker: fmt.Sprintf("worker-%d", i%256),
+			Value:  fmt.Sprintf("bp:city-%d.%d", i%40, i%7),
+		}))
+		if err != nil {
+			b.Fatal(err)
+		}
+		log.Write(line)
+		log.WriteByte('\n')
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		res, err := ReplayFrom(bytes.NewReader(log.Bytes()), &data.Dataset{})
+		if err != nil || res.Answers != 7500 {
+			b.Fatalf("replay = %+v, %v", res, err)
+		}
+	}
 }

@@ -31,8 +31,10 @@ package eventlog
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/data"
+	"repro/internal/wire"
 )
 
 // Version is the newest event format version this build writes and
@@ -141,4 +143,107 @@ func (e Event) Answer() data.Answer {
 // Record extracts the record payload of an add_record event.
 func (e Event) Record() data.Record {
 	return data.Record{Object: e.Object, Source: e.Source, Value: e.Value}
+}
+
+// eventFields are Event's JSON keys in field order.
+var eventFields = []string{"type", "v", "object", "worker", "source", "value", "values", "num", "candidates"}
+
+// appendJSON appends e as one compact JSON object, byte-identical to
+// json.Marshal(e): fields in declaration order, empty ones omitted. A NaN
+// or infinite Num is an error.
+func (e *Event) appendJSON(b []byte) ([]byte, error) {
+	start := len(b)
+	b = append(b, '{')
+	member := func(b []byte, key string) []byte {
+		if len(b) > start+1 {
+			b = append(b, ',')
+		}
+		b = append(b, '"')
+		b = append(b, key...)
+		return append(b, '"', ':')
+	}
+	str := func(b []byte, key, v string) []byte {
+		if v == "" {
+			return b
+		}
+		return wire.AppendString(member(b, key), v)
+	}
+	list := func(b []byte, key string, vs []string) []byte {
+		if len(vs) == 0 {
+			return b
+		}
+		b = append(member(b, key), '[')
+		for i, v := range vs {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = wire.AppendString(b, v)
+		}
+		return append(b, ']')
+	}
+	b = str(b, "type", string(e.Type))
+	if e.V != 0 {
+		b = strconv.AppendInt(member(b, "v"), int64(e.V), 10)
+	}
+	b = str(b, "object", e.Object)
+	b = str(b, "worker", e.Worker)
+	b = str(b, "source", e.Source)
+	b = str(b, "value", e.Value)
+	b = list(b, "values", e.Values)
+	if e.Num != nil {
+		var err error
+		if b, err = wire.AppendFloat(member(b, "num"), *e.Num); err != nil {
+			return nil, fmt.Errorf("eventlog: num: %w", err)
+		}
+	}
+	b = list(b, "candidates", e.Candidates)
+	return append(b, '}'), nil
+}
+
+// decodeLine decodes one log line into e with json.Unmarshal's semantics
+// for Event: case-folded keys, unknown keys skipped, null a no-op for
+// strings and nil for slices and pointers, later duplicate keys winning,
+// "v" only as an integer literal, and nothing but whitespace after the
+// object. l is reused across lines for its scratch buffer.
+func (e *Event) decodeLine(l *wire.Lexer, line []byte) error {
+	l.Reset(line)
+	if !l.Null() && l.BeginObject() {
+		for {
+			key, ok := l.Member()
+			if !ok {
+				break
+			}
+			switch wire.Field(key, eventFields) {
+			case 0:
+				l.Str((*string)(&e.Type))
+			case 1:
+				if !l.Null() {
+					e.V = l.Int()
+				}
+			case 2:
+				l.Str(&e.Object)
+			case 3:
+				l.Str(&e.Worker)
+			case 4:
+				l.Str(&e.Source)
+			case 5:
+				l.Str(&e.Value)
+			case 6:
+				e.Values = wire.Slice(l, e.Values, (*wire.Lexer).Str)
+			case 7:
+				if l.Null() {
+					e.Num = nil
+				} else {
+					f := l.Float()
+					e.Num = &f
+				}
+			case 8:
+				e.Candidates = wire.Slice(l, e.Candidates, (*wire.Lexer).Str)
+			default:
+				l.Skip()
+			}
+		}
+	}
+	l.End()
+	return l.Err()
 }

@@ -1,7 +1,6 @@
 package eventlog
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -69,7 +68,8 @@ func (l *Log) AppendEvent(e Event) error {
 	if err := e.Validate(); err != nil {
 		return err
 	}
-	buf, err := json.Marshal(e)
+	var line [512]byte
+	buf, err := e.appendJSON(line[:0])
 	if err != nil {
 		return err
 	}

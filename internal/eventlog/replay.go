@@ -2,13 +2,13 @@ package eventlog
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 
 	"repro/internal/data"
+	"repro/internal/wire"
 )
 
 // ReplayResult reports what a Replay recovered.
@@ -56,6 +56,7 @@ func ReplayFrom(r io.Reader, ds *data.Dataset) (ReplayResult, error) {
 	ap := newApplier(ds)
 	br := bufio.NewReaderSize(r, 64*1024)
 	scratch := make([]byte, 0, 64*1024)
+	var lex wire.Lexer
 	for {
 		line, tooLong, err := scanLine(br, scratch[:0])
 		scratch = line
@@ -65,7 +66,7 @@ func ReplayFrom(r io.Reader, ds *data.Dataset) (ReplayResult, error) {
 			res.Skipped++
 		} else if len(line) > 0 {
 			var e Event
-			if jerr := json.Unmarshal(line, &e); jerr != nil || e.Validate() != nil {
+			if derr := e.decodeLine(&lex, line); derr != nil || e.Validate() != nil {
 				res.Skipped++
 			} else {
 				ap.apply(e, &res)
