@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"maps"
+	"math"
 	"os"
 	"slices"
 
@@ -33,10 +34,8 @@ var (
 // that is NaN or infinite is an error, and then nothing is written.
 func Write(w io.Writer, ds *Dataset) error {
 	for _, a := range ds.Answers {
-		if a.Num != nil {
-			if _, err := wire.AppendFloat(nil, *a.Num); err != nil {
-				return fmt.Errorf("data: answer %s/%s: %w", a.Object, a.Worker, err)
-			}
+		if a.Num != nil && (math.IsNaN(*a.Num) || math.IsInf(*a.Num, 0)) {
+			return fmt.Errorf("data: answer %s/%s: %w", a.Object, a.Worker, wire.ErrNonFinite)
 		}
 	}
 	e := writer{w: w, b: make([]byte, 0, 64<<10)}
@@ -268,11 +267,11 @@ func Decode(buf []byte) (*Dataset, error) {
 			case 4:
 				ds.Answers = wire.Slice(&l, ds.Answers, decodeAnswer)
 			case 5:
-				ds.Truth = decodeStringMap(&l, ds.Truth)
+				ds.Truth = wire.Map(&l, ds.Truth, decodeString)
 			case 6:
-				ds.Domains = decodeStringMap(&l, ds.Domains)
+				ds.Domains = wire.Map(&l, ds.Domains, decodeString)
 			case 7:
-				ds.Candidates = decodeCandidates(&l, ds.Candidates)
+				ds.Candidates = wire.Map(&l, ds.Candidates, decodeStrings)
 			default:
 				l.Skip()
 			}
@@ -390,48 +389,14 @@ func decodeAnswer(l *wire.Lexer, a *Answer) {
 	}
 }
 
-// decodeStringMap decodes an object into m, merging into an existing map
-// as encoding/json does; null gives nil.
-func decodeStringMap(l *wire.Lexer, m map[string]string) map[string]string {
-	if l.Null() {
-		return nil
-	}
-	if !l.BeginObject() {
-		return m
-	}
-	if m == nil {
-		m = map[string]string{}
-	}
-	for {
-		key, ok := l.Member()
-		if !ok {
-			return m
-		}
-		k := string(key) // before the value read reuses the key's bytes
-		var v string
-		l.Str(&v)
-		m[k] = v
-	}
+func decodeString(l *wire.Lexer) string {
+	var s string
+	l.Str(&s)
+	return s
 }
 
-func decodeCandidates(l *wire.Lexer, m map[string][]string) map[string][]string {
-	if l.Null() {
-		return nil
-	}
-	if !l.BeginObject() {
-		return m
-	}
-	if m == nil {
-		m = map[string][]string{}
-	}
-	for {
-		key, ok := l.Member()
-		if !ok {
-			return m
-		}
-		k := string(key)
-		m[k] = wire.Slice(l, nil, (*wire.Lexer).Str)
-	}
+func decodeStrings(l *wire.Lexer) []string {
+	return wire.Slice(l, nil, (*wire.Lexer).Str)
 }
 
 // SaveFile writes the dataset to path atomically: it writes a temporary

@@ -13,13 +13,19 @@
 //	{"type":"answer","v":1,"object":"o","worker":"w","value":"x"}
 //	{"type":"answer","v":2,"object":"o","worker":"w","value":"a","values":["a","b"]}
 //	{"type":"answer","v":2,"object":"o","worker":"w","value":"1.5","num":1.5}
-//	{"type":"add_object","v":1,"object":"o","candidates":["a","b"]}
-//	{"type":"add_record","v":1,"object":"o","source":"s","value":"x"}
+//	{"type":"add_object","v":2,"object":"o","candidates":["a","b"]}
+//	{"type":"add_record","v":2,"object":"o","source":"s","value":"x"}
 //
 // Version 2 adds the optional typed answer payloads of non-categorical
 // truth models: "values" (a multi-truth answer SET) and "num" (a numeric
-// answer). A plain single-truth answer is still written as v1, so logs of
-// categorical campaigns are byte-identical to what earlier builds wrote.
+// answer). A plain single-truth answer is still written as v1, so answer
+// lines of categorical campaigns are byte-identical to what earlier builds
+// wrote; answers with a typed payload and both mutations are written at
+// v2. Mutation lines written at v1 by earlier builds still replay.
+//
+// Lines are encoded and decoded by hand (internal/wire), not by
+// encoding/json, with the same bytes and the same accepted inputs:
+// FuzzEventLine checks both against encoding/json.
 //
 // Legacy compatibility: a bare answerlog line — {"object","worker","value"}
 // with no "type" — replays as an answer, so a pre-existing answers.jsonl is

@@ -68,7 +68,7 @@ func (l *Log) AppendEvent(e Event) error {
 	if err := e.Validate(); err != nil {
 		return err
 	}
-	var line [512]byte
+	var line [512]byte // room for a typical line; a longer one grows onto the heap
 	buf, err := e.appendJSON(line[:0])
 	if err != nil {
 		return err

@@ -522,6 +522,30 @@ func Slice[T any](l *Lexer, s []T, elem func(*Lexer, *T)) []T {
 	return s[:i]
 }
 
+// Map decodes an object (or null) into m with encoding/json's map
+// semantics: null gives nil, members merge into an existing map (a
+// repeated key replaces the earlier value), and each value decodes from
+// scratch.
+func Map[V any](l *Lexer, m map[string]V, elem func(*Lexer) V) map[string]V {
+	if l.Null() {
+		return nil
+	}
+	if !l.BeginObject() {
+		return m
+	}
+	if m == nil {
+		m = map[string]V{}
+	}
+	for {
+		key, ok := l.Member()
+		if !ok {
+			return m
+		}
+		k := string(key) // before the value read reuses the key's bytes
+		m[k] = elem(l)
+	}
+}
+
 // Field returns the index of the name in names that encoding/json would
 // decode key into — an exact match first, then a match under its case
 // folding — or -1 when key matches none, so its value is skipped.
