@@ -291,8 +291,9 @@ func assemble(ds *Dataset, root string, edges [][2]string) (*Dataset, error) {
 	}
 	if root != "" {
 		t := hierarchy.New(root)
-		// Edges may arrive in any order; insert breadth-wise until fixpoint.
-		pending := append([][2]string(nil), edges...)
+		// Edges may arrive in any order; insert breadth-wise until fixpoint,
+		// filtering edges in place.
+		pending := edges
 		for len(pending) > 0 {
 			next := pending[:0]
 			progressed := false
