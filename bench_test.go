@@ -286,7 +286,7 @@ func BenchmarkTaskThroughput(b *testing.B) {
 	ds := synth.Heritages(synth.HeritagesConfig{Seed: 7, Scale: 0.25})
 	srv, err := server.New(server.Config{
 		Dataset:  ds,
-		Engine:   engine.NewCategorical(infer.NewTDH(), engine.Config{}),
+		Engine:   engine.NewCategorical(infer.NewTDH()),
 		Assigner: assign.EAI{},
 		K:        5,
 		Seed:     7,
@@ -324,7 +324,7 @@ func BenchmarkServerThroughput(b *testing.B) {
 	ds := synth.Heritages(synth.HeritagesConfig{Seed: 7, Scale: 0.1})
 	srv, err := server.New(server.Config{
 		Dataset:     ds,
-		Engine:      engine.NewCategorical(infer.NewTDH(), engine.Config{}),
+		Engine:      engine.NewCategorical(infer.NewTDH()),
 		Assigner:    assign.EAI{},
 		OpenAnswers: true, // benchmark workers answer arbitrary objects
 		Policy:      server.RefitPolicy{MaxAnswers: 256, MaxStaleness: 50 * time.Millisecond},
@@ -455,7 +455,7 @@ func BenchmarkLiveGrowth(b *testing.B) {
 			ds := synth.Heritages(synth.HeritagesConfig{Seed: 7, Scale: 0.1})
 			srv, err := server.New(server.Config{
 				Dataset:     ds,
-				Engine:      engine.NewCategorical(infer.NewTDH(), engine.Config{}),
+				Engine:      engine.NewCategorical(infer.NewTDH()),
 				Assigner:    assign.EAI{},
 				OpenAnswers: true,
 				Log:         log,
@@ -539,7 +539,7 @@ func BenchmarkTracedIngest(b *testing.B) {
 			ds := synth.Heritages(synth.HeritagesConfig{Seed: 7, Scale: 0.1})
 			srv, err := server.New(server.Config{
 				Dataset:     ds,
-				Engine:      engine.NewCategorical(infer.NewTDH(), engine.Config{}),
+				Engine:      engine.NewCategorical(infer.NewTDH()),
 				Assigner:    assign.EAI{},
 				OpenAnswers: true, // benchmark workers answer arbitrary objects
 				Policy: server.RefitPolicy{
@@ -675,7 +675,7 @@ func newSealCycle(tb testing.TB, scale float64) *sealCycle {
 	c := &sealCycle{idx: data.NewIndex(ds)}
 	opts := core.DefaultOptions()
 	opts.MaxIter = 3 // cycle cost does not depend on fit quality
-	c.eng = engine.NewCategorical(infer.TDH{Opt: opts}, engine.Config{})
+	c.eng = engine.NewCategorical(infer.TDH{Opt: opts})
 	c.st = c.eng.Fit(c.idx)
 	c.plan = assign.NewPlan(c.idx, c.st.Res())
 	c.plan.Prewarm()
@@ -749,7 +749,7 @@ func TestSealCycleIsDeltaProportional(t *testing.T) {
 // concurrent appends into one fsync per campaign, so the reported
 // answers/sec is the multi-tenant ingest ceiling.
 func BenchmarkCampaignIngest(b *testing.B) {
-	mgr, err := campaign.Open(b.TempDir(), campaign.Options{Workers: 1})
+	mgr, err := campaign.Open(b.TempDir(), campaign.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -72,7 +72,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	var (
 		dataDir   = fs.String("data-dir", "", "campaign data directory (required)")
 		addr      = fs.String("addr", ":8080", "listen address")
-		workers   = fs.Int("workers", 0, "E-step goroutines for full refits (TDH only): 0/1 = sequential, -1 = all cores, n = n")
 		pprofOn   = fs.Bool("pprof", true, "serve net/http/pprof profiling endpoints under /debug/pprof/")
 		drainWait = fs.Duration("drain", 10*time.Second, "max time to wait for in-flight requests on shutdown")
 		logLevel  = fs.String("log-level", "info", "minimum structured log level: debug, info, warn, error, off")
@@ -94,7 +93,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		return err
 	}
 
-	mgr, err := campaign.Open(*dataDir, campaign.Options{Workers: *workers, Logger: logger})
+	mgr, err := campaign.Open(*dataDir, campaign.Options{Logger: logger})
 	if err != nil {
 		return err
 	}

@@ -123,12 +123,12 @@ func TestRunServesFlushesAndRecovers(t *testing.T) {
 }
 
 // TestRemovedFlagsRejected: the single-campaign flags are gone, not ignored
-// — each is a usage error — and the usage text lists exactly the seven
+// — each is a usage error — and the usage text lists exactly the six
 // process-level flags that remain.
 func TestRemovedFlagsRejected(t *testing.T) {
 	for _, name := range []string{
 		"in", "log", "model", "alg", "assign", "k", "seed", "open",
-		"refit-answers", "refit-staleness", "batch", "queue", "reject-queue", "shards",
+		"refit-answers", "refit-staleness", "batch", "queue", "reject-queue", "shards", "workers",
 	} {
 		var stderr bytes.Buffer
 		err := run(context.Background(), []string{"-data-dir", t.TempDir(), "-" + name, "1"}, io.Discard, &stderr)
@@ -151,7 +151,7 @@ func TestRemovedFlagsRejected(t *testing.T) {
 			flags = append(flags, strings.Fields(line)[0])
 		}
 	}
-	want := "-addr -data-dir -drain -log-format -log-level -pprof -workers"
+	want := "-addr -data-dir -drain -log-format -log-level -pprof"
 	if got := strings.Join(flags, " "); got != want {
 		t.Errorf("flags = %s, want %s", got, want)
 	}

@@ -32,7 +32,7 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 
-	mgr, err := campaign.Open(dir, campaign.Options{Workers: 1})
+	mgr, err := campaign.Open(dir, campaign.Options{})
 	if err != nil {
 		fatal(err)
 	}
@@ -79,7 +79,7 @@ func main() {
 	if err := mgr.Close(); err != nil {
 		fatal(err)
 	}
-	mgr2, err := campaign.Open(dir, campaign.Options{Workers: 1})
+	mgr2, err := campaign.Open(dir, campaign.Options{})
 	if err != nil {
 		fatal(err)
 	}

@@ -40,7 +40,7 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 
-	mgr, err := campaign.Open(dir, campaign.Options{Workers: 1})
+	mgr, err := campaign.Open(dir, campaign.Options{})
 	if err != nil {
 		fatal(err)
 	}
@@ -85,7 +85,7 @@ func main() {
 	// already fsync'd in the event log; nothing else matters.
 	api.Close()
 
-	mgr2, err := campaign.Open(dir, campaign.Options{Workers: 1})
+	mgr2, err := campaign.Open(dir, campaign.Options{})
 	if err != nil {
 		fatal(err)
 	}

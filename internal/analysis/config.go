@@ -35,6 +35,7 @@ func DefaultSnapshotmut() SnapshotmutConfig {
 			"internal/core.Model.initialize",
 			"internal/core.Model.initObjectMu",
 			"internal/core.Run",
+			"internal/core.run",
 			"internal/core.Model.evaluate",
 			"internal/core.Model.extrapolate",
 			"internal/core.Model.finish",

@@ -196,15 +196,13 @@ func (c *Campaign) boot(opts Options, openLog bool) error {
 	if err != nil {
 		return fmt.Errorf("campaign %s: replay: %w", c.meta.ID, err)
 	}
-	// Engine construction owns all model-specific wiring — including TDH's
-	// E-step parallelism, which used to be a type-assertion special case
-	// here. Unknown names surface as ErrConfig (HTTP 422), not as an opaque
-	// boot error.
+	// Engine construction owns all model-specific wiring. Unknown names
+	// surface as ErrConfig (HTTP 422), not as an opaque boot error.
 	tm, err := engine.ParseTruthModel(c.meta.TruthModel)
 	if err != nil {
 		return fmt.Errorf("campaign %s: %w: %v", c.meta.ID, ErrConfig, err)
 	}
-	eng, err := engine.New(tm, c.meta.Inferencer, engine.Config{Workers: opts.Workers, Seed: c.meta.Seed})
+	eng, err := engine.New(tm, c.meta.Inferencer, engine.Config{Seed: c.meta.Seed})
 	if err != nil {
 		return fmt.Errorf("campaign %s: %w: %v", c.meta.ID, ErrConfig, err)
 	}

@@ -40,10 +40,6 @@ var idPattern = regexp.MustCompile(`^[a-z0-9][a-z0-9._-]{0,63}$`)
 
 // Options configures a Manager.
 type Options struct {
-	// Workers is the E-step goroutine count handed to TDH inferencers
-	// (-1 = all cores, 0/1 = sequential). Campaigns share the machine, so
-	// sequential is a reasonable default under many concurrent campaigns.
-	Workers int
 	// Logger receives the manager's structured diagnostics — campaign
 	// lifecycle transitions, boot replay summaries — and, with a campaign
 	// attribute attached, each campaign server's (admission rejections,

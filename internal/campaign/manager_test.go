@@ -36,7 +36,7 @@ func testDataset(name string, objects int) *data.Dataset {
 
 func mustOpen(t *testing.T, dir string) *Manager {
 	t.Helper()
-	m, err := Open(dir, Options{Workers: 1})
+	m, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

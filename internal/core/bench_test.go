@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -51,5 +52,49 @@ func BenchmarkRun(b *testing.B) {
 			}
 			b.ReportMetric(float64(evals), "evaluations/op")
 		})
+	}
+}
+
+// BenchmarkFanOut times one cold fit on one and on two goroutines, whatever
+// the index's size, at sizes either side of parallelFloor: Heritages with
+// and without answers (mixed_tenants, ingest_refit) and BirthPlaces from
+// half to twice the paper's size (crowd_batch, ingest_publish).
+// claims+objects/op is the size the goroutine rule reads; run it at
+// GOMAXPROCS >= 2 (the default on a multi-core box) to read the table
+// parallelFloor is derived from.
+func BenchmarkFanOut(b *testing.B) {
+	her := func(scale float64, answers int) func() *data.Dataset {
+		return func() *data.Dataset {
+			return withCrowdAnswers(synth.Heritages(synth.HeritagesConfig{Seed: 7, Scale: scale}), answers)
+		}
+	}
+	bp := func(scale float64, answers int) func() *data.Dataset {
+		return func() *data.Dataset {
+			return withCrowdAnswers(synth.BirthPlaces(synth.BirthPlacesConfig{Seed: 7, Scale: scale}), answers)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		ds   func() *data.Dataset
+	}{
+		{"heritages-x0.5+1000answers", her(0.5, 1000)},
+		{"heritages-x1", her(1, 0)},
+		{"heritages-x1+6750answers", her(1, 6750)},
+		{"birthplaces-x0.5", bp(0.5, 0)},
+		{"birthplaces-x0.75", bp(0.75, 0)},
+		{"birthplaces-x1", bp(1, 0)},
+		{"birthplaces-x1+3750answers", bp(1, 3750)},
+		{"birthplaces-x2", bp(2, 0)},
+	} {
+		idx := data.NewIndex(c.ds())
+		size := idx.NumSourceClaims() + idx.NumWorkerClaims() + idx.NumObjects()
+		for _, goroutines := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/goroutines=%d", c.name, goroutines), func(b *testing.B) {
+				for b.Loop() {
+					run(idx, DefaultOptions(), goroutines)
+				}
+				b.ReportMetric(float64(size), "claims+objects/op")
+			})
+		}
 	}
 }

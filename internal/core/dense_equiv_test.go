@@ -595,7 +595,8 @@ func TestRunReachesPlainFixedPoint(t *testing.T) {
 // plain steps, extrapolation and projection, stabilising step) allocates —
 // nor do the other users of the claim kernel: finish, Grow's local step on
 // a rebuilt object, and LogPosterior. The wide fixture adds the rows an
-// object above the dense-table cap materialises.
+// object above the dense-table cap materialises. Fanned out over two
+// goroutines, a cycle and finish allocate only their goroutine starts.
 func TestStepSteadyStateAllocs(t *testing.T) {
 	for _, ds := range []*data.Dataset{synth.BirthPlaces(synth.BirthPlacesConfig{Seed: 2, Scale: 0.02}), wideDataset()} {
 		idx := data.NewIndex(ds)
@@ -607,7 +608,7 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 		}
 		cycle := func() {
 			for i := 0; i < 3; i++ {
-				m.evaluate(1)
+				m.evaluate()
 			}
 		}
 		m = NewModel(idx, DefaultOptions())
@@ -636,6 +637,16 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 		local()
 		if allocs := testing.AllocsPerRun(3, local); allocs > 0 {
 			t.Fatalf("%s: Grow's local step allocates %v in steady state", ds.Name, allocs)
+		}
+		// Two goroutines: each evaluation and finish start one goroutine.
+		m = NewModel(idx, DefaultOptions())
+		m.scr = newScratch(m, 2)
+		cycle()
+		if allocs := testing.AllocsPerRun(3, cycle); allocs > 3 {
+			t.Fatalf("%s: a fanned-out cycle allocates %v in steady state, want at most its 3 goroutine starts", ds.Name, allocs)
+		}
+		if allocs := testing.AllocsPerRun(3, m.finish); allocs > 1 {
+			t.Fatalf("%s: a fanned-out finish allocates %v in steady state, want at most its goroutine start", ds.Name, allocs)
 		}
 	}
 }

@@ -2,7 +2,9 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/cow"
 	"repro/internal/data"
@@ -31,31 +33,68 @@ import (
 // of each evaluation it builds a table per source and per worker of what a
 // claim takes from θ alone (partTab: the case scales, the flat split), so
 // every claim is a fixed pass over its object's precomputed relationship and
-// popularity tables in data.ObjectView. Pass A walks objects
-// (range-partitioned across workers) and dispatches once per object: a flat
-// object with one candidate has the truth posterior [1] whatever θ and μ, so
-// its claims only count; every other claim takes two passes over its
-// object's candidates, one filling the row and its sum z, one normalising it
-// into the μ numerator and the claim's class posterior, which is stored per
-// claim. Pass B reduces those class posteriors participant-major through
-// the index's CSR transpose. Every float is computed in one order fixed by
-// the index (never by the goroutine schedule) and the extrapolation is
-// sequential, so results are bit-for-bit identical for any worker count.
+// popularity tables in data.ObjectView. Pass A walks objects and dispatches
+// once per object: a flat object with one candidate has the truth posterior
+// [1] whatever θ and μ, so its claims only count; every other claim takes
+// two passes over its object's candidates, one filling the row and its sum
+// z, one normalising it into the μ numerator and the claim's class
+// posterior, which is stored per claim. The object's μ row is then updated
+// (Eq. 9) in the same pass, as nothing else in it reads that row. Pass B
+// reduces the class posteriors participant-major through the index's CSR
+// transpose into φ and ψ (Eqs. 10–11).
+//
+// Pass A is the fit's one fork-join per evaluation. A fit on an index of at
+// least parallelFloor claims + objects runs it on one goroutine per core
+// (fitGoroutines) over contiguous object chunks of about equal claim-kernel
+// work, each goroutine taking the next unclaimed chunk: every μ row and
+// per-claim slot is written by exactly one goroutine, and each chunk reports
+// its max |Δμ|. Pass B and the extrapolation stay sequential, in index
+// order. No accumulation order
+// ever depends on the goroutine count or the schedule, so results are
+// bit-for-bit identical for any count.
 func Run(idx *data.Index, opt Options) *Model {
+	return run(idx, opt, fitGoroutines(idx))
+}
+
+// run is Run on an explicit goroutine count, whatever the index's size.
+func run(idx *data.Index, opt Options, goroutines int) *Model {
 	m := NewModel(idx, opt)
-	opt = m.Opt
-	workers := opt.effectiveWorkers()
-	for m.Iterations < opt.MaxIter {
-		if m.evaluate(workers) < opt.Tol {
+	m.scr = newScratch(m, goroutines)
+	for m.Iterations < m.Opt.MaxIter {
+		if m.evaluate() < m.Opt.Tol {
 			break
 		}
 	}
 	m.finish()
-	// A fitted model is published and kept; its E-step scratch (the μ
-	// numerators, the per-claim class posteriors and the three SQUAREM
-	// iterates) is not, and LogPosterior or StepOnce re-allocate it lazily.
+	// A fitted model is published and kept; its E-step scratch (the
+	// per-claim class posteriors and the three SQUAREM iterates) is not, and
+	// LogPosterior or StepOnce re-allocate it lazily.
 	m.scr = nil
 	return m
+}
+
+// parallelFloor is the index size, claims + objects, from which a fit fans
+// out over the cores. Below it an evaluation is a few hundred microseconds
+// of work, and waking an idle core at every fork-join costs more than the
+// core saves. README.md ("Performance architecture") has the 1-vs-2
+// goroutine table it is read from; every fit the benchmark workloads run
+// sits more than 10 % away from it on one side or the other.
+const parallelFloor = 16000
+
+// fitGoroutines is the goroutine count of every fit on idx: Run's, finish's
+// and StepOnce's.
+func fitGoroutines(idx *data.Index) int {
+	size := idx.NumSourceClaims() + idx.NumWorkerClaims() + idx.NumObjects()
+	return goroutinesFor(size, idx.NumObjects(), runtime.GOMAXPROCS(0))
+}
+
+// goroutinesFor is fitGoroutines' rule: one goroutine below parallelFloor,
+// otherwise one per core, capped at the object count.
+func goroutinesFor(size, objects, procs int) int {
+	if size < parallelFloor {
+		return 1
+	}
+	return max(1, min(procs, objects))
 }
 
 // finish ends a fit: one final E-step refresh of N and D so the incremental
@@ -65,17 +104,16 @@ func Run(idx *data.Index, opt Options) *Model {
 // refresh reads only its own μ row, so re-deriving it object by object
 // gives what refreshing every object first would.
 func (m *Model) finish() {
-	workers := m.clampWorkers(m.Opt.effectiveWorkers())
 	scr := m.scratch()
-	scr.prepare(m, workers)
-	m.fanOut(workers, scr, (*Model).refreshObjects)
+	scr.prepare(m)
+	m.fanOut(scr, (*Model).refreshObjects)
 }
 
-// refreshObjects is finish's body over objects [lo, hi) on goroutine g.
+// refreshObjects is finish's body over chunk c on goroutine g.
 //
 //tdh:hotpath
-func (m *Model) refreshObjects(scr *emScratch, g, lo, hi int) {
-	for oid := lo; oid < hi; oid++ {
+func (m *Model) refreshObjects(scr *emScratch, g, c int) {
+	for oid := scr.cuts[c]; oid < scr.cuts[c+1]; oid++ {
 		m.refreshObjectStats(oid, &scr.claimKernel, &scr.bufs[g])
 	}
 }
@@ -217,15 +255,12 @@ type claimKernel struct {
 	bufs     []claimBuf
 }
 
-// prepare refills the participant tables from m's φ and ψ and makes sure
-// there are n claim buffers. It allocates the first time only (and when
-// the model has more participants than the tables).
-func (k *claimKernel) prepare(m *Model, n int) {
+// prepare refills the participant tables from m's φ and ψ. It allocates
+// the first time only (and when the model has more participants than the
+// tables).
+func (k *claimKernel) prepare(m *Model) {
 	k.src = fillTabs(k.src, m.Phi)
 	k.wkr = fillTabs(k.wkr, m.Psi)
-	for len(k.bufs) < n {
-		k.bufs = append(k.bufs, claimBuf{})
-	}
 }
 
 // prepareObjects is prepare for one claim buffer and a pass over the
@@ -260,68 +295,127 @@ func fillTabs(dst []partTab, thetas [][3]float64) []partTab {
 // reused every iteration so the steady state allocates nothing.
 type emScratch struct {
 	claimKernel
-	muNum []float64    // flat μ numerators, same layout as Model.muFlat
-	srcG  [][3]float64 // class posterior of every source claim (global ID)
-	wkrG  [][3]float64 // class posterior of every worker answer (global ID)
+	srcG [][3]float64 // class posterior of every source claim (global ID)
+	wkrG [][3]float64 // class posterior of every worker answer (global ID)
+	// cuts splits the object IDs into the fan-out's chunks, chunk c being
+	// [cuts[c], cuts[c+1]); deltas[c] is chunk c's max |Δμ| in the last
+	// evaluation, and next the next chunk a goroutine takes. bufs has one
+	// claim buffer per goroutine.
+	cuts   []int
+	deltas []float64
+	next   atomic.Int64
+	wg     sync.WaitGroup
 	// The SQUAREM cycle's three iterates θ0, θ1, θ2, each the flattened
 	// parameter vector (μ, φ, ψ) in saveParams layout.
 	th0, th1, th2 []float64
 }
 
-// scratch returns the reusable E-step buffers.
+// scratch returns the reusable E-step buffers, built for the index's
+// goroutine count if the model has none.
 func (m *Model) scratch() *emScratch {
 	if m.muFlat == nil {
 		panic("core: EM on a cloned model; a clone is fold-only")
 	}
 	if m.scr == nil {
-		nParams := len(m.muFlat) + 3*len(m.Phi) + 3*len(m.Psi)
-		m.scr = &emScratch{
-			muNum: make([]float64, len(m.muFlat)),
-			srcG:  make([][3]float64, m.Idx.NumSourceClaims()),
-			wkrG:  make([][3]float64, m.Idx.NumWorkerClaims()),
-			th0:   make([]float64, nParams),
-			th1:   make([]float64, nParams),
-			th2:   make([]float64, nParams),
-		}
+		m.scr = newScratch(m, fitGoroutines(m.Idx))
 	}
 	return m.scr
 }
 
-// clampWorkers bounds a goroutine count to [1, |O|].
-func (m *Model) clampWorkers(workers int) int {
-	return max(1, min(workers, len(m.Idx.Views)))
+// chunksPerGoroutine is how many chunks a fanned-out pass is cut into per
+// goroutine. A goroutine the fork starts on an idle core begins ~100 µs
+// late (measured on a 2-vCPU VM), a sixth of a BirthPlaces evaluation;
+// with one fixed range each, the calling goroutine would then wait that
+// long at every join. Taking chunks from a shared counter, it does the late
+// goroutine's share in the meantime instead.
+const chunksPerGoroutine = 8
+
+// newScratch allocates the E-step buffers of a fit on `goroutines`
+// goroutines, bounded to [1, |O|].
+func newScratch(m *Model, goroutines int) *emScratch {
+	goroutines = max(1, min(goroutines, len(m.Idx.Views)))
+	chunks := 1
+	if goroutines > 1 {
+		chunks = min(chunksPerGoroutine*goroutines, len(m.Idx.Views))
+	}
+	nParams := len(m.muFlat) + 3*len(m.Phi) + 3*len(m.Psi)
+	return &emScratch{
+		claimKernel: claimKernel{bufs: make([]claimBuf, goroutines)},
+		srcG:        make([][3]float64, m.Idx.NumSourceClaims()),
+		wkrG:        make([][3]float64, m.Idx.NumWorkerClaims()),
+		cuts:        cutRanges(m.Idx, chunks),
+		deltas:      make([]float64, chunks),
+		th0:         make([]float64, nParams),
+		th1:         make([]float64, nParams),
+		th2:         make([]float64, nParams),
+	}
 }
 
-// fanOut runs body over the object IDs [0, |O|) cut into `workers`
-// contiguous ranges, range g on goroutine g, and waits for all of them; one
-// worker runs inline and allocates nothing. Every range is owned by one
-// goroutine, so per-object and per-claim slots are written without
-// synchronization.
-func (m *Model) fanOut(workers int, scr *emScratch, body func(m *Model, scr *emScratch, g, lo, hi int)) {
-	nObj := len(m.Idx.Views)
-	if workers <= 1 {
-		body(m, scr, 0, 0, nObj)
-		return
+// cutRanges cuts the object IDs into n contiguous, non-empty ranges
+// (1 <= n <= |O|, or n = 1) of about equal claim-kernel work, returning the
+// n+1 boundaries. An object costs its claims times its candidates, plus one.
+func cutRanges(idx *data.Index, n int) []int {
+	nObj := len(idx.Views)
+	cuts := make([]int, n+1)
+	cuts[n] = nObj
+	work := make([]int64, nObj)
+	var total int64
+	for oid := range work {
+		ov := idx.ViewAt(oid)
+		work[oid] = int64(len(ov.SourceClaims)+len(ov.WorkerClaims))*int64(ov.CI.NumValues()) + 1
+		total += work[oid]
 	}
-	var wg sync.WaitGroup
-	for g := 0; g < workers; g++ {
-		lo, hi := g*nObj/workers, (g+1)*nObj/workers
-		if lo == hi {
-			continue
+	var done int64
+	r := 1
+	for oid, w := range work {
+		done += w
+		for ; r < n && done*int64(n) >= total*int64(r); r++ {
+			cuts[r] = oid + 1
 		}
-		wg.Add(1)
+	}
+	// One object's work can span several targets: keep every range non-empty.
+	for r := 1; r < n; r++ {
+		cuts[r] = max(cuts[r], cuts[r-1]+1)
+	}
+	for r := n - 1; r >= 1; r-- {
+		cuts[r] = min(cuts[r], cuts[r+1]-1)
+	}
+	return cuts
+}
+
+// fanOut runs body over every chunk of the scratch on the scratch's
+// goroutines and waits for all of them: the calling goroutine is goroutine
+// 0 and starts at once, and each goroutine takes the next unclaimed chunk
+// until none is left. With one goroutine it runs inline and allocates
+// nothing; each further goroutine costs one goroutine start. Every chunk is
+// owned by the one goroutine that took it, so per-object, per-claim and
+// per-chunk slots are written without synchronization, and what a chunk
+// computes does not depend on which goroutine took it.
+func (m *Model) fanOut(scr *emScratch, body func(m *Model, scr *emScratch, g, c int)) {
+	scr.next.Store(0)
+	for g := 1; g < len(scr.bufs); g++ {
+		scr.wg.Add(1)
 		go func() {
-			defer wg.Done()
-			body(m, scr, g, lo, hi)
+			defer scr.wg.Done()
+			m.takeChunks(scr, body, g)
 		}()
 	}
-	wg.Wait()
+	m.takeChunks(scr, body, 0)
+	scr.wg.Wait()
+}
+
+// takeChunks is goroutine g's share of a fanOut: a method, not a closure
+// the go statements capture, so a fanOut on one goroutine allocates nothing.
+func (m *Model) takeChunks(scr *emScratch, body func(m *Model, scr *emScratch, g, c int), g int) {
+	for c := int(scr.next.Add(1) - 1); c < len(scr.cuts)-1; c = int(scr.next.Add(1) - 1) {
+		body(m, scr, g, c)
+	}
 }
 
 // evaluate performs Run's next E/M evaluation and returns its max confidence
 // delta. The position in the three-evaluation SQUAREM cycle is the
 // evaluation count itself, so a capped run simply ends mid-cycle.
-func (m *Model) evaluate(workers int) float64 {
+func (m *Model) evaluate() float64 {
 	switch scr := m.scratch(); m.Iterations % 3 {
 	case 0:
 		m.saveParams(scr.th0)
@@ -331,7 +425,7 @@ func (m *Model) evaluate(workers int) float64 {
 		m.extrapolate(scr)
 	}
 	m.Iterations++
-	return m.step(workers)
+	return m.step()
 }
 
 // saveParams flattens θ = (μ, φ, ψ) into dst.
@@ -356,7 +450,7 @@ func (m *Model) saveParams(dst []float64) {
 // three points of the simplices, so its rows still sum to one but may leave
 // the positive orthant; each μ row, φ and ψ is floored at eps and
 // renormalised. Both norms are summed sequentially in index order: α never
-// depends on the worker count or the goroutine schedule.
+// depends on the goroutine count or the schedule.
 //
 //tdh:hotpath
 func (m *Model) extrapolate(scr *emScratch) {
@@ -410,112 +504,75 @@ func projectSimplex(dst, src []float64) {
 }
 
 // step runs one full E+M iteration and returns the max confidence delta,
-// which it also records as FinalDelta. workers > 1 parallelizes both E-step
-// passes; results are independent of the worker count.
-func (m *Model) step(workers int) float64 {
-	workers = m.clampWorkers(workers)
+// which it also records as FinalDelta: pass A with the μ update on the
+// scratch's goroutines, then pass B sequentially.
+func (m *Model) step() float64 {
 	scr := m.scratch()
-	scr.prepare(m, workers)
-	clear(scr.muNum)
-
-	// Pass A: per-object truth posteriors. Each goroutine owns a contiguous
-	// object range, so every muNum segment and every per-claim slot is
-	// written by exactly one goroutine.
-	m.fanOut(workers, scr, (*Model).eStepObjects)
-
-	// Pass B folded into the M-step: per-participant reductions over the
-	// CSR transpose (order fixed by the index, not the schedule).
-	m.FinalDelta = m.mStep(scr, workers)
-	return m.FinalDelta
-}
-
-// eStepObjects is pass A over objects [lo, hi) on goroutine g: the claim
-// kernel over every claim, the truth posteriors accumulating into the
-// objects' μ numerators and the class posteriors landing in the per-claim
-// slots pass B reduces.
-//
-//tdh:hotpath
-func (m *Model) eStepObjects(scr *emScratch, g, lo, hi int) {
-	idx, b := m.Idx, &scr.bufs[g]
-	for oid := lo; oid < hi; oid++ {
-		ov := idx.ViewAt(oid)
-		mu, acc := m.muRow(oid), scr.muNum[m.off[oid]:m.off[oid+1]]
-		m.claimList(ov, ov.SourceClaims, scr.src, false, mu, acc, scr.srcG[idx.SrcClaimStart[oid]:idx.SrcClaimStart[oid+1]], b)
-		m.claimList(ov, ov.WorkerClaims, scr.wkr, true, mu, acc, scr.wkrG[idx.WkrClaimStart[oid]:idx.WkrClaimStart[oid+1]], b)
-	}
-}
-
-// mStep applies the M-step updates (Eqs. 9–11) from the aggregated E-step
-// posteriors and returns the max confidence delta. The φ/ψ numerators are
-// reduced here from the per-claim class posteriors, participant-major, in
-// index order.
-func (m *Model) mStep(scr *emScratch, workers int) float64 {
-	nObj := len(m.Idx.Views)
-	if workers <= 1 {
-		maxDelta := m.updateMu(scr, 0, nObj)
-		m.updatePhi(scr, 0, len(m.Phi))
-		m.updatePsi(scr, 0, len(m.Psi))
-		return maxDelta
-	}
-	var wg sync.WaitGroup
-	deltas := make([]float64, workers)
-	for g := 0; g < workers; g++ {
-		lo, hi := g*nObj/workers, (g+1)*nObj/workers
-		pLo, pHi := g*len(m.Phi)/workers, (g+1)*len(m.Phi)/workers
-		qLo, qHi := g*len(m.Psi)/workers, (g+1)*len(m.Psi)/workers
-		wg.Add(1)
-		go func(g, lo, hi, pLo, pHi, qLo, qHi int) {
-			defer wg.Done()
-			deltas[g] = m.updateMu(scr, lo, hi)
-			m.updatePhi(scr, pLo, pHi)
-			m.updatePsi(scr, qLo, qHi)
-		}(g, lo, hi, pLo, pHi, qLo, qHi)
-	}
-	wg.Wait()
+	scr.prepare(m)
+	m.fanOut(scr, (*Model).eStepObjects)
 	maxDelta := 0.0
-	for _, d := range deltas {
+	for _, d := range scr.deltas {
 		if d > maxDelta {
 			maxDelta = d
 		}
 	}
+	m.updatePhi(scr)
+	m.updatePsi(scr)
+	m.FinalDelta = maxDelta
 	return maxDelta
 }
 
-// updateMu applies Eq. (9) to objects [lo, hi) and returns the local max
-// confidence delta.
+// eStepObjects is pass A over chunk c on goroutine g: the claim kernel
+// over every claim, the truth posteriors accumulating into the object's μ
+// numerators (one row per goroutine) and the class posteriors landing in
+// the per-claim slots pass B reduces, then the object's μ update. It
+// records the chunk's max confidence delta as scr.deltas[c].
 //
 //tdh:hotpath
-func (m *Model) updateMu(scr *emScratch, lo, hi int) float64 {
-	gamma := m.Opt.Gamma
-	localMax := 0.0
-	for oid := lo; oid < hi; oid++ {
-		ov := m.Idx.ViewAt(oid)
-		mu := m.muRow(oid)
-		nClaims := len(ov.SourceClaims) + len(ov.WorkerClaims)
-		den := float64(nClaims) + float64(len(mu))*(gamma-1)
-		if den <= 0 {
-			continue
-		}
-		num := scr.muNum[m.off[oid]:m.off[oid+1]]
-		for i := range mu {
-			nv := num[i] + gamma - 1
-			v := nv / den
-			if d := math.Abs(v - mu[i]); d > localMax {
-				localMax = d
-			}
-			mu[i] = v
+func (m *Model) eStepObjects(scr *emScratch, g, c int) {
+	idx, b := m.Idx, &scr.bufs[g]
+	maxDelta := 0.0
+	for oid := scr.cuts[c]; oid < scr.cuts[c+1]; oid++ {
+		ov := idx.ViewAt(oid)
+		mu, num := m.muRow(oid), b.numFor(ov.CI.NumValues())
+		m.claimList(ov, ov.SourceClaims, scr.src, false, mu, num, scr.srcG[idx.SrcClaimStart[oid]:idx.SrcClaimStart[oid+1]], b)
+		m.claimList(ov, ov.WorkerClaims, scr.wkr, true, mu, num, scr.wkrG[idx.WkrClaimStart[oid]:idx.WkrClaimStart[oid+1]], b)
+		if d := m.updateMu(mu, num, len(ov.SourceClaims)+len(ov.WorkerClaims)); d > maxDelta {
+			maxDelta = d
 		}
 	}
-	return localMax
+	scr.deltas[c] = maxDelta
 }
 
-// updatePhi applies Eq. (10) to sources [lo, hi), reducing the per-claim
-// class posteriors through the CSR transpose in index order.
+// updateMu applies Eq. (9) to one object's μ row from its numerators and
+// claim count, and returns the row's max confidence delta.
 //
 //tdh:hotpath
-func (m *Model) updatePhi(scr *emScratch, lo, hi int) {
+func (m *Model) updateMu(mu, num []float64, nClaims int) float64 {
+	gamma := m.Opt.Gamma
+	den := float64(nClaims) + float64(len(mu))*(gamma-1)
+	if den <= 0 {
+		return 0
+	}
+	maxDelta := 0.0
+	for i := range mu {
+		nv := num[i] + gamma - 1
+		v := nv / den
+		if d := math.Abs(v - mu[i]); d > maxDelta {
+			maxDelta = d
+		}
+		mu[i] = v
+	}
+	return maxDelta
+}
+
+// updatePhi applies Eq. (10) to every source, reducing the per-claim class
+// posteriors through the CSR transpose in index order.
+//
+//tdh:hotpath
+func (m *Model) updatePhi(scr *emScratch) {
 	alphaSum := m.Opt.Alpha[0] + m.Opt.Alpha[1] + m.Opt.Alpha[2] - 3
-	for sid := lo; sid < hi; sid++ {
+	for sid := range m.Phi {
 		refs := m.Idx.SourceClaimRefs[sid]
 		var num [3]float64
 		for _, gi := range refs {
@@ -536,12 +593,12 @@ func (m *Model) updatePhi(scr *emScratch, lo, hi int) {
 	}
 }
 
-// updatePsi applies Eq. (11) to workers [lo, hi).
+// updatePsi applies Eq. (11) to every worker.
 //
 //tdh:hotpath
-func (m *Model) updatePsi(scr *emScratch, lo, hi int) {
+func (m *Model) updatePsi(scr *emScratch) {
 	betaSum := m.Opt.Beta[0] + m.Opt.Beta[1] + m.Opt.Beta[2] - 3
-	for wid := lo; wid < hi; wid++ {
+	for wid := range m.Psi {
 		refs := m.Idx.WorkerClaimRefs[wid]
 		var num [3]float64
 		for _, gi := range refs {

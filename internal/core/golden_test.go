@@ -100,7 +100,8 @@ func wideDataset() *data.Dataset {
 // TestRunGolden pins core.Run to the bit on every fixture: the hash of each
 // fit was recorded before the E-step's claim kernel was rewritten, so any
 // change to the order or the form of a floating-point operation in the fit
-// fails here. Every fixture runs with Workers 1 and 4, which must agree.
+// fails here. Every fixture runs on 1 and 4 goroutines, whatever its size,
+// which must agree.
 func TestRunGolden(t *testing.T) {
 	if ov := data.NewIndex(wideDataset()).View("wide"); ov.CI.NumValues() != 260 || !ov.CI.Hier || ov.RelRow(0) != nil {
 		t.Fatalf("wide fixture: %d candidates, hierarchical %v, dense tables %v; want 260, true, false",
@@ -136,12 +137,10 @@ func TestRunGolden(t *testing.T) {
 		{"wide/flat", wideDataset, flat, 0x86aea1c6e745e61d},
 		{"wide/uniform", wideDataset, uniform, 0xf7d4167cd8ee153a},
 	} {
-		for _, workers := range []int{1, 4} {
-			opt := c.opt
-			opt.Workers = workers
-			m := Run(data.NewIndex(c.ds()), opt)
+		for _, goroutines := range []int{1, 4} {
+			m := run(data.NewIndex(c.ds()), c.opt, goroutines)
 			if got := fitHash(m); got != c.want {
-				t.Errorf("%s, Workers=%d: fit hash %#x, want %#x (%d evaluations)", c.name, workers, got, c.want, m.Iterations)
+				t.Errorf("%s, %d goroutines: fit hash %#x, want %#x (%d evaluations)", c.name, goroutines, got, c.want, m.Iterations)
 			}
 		}
 	}

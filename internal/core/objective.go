@@ -16,7 +16,7 @@ import "math"
 // clone) and not concurrently with a fit.
 func (m *Model) LogPosterior() float64 {
 	scr := m.scratch()
-	scr.prepare(m, 1)
+	scr.prepare(m)
 	b := &scr.bufs[0]
 	f := 0.0
 	// Likelihood: Σ_o Σ_s log Σ_v P(v_o^s | φ_s, v*=v)·μ_v  (+ workers).
@@ -63,5 +63,5 @@ func dirichletLogKernel(x, alpha []float64) float64 {
 // is plain EM, the iteration Run accelerates; it does not count towards
 // Iterations.
 func (m *Model) StepOnce() float64 {
-	return m.step(m.Opt.effectiveWorkers())
+	return m.step()
 }

@@ -48,10 +48,6 @@ type Options struct {
 	// FlatModel, when true, ignores the hierarchy entirely and degrades TDH
 	// to a flat correct/wrong model (ablation hook; zero value = paper model).
 	FlatModel bool
-	// Workers sets the number of goroutines for the E-step: 0 or 1 runs
-	// sequentially, -1 uses GOMAXPROCS, n>1 uses n. Results are identical
-	// regardless of the setting.
-	Workers int
 	// UniformWorkerErrors, when true, replaces the source-popularity
 	// distributions Pop2/Pop3 of the worker model (Eq. 3) with uniform
 	// choices (ablation for the source→worker dependency; zero value =

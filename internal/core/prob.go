@@ -91,11 +91,12 @@ func newPartTab(theta [3]float64) partTab {
 }
 
 // claimBuf is one goroutine's working rows, grown to the widest object it
-// has met: a claim's row, and the relationship and popularity rows of a claim
-// on an object above the index's dense-table cap.
+// has met: a claim's row, the E-step's μ numerators of one object, and the
+// relationship and popularity rows of a claim on an object above the
+// index's dense-table cap.
 type claimBuf struct {
-	row, p2, p3 []float64
-	rel         []uint8
+	row, num, p2, p3 []float64
+	rel              []uint8
 }
 
 // rowFor returns the claim row for an object with n candidates.
@@ -106,6 +107,18 @@ func (b *claimBuf) rowFor(n int) []float64 {
 		b.row = make([]float64, n) //tdh:allocok grows to the widest object once, then steady
 	}
 	return b.row[:n]
+}
+
+// numFor returns the zeroed μ-numerator row for an object with n candidates.
+//
+//tdh:hotpath
+func (b *claimBuf) numFor(n int) []float64 {
+	if cap(b.num) < n {
+		b.num = make([]float64, n) //tdh:allocok grows to the widest object once, then steady
+	}
+	num := b.num[:n]
+	clear(num)
+	return num
 }
 
 // wideRows materialises into b what the index keeps no table for on an

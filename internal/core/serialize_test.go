@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math"
+	"os"
 	"strings"
 	"testing"
 
@@ -71,5 +72,36 @@ func TestLoadRejectsMismatchedIndex(t *testing.T) {
 	}
 	if _, err := Load(strings.NewReader("{}"), idx); err == nil {
 		t.Fatal("empty snapshot must be rejected")
+	}
+}
+
+// TestLoadSnapshotWithWorkers: snapshots written while Options had a
+// Workers field carry a "Workers" key (testdata/snapshot-workers.json is
+// one, from a fit of the Table 1 dataset with Workers -1). Load still
+// accepts them and yields the model a fit gives today, and a new Save
+// writes no such key.
+func TestLoadSnapshotWithWorkers(t *testing.T) {
+	raw, err := os.ReadFile("testdata/snapshot-workers.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(raw, []byte(`"Workers": -1`)) {
+		t.Fatal("fixture lost its Workers key")
+	}
+	idx := data.NewIndex(table1Dataset(t))
+	got, err := Load(bytes.NewReader(raw), idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Run(idx, DefaultOptions())
+	if got.Opt != want.Opt || fitHash(got) != fitHash(want) {
+		t.Fatalf("loaded model differs from a fit: options %+v vs %+v, hash %#x vs %#x", got.Opt, want.Opt, fitHash(got), fitHash(want))
+	}
+	var buf bytes.Buffer
+	if err := got.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(buf.String(), "Workers") {
+		t.Fatalf("Save writes a Workers key:\n%s", buf.String())
 	}
 }

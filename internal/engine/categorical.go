@@ -21,15 +21,9 @@ type categorical struct {
 	inf infer.Inferencer
 }
 
-// NewCategorical wraps a single-truth inferencer as an Engine. A non-zero
-// cfg.Workers (-1 included: all cores) configures TDH's parallel E-step —
-// the wiring that used to live as an infer.TDH type-assertion special case
-// in the campaign layer; 0 keeps the inferencer's own setting.
-func NewCategorical(inf infer.Inferencer, cfg Config) Engine {
-	if tdh, ok := inf.(infer.TDH); ok && cfg.Workers != 0 {
-		tdh.Opt.Workers = cfg.Workers
-		inf = tdh
-	}
+// NewCategorical wraps a single-truth inferencer as an Engine. A TDH fit
+// picks its own goroutine count from the index's size (core.Run).
+func NewCategorical(inf infer.Inferencer) Engine {
 	return &categorical{inf: inf}
 }
 

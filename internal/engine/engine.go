@@ -65,9 +65,6 @@ func ParseTruthModel(s string) (TruthModel, error) {
 
 // Config carries the model-independent knobs an engine constructor may use.
 type Config struct {
-	// Workers sets the parallel E-step fan-out for engines that support it
-	// (TDH): n > 1 goroutines, -1 one per core, 0 or 1 single-threaded.
-	Workers int
 	// Seed drives any stochastic fitting the engine performs.
 	Seed int64
 }

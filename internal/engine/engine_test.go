@@ -143,7 +143,7 @@ func TestCategoricalFitEquivalence(t *testing.T) {
 	for i, inf := range CategoricalInferencers() {
 		idx := data.NewIndex(ds.Clone())
 		direct := CategoricalInferencers()[i].Infer(idx)
-		st := NewCategorical(inf, Config{}).Fit(data.NewIndex(ds.Clone()))
+		st := NewCategorical(inf).Fit(data.NewIndex(ds.Clone()))
 		res := st.Res()
 		if !reflect.DeepEqual(res.Truths, direct.Truths) {
 			t.Fatalf("%s: engine truths diverge from direct path", inf.Name())
@@ -165,39 +165,6 @@ func TestCategoricalFitEquivalence(t *testing.T) {
 	}
 }
 
-// TestCategoricalWorkersReachTheFit: the Workers a TDH engine is built with
-// is the core.Options.Workers it fits with — -1 ("all cores") included —
-// and 0 leaves the inferencer's own setting.
-func TestCategoricalWorkersReachTheFit(t *testing.T) {
-	for _, c := range []struct{ cfg, want int }{{0, 0}, {1, 1}, {4, 4}, {-1, -1}} {
-		e := NewCategorical(infer.NewTDH(), Config{Workers: c.cfg}).(*categorical)
-		if got := e.inf.(infer.TDH).Opt.Workers; got != c.want {
-			t.Errorf("Config{Workers: %d}: TDH fits with Workers %d, want %d", c.cfg, got, c.want)
-		}
-	}
-}
-
-// TestCategoricalWorkersEquivalence pins the moved TDH special-case: the
-// Workers knob (now wired in NewCategorical, previously a type-assertion in
-// the campaign layer) parallelizes the E-step without changing the result.
-func TestCategoricalWorkersEquivalence(t *testing.T) {
-	ds := geoDataset(t, 8)
-	seq := NewCategorical(infer.NewTDH(), Config{Workers: 1}).Fit(data.NewIndex(ds.Clone()))
-	par := NewCategorical(infer.NewTDH(), Config{Workers: 4}).Fit(data.NewIndex(ds.Clone()))
-	if !reflect.DeepEqual(seq.Res().Truths, par.Res().Truths) {
-		t.Fatal("parallel E-step changed the truths")
-	}
-	idx := seq.Res().Rows.Index()
-	for oid, o := range idx.Objects {
-		got, want := par.Res().ConfidenceAt(idx, oid), seq.Res().ConfidenceAt(idx, oid)
-		for j := range want {
-			if math.Abs(got[j]-want[j]) > 1e-9 {
-				t.Fatalf("parallel confidence[%q][%d] = %g vs %g", o, j, got[j], want[j])
-			}
-		}
-	}
-}
-
 // TestCategoricalIncrementalContract: TDH folds answers incrementally;
 // model-less inferencers report ok=false and keep the stale state, exactly
 // the pre-engine pipeline semantics.
@@ -209,7 +176,7 @@ func TestCategoricalIncrementalContract(t *testing.T) {
 		{Object: "oa", Worker: "w2", Value: "NY"},
 	}
 
-	tdh := NewCategorical(infer.NewTDH(), Config{})
+	tdh := NewCategorical(infer.NewTDH())
 	st := tdh.Fit(idx)
 	oa, ny := idx.View("oa").ID, candPos(idx.View("oa").CI, "NY")
 	before := st.Res().ConfidenceAt(idx, oa)[ny]
@@ -225,7 +192,7 @@ func TestCategoricalIncrementalContract(t *testing.T) {
 		t.Fatal("ApplyAnswers must return a fresh state, not mutate the published one")
 	}
 
-	vote := NewCategorical(infer.Vote{}, Config{})
+	vote := NewCategorical(infer.Vote{})
 	vst := vote.Fit(idx)
 	if got, ok := vote.ApplyAnswers(vst, idx, answers); ok || got != vst {
 		t.Fatal("model-less inferencer must keep the stale state with ok=false")
@@ -238,7 +205,7 @@ func TestCategoricalIncrementalContract(t *testing.T) {
 func TestCategoricalValidateAnswer(t *testing.T) {
 	ds := geoDataset(t, 1)
 	ov := data.NewIndex(ds).View("oa")
-	eng := NewCategorical(infer.NewTDH(), Config{})
+	eng := NewCategorical(infer.NewTDH())
 	if err := eng.ValidateAnswer(ov, &data.Answer{Object: "oa", Worker: "w", Value: "NY"}); err != nil {
 		t.Fatalf("candidate answer rejected: %v", err)
 	}

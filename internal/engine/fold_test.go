@@ -116,7 +116,7 @@ func TestViewEqualsCopy(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			ds = ds.Clone()
 			idx := data.NewIndex(ds)
-			eng := NewCategorical(infer.NewTDH(), Config{})
+			eng := NewCategorical(infer.NewTDH())
 			st := eng.Fit(idx)
 			fitted := st.Res()
 			rng := rand.New(rand.NewSource(11))

@@ -108,7 +108,7 @@ func New(model TruthModel, name string, cfg Config) (Engine, error) {
 	default:
 		for _, a := range CategoricalInferencers() {
 			if a.Name() == name {
-				return NewCategorical(a, cfg), nil
+				return NewCategorical(a), nil
 			}
 		}
 	}

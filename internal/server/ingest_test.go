@@ -25,7 +25,7 @@ func newFoldServer(t *testing.T, ds *data.Dataset) (*Server, *httptest.Server) {
 	t.Helper()
 	s, err := New(Config{
 		Dataset:     ds.Clone(),
-		Engine:      engine.NewCategorical(infer.NewTDH(), engine.Config{}),
+		Engine:      engine.NewCategorical(infer.NewTDH()),
 		Assigner:    assign.EAI{},
 		K:           3,
 		Seed:        42,
@@ -128,7 +128,7 @@ func TestIngestStorm(t *testing.T) {
 	ds := synth.Heritages(synth.HeritagesConfig{Seed: 9, Scale: 0.1})
 	s, err := New(Config{
 		Dataset:     ds.Clone(),
-		Engine:      engine.NewCategorical(infer.NewTDH(), engine.Config{}),
+		Engine:      engine.NewCategorical(infer.NewTDH()),
 		Assigner:    assign.EAI{},
 		K:           2,
 		Seed:        1,
@@ -226,7 +226,7 @@ func TestRefitOnlyWatermark(t *testing.T) {
 		{Object: "o2", Source: "s1", Value: "c"},
 	}}
 	s, err := New(Config{
-		Dataset: ds, Engine: engine.NewCategorical(infer.Vote{}, engine.Config{}), Assigner: assign.ME{},
+		Dataset: ds, Engine: engine.NewCategorical(infer.Vote{}), Assigner: assign.ME{},
 		OpenAnswers: true, Policy: RefitPolicy{MaxAnswers: -1, MaxStaleness: -1},
 	})
 	if err != nil {

@@ -29,7 +29,7 @@ func TestDurableCampaignRecovery(t *testing.T) {
 	}
 	s1, err := New(Config{
 		Dataset:  ds,
-		Engine:   engine.NewCategorical(infer.NewTDH(), engine.Config{}),
+		Engine:   engine.NewCategorical(infer.NewTDH()),
 		Assigner: assign.EAI{},
 		K:        2,
 		Log:      log1,
@@ -71,7 +71,7 @@ func TestDurableCampaignRecovery(t *testing.T) {
 	defer log2.Close()
 	s2, err := New(Config{
 		Dataset:  ds2,
-		Engine:   engine.NewCategorical(infer.NewTDH(), engine.Config{}),
+		Engine:   engine.NewCategorical(infer.NewTDH()),
 		Assigner: assign.EAI{},
 		K:        2,
 		Log:      log2,
@@ -96,7 +96,7 @@ func TestDurableCampaignRecovery(t *testing.T) {
 	// The answered objects' confidence should reflect the extra answers:
 	// D grows by one for each recovered answer relative to a fresh server.
 	dsFresh := synth.Heritages(synth.HeritagesConfig{Seed: 41, Scale: 0.05})
-	sFresh, err := New(Config{Dataset: dsFresh, Engine: engine.NewCategorical(infer.NewTDH(), engine.Config{}), Assigner: assign.EAI{}, K: 2})
+	sFresh, err := New(Config{Dataset: dsFresh, Engine: engine.NewCategorical(infer.NewTDH()), Assigner: assign.EAI{}, K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -230,7 +230,7 @@ func TestEMGaugesReadTheModel(t *testing.T) {
 			var logs bytes.Buffer
 			s, err := New(Config{
 				Dataset:  synth.Heritages(synth.HeritagesConfig{Seed: 3, Scale: 0.06}),
-				Engine:   engine.NewCategorical(c.inf, engine.Config{}),
+				Engine:   engine.NewCategorical(c.inf),
 				Assigner: assign.EAI{},
 				Logger:   slog.New(slog.NewTextHandler(&logs, nil)),
 			})

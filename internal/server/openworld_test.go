@@ -41,7 +41,7 @@ func newOpenWorldServer(t *testing.T, log EventSink) (*Server, string) {
 	t.Helper()
 	s, err := New(Config{
 		Dataset:     openWorldDataset(),
-		Engine:      engine.NewCategorical(infer.NewTDH(), engine.Config{}),
+		Engine:      engine.NewCategorical(infer.NewTDH()),
 		Assigner:    assign.EAI{},
 		K:           3,
 		Seed:        11,

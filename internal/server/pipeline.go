@@ -30,11 +30,11 @@ import (
 // log |O|)), the persistent arrays and rankings of assign.Plan — instead of
 // rebuilt from scratch (O(Σ|Vo| + |O| log |O|)); every publish prewarms the
 // plan in the pipeline goroutine so no /task request ever pays a plan build
-// in-line. Full refits — the MAP-EM
-// from scratch (core.Run: always a cold, deterministic function of the
-// dataset, so a replayed log refits to the state the live process
-// published), with the parallel E-step when Options.Workers is set — are
-// debounced behind a RefitPolicy and also run entirely off the request path.
+// in-line. Full refits — the MAP-EM from scratch (core.Run: always a cold,
+// deterministic function of the dataset, so a replayed log refits to the
+// state the live process published), fanned out over the cores once the
+// index is large enough to pay for it — are debounced behind a RefitPolicy
+// and also run entirely off the request path.
 // A refit is the one stage whose cost grows with the whole campaign, and the
 // coordinator is a single goroutine, so whatever is queued when one starts
 // waits for all of it: the policy therefore never starts a count-triggered

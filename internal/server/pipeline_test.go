@@ -42,7 +42,7 @@ func TestSnapshotConsistencyDuringRefit(t *testing.T) {
 	calls := &atomic.Int32{}
 	s, err := New(Config{
 		Dataset:     ds,
-		Engine:      engine.NewCategorical(slowInferencer{inner: infer.NewTDH(), delay: 300 * time.Millisecond, calls: calls}, engine.Config{}),
+		Engine:      engine.NewCategorical(slowInferencer{inner: infer.NewTDH(), delay: 300 * time.Millisecond, calls: calls}),
 		Assigner:    assign.EAI{},
 		K:           2,
 		OpenAnswers: true,
@@ -113,7 +113,7 @@ func TestIncrementalUpdatesBetweenRefits(t *testing.T) {
 	ds := synth.Heritages(synth.HeritagesConfig{Seed: 7, Scale: 0.06})
 	s, err := New(Config{
 		Dataset:     ds,
-		Engine:      engine.NewCategorical(infer.NewTDH(), engine.Config{}),
+		Engine:      engine.NewCategorical(infer.NewTDH()),
 		Assigner:    assign.EAI{},
 		OpenAnswers: true,
 		Policy:      RefitPolicy{MaxAnswers: -1, MaxStaleness: -1},
@@ -159,7 +159,7 @@ func TestCloseFlushesQueue(t *testing.T) {
 	ds := synth.Heritages(synth.HeritagesConfig{Seed: 11, Scale: 0.06})
 	s, err := New(Config{
 		Dataset:     ds,
-		Engine:      engine.NewCategorical(infer.NewTDH(), engine.Config{}),
+		Engine:      engine.NewCategorical(infer.NewTDH()),
 		Assigner:    assign.EAI{},
 		OpenAnswers: true,
 		Policy:      RefitPolicy{MaxAnswers: -1, MaxStaleness: -1},
@@ -232,7 +232,7 @@ func TestConcurrentClients(t *testing.T) {
 	ds := synth.Heritages(synth.HeritagesConfig{Seed: 13, Scale: 0.08})
 	s, err := New(Config{
 		Dataset:  ds,
-		Engine:   engine.NewCategorical(infer.NewTDH(), engine.Config{}),
+		Engine:   engine.NewCategorical(infer.NewTDH()),
 		Assigner: assign.EAI{},
 		K:        2,
 		Seed:     13,
@@ -341,7 +341,7 @@ func TestCountRefitWaitsForBacklog(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			ds := synth.Heritages(synth.HeritagesConfig{Seed: 5, Scale: 0.06})
 			rec := &recordingEngine{slowEngine: slowEngine{
-				Engine: engine.NewCategorical(infer.NewTDH(), engine.Config{}), delay: c.foldDelay}}
+				Engine: engine.NewCategorical(infer.NewTDH()), delay: c.foldDelay}}
 			p, err := newPipeline(Config{
 				Dataset: ds, Engine: rec, Assigner: assign.EAI{}, OpenAnswers: true,
 				Policy: RefitPolicy{MaxAnswers: batch, BatchSize: batch, MaxStaleness: c.staleness},

@@ -22,7 +22,7 @@ func newTestServer(t *testing.T) (*Server, *httptest.Server, *data.Dataset) {
 	ds := synth.Heritages(synth.HeritagesConfig{Seed: 3, Scale: 0.06})
 	s, err := New(Config{
 		Dataset:  ds,
-		Engine:   engine.NewCategorical(infer.NewTDH(), engine.Config{}),
+		Engine:   engine.NewCategorical(infer.NewTDH()),
 		Assigner: assign.EAI{},
 		K:        3,
 		Seed:     3,
@@ -81,7 +81,7 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{Dataset: ds}); err == nil {
 		t.Fatal("nil engine must fail")
 	}
-	if _, err := New(Config{Dataset: ds, Engine: engine.NewCategorical(infer.Vote{}, engine.Config{})}); err == nil {
+	if _, err := New(Config{Dataset: ds, Engine: engine.NewCategorical(infer.Vote{})}); err == nil {
 		t.Fatal("nil assigner must fail")
 	}
 }

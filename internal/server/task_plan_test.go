@@ -53,7 +53,7 @@ func TestConfidencePartialResult(t *testing.T) {
 	ds := synth.Heritages(synth.HeritagesConfig{Seed: 5, Scale: 0.05})
 	s, err := New(Config{
 		Dataset:  ds,
-		Engine:   engine.NewCategorical(partialInferencer{inner: infer.NewTDH()}, engine.Config{}),
+		Engine:   engine.NewCategorical(partialInferencer{inner: infer.NewTDH()}),
 		Assigner: assign.ME{}, // plan-only assigner; tolerates partial rows
 		K:        2,
 	})
@@ -131,7 +131,7 @@ func TestQASCASamplingVariesAcrossWorkers(t *testing.T) {
 	ds := synth.Heritages(synth.HeritagesConfig{Seed: 11, Scale: 0.08})
 	s, err := New(Config{
 		Dataset:  ds,
-		Engine:   engine.NewCategorical(infer.NewTDH(), engine.Config{}),
+		Engine:   engine.NewCategorical(infer.NewTDH()),
 		Assigner: assign.QASCA{},
 		K:        4,
 		Seed:     11,
@@ -175,7 +175,7 @@ func TestTaskStormSharedPlan(t *testing.T) {
 	ds := synth.Heritages(synth.HeritagesConfig{Seed: 17, Scale: 0.08})
 	s, err := New(Config{
 		Dataset:  ds,
-		Engine:   engine.NewCategorical(infer.NewTDH(), engine.Config{}),
+		Engine:   engine.NewCategorical(infer.NewTDH()),
 		Assigner: assign.EAI{},
 		K:        3,
 		Seed:     17,
