@@ -2,9 +2,11 @@ package campaign
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -18,10 +20,16 @@ import (
 // POST /v1/campaigns, workers pulling and answering per campaign in
 // parallel (run under -race) — then the process dies kill-9 style (no
 // graceful Close) and a restart must recover both campaigns with zero
-// acknowledged answers lost.
+// acknowledged answers lost. While the workers load the API, nothing the
+// manager, its campaign servers or their event logs say may be at ERROR
+// level.
 func TestMultiCampaignEndToEnd(t *testing.T) {
 	dir := t.TempDir()
-	m := mustOpen(t, dir)
+	logs := &levelRecorder{}
+	m, err := Open(dir, Options{Logger: slog.New(logs)})
+	if err != nil {
+		t.Fatal(err)
+	}
 	api := httptest.NewServer(m.Handler())
 	defer api.Close()
 	client := api.Client()
@@ -108,6 +116,12 @@ func TestMultiCampaignEndToEnd(t *testing.T) {
 			t.Fatalf("campaign %s: no answers acknowledged", id)
 		}
 	}
+	if errs := logs.errors(); len(errs) > 0 {
+		t.Fatalf("logged at ERROR level under load: %v", errs)
+	}
+	if logs.count() == 0 {
+		t.Fatal("no log record reached the recorder: the manager's Logger is not wired")
+	}
 
 	// Kill -9: the manager is abandoned mid-flight with no Close — queued
 	// inference state and open file handles die with the "process".
@@ -139,4 +153,41 @@ func TestMultiCampaignEndToEnd(t *testing.T) {
 			break
 		}
 	}
+}
+
+// levelRecorder is a slog.Handler that counts the records it receives and
+// keeps the messages of those at ERROR level or above.
+type levelRecorder struct {
+	mu   sync.Mutex
+	n    int
+	errs []string
+}
+
+func (r *levelRecorder) Enabled(context.Context, slog.Level) bool { return true }
+
+func (r *levelRecorder) Handle(_ context.Context, rec slog.Record) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.n++
+	if rec.Level >= slog.LevelError {
+		r.errs = append(r.errs, rec.Message)
+	}
+	return nil
+}
+
+// WithAttrs and WithGroup share the one recorder: the campaign attribute
+// each campaign's logger carries does not matter here.
+func (r *levelRecorder) WithAttrs([]slog.Attr) slog.Handler { return r }
+func (r *levelRecorder) WithGroup(string) slog.Handler      { return r }
+
+func (r *levelRecorder) count() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.n
+}
+
+func (r *levelRecorder) errors() []string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]string(nil), r.errs...)
 }

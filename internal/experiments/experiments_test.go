@@ -200,6 +200,55 @@ func TestFig7Shape(t *testing.T) {
 	}
 }
 
+// TestTable4Shape runs Table 4 at test scale: one row per combination, in
+// Table4Combos order, with one accuracy cell per dataset.
+func TestTable4Shape(t *testing.T) {
+	rep := Table4(tinyCfg())
+	combos := Table4Combos()
+	if len(rep.Rows) != len(combos) {
+		t.Fatalf("rows = %d, want one per Table4Combos entry (%d)", len(rep.Rows), len(combos))
+	}
+	for i, row := range rep.Rows {
+		if want := combos[i].Inference + "+" + combos[i].Assignment; row.Label != want {
+			t.Fatalf("row %d = %q, want %q", i, row.Label, want)
+		}
+		if len(row.Cells) != len(rep.Cols) {
+			t.Fatalf("%s: %d cells for %d datasets", row.Label, len(row.Cells), len(rep.Cols))
+		}
+	}
+}
+
+// TestFig8to10Shape runs Figures 8–10 at test scale: per dataset one
+// Accuracy, GenAccuracy and AvgDistance report, each a curve per headline
+// combination.
+func TestFig8to10Shape(t *testing.T) {
+	reps := Fig8to10(tinyCfg())
+	ids, combos := []string{"fig8", "fig9", "fig10"}, HeadlineCombos()
+	if len(reps) != 2*len(ids) {
+		t.Fatalf("reports = %d, want fig8/9/10 for each of the 2 datasets", len(reps))
+	}
+	for i, rep := range reps {
+		if rep.ID != ids[i%len(ids)] {
+			t.Fatalf("report %d = %s, want %s", i, rep.ID, ids[i%len(ids)])
+		}
+		if len(rep.Rows) != len(combos) {
+			t.Fatalf("%s: rows = %d, want the %d headline combos", rep.Title, len(rep.Rows), len(combos))
+		}
+		labels := map[string]bool{}
+		for _, row := range rep.Rows {
+			labels[row.Label] = true
+			if len(row.Cells) != len(rep.Cols) {
+				t.Fatalf("%s %s: %d cells for %d rounds", rep.Title, row.Label, len(row.Cells), len(rep.Cols))
+			}
+		}
+		for _, c := range combos {
+			if !labels[c.Inference+"+"+c.Assignment] {
+				t.Fatalf("%s: no curve for %s+%s", rep.Title, c.Inference, c.Assignment)
+			}
+		}
+	}
+}
+
 func TestFig13Shape(t *testing.T) {
 	cfg := tinyCfg()
 	reps := Fig13(cfg)

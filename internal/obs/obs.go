@@ -310,38 +310,6 @@ func (h *Histogram) Count() uint64 {
 	return total
 }
 
-// Quantile estimates the q-quantile (0 < q < 1) from the bucket counts by
-// linear interpolation within the bucket, the same estimate Prometheus's
-// histogram_quantile computes. Returns 0 with no observations; values in
-// the +Inf bucket clamp to the highest finite bound.
-func (h *Histogram) Quantile(q float64) float64 {
-	counts, total, _ := h.snapshot()
-	if total == 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	var seen float64
-	for i, c := range counts {
-		seen += float64(c)
-		if seen < rank {
-			continue
-		}
-		if i >= len(h.bounds) { // +Inf bucket: no finite upper bound
-			return h.bounds[len(h.bounds)-1]
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = h.bounds[i-1]
-		}
-		if c == 0 {
-			return h.bounds[i]
-		}
-		frac := (rank - (seen - float64(c))) / float64(c)
-		return lo + (h.bounds[i]-lo)*frac
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
 // ExpBuckets returns n exponentially growing upper bounds starting at start
 // and multiplying by factor: the log-scale layout latency and size
 // histograms use.

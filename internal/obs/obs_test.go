@@ -68,27 +68,6 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantile(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("h", "", ExpBuckets(0.001, 2, 12))
-	if h.Quantile(0.99) != 0 {
-		t.Fatal("empty histogram quantile must be 0")
-	}
-	for i := 0; i < 1000; i++ {
-		h.Observe(0.010) // all in the (0.008, 0.016] bucket
-	}
-	p50 := h.Quantile(0.50)
-	if p50 <= 0.008 || p50 > 0.016 {
-		t.Fatalf("p50 = %v, want within the observed bucket (0.008, 0.016]", p50)
-	}
-	// Values beyond the top bound clamp to the highest finite bucket bound.
-	h2 := r.Histogram("h2", "", []float64{1, 2})
-	h2.Observe(50)
-	if got := h2.Quantile(0.9); got != 2 {
-		t.Fatalf("overflow quantile = %v, want clamp to 2", got)
-	}
-}
-
 func TestExpBuckets(t *testing.T) {
 	b := ExpBuckets(1, 2, 4)
 	want := []float64{1, 2, 4, 8}

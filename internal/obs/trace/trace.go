@@ -17,10 +17,10 @@
 //     diagnostics — but a reader never sees a torn trace, because each slot
 //     is a single atomic pointer swap of an immutable value.
 //   - The HTTP boundary speaks W3C trace context (the `traceparent` header,
-//     version 00), so external callers and cmd/loadgen can correlate their
-//     request with the server's span tree. Malformed or foreign headers are
-//     ignored and a fresh root trace is started — propagation is best-effort
-//     by design, never a 4xx.
+//     version 00), so an external caller can correlate its request with the
+//     server's span tree. Malformed or foreign headers are ignored and a
+//     fresh root trace is started — propagation is best-effort by design,
+//     never a 4xx.
 //
 // Ownership protocol: an *Active is owned by exactly one goroutine at a
 // time. The HTTP handler creates it, records the accept span, and hands it
