@@ -45,9 +45,9 @@ func main() {
 	res := inferencer.Infer(idx)
 
 	for oid, o := range idx.Objects { // sorted by NewIndex
-		fmt.Printf("%s\t%s\n", o, res.TruthAt(idx, oid))
+		fmt.Printf("%s\t%s\n", o, res.TruthAt(oid))
 		if *showConf {
-			conf := res.ConfidenceAt(idx, oid)
+			conf := res.ConfidenceAt(oid)
 			for i, v := range idx.ViewAt(oid).CI.Values {
 				fmt.Printf("  %-30s %.4f\n", v, conf[i])
 			}

@@ -178,7 +178,7 @@ func TestMEAssignsHighestEntropy(t *testing.T) {
 	// The globally most-entropic object must be assigned to someone.
 	best, bestH := "", -1.0
 	for oid, o := range f.idx.Objects {
-		h := entropy(f.res.ConfidenceAt(f.idx, oid))
+		h := entropy(f.res.ConfidenceAt(oid))
 		if h > bestH {
 			best, bestH = o, h
 		}

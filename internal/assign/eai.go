@@ -168,7 +168,7 @@ scan:
 				if cached[wi] {
 					score = defScores.At(int(cur))
 				} else {
-					score = eaiAt(m, p.id(int(cur)), psis[wi], nObj)
+					score = eaiAt(m, int(cur), psis[wi], nObj)
 				}
 				stats.Evaluated++
 				if len(heaps[wi]) < ctx.K {
@@ -200,14 +200,10 @@ scan:
 }
 
 // eaiAt computes EAI(w, o) per Eqs. (14)–(15) with the incremental EM,
-// entirely on ID-indexed model state. oid is the MODEL's dense object ID
-// (-1 when the object is unknown to the fitted model).
+// entirely on ID-indexed model state.
 //
 //tdh:hotpath
 func eaiAt(m *core.Model, oid int, psi [3]float64, nObj float64) float64 {
-	if oid < 0 {
-		return 0
-	}
 	score := (m.ExpectedCondMaxAt(oid, psi) - maxOf(m.MuAt(oid))) / nObj
 	// Clamp the numerical noise floor: when no single answer can move the
 	// argmax, the exact expectation is zero but floating-point evaluation

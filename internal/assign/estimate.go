@@ -59,7 +59,7 @@ func (q QASCA) EstimateImprovement(ctx *Context, assignment map[string][]string)
 			if !ok {
 				continue
 			}
-			mu := ctx.Res.ConfidenceAt(ctx.Idx, oid)
+			mu := ctx.Res.ConfidenceAt(oid)
 			if len(mu) == 0 {
 				continue
 			}

@@ -36,25 +36,22 @@ type Plan struct {
 	// inferencers (EAI requires it; QASCA/ME/MB run without).
 	M *core.Model
 
-	// d is Res.Rows: the plan reads confidence rows (Row) from it and holds
-	// none of its own, so it never pins memory of any result but the one it
-	// serves. ids maps dense IDs of Idx to d's (-1 where d does not know the
-	// object: a fitted model lagging a freshly extended index), nil when d is
-	// shaped by Idx; for TDH d is M, so ids addresses the model too.
-	d   infer.Dense
-	ids []int32
+	// d is Res.Rows, shaped by Idx: the plan reads confidence rows (Row)
+	// from it and holds none of its own, so it never pins memory of any
+	// result but the one it serves.
+	d infer.Dense
 	// maxMu and ent are the per-object max confidence and Shannon entropy.
 	maxMu, ent cow.Vec[float64]
 
-	// entRank ranks every object by decreasing entropy (ID-ascending on
-	// ties, which is name-ascending since Idx.Objects is sorted) — ME's
-	// ranking, shared by every worker.
+	// entRank ranks every object by decreasing entropy, dense ID ascending
+	// on ties (the name order for a built index; Index.Extend appends new
+	// objects after it) — ME's ranking, shared by every worker.
 	entRank cow.Ranking
 
 	// EAI precompute, zero when M is nil: ueai is the Lemma 4.1 bound
-	// (1-maxμ)/(|O|·(D_o+1)) per object; ueaiRank ranks the model-known
-	// objects by decreasing bound — the order Algorithm 1 pops them, each
-	// entry carrying its bound inline.
+	// (1-maxμ)/(|O|·(D_o+1)) per object; ueaiRank ranks every object by
+	// decreasing bound — the order Algorithm 1 pops them, each entry
+	// carrying its bound inline.
 	ueai     cow.Vec[float64]
 	ueaiRank cow.Ranking
 
@@ -73,21 +70,7 @@ type Plan struct {
 
 // Row is the confidence row of object oid (nil when the result has none),
 // read-only. MaxMu and Ent are its max and its entropy.
-func (p *Plan) Row(oid int) []float64 {
-	if id := p.id(oid); id >= 0 {
-		return p.d.Row(id)
-	}
-	return nil
-}
-
-// id is object oid's ID in d (and, under TDH, in M); -1 when d does not
-// know it.
-func (p *Plan) id(oid int) int {
-	if p.ids == nil {
-		return oid
-	}
-	return int(p.ids[oid])
-}
+func (p *Plan) Row(oid int) []float64 { return p.d.Row(oid) }
 
 func (p *Plan) MaxMu(oid int) float64 { return p.maxMu.At(oid) }
 func (p *Plan) Ent(oid int) float64   { return p.ent.At(oid) }
@@ -119,7 +102,7 @@ func (p *Plan) defaultScores() *cow.Vec[float64] {
 func (p *Plan) scoreAll() []float64 {
 	scores := make([]float64, p.Idx.NumObjects())
 	for oid := range scores {
-		scores[oid] = eaiAt(p.M, p.id(oid), p.defaultPsi, float64(len(scores)))
+		scores[oid] = eaiAt(p.M, oid, p.defaultPsi, float64(len(scores)))
 	}
 	return scores
 }
@@ -129,19 +112,38 @@ func (p *Plan) scoreAll() []float64 {
 // the pipeline goroutine right before publishing a snapshot.
 func (p *Plan) Prewarm() { p.defaultScores() }
 
-// ueaiBound is the Lemma 4.1 bound of model object moid among nObj objects.
-func ueaiBound(m *core.Model, moid int, nObj float64) float64 {
-	return (1 - m.MaxConfidenceAt(moid)) / (nObj * (m.DAt(moid) + 1))
+// ueaiBound is the Lemma 4.1 bound of object oid among nObj objects.
+func ueaiBound(m *core.Model, oid int, nObj float64) float64 {
+	return (1 - m.MaxConfidenceAt(oid)) / (nObj * (m.DAt(oid) + 1))
+}
+
+// foreignResult is the panic of NewPlan and Advance on a result whose rows
+// are shaped by another index than the plan's: every object ID the plan
+// hands out would address the wrong row.
+const foreignResult = "assign: result rows are shaped by another index than the plan's"
+
+// newPlan is the part of a plan every constructor shares: the snapshot it
+// serves, the model behind it, and the ψ the cold-worker cache is valid for.
+func newPlan(idx *data.Index, res *infer.Result) *Plan {
+	if res.Rows.Index() != idx {
+		panic(foreignResult)
+	}
+	m, _ := res.Rows.(*core.Model)
+	var psi [3]float64
+	if m != nil {
+		psi = m.DefaultPsi()
+	}
+	return &Plan{Idx: idx, Res: res, M: m, d: res.Rows, defaultPsi: psi}
 }
 
 // NewPlan precomputes the worker-independent assignment state for one
-// inference result. Cost: O(Σ|Vo|) for the confidence scans plus
-// O(|O| log |O|) for the two rankings, one allocation per array and one
-// sort per ranking — paid once per published fit, off the request path.
+// inference result, whose rows must be shaped by idx (it panics otherwise).
+// Cost: O(Σ|Vo|) for the confidence scans plus O(|O| log |O|) for the two
+// rankings, one allocation per array and one sort per ranking — paid once
+// per published fit, off the request path.
 func NewPlan(idx *data.Index, res *infer.Result) *Plan {
 	n := idx.NumObjects()
-	m, _ := res.Rows.(*core.Model)
-	p := &Plan{Idx: idx, Res: res, M: m, d: res.Rows, ids: objectMap(idx, res.Rows)}
+	p := newPlan(idx, res)
 	maxMu, ent, ranked := make([]float64, n), make([]float64, n), make([]cow.Entry, n)
 	for oid := range maxMu {
 		mu := p.Row(oid)
@@ -150,41 +152,18 @@ func NewPlan(idx *data.Index, res *infer.Result) *Plan {
 	}
 	p.maxMu, p.ent, p.entRank = cow.Paged(maxMu), cow.Paged(ent), cow.NewRanking(ranked)
 
-	if m == nil {
+	if p.M == nil {
 		return p
 	}
-	p.defaultPsi = m.DefaultPsi()
 	nObj := float64(n)
 	ueai := make([]float64, n)
-	ranked = make([]cow.Entry, 0, n)
-	for oid := 0; oid < n; oid++ {
-		moid := p.id(oid)
-		if moid < 0 {
-			continue // unknown to the fitted model; skip until refit
-		}
-		ueai[oid] = ueaiBound(m, moid, nObj)
-		ranked = append(ranked, cow.Entry{Key: ueai[oid], ID: int32(oid)})
+	ranked = make([]cow.Entry, n) // NewRanking kept the first
+	for oid := range ueai {
+		ueai[oid] = ueaiBound(p.M, oid, nObj)
+		ranked[oid] = cow.Entry{Key: ueai[oid], ID: int32(oid)}
 	}
 	p.ueai, p.ueaiRank = cow.Paged(ueai), cow.NewRanking(ranked)
 	return p
-}
-
-// objectMap maps dense IDs of idx to d's by object name, -1 for an object
-// d does not know; nil when d is shaped by idx.
-func objectMap(idx *data.Index, d infer.Dense) []int32 {
-	own := d.Index()
-	if own == idx {
-		return nil
-	}
-	ids := make([]int32, idx.NumObjects())
-	for oid, o := range idx.Objects {
-		id, ok := own.ObjectID(o)
-		if !ok {
-			id = -1
-		}
-		ids[oid] = int32(id)
-	}
-	return ids
 }
 
 // Advance derives the plan for (idx, res) from this plan — the previous
@@ -221,16 +200,15 @@ func objectMap(idx *data.Index, d infer.Dense) []int32 {
 // exactly what NewPlan(idx, res) would build — same values, same ranking
 // orders — which the server's equivalence suite pins.
 //
-// When a precondition fails (index shrank, model attached/detached, or a
-// model index that does not match its plan's — the cases where entries
-// cannot be carried over) it falls back to NewPlan and reports advanced =
-// false.
+// Like NewPlan it panics when res's rows are shaped by another index than
+// idx. When a precondition fails (index shrank, model attached/detached —
+// the cases where entries cannot be carried over) it falls back to NewPlan
+// and reports advanced = false.
 func (p *Plan) Advance(idx *data.Index, res *infer.Result, touched []int) (advanced *Plan, ok bool) {
+	np := newPlan(idx, res)
 	n := idx.NumObjects()
 	nPrev := p.Idx.NumObjects()
-	m, _ := res.Rows.(*core.Model)
-	if n < nPrev || (m != nil) != (p.M != nil) ||
-		(m != nil && m.Idx != idx) || (p.M != nil && p.M.Idx != p.Idx) {
+	if n < nPrev || (np.M != nil) != (p.M != nil) {
 		return NewPlan(idx, res), false
 	}
 	if idx != p.Idx {
@@ -245,10 +223,6 @@ func (p *Plan) Advance(idx *data.Index, res *infer.Result, touched []int) (advan
 		}
 	}
 	ts := normalizeTouched(touched, nPrev, n)
-	np := &Plan{Idx: idx, Res: res, M: m, d: res.Rows, ids: objectMap(idx, res.Rows)}
-	if m != nil {
-		np.defaultPsi = m.DefaultPsi()
-	}
 	if n > nPrev {
 		np.grow(p, ts)
 		return np, true
@@ -264,6 +238,7 @@ func (p *Plan) Advance(idx *data.Index, res *infer.Result, touched []int) (advan
 		np.ent.Set(oid, e)
 	}
 	np.entRank = p.entRank.Update(moves)
+	m := np.M
 	if m == nil {
 		return np, true
 	}

@@ -287,35 +287,31 @@ func TestStalePlanIgnored(t *testing.T) {
 	}
 }
 
-// TestPlanLaggingModelIndex: when the model was fitted against an older
-// index than the context's (the mid-refit server case), planner EAI must
-// still match the legacy implementation, including skipping objects the
-// model does not know.
-func TestPlanLaggingModelIndex(t *testing.T) {
+// TestPlanPanicsOnForeignResult: a plan addresses its result's rows by the
+// dense IDs of its own index, so NewPlan and Advance refuse a result shaped
+// by another one — here a model fitted before the index grew by an object —
+// instead of serving rows of the wrong objects.
+func TestPlanPanicsOnForeignResult(t *testing.T) {
 	f := newFixture(t, 51, true)
-	// Extend the dataset with a brand-new object and rebuild only the index,
-	// keeping the model fitted against the old one.
 	ds2 := f.ds.Clone()
 	ds2.Records = append(ds2.Records,
 		data.Record{Object: "zz-new-object", Source: "s-new", Value: "x"},
 		data.Record{Object: "zz-new-object", Source: "s-new-2", Value: "y"},
 	)
 	idx2 := data.NewIndex(ds2)
-	ctx := &Context{Idx: idx2, Res: f.res, Workers: f.workers, K: 3, Seed: 99}
-	got, gotStats := EAI{}.AssignWithStats(ctx)
-	want, wantStats := legacyEAIAssign(EAI{}, &Context{Idx: idx2, Res: f.res, Workers: f.workers, K: 3, Seed: 99})
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("lagging-index planner %v != legacy %v", got, want)
-	}
-	if gotStats != wantStats {
-		t.Fatalf("lagging-index stats %+v != legacy %+v", gotStats, wantStats)
-	}
-	for _, objs := range got {
-		for _, o := range objs {
-			if o == "zz-new-object" {
-				t.Fatal("object unknown to the model must not be assigned before a refit")
-			}
-		}
+	plan := NewPlan(f.idx, f.res)
+	for name, build := range map[string]func(){
+		"NewPlan": func() { NewPlan(idx2, f.res) },
+		"Advance": func() { plan.Advance(idx2, f.res, nil) },
+	} {
+		func() {
+			defer func() {
+				if recover() != foreignResult {
+					t.Errorf("%s over a foreign result must panic with %q", name, foreignResult)
+				}
+			}()
+			build()
+		}()
 	}
 }
 

@@ -40,6 +40,7 @@ package campaign
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -265,9 +266,9 @@ func (c *Campaign) stop() error {
 	return err
 }
 
-// persistMeta writes campaign.json atomically (temp file + rename, fsync'd
-// before the rename) so a crash mid-transition leaves either the old or
-// the new state, never a torn file. Callers hold c.mu.
+// persistMeta writes campaign.json atomically (data.WriteFileAtomic) so a
+// crash mid-transition leaves either the old or the new state, never a torn
+// file. Callers hold c.mu.
 func (c *Campaign) persistMeta() error {
 	c.meta.UpdatedAt = time.Now().UTC()
 	buf, err := json.MarshalIndent(&c.meta, "", " ")
@@ -275,23 +276,10 @@ func (c *Campaign) persistMeta() error {
 		return err
 	}
 	buf = append(buf, '\n')
-	tmp := filepath.Join(c.dir, metaFile+".tmp")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
+	return data.WriteFileAtomic(filepath.Join(c.dir, metaFile), func(w io.Writer) error {
+		_, err := w.Write(buf)
 		return err
-	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, filepath.Join(c.dir, metaFile))
+	})
 }
 
 func readMeta(dir string) (Meta, error) {

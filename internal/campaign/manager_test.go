@@ -277,3 +277,22 @@ func TestManagerCloseResumesLive(t *testing.T) {
 		t.Fatalf("closed campaign truths = %d, want 3", len(truths))
 	}
 }
+
+// TestPersistMetaRenameFailureLeavesNoTemp: campaign.json is written through
+// the same temp + fsync + rename as the dataset file, so a rename that fails
+// — the target is a directory — returns the error and leaves no temporary
+// file behind.
+func TestPersistMetaRenameFailureLeavesNoTemp(t *testing.T) {
+	dir := t.TempDir()
+	target := filepath.Join(dir, metaFile)
+	if err := os.MkdirAll(filepath.Join(target, "occupied"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	c := &Campaign{dir: dir, meta: Meta{ID: "c", State: StateDraft}}
+	if err := c.persistMeta(); err == nil {
+		t.Fatal("persistMeta over a directory must fail")
+	}
+	if _, err := os.Stat(target + ".tmp"); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("a failed persistMeta left %s.tmp behind (stat: %v)", metaFile, err)
+	}
+}

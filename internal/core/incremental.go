@@ -8,18 +8,10 @@ import "repro/internal/data"
 // The hot entry points take dense object IDs; thin name-keyed wrappers are
 // kept for the server and test layers.
 
-// PosteriorGivenAnswer computes f^v_{o,w|v_o^w=ans} (Eq. 16): the posterior
-// over the truth implied by one hypothetical answer at candidate index ans,
-// under worker trustworthiness psi and the current confidences.
-func (m *Model) PosteriorGivenAnswer(o string, psi [3]float64, ans int) []float64 {
-	oid, ok := m.Idx.ObjectID(o)
-	if !ok {
-		return nil
-	}
-	return m.PosteriorGivenAnswerAt(oid, psi, ans)
-}
-
-// PosteriorGivenAnswerAt is PosteriorGivenAnswer by dense object ID.
+// PosteriorGivenAnswerAt computes f^v_{o,w|v_o^w=ans} (Eq. 16): the
+// posterior over the truth of object oid implied by one hypothetical answer
+// at candidate index ans, under worker trustworthiness psi and the current
+// confidences.
 func (m *Model) PosteriorGivenAnswerAt(oid int, psi [3]float64, ans int) []float64 {
 	ov := m.Idx.ViewAt(oid)
 	mu := m.MuAt(oid)
@@ -82,7 +74,7 @@ func (m *Model) CondMaxConfidenceAt(oid int, psi [3]float64, ans int) float64 {
 //
 //tdh:hotpath
 func (m *Model) condMax(ov *data.ObjectView, mu, n []float64, d float64, psi [3]float64, ans int) float64 {
-	// Inline PosteriorGivenAnswer to avoid the slice allocation: compute
+	// Inline PosteriorGivenAnswerAt to avoid the slice allocation: compute
 	// unnormalized posteriors and track the max of (N + f)/(D+1).
 	z := 0.0
 	nVals := len(mu)

@@ -16,7 +16,7 @@ func TestPosteriorGivenAnswer(t *testing.T) {
 	psi := [3]float64{0.8, 0.1, 0.1}
 	ov := idx.View("bigben")
 	london := candPos(ov.CI, "London")
-	f := m.PosteriorGivenAnswer("bigben", psi, london)
+	f := m.PosteriorGivenAnswerAt(ov.ID, psi, london)
 	sum := 0.0
 	for _, p := range f {
 		sum += p
@@ -66,7 +66,7 @@ func TestCondConfidenceMatchesManualUpdate(t *testing.T) {
 	ov := idx.View(o)
 	ans := candPos(ov.CI, "LibertyIsland")
 	cond := m.CondConfidence(o, psi, ans)
-	f := m.PosteriorGivenAnswer(o, psi, ans)
+	f := m.PosteriorGivenAnswerAt(ov.ID, psi, ans)
 	for i := range cond {
 		want := (m.NOf(o)[i] + f[i]) / (m.DOf(o) + 1)
 		if math.Abs(cond[i]-want) > 1e-12 {

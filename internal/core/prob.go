@@ -341,24 +341,10 @@ func (m *Model) workerClaimProb(ov *data.ObjectView, c, tr int, psi [3]float64) 
 	}
 }
 
-// WorkerClaimProb exposes the worker answer model P(v_o^w = c | v*_o = tr, ψ)
-// for callers outside the package (the QASCA assigner and tests).
-func (m *Model) WorkerClaimProb(ov *data.ObjectView, c, tr int, psi [3]float64) float64 {
-	return m.workerClaimProb(ov, c, tr, psi)
-}
-
-// AnswerLikelihood computes P(v_o^w = c | ψ, μo) = Σ_v P(c|v*, ψ)·μ_{o,v}
-// (Eq. 6) for candidate index c of object o — the distribution a worker's
-// next answer is expected to follow, used by EAI (Eq. 15) and QASCA.
-func (m *Model) AnswerLikelihood(o string, psi [3]float64, c int) float64 {
-	oid, ok := m.Idx.ObjectID(o)
-	if !ok {
-		return 0
-	}
-	return m.AnswerLikelihoodAt(oid, psi, c)
-}
-
-// AnswerLikelihoodAt is AnswerLikelihood by dense object ID.
+// AnswerLikelihoodAt computes P(v_o^w = c | ψ, μo) = Σ_v P(c|v*, ψ)·μ_{o,v}
+// (Eq. 6) for candidate index c of object oid — the distribution a worker's
+// next answer is expected to follow (Eq. 15), which ExpectedCondMaxAt fuses
+// and the tests take as its reference.
 //
 //tdh:hotpath
 func (m *Model) AnswerLikelihoodAt(oid int, psi [3]float64, c int) float64 {

@@ -400,17 +400,22 @@ func decodeStrings(l *wire.Lexer) []string {
 	return wire.Slice(l, nil, (*wire.Lexer).Str)
 }
 
-// SaveFile writes the dataset to path atomically: it writes a temporary
-// file beside it, syncs it and renames it over path, so a crash leaves the
-// previous file or the new one, never a torn one. On error the previous
-// file is untouched and the temporary file removed.
+// SaveFile writes the dataset to path atomically (WriteFileAtomic).
 func SaveFile(path string, ds *Dataset) error {
+	return WriteFileAtomic(path, func(w io.Writer) error { return Write(w, ds) })
+}
+
+// WriteFileAtomic writes path with write: it writes a temporary file beside
+// it, syncs it and renames it over path, so a crash leaves the previous file
+// or the new one, never a torn one. On error the previous file is untouched
+// and the temporary file removed.
+func WriteFileAtomic(path string, write func(io.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o666)
 	if err != nil {
 		return err
 	}
-	err = Write(f, ds)
+	err = write(f)
 	if err == nil {
 		err = f.Sync()
 	}

@@ -13,9 +13,9 @@ import (
 // categorical adapts any single-truth infer.Inferencer to the Engine
 // interface. When the inferencer is TDH its fitted *core.Model powers the
 // incremental answer fold (Section 4.2's one-step EM) and open-world growth
-// (core.Model.Grow); every other inferencer publishes stale confidences
-// between full refits, exactly as the server behaved before engines
-// existed. The extraction is pinned bit-for-bit by the server's 1e-9
+// (core.Model.Grow); every other inferencer is refit-only: its answers and
+// its growth wait for the next full refit, and its last fit keeps being
+// served over the index it was fitted on until then. The extraction is pinned bit-for-bit by the server's 1e-9
 // equivalence suites.
 type categorical struct {
 	inf infer.Inferencer
@@ -53,11 +53,11 @@ func (st *catState) truthMap() map[string]string {
 	if st.res.Truths != nil {
 		return st.res.Truths
 	}
-	st.truthsOnce.Do(func() { st.truths = st.res.TruthMap(st.res.Rows.Index()) })
+	st.truthsOnce.Do(func() { st.truths = st.res.TruthMap() })
 	return st.truths
 }
 
-func (st *catState) Confidence(idx *data.Index, oid int) any { return supportOf(st.res, idx, oid) }
+func (st *catState) Confidence(oid int) any { return supportOf(st.res, oid) }
 
 func (st *catState) Quality(ds *data.Dataset, idx *data.Index) map[string]float64 {
 	if len(ds.Truth) == 0 {

@@ -16,7 +16,9 @@
 // update between fits is object-local — it writes what the cycle's answers
 // touched and nothing else — with whatever is global (TDH's φ/ψ, numeric's
 // provider weights) frozen at the last Fit, and an engine with no such
-// update (multi-truth, the categorical baselines) says so in one line. Every
+// update (multi-truth, the categorical baselines) says so in one line: its
+// answers and its growth alike wait for the next Fit, and until then it is
+// served as it was fitted, over the index it was fitted on. Every
 // state publishes its per-object content in one shape, a dense table read
 // by object ID (infer.Result.Rows), and a sealed epoch's table is the sealed
 // state itself, not a copy of it (State.Res): confidence rows are shared
@@ -92,9 +94,9 @@ type State interface {
 	// map[object]float64 (numeric), or map[object][]value (multi_truth).
 	// A folded state materialises the map on first use, once.
 	Truths() any
-	// Confidence is the GET /confidence payload for object oid of idx (the
-	// index the caller serves, which may be ahead of the state's own).
-	Confidence(idx *data.Index, oid int) any
+	// Confidence is the GET /confidence payload for object oid of the
+	// state's own index, the one every snapshot publishes it with.
+	Confidence(oid int) any
 	// Quality scores the state against the dataset's gold standard for
 	// /stats, keyed by metric name (e.g. accuracy, mae, f1). Nil when the
 	// dataset has no gold or the model defines no quality metric.
@@ -121,8 +123,9 @@ type Engine interface {
 	// Grow re-seeds the state after the index was extended
 	// (data.Index.Extend) with the touched object IDs: object-local, like a
 	// fold. ok=false means the engine has no incremental path for its
-	// current state; the caller keeps publishing the old (stale) state until
-	// the next policy-triggered Fit.
+	// current state: growth is held like answers — the caller drops the
+	// extended index and keeps publishing the old state with the old index
+	// until the next policy-triggered Fit indexes the growth.
 	Grow(st State, idx *data.Index, touched []int) (State, bool)
 	// ValidateAnswer checks (and canonicalizes, in place) one worker
 	// answer's typed payload against the object's candidate view. The
@@ -174,15 +177,14 @@ type touchedIDs struct{ ids []int }
 // Touched implements Epoch.
 func (t *touchedIDs) Touched() []int { return t.ids }
 
-// supportOf is the per-candidate half of a /confidence payload: the state's
-// confidence row keyed by candidate value. A partial or custom inferencer
-// may publish no row for an object, or one shorter than its candidate list
-// (e.g. the candidate set grew with an out-of-Vo answer since the result
-// was computed); missing mass reads as zero instead of panicking the
+// supportOf is the per-candidate half of a /confidence payload: the result's
+// confidence row of object oid keyed by candidate value. A partial or custom
+// inferencer may publish no row for an object, or one shorter than its
+// candidate list; missing mass reads as zero instead of panicking the
 // handler.
-func supportOf(res *infer.Result, idx *data.Index, oid int) map[string]float64 {
-	conf := res.ConfidenceAt(idx, oid)
-	values := idx.ViewAt(oid).CI.Values
+func supportOf(res *infer.Result, oid int) map[string]float64 {
+	conf := res.ConfidenceAt(oid)
+	values := res.Rows.Index().ViewAt(oid).CI.Values
 	out := make(map[string]float64, len(values))
 	for i, v := range values {
 		c := 0.0

@@ -149,7 +149,7 @@ func TestCategoricalFitEquivalence(t *testing.T) {
 			t.Fatalf("%s: engine truths diverge from direct path", inf.Name())
 		}
 		for oid, o := range idx.Objects {
-			got, want := res.ConfidenceAt(idx, oid), direct.ConfidenceAt(idx, oid)
+			got, want := res.ConfidenceAt(oid), direct.ConfidenceAt(oid)
 			if len(got) != len(want) {
 				t.Fatalf("%s: confidence row %q length %d vs %d", inf.Name(), o, len(got), len(want))
 			}
@@ -179,12 +179,12 @@ func TestCategoricalIncrementalContract(t *testing.T) {
 	tdh := NewCategorical(infer.NewTDH())
 	st := tdh.Fit(idx)
 	oa, ny := idx.View("oa").ID, candPos(idx.View("oa").CI, "NY")
-	before := st.Res().ConfidenceAt(idx, oa)[ny]
+	before := st.Res().ConfidenceAt(oa)[ny]
 	st2, ok := tdh.ApplyAnswers(st, idx, answers)
 	if !ok {
 		t.Fatal("TDH must have an incremental path")
 	}
-	after := st2.Res().ConfidenceAt(idx, oa)[ny]
+	after := st2.Res().ConfidenceAt(oa)[ny]
 	if after < before {
 		t.Fatalf("two supporting answers lowered confidence: %g -> %g", before, after)
 	}
@@ -258,7 +258,7 @@ func TestNumericEngine(t *testing.T) {
 
 	// /confidence carries the estimate plus per-candidate support.
 	naID, _ := idx.ObjectID("na")
-	conf := st2.Confidence(idx, naID).(map[string]any)
+	conf := st2.Confidence(naID).(map[string]any)
 	if _, ok := conf["estimate"].(float64); !ok {
 		t.Fatalf("confidence payload = %#v", conf)
 	}
@@ -343,7 +343,7 @@ func TestMultiTruthEngine(t *testing.T) {
 	}
 
 	oaID, _ := idx.ObjectID("oa")
-	conf := st.Confidence(idx, oaID).(map[string]any)
+	conf := st.Confidence(oaID).(map[string]any)
 	if _, ok := conf["set"].([]string); !ok {
 		t.Fatalf("confidence payload = %#v", conf)
 	}

@@ -62,7 +62,7 @@ func requireServesModel(t *testing.T, tag string, st State, idx *data.Index) {
 		for i, v := range idx.ViewAt(oid).CI.Values {
 			conf[v] = m.MuAt(oid)[i]
 		}
-		if got := st.Confidence(idx, oid); !reflect.DeepEqual(got, conf) {
+		if got := st.Confidence(oid); !reflect.DeepEqual(got, conf) {
 			t.Fatalf("%s: Confidence(%s) = %v, the model holds %v", tag, o, got, conf)
 		}
 	}
@@ -324,7 +324,7 @@ func TestNumericGrow(t *testing.T) {
 		t.Fatal("growth wrote the state it grew from")
 	}
 	nb := next.View("nb").ID
-	if &grown.Res().ConfidenceAt(next, nb)[0] != &st.Res().ConfidenceAt(idx, nb)[0] {
+	if &grown.Res().ConfidenceAt(nb)[0] != &st.Res().ConfidenceAt(nb)[0] {
 		t.Fatal("growth rebuilt the row of an object it did not touch")
 	}
 }

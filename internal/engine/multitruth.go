@@ -14,9 +14,9 @@ import (
 // sets too (the typed Values payload, which the index turns into one claim
 // per value for the same worker). Discovery is a full pass — LTM's Gibbs
 // chain has no incremental step — so the engine is refit-only: NewEpoch and
-// Grow report ok=false, and answers and growth publish stale sets until the
-// refit policy triggers, the same contract the categorical non-TDH
-// baselines have always had.
+// Grow report ok=false, the old sets keep being served over the old index,
+// and answers and growth alike wait for the refit the policy triggers — the
+// contract the categorical non-TDH baselines have too.
 type multiEngine struct {
 	disc multitruth.Discoverer
 }
@@ -43,9 +43,9 @@ func (st *multiState) Truths() any { return st.sets }
 
 // Confidence reports the discovered set alongside the per-candidate claim
 // support the assigners rank by.
-func (st *multiState) Confidence(idx *data.Index, oid int) any {
-	out := map[string]any{"support": supportOf(st.res, idx, oid)}
-	if set, ok := st.sets[idx.Objects[oid]]; ok {
+func (st *multiState) Confidence(oid int) any {
+	out := map[string]any{"support": supportOf(st.res, oid)}
+	if set, ok := st.sets[st.res.Rows.Index().Objects[oid]]; ok {
 		out["set"] = set
 	}
 	return out

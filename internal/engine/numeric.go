@@ -102,10 +102,10 @@ func (st *numState) estimateMap() map[string]float64 {
 
 // Confidence reports the estimate alongside the per-candidate support
 // weights the assigners rank by.
-func (st *numState) Confidence(idx *data.Index, oid int) any {
-	out := map[string]any{"support": supportOf(st.res, idx, oid)}
-	if id, ok := st.idx.ObjectID(idx.Objects[oid]); ok && !math.IsNaN(st.est[id]) {
-		out["estimate"] = st.est[id]
+func (st *numState) Confidence(oid int) any {
+	out := map[string]any{"support": supportOf(st.res, oid)}
+	if !math.IsNaN(st.est[oid]) {
+		out["estimate"] = st.est[oid]
 	}
 	return out
 }

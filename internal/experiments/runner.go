@@ -46,13 +46,3 @@ func Run(w io.Writer, id string, cfg Config) error {
 	}
 	return nil
 }
-
-// RunAll executes every experiment in order.
-func RunAll(w io.Writer, cfg Config) error {
-	for _, id := range IDs() {
-		if err := Run(w, id, cfg); err != nil {
-			return err
-		}
-	}
-	return nil
-}

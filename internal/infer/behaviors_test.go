@@ -120,7 +120,7 @@ func TestLCAGuessDistribution(t *testing.T) {
 	uniform := SimpleLCA{}.Infer(idx)
 	maxDiff := 0.0
 	for oid := range idx.Objects {
-		g, u := guess.ConfidenceAt(idx, oid), uniform.ConfidenceAt(idx, oid)
+		g, u := guess.ConfidenceAt(oid), uniform.ConfidenceAt(oid)
 		for i := range g {
 			d := g[i] - u[i]
 			if d < 0 {
@@ -159,7 +159,7 @@ func TestAccuVoteCountScaling(t *testing.T) {
 	// a second index of the same dataset, which maps by object name.
 	idx := data.NewIndex(ds)
 	ov := idx.View("probe")
-	if conf := res.ConfidenceAt(idx, ov.ID); conf[candPos(ov.CI, "London")] < 0.6 {
+	if conf := res.ConfidenceAt(ov.ID); conf[candPos(ov.CI, "London")] < 0.6 {
 		t.Fatalf("probe confidence too timid: %v", conf)
 	}
 }

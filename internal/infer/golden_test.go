@@ -80,8 +80,8 @@ func resultHash(idx *data.Index, res *Result) uint64 {
 	}
 	for oid, o := range idx.Objects {
 		str(o)
-		str(res.TruthAt(idx, oid))
-		row := res.ConfidenceAt(idx, oid)
+		str(res.TruthAt(oid))
+		row := res.ConfidenceAt(oid)
 		num(float64(len(row)))
 		for _, x := range row {
 			num(x)

@@ -95,7 +95,7 @@ func TestConfidencesNormalized(t *testing.T) {
 	} {
 		res := alg.Infer(idx)
 		for _, o := range idx.Objects {
-			conf := res.ConfidenceAt(idx, idx.View(o).ID)
+			conf := res.ConfidenceAt(idx.View(o).ID)
 			if len(conf) != idx.View(o).CI.NumValues() {
 				t.Fatalf("%s: confidence shape wrong on %s", alg.Name(), o)
 			}

@@ -128,7 +128,7 @@ func TestRobustnessMatrix(t *testing.T) {
 				if _, in := ov.CI.Pos(truth); !in {
 					t.Fatalf("%s on %s: truth %q for %s outside Vo", alg.Name(), ds.Name, truth, o)
 				}
-				if len(res.ConfidenceAt(idx, ov.ID)) != ov.CI.NumValues() {
+				if len(res.ConfidenceAt(ov.ID)) != ov.CI.NumValues() {
 					t.Fatalf("%s on %s: confidence misaligned for %s", alg.Name(), ds.Name, o)
 				}
 			}

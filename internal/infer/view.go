@@ -19,44 +19,24 @@ type Dense interface {
 }
 
 // The read API below is how everything reads a Result: by dense object ID
-// of the caller's index, which need not be the one Rows is shaped by — a
-// fitted model lags an index extended since the fit — so an object is
-// mapped through its name when the two differ.
+// of Rows.Index(), the index every consumer serves the result with.
 
-// rowID resolves object oid of idx to its ID in Rows; ok is false when Rows
-// does not know the object.
-func (r *Result) rowID(idx *data.Index, oid int) (int, bool) {
-	if own := r.Rows.Index(); own != idx {
-		return own.ObjectID(idx.Objects[oid])
-	}
-	return oid, true
-}
+// ConfidenceAt returns the confidence row of object oid, aligned with
+// Rows.Index().ViewAt(oid).CI.Values; nil when the result has none.
+func (r *Result) ConfidenceAt(oid int) []float64 { return r.Rows.Row(oid) }
 
-// ConfidenceAt returns the confidence row of object oid of idx, aligned
-// with idx.ViewAt(oid).CI.Values; nil when the result has none.
-func (r *Result) ConfidenceAt(idx *data.Index, oid int) []float64 {
-	if id, ok := r.rowID(idx, oid); ok {
-		return r.Rows.Row(id)
-	}
-	return nil
-}
+// TruthAt returns the estimated truth of object oid, "" when the result has
+// none.
+func (r *Result) TruthAt(oid int) string { return r.Rows.TruthAt(oid) }
 
-// TruthAt returns the estimated truth of object oid of idx, "" when the
-// result has none.
-func (r *Result) TruthAt(idx *data.Index, oid int) string {
-	if id, ok := r.rowID(idx, oid); ok {
-		return r.Rows.TruthAt(id)
-	}
-	return ""
-}
-
-// TruthMap materialises the name-keyed truths of every object of idx that
-// has one, as a fresh map. O(|O|): for consumers that really want the map
-// (GET /truths, quality scoring), which cache it per published state.
-func (r *Result) TruthMap(idx *data.Index) map[string]string {
-	out := make(map[string]string, len(idx.Objects))
-	for oid, o := range idx.Objects {
-		if v := r.TruthAt(idx, oid); v != "" {
+// TruthMap materialises the name-keyed truths of every object that has one,
+// as a fresh map. O(|O|): for consumers that really want the map (GET
+// /truths, quality scoring), which cache it per published state.
+func (r *Result) TruthMap() map[string]string {
+	objects := r.Rows.Index().Objects
+	out := make(map[string]string, len(objects))
+	for oid, o := range objects {
+		if v := r.Rows.TruthAt(oid); v != "" {
 			out[o] = v
 		}
 	}

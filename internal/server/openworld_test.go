@@ -15,6 +15,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/hierarchy"
 	"repro/internal/infer"
+	"repro/internal/multitruth"
 )
 
 func openWorldDataset() *data.Dataset {
@@ -230,6 +231,118 @@ func TestMutationLogFailureRollsBackReservation(t *testing.T) {
 	defer sink.mu.Unlock()
 	if len(sink.objEvents) != 1 || len(sink.recEvents) != 1 {
 		t.Fatalf("sink saw %d/%d events", len(sink.objEvents), len(sink.recEvents))
+	}
+}
+
+// TestRefitOnlyGrowthIsHeld: an engine that cannot grow its state (a
+// categorical baseline, multi-truth discovery) keeps publishing the index
+// its last fit was shaped by, so a grown object is not served — not by
+// /task, /answer, /confidence nor the /stats object count — and stays
+// behind the watermark until the refit that indexes it.
+func TestRefitOnlyGrowthIsHeld(t *testing.T) {
+	for _, eng := range []engine.Engine{
+		engine.NewCategorical(infer.Vote{}),
+		engine.NewMultiTruth(multitruth.LTM{Seed: 3}),
+	} {
+		t.Run(eng.Name(), func(t *testing.T) {
+			s, err := New(Config{
+				Dataset: openWorldDataset(), Engine: eng, Assigner: assign.ME{}, K: 10,
+				OpenAnswers: true, Policy: RefitPolicy{MaxAnswers: -1, MaxStaleness: -1},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+			shaped := func(sn *Snapshot) *Snapshot {
+				t.Helper()
+				if sn.Res.Rows.Index() != sn.Idx || sn.St.Res().Rows.Index() != sn.Idx {
+					t.Fatalf("snapshot round %d publishes rows shaped by another index", sn.Round)
+				}
+				return sn
+			}
+			tasked := func(worker string) bool {
+				var resp struct{ Tasks []Task }
+				getJSON(t, ts.URL+"/task?worker="+worker, &resp)
+				for _, task := range resp.Tasks {
+					if task.Object == "hq-new" {
+						return true
+					}
+				}
+				return false
+			}
+			boot := shaped(s.Snapshot())
+
+			var seqs []int64
+			for _, post := range []struct {
+				path string
+				body any
+			}{
+				{"/objects", AddObjectRequest{Object: "hq-new", Candidates: []string{"eu-city-5", "us-city-5"}}},
+				{"/records", data.Record{Object: "hq-new", Source: "seed-src-a", Value: "eu-city-5"}},
+			} {
+				code, ack := postAck(t, ts.URL+post.path, post.body)
+				if code != http.StatusOK {
+					t.Fatalf("POST %s: %d", post.path, code)
+				}
+				seqs = append(seqs, ack.Seq)
+			}
+			held := shaped(waitApplied(t, s, 0, 2)) // the cycle that drained both has published
+			if held.Idx != boot.Idx {
+				t.Fatal("a held cycle published an extended index")
+			}
+			if wm := held.Watermark; wm >= seqs[0] {
+				t.Fatalf("watermark %d covers held seq %d", wm, seqs[0])
+			}
+			if n := s.metrics.visibility.Count(); n != 0 {
+				t.Fatalf("%d visibility observations before the refit, want 0", n)
+			}
+			answer := data.Answer{Worker: "w1", Object: "hq-new", Value: "eu-city-5"}
+			if resp := postJSON(t, ts.URL+"/answer", answer); resp.StatusCode != http.StatusNotFound {
+				t.Fatalf("answer on a held object: %d, want 404", resp.StatusCode)
+			}
+			if resp := postJSON(t, ts.URL+"/objects", AddObjectRequest{Object: "hq-new", Candidates: []string{"eu-city-5"}}); resp.StatusCode != http.StatusConflict {
+				t.Fatalf("re-adding a held object: %d, want 409", resp.StatusCode)
+			}
+			if resp := getJSON(t, ts.URL+"/confidence?object=hq-new", nil); resp.StatusCode != http.StatusNotFound {
+				t.Fatalf("confidence of a held object: %d, want 404", resp.StatusCode)
+			}
+			if tasked("w-before") {
+				t.Fatal("/task handed out a held object")
+			}
+			if got, want := s.Stats().Objects, boot.Idx.NumObjects(); got != want {
+				t.Fatalf("stats objects = %d before the refit, want %d", got, want)
+			}
+
+			refit, err := s.Refresh()
+			if err != nil {
+				t.Fatal(err)
+			}
+			shaped(refit)
+			if refit.Idx.View("hq-new") == nil {
+				t.Fatal("the refit did not index the held object")
+			}
+			if refit.Watermark < seqs[1] {
+				t.Fatalf("watermark %d after the refit, want >= %d", refit.Watermark, seqs[1])
+			}
+			if n := s.metrics.visibility.Count(); n != uint64(len(seqs)) {
+				t.Fatalf("%d visibility observations after the refit, want one per item (%d)", n, len(seqs))
+			}
+			if got, want := s.Stats().Objects, boot.Idx.NumObjects()+1; got != want {
+				t.Fatalf("stats objects = %d after the refit, want %d", got, want)
+			}
+			if resp := getJSON(t, ts.URL+"/confidence?object=hq-new", nil); resp.StatusCode != http.StatusOK {
+				t.Fatalf("confidence after the refit: %d", resp.StatusCode)
+			}
+			if !tasked("w-after") {
+				t.Fatal("/task does not hand out the object after the refit")
+			}
+			if resp := postJSON(t, ts.URL+"/answer", answer); resp.StatusCode != http.StatusOK {
+				t.Fatalf("answer after the refit: %d", resp.StatusCode)
+			}
+			shaped(waitApplied(t, s, 1, 2))
+		})
 	}
 }
 

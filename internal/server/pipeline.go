@@ -18,9 +18,10 @@ import (
 // one engine epoch (engine.EpochFolder: every engine's incremental update is
 // object-local) and publishes the sealed epoch as a single immutable
 // Snapshot — readers always see one consistent (index, state, plan) tuple.
-// An engine with no incremental path opens no epoch and keeps serving its
-// last fit; the items such a cycle drained stay behind the visibility
-// watermark until the refit that absorbs them.
+// An engine with no incremental path opens no epoch, grows no state and
+// keeps serving its last fit with the index that fit was shaped by; the
+// items such a cycle drained — answers and growth alike — stay behind the
+// visibility watermark until the refit that absorbs them.
 //
 // A cycle costs what it touched: opening a TDH epoch clones page tables and
 // the fold copies the pages of 256 objects its answers land in (core.Model.
@@ -138,7 +139,7 @@ type pipeline struct {
 	policy RefitPolicy
 
 	work *data.Dataset // private copy the pipeline appends answers to
-	idx  *data.Index   // index of the last full refit
+	idx  *data.Index   // index the published state is shaped by
 	st   engine.State  // last published engine state
 
 	round      int64
@@ -154,11 +155,11 @@ type pipeline struct {
 	// publish that makes them visible completes them (visibility histogram +
 	// span trees); stamps carries the cycle's stage timestamps for those
 	// spans. held is set when the engine refused to fold or grow a drained
-	// item (no epoch, no incremental growth): the published state does not
-	// reflect it, so publishes keep the previous watermark and hold cycle
-	// until the next full refit absorbs it. lastVisible is the last publish
-	// that completed drained items — the progress signal the stall watchdog
-	// checks against queue depth.
+	// item (no epoch, no incremental growth): neither the published state
+	// nor the published index reflects it, so publishes keep the previous
+	// watermark and hold cycle until the next full refit absorbs it.
+	// lastVisible is the last publish that completed drained items — the
+	// progress signal the stall watchdog checks against queue depth.
 	drainedSeq  int64
 	held        bool
 	cycle       []itemMeta
@@ -406,9 +407,11 @@ func (p *pipeline) markDirty(n int) {
 // engine state (Engine.Grow) so the cycle's answers — and every /task after
 // the publish — already see the new objects. Answers then fold through one
 // epoch, which reports what it touched. An engine without an incremental
-// path keeps publishing its previous state (stale confidences, fresh
-// counters) and the cycle is held: the additions' effect on the result, and
-// with it the watermark, waits for the next refit.
+// path keeps publishing its previous state and index (stale confidences,
+// fresh counters) and the cycle is held: the extended index is dropped, so
+// every published state is shaped by the index published with it, and the
+// additions — growth as well as answers — wait, with the watermark, for the
+// next refit's NewIndex.
 //
 //tdh:wallclock fold-stage timing is observability only; replayed state never reads it
 func (p *pipeline) apply(answers []data.Answer, muts []*mutation) {
@@ -420,11 +423,11 @@ func (p *pipeline) apply(answers []data.Answer, muts []*mutation) {
 	eng := p.s.cfg.Engine
 	var touched []int
 	if len(muts) > 0 {
-		p.idx, touched = p.idx.Extend(p.work, p.stageMutations(muts))
-		if st, ok := eng.Grow(p.st, p.idx, touched); ok {
-			p.st = st
+		idx, grown := p.idx.Extend(p.work, p.stageMutations(muts))
+		if st, ok := eng.Grow(p.st, idx, grown); ok {
+			p.idx, p.st, touched = idx, st, grown
 		} else {
-			p.held = true
+			p.held = true // staged in p.work: the next refit's NewIndex covers them
 		}
 	}
 	if len(answers) > 0 {

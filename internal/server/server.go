@@ -789,7 +789,7 @@ func (s *Server) handleConfidence(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, fmt.Sprintf("unknown object %q", object))
 		return
 	}
-	writeJSON(w, snap.St.Confidence(snap.Idx, oid))
+	writeJSON(w, snap.St.Confidence(oid))
 }
 
 func (s *Server) handleTrust(w http.ResponseWriter, r *http.Request) {
@@ -921,7 +921,7 @@ func (s *Server) handleRefresh(w http.ResponseWriter, r *http.Request) {
 // /truths).
 func (s *Server) Truths() map[string]string {
 	snap := s.snap()
-	return snap.Res.TruthMap(snap.Idx)
+	return snap.Res.TruthMap()
 }
 
 // maxBodyBytes caps the request bodies of POST /answer, /objects and

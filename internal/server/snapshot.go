@@ -25,7 +25,9 @@ import (
 // each materialized at most once, behind a sync.Once, and immutable from
 // then on.
 type Snapshot struct {
-	// Idx is the candidate-set index the St was computed against.
+	// Idx is the candidate-set index the St was computed against: its
+	// result's rows are shaped by it (St.Res().Rows.Index() == Idx), which
+	// is what lets every reader address them by Idx's dense IDs.
 	Idx *data.Index
 	// St is the engine state of this round: the truth-model-specific
 	// inference output plus its wire encoders (/truths, /confidence shapes).

@@ -59,9 +59,9 @@ func planScores(p *assign.Plan) (maxMu, ent []float64) {
 func captureReachable(sn *Snapshot) reachable {
 	var r reachable
 	for oid := range sn.Idx.Objects {
-		r.Rows = append(r.Rows, append([]float64(nil), sn.Res.ConfidenceAt(sn.Idx, oid)...))
-		r.Truths = append(r.Truths, sn.Res.TruthAt(sn.Idx, oid))
-		r.Confidence = append(r.Confidence, sn.St.Confidence(sn.Idx, oid))
+		r.Rows = append(r.Rows, append([]float64(nil), sn.Res.ConfidenceAt(oid)...))
+		r.Truths = append(r.Truths, sn.Res.TruthAt(oid))
+		r.Confidence = append(r.Confidence, sn.St.Confidence(oid))
 		r.PlanMu = append(r.PlanMu, append([]float64(nil), sn.Plan().Row(oid)...))
 	}
 	truths := map[string]string{}
@@ -184,12 +184,12 @@ func TestSnapshotImmutableUnderAliasing(t *testing.T) {
 	// so a plan that kept an untouched object's row from an older model would
 	// pin pages the current model has long replaced — more every cycle.
 	for oid := range last.Idx.Objects {
-		if &last.Plan().Row(oid)[0] != &last.Res.ConfidenceAt(last.Idx, oid)[0] {
+		if &last.Plan().Row(oid)[0] != &last.Res.ConfidenceAt(oid)[0] {
 			t.Fatalf("the served plan still holds a past model's row for %s", last.Idx.Objects[oid])
 		}
 	}
 	oid := held.Idx.View(hot[0]).ID
-	if reflect.DeepEqual(last.Res.ConfidenceAt(last.Idx, oid), before.Rows[oid]) {
+	if reflect.DeepEqual(last.Res.ConfidenceAt(oid), before.Rows[oid]) {
 		t.Fatal("60 rounds of answers never moved the hot object's row")
 	}
 	requireUnchanged := func(tag string, sn *Snapshot, before reachable) {
