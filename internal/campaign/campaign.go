@@ -76,6 +76,10 @@ func (s State) valid() bool {
 // milliseconds), persisted per campaign. Zero values take the server
 // defaults; negative values disable, mirroring RefitPolicy.
 type PolicySpec struct {
+	// RefitAnswers and RefitStalenessMS are RefitPolicy's two refit
+	// triggers, both counted from the last installed refit; the refit they
+	// start runs beside the campaign's pipeline, which keeps folding and
+	// publishing meanwhile.
 	RefitAnswers     int   `json:"refit_answers,omitempty"`
 	RefitStalenessMS int64 `json:"refit_staleness_ms,omitempty"`
 	BatchSize        int   `json:"batch_size,omitempty"`

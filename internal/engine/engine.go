@@ -103,9 +103,11 @@ type State interface {
 	Quality(ds *data.Dataset, idx *data.Index) map[string]float64
 }
 
-// Engine is one truth-model implementation. All methods are called from a
-// single pipeline goroutine; implementations never mutate a State after
-// returning it (incremental updates copy what they write first).
+// Engine is one truth-model implementation. The pipeline goroutine calls
+// every method, and runs Fit on a goroutine of its own beside them, over an
+// index no other call reads; implementations never mutate a State after
+// returning it (incremental updates copy what they write first) and keep no
+// mutable state of their own.
 type Engine interface {
 	// Model reports which truth-model family this engine implements.
 	Model() TruthModel

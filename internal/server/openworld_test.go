@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,6 +18,7 @@ import (
 	"repro/internal/hierarchy"
 	"repro/internal/infer"
 	"repro/internal/multitruth"
+	"repro/internal/synth"
 )
 
 func openWorldDataset() *data.Dataset {
@@ -419,5 +422,144 @@ func TestConcurrentGrowthUnderLoad(t *testing.T) {
 	}
 	if st.Objects != 3+nNew {
 		t.Fatalf("objects = %d, want %d", st.Objects, 3+nNew)
+	}
+}
+
+// TestGrowthDuringFitRefitsSynchronously: growth drained while a refit runs
+// beside the coordinator is not in the index that fit was cut from, so the
+// landed fit is discarded and one synchronous refit covers everything. Run
+// with -race over a folding (TDH), a refit-only (VOTE) and a numeric (CRH)
+// campaign, with the growth and answers posted concurrently mid-fit: every
+// accepted item is completed exactly once and the watermark never goes
+// backwards.
+func TestGrowthDuringFitRefitsSynchronously(t *testing.T) {
+	stock := synth.Stock(synth.StockConfig{Seed: 2, Symbols: 30})[1]
+	crh, err := engine.New(engine.Numeric, "CRH", engine.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	categorical := func(o string, ov *data.ObjectView, i int) data.Answer {
+		return data.Answer{Worker: fmt.Sprintf("w%d", i), Object: o, Value: ov.CI.Values[i%len(ov.CI.Values)]}
+	}
+	openWorld := []any{
+		AddObjectRequest{Object: "hq-new", Candidates: []string{"eu-city-5", "us-city-5"}},
+		data.Record{Object: "hq-new", Source: "late-src", Value: "eu-city-5"},
+	}
+	for _, c := range []struct {
+		eng    engine.Engine
+		ds     *data.Dataset
+		answer func(o string, ov *data.ObjectView, i int) data.Answer
+		growth []any // POST /objects, then POST /records, both for object "hq-new"
+	}{
+		{engine.NewCategorical(infer.NewTDH()), openWorldDataset(), categorical, openWorld},
+		{engine.NewCategorical(infer.Vote{}), openWorldDataset(), categorical, openWorld},
+		{crh, &data.Dataset{Name: "stock", Records: stock.Records}, func(o string, _ *data.ObjectView, i int) data.Answer {
+			v := stock.Gold[o] + float64(i%3)
+			return data.Answer{Worker: fmt.Sprintf("w%d", i), Object: o, Num: &v}
+		}, []any{
+			AddObjectRequest{Object: "hq-new", Candidates: []string{"101.5", "99"}},
+			data.Record{Object: "hq-new", Source: "late-src", Value: "101.5"},
+		}},
+	} {
+		t.Run(c.eng.Name(), func(t *testing.T) {
+			calls, gate := &atomic.Int32{}, make(chan struct{})
+			s, err := New(Config{
+				Dataset: c.ds, Engine: gatedEngine{Engine: c.eng, gate: gate, calls: calls},
+				Assigner: assign.ME{}, K: 10, OpenAnswers: true,
+				Policy: RefitPolicy{MaxAnswers: 4, MaxStaleness: -1, BatchSize: 4},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+			objs, boot := s.SortedObjects(), s.Snapshot()
+			answer := func(i int) data.Answer {
+				o := objs[i%len(objs)]
+				return c.answer(o, boot.Idx.View(o), i)
+			}
+
+			stop, watched := make(chan struct{}), make(chan struct{})
+			go func() {
+				defer close(watched)
+				var last int64
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					wm := s.Snapshot().Watermark
+					if wm < last {
+						t.Errorf("watermark went backwards: %d after %d", wm, last)
+						return
+					}
+					last = wm
+					runtime.Gosched()
+				}
+			}()
+			var lastSeq atomic.Int64
+			post := func(path string, body any) {
+				code, ack := postAck(t, ts.URL+path, body)
+				if code != http.StatusOK {
+					t.Errorf("POST %s: %d", path, code)
+				}
+				for last := lastSeq.Load(); ack.Seq > last && !lastSeq.CompareAndSwap(last, ack.Seq); last = lastSeq.Load() {
+				}
+			}
+			for i := range 4 { // the fourth answer launches fit 2
+				post("/answer", answer(i))
+			}
+			deadline := time.Now().Add(10 * time.Second)
+			for calls.Load() < 2 {
+				if time.Now().After(deadline) {
+					t.Fatal("the count trigger never launched a fit")
+				}
+				time.Sleep(time.Millisecond)
+			}
+
+			var wg sync.WaitGroup
+			wg.Add(3)
+			go func() {
+				defer wg.Done()
+				post("/objects", c.growth[0])
+				post("/records", c.growth[1])
+			}()
+			for g := range 2 {
+				go func() {
+					defer wg.Done()
+					for i := 4 + 3*g; i < 7+3*g; i++ {
+						post("/answer", answer(i))
+					}
+				}()
+			}
+			wg.Wait()
+			if sn := waitApplied(t, s, 10, 2); sn.Round != 1 {
+				t.Fatalf("round %d before the gated fit landed", sn.Round)
+			}
+			close(gate)
+			deadline = time.Now().Add(10 * time.Second)
+			for s.Snapshot().Round < 2 {
+				if time.Now().After(deadline) {
+					t.Fatal("the fit never landed")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			sn := s.Snapshot()
+			if sn.Round != 2 || calls.Load() != 3 {
+				t.Fatalf("round %d after %d fits; want the landed fit discarded for one synchronous refit (round 2, 3 fits)", sn.Round, calls.Load())
+			}
+			if sn.Idx.View("hq-new") == nil || sn.Answers != 10 || sn.Watermark != lastSeq.Load() {
+				t.Fatalf("the refit covers hq-new: %v, %d answers, watermark %d; want true, 10, %d",
+					sn.Idx.View("hq-new") != nil, sn.Answers, sn.Watermark, lastSeq.Load())
+			}
+			items := s.metrics.answersAccepted.Value() + s.metrics.objectsAdded.Value() + s.metrics.recordsAdded.Value()
+			if got := s.metrics.visibility.Count(); got != uint64(items) {
+				t.Fatalf("tdh_visibility_seconds_count = %d, want one per accepted item (%d)", got, items)
+			}
+			close(stop)
+			<-watched
+		})
 	}
 }

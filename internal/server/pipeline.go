@@ -1,6 +1,8 @@
 package server
 
 import (
+	"maps"
+	"slices"
 	"strconv"
 	"time"
 
@@ -35,34 +37,33 @@ import (
 // deterministic function of the dataset, so a replayed log refits to the
 // state the live process published), fanned out over the cores once the
 // index is large enough to pay for it — are debounced behind a RefitPolicy
-// and also run entirely off the request path.
-// A refit is the one stage whose cost grows with the whole campaign, and the
-// coordinator is a single goroutine, so whatever is queued when one starts
-// waits for all of it: the policy therefore never starts a count-triggered
-// refit in front of a backlog (shouldRefit) — the cheap fold + publish
-// cycles make the queued answers visible first, and the refit runs once the
-// queue is empty or the staleness bound expires.
+// and run beside the coordinator, at most one at a time. When the policy
+// fires, the coordinator cuts a frozen prefix of its working dataset and
+// fits it on its own goroutine (launchFit), and keeps draining, folding and
+// publishing against the installed fit meanwhile. When the fit lands, the
+// coordinator installs it, folds the answers drained since the cut through
+// one epoch and publishes (land): the state a refit at the cut followed by
+// one fold gives. In Koch & Olteanu's terms a fold conditions the published
+// state with the trust parameters held fixed and a refit re-estimates them,
+// so neither waits for the other. Growth drained during a fit changes the
+// object set the fit was cut from, so that result is discarded and a
+// synchronous refit covers everything; POST /refresh and Close wait out any
+// fit in flight, and a refresh (like the boot fit) then refits
+// synchronously.
 
 // RefitPolicy controls when the pipeline escalates from incremental
 // confidence updates to a full EM refit, and how ingestion is buffered.
-// Zero-value fields take the defaults documented per field.
-//
-// The two refit triggers are not symmetric. MaxStaleness is a deadline: once
-// the oldest unrefitted answer is that old, the next coordinator cycle or
-// tick refits, backlog or not. MaxAnswers is a batch size: it asks for a
-// refit once enough answers accumulated, but while a drain leaves items
-// queued the refit is deferred — the queue is folded and published first —
-// until the queue is empty or MaxStaleness expires, whichever comes first.
-// With staleness refits disabled nothing bounds the deferral, so the count
-// trigger is then not deferred at all.
+// Zero-value fields take the defaults documented per field. Both refit
+// triggers run from the installed fit: a refit starts once either fires and
+// no other is in flight.
 type RefitPolicy struct {
-	// MaxAnswers triggers a full refit once this many answers accumulated
-	// since the last one and no backlog is queued (default 64; <0 disables
-	// count-based refits).
+	// MaxAnswers triggers a full refit once this many answers and mutations
+	// were drained since the last fit was installed (default 64; <0
+	// disables count-based refits).
 	MaxAnswers int
-	// MaxStaleness triggers a full refit when the oldest unrefitted answer
-	// is older than this (default 2s; <0 disables staleness refits, and with
-	// them the deferral of count-based ones).
+	// MaxStaleness triggers a full refit once the oldest answer or mutation
+	// the installed fit has not seen is older than this (default 2s; <0
+	// disables staleness refits).
 	MaxStaleness time.Duration
 	// BatchSize caps how many queued items (answers and mutations) one
 	// coordinator cycle drains before publishing a snapshot (default 64).
@@ -145,26 +146,52 @@ type pipeline struct {
 	round      int64
 	applied    int // answers folded into the published snapshot
 	mutApplied int // dataset mutations folded into the published snapshot
-	sinceRefit int // answers + mutations since the last full refit
+	sinceRefit int // answers + mutations drained since the installed fit
+	// staleSince is when the oldest unit the installed fit has not seen was
+	// drained; zero when the fit has seen every drained unit.
 	staleSince time.Time
-	backlog    bool // the last drain left items queued (drain)
+	backlog    bool    // the last drain left items queued (drain)
+	fit        *fitJob // the refit in flight beside the coordinator, if any
 
 	// Lineage accounting, all coordinator-owned. drainedSeq is the highest
-	// ingest sequence drained; the next publish copies it onto the snapshot
-	// as the visibility watermark. cycle holds the drained items until the
-	// publish that makes them visible completes them (visibility histogram +
-	// span trees); stamps carries the cycle's stage timestamps for those
-	// spans. held is set when the engine refused to fold or grow a drained
-	// item (no epoch, no incremental growth): neither the published state
-	// nor the published index reflects it, so publishes keep the previous
-	// watermark and hold cycle until the next full refit absorbs it.
+	// ingest sequence drained; fitSeq is the one the installed fit covers.
+	// A publish copies drainedSeq onto the snapshot as the visibility
+	// watermark — unless held: the engine refused to fold or grow an item
+	// drained since the installed fit (no epoch, no incremental growth), so
+	// neither the published state nor its index reflects it, and the
+	// watermark stays at what the fit covers until a fit that indexes it is
+	// installed. cycle holds the drained items until the publish whose
+	// watermark covers them completes them (visibility histogram + span
+	// trees); stamps carries the cycle's stage timestamps for those spans.
 	// lastVisible is the last publish that completed drained items — the
 	// progress signal the stall watchdog checks against queue depth.
 	drainedSeq  int64
+	fitSeq      int64
 	held        bool
 	cycle       []itemMeta
 	stamps      cycleStamps
 	lastVisible time.Time
+}
+
+// fitJob is the one refit in flight beside the coordinator: a cold
+// NewIndex + Engine.Fit over a frozen prefix of the working dataset, run on
+// its own goroutine, which sends the result on done and exits. Everything
+// but done is coordinator-owned.
+type fitJob struct {
+	done    chan fitResult // buffered for the one send, so the fit goroutine never blocks
+	seq     int64          // drainedSeq at the cut: the items the fit covers
+	answers int            // len(work.Answers) at the cut; the rest is the suffix land folds
+	muts    int            // mutApplied at the cut: any more means growth the fit never saw
+	// staleSince is when the oldest unit drained since the cut was drained,
+	// the staleness deadline's start once the fit is installed.
+	staleSince time.Time
+	start      time.Time
+}
+
+// fitResult is what a fit beside the coordinator sends back.
+type fitResult struct {
+	idx *data.Index
+	st  engine.State
 }
 
 // itemMeta is the coordinator-side record of one drained item awaiting its
@@ -193,8 +220,8 @@ func (p *pipeline) metrics() *serverMetrics { return p.s.metrics }
 // assignment plan already attached and prewarmed — built, reused or advanced
 // in this goroutine so no /task request ever pays for it in-line:
 //
-//   - after a full refit (or the very first publish) the plan is built from
-//     scratch;
+//   - when refit is set — a fit was just installed, the boot fit included —
+//     the plan is built from scratch;
 //   - when the cycle left index and result untouched (an engine with no
 //     incremental path publishing its previous state), the previous plan is
 //     exact and is reused outright;
@@ -203,16 +230,16 @@ func (p *pipeline) metrics() *serverMetrics { return p.s.metrics }
 //     around the touched object IDs.
 //
 //tdh:wallclock stage timings and PublishedAt are observability metadata; replayed state never reads them
-func (p *pipeline) publish(touched []int) {
+func (p *pipeline) publish(touched []int, refit bool) {
 	pubStart := time.Now()
 	prev := p.s.current.Load()
 	// The visibility watermark: everything drained so far is in the state
 	// this snapshot publishes (every loop path folds what it drains before
-	// the next drain) — unless the engine refused some of it, which the
-	// previous watermark then still describes.
+	// the next drain) — unless the engine refused some of it since the
+	// installed fit, which then still covers what it was cut at.
 	wm := p.drainedSeq
 	if p.held {
-		wm = prev.Watermark
+		wm = max(p.fitSeq, prev.Watermark)
 	}
 	sn := &Snapshot{
 		Idx: p.idx, St: p.st, Res: p.st.Res(), Round: p.round,
@@ -226,7 +253,7 @@ func (p *pipeline) publish(touched []int) {
 	p.stamps.planStart = planStart
 	var plan *assign.Plan
 	switch {
-	case prev == nil || p.sinceRefit == 0:
+	case refit:
 		plan = assign.NewPlan(sn.Idx, sn.Res)
 		p.metrics().planBuilds.Inc()
 	case sn.Idx == prev.Idx && sn.Res == prev.Res:
@@ -246,7 +273,7 @@ func (p *pipeline) publish(touched []int) {
 	p.stamps.planEnd = time.Now()
 	sn.setPlan(plan)
 	p.s.current.Store(sn)
-	p.metrics().publishes[p.sinceRefit == 0].Inc()
+	p.metrics().publishes[refit].Inc()
 	p.metrics().observeStage(stagePublish, pubStart)
 	p.stamps.pubStart, p.stamps.pubEnd = pubStart, time.Now()
 	if d := p.stamps.pubEnd.Sub(pubStart); d >= slowPublishAfter && p.s.logEvery(&p.s.lastSlowLog, logRepeatEvery) {
@@ -254,9 +281,7 @@ func (p *pipeline) publish(touched []int) {
 			"duration_ms", d.Milliseconds(), "round", p.round,
 			"answers", p.applied, "objects", sn.Idx.NumObjects())
 	}
-	if !p.held {
-		p.completeCycle(sn.PublishedAt)
-	}
+	p.completeCycle(sn.PublishedAt, wm)
 }
 
 const (
@@ -275,21 +300,25 @@ const (
 	logRepeatEvery = 5 * time.Second
 )
 
-// completeCycle finishes the items made visible by the publish at pub: every
-// drained item gets a visibility observation (accept → covering publish),
-// and each sampled item's span recorder gets the cycle's stage spans before
-// being finished into the trace ring. It also feeds the drain-rate estimate
-// behind Retry-After. Called from every publish that is not held, so a
-// cycle that folds and then immediately refits completes its items at the
-// first publish — the one that made them visible — and the second finds the
-// cycle empty, while items a held cycle drained wait for the refit's.
-func (p *pipeline) completeCycle(pub time.Time) {
-	if len(p.cycle) == 0 {
+// completeCycle finishes the items made visible by the publish at pub, whose
+// watermark is wm: every drained item at or below wm gets a visibility
+// observation (accept → covering publish), and each sampled item's span
+// recorder gets the cycle's stage spans before being finished into the
+// trace ring. It also feeds the drain-rate estimate behind Retry-After.
+// Called from every publish, so each item is completed exactly once, by the
+// first publish that covers it; items a refit-only engine holds wait for
+// the install of the fit that indexes them.
+func (p *pipeline) completeCycle(pub time.Time, wm int64) {
+	n := 0
+	for n < len(p.cycle) && p.cycle[n].seq <= wm {
+		n++
+	}
+	if n == 0 {
 		return
 	}
 	st := &p.stamps
 	m := p.metrics()
-	for _, it := range p.cycle {
+	for _, it := range p.cycle[:n] {
 		m.visibility.Observe(pub.Sub(it.at).Seconds())
 		if it.tr == nil {
 			continue
@@ -309,7 +338,7 @@ func (p *pipeline) completeCycle(pub time.Time) {
 	// EWMA (α=1/4) of per-item cycle cost, the drain-rate estimate 429
 	// responses derive Retry-After from.
 	if dur := st.pubEnd.Sub(st.drainStart); dur > 0 {
-		per := dur.Nanoseconds() / int64(len(p.cycle))
+		per := dur.Nanoseconds() / int64(n)
 		if old := p.s.drainNsPerItem.Load(); old > 0 {
 			per = old + (per-old)/4
 		}
@@ -319,13 +348,13 @@ func (p *pipeline) completeCycle(pub time.Time) {
 		p.s.drainNsPerItem.Store(per)
 	}
 	p.lastVisible = pub
-	p.cycle = p.cycle[:0]
+	p.cycle = p.cycle[:copy(p.cycle, p.cycle[n:])]
 }
 
 // checkStall fires the pipeline-stall warning when items are queued but no
 // publish has made progress for stallAfter — the watermark equivalent of a
-// wedged coordinator (an engine fold blocking, a refit monopolizing the
-// loop).
+// wedged coordinator (an engine fold blocking, a synchronous refit
+// monopolizing the loop).
 //
 //tdh:wallclock stall detection compares wall-clock progress timestamps; diagnostics only
 func (p *pipeline) checkStall(now time.Time) {
@@ -344,23 +373,104 @@ func (p *pipeline) checkStall(now time.Time) {
 		"depth", depth, "stalled_seconds", now.Sub(ref).Seconds(), "round", p.round)
 }
 
-// fullRefit rebuilds the index from the answer-extended dataset and reruns
-// the configured engine's full inference from scratch.
+// fullRefit rebuilds the index from the whole working dataset and reruns
+// the configured engine's full inference from scratch, on the coordinator.
+// No fit may be in flight (awaitFit).
 //
 //tdh:wallclock refit duration is an observability histogram; replayed state never reads it
 func (p *pipeline) fullRefit() {
 	start := time.Now()
 	p.idx = data.NewIndex(p.work)
 	p.st = p.s.cfg.Engine.Fit(p.idx)
-	p.round++
-	p.sinceRefit, p.held = 0, false
 	p.metrics().observeStage(stageRefit, start)
-	p.reportConvergence()
+	p.installed(p.drainedSeq, time.Time{})
 	// When this refit is what makes drained items visible (the refresh
 	// path, or items a held cycle drained), their span trees show the refit
 	// as the fold stage.
 	p.stamps.foldStart, p.stamps.foldEnd, p.stamps.refit = start, time.Now(), true
-	p.publish(nil)
+	p.publish(nil, true)
+}
+
+// installed resets the refit bookkeeping for a fit just made p.st: it
+// covers every item up to seq, and staleSince is when the oldest unit it
+// has not seen was drained (zero: none).
+func (p *pipeline) installed(seq int64, staleSince time.Time) {
+	p.round++
+	p.fitSeq, p.held = seq, false
+	p.sinceRefit, p.staleSince = 0, staleSince
+	p.reportConvergence()
+}
+
+// launchFit starts a refit beside the coordinator. The cut is a frozen
+// prefix of the working dataset: Records and Answers clipped to their
+// length — the coordinator only appends past it — and Candidates, which it
+// writes in place, cloned.
+//
+//tdh:wallclock refit duration is an observability histogram; replayed state never reads it
+func (p *pipeline) launchFit() {
+	prefix := *p.work
+	prefix.Records = slices.Clip(p.work.Records)
+	prefix.Answers = slices.Clip(p.work.Answers)
+	prefix.Candidates = maps.Clone(p.work.Candidates)
+	job := &fitJob{
+		done: make(chan fitResult, 1), seq: p.drainedSeq,
+		answers: len(prefix.Answers), muts: p.mutApplied, start: time.Now(),
+	}
+	eng, m := p.s.cfg.Engine, p.metrics()
+	go func() {
+		idx := data.NewIndex(&prefix)
+		st := eng.Fit(idx)
+		m.observeStage(stageRefit, job.start)
+		job.done <- fitResult{idx: idx, st: st}
+	}()
+	p.fit = job
+}
+
+// fitDone is the in-flight fit's result channel, nil (never ready) when no
+// fit is in flight.
+func (p *pipeline) fitDone() <-chan fitResult {
+	if p.fit == nil {
+		return nil
+	}
+	return p.fit.done
+}
+
+// awaitFit waits out the fit in flight, if any, and discards it: the
+// caller refits synchronously or is shutting down.
+func (p *pipeline) awaitFit() {
+	if p.fit != nil {
+		<-p.fit.done
+		p.fit = nil
+	}
+}
+
+// land installs a fit that ran beside the coordinator and publishes it with
+// a fresh plan: the fitted state, with the answers drained since the cut
+// folded through one epoch — for a refit-only engine, which cannot fold
+// them, the fit alone, with the watermark at the cut. Growth drained since
+// the cut is not in the fit's index, so such a result is discarded for a
+// synchronous refit over everything.
+//
+//tdh:wallclock fold-stage timing is observability only; replayed state never reads it
+func (p *pipeline) land(res fitResult) {
+	job := p.fit
+	p.fit = nil
+	if p.mutApplied != job.muts {
+		p.fullRefit()
+		return
+	}
+	p.idx, p.st = res.idx, res.st
+	p.installed(job.seq, job.staleSince)
+	if suffix := p.work.Answers[job.answers:]; len(suffix) > 0 {
+		if ep, ok := p.s.cfg.Engine.NewEpoch(p.st, p.idx); ok {
+			ep.Fold(suffix)
+			p.st = ep.Seal()
+		} else {
+			p.held = true
+		}
+	}
+	p.stamps.foldStart, p.stamps.foldEnd, p.stamps.refit = job.start, time.Now(), true
+	p.publish(nil, true)
 }
 
 // reportConvergence exports how the refit's EM ended — evaluations run and
@@ -390,13 +500,20 @@ func (p *pipeline) ingest(batch []data.Answer) {
 	p.applied += len(batch)
 }
 
-// markDirty advances the refit-policy counters by n accepted units.
+// markDirty advances the refit-policy counters by n drained units, which
+// neither the installed fit nor the one in flight has seen.
+//
+//tdh:wallclock refit-scheduling heuristic; not part of logged or replayed state
 func (p *pipeline) markDirty(n int) {
 	if n == 0 {
 		return
 	}
-	if p.sinceRefit == 0 {
-		p.staleSince = time.Now() //tdh:wallclock refit-scheduling heuristic; not part of logged or replayed state
+	now := time.Now()
+	if p.staleSince.IsZero() {
+		p.staleSince = now
+	}
+	if p.fit != nil && p.fit.staleSince.IsZero() {
+		p.fit.staleSince = now
 	}
 	p.sinceRefit += n
 }
@@ -411,7 +528,7 @@ func (p *pipeline) markDirty(n int) {
 // fresh counters) and the cycle is held: the extended index is dropped, so
 // every published state is shaped by the index published with it, and the
 // additions — growth as well as answers — wait, with the watermark, for the
-// next refit's NewIndex.
+// NewIndex of the next fit cut after them.
 //
 //tdh:wallclock fold-stage timing is observability only; replayed state never reads it
 func (p *pipeline) apply(answers []data.Answer, muts []*mutation) {
@@ -443,7 +560,7 @@ func (p *pipeline) apply(answers []data.Answer, muts []*mutation) {
 	}
 	p.metrics().observeStage(stageFold, foldStart)
 	p.stamps.foldEnd = time.Now()
-	p.publish(touched)
+	p.publish(touched, false)
 }
 
 // stageMutations appends accepted mutations to the working dataset and the
@@ -472,20 +589,14 @@ func (p *pipeline) stageMutations(muts []*mutation) data.Mutation {
 	return mu
 }
 
-// shouldRefit applies the count/staleness policy (see RefitPolicy): the
-// staleness deadline always fires; the count trigger waits out a backlog
-// when — and only when — that deadline exists to bound the wait.
+// shouldRefit applies the count/staleness policy (see RefitPolicy) when no
+// fit is in flight and the installed one has not seen every drained unit.
 func (p *pipeline) shouldRefit(now time.Time) bool {
-	if p.sinceRefit <= 0 {
+	if p.fit != nil || p.staleSince.IsZero() {
 		return false
 	}
-	if p.policy.MaxStaleness > 0 {
-		if now.Sub(p.staleSince) >= p.policy.MaxStaleness {
-			return true
-		}
-		if p.backlog {
-			return false
-		}
+	if p.policy.MaxStaleness > 0 && now.Sub(p.staleSince) >= p.policy.MaxStaleness {
+		return true
 	}
 	return p.policy.MaxAnswers > 0 && p.sinceRefit >= p.policy.MaxAnswers
 }
@@ -494,8 +605,7 @@ func (p *pipeline) shouldRefit(now time.Time) bool {
 // and mutations, in enqueue order, without blocking. limit caps the items
 // taken (0 = unbounded, used during refresh and shutdown); p.backlog records
 // whether the queue still held items afterwards, so the coordinator
-// re-kicks itself instead of stalling a backlog and defers a count-triggered
-// refit behind it. taken counts the items drained; callers release the
+// re-kicks itself instead of stalling a backlog. taken counts the items drained; callers release the
 // depth counter by it only AFTER the drained batch is folded and published
 // (releaseDepth), so queue depth — what /stats, /metrics and admission
 // control read — covers the whole accepted-but-unfolded backlog, not just
@@ -551,17 +661,20 @@ func (p *pipeline) loop() {
 			answers, muts, taken := p.drain(p.policy.BatchSize)
 			p.apply(answers, muts)
 			if p.shouldRefit(time.Now()) {
-				p.fullRefit()
+				p.launchFit()
 			}
 			p.releaseDepth(taken)
 			if p.backlog {
 				p.s.kick() // backlog beyond the batch cap: schedule another cycle
 			}
+		case res := <-p.fitDone():
+			p.land(res)
 		case req := <-p.s.refreshCh:
 			// No incremental answer pass here: the refit recomputes
 			// everything the drained answers would have contributed.
 			// Mutations still extend the working dataset first so the refit
 			// covers them.
+			p.awaitFit()
 			answers, muts, taken := p.drain(0)
 			if len(muts) > 0 {
 				p.stageMutations(muts) // the refit below absorbs them
@@ -572,14 +685,16 @@ func (p *pipeline) loop() {
 			req.done <- p.s.snap()
 		case <-tick.C:
 			if p.shouldRefit(time.Now()) {
-				p.fullRefit()
+				p.launchFit()
 			}
 			p.checkStall(time.Now())
 		case <-p.s.quitCh:
 			// Flush: every item accepted before Close was enqueued (Close
 			// waits out in-flight accepts first), so one unbounded drain
-			// folds the backlog into a final snapshot. Items a held cycle
-			// drained stay held: no refit absorbs them before shutdown.
+			// folds the backlog into a final snapshot. A fit in flight is
+			// waited out and discarded, so items a held cycle drained stay
+			// held: no refit absorbs them before shutdown.
+			p.awaitFit()
 			answers, muts, taken := p.drain(0)
 			p.apply(answers, muts)
 			p.releaseDepth(taken)

@@ -1,14 +1,21 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/assign"
+	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/engine"
 	"repro/internal/infer"
@@ -31,6 +38,20 @@ func (si slowInferencer) Infer(idx *data.Index) *infer.Result {
 		time.Sleep(si.delay)
 	}
 	return si.inner.Infer(idx)
+}
+
+// gatedEngine holds every Fit after the boot fit until gate is closed.
+type gatedEngine struct {
+	engine.Engine
+	gate  <-chan struct{}
+	calls *atomic.Int32
+}
+
+func (e gatedEngine) Fit(idx *data.Index) engine.State {
+	if e.calls.Add(1) > 1 {
+		<-e.gate
+	}
+	return e.Engine.Fit(idx)
 }
 
 // TestSnapshotConsistencyDuringRefit: while a slow full refit is in flight,
@@ -286,97 +307,299 @@ func TestConcurrentClients(t *testing.T) {
 	}
 }
 
-// recordingEngine is a slowEngine (every cycle's epoch takes at least delay
-// to open) that records the order of the coordinator's full refits and
-// folds.
-type recordingEngine struct {
-	slowEngine
-	visible func() uint64 // visibility observations so far, read at each refit
-
-	mu     sync.Mutex
-	events []string
+// fitRig drives a TDH server through its handler, without a listener. Every
+// fit after the boot fit waits for gate to close (gatedEngine) or, ungated,
+// sleeps in slowInferencer.
+type fitRig struct {
+	s     *Server
+	calls *atomic.Int32
+	gate  chan struct{}
+	objs  []string
+	next  int
 }
 
-func (e *recordingEngine) record(ev string) {
-	e.mu.Lock()
-	e.events = append(e.events, ev)
-	e.mu.Unlock()
-}
-
-func (e *recordingEngine) Fit(idx *data.Index) engine.State {
-	ev := "fit"
-	if e.visible != nil {
-		ev = fmt.Sprintf("fit@%d", e.visible())
+func newFitRig(t *testing.T, pol RefitPolicy, gated bool) *fitRig {
+	t.Helper()
+	r := &fitRig{calls: &atomic.Int32{}}
+	eng := engine.NewCategorical(slowInferencer{inner: infer.NewTDH(), delay: 100 * time.Millisecond, calls: r.calls})
+	if gated {
+		r.gate = make(chan struct{})
+		eng = gatedEngine{Engine: engine.NewCategorical(infer.NewTDH()), gate: r.gate, calls: r.calls}
 	}
-	e.record(ev)
-	return e.Engine.Fit(idx)
+	s, err := New(Config{
+		Dataset: synth.Heritages(synth.HeritagesConfig{Seed: 5, Scale: 0.06}),
+		Engine:  eng, Assigner: assign.EAI{}, OpenAnswers: true, Policy: pol,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.s, r.objs = s, s.SortedObjects()
+	return r
 }
 
-func (e *recordingEngine) NewEpoch(st engine.State, idx *data.Index) (engine.Epoch, bool) {
-	e.record("fold")
-	return e.slowEngine.NewEpoch(st, idx)
+// post submits n answers, each from a fresh worker, and returns the last
+// acknowledged seq.
+func (r *fitRig) post(t *testing.T, n int) int64 {
+	t.Helper()
+	var ack lineageAck
+	for range n {
+		o := r.objs[r.next%len(r.objs)]
+		a := data.Answer{Worker: fmt.Sprintf("w%d", r.next), Object: o, Value: r.s.Snapshot().Idx.View(o).CI.Values[0]}
+		r.next++
+		body, _ := json.Marshal(a)
+		rec := httptest.NewRecorder()
+		r.s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/answer", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("answer status %d", rec.Code)
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &ack); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ack.Seq
 }
 
-// TestCountRefitWaitsForBacklog pins the refit predicate on a backlog of
-// five batches queued before the coordinator starts, with the count trigger
-// at one batch: the count trigger is deferred behind the backlog — every
-// queued answer is folded and visible before the one refit that follows —
-// for at most MaxStaleness, and not at all when no staleness bound exists.
-func TestCountRefitWaitsForBacklog(t *testing.T) {
-	const batch, batches = 4, 5
+// waitFor polls until cond holds on the published snapshot and returns it.
+func waitFor(t *testing.T, s *Server, what string, cond func(*Snapshot) bool) *Snapshot {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if sn := s.Snapshot(); cond(sn) {
+			return sn
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+}
+
+// TestFoldsPublishWhileFitting: a policy-triggered refit runs beside the
+// coordinator. While the second fit is in flight, answers posted meanwhile
+// fold and reach the watermark; the count trigger counts from the install
+// and the staleness deadline runs from the oldest answer the installed fit
+// has not seen; Refresh and Close issued mid-fit wait it out and return,
+// leaving no goroutine behind.
+func TestFoldsPublishWhileFitting(t *testing.T) {
+	fits := func(r *fitRig, n int32) func(*Snapshot) bool {
+		return func(*Snapshot) bool { return r.calls.Load() == n }
+	}
+	round := func(n int64) func(*Snapshot) bool {
+		return func(sn *Snapshot) bool { return sn.Round == n }
+	}
+
+	t.Run("count from install", func(t *testing.T) {
+		r := newFitRig(t, RefitPolicy{MaxAnswers: 4, MaxStaleness: -1}, true)
+		defer r.s.Close()
+		r.post(t, 4) // the cycle that drains the fourth answer launches fit 2
+		waitFor(t, r.s, "fit 2 to start", fits(r, 2))
+		seq := r.post(t, 3)
+		sn := waitFor(t, r.s, "the mid-fit answers to be visible", func(sn *Snapshot) bool { return sn.Watermark >= seq })
+		if sn.Round != 1 || sn.Answers != 7 {
+			t.Fatalf("mid-fit snapshot: round %d, %d answers; want round 1 with all 7 folded", sn.Round, sn.Answers)
+		}
+		if n := r.s.metrics.visibility.Count(); n != 7 {
+			t.Fatalf("%d visibility observations before the fit landed, want 7", n)
+		}
+		close(r.gate)
+		sn = waitFor(t, r.s, "fit 2 to land", round(2))
+		if got := len(sn.Idx.DS.Answers); got != 4 || sn.Answers != 7 || sn.Watermark != seq {
+			t.Fatalf("install: fit cut at %d answers, %d folded, watermark %d; want 4, 7, %d", got, sn.Answers, sn.Watermark, seq)
+		}
+		r.post(t, 3)
+		waitFor(t, r.s, "the post-install answers", func(sn *Snapshot) bool { return sn.Answers == 10 })
+		r.post(t, 1)
+		sn = waitFor(t, r.s, "fit 3 to land", round(3))
+		if got := len(sn.Idx.DS.Answers); got != 11 {
+			t.Fatalf("fit 3 was cut at %d answers, want 11: four since the install, not since the cut", got)
+		}
+	})
+
+	t.Run("staleness from the oldest unseen answer", func(t *testing.T) {
+		r := newFitRig(t, RefitPolicy{MaxAnswers: -1, MaxStaleness: 20 * time.Millisecond}, true)
+		defer r.s.Close()
+		r.post(t, 1)
+		waitFor(t, r.s, "the deadline to launch fit 2", fits(r, 2))
+		seq := r.post(t, 1)
+		waitFor(t, r.s, "the mid-fit answer to be visible", func(sn *Snapshot) bool { return sn.Watermark >= seq })
+		close(r.gate)
+		// Nothing more is posted: the answer drained during fit 2 is past its
+		// deadline by the time the fit is installed.
+		sn := waitFor(t, r.s, "fit 3 to land", round(3))
+		if got := len(sn.Idx.DS.Answers); got != 2 {
+			t.Fatalf("fit 3 was cut at %d answers, want 2", got)
+		}
+	})
+
+	t.Run("refresh and close mid-fit", func(t *testing.T) {
+		base := runtime.NumGoroutine()
+		r := newFitRig(t, RefitPolicy{MaxAnswers: 4, MaxStaleness: -1}, false)
+		r.post(t, 4)
+		waitFor(t, r.s, "fit 2 to start", fits(r, 2))
+		sn, err := r.s.Refresh()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sn.Round != 2 || sn.Answers != 4 || r.calls.Load() != 3 {
+			t.Fatalf("refresh: round %d, %d answers after %d fits; want round 2 (the fit in flight discarded), 4 answers, 3 fits",
+				sn.Round, sn.Answers, r.calls.Load())
+		}
+		r.post(t, 4)
+		waitFor(t, r.s, "fit 4 to start", fits(r, 4))
+		if err := r.s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if sn := r.s.Snapshot(); sn.Round != 2 || sn.Answers != 8 {
+			t.Fatalf("after Close: round %d, %d answers; want round 2, 8 answers", sn.Round, sn.Answers)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > base {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d goroutines after Close, %d before New", runtime.NumGoroutine(), base)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	})
+}
+
+// TestInstallEqualsSynchronousRefit pins the install of a fit that ran
+// beside the coordinator to its definition: the state it publishes equals,
+// bit for bit, Engine.Fit over NewIndex of the cut's prefix followed by one
+// epoch folding the answers drained since the cut. A refit-only engine
+// (VOTE) cannot fold them: it publishes the prefix fit with the watermark
+// at the cut's seq, and the items past the cut stay uncompleted.
+func TestInstallEqualsSynchronousRefit(t *testing.T) {
+	stock := synth.Stock(synth.StockConfig{Seed: 2, Symbols: 30})[1]
+	crh, err := engine.New(engine.Numeric, "CRH", engine.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	heritages := synth.Heritages(synth.HeritagesConfig{Seed: 5, Scale: 0.06})
+	categorical := func(o string, ov *data.ObjectView, i int) data.Answer {
+		return data.Answer{Worker: fmt.Sprintf("w%d", i%5), Object: o, Value: ov.CI.Values[i%len(ov.CI.Values)]}
+	}
 	for _, c := range []struct {
-		name      string
-		staleness time.Duration
-		foldDelay time.Duration
-		want      string // events after the boot fit; "" = checked below
+		eng    engine.Engine
+		ds     *data.Dataset
+		answer func(o string, ov *data.ObjectView, i int) data.Answer
+		folds  bool
 	}{
-		{name: "deferred behind the backlog", staleness: time.Minute,
-			want: "[fold fold fold fold fold fit@20]"},
-		// Each fold outlasts the staleness bound, so the deadline has passed
-		// by the end of the first cycle.
-		{name: "staleness bounds the deferral", staleness: time.Millisecond, foldDelay: 5 * time.Millisecond},
-		{name: "no staleness bound, no deferral", staleness: -1,
-			want: "[fold fit@4 fold fit@8 fold fit@12 fold fit@16 fold fit@20]"},
+		{engine.NewCategorical(infer.NewTDH()), heritages, categorical, true},
+		{crh, &data.Dataset{Name: "stock", Records: stock.Records}, func(o string, _ *data.ObjectView, i int) data.Answer {
+			v := stock.Gold[o] + float64(i%3)
+			return data.Answer{Worker: fmt.Sprintf("w%d", i%5), Object: o, Num: &v}
+		}, true},
+		{engine.NewCategorical(infer.Vote{}), heritages, categorical, false},
 	} {
-		t.Run(c.name, func(t *testing.T) {
-			ds := synth.Heritages(synth.HeritagesConfig{Seed: 5, Scale: 0.06})
-			rec := &recordingEngine{slowEngine: slowEngine{
-				Engine: engine.NewCategorical(infer.NewTDH()), delay: c.foldDelay}}
+		t.Run(c.eng.Name(), func(t *testing.T) {
 			p, err := newPipeline(Config{
-				Dataset: ds, Engine: rec, Assigner: assign.EAI{}, OpenAnswers: true,
-				Policy: RefitPolicy{MaxAnswers: batch, BatchSize: batch, MaxStaleness: c.staleness},
+				Dataset: c.ds.Clone(), Engine: c.eng, Assigner: assign.ME{}, OpenAnswers: true,
+				Policy: RefitPolicy{MaxAnswers: -1, MaxStaleness: -1},
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			s := p.s
-			rec.visible = s.metrics.visibility.Count
-			snap := s.Snapshot()
-			for i, o := range s.SortedObjects()[:batch*batches] {
-				a := data.Answer{Worker: fmt.Sprintf("w%d", i), Object: o, Value: snap.Idx.View(o).CI.Values[0]}
-				s.enqueue(ingestItem{answer: a, at: time.Now()})
-			}
-			go p.loop()
-			// Depth is released at the end of a cycle, after its refit.
-			deadline := time.Now().Add(10 * time.Second)
-			for s.queueDepth.Load() > 0 {
-				if time.Now().After(deadline) {
-					t.Fatalf("backlog never drained: depth %d", s.queueDepth.Load())
+			objs := s.SortedObjects()
+			// cycle enqueues answers from..to-1 and runs one coordinator cycle.
+			cycle := func(from, to int) []data.Answer {
+				var out []data.Answer
+				for i := from; i < to; i++ {
+					o := objs[i%len(objs)]
+					a := c.answer(o, p.idx.View(o), i)
+					s.enqueue(ingestItem{answer: a, at: time.Now()})
+					out = append(out, a)
 				}
-				time.Sleep(time.Millisecond)
+				answers, muts, taken := p.drain(0)
+				p.apply(answers, muts)
+				p.releaseDepth(taken)
+				return out
 			}
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
-			events := rec.events[1:] // [0] is the boot fit
-			if c.want != "" {
-				if got := fmt.Sprint(events); got != c.want {
-					t.Fatalf("coordinator ran %s, want %s", got, c.want)
+			cycle(0, 12)
+			prefix, cut := p.work.Clone(), p.drainedSeq
+			p.launchFit()
+			suffix := cycle(12, 20)
+			p.land(<-p.fit.done)
+			got := s.Snapshot()
+
+			wantIdx := data.NewIndex(prefix)
+			want := c.eng.Fit(wantIdx)
+			wantWM, wantSeen := p.drainedSeq, uint64(20)
+			if c.folds {
+				ep, ok := c.eng.NewEpoch(want, wantIdx)
+				if !ok {
+					t.Fatal("no epoch over the prefix fit")
 				}
-				return
+				ep.Fold(suffix)
+				want = ep.Seal()
+			} else {
+				wantWM, wantSeen = cut, 12
 			}
-			if fmt.Sprint(events[:2]) != "[fold fit@4]" || events[len(events)-1] == "fold" {
-				t.Fatalf("coordinator ran %v, want a refit after the first fold and after the last", events)
+			if got.Round != 2 || got.Watermark != wantWM {
+				t.Fatalf("install: round %d, watermark %d; want round 2, watermark %d", got.Round, got.Watermark, wantWM)
+			}
+			if n := s.metrics.visibility.Count(); n != wantSeen {
+				t.Fatalf("%d items completed at the install, want %d", n, wantSeen)
+			}
+			if !reflect.DeepEqual(got.Idx.Objects, wantIdx.Objects) || got.Res.Rows.Index() != got.Idx {
+				t.Fatal("install published another object set, or rows shaped by another index")
+			}
+			if g, w := stateDump(got.St, got.Idx.NumObjects()), stateDump(want, wantIdx.NumObjects()); g != w {
+				t.Fatalf("install differs from fit(prefix) + fold(suffix):\ngot  %.300s\nwant %.300s", g, w)
+			}
+		})
+	}
+}
+
+// stateDump prints everything a state publishes — truths, trust, every
+// confidence row and, for TDH, φ/ψ — in a form that differs whenever one
+// float differs in its bits (%v prints the shortest round-trip form).
+func stateDump(st engine.State, n int) string {
+	res := st.Res()
+	var b strings.Builder
+	fmt.Fprint(&b, st.Truths(), res.SourceTrust, res.WorkerTrust)
+	for oid := range n {
+		fmt.Fprint(&b, res.ConfidenceAt(oid), st.Confidence(oid))
+	}
+	if m, ok := res.Model.(*core.Model); ok {
+		fmt.Fprint(&b, m.Phi, m.Psi)
+	}
+	return b.String()
+}
+
+// BenchmarkOneAnswerCycle times one coordinator cycle between refits as the
+// pipeline runs it — apply (ingest, open an epoch, fold, seal) and publish
+// (plan advance and prewarm, snapshot store) — on Heritages ×1 at one and
+// at sixteen answers per cycle. With refits off the coordinator, cycles
+// this small are most of what it does; their ns/op and B/op are what a
+// page- or chunk-size change (internal/cow) would move.
+//
+//	go test -run '^$' -bench BenchmarkOneAnswerCycle -benchmem ./internal/server
+func BenchmarkOneAnswerCycle(b *testing.B) {
+	p, err := newPipeline(Config{
+		Dataset:  synth.Heritages(synth.HeritagesConfig{Seed: 1, Scale: 1}),
+		Engine:   engine.NewCategorical(infer.NewTDH()),
+		Assigner: assign.EAI{},
+		Policy:   RefitPolicy{MaxAnswers: -1, MaxStaleness: -1},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := p.idx.NumObjects()
+	for _, batch := range []int{1, 16} {
+		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
+			cycles := make([][]data.Answer, 256)
+			for i := range cycles {
+				for j := range batch {
+					ov := p.idx.ViewAt((i*batch + j) * 131 % n)
+					cycles[i] = append(cycles[i], data.Answer{Object: ov.Object, Worker: fmt.Sprintf("bw-%d", i%8), Value: ov.CI.Values[0]})
+				}
+			}
+			b.ReportAllocs()
+			i := 0
+			for b.Loop() {
+				p.apply(cycles[i%len(cycles)], nil)
+				i++
 			}
 		})
 	}
