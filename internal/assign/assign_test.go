@@ -58,6 +58,17 @@ func (f *fixture) ctx(k int) *Context {
 	return &Context{Idx: f.idx, Res: f.res, Workers: f.workers, K: k, Seed: 99}
 }
 
+// hasAnswered is Index.HasAnsweredAt by name; an unknown worker or object
+// has answered nothing.
+func hasAnswered(idx *data.Index, w, o string) bool {
+	wid, ok := idx.WorkerID(w)
+	if !ok {
+		return false
+	}
+	oid, ok := idx.ObjectID(o)
+	return ok && idx.HasAnsweredAt(wid, oid)
+}
+
 // checkAssignment verifies the structural contract every assigner must
 // honor: at most K tasks per worker, no task a worker already answered,
 // and no unknown objects.
@@ -72,7 +83,7 @@ func checkAssignment(t *testing.T, f *fixture, tasks map[string][]string, k int,
 			if f.idx.View(o) == nil {
 				t.Fatalf("unknown object %q assigned", o)
 			}
-			if f.idx.HasAnswered(w, o) {
+			if hasAnswered(f.idx, w, o) {
 				t.Fatalf("worker %s re-assigned already answered %s", w, o)
 			}
 			if prev, dup := seen[o]; dup && distinct {
@@ -139,7 +150,7 @@ func TestLemma41UpperBound(t *testing.T) {
 			if i%3 != 0 { // sample for speed
 				continue
 			}
-			eai := EAIOf(f.m, nObj, w, o)
+			eai := eaiAt(f.m, i, f.m.PsiOf(w), float64(nObj))
 			ub := (1 - f.m.MaxConfidence(o)) / (float64(nObj) * (f.m.DOf(o) + 1))
 			if eai > ub+1e-12 {
 				t.Fatalf("EAI(%s,%s)=%v exceeds UEAI=%v", w, o, eai, ub)
@@ -155,11 +166,11 @@ func TestQuickEAINonNegativeBounded(t *testing.T) {
 		seed := int64(seedRaw%5) + 1
 		fx := newFixture(t, seed, seedRaw%2 == 0)
 		nObj := len(fx.idx.Objects)
-		for i, o := range fx.idx.Objects {
+		for i := range fx.idx.Objects {
 			if i%7 != 0 {
 				continue
 			}
-			e := EAIOf(fx.m, nObj, fx.workers[int(seedRaw)%len(fx.workers)], o)
+			e := eaiAt(fx.m, i, fx.m.PsiOf(fx.workers[int(seedRaw)%len(fx.workers)]), float64(nObj))
 			if e < 0 || e > 1.0/float64(nObj)+1e-12 {
 				return false
 			}

@@ -215,14 +215,3 @@ func eaiAt(m *core.Model, oid int, psi [3]float64, nObj float64) float64 {
 	}
 	return score
 }
-
-// EAIOf exposes the quality measure for a single (worker, object) pair —
-// used by the Figure 7 experiment to compare estimated vs actual
-// improvement.
-func EAIOf(m *core.Model, numObjects int, w, o string) float64 {
-	oid, ok := m.Idx.ObjectID(o)
-	if !ok {
-		return 0
-	}
-	return eaiAt(m, oid, m.PsiOf(w), float64(numObjects))
-}

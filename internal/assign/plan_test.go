@@ -148,7 +148,7 @@ func legacyEAIAssign(e EAI, ctx *Context) (map[string][]string, EAIStats) {
 		cur := top.o
 		for wi := 0; wi < len(workers) && cur != ""; wi++ {
 			w := workers[wi]
-			if ctx.Idx.HasAnswered(w, cur) {
+			if hasAnswered(ctx.Idx, w, cur) {
 				continue
 			}
 			if !e.DisablePruning && len(heaps[wi]) >= ctx.K && heaps[wi][0].score >= ubOf[cur] {

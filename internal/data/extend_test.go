@@ -142,7 +142,7 @@ func TestExtendMatchesScratch(t *testing.T) {
 		}
 	}
 	for _, w := range scratch.WorkerNames {
-		if got, want := grown.ObjectsOfWorker(w), scratch.ObjectsOfWorker(w); !sameStringSet(got, want) {
+		if got, want := objectsOfWorker(grown, w), objectsOfWorker(scratch, w); !sameStringSet(got, want) {
 			t.Fatalf("Ow(%s): grown %v scratch %v", w, got, want)
 		}
 	}

@@ -427,15 +427,6 @@ func (idx *Index) ObjectsOfSource(s string) []string {
 	return idx.objectNames(idx.SourceObjIDs[id])
 }
 
-// ObjectsOfWorker returns the sorted object names worker w answered (Ow).
-func (idx *Index) ObjectsOfWorker(w string) []string {
-	id, ok := idx.workerID[w]
-	if !ok {
-		return nil
-	}
-	return idx.objectNames(idx.WorkerObjIDs[id])
-}
-
 func (idx *Index) objectNames(ids []int32) []string {
 	out := make([]string, len(ids))
 	for i, id := range ids {
@@ -444,22 +435,10 @@ func (idx *Index) objectNames(ids []int32) []string {
 	return out
 }
 
-// HasAnswered reports whether worker w already answered object o.
-func (idx *Index) HasAnswered(w, o string) bool {
-	oid, ok := idx.objectID[o]
-	if !ok {
-		return false
-	}
-	wid, ok := idx.workerID[w]
-	if !ok {
-		return false
-	}
-	return idx.HasAnsweredAt(wid, oid)
-}
-
-// HasAnsweredAt is HasAnswered by dense IDs. A negative wid stands for a
-// worker unknown to the index (who therefore answered nothing), so callers
-// can resolve a worker once and probe many objects without map lookups.
+// HasAnsweredAt reports whether worker wid already answered object oid, by
+// dense IDs. A negative wid stands for a worker unknown to the index (who
+// therefore answered nothing), so callers can resolve a worker once and
+// probe many objects without map lookups.
 func (idx *Index) HasAnsweredAt(wid, oid int) bool {
 	if wid < 0 || oid < 0 || oid >= len(idx.Views) {
 		return false

@@ -145,7 +145,7 @@ func TestExtendChainMatchesScratch(t *testing.T) {
 		scratch := data.NewIndex(ds)
 		checkSameIndex(t, next, scratch)
 		for _, w := range scratch.WorkerNames {
-			if got, want := next.ObjectsOfWorker(w), scratch.ObjectsOfWorker(w); !reflect.DeepEqual(got, want) {
+			if got, want := objectsOfWorker(next, w), objectsOfWorker(scratch, w); !reflect.DeepEqual(got, want) {
 				t.Fatalf("step %d: Ow(%s) grown %v scratch %v", k, w, got, want)
 			}
 		}
@@ -171,14 +171,33 @@ func TestExtendChainMatchesScratch(t *testing.T) {
 	}
 }
 
+// objectsOfWorker lists the names of the objects worker w answered (Ow),
+// in WorkerObjIDs order.
+func objectsOfWorker(idx *data.Index, w string) []string {
+	wid, ok := idx.WorkerID(w)
+	if !ok {
+		return nil
+	}
+	var out []string
+	for _, oid := range idx.WorkerObjIDs[wid] {
+		out = append(out, idx.Objects[oid])
+	}
+	return out
+}
+
 // loopRound draws one crowd round: each worker answers k random objects it
 // has not answered yet, as a simulated worker of the pool would.
 func loopRound(rng *rand.Rand, ds *data.Dataset, idx *data.Index, workers []synth.Worker, k int) []data.Answer {
 	var out []data.Answer
 	for _, w := range workers {
+		wid, ok := idx.WorkerID(w.Name)
+		if !ok {
+			wid = -1
+		}
 		for n := 0; n < k; {
-			ov := idx.ViewAt(rng.Intn(idx.NumObjects()))
-			if idx.HasAnswered(w.Name, ov.Object) || slices.ContainsFunc(out, func(a data.Answer) bool {
+			oid := rng.Intn(idx.NumObjects())
+			ov := idx.ViewAt(oid)
+			if idx.HasAnsweredAt(wid, oid) || slices.ContainsFunc(out, func(a data.Answer) bool {
 				return a.Worker == w.Name && a.Object == ov.Object
 			}) {
 				continue

@@ -43,16 +43,16 @@ func TestIndexStructure(t *testing.T) {
 	if bb.CI.Hier {
 		t.Fatal("London/Manchester unrelated: o ∉ OH")
 	}
-	if !idx.HasAnswered("emma", "bigben") || idx.HasAnswered("emma", "statue") {
-		t.Fatal("HasAnswered wrong")
+	if !hasAnswered(idx, "emma", "bigben") || hasAnswered(idx, "emma", "statue") {
+		t.Fatal("HasAnsweredAt wrong")
 	}
-	if idx.HasAnswered("emma", "ghost-object") {
+	if hasAnswered(idx, "emma", "ghost-object") {
 		t.Fatal("unknown object must report false")
 	}
 	if got := idx.ObjectsOfSource("unesco"); len(got) != 1 || got[0] != "statue" {
 		t.Fatalf("Os(unesco) = %v", got)
 	}
-	if got := idx.ObjectsOfWorker("emma"); len(got) != 1 || got[0] != "bigben" {
+	if got := objectsOfWorker(idx, "emma"); len(got) != 1 || got[0] != "bigben" {
 		t.Fatalf("Ow(emma) = %v", got)
 	}
 	if len(idx.SourceNames) != 5 || len(idx.WorkerNames) != 1 {
@@ -161,9 +161,30 @@ func TestIndexMultiValuedAnswerClaims(t *testing.T) {
 	if got, ok := findClaim(ov.WorkerClaims, int32(w9)); !ok || got != candPos(ov.CI, "NY") {
 		t.Fatalf("w9's claim = (%d, %v), want canonical NY", got, ok)
 	}
-	if !idx.HasAnswered("w9", "statue") {
-		t.Fatal("HasAnswered must see the set answer")
+	if !hasAnswered(idx, "w9", "statue") {
+		t.Fatal("HasAnsweredAt must see the set answer")
 	}
+}
+
+// hasAnswered is HasAnsweredAt by name; an unknown worker or object has
+// answered nothing.
+func hasAnswered(idx *Index, w, o string) bool {
+	wid, ok := idx.WorkerID(w)
+	if !ok {
+		return false
+	}
+	oid, ok := idx.ObjectID(o)
+	return ok && idx.HasAnsweredAt(wid, oid)
+}
+
+// objectsOfWorker lists the names of the objects worker w answered (Ow),
+// in WorkerObjIDs order.
+func objectsOfWorker(idx *Index, w string) []string {
+	wid, ok := idx.WorkerID(w)
+	if !ok {
+		return nil
+	}
+	return idx.objectNames(idx.WorkerObjIDs[wid])
 }
 
 // naivePop2/naivePop3/naiveRel re-derive the popularity and relationship

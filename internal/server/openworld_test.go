@@ -425,14 +425,28 @@ func TestConcurrentGrowthUnderLoad(t *testing.T) {
 	}
 }
 
-// TestGrowthDuringFitRefitsSynchronously: growth drained while a refit runs
-// beside the coordinator is not in the index that fit was cut from, so the
-// landed fit is discarded and one synchronous refit covers everything. Run
-// with -race over a folding (TDH), a refit-only (VOTE) and a numeric (CRH)
-// campaign, with the growth and answers posted concurrently mid-fit: every
-// accepted item is completed exactly once and the watermark never goes
-// backwards.
-func TestGrowthDuringFitRefitsSynchronously(t *testing.T) {
+// growProbe runs check before every Grow: the moment a cycle extends the
+// index, with the snapshot published before that cycle still current.
+type growProbe struct {
+	engine.Engine
+	check func()
+}
+
+func (e growProbe) Grow(st engine.State, idx *data.Index, touched []int) (engine.State, bool) {
+	e.check()
+	return e.Engine.Grow(st, idx, touched)
+}
+
+// TestGrowthWaitsOutFit: growth changes the object set a fit reads, so a
+// cycle that drains growth while a fit runs beside the coordinator first
+// waits that fit out and lands it, then extends the index like any other
+// cycle — no fit is discarded and none runs in its place. Run with -race
+// over a folding (TDH), a refit-only (VOTE) and a numeric (CRH) campaign,
+// with the growth and answers posted concurrently mid-fit: every accepted
+// item is completed exactly once, the watermark never goes backwards, and
+// no snapshot whose watermark covers the /objects item fails to index it
+// (the landed fit must not publish the drained but unapplied cycle).
+func TestGrowthWaitsOutFit(t *testing.T) {
 	stock := synth.Stock(synth.StockConfig{Seed: 2, Symbols: 30})[1]
 	crh, err := engine.New(engine.Numeric, "CRH", engine.Config{})
 	if err != nil {
@@ -450,28 +464,47 @@ func TestGrowthDuringFitRefitsSynchronously(t *testing.T) {
 		ds     *data.Dataset
 		answer func(o string, ov *data.ObjectView, i int) data.Answer
 		growth []any // POST /objects, then POST /records, both for object "hq-new"
+		folds  bool
 	}{
-		{engine.NewCategorical(infer.NewTDH()), openWorldDataset(), categorical, openWorld},
-		{engine.NewCategorical(infer.Vote{}), openWorldDataset(), categorical, openWorld},
+		{engine.NewCategorical(infer.NewTDH()), openWorldDataset(), categorical, openWorld, true},
+		{engine.NewCategorical(infer.Vote{}), openWorldDataset(), categorical, openWorld, false},
 		{crh, &data.Dataset{Name: "stock", Records: stock.Records}, func(o string, _ *data.ObjectView, i int) data.Answer {
 			v := stock.Gold[o] + float64(i%3)
 			return data.Answer{Worker: fmt.Sprintf("w%d", i), Object: o, Num: &v}
 		}, []any{
 			AddObjectRequest{Object: "hq-new", Candidates: []string{"101.5", "99"}},
 			data.Record{Object: "hq-new", Source: "late-src", Value: "101.5"},
-		}},
+		}, true},
 	} {
 		t.Run(c.eng.Name(), func(t *testing.T) {
+			var s *Server
+			var objSeq atomic.Int64 // the /objects ack; 0 until it returns
+			// covered reports a snapshot whose watermark covers the /objects
+			// item while its index lacks hq-new.
+			covered := func(sn *Snapshot) bool {
+				o := objSeq.Load()
+				return o > 0 && sn.Watermark >= o && sn.Idx.View("hq-new") == nil
+			}
 			calls, gate := &atomic.Int32{}, make(chan struct{})
+			probe := growProbe{Engine: c.eng, check: func() {
+				if sn := s.Snapshot(); covered(sn) {
+					t.Errorf("round %d published watermark %d over the unapplied /objects item", sn.Round, sn.Watermark)
+				}
+			}}
+			// Fit 2 is cut at 9 answers and only 8 items follow, so the
+			// count trigger launches no fit 3.
 			s, err := New(Config{
-				Dataset: c.ds, Engine: gatedEngine{Engine: c.eng, gate: gate, calls: calls},
+				Dataset: c.ds, Engine: gatedEngine{Engine: probe, gate: gate, calls: calls},
 				Assigner: assign.ME{}, K: 10, OpenAnswers: true,
-				Policy: RefitPolicy{MaxAnswers: 4, MaxStaleness: -1, BatchSize: 4},
+				Policy: RefitPolicy{MaxAnswers: 9, MaxStaleness: -1, BatchSize: 4},
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer s.Close()
+			var opened sync.Once
+			openGate := func() { opened.Do(func() { close(gate) }) }
+			defer openGate() // before Close, which lands the fit in flight
 			ts := httptest.NewServer(s.Handler())
 			defer ts.Close()
 			objs, boot := s.SortedObjects(), s.Snapshot()
@@ -490,25 +523,30 @@ func TestGrowthDuringFitRefitsSynchronously(t *testing.T) {
 						return
 					default:
 					}
-					wm := s.Snapshot().Watermark
-					if wm < last {
-						t.Errorf("watermark went backwards: %d after %d", wm, last)
+					sn := s.Snapshot()
+					if sn.Watermark < last {
+						t.Errorf("watermark went backwards: %d after %d", sn.Watermark, last)
 						return
 					}
-					last = wm
+					if covered(sn) {
+						t.Errorf("round %d published watermark %d without indexing hq-new", sn.Round, sn.Watermark)
+						return
+					}
+					last = sn.Watermark
 					runtime.Gosched()
 				}
 			}()
 			var lastSeq atomic.Int64
-			post := func(path string, body any) {
+			post := func(path string, body any) int64 {
 				code, ack := postAck(t, ts.URL+path, body)
 				if code != http.StatusOK {
 					t.Errorf("POST %s: %d", path, code)
 				}
 				for last := lastSeq.Load(); ack.Seq > last && !lastSeq.CompareAndSwap(last, ack.Seq); last = lastSeq.Load() {
 				}
+				return ack.Seq
 			}
-			for i := range 4 { // the fourth answer launches fit 2
+			for i := range 9 { // the ninth answer launches fit 2
 				post("/answer", answer(i))
 			}
 			deadline := time.Now().Add(10 * time.Second)
@@ -523,36 +561,43 @@ func TestGrowthDuringFitRefitsSynchronously(t *testing.T) {
 			wg.Add(3)
 			go func() {
 				defer wg.Done()
-				post("/objects", c.growth[0])
+				objSeq.Store(post("/objects", c.growth[0]))
 				post("/records", c.growth[1])
 			}()
 			for g := range 2 {
 				go func() {
 					defer wg.Done()
-					for i := 4 + 3*g; i < 7+3*g; i++ {
+					for i := 9 + 3*g; i < 12+3*g; i++ {
 						post("/answer", answer(i))
 					}
 				}()
 			}
 			wg.Wait()
-			if sn := waitApplied(t, s, 10, 2); sn.Round != 1 {
-				t.Fatalf("round %d before the gated fit landed", sn.Round)
+			if sn := s.Snapshot(); sn.Round != 1 || sn.Idx.View("hq-new") != nil {
+				t.Fatalf("round %d (hq-new indexed: %v) before the gated fit landed; want round 1 without it",
+					sn.Round, sn.Idx.View("hq-new") != nil)
 			}
-			close(gate)
-			deadline = time.Now().Add(10 * time.Second)
-			for s.Snapshot().Round < 2 {
-				if time.Now().After(deadline) {
-					t.Fatal("the fit never landed")
+			openGate()
+			waitApplied(t, s, 15, 2)
+			if !c.folds {
+				// A refit-only engine holds the growth and the answers
+				// until a fit indexes them.
+				if _, err := s.Refresh(); err != nil {
+					t.Fatal(err)
 				}
-				time.Sleep(time.Millisecond)
 			}
-			sn := s.Snapshot()
-			if sn.Round != 2 || calls.Load() != 3 {
-				t.Fatalf("round %d after %d fits; want the landed fit discarded for one synchronous refit (round 2, 3 fits)", sn.Round, calls.Load())
+			sn := waitFor(t, s, "every item to be visible", func(sn *Snapshot) bool { return sn.Watermark == lastSeq.Load() })
+			wantRound, wantFits := int64(2), int32(2)
+			if !c.folds {
+				wantRound, wantFits = 3, 3
 			}
-			if sn.Idx.View("hq-new") == nil || sn.Answers != 10 || sn.Watermark != lastSeq.Load() {
-				t.Fatalf("the refit covers hq-new: %v, %d answers, watermark %d; want true, 10, %d",
-					sn.Idx.View("hq-new") != nil, sn.Answers, sn.Watermark, lastSeq.Load())
+			if sn.Round != wantRound || calls.Load() != wantFits {
+				t.Fatalf("round %d after %d fits; want round %d after %d: the fit in flight lands and no other runs in its place",
+					sn.Round, calls.Load(), wantRound, wantFits)
+			}
+			if sn.Idx.View("hq-new") == nil || sn.Answers != 15 || sn.Mutations != 2 {
+				t.Fatalf("hq-new indexed: %v, %d answers, %d mutations; want true, 15, 2",
+					sn.Idx.View("hq-new") != nil, sn.Answers, sn.Mutations)
 			}
 			items := s.metrics.answersAccepted.Value() + s.metrics.objectsAdded.Value() + s.metrics.recordsAdded.Value()
 			if got := s.metrics.visibility.Count(); got != uint64(items) {

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"maps"
 	"slices"
 	"strconv"
 	"time"
@@ -37,25 +36,26 @@ import (
 // deterministic function of the dataset, so a replayed log refits to the
 // state the live process published), fanned out over the cores once the
 // index is large enough to pay for it — are debounced behind a RefitPolicy
-// and run beside the coordinator, at most one at a time. When the policy
-// fires, the coordinator cuts a frozen prefix of its working dataset and
-// fits it on its own goroutine (launchFit), and keeps draining, folding and
-// publishing against the installed fit meanwhile. When the fit lands, the
-// coordinator installs it, folds the answers drained since the cut through
-// one epoch and publishes (land): the state a refit at the cut followed by
-// one fold gives. In Koch & Olteanu's terms a fold conditions the published
-// state with the trust parameters held fixed and a refit re-estimates them,
-// so neither waits for the other. Growth drained during a fit changes the
-// object set the fit was cut from, so that result is discarded and a
-// synchronous refit covers everything; POST /refresh and Close wait out any
-// fit in flight, and a refresh (like the boot fit) then refits
-// synchronously.
+// and every one runs beside the coordinator, at most one at a time: the
+// boot fit, POST /refresh and each policy refit alike. A fit (launchFit) is
+// NewIndex + Engine.Fit over a prefix of the working dataset on its own
+// goroutine; the coordinator keeps draining, folding and publishing
+// against the installed fit meanwhile. When the fit lands, the coordinator
+// installs it, folds the answers drained since the cut through one epoch
+// and publishes (land): the state a refit at the cut followed by one fold
+// gives. In Koch & Olteanu's terms a fold conditions the published state
+// with the trust parameters held fixed and a refit re-estimates them, so
+// neither waits for the other. Growth is what waits: it changes the object
+// set a fit reads, so a cycle that drains growth while a fit is in flight
+// first waits that fit out and lands it, then extends the index like any
+// other cycle. The boot fit, a refresh and Close wait a fit out the same
+// way, and every fit lands: none is ever discarded.
 
 // RefitPolicy controls when the pipeline escalates from incremental
 // confidence updates to a full EM refit, and how ingestion is buffered.
 // Zero-value fields take the defaults documented per field. Both refit
 // triggers run from the installed fit: a refit starts once either fires and
-// no other is in flight.
+// no other is in flight, and runs beside the coordinator until it lands.
 type RefitPolicy struct {
 	// MaxAnswers triggers a full refit once this many answers and mutations
 	// were drained since the last fit was installed (default 64; <0
@@ -102,8 +102,9 @@ func (p RefitPolicy) withDefaults() RefitPolicy {
 	return p
 }
 
-// refreshReq asks the pipeline for a synchronous full refit; the pipeline
-// drains queued answers first and closes done after publishing.
+// refreshReq asks the pipeline for a full refit: the pipeline applies what
+// is queued, lands any fit in flight, then runs one fit over everything and
+// sends the snapshot that fit published on done.
 type refreshReq struct {
 	done chan *Snapshot
 }
@@ -153,18 +154,22 @@ type pipeline struct {
 	backlog    bool    // the last drain left items queued (drain)
 	fit        *fitJob // the refit in flight beside the coordinator, if any
 
-	// Lineage accounting, all coordinator-owned. drainedSeq is the highest
-	// ingest sequence drained; fitSeq is the one the installed fit covers.
-	// A publish copies drainedSeq onto the snapshot as the visibility
-	// watermark — unless held: the engine refused to fold or grow an item
-	// drained since the installed fit (no epoch, no incremental growth), so
-	// neither the published state nor its index reflects it, and the
-	// watermark stays at what the fit covers until a fit that indexes it is
-	// installed. cycle holds the drained items until the publish whose
+	// Lineage accounting, all coordinator-owned. batchSeq is the last
+	// ingest sequence the latest drain took; drainedSeq is the highest one
+	// in the working dataset — apply advances it to batchSeq once the batch
+	// is in p.work, so a fit landing between a drain and its apply publishes
+	// no watermark over items it has not applied; fitSeq is the one the
+	// installed fit covers. A publish copies drainedSeq onto the snapshot
+	// as the visibility watermark — unless held: the engine refused to fold
+	// or grow an item drained since the installed fit (no epoch, no
+	// incremental growth), so neither the published state nor its index
+	// reflects it, and the watermark stays at what the fit covers until a
+	// fit that indexes it is installed. cycle holds the drained items until the publish whose
 	// watermark covers them completes them (visibility histogram + span
 	// trees); stamps carries the cycle's stage timestamps for those spans.
 	// lastVisible is the last publish that completed drained items — the
 	// progress signal the stall watchdog checks against queue depth.
+	batchSeq    int64
 	drainedSeq  int64
 	fitSeq      int64
 	held        bool
@@ -174,14 +179,14 @@ type pipeline struct {
 }
 
 // fitJob is the one refit in flight beside the coordinator: a cold
-// NewIndex + Engine.Fit over a frozen prefix of the working dataset, run on
-// its own goroutine, which sends the result on done and exits. Everything
-// but done is coordinator-owned.
+// NewIndex + Engine.Fit over a prefix of the working dataset, run on its own
+// goroutine, which sends the result on done and exits. The prefix needs no
+// copy: only answers are appended to the working dataset while a fit reads
+// it (stageMutations). Everything but done is coordinator-owned.
 type fitJob struct {
 	done    chan fitResult // buffered for the one send, so the fit goroutine never blocks
 	seq     int64          // drainedSeq at the cut: the items the fit covers
 	answers int            // len(work.Answers) at the cut; the rest is the suffix land folds
-	muts    int            // mutApplied at the cut: any more means growth the fit never saw
 	// staleSince is when the oldest unit drained since the cut was drained,
 	// the staleness deadline's start once the fit is installed.
 	staleSince time.Time
@@ -233,10 +238,10 @@ func (p *pipeline) metrics() *serverMetrics { return p.s.metrics }
 func (p *pipeline) publish(touched []int, refit bool) {
 	pubStart := time.Now()
 	prev := p.s.current.Load()
-	// The visibility watermark: everything drained so far is in the state
-	// this snapshot publishes (every loop path folds what it drains before
-	// the next drain) — unless the engine refused some of it since the
-	// installed fit, which then still covers what it was cut at.
+	// The visibility watermark: everything in the working dataset is in
+	// the state this snapshot publishes (apply folds a batch before it
+	// moves drainedSeq past it) — unless the engine refused some of it
+	// since the installed fit, which then still covers what it was cut at.
 	wm := p.drainedSeq
 	if p.held {
 		wm = max(p.fitSeq, prev.Watermark)
@@ -353,8 +358,8 @@ func (p *pipeline) completeCycle(pub time.Time, wm int64) {
 
 // checkStall fires the pipeline-stall warning when items are queued but no
 // publish has made progress for stallAfter — the watermark equivalent of a
-// wedged coordinator (an engine fold blocking, a synchronous refit
-// monopolizing the loop).
+// wedged coordinator (an engine fold blocking, a cycle waiting out a long
+// fit).
 //
 //tdh:wallclock stall detection compares wall-clock progress timestamps; diagnostics only
 func (p *pipeline) checkStall(now time.Time) {
@@ -373,48 +378,18 @@ func (p *pipeline) checkStall(now time.Time) {
 		"depth", depth, "stalled_seconds", now.Sub(ref).Seconds(), "round", p.round)
 }
 
-// fullRefit rebuilds the index from the whole working dataset and reruns
-// the configured engine's full inference from scratch, on the coordinator.
-// No fit may be in flight (awaitFit).
-//
-//tdh:wallclock refit duration is an observability histogram; replayed state never reads it
-func (p *pipeline) fullRefit() {
-	start := time.Now()
-	p.idx = data.NewIndex(p.work)
-	p.st = p.s.cfg.Engine.Fit(p.idx)
-	p.metrics().observeStage(stageRefit, start)
-	p.installed(p.drainedSeq, time.Time{})
-	// When this refit is what makes drained items visible (the refresh
-	// path, or items a held cycle drained), their span trees show the refit
-	// as the fold stage.
-	p.stamps.foldStart, p.stamps.foldEnd, p.stamps.refit = start, time.Now(), true
-	p.publish(nil, true)
-}
-
-// installed resets the refit bookkeeping for a fit just made p.st: it
-// covers every item up to seq, and staleSince is when the oldest unit it
-// has not seen was drained (zero: none).
-func (p *pipeline) installed(seq int64, staleSince time.Time) {
-	p.round++
-	p.fitSeq, p.held = seq, false
-	p.sinceRefit, p.staleSince = 0, staleSince
-	p.reportConvergence()
-}
-
-// launchFit starts a refit beside the coordinator. The cut is a frozen
-// prefix of the working dataset: Records and Answers clipped to their
-// length — the coordinator only appends past it — and Candidates, which it
-// writes in place, cloned.
+// launchFit starts a refit beside the coordinator over the working
+// dataset as it stands. The prefix is p.work with Answers clipped: the
+// coordinator only appends answers past it while the fit runs, and stages
+// no growth (stageMutations).
 //
 //tdh:wallclock refit duration is an observability histogram; replayed state never reads it
 func (p *pipeline) launchFit() {
 	prefix := *p.work
-	prefix.Records = slices.Clip(p.work.Records)
 	prefix.Answers = slices.Clip(p.work.Answers)
-	prefix.Candidates = maps.Clone(p.work.Candidates)
 	job := &fitJob{
 		done: make(chan fitResult, 1), seq: p.drainedSeq,
-		answers: len(prefix.Answers), muts: p.mutApplied, start: time.Now(),
+		answers: len(prefix.Answers), start: time.Now(),
 	}
 	eng, m := p.s.cfg.Engine, p.metrics()
 	go func() {
@@ -435,42 +410,55 @@ func (p *pipeline) fitDone() <-chan fitResult {
 	return p.fit.done
 }
 
-// awaitFit waits out the fit in flight, if any, and discards it: the
-// caller refits synchronously or is shutting down.
-func (p *pipeline) awaitFit() {
+// landFit waits out the fit in flight, if any, and lands it.
+func (p *pipeline) landFit() {
 	if p.fit != nil {
-		<-p.fit.done
-		p.fit = nil
+		p.land(<-p.fit.done)
 	}
+}
+
+// refit runs one fit over the whole working dataset and lands it, the
+// coordinator waiting: the boot fit and POST /refresh.
+func (p *pipeline) refit() {
+	p.landFit()
+	p.launchFit()
+	p.landFit()
 }
 
 // land installs a fit that ran beside the coordinator and publishes it with
 // a fresh plan: the fitted state, with the answers drained since the cut
 // folded through one epoch — for a refit-only engine, which cannot fold
-// them, the fit alone, with the watermark at the cut. Growth drained since
-// the cut is not in the fit's index, so such a result is discarded for a
-// synchronous refit over everything.
+// them, the fit alone, with the watermark at the cut.
 //
 //tdh:wallclock fold-stage timing is observability only; replayed state never reads it
 func (p *pipeline) land(res fitResult) {
 	job := p.fit
 	p.fit = nil
-	if p.mutApplied != job.muts {
-		p.fullRefit()
-		return
-	}
 	p.idx, p.st = res.idx, res.st
-	p.installed(job.seq, job.staleSince)
-	if suffix := p.work.Answers[job.answers:]; len(suffix) > 0 {
-		if ep, ok := p.s.cfg.Engine.NewEpoch(p.st, p.idx); ok {
-			ep.Fold(suffix)
-			p.st = ep.Seal()
-		} else {
-			p.held = true
-		}
-	}
+	p.round++
+	p.fitSeq, p.held = job.seq, false
+	p.sinceRefit, p.staleSince = 0, job.staleSince
+	p.reportConvergence()
+	p.fold(p.work.Answers[job.answers:])
 	p.stamps.foldStart, p.stamps.foldEnd, p.stamps.refit = job.start, time.Now(), true
 	p.publish(nil, true)
+}
+
+// fold folds answers into p.st through one epoch and returns the objects
+// it touched. An engine with no incremental path opens no epoch: p.st stays
+// as it is and the cycle is held.
+func (p *pipeline) fold(answers []data.Answer) []int {
+	if len(answers) == 0 {
+		return nil
+	}
+	ep, ok := p.s.cfg.Engine.NewEpoch(p.st, p.idx)
+	if !ok {
+		p.held = true
+		return nil
+	}
+	ep.Fold(answers)
+	p.st = ep.Seal()
+	return ep.Touched()
 }
 
 // reportConvergence exports how the refit's EM ended — evaluations run and
@@ -489,15 +477,6 @@ func (p *pipeline) reportConvergence() {
 		p.s.log.Warn("refit stopped at the EM evaluation cap before meeting its tolerance",
 			"iterations", m.Iterations, "final_delta", m.FinalDelta, "tol", m.Opt.Tol, "round", p.round)
 	}
-}
-
-// ingest extends the dataset and counters with accepted answers, without
-// touching the model (callers decide between an incremental publish and a
-// full refit).
-func (p *pipeline) ingest(batch []data.Answer) {
-	p.work.Answers = append(p.work.Answers, batch...)
-	p.markDirty(len(batch))
-	p.applied += len(batch)
 }
 
 // markDirty advances the refit-policy counters by n drained units, which
@@ -537,37 +516,37 @@ func (p *pipeline) apply(answers []data.Answer, muts []*mutation) {
 	}
 	foldStart := time.Now()
 	p.stamps.foldStart, p.stamps.refit = foldStart, false
-	eng := p.s.cfg.Engine
 	var touched []int
 	if len(muts) > 0 {
 		idx, grown := p.idx.Extend(p.work, p.stageMutations(muts))
-		if st, ok := eng.Grow(p.st, idx, grown); ok {
+		if st, ok := p.s.cfg.Engine.Grow(p.st, idx, grown); ok {
 			p.idx, p.st, touched = idx, st, grown
 		} else {
 			p.held = true // staged in p.work: the next refit's NewIndex covers them
 		}
 	}
 	if len(answers) > 0 {
-		p.ingest(answers)
-		if ep, ok := eng.NewEpoch(p.st, p.idx); ok {
-			ep.Fold(answers)
-			p.st = ep.Seal()
-			touched = append(touched, ep.Touched()...)
-		} else {
-			p.held = true
-		}
+		p.work.Answers = append(p.work.Answers, answers...)
+		p.markDirty(len(answers))
+		p.applied += len(answers)
+		touched = append(touched, p.fold(answers)...)
 		p.metrics().batchSize.Observe(float64(len(answers)))
 	}
+	p.drainedSeq = p.batchSeq
 	p.metrics().observeStage(stageFold, foldStart)
 	p.stamps.foldEnd = time.Now()
 	p.publish(touched, false)
 }
 
 // stageMutations appends accepted mutations to the working dataset and the
-// counters, returning them in data.Mutation form. Callers either Extend the
-// live index with the result (apply) or let an imminent full refit absorb
-// them (the refresh path).
+// counters, returning them in data.Mutation form for apply to Extend the
+// live index with. It must not run while a fit is in flight: launchFit's
+// prefix shares Records and Candidates with p.work, so growth waits the fit
+// out (runCycle).
 func (p *pipeline) stageMutations(muts []*mutation) data.Mutation {
+	if p.fit != nil {
+		panic("server: growth staged while a fit reads the working dataset")
+	}
 	mu := data.Mutation{}
 	for _, m := range muts {
 		if m.record != nil {
@@ -605,11 +584,12 @@ func (p *pipeline) shouldRefit(now time.Time) bool {
 // and mutations, in enqueue order, without blocking. limit caps the items
 // taken (0 = unbounded, used during refresh and shutdown); p.backlog records
 // whether the queue still held items afterwards, so the coordinator
-// re-kicks itself instead of stalling a backlog. taken counts the items drained; callers release the
-// depth counter by it only AFTER the drained batch is folded and published
-// (releaseDepth), so queue depth — what /stats, /metrics and admission
-// control read — covers the whole accepted-but-unfolded backlog, not just
-// the channel buffer.
+// re-kicks itself instead of stalling a backlog. drain records the batch's
+// last seq in p.batchSeq and leaves drainedSeq to apply. taken counts the
+// items drained; callers release the depth counter by it only AFTER the
+// drained batch is folded and published (releaseDepth), so queue depth —
+// what /stats, /metrics and admission control read — covers the whole
+// accepted-but-unfolded backlog, not just the channel buffer.
 //
 //tdh:wallclock drain-stage timing is observability only; replayed state never reads it
 func (p *pipeline) drain(limit int) (answers []data.Answer, muts []*mutation, taken int) {
@@ -628,7 +608,7 @@ loop:
 			}
 			// Sequence numbers follow channel order (assigned under the
 			// enqueue lock), so the last drained seq is the max.
-			p.drainedSeq = it.seq
+			p.batchSeq = it.seq
 			if !it.at.IsZero() {
 				p.cycle = append(p.cycle, itemMeta{seq: it.seq, at: it.at, tr: it.tr})
 			}
@@ -646,6 +626,18 @@ loop:
 // their batch has been folded into a published snapshot.
 func (p *pipeline) releaseDepth(taken int) { p.s.queueDepth.Add(-int64(taken)) }
 
+// runCycle drains up to limit items (0 = all), applies them and publishes.
+// Growth changes the object set a fit reads, so a cycle that drained growth
+// while a fit is in flight first waits that fit out and lands it.
+func (p *pipeline) runCycle(limit int) {
+	answers, muts, taken := p.drain(limit)
+	if len(muts) > 0 {
+		p.landFit()
+	}
+	p.apply(answers, muts)
+	p.releaseDepth(taken)
+}
+
 // loop is the coordinator goroutine. It exits when Server.Close signals
 // quit, after flushing every queued item into a final snapshot.
 //
@@ -658,30 +650,18 @@ func (p *pipeline) loop() {
 	for {
 		select {
 		case <-p.s.kickCh:
-			answers, muts, taken := p.drain(p.policy.BatchSize)
-			p.apply(answers, muts)
+			p.runCycle(p.policy.BatchSize)
 			if p.shouldRefit(time.Now()) {
 				p.launchFit()
 			}
-			p.releaseDepth(taken)
 			if p.backlog {
 				p.s.kick() // backlog beyond the batch cap: schedule another cycle
 			}
 		case res := <-p.fitDone():
 			p.land(res)
 		case req := <-p.s.refreshCh:
-			// No incremental answer pass here: the refit recomputes
-			// everything the drained answers would have contributed.
-			// Mutations still extend the working dataset first so the refit
-			// covers them.
-			p.awaitFit()
-			answers, muts, taken := p.drain(0)
-			if len(muts) > 0 {
-				p.stageMutations(muts) // the refit below absorbs them
-			}
-			p.ingest(answers)
-			p.fullRefit()
-			p.releaseDepth(taken)
+			p.runCycle(0)
+			p.refit()
 			req.done <- p.s.snap()
 		case <-tick.C:
 			if p.shouldRefit(time.Now()) {
@@ -691,13 +671,10 @@ func (p *pipeline) loop() {
 		case <-p.s.quitCh:
 			// Flush: every item accepted before Close was enqueued (Close
 			// waits out in-flight accepts first), so one unbounded drain
-			// folds the backlog into a final snapshot. A fit in flight is
-			// waited out and discarded, so items a held cycle drained stay
-			// held: no refit absorbs them before shutdown.
-			p.awaitFit()
-			answers, muts, taken := p.drain(0)
-			p.apply(answers, muts)
-			p.releaseDepth(taken)
+			// folds the backlog into a final snapshot, and the fit in
+			// flight, if any, lands: no fit goroutine outlives Close.
+			p.runCycle(0)
+			p.landFit()
 			return
 		}
 	}

@@ -378,7 +378,7 @@ func waitFor(t *testing.T, s *Server, what string, cond func(*Snapshot) bool) *S
 // coordinator. While the second fit is in flight, answers posted meanwhile
 // fold and reach the watermark; the count trigger counts from the install
 // and the staleness deadline runs from the oldest answer the installed fit
-// has not seen; Refresh and Close issued mid-fit wait it out and return,
+// has not seen; Refresh and Close issued mid-fit land it and return,
 // leaving no goroutine behind.
 func TestFoldsPublishWhileFitting(t *testing.T) {
 	fits := func(r *fitRig, n int32) func(*Snapshot) bool {
@@ -440,8 +440,8 @@ func TestFoldsPublishWhileFitting(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sn.Round != 2 || sn.Answers != 4 || r.calls.Load() != 3 {
-			t.Fatalf("refresh: round %d, %d answers after %d fits; want round 2 (the fit in flight discarded), 4 answers, 3 fits",
+		if sn.Round != 3 || sn.Answers != 4 || r.calls.Load() != 3 {
+			t.Fatalf("refresh: round %d, %d answers after %d fits; want round 3 (the fit in flight landed, then the refresh's own), 4 answers, 3 fits",
 				sn.Round, sn.Answers, r.calls.Load())
 		}
 		r.post(t, 4)
@@ -449,8 +449,8 @@ func TestFoldsPublishWhileFitting(t *testing.T) {
 		if err := r.s.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if sn := r.s.Snapshot(); sn.Round != 2 || sn.Answers != 8 {
-			t.Fatalf("after Close: round %d, %d answers; want round 2, 8 answers", sn.Round, sn.Answers)
+		if sn := r.s.Snapshot(); sn.Round != 4 || sn.Answers != 8 {
+			t.Fatalf("after Close: round %d, %d answers; want round 4 (the fit in flight landed), 8 answers", sn.Round, sn.Answers)
 		}
 		deadline := time.Now().Add(5 * time.Second)
 		for runtime.NumGoroutine() > base {

@@ -331,7 +331,7 @@ func newPipeline(cfg Config) (*pipeline, error) {
 		sh.markAnswered(a.Worker, a.Object)
 	}
 	p := &pipeline{s: s, policy: cfg.Policy, work: cfg.Dataset.Clone()}
-	p.fullRefit() // initial inference, published before New returns
+	p.refit() // initial inference, published before New returns
 	return p, nil
 }
 
