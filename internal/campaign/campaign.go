@@ -79,7 +79,12 @@ type PolicySpec struct {
 	// RefitAnswers and RefitStalenessMS are RefitPolicy's two refit
 	// triggers, both counted from the last installed refit; the refit they
 	// start runs beside the campaign's pipeline, which keeps folding and
-	// publishing meanwhile.
+	// publishing meanwhile. RefitAnswers is the floor of the count
+	// threshold in force, which doubles after each refit that flipped no
+	// truth over a state that held nothing back and resets on a flip or a
+	// held state; RefitStalenessMS stays the hard bound, and with it
+	// disabled the count threshold keeps doubling while refits flip
+	// nothing.
 	RefitAnswers     int   `json:"refit_answers,omitempty"`
 	RefitStalenessMS int64 `json:"refit_staleness_ms,omitempty"`
 	BatchSize        int   `json:"batch_size,omitempty"`

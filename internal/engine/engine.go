@@ -143,8 +143,9 @@ type Engine interface {
 // the epoch's touched objects, around which the previous snapshot's
 // assignment plan is Advance'd instead of rebuilt. What is global — TDH's
 // φ/ψ, numeric's provider weights — stays frozen at the last Fit;
-// RefitPolicy's refit_answers / refit_staleness_ms bound how stale that may
-// get.
+// RefitPolicy's refit_staleness_ms bounds how stale that may get, and so
+// does refit_answers, the floor of a count threshold that doubles while
+// refits flip no truth (with staleness disabled it keeps doubling).
 type EpochFolder interface {
 	// NewEpoch opens a fold epoch over st for idx, the answers already
 	// appended to idx.DS. ok=false means the state has no incremental path

@@ -28,9 +28,12 @@ import (
 // frozen at the last Fit. That is exact for MEAN / MEDIAN / VOTE, which
 // have no weights — those never publish a stale estimate — while CRH / CATD
 // publish stale WEIGHTS for at most one refit interval (RefitPolicy's
-// refit_answers / refit_staleness_ms): the weight update waits for the next
-// Fit, and a provider that fit never saw weighs the median fitted weight
-// until then.
+// refit_staleness_ms; and refit_answers, the floor of a count threshold
+// that doubles only after a refit that flipped no truth — with staleness
+// disabled it keeps doubling while refits flip nothing — but a truth here
+// is the formatted estimate, so a refit that moves one keeps the floor):
+// the weight update waits for the next Fit, and a provider that fit never
+// saw weighs the median fitted weight until then.
 type numericEngine struct {
 	est numeric.Estimator
 }

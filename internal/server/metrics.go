@@ -58,7 +58,20 @@ type serverMetrics struct {
 	// set them): E/M evaluations run and the last one's max confidence change.
 	emIterations *obs.Gauge
 	emFinalDelta *obs.Gauge
+
+	// What each land after the boot fit changed (pipeline.backOff), and the
+	// count trigger it leaves in force.
+	refitFlips     *obs.Histogram
+	refitDrift     map[string]*obs.Histogram // param -> max |Δ| histogram
+	refitThreshold *obs.Gauge
 }
+
+// Param labels for tdh_refit_drift.
+const (
+	driftMu          = "mu"
+	driftSourceTrust = "source_trust"
+	driftWorkerTrust = "worker_trust"
+)
 
 // httpRoutes are the instrumented data/read-plane routes, label values for
 // tdh_http_request_duration_seconds and tdh_http_responses_total.
@@ -105,6 +118,17 @@ func newServerMetrics(s *Server, reg *obs.Registry) *serverMetrics {
 			"E/M evaluations the last full refit ran (the fit stopped at the cap if this equals MaxIter and tdh_em_final_delta is at or above the tolerance)"),
 		emFinalDelta: reg.Gauge("tdh_em_final_delta",
 			"max confidence change of the last full refit's final E/M evaluation; below the tolerance (default 1e-7) means converged"),
+		refitFlips: reg.Histogram("tdh_refit_truth_flips",
+			"objects whose truth a landed refit changed against the published state it replaced",
+			append([]float64{0}, obs.SizeBuckets()...)),
+		refitDrift: make(map[string]*obs.Histogram, 3),
+		refitThreshold: reg.Gauge("tdh_refit_answers_threshold",
+			"answers and mutations drained since the installed fit that trigger the next refit: refit_answers, doubled per land that flipped no truth (negative: count refits off)"),
+	}
+	for _, param := range []string{driftMu, driftSourceTrust, driftWorkerTrust} {
+		m.refitDrift[param] = reg.Histogram("tdh_refit_drift",
+			"largest change a landed refit made to one parameter against the published state it replaced",
+			obs.ExpBuckets(1e-7, 10, 8), "param", param)
 	}
 	for _, route := range httpRoutes {
 		m.httpDur[route] = reg.Histogram("tdh_http_request_duration_seconds",

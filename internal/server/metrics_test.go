@@ -80,10 +80,21 @@ func TestMetricsEndpoint(t *testing.T) {
 		"tdh_snapshot_age_seconds",
 		`tdh_publishes_total{kind="refit"}`,
 		"tdh_http_in_flight_requests 0",
+		"# TYPE tdh_refit_truth_flips histogram",
+		`tdh_refit_drift_bucket{param="mu",le="1e-07"}`,
+		`tdh_refit_drift_count{param="source_trust"}`,
+		`tdh_refit_drift_count{param="worker_trust"}`,
+		"# TYPE tdh_refit_answers_threshold gauge",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+	// The refresh landed a fit over the boot fit's state: one comparison at
+	// least, the same count in every step-1 series.
+	flips := seriesValue(t, out, "tdh_refit_truth_flips_count")
+	if mu := seriesValue(t, out, `tdh_refit_drift_count{param="mu"}`); flips < 1 || mu != flips {
+		t.Errorf("tdh_refit_truth_flips_count %d, tdh_refit_drift_count{param=\"mu\"} %d; want equal and at least 1", flips, mu)
 	}
 }
 

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"math"
 	"slices"
 	"strconv"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/engine"
+	"repro/internal/infer"
 	"repro/internal/obs/trace"
 )
 
@@ -50,6 +52,20 @@ import (
 // first waits that fit out and lands it, then extends the index like any
 // other cycle. The boot fit, a refresh and Close wait a fit out the same
 // way, and every fit lands: none is ever discarded.
+//
+// A refit is worth its cost only when it changes what readers see, so every
+// land after the boot fit measures how far it moved the published state —
+// truths flipped, max |Δμ|, max |Δ trust|, by object and participant name
+// over what both states hold (refitDelta) — and the count trigger backs
+// off while refits flip nothing: the threshold starts at
+// RefitPolicy.MaxAnswers, doubles after a land that flipped no truth over
+// an outgoing state that was not held, and resets to MaxAnswers on any
+// flip or held state. MaxStaleness stays the hard bound; with it disabled
+// the count threshold keeps doubling for as long as refits flip nothing.
+// Neither trigger asks which engine runs: a refit-only engine's outgoing
+// state is held whenever answers came in, so it never backs off, and a
+// numeric engine's truth is its formatted estimate, so any moved estimate
+// is a flip and it keeps the floor.
 
 // RefitPolicy controls when the pipeline escalates from incremental
 // confidence updates to a full EM refit, and how ingestion is buffered.
@@ -57,13 +73,18 @@ import (
 // triggers run from the installed fit: a refit starts once either fires and
 // no other is in flight, and runs beside the coordinator until it lands.
 type RefitPolicy struct {
-	// MaxAnswers triggers a full refit once this many answers and mutations
-	// were drained since the last fit was installed (default 64; <0
-	// disables count-based refits).
+	// MaxAnswers is the floor of the count trigger: a full refit starts
+	// once the count threshold in force of answers and mutations were
+	// drained since the last fit was installed (default 64; <0 disables
+	// count-based refits). The threshold starts at MaxAnswers, doubles
+	// after each land that flipped no truth over a state that held nothing
+	// back, and resets to MaxAnswers on any flip or held state (land). With
+	// MaxStaleness disabled it keeps doubling while refits flip nothing.
 	MaxAnswers int
 	// MaxStaleness triggers a full refit once the oldest answer or mutation
 	// the installed fit has not seen is older than this (default 2s; <0
-	// disables staleness refits).
+	// disables staleness refits), however far the count threshold has
+	// doubled: the hard bound on how long a fit may stay stale.
 	MaxStaleness time.Duration
 	// BatchSize caps how many queued items (answers and mutations) one
 	// coordinator cycle drains before publishing a snapshot (default 64).
@@ -153,6 +174,9 @@ type pipeline struct {
 	staleSince time.Time
 	backlog    bool    // the last drain left items queued (drain)
 	fit        *fitJob // the refit in flight beside the coordinator, if any
+	// threshold is the count trigger in force: MaxAnswers, doubled per land
+	// that changed nothing (backOff).
+	threshold int
 
 	// Lineage accounting, all coordinator-owned. batchSeq is the last
 	// ingest sequence the latest drain took; drainedSeq is the highest one
@@ -434,14 +458,103 @@ func (p *pipeline) refit() {
 func (p *pipeline) land(res fitResult) {
 	job := p.fit
 	p.fit = nil
+	out, outHeld := p.st, p.held
 	p.idx, p.st = res.idx, res.st
 	p.round++
 	p.fitSeq, p.held = job.seq, false
 	p.sinceRefit, p.staleSince = 0, job.staleSince
 	p.reportConvergence()
 	p.fold(p.work.Answers[job.answers:])
+	if out != nil { // the boot fit has nothing to compare with
+		p.backOff(compare(out.Res(), p.st.Res()), outHeld)
+	}
 	p.stamps.foldStart, p.stamps.foldEnd, p.stamps.refit = job.start, time.Now(), true
 	p.publish(nil, true)
+}
+
+// backOff exports how far a land moved the published state and sets the
+// count threshold for the next fit: doubled when the land flipped no truth
+// and the outgoing state held nothing back, MaxAnswers otherwise.
+func (p *pipeline) backOff(d refitDelta, held bool) {
+	m := p.metrics()
+	m.refitFlips.Observe(float64(d.flips))
+	m.refitDrift[driftMu].Observe(d.mu)
+	m.refitDrift[driftSourceTrust].Observe(d.sourceTrust)
+	m.refitDrift[driftWorkerTrust].Observe(d.workerTrust)
+	if d.flips > 0 || held {
+		p.threshold = p.policy.MaxAnswers
+	} else if p.threshold > 0 && p.threshold <= math.MaxInt/2 {
+		p.threshold *= 2
+	}
+	m.refitThreshold.Set(float64(p.threshold))
+}
+
+// refitDelta is how far a land moved the published state: truths flipped
+// and the largest confidence and trust changes, over the objects and
+// participants the outgoing and incoming states both hold.
+type refitDelta struct {
+	flips                    int
+	mu                       float64
+	sourceTrust, workerTrust float64
+}
+
+// compare measures the delta from the outgoing result out to the incoming
+// one in, pairing objects by name across their indexes and confidences by
+// candidate value. It reads only the infer.Result API, so it serves every
+// engine alike.
+func compare(out, in *infer.Result) refitDelta {
+	var d refitDelta
+	oi, ii := out.Rows.Index(), in.Rows.Index()
+	for j, name := range ii.Objects {
+		// Extend appends objects after the established IDs, so an object
+		// usually sits at the same ID in both indexes.
+		i := j
+		if i >= len(oi.Objects) || oi.Objects[i] != name {
+			var ok bool
+			if i, ok = oi.ObjectID(name); !ok {
+				continue
+			}
+		}
+		if out.TruthAt(i) != in.TruthAt(j) {
+			d.flips++
+		}
+		d.mu = max(d.mu, rowDrift(oi.ViewAt(i).CI.Values, out.ConfidenceAt(i), ii.ViewAt(j).CI.Values, in.ConfidenceAt(j)))
+	}
+	d.sourceTrust = trustDrift(out.SourceTrust, in.SourceTrust)
+	d.workerTrust = trustDrift(out.WorkerTrust, in.WorkerTrust)
+	return d
+}
+
+// rowDrift is the largest |Δ| between two confidence rows of one object,
+// pairing entries by candidate value; a value missing from either row, or
+// past the end of a short one, is not compared.
+func rowDrift(outVals []string, out []float64, inVals []string, in []float64) float64 {
+	d := 0.0
+	if slices.Equal(outVals, inVals) {
+		for k := range min(len(out), len(in)) {
+			d = max(d, math.Abs(out[k]-in[k]))
+		}
+		return d
+	}
+	for k, v := range inVals {
+		if i := slices.Index(outVals, v); i >= 0 && i < len(out) && k < len(in) {
+			d = max(d, math.Abs(out[i]-in[k]))
+		}
+	}
+	return d
+}
+
+// trustDrift is the largest |Δ| between two trust maps over the names both
+// hold.
+func trustDrift(out, in map[string]float64) float64 {
+	d := 0.0
+	//tdh:orderok a max is the same in every iteration order
+	for name, v := range in {
+		if w, ok := out[name]; ok {
+			d = max(d, math.Abs(v-w))
+		}
+	}
+	return d
 }
 
 // fold folds answers into p.st through one epoch and returns the objects
@@ -569,7 +682,9 @@ func (p *pipeline) stageMutations(muts []*mutation) data.Mutation {
 }
 
 // shouldRefit applies the count/staleness policy (see RefitPolicy) when no
-// fit is in flight and the installed one has not seen every drained unit.
+// fit is in flight and the installed one has not seen every drained unit:
+// the count trigger against the threshold in force (backOff), the
+// staleness trigger against MaxStaleness.
 func (p *pipeline) shouldRefit(now time.Time) bool {
 	if p.fit != nil || p.staleSince.IsZero() {
 		return false
@@ -577,7 +692,7 @@ func (p *pipeline) shouldRefit(now time.Time) bool {
 	if p.policy.MaxStaleness > 0 && now.Sub(p.staleSince) >= p.policy.MaxStaleness {
 		return true
 	}
-	return p.policy.MaxAnswers > 0 && p.sinceRefit >= p.policy.MaxAnswers
+	return p.threshold > 0 && p.sinceRefit >= p.threshold
 }
 
 // drain moves what is buffered on the ingest queue into the cycle's answers

@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -406,12 +408,18 @@ func TestFoldsPublishWhileFitting(t *testing.T) {
 		if got := len(sn.Idx.DS.Answers); got != 4 || sn.Answers != 7 || sn.Watermark != seq {
 			t.Fatalf("install: fit cut at %d answers, %d folded, watermark %d; want 4, 7, %d", got, sn.Answers, sn.Watermark, seq)
 		}
+		// The count trigger in force after the install: the floor if fit 2
+		// flipped a truth, twice the floor if it flipped none (backOff).
+		th := int(r.s.metrics.refitThreshold.Value())
+		if th != 4 && th != 8 {
+			t.Fatalf("count threshold %d after fit 2 landed, want 4 or 8", th)
+		}
 		r.post(t, 3)
 		waitFor(t, r.s, "the post-install answers", func(sn *Snapshot) bool { return sn.Answers == 10 })
-		r.post(t, 1)
+		r.post(t, th-3)
 		sn = waitFor(t, r.s, "fit 3 to land", round(3))
-		if got := len(sn.Idx.DS.Answers); got != 11 {
-			t.Fatalf("fit 3 was cut at %d answers, want 11: four since the install, not since the cut", got)
+		if got := len(sn.Idx.DS.Answers); got != 7+th {
+			t.Fatalf("fit 3 was cut at %d answers, want %d: %d since the install, not since the cut", got, 7+th, th)
 		}
 	})
 
@@ -444,13 +452,19 @@ func TestFoldsPublishWhileFitting(t *testing.T) {
 			t.Fatalf("refresh: round %d, %d answers after %d fits; want round 3 (the fit in flight landed, then the refresh's own), 4 answers, 3 fits",
 				sn.Round, sn.Answers, r.calls.Load())
 		}
-		r.post(t, 4)
+		// The refresh's fit saw what fit 2 saw and flipped nothing, so the
+		// count trigger doubled past whatever fit 2 left in force.
+		th := int(r.s.metrics.refitThreshold.Value())
+		if th != 8 && th != 16 {
+			t.Fatalf("count threshold %d after the refresh, want 8 or 16", th)
+		}
+		r.post(t, th)
 		waitFor(t, r.s, "fit 4 to start", fits(r, 4))
 		if err := r.s.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if sn := r.s.Snapshot(); sn.Round != 4 || sn.Answers != 8 {
-			t.Fatalf("after Close: round %d, %d answers; want round 4 (the fit in flight landed), 8 answers", sn.Round, sn.Answers)
+		if sn := r.s.Snapshot(); sn.Round != 4 || sn.Answers != 4+th {
+			t.Fatalf("after Close: round %d, %d answers; want round 4 (the fit in flight landed), %d answers", sn.Round, sn.Answers, 4+th)
 		}
 		deadline := time.Now().Add(5 * time.Second)
 		for runtime.NumGoroutine() > base {
@@ -546,6 +560,181 @@ func TestInstallEqualsSynchronousRefit(t *testing.T) {
 			}
 			if g, w := stateDump(got.St, got.Idx.NumObjects()), stateDump(want, wantIdx.NumObjects()); g != w {
 				t.Fatalf("install differs from fit(prefix) + fold(suffix):\ngot  %.300s\nwant %.300s", g, w)
+			}
+		})
+	}
+}
+
+// flipEngine makes a land flip a truth or not on demand: every state it
+// returns reads object 0's truth as the generation its fit was made in and
+// every other object's as "", so a land flips exactly one truth when gen
+// moved since the outgoing state's fit and none otherwise. Confidences,
+// trust and folds are the wrapped engine's own; it takes no growth.
+type flipEngine struct {
+	engine.Engine
+	gen *atomic.Int32
+}
+
+func (e flipEngine) Fit(idx *data.Index) engine.State {
+	return newFlipState(e.Engine.Fit(idx), e.gen.Load())
+}
+
+func (e flipEngine) NewEpoch(st engine.State, idx *data.Index) (engine.Epoch, bool) {
+	fs := st.(*flipState)
+	ep, ok := e.Engine.NewEpoch(fs.State, idx)
+	if !ok {
+		return nil, false
+	}
+	return flipEpoch{Epoch: ep, gen: fs.gen}, true
+}
+
+// flipEpoch seals into a state of the generation it was opened over.
+type flipEpoch struct {
+	engine.Epoch
+	gen int32
+}
+
+func (ep flipEpoch) Seal() engine.State { return newFlipState(ep.Epoch.Seal(), ep.gen) }
+
+type flipState struct {
+	engine.State
+	gen int32
+	res *infer.Result
+}
+
+func newFlipState(st engine.State, gen int32) *flipState {
+	res := *st.Res()
+	res.Rows = flipRows{Dense: res.Rows, gen: gen}
+	return &flipState{State: st, gen: gen, res: &res}
+}
+
+func (st *flipState) Res() *infer.Result { return st.res }
+
+type flipRows struct {
+	infer.Dense
+	gen int32
+}
+
+func (r flipRows) TruthAt(oid int) string {
+	if oid == 0 {
+		return strconv.Itoa(int(r.gen))
+	}
+	return ""
+}
+
+// TestRefitBackoff pins the count trigger's back-off: the threshold starts
+// at MaxAnswers, doubles after a land that flipped no truth over an
+// outgoing state that was not held, and resets to MaxAnswers on a flip or a
+// held state; MaxStaleness still launches a fit while the doubled count is
+// unmet. The pipeline is driven by hand, one answer per cycle, and each fit
+// a trigger asks for is launched and landed at once, so where every fit is
+// cut is exact. A refit-only engine (VOTE) is held at every land and never
+// backs off; a numeric one (CRH) moves estimates at every land and keeps
+// the floor. Every land after the boot fit observes each step-1 histogram
+// once.
+func TestRefitBackoff(t *testing.T) {
+	stock := synth.Stock(synth.StockConfig{Seed: 2, Symbols: 30})[1]
+	crh, err := engine.New(engine.Numeric, "CRH", engine.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	heritages := synth.Heritages(synth.HeritagesConfig{Seed: 5, Scale: 0.06})
+	categorical := func(o string, ov *data.ObjectView, i int) data.Answer {
+		return data.Answer{Worker: fmt.Sprintf("w%d", i%5), Object: o, Value: ov.CI.Values[i%len(ov.CI.Values)]}
+	}
+	const floor = 4
+	for _, c := range []struct {
+		name   string
+		eng    func(gen *atomic.Int32) engine.Engine
+		ds     *data.Dataset
+		answer func(o string, ov *data.ObjectView, i int) data.Answer
+		// flipAt: the gen bump before the fit cut at this many answers
+		// (0: never); cuts and thresholds: where each fit is cut and the
+		// count trigger its land leaves in force.
+		flipAt     int
+		cuts       []int
+		thresholds []int
+	}{
+		{
+			name: "TDH",
+			eng:  func(gen *atomic.Int32) engine.Engine { return flipEngine{engine.NewCategorical(infer.NewTDH()), gen} },
+			ds:   heritages, answer: categorical, flipAt: 28,
+			// 0-flip lands double 4 → 8 → 16, the flip at 28 resets to 4, a
+			// 0-flip land doubles again; the last fit is the staleness one,
+			// cut one answer after 32 with 8 in force.
+			cuts:       []int{4, 12, 28, 32, 33},
+			thresholds: []int{8, 16, 4, 8, 16},
+		},
+		{
+			name: "VOTE",
+			eng:  func(gen *atomic.Int32) engine.Engine { return flipEngine{engine.NewCategorical(infer.Vote{}), gen} },
+			ds:   heritages, answer: categorical,
+			// No truth ever flips, but every outgoing state is held.
+			cuts:       []int{4, 8, 12, 16, 17},
+			thresholds: []int{4, 4, 4, 4, 4},
+		},
+		{
+			name: "CRH",
+			eng:  func(*atomic.Int32) engine.Engine { return crh },
+			ds:   &data.Dataset{Name: "stock", Records: stock.Records},
+			answer: func(o string, _ *data.ObjectView, i int) data.Answer {
+				v := stock.Gold[o] + float64(i%3)
+				return data.Answer{Worker: fmt.Sprintf("w%d", i%5), Object: o, Num: &v}
+			},
+			cuts:       []int{4, 8, 12, 16, 17},
+			thresholds: []int{4, 4, 4, 4, 4},
+		},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			gen := &atomic.Int32{}
+			p, err := newPipeline(Config{
+				Dataset: c.ds.Clone(), Engine: c.eng(gen), Assigner: assign.ME{}, OpenAnswers: true,
+				Policy: RefitPolicy{MaxAnswers: floor, MaxStaleness: time.Hour},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := p.metrics()
+			if th := m.refitThreshold.Value(); th != floor {
+				t.Fatalf("count threshold %v at boot, want the floor %d", th, floor)
+			}
+			objs := p.s.SortedObjects()
+			var cuts, thresholds []int
+			// step runs one cycle over one answer and launches and lands the
+			// fit the trigger asks for at now.
+			step := func(i int, now time.Time) {
+				o := objs[i%len(objs)]
+				p.s.enqueue(ingestItem{answer: c.answer(o, p.idx.View(o), i), at: time.Now()})
+				p.runCycle(0)
+				if !p.shouldRefit(now) {
+					return
+				}
+				if len(p.work.Answers) == c.flipAt {
+					gen.Add(1)
+				}
+				cuts = append(cuts, len(p.work.Answers))
+				p.launchFit()
+				p.landFit()
+				thresholds = append(thresholds, int(m.refitThreshold.Value()))
+			}
+			last := c.cuts[len(c.cuts)-2]
+			for i := range last {
+				step(i, time.Now())
+			}
+			// One more answer leaves the count in force unmet; past the
+			// hour's staleness deadline, the fit launches anyway.
+			step(last, time.Now().Add(2*time.Hour))
+			if !slices.Equal(cuts, c.cuts) || !slices.Equal(thresholds, c.thresholds) {
+				t.Fatalf("fits cut at %v leaving count thresholds %v; want %v and %v", cuts, thresholds, c.cuts, c.thresholds)
+			}
+			lands := uint64(len(cuts))
+			if n := m.refitFlips.Count(); n != lands {
+				t.Errorf("tdh_refit_truth_flips has %d observations after %d lands past the boot fit", n, lands)
+			}
+			for param, h := range m.refitDrift {
+				if n := h.Count(); n != lands {
+					t.Errorf("tdh_refit_drift{param=%q} has %d observations after %d lands past the boot fit", param, n, lands)
+				}
 			}
 		})
 	}

@@ -330,7 +330,8 @@ func newPipeline(cfg Config) (*pipeline, error) {
 		sh := s.workers.shardFor(a.Worker)
 		sh.markAnswered(a.Worker, a.Object)
 	}
-	p := &pipeline{s: s, policy: cfg.Policy, work: cfg.Dataset.Clone()}
+	p := &pipeline{s: s, policy: cfg.Policy, work: cfg.Dataset.Clone(), threshold: cfg.Policy.MaxAnswers}
+	s.metrics.refitThreshold.Set(float64(p.threshold))
 	p.refit() // initial inference, published before New returns
 	return p, nil
 }
