@@ -1,7 +1,8 @@
 // Package repro_bench holds the hot-path benchmarks no single package owns:
-// EAI assignment with and without the UEAI pruning bound, the incremental EM
-// update EAI runs per candidate, the tracing overhead on the ingest path,
-// and one coordinator cycle (fold, seal, plan advance) across corpus sizes.
+// EAI assignment with and without the UEAI pruning bound and for one
+// returning worker's /task, the incremental EM update EAI runs per
+// candidate, the tracing overhead on the ingest path, and one coordinator
+// cycle (fold, seal, plan advance) across corpus sizes.
 //
 //	go test -run='^$' -bench=. -benchmem .
 //
@@ -29,21 +30,22 @@ import (
 	"repro/internal/synth"
 )
 
-// assignmentContext is one round's assignment input on Heritages: a fitted
-// TDH result and a 10-worker pool that has first answered 20 objects each,
-// so every worker has a fitted ψ and EAI scores it with the incremental EM
-// (eaiAt) under that ψ, as a /task for a returning worker does.
-func assignmentContext(b *testing.B, scale float64) *assign.Context {
+// assignmentContext is one round's assignment input on Heritages at scale:
+// a fitted TDH result and a pool of nWorkers workers that has first answered
+// perWorker objects each, so every worker has a fitted ψ and EAI scores it
+// with the incremental EM (eaiAt) under that ψ, as a /task for a returning
+// worker does.
+func assignmentContext(b *testing.B, scale float64, nWorkers, perWorker int) *assign.Context {
 	b.Helper()
 	ds := synth.Heritages(synth.HeritagesConfig{Seed: 7, Scale: scale})
-	workers := synth.NewWorkerPool(synth.WorkerPoolConfig{Seed: 7, Count: 10, Pi: 0.75})
+	workers := synth.NewWorkerPool(synth.WorkerPoolConfig{Seed: 7, Count: nWorkers, Pi: 0.75})
 	names := make([]string, len(workers))
 	for i, w := range workers {
 		names[i] = w.Name
 	}
 	idx := data.NewIndex(ds)
 	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 20*len(workers); i++ {
+	for i := 0; i < perWorker*len(workers); i++ {
 		w, ov := workers[i%len(workers)], idx.ViewAt((i*37)%idx.NumObjects())
 		ds.Answers = append(ds.Answers, data.Answer{Object: ov.Object, Worker: w.Name, Value: w.Answer(rng, ds, ov)})
 	}
@@ -52,7 +54,7 @@ func assignmentContext(b *testing.B, scale float64) *assign.Context {
 }
 
 func BenchmarkEAIAssignWithPruning(b *testing.B) {
-	ctx := assignmentContext(b, 0.25)
+	ctx := assignmentContext(b, 0.25, 10, 20)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		assign.EAI{}.Assign(ctx)
@@ -60,11 +62,35 @@ func BenchmarkEAIAssignWithPruning(b *testing.B) {
 }
 
 func BenchmarkEAIAssignNoPruning(b *testing.B) {
-	ctx := assignmentContext(b, 0.25)
+	ctx := assignmentContext(b, 0.25, 10, 20)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		assign.EAI{DisablePruning: true}.Assign(ctx)
 	}
+}
+
+// BenchmarkEAITask is one GET /task for a returning worker, as the server
+// assigns it: Heritages ×1 fitted with a campaign's worth of answers (25
+// from each of 256 workers, ~8 per object), the snapshot's prewarmed plan
+// attached, K = 5, and one worker with a fitted ψ per call, in turn. Such a
+// worker scores objects itself (the plan caches only the prior-mean ψ), so
+// the call is Algorithm 1's scan with one EAI evaluation per object the
+// bound does not prune; evaluated/op and pruned/op report how far it walks.
+func BenchmarkEAITask(b *testing.B) {
+	base := assignmentContext(b, 1, 256, 25)
+	plan := assign.NewPlan(base.Idx, base.Res)
+	plan.Prewarm()
+	var evaluated, pruned int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ctx := *base
+		ctx.Plan, ctx.Workers, ctx.Seed = plan, base.Workers[i%len(base.Workers):][:1], int64(i)
+		_, st := assign.EAI{}.AssignWithStats(&ctx)
+		evaluated, pruned = evaluated+st.Evaluated, pruned+st.Pruned
+	}
+	b.ReportMetric(float64(evaluated)/float64(b.N), "evaluated/op")
+	b.ReportMetric(float64(pruned)/float64(b.N), "pruned/op")
 }
 
 // BenchmarkIncrementalEM times the single-answer conditional-confidence

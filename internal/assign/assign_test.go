@@ -1,6 +1,7 @@
 package assign
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -146,11 +147,12 @@ func TestLemma41UpperBound(t *testing.T) {
 	f := newFixture(t, 7, true)
 	nObj := len(f.idx.Objects)
 	for _, w := range f.workers {
+		tab := core.NewWorkerTab(f.m.PsiOf(w))
 		for i, o := range f.idx.Objects {
 			if i%3 != 0 { // sample for speed
 				continue
 			}
-			eai := eaiAt(f.m, i, f.m.PsiOf(w), float64(nObj))
+			eai := eaiAt(f.m, i, &tab, float64(nObj))
 			ub := (1 - f.m.MaxConfidence(o)) / (float64(nObj) * (f.m.DOf(o) + 1))
 			if eai > ub+1e-12 {
 				t.Fatalf("EAI(%s,%s)=%v exceeds UEAI=%v", w, o, eai, ub)
@@ -166,11 +168,12 @@ func TestQuickEAINonNegativeBounded(t *testing.T) {
 		seed := int64(seedRaw%5) + 1
 		fx := newFixture(t, seed, seedRaw%2 == 0)
 		nObj := len(fx.idx.Objects)
+		tab := core.NewWorkerTab(fx.m.PsiOf(fx.workers[int(seedRaw)%len(fx.workers)]))
 		for i := range fx.idx.Objects {
 			if i%7 != 0 {
 				continue
 			}
-			e := eaiAt(fx.m, i, fx.m.PsiOf(fx.workers[int(seedRaw)%len(fx.workers)]), float64(nObj))
+			e := eaiAt(fx.m, i, &tab, float64(nObj))
 			if e < 0 || e > 1.0/float64(nObj)+1e-12 {
 				return false
 			}
@@ -308,5 +311,75 @@ func TestWorkersSortedByReliabilityGetTasksFirst(t *testing.T) {
 	}
 	if total != 4 {
 		t.Fatalf("4 objects must all be assigned once, got %d", total)
+	}
+}
+
+// TestAnsweredSetsMatchHasAnswered pins EAI's answered filter to
+// Index.HasAnsweredAt for every (worker, object) pair along an Extend chain:
+// the fitted index, one extension by answers from an existing worker and a
+// worker the index has never seen, and one by a new object that both answer.
+// The worker list runs against the index's worker order, so a call's
+// positions never equal the dense IDs, and carries a name no index knows
+// (ID -1) throughout.
+func TestAnsweredSetsMatchHasAnswered(t *testing.T) {
+	f := newFixture(t, 3, true)
+	work := f.ds.Clone()
+	idx := f.idx
+	answer := func(o, w string) data.Answer {
+		return data.Answer{Object: o, Worker: w, Value: idx.View(o).CI.Values[0]}
+	}
+	late := "late-worker"
+	donor := idx.View(idx.Objects[0]).CI.Values
+	steps := []data.Mutation{
+		{Answers: []data.Answer{
+			answer(idx.Objects[1], late), answer(idx.Objects[len(idx.Objects)-1], late),
+			answer(idx.Objects[2], f.workers[0]),
+		}},
+		{
+			Candidates: map[string][]string{"zzz-late-object": append([]string(nil), donor...)},
+			Answers: []data.Answer{
+				{Object: "zzz-late-object", Worker: late, Value: donor[0]},
+				{Object: "zzz-late-object", Worker: f.workers[1], Value: donor[0]},
+			},
+		},
+	}
+	check := func(tag string, idx *data.Index) {
+		t.Helper()
+		names := []string{"never-seen"}
+		for wid := len(idx.WorkerNames) - 1; wid >= 0; wid-- {
+			names = append(names, idx.WorkerNames[wid])
+		}
+		wids := workerIDs(idx, names)
+		sets := newAnsweredSets(idx, wids)
+		marked := 0
+		for wi, wid := range wids {
+			for oid := range idx.Objects {
+				got, want := sets.has(wi, oid), idx.HasAnsweredAt(wid, oid)
+				if got != want {
+					t.Fatalf("%s: worker %s object %s: bitset %v, HasAnsweredAt %v", tag, names[wi], idx.Objects[oid], got, want)
+				}
+				if got {
+					marked++
+				}
+			}
+		}
+		if marked != idx.NumWorkerClaims() {
+			t.Fatalf("%s: %d marks for %d answers", tag, marked, idx.NumWorkerClaims())
+		}
+	}
+	check("fitted", idx)
+	for i, mu := range steps {
+		work.Answers = append(work.Answers, mu.Answers...)
+		for o, vals := range mu.Candidates {
+			if work.Candidates == nil {
+				work.Candidates = map[string][]string{}
+			}
+			work.Candidates[o] = vals
+		}
+		idx, _ = idx.Extend(work, mu)
+		check(fmt.Sprintf("extend %d", i+1), idx)
+	}
+	if _, ok := idx.WorkerID(late); !ok {
+		t.Fatal("the late worker never entered the index")
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cow"
+	"repro/internal/data"
 )
 
 // EAI implements the paper's Expected Accuracy Increase assigner
@@ -38,8 +39,9 @@ func (e EAI) Name() string {
 	return "EAI"
 }
 
-// Stats from the last Assign call (not goroutine-safe), used by the
-// Figure 13 experiment to report pruning effectiveness.
+// EAIStats counts one AssignWithStats call's work, returned with its
+// assignment: the Figure 13 experiment reports pruning effectiveness from
+// it, and the crowd server observes it per /task.
 type EAIStats struct {
 	Evaluated int // EAI(w,o) computations performed
 	Pruned    int // evaluations skipped by the UEAI bound
@@ -100,7 +102,9 @@ func (e EAI) AssignWithStats(ctx *Context) (map[string][]string, EAIStats) {
 		return m.PsiOf(workers[i])[0] > m.PsiOf(workers[j])[0]
 	})
 	wids := workerIDs(ctx.Idx, workers)
+	answered := newAnsweredSets(ctx.Idx, wids)
 	psis := make([][3]float64, len(workers))
+	tabs := make([]core.WorkerTab, len(workers))
 	cached := make([]bool, len(workers))
 	anyCached := false
 	// The cold-worker score cache applies only to a pre-attached (shared,
@@ -116,6 +120,9 @@ func (e EAI) AssignWithStats(ctx *Context) (map[string][]string, EAIStats) {
 		// float, so the cache changes nothing but the evaluation cost.
 		cached[i] = attached && p.M == m && psis[i] == p.defaultPsi
 		anyCached = anyCached || cached[i]
+		if !cached[i] {
+			tabs[i] = core.NewWorkerTab(psis[i])
+		}
 	}
 	var defScores *cow.Vec[float64]
 	if anyCached {
@@ -157,7 +164,7 @@ scan:
 			}
 			cur := en.ID
 			for wi := 0; wi < len(workers) && cur >= 0; wi++ {
-				if ctx.Idx.HasAnsweredAt(wids[wi], int(cur)) {
+				if answered.has(wi, int(cur)) {
 					continue
 				}
 				if !e.DisablePruning && len(heaps[wi]) >= ctx.K && heaps[wi][0].score >= p.ueai.At(int(cur)) {
@@ -168,7 +175,7 @@ scan:
 				if cached[wi] {
 					score = defScores.At(int(cur))
 				} else {
-					score = eaiAt(m, int(cur), psis[wi], nObj)
+					score = eaiAt(m, int(cur), &tabs[wi], nObj)
 				}
 				stats.Evaluated++
 				if len(heaps[wi]) < ctx.K {
@@ -199,12 +206,52 @@ scan:
 	return out, stats
 }
 
+// answeredSets holds, for each worker of one Assign call, a bitset over the
+// index's objects of those the worker has answered (Idx.WorkerObjIDs): a
+// word read per scanned (worker, object) pair where Index.HasAnsweredAt
+// would binary-search the object's claims. ⌈|O|/64⌉ words per worker the
+// index knows; nil for a worker it has never seen, who answered nothing.
+type answeredSets [][]uint64
+
+// newAnsweredSets marks the answered objects of each worker in wids (-1: a
+// worker the index has never seen).
+func newAnsweredSets(idx *data.Index, wids []int) answeredSets {
+	words, known := (idx.NumObjects()+63)/64, 0
+	for _, wid := range wids {
+		if wid >= 0 {
+			known++
+		}
+	}
+	slab := make([]uint64, known*words)
+	s := make(answeredSets, len(wids))
+	for wi, wid := range wids {
+		if wid < 0 {
+			continue
+		}
+		row := slab[:words:words]
+		slab = slab[words:]
+		for _, oid := range idx.WorkerObjIDs[wid] {
+			row[oid>>6] |= 1 << (oid & 63)
+		}
+		s[wi] = row
+	}
+	return s
+}
+
+// has reports whether worker wi (its position in newAnsweredSets' wids)
+// answered object oid.
+func (s answeredSets) has(wi, oid int) bool {
+	row := s[wi]
+	return row != nil && row[uint(oid)>>6]&(1<<(uint(oid)&63)) != 0
+}
+
 // eaiAt computes EAI(w, o) per Eqs. (14)–(15) with the incremental EM,
-// entirely on ID-indexed model state.
+// entirely on ID-indexed model state, for the worker whose ψ tab was built
+// from.
 //
 //tdh:hotpath
-func eaiAt(m *core.Model, oid int, psi [3]float64, nObj float64) float64 {
-	score := (m.ExpectedCondMaxAt(oid, psi) - maxOf(m.MuAt(oid))) / nObj
+func eaiAt(m *core.Model, oid int, tab *core.WorkerTab, nObj float64) float64 {
+	score := (m.ExpectedCondMaxAt(oid, tab) - maxOf(m.MuAt(oid))) / nObj
 	// Clamp the numerical noise floor: when no single answer can move the
 	// argmax, the exact expectation is zero but floating-point evaluation
 	// leaves ±1e-12-grade residue that would otherwise order the heap

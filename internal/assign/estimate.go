@@ -30,10 +30,10 @@ func (e EAI) EstimateImprovement(ctx *Context, assignment map[string][]string) f
 	total := 0.0
 	for _, w := range sortedWorkers(assignment) {
 		objs := assignment[w]
-		psi := m.PsiOf(w)
+		tab := core.NewWorkerTab(m.PsiOf(w))
 		for _, o := range objs {
 			if oid, ok := m.Idx.ObjectID(o); ok {
-				total += eaiAt(m, oid, psi, n)
+				total += eaiAt(m, oid, &tab, n)
 			}
 		}
 	}

@@ -62,10 +62,12 @@ type Plan struct {
 	// fitted ψ still evaluate per call. Filled on first use behind a
 	// sync.Once (callers without cold workers never pay for it); the server
 	// prewarms it at publish time so no request bears the fill. defaultPsi
-	// tags the ψ the cache is valid for.
+	// tags the ψ the cache is valid for, and defaultTab is its claim table,
+	// built once per plan for the fill and for Advance's rescoring.
 	eaiDefaultOnce sync.Once
 	eaiDefault     cow.Vec[float64]
 	defaultPsi     [3]float64
+	defaultTab     core.WorkerTab
 }
 
 // Row is the confidence row of object oid (nil when the result has none),
@@ -102,7 +104,7 @@ func (p *Plan) defaultScores() *cow.Vec[float64] {
 func (p *Plan) scoreAll() []float64 {
 	scores := make([]float64, p.Idx.NumObjects())
 	for oid := range scores {
-		scores[oid] = eaiAt(p.M, oid, p.defaultPsi, float64(len(scores)))
+		scores[oid] = eaiAt(p.M, oid, &p.defaultTab, float64(len(scores)))
 	}
 	return scores
 }
@@ -133,7 +135,7 @@ func newPlan(idx *data.Index, res *infer.Result) *Plan {
 	if m != nil {
 		psi = m.DefaultPsi()
 	}
-	return &Plan{Idx: idx, Res: res, M: m, d: res.Rows, defaultPsi: psi}
+	return &Plan{Idx: idx, Res: res, M: m, d: res.Rows, defaultPsi: psi, defaultTab: core.NewWorkerTab(psi)}
 }
 
 // NewPlan precomputes the worker-independent assignment state for one
@@ -258,7 +260,7 @@ func (p *Plan) Advance(idx *data.Index, res *infer.Result, touched []int) (advan
 	if np.defaultPsi == p.defaultPsi {
 		scores := p.defaultScores().Clone()
 		for _, oid := range ts {
-			scores.Set(oid, eaiAt(m, oid, np.defaultPsi, nObj))
+			scores.Set(oid, eaiAt(m, oid, &np.defaultTab, nObj))
 		}
 		np.eaiDefaultOnce.Do(func() { np.eaiDefault = scores })
 	}

@@ -107,15 +107,19 @@ func (m *Model) condMax(ov *data.ObjectView, mu, n []float64, d float64, psi [3]
 }
 
 // ExpectedCondMaxAt is Σ_{v'} P(v_o^w = v') · max_v μ_{o,v | v_o^w = v'}: the
-// expected top confidence after one more answer from a worker with
-// trustworthiness psi (Eq. 15 over Eqs. 6 and 18) — what EAI scores an
-// (object, worker) pair by. It is AnswerLikelihoodAt × CondMaxConfidenceAt
-// summed over the answers, float for float, in one pass: each answer's row
-// of products P(v′|tr, ψ)·μ_tr is computed once, and its sum is both P(v′)
-// (Eq. 6) and the normaliser of Eq. 16 that the conditional max divides by.
+// expected top confidence after one more answer from a worker whose ψ wt was
+// built from (Eq. 15 over Eqs. 6 and 18) — what EAI scores an (object,
+// worker) pair by. It is AnswerLikelihoodAt × CondMaxConfidenceAt summed
+// over the answers, float for float, in one pass: each answer's row of
+// products P(v′|tr, ψ)·μ_tr is the claim kernel's pass 1 for a hypothetical
+// claim v′ (hierRow, flatRow over the object's tables and wt), and its sum is
+// both P(v′) (Eq. 6) and the normaliser of Eq. 16 that the conditional max
+// divides by. The division by D_o+1 comes once, after the max: correctly
+// rounded division by a positive number is monotone, so max(a_i)/d is the
+// bits of max(a_i/d).
 //
 //tdh:hotpath
-func (m *Model) ExpectedCondMaxAt(oid int, psi [3]float64) float64 {
+func (m *Model) ExpectedCondMaxAt(oid int, wt *WorkerTab) float64 {
 	ov := m.Idx.ViewAt(oid)
 	mu, n, d := m.MuAt(oid), m.NAt(oid), m.DAt(oid)+1
 	var buf [16]float64
@@ -124,24 +128,54 @@ func (m *Model) ExpectedCondMaxAt(oid int, psi [3]float64) float64 {
 		raw = make([]float64, len(mu)) //tdh:allocok spill for >16-candidate objects; absent in steady state
 	}
 	raw = raw[:len(mu)]
+	// An answer reads the factors of Eq. 3 as the kernel does for a worker
+	// claim: the popularity rows Pop2/Pop3, or 1/|Go| and 1/|rest| under
+	// UniformWorkerErrors. On a flat object under UniformWorkerErrors the
+	// wrong-answer probability is workerClaimProb's ψ3·(1/(|V|−1)), which
+	// can round differently from the kernel's θ3/(|V|−1).
+	t, pop, flat := &wt.t, !m.Opt.UniformWorkerErrors, flatObject(m, ov)
+	invGo, invRest, masks := ov.InvGoSizes(), ov.InvRestSizes(), ov.CaseMasks()
+	wrong := 0.0
+	if flat && !pop && len(mu) > 1 {
+		wrong = maxf(t.theta[2]*(1.0/float64(len(mu)-1)), eps)
+	}
+	var wide claimBuf
 	exp := 0.0
 	for ans := range mu {
-		pAns := 0.0
-		for tr := range mu {
-			p := m.workerClaimProb(ov, ans, tr, psi) * mu[tr]
-			raw[tr] = p
-			pAns += p
+		var pAns float64
+		switch {
+		case flat && len(mu) == 1:
+			// A single candidate is every answer's truth: P(v′|v*) = 1.
+			raw[0] = mu[0]
+			pAns = raw[0]
+		case flat:
+			var p3 []float64
+			if pop {
+				if p3 = ov.Pop3Row(ans); p3 == nil {
+					_, _, p3 = wide.wideRows(ov, ans, true, nil, nil)
+				}
+			}
+			pAns = t.flatRow(raw, mu, ans, p3, wrong)
+		default:
+			rel, p2, p3 := ov.RelRow(ans), invGo, invRest
+			if pop {
+				p2, p3 = ov.Pop2Row(ans), ov.Pop3Row(ans)
+			}
+			if rel == nil {
+				rel, p2, p3 = wide.wideRows(ov, ans, pop, p2, p3)
+			}
+			pAns = t.hierRow(raw, mu, rel, masks, p2, p3)
 		}
 		if pAns <= 0 {
 			continue
 		}
 		best := 0.0
 		for i, p := range raw {
-			if v := (n[i] + p/pAns) / d; v > best {
+			if v := n[i] + p/pAns; v > best {
 				best = v
 			}
 		}
-		exp += pAns * best
+		exp += pAns * (best / d)
 	}
 	return exp
 }

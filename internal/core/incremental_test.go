@@ -32,25 +32,42 @@ func TestPosteriorGivenAnswer(t *testing.T) {
 
 // TestExpectedCondMaxIsItsDefinition pins ExpectedCondMaxAt's fused pass to
 // the bit against Eq. 15 spelled out: Σ over answers v′ with P(v′) > 0 of
-// AnswerLikelihoodAt(v′) × CondMaxConfidenceAt(v′). The wide fixture's
-// 260-candidate object takes the pass's spill path.
+// AnswerLikelihoodAt(v′) × CondMaxConfidenceAt(v′), both on the scalar
+// workerClaimProb. Each ψ's WorkerTab is built once and reused across every
+// object, as an EAI scan does. The wide fixture's 260-candidate object takes
+// the pass's spill path and the kernel's wide rows; FlatModel sends every
+// object through the flat row, UniformWorkerErrors through the 1/|Go|,
+// 1/|rest| factors, and the two together every object through the flat
+// row's uniform wrong-answer product ψ3·(1/(|V|−1)) (on the Heritages
+// fixture alone its few flat objects would let the kernel's θ3/(|V|−1)
+// pass).
 func TestExpectedCondMaxIsItsDefinition(t *testing.T) {
-	for _, ds := range []*data.Dataset{
-		wideDataset(),
-		withTruthAnswers(synth.Heritages(synth.HeritagesConfig{Seed: 5, Scale: 0.05})),
-	} {
-		m := Run(data.NewIndex(ds), DefaultOptions())
-		psis := append([][3]float64{m.DefaultPsi(), {0.2, 0.1, 0.7}}, m.Psi...)
-		for oid := 0; oid < m.NumObjects(); oid++ {
-			for _, psi := range psis {
-				want := 0.0
-				for ans := range m.MuAt(oid) {
-					if p := m.AnswerLikelihoodAt(oid, psi, ans); p > 0 {
-						want += p * m.CondMaxConfidenceAt(oid, psi, ans)
+	flat, uniform := DefaultOptions(), DefaultOptions()
+	flat.FlatModel, uniform.UniformWorkerErrors = true, true
+	both := flat
+	both.UniformWorkerErrors = true
+	for _, opt := range []Options{DefaultOptions(), flat, uniform, both} {
+		for _, ds := range []*data.Dataset{
+			wideDataset(),
+			withTruthAnswers(synth.Heritages(synth.HeritagesConfig{Seed: 5, Scale: 0.05})),
+		} {
+			m := Run(data.NewIndex(ds), opt)
+			psis := append([][3]float64{m.DefaultPsi(), {0.2, 0.1, 0.7}}, m.Psi...)
+			tabs := make([]WorkerTab, len(psis))
+			for i, psi := range psis {
+				tabs[i] = NewWorkerTab(psi)
+			}
+			for oid := 0; oid < m.NumObjects(); oid++ {
+				for i, psi := range psis {
+					want := 0.0
+					for ans := range m.MuAt(oid) {
+						if p := m.AnswerLikelihoodAt(oid, psi, ans); p > 0 {
+							want += p * m.CondMaxConfidenceAt(oid, psi, ans)
+						}
 					}
-				}
-				if got := m.ExpectedCondMaxAt(oid, psi); math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("%s object %d, ψ %v: ExpectedCondMaxAt %v, definition %v", ds.Name, oid, psi, got, want)
+					if got := m.ExpectedCondMaxAt(oid, &tabs[i]); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s %+v object %d, ψ %v: ExpectedCondMaxAt %v, definition %v", ds.Name, opt, oid, psi, got, want)
+					}
 				}
 			}
 		}

@@ -11,10 +11,15 @@ import (
 // 1/|rest| and the popularity distributions are all index-time constants,
 // and what a claim takes from its participant's θ is a partTab built once
 // per pass, so the per-(claim, truth) probability is a handful of lookups
-// and a multiply. The claim kernel (claimList) fills a claim's row for every
-// truth at once and turns it into the claim's truth and class posteriors:
-// the E-step's inner loop. Scalar variants serve the incremental EM and
-// external callers.
+// and a multiply. A claim's row for every truth at once (pass 1: hierRow,
+// flatRow) serves two callers: the claim kernel (claimList), which turns it
+// into the claim's truth and class posteriors — the E-step's inner loop —
+// and EAI's ExpectedCondMaxAt, which fills one row per hypothetical answer
+// against a WorkerTab built once per ψ. The scalar variants
+// (sourceClaimProb, workerClaimProb) spell the model out one (claim, truth)
+// pair at a time: workerClaimProb serves the one-answer fold (ApplyAnswerAt)
+// and the single-answer posteriors, and both are the tests' references for
+// the row passes.
 
 // flatObject reports whether the whole object is handled by Eq. (2): no
 // ancestor-descendant pair among its candidates (o ∉ OH), or the flat-model
@@ -89,6 +94,15 @@ func newPartTab(theta [3]float64) partTab {
 	}
 	return t
 }
+
+// WorkerTab is what the claim model takes from one worker's ψ alone — the
+// table the E-step builds per worker per pass. EAI builds one per ψ and
+// scores every object against it (ExpectedCondMaxAt). Read-only once built,
+// so concurrent scans may share one.
+type WorkerTab struct{ t partTab }
+
+// NewWorkerTab builds the table of a worker with trustworthiness psi.
+func NewWorkerTab(psi [3]float64) WorkerTab { return WorkerTab{newPartTab(psi)} }
 
 // claimBuf is one goroutine's working rows, grown to the widest object it
 // has met: a claim's row, the E-step's μ numerators of one object, and the
@@ -204,35 +218,15 @@ func (m *Model) claimList(ov *data.ObjectView, claims []data.Claim, tabs []partT
 		if rel == nil {
 			rel, p2, p3 = b.wideRows(ov, c, pop, p2, p3)
 		}
-		z := 0.0
+		var z float64
 		if flat {
 			wrong := 0.0
 			if p3 == nil {
 				wrong = maxf(t.theta[2]/float64(len(mu)-1), eps)
 			}
-			for tr, mt := range mu {
-				p := wrong
-				if tr == c {
-					p = t.theta[0] + t.theta[1]
-				} else if p3 != nil {
-					p = maxf(t.theta[2]*p3[tr], eps)
-				}
-				p *= mt
-				row[tr] = p
-				z += p
-			}
+			z = t.flatRow(row, mu, c, p3, wrong)
 		} else {
-			for tr, mt := range mu {
-				// Class r+1's weight times its factor: 1, 1/|Go| or Pop2, 1/|rest| or Pop3.
-				r := rel[tr] - 1
-				p := t.w[masks[tr]&3][r] * [3]float64{1, p2[tr], p3[tr]}[r]
-				if p < eps {
-					p = eps
-				}
-				p *= mt
-				row[tr] = p
-				z += p
-			}
+			z = t.hierRow(row, mu, rel, masks, p2, p3)
 		}
 		if acc == nil {
 			ll += math.Log(maxf(z, eps))
@@ -269,6 +263,48 @@ func (m *Model) claimList(ov *data.ObjectView, claims []data.Claim, tabs []partT
 		}
 	}
 	return ll
+}
+
+// hierRow is pass 1 of a claim on an object with the hierarchy (Eqs. 1 and
+// 3): row[tr] = max(P(c | v* = tr), eps)·μ_tr for the claim's relationship
+// row rel, under this participant's table, the object's case masks and the
+// per-truth factors p2, p3 of the generalized and wrong classes. Returns
+// Σ row in truth order, the claim's likelihood under μ (Eq. 6).
+//
+//tdh:hotpath
+func (t *partTab) hierRow(row, mu []float64, rel, masks []uint8, p2, p3 []float64) (z float64) {
+	for tr, mt := range mu {
+		// Class r+1's weight times its factor: 1, 1/|Go| or Pop2, 1/|rest| or Pop3.
+		r := rel[tr] - 1
+		p := t.w[masks[tr]&3][r] * [3]float64{1, p2[tr], p3[tr]}[r]
+		if p < eps {
+			p = eps
+		}
+		p *= mt
+		row[tr] = p
+		z += p
+	}
+	return z
+}
+
+// flatRow is hierRow on a flat object (Eqs. 2 and 4) for claim value c: the
+// exact claim takes θ1+θ2, any other value max(θ3·p3[tr], eps), or wrong —
+// the caller's uniform wrong-claim probability — where p3 is nil.
+//
+//tdh:hotpath
+func (t *partTab) flatRow(row, mu []float64, c int, p3 []float64, wrong float64) (z float64) {
+	for tr, mt := range mu {
+		p := wrong
+		if tr == c {
+			p = t.theta[0] + t.theta[1]
+		} else if p3 != nil {
+			p = maxf(t.theta[2]*p3[tr], eps)
+		}
+		p *= mt
+		row[tr] = p
+		z += p
+	}
+	return z
 }
 
 // sourceClaimProb implements Eqs. (1) and (2): P(v_o^s = c | v*_o = tr, φs).

@@ -49,6 +49,11 @@ type serverMetrics struct {
 	planAdvances    *obs.Counter // publishes that advanced the previous snapshot's plan
 	ueaiMax         *obs.Gauge   // head of the served plan's UEAI ranking
 
+	// One observation per /task an EAI assigner served: EAI evaluations
+	// Algorithm 1 ran and evaluations the UEAI bound skipped (EAIStats).
+	eaiEvaluated *obs.Histogram
+	eaiPruned    *obs.Histogram
+
 	stageDur   map[string]*obs.Histogram // pipeline stage -> duration histogram
 	batchSize  *obs.Histogram            // answers folded per publish cycle
 	publishes  map[bool]*obs.Counter     // key: full refit?
@@ -105,6 +110,12 @@ func newServerMetrics(s *Server, reg *obs.Registry) *serverMetrics {
 			"publishes that advanced the previous snapshot's assignment plan"),
 		ueaiMax: reg.Gauge("tdh_ueai_max",
 			"largest Lemma 4.1 bound of the served plan: no task it can hand out adds more than this to the expected accuracy (0 without a TDH model)"),
+		eaiEvaluated: reg.Histogram("tdh_eai_evaluated",
+			"EAI evaluations one /task ran in Algorithm 1's scan (for a cold worker, reads of the plan's precomputed scores)",
+			append([]float64{0}, obs.ExpBuckets(1, 2, 15)...)),
+		eaiPruned: reg.Histogram("tdh_eai_pruned",
+			"EAI evaluations one /task skipped by the Lemma 4.1 bound",
+			append([]float64{0}, obs.ExpBuckets(1, 2, 15)...)),
 		stageDur:  make(map[string]*obs.Histogram, 5),
 		batchSize: reg.Histogram("tdh_pipeline_batch_size", "answers folded per publish cycle", obs.SizeBuckets()),
 		visibility: reg.Histogram("tdh_visibility_seconds",

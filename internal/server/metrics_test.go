@@ -85,10 +85,22 @@ func TestMetricsEndpoint(t *testing.T) {
 		`tdh_refit_drift_count{param="source_trust"}`,
 		`tdh_refit_drift_count{param="worker_trust"}`,
 		"# TYPE tdh_refit_answers_threshold gauge",
+		"# TYPE tdh_eai_evaluated histogram",
+		"# TYPE tdh_eai_pruned histogram",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+	// The one /task ran EAI: one observation in each series, and a scan
+	// that evaluated at least the K objects it handed out.
+	for _, id := range []string{"tdh_eai_evaluated_count", "tdh_eai_pruned_count"} {
+		if n := seriesValue(t, out, id); n != 1 {
+			t.Errorf("%s %d, want 1", id, n)
+		}
+	}
+	if n := seriesValue(t, out, "tdh_eai_evaluated_sum"); n < int64(len(tasks)) {
+		t.Errorf("tdh_eai_evaluated_sum %d below the %d tasks served", n, len(tasks))
 	}
 	// The refresh landed a fit over the boot fit's state: one comparison at
 	// least, the same count in every step-1 series.

@@ -426,7 +426,15 @@ func (s *Server) handleTask(w http.ResponseWriter, r *http.Request) {
 			K:             s.cfg.K,
 			Seed:          taskSeed(s.cfg.Seed, snap.Round, worker),
 		}
-		assigned := s.cfg.Assigner.Assign(ctx)[worker]
+		var assigned []string
+		if eai, ok := s.cfg.Assigner.(assign.EAI); ok {
+			out, st := eai.AssignWithStats(ctx)
+			assigned = out[worker]
+			s.metrics.eaiEvaluated.Observe(float64(st.Evaluated))
+			s.metrics.eaiPruned.Observe(float64(st.Pruned))
+		} else {
+			assigned = s.cfg.Assigner.Assign(ctx)[worker]
+		}
 		sh.mu.Lock()
 		// A concurrent /task for the same worker may have installed an
 		// assignment meanwhile; keep that one for idempotency.
