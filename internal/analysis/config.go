@@ -59,6 +59,7 @@ func DefaultSnapshotmut() SnapshotmutConfig {
 			"internal/engine.newNumState",
 			"internal/engine.numState.fork",
 			"internal/engine.numState.parseClaims",
+			"internal/engine.numState.claimTable",
 			"internal/engine.numState.addClaim",
 			"internal/engine.numState.foldClaim",
 			"internal/engine.numState.setEstimate",
@@ -90,6 +91,7 @@ func DefaultDetreplay() DetreplayConfig {
 	return DetreplayConfig{
 		Packages: []string{
 			"internal/infer",
+			"internal/numeric",
 			"internal/assign",
 			"internal/engine",
 			"internal/core",

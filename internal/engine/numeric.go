@@ -16,14 +16,15 @@ import (
 
 // numericEngine runs a numeric.Estimator (CRH / CATD / MEAN / MEDIAN /
 // VOTE) over the campaign's source records plus its worker answers, the
-// latter folded in as synthetic records from pseudo-sources named
-// "w:"+worker — the same provider-unification convention internal/
+// latter claimed by pseudo-sources named "w:"+worker — the same provider-unification convention internal/
 // multitruth uses — so source-weighting estimators weigh workers exactly
 // like sources.
 //
-// Fit runs the estimator over everything. Between fits the engine folds: an
-// estimate is object-local GIVEN the provider weights, so an accepted answer
-// appends one claim to its object's row of the parsed claim table and
+// Fit parses every claim once, into one dense numeric.Table keyed by the
+// index's object IDs, runs the estimator over it, and keeps the table's
+// object rows (under the fitted weights) as the claim rows. Between fits the
+// engine folds: an estimate is object-local GIVEN the provider weights, so
+// an accepted answer appends one claim to its object's claim row and
 // re-estimates that object alone (numeric.Estimator.Local) with the weights
 // frozen at the last Fit. That is exact for MEAN / MEDIAN / VOTE, which
 // have no weights — those never publish a stale estimate — while CRH / CATD
@@ -227,6 +228,31 @@ func (st *numState) parseClaims(oids []int) {
 	}
 }
 
+// claimTable fills every object's claim row from t's object row, each claim
+// under its provider's weight w[pid] (0 when w is nil, as a weightless
+// estimator's unseen provider weighs). The rows share one slab, each capped
+// at its length so a fold's append copies it.
+func (st *numState) claimTable(t *numeric.Table, w []float64) {
+	n := 0
+	for oid := range st.claims {
+		n += len(t.Object(oid))
+	}
+	slab := make([]numeric.Claim, 0, n)
+	for oid := range st.claims {
+		start := len(slab)
+		for _, c := range t.Object(oid) {
+			cl := numeric.Claim{V: c.V}
+			if w != nil {
+				cl.W = w[c.ID]
+			}
+			slab = append(slab, cl)
+		}
+		if len(slab) > start {
+			st.claims[oid] = slab[start:len(slab):len(slab)]
+		}
+	}
+}
+
 // setEstimate stores object oid's estimate and derives its support row: mass
 // spread over the object's candidate values by inverse distance to the
 // estimate, so ME's entropy ranking prefers objects whose claimed values
@@ -247,28 +273,46 @@ func (st *numState) setEstimate(oid int, v float64) {
 	st.rows[oid] = row
 }
 
-// Fit runs the estimator over the full working dataset and parses it into
-// the claim table the folds that follow extend.
+// Fit parses the working dataset once into one numeric.Table — records,
+// then answers as claims of "w:"+worker, each row in that order — runs the
+// estimator over it, and keeps the table's object rows, under the fitted
+// weights, as the claim rows the folds that follow extend. idx is built
+// over idx.DS, so every claim is on one of its objects.
 func (e *numericEngine) Fit(idx *data.Index) State {
 	ds := idx.DS
-	recs := make([]data.Record, 0, len(ds.Records)+len(ds.Answers))
-	recs = append(recs, ds.Records...)
+	b := numeric.NewTableBuilder(len(idx.Objects), len(ds.Records)+len(ds.Answers))
+	for i := range ds.Records {
+		r := &ds.Records[i]
+		oid, ok := idx.ObjectID(r.Object)
+		if !ok {
+			continue
+		}
+		if v, err := strconv.ParseFloat(r.Value, 64); err == nil {
+			b.Add(oid, r.Source, v)
+		}
+	}
 	for i := range ds.Answers {
 		a := &ds.Answers[i]
-		recs = append(recs, data.Record{Object: a.Object, Source: workerPrefix + a.Worker, Value: numericValueString(a)})
-	}
-	truth, weights := e.est.Fit(recs)
-	st := newNumState(idx, weights)
-	all := make([]int, len(idx.Objects))
-	for oid := range all {
-		all[oid] = oid
-	}
-	st.parseClaims(all)
-	for oid, o := range idx.Objects {
-		v, ok := truth[o]
+		oid, ok := idx.ObjectID(a.Object)
 		if !ok {
-			v = math.NaN()
+			continue
 		}
+		if v, ok := answerValue(a); ok {
+			b.Add(oid, workerPrefix+a.Worker, v)
+		}
+	}
+	t := b.Table()
+	truth, w := e.est.Fit(t)
+	var weights map[string]float64
+	if w != nil {
+		weights = make(map[string]float64, len(w))
+		for p, name := range t.Providers() {
+			weights[name] = w[p]
+		}
+	}
+	st := newNumState(idx, weights)
+	st.claimTable(t, w)
+	for oid, v := range truth {
 		st.setEstimate(oid, v)
 	}
 	return st
@@ -335,15 +379,6 @@ func answerValue(a *data.Answer) (float64, bool) {
 }
 
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
-
-// numericValueString canonicalizes an answer's numeric payload to the
-// decimal string the claim tables key on.
-func numericValueString(a *data.Answer) string {
-	if a.Num != nil {
-		return strconv.FormatFloat(*a.Num, 'g', -1, 64)
-	}
-	return a.Value
-}
 
 // ValidateAnswer requires a parsable finite number — any number, not just a
 // previously claimed candidate: a numeric truth lives on the real line, not

@@ -23,59 +23,42 @@ type CATD struct {
 func (CATD) Name() string { return "CATD" }
 
 // Estimate implements Estimator.
-func (c CATD) Estimate(records []data.Record) map[string]float64 {
-	truth, _ := c.Fit(records)
-	return truth
-}
+func (c CATD) Estimate(records []data.Record) map[string]float64 { return estimate(c, records) }
 
 // Local implements Estimator: the truth step for one object.
 func (CATD) Local(claims []Claim) float64 { return weightedMean(claims) }
 
 // Fit implements Estimator.
-func (c CATD) Fit(records []data.Record) (map[string]float64, map[string]float64) {
+func (c CATD) Fit(t *Table) (truth, weights []float64) {
 	if c.MaxIter == 0 {
 		c.MaxIter = 20
 	}
 	if c.Alpha == 0 {
 		c.Alpha = 0.05
 	}
-	t := buildTable(records)
-	truth := make(map[string]float64, len(t.objects))
-	for _, o := range t.objects {
-		truth[o] = median(t.claims[o])
+	truth = medianStart(t)
+	// The chi-squared numerator depends only on a provider's claim count.
+	chi := make([]float64, len(t.Providers()))
+	for p := range chi {
+		chi[p] = ChiSquaredQuantile(c.Alpha/2, float64(len(t.Provider(p))))
 	}
-	w := map[string]float64{}
+	w := make([]float64, len(chi))
 	for iter := 0; iter < c.MaxIter; iter++ {
-		for _, s := range t.sources {
+		for p := range w {
 			// Raw (unnormalized) squared errors, as in CATD: this is what
 			// makes the weighted average sensitive to outliers — the
 			// behaviour the paper's Table 6 discussion calls out.
 			sse := 0.0
-			for _, ov := range t.bySrc[s] {
-				d := ov.v - truth[ov.o]
+			for _, ov := range t.Provider(p) {
+				d := ov.V - truth[ov.ID]
 				sse += d * d
 			}
 			if sse < 1e-12 {
 				sse = 1e-12
 			}
-			w[s] = ChiSquaredQuantile(c.Alpha/2, float64(len(t.bySrc[s]))) / sse
+			w[p] = chi[p] / sse
 		}
-		maxDelta := 0.0
-		for _, o := range t.objects {
-			num, den := 0.0, 0.0
-			for _, cl := range t.claims[o] {
-				num += w[cl.src] * cl.v
-				den += w[cl.src]
-			}
-			if den > 0 {
-				nt := num / den
-				if d := math.Abs(nt - truth[o]); d > maxDelta {
-					maxDelta = d
-				}
-				truth[o] = nt
-			}
-		}
-		if maxDelta < 1e-9 {
+		if truthStep(t, w, truth) < 1e-9 {
 			break
 		}
 	}

@@ -22,10 +22,7 @@ type CRH struct {
 func (CRH) Name() string { return "CRH" }
 
 // Estimate implements Estimator.
-func (c CRH) Estimate(records []data.Record) map[string]float64 {
-	truth, _ := c.Fit(records)
-	return truth
-}
+func (c CRH) Estimate(records []data.Record) map[string]float64 { return estimate(c, records) }
 
 // Local implements Estimator: the truth step for one object.
 func (CRH) Local(claims []Claim) float64 { return weightedMean(claims) }
@@ -46,80 +43,100 @@ func weightedMean(claims []Claim) float64 {
 }
 
 // Fit implements Estimator.
-func (c CRH) Fit(records []data.Record) (map[string]float64, map[string]float64) {
+func (c CRH) Fit(t *Table) (truth, weights []float64) {
 	if c.MaxIter == 0 {
 		c.MaxIter = 20
 	}
-	t := buildTable(records)
 	// Per-object normalizer: claim std (floored).
-	norm := make(map[string]float64, len(t.objects))
-	truth := make(map[string]float64, len(t.objects))
-	for _, o := range t.objects {
-		cs := t.claims[o]
+	norm := make([]float64, t.Objects())
+	truth = medianStart(t)
+	for oid := range norm {
+		cs := t.Object(oid)
+		if len(cs) == 0 {
+			continue
+		}
 		mean := 0.0
 		for _, cl := range cs {
-			mean += cl.v
+			mean += cl.V
 		}
 		mean /= float64(len(cs))
 		va := 0.0
 		for _, cl := range cs {
-			va += (cl.v - mean) * (cl.v - mean)
+			va += (cl.V - mean) * (cl.V - mean)
 		}
 		sd := math.Sqrt(va / float64(len(cs)))
 		if sd < 1e-9 {
 			sd = 1e-9
 		}
-		norm[o] = sd
-		truth[o] = median(cs) // robust start
+		norm[oid] = sd
 	}
-	w := make(map[string]float64, len(t.sources))
-	for _, s := range t.sources {
-		w[s] = 1
+	np := len(t.Providers())
+	w := make([]float64, np)
+	for p := range w {
+		w[p] = 1
 	}
+	loss := make([]float64, np)
 	for iter := 0; iter < c.MaxIter; iter++ {
 		// Weight step.
-		loss := map[string]float64{}
 		total := 0.0
-		for _, s := range t.sources {
-			for _, ov := range t.bySrc[s] {
-				d := (ov.v - truth[ov.o]) / norm[ov.o]
+		for p := range loss {
+			sum := 0.0
+			for _, ov := range t.Provider(p) {
+				d := (ov.V - truth[ov.ID]) / norm[ov.ID]
 				l := d * d
 				if l > 1e6 {
 					l = 1e6 // clip wild outliers so one claim cannot zero a source
 				}
-				loss[s] += l
+				sum += l
 				total += l
 			}
+			loss[p] = sum
 		}
 		if total <= 0 {
 			total = 1
 		}
-		for _, s := range t.sources {
-			share := (loss[s] + 1e-9) / (total + 1e-9*float64(len(t.sources)))
-			w[s] = -math.Log(share)
-			if w[s] < 1e-6 {
-				w[s] = 1e-6
+		for p := range w {
+			share := (loss[p] + 1e-9) / (total + 1e-9*float64(np))
+			w[p] = -math.Log(share)
+			if w[p] < 1e-6 {
+				w[p] = 1e-6
 			}
 		}
-		// Truth step: weighted mean.
-		maxDelta := 0.0
-		for _, o := range t.objects {
-			num, den := 0.0, 0.0
-			for _, cl := range t.claims[o] {
-				num += w[cl.src] * cl.v
-				den += w[cl.src]
-			}
-			if den > 0 {
-				nt := num / den
-				if d := math.Abs(nt - truth[o]); d > maxDelta {
-					maxDelta = d
-				}
-				truth[o] = nt
-			}
-		}
-		if maxDelta < 1e-9 {
+		if truthStep(t, w, truth) < 1e-9 {
 			break
 		}
 	}
 	return truth, w
+}
+
+// medianStart is the robust starting point of CRH and CATD: every object's
+// claim median (NaN for an object with no claim).
+func medianStart(t *Table) []float64 {
+	truth := make([]float64, t.Objects())
+	var buf []float64
+	for oid := range truth {
+		truth[oid] = medianRow(t.Object(oid), &buf)
+	}
+	return truth
+}
+
+// truthStep is the CRH / CATD truth step: every object whose weights sum
+// positive moves to its claims' weighted mean. It returns the largest move.
+func truthStep(t *Table, w, truth []float64) float64 {
+	maxDelta := 0.0
+	for oid := range truth {
+		num, den := 0.0, 0.0
+		for _, cl := range t.Object(oid) {
+			num += w[cl.ID] * cl.V
+			den += w[cl.ID]
+		}
+		if den > 0 {
+			nt := num / den
+			if d := math.Abs(nt - truth[oid]); d > maxDelta {
+				maxDelta = d
+			}
+			truth[oid] = nt
+		}
+	}
+	return maxDelta
 }

@@ -7,7 +7,6 @@ package numeric
 import (
 	"math"
 	"sort"
-	"strconv"
 
 	"repro/internal/data"
 )
@@ -15,65 +14,25 @@ import (
 // Estimator is a numeric truth-discovery algorithm.
 type Estimator interface {
 	Name() string
+	// Estimate is Fit over name-keyed records: the estimate of every object
+	// with a parsable claim.
 	Estimate(records []data.Record) map[string]float64
-	// Fit is Estimate plus the per-source weights its last truth step used;
-	// weights is nil for the estimators that weigh every source alike (MEAN,
-	// MEDIAN, VOTE).
-	Fit(records []data.Record) (truth, weights map[string]float64)
-	// Local re-estimates ONE object from its claims, in record order, each
-	// carrying its source's weight frozen at the last Fit: the object-local
+	// Fit estimates every object of t — truth[oid], NaN for an object with no
+	// claim — and returns the per-provider weights (by t's provider ID) its
+	// last truth step used; weights is nil for the estimators that weigh
+	// every provider alike (MEAN, MEDIAN, VOTE).
+	Fit(t *Table) (truth, weights []float64)
+	// Local re-estimates ONE object from its claims, in table order, each
+	// carrying its provider's weight frozen at the last Fit: the object-local
 	// half of the algorithm, which is all of it for the weightless
-	// estimators (Local over an object's claims ≡ Estimate's entry, bit for
-	// bit) and the truth step of CRH / CATD. NaN when there are no claims.
+	// estimators (Local over an object's claims ≡ Fit's entry, bit for bit)
+	// and the truth step of CRH / CATD. NaN when there are no claims.
 	Local(claims []Claim) float64
 }
 
 // Claim is one parsed numeric claim on an object: the value, and the weight
 // of the source that made it (ignored by the weightless estimators).
 type Claim struct{ V, W float64 }
-
-// table groups parsed numeric claims per object and per source.
-type table struct {
-	objects []string
-	claims  map[string][]claim // object -> claims
-	sources []string
-	bySrc   map[string][]objVal
-}
-
-type claim struct {
-	src string
-	v   float64
-}
-
-type objVal struct {
-	o string
-	v float64
-}
-
-func buildTable(records []data.Record) *table {
-	t := &table{claims: map[string][]claim{}, bySrc: map[string][]objVal{}}
-	seenO := map[string]bool{}
-	seenS := map[string]bool{}
-	for _, r := range records {
-		v, err := strconv.ParseFloat(r.Value, 64)
-		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
-			continue
-		}
-		t.claims[r.Object] = append(t.claims[r.Object], claim{r.Source, v})
-		t.bySrc[r.Source] = append(t.bySrc[r.Source], objVal{r.Object, v})
-		if !seenO[r.Object] {
-			seenO[r.Object] = true
-			t.objects = append(t.objects, r.Object)
-		}
-		if !seenS[r.Source] {
-			seenS[r.Source] = true
-			t.sources = append(t.sources, r.Source)
-		}
-	}
-	sort.Strings(t.objects)
-	sort.Strings(t.sources)
-	return t
-}
 
 // Mean is the averaging baseline MEAN — maximally sensitive to outliers.
 type Mean struct{}
@@ -82,12 +41,10 @@ type Mean struct{}
 func (Mean) Name() string { return "MEAN" }
 
 // Estimate implements Estimator.
-func (e Mean) Estimate(records []data.Record) map[string]float64 { return estimateLocally(e, records) }
+func (e Mean) Estimate(records []data.Record) map[string]float64 { return estimate(e, records) }
 
 // Fit implements Estimator.
-func (e Mean) Fit(records []data.Record) (truth, weights map[string]float64) {
-	return e.Estimate(records), nil
-}
+func (e Mean) Fit(t *Table) (truth, weights []float64) { return fitLocally(e, t), nil }
 
 // Local implements Estimator.
 func (Mean) Local(claims []Claim) float64 {
@@ -98,20 +55,24 @@ func (Mean) Local(claims []Claim) float64 {
 	return s / float64(len(claims))
 }
 
-// estimateLocally is Estimate for the weightless estimators: every object's
-// entry is Local over its claims.
-func estimateLocally(e Estimator, records []data.Record) map[string]float64 {
-	t := buildTable(records)
-	out := make(map[string]float64, len(t.objects))
+// fitLocally is Fit for the weightless estimators: every claimed object's
+// truth is Local over its claims.
+func fitLocally(e Estimator, t *Table) []float64 {
+	truth := make([]float64, t.Objects())
 	var row []Claim
-	for _, o := range t.objects {
-		row = row[:0]
-		for _, c := range t.claims[o] {
-			row = append(row, Claim{V: c.v})
+	for oid := range truth {
+		cells := t.Object(oid)
+		if len(cells) == 0 {
+			truth[oid] = math.NaN()
+			continue
 		}
-		out[o] = e.Local(row)
+		row = row[:0]
+		for _, c := range cells {
+			row = append(row, Claim{V: c.V})
+		}
+		truth[oid] = e.Local(row)
 	}
-	return out
+	return truth
 }
 
 // Median is the robust midpoint baseline (not in Table 6 but a useful
@@ -122,14 +83,10 @@ type Median struct{}
 func (Median) Name() string { return "MEDIAN" }
 
 // Estimate implements Estimator.
-func (e Median) Estimate(records []data.Record) map[string]float64 {
-	return estimateLocally(e, records)
-}
+func (e Median) Estimate(records []data.Record) map[string]float64 { return estimate(e, records) }
 
 // Fit implements Estimator.
-func (e Median) Fit(records []data.Record) (truth, weights map[string]float64) {
-	return e.Estimate(records), nil
-}
+func (e Median) Fit(t *Table) (truth, weights []float64) { return fitLocally(e, t), nil }
 
 // Local implements Estimator.
 func (Median) Local(claims []Claim) float64 {
@@ -140,11 +97,13 @@ func (Median) Local(claims []Claim) float64 {
 	return medianOf(vs)
 }
 
-func median(cs []claim) float64 {
-	vs := make([]float64, len(cs))
-	for i, c := range cs {
-		vs[i] = c.v
+// medianRow is the median of a row's values, sorted in buf (reused).
+func medianRow(cells []Cell, buf *[]float64) float64 {
+	vs := (*buf)[:0]
+	for _, c := range cells {
+		vs = append(vs, c.V)
 	}
+	*buf = vs
 	return medianOf(vs)
 }
 
@@ -169,12 +128,10 @@ type Vote struct{}
 func (Vote) Name() string { return "VOTE" }
 
 // Estimate implements Estimator.
-func (e Vote) Estimate(records []data.Record) map[string]float64 { return estimateLocally(e, records) }
+func (e Vote) Estimate(records []data.Record) map[string]float64 { return estimate(e, records) }
 
 // Fit implements Estimator.
-func (e Vote) Fit(records []data.Record) (truth, weights map[string]float64) {
-	return e.Estimate(records), nil
-}
+func (e Vote) Fit(t *Table) (truth, weights []float64) { return fitLocally(e, t), nil }
 
 // Local implements Estimator. Values are scanned in ascending order, so a
 // tie on both count and distance to the median goes to the smaller value.
