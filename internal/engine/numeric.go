@@ -130,9 +130,10 @@ func (st *numState) Quality(ds *data.Dataset, idx *data.Index) map[string]float6
 
 // newNumState sizes a state for idx under the given provider weights and
 // publishes them as trust: sources by name, "w:" pseudo-sources as workers,
-// scaled to [0,1] by the largest weight (a CATD weight can come out negative
-// for a one-claim provider: that reads 0). Weightless estimators publish
-// nothing. Claims, estimates and support rows are the caller's to fill.
+// scaled to [0,1] by the largest weight (CRH floors its weights above 0 and
+// CATD's are positive at every claim count; a weight that is not positive
+// would read 0). Weightless estimators publish nothing. Claims, estimates
+// and support rows are the caller's to fill.
 func newNumState(idx *data.Index, weights map[string]float64) *numState {
 	n := len(idx.Objects)
 	st := &numState{idx: idx, weights: weights,

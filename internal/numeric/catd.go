@@ -66,11 +66,22 @@ func (c CATD) Fit(t *Table) (truth, weights []float64) {
 }
 
 // ChiSquaredQuantile returns the p-quantile of the chi-squared distribution
-// with k degrees of freedom via the Wilson–Hilferty approximation — enough
-// accuracy for CATD's weighting and dependency-free (stdlib only).
+// with k degrees of freedom, dependency-free (stdlib only). One and two
+// degrees of freedom — a CATD provider with one or two claims — have exact
+// forms: χ²₁ is a squared standard normal and χ²₂ an exponential with mean
+// 2. Above that, the Wilson–Hilferty approximation. At CATD's p = 0.025 it
+// reads 16 % low at k = 3, 4 % at k = 5 and under 1 % from k = 10, and it
+// is positive for every k ≥ 3; at k = 1 its cube goes negative, which gave
+// a one-claim provider a negative weight.
 func ChiSquaredQuantile(p, k float64) float64 {
-	if k <= 0 {
+	switch {
+	case k <= 0:
 		return 0
+	case k == 1:
+		z := normalQuantile((1 + p) / 2)
+		return z * z
+	case k == 2:
+		return -2 * math.Log1p(-p)
 	}
 	z := normalQuantile(p)
 	a := 1 - 2/(9*k) + z*math.Sqrt(2/(9*k))

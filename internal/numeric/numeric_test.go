@@ -118,28 +118,59 @@ func TestCATDConservativeOnSmallSources(t *testing.T) {
 }
 
 func TestChiSquaredQuantile(t *testing.T) {
-	// Reference values (R: qchisq(p, df)).
+	// Reference values (R: qchisq(p, df)). One and two degrees of freedom
+	// are exact; above them Wilson–Hilferty is within 1 % here.
 	cases := []struct {
-		p, k, want float64
+		p, k, want, rel float64
 	}{
-		{0.025, 10, 3.247},
-		{0.975, 10, 20.483},
-		{0.5, 1, 0.455},
-		{0.025, 1, 0.000982},
-		{0.95, 5, 11.070},
+		{0.025, 1, 0.0009820691, 1e-6},
+		{0.5, 1, 0.4549364, 1e-6},
+		{0.975, 1, 5.023886, 1e-6},
+		{0.025, 2, 0.05063562, 1e-6},
+		{0.975, 2, 7.377759, 1e-6},
+		{0.025, 10, 3.246973, 0.01},
+		{0.975, 10, 20.48318, 0.01},
+		{0.95, 5, 11.07050, 0.01},
+		{0.025, 20, 9.590777, 0.01},
 	}
 	for _, c := range cases {
-		got := ChiSquaredQuantile(c.p, c.k)
-		tol := 0.02 * c.want
-		if tol < 0.02 {
-			tol = 0.02 // Wilson–Hilferty is weak at tiny quantiles/df
+		if got := ChiSquaredQuantile(c.p, c.k); math.Abs(got-c.want) > c.rel*c.want {
+			t.Errorf("chi2(%v, %v) = %v, want %v within %v relative", c.p, c.k, got, c.want, c.rel)
 		}
-		if math.Abs(got-c.want) > tol {
-			t.Errorf("chi2(%v, %v) = %v, want ≈%v", c.p, c.k, got, c.want)
+	}
+	// A CATD weight is this quantile over a squared error: it must be
+	// positive for every claim count, or a provider pushes an estimate away
+	// from its claims.
+	for _, p := range []float64{0.005, 0.025, 0.5, 0.975} {
+		for k := 1.0; k <= 100; k++ {
+			if got := ChiSquaredQuantile(p, k); !(got > 0) {
+				t.Fatalf("chi2(%v, %v) = %v, want > 0", p, k, got)
+			}
 		}
 	}
 	if got := ChiSquaredQuantile(0.5, 0); got != 0 {
 		t.Fatalf("df=0 must yield 0, got %v", got)
+	}
+}
+
+// TestCATDWeightsPositive: every CATD weight is positive, a provider with
+// one or two claims included, so no provider pushes an estimate away from
+// its own claims.
+func TestCATDWeightsPositive(t *testing.T) {
+	b := NewTableBuilder(0, 0)
+	for i := 0; i < 10; i++ {
+		b.Add(i, "big1", float64(50+i))
+		b.Add(i, "big2", float64(51+i))
+	}
+	b.Add(0, "one", 80)
+	b.Add(1, "two", 70)
+	b.Add(2, "two", 40)
+	tab := b.Table()
+	_, w := CATD{}.Fit(tab)
+	for p, name := range tab.Providers() {
+		if !(w[p] > 0) {
+			t.Errorf("CATD weight of %s (%d claims) = %v, want > 0", name, len(tab.Provider(p)), w[p])
+		}
 	}
 }
 
