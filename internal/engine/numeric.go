@@ -16,9 +16,9 @@ import (
 
 // numericEngine runs a numeric.Estimator (CRH / CATD / MEAN / MEDIAN /
 // VOTE) over the campaign's source records plus its worker answers, the
-// latter claimed by pseudo-sources named "w:"+worker — the same provider-unification convention internal/
-// multitruth uses — so source-weighting estimators weigh workers exactly
-// like sources.
+// latter claimed by pseudo-sources named "w:"+worker — the same
+// provider-unification convention internal/multitruth uses — so
+// source-weighting estimators weigh workers exactly like sources.
 //
 // Fit parses every claim once, into one dense numeric.Table keyed by the
 // index's object IDs, runs the estimator over it, and keeps the table's
@@ -206,25 +206,32 @@ func (st *numState) parseClaims(oids []int) {
 		only[oid] = true
 		st.claims[oid] = nil
 	}
-	ds := st.idx.DS
+	eachClaim(st.idx, only, func(oid int, provider string, v float64) { st.addClaim(oid, v, provider) })
+}
+
+// eachClaim calls f on every parsable claim of idx's dataset on an object of
+// idx (on the objects only marks, when only is not nil), in dataset order:
+// records, then answers as claims of "w:"+worker.
+func eachClaim(idx *data.Index, only []bool, f func(oid int, provider string, v float64)) {
+	ds := idx.DS
 	for i := range ds.Records {
 		r := &ds.Records[i]
-		oid, ok := st.idx.ObjectID(r.Object)
-		if !ok || !only[oid] {
+		oid, ok := idx.ObjectID(r.Object)
+		if !ok || only != nil && !only[oid] {
 			continue
 		}
 		if v, err := strconv.ParseFloat(r.Value, 64); err == nil && finite(v) {
-			st.addClaim(oid, v, r.Source)
+			f(oid, r.Source, v)
 		}
 	}
 	for i := range ds.Answers {
 		a := &ds.Answers[i]
-		oid, ok := st.idx.ObjectID(a.Object)
-		if !ok || !only[oid] {
+		oid, ok := idx.ObjectID(a.Object)
+		if !ok || only != nil && !only[oid] {
 			continue
 		}
 		if v, ok := answerValue(a); ok {
-			st.addClaim(oid, v, workerPrefix+a.Worker)
+			f(oid, workerPrefix+a.Worker, v)
 		}
 	}
 }
@@ -274,34 +281,13 @@ func (st *numState) setEstimate(oid int, v float64) {
 	st.rows[oid] = row
 }
 
-// Fit parses the working dataset once into one numeric.Table — records,
-// then answers as claims of "w:"+worker, each row in that order — runs the
-// estimator over it, and keeps the table's object rows, under the fitted
-// weights, as the claim rows the folds that follow extend. idx is built
-// over idx.DS, so every claim is on one of its objects.
+// Fit parses the working dataset once into one numeric.Table (eachClaim's
+// order), runs the estimator over it, and keeps the table's object rows,
+// under the fitted weights, as the claim rows the folds that follow extend.
 func (e *numericEngine) Fit(idx *data.Index) State {
 	ds := idx.DS
 	b := numeric.NewTableBuilder(len(idx.Objects), len(ds.Records)+len(ds.Answers))
-	for i := range ds.Records {
-		r := &ds.Records[i]
-		oid, ok := idx.ObjectID(r.Object)
-		if !ok {
-			continue
-		}
-		if v, err := strconv.ParseFloat(r.Value, 64); err == nil {
-			b.Add(oid, r.Source, v)
-		}
-	}
-	for i := range ds.Answers {
-		a := &ds.Answers[i]
-		oid, ok := idx.ObjectID(a.Object)
-		if !ok {
-			continue
-		}
-		if v, ok := answerValue(a); ok {
-			b.Add(oid, workerPrefix+a.Worker, v)
-		}
-	}
+	eachClaim(idx, nil, b.Add)
 	t := b.Table()
 	truth, w := e.est.Fit(t)
 	var weights map[string]float64
