@@ -74,7 +74,8 @@ func (s State) valid() bool {
 
 // PolicySpec is the JSON-friendly shape of server.RefitPolicy (durations as
 // milliseconds), persisted per campaign. Zero values take the server
-// defaults; negative values disable, mirroring RefitPolicy.
+// defaults; negative values disable, mirroring RefitPolicy. A "queue_size"
+// key, from before the ingest queue's buffer became a constant, is ignored.
 type PolicySpec struct {
 	// RefitAnswers and RefitStalenessMS are RefitPolicy's two refit
 	// triggers, both counted from the last installed refit; the refit they
@@ -88,7 +89,6 @@ type PolicySpec struct {
 	RefitAnswers     int   `json:"refit_answers,omitempty"`
 	RefitStalenessMS int64 `json:"refit_staleness_ms,omitempty"`
 	BatchSize        int   `json:"batch_size,omitempty"`
-	QueueSize        int   `json:"queue_size,omitempty"`
 	// Shards is read by nothing. It stays so existing specs and
 	// campaign.json files still parse.
 	//
@@ -106,7 +106,6 @@ func (p PolicySpec) refitPolicy() server.RefitPolicy {
 		MaxAnswers:       p.RefitAnswers,
 		MaxStaleness:     time.Duration(p.RefitStalenessMS) * time.Millisecond,
 		BatchSize:        p.BatchSize,
-		QueueSize:        p.QueueSize,
 		RejectQueueDepth: p.RejectQueueDepth,
 	}
 }

@@ -296,3 +296,46 @@ func TestPersistMetaRenameFailureLeavesNoTemp(t *testing.T) {
 		t.Fatalf("a failed persistMeta left %s.tmp behind (stat: %v)", metaFile, err)
 	}
 }
+
+// TestLegacyQueueSizeLoads: campaign.json files written while the ingest
+// queue's buffer was a policy field carry "queue_size". The key is ignored,
+// and such a campaign boots live with the rest of its policy intact.
+func TestLegacyQueueSizeLoads(t *testing.T) {
+	dir := t.TempDir()
+	m := mustOpen(t, dir)
+	if _, err := m.Create(Spec{ID: "legacy"}, testDataset("legacy", 3)); err != nil {
+		t.Fatal(err)
+	}
+	m.Close()
+	legacy := `{
+ "id": "legacy",
+ "state": "live",
+ "inferencer": "TDH",
+ "assigner": "EAI",
+ "k": 2,
+ "seed": 1,
+ "policy": {
+  "refit_answers": 8,
+  "batch_size": 4,
+  "queue_size": 16
+ },
+ "created_at": "2026-01-02T03:04:05Z",
+ "updated_at": "2026-01-02T03:04:05Z"
+}
+`
+	if err := os.WriteFile(filepath.Join(dir, campaignsDir, "legacy", metaFile), []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m2 := mustOpen(t, dir)
+	defer m2.Close()
+	c, ok := m2.Get("legacy")
+	if !ok || c.State() != StateLive {
+		t.Fatal("a campaign.json carrying queue_size must boot live")
+	}
+	if p := c.Meta().Policy; p.RefitAnswers != 8 || p.BatchSize != 4 {
+		t.Fatalf("policy = %+v, want refit_answers 8 and batch_size 4", p)
+	}
+	if truths := c.Server().Truths(); len(truths) != 3 {
+		t.Fatalf("legacy campaign serves %d truths, want 3", len(truths))
+	}
+}

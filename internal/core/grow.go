@@ -17,8 +17,8 @@ import "repro/internal/data"
 //     current global parameters to rebuild N and D and re-derive μ = N/D.
 //
 // The result is a model the streaming layers can use immediately: the
-// incremental EM (ApplyAnswer, CondMaxConfidence) folds answers for new
-// objects in O(|Vo|), and the EAI planner's UEAI bound (1-maxμ)/(|O|(D+1))
+// incremental EM (ApplyAnswerAt) folds answers for new objects in O(|Vo|)
+// on the claim row pass, and the EAI planner's UEAI bound (1-maxμ)/(|O|(D+1))
 // ranks fresh objects near the top of the scan — the cold-object path —
 // since their D is small. Touched objects converge fully at the next
 // policy-triggered refit; Grow keeps them consistent, not optimal.

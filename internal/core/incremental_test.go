@@ -30,27 +30,40 @@ func TestPosteriorGivenAnswer(t *testing.T) {
 	}
 }
 
-// TestExpectedCondMaxIsItsDefinition pins ExpectedCondMaxAt's fused pass to
-// the bit against Eq. 15 spelled out: Σ over answers v′ with P(v′) > 0 of
-// AnswerLikelihoodAt(v′) × CondMaxConfidenceAt(v′), both on the scalar
-// workerClaimProb. Each ψ's WorkerTab is built once and reused across every
-// object, as an EAI scan does. The wide fixture's 260-candidate object takes
-// the pass's spill path and the kernel's wide rows; FlatModel sends every
-// object through the flat row, UniformWorkerErrors through the 1/|Go|,
-// 1/|rest| factors, and the two together every object through the flat
-// row's uniform wrong-answer product ψ3·(1/(|V|−1)) (on the Heritages
-// fixture alone its few flat objects would let the kernel's θ3/(|V|−1)
-// pass).
-func TestExpectedCondMaxIsItsDefinition(t *testing.T) {
+// foldOptions are the model variants whose answer rows take different
+// branches: FlatModel sends every object through the flat row,
+// UniformWorkerErrors through the 1/|Go|, 1/|rest| factors, and the two
+// together every object through the flat row's uniform wrong-answer product
+// ψ3·(1/(|V|−1)) (on the Heritages fixture alone its few flat objects would
+// let the E-step's θ3/(|V|−1) pass).
+func foldOptions() []Options {
 	flat, uniform := DefaultOptions(), DefaultOptions()
 	flat.FlatModel, uniform.UniformWorkerErrors = true, true
 	both := flat
 	both.UniformWorkerErrors = true
-	for _, opt := range []Options{DefaultOptions(), flat, uniform, both} {
-		for _, ds := range []*data.Dataset{
-			wideDataset(),
-			withTruthAnswers(synth.Heritages(synth.HeritagesConfig{Seed: 5, Scale: 0.05})),
-		} {
+	return []Options{DefaultOptions(), flat, uniform, both}
+}
+
+// foldDatasets are the fixtures of the fold checks: the wide fixture's
+// 260-candidate object takes the row pass's spill path and the kernel's wide
+// rows, and Heritages carries fitted workers.
+func foldDatasets() []*data.Dataset {
+	return []*data.Dataset{
+		wideDataset(),
+		withTruthAnswers(synth.Heritages(synth.HeritagesConfig{Seed: 5, Scale: 0.05})),
+	}
+}
+
+// TestExpectedCondMaxIsItsDefinition pins ExpectedCondMaxAt's fused pass to
+// the bit against Eq. 15 spelled out on the scalar claim model: Σ over
+// answers v′ with P(v′) > 0 of answerLikelihood(v′) × refCondMax(v′), both
+// from claimref_test.go's workerClaimProb. It also pins the exported
+// AnswerLikelihoodAt and CondMaxConfidenceAt, which internal/assign composes,
+// to the same references. Each ψ's WorkerTab is built once and reused across
+// every object, as an EAI scan does.
+func TestExpectedCondMaxIsItsDefinition(t *testing.T) {
+	for _, opt := range foldOptions() {
+		for _, ds := range foldDatasets() {
 			m := Run(data.NewIndex(ds), opt)
 			psis := append([][3]float64{m.DefaultPsi(), {0.2, 0.1, 0.7}}, m.Psi...)
 			tabs := make([]WorkerTab, len(psis))
@@ -58,11 +71,19 @@ func TestExpectedCondMaxIsItsDefinition(t *testing.T) {
 				tabs[i] = NewWorkerTab(psi)
 			}
 			for oid := 0; oid < m.NumObjects(); oid++ {
+				ov, mu := m.Idx.ViewAt(oid), m.MuAt(oid)
 				for i, psi := range psis {
 					want := 0.0
-					for ans := range m.MuAt(oid) {
-						if p := m.AnswerLikelihoodAt(oid, psi, ans); p > 0 {
-							want += p * m.CondMaxConfidenceAt(oid, psi, ans)
+					for ans := range mu {
+						p, cm := m.answerLikelihood(ov, mu, psi, ans), m.refCondMax(oid, psi, ans)
+						if got := m.AnswerLikelihoodAt(oid, psi, ans); math.Float64bits(got) != math.Float64bits(p) {
+							t.Fatalf("%s %+v object %d, ψ %v, answer %d: AnswerLikelihoodAt %v, scalar %v", ds.Name, opt, oid, psi, ans, got, p)
+						}
+						if got := m.CondMaxConfidenceAt(oid, psi, ans); math.Float64bits(got) != math.Float64bits(cm) {
+							t.Fatalf("%s %+v object %d, ψ %v, answer %d: CondMaxConfidenceAt %v, scalar %v", ds.Name, opt, oid, psi, ans, got, cm)
+						}
+						if p > 0 {
+							want += p * cm
 						}
 					}
 					if got := m.ExpectedCondMaxAt(oid, &tabs[i]); math.Float64bits(got) != math.Float64bits(want) {
@@ -212,42 +233,69 @@ func TestIncrementalApproximatesFullEM(t *testing.T) {
 }
 
 // TestApplyAnswerAtIsTheFold pins the ID-based fold entry point to its
-// definition — N += the Eq. 16 posterior, D += 1, μ = N/D, bit for bit — for
-// a fitted worker and for one the index has never seen, shows the name-keyed
-// ApplyAnswer is the same call, that Clone shares what a fold cannot write,
-// and that the fold allocates nothing.
+// definition on the scalar claim model — N += the Eq. 16 posterior of
+// claimref_test.go's refPosterior, D += 1, μ = N/D, bit for bit — under
+// every foldOptions variant on every foldDatasets fixture, for a fitted
+// worker and for one the index has never seen (wid = -1, the prior-mean ψ).
+// It also pins PosteriorGivenAnswerAt to the same reference, shows the
+// name-keyed ApplyAnswer is the same call, that Clone shares what a fold
+// cannot write, and that the fold allocates nothing.
 func TestApplyAnswerAtIsTheFold(t *testing.T) {
+	bits := func(xs []float64) []uint64 {
+		out := make([]uint64, len(xs))
+		for i, x := range xs {
+			out[i] = math.Float64bits(x)
+		}
+		return out
+	}
+	for _, opt := range foldOptions() {
+		for _, ds := range foldDatasets() {
+			idx := data.NewIndex(ds)
+			m := Run(idx, opt)
+			for oid := 0; oid < m.NumObjects(); oid++ {
+				o := idx.Objects[oid]
+				wids := []int{-1}
+				if len(m.Psi) > 0 {
+					wids = append(wids, oid%len(m.Psi))
+				}
+				for _, wid := range wids {
+					name, psi := "never-seen", m.DefaultPsi()
+					if wid >= 0 {
+						name, psi = idx.WorkerNames[wid], m.Psi[wid]
+					}
+					for ans := range m.MuAt(oid) {
+						f := m.refPosterior(oid, psi, ans)
+						if got := m.PosteriorGivenAnswerAt(oid, psi, ans); !reflect.DeepEqual(bits(got), bits(f)) {
+							t.Fatalf("%s %+v object %s worker %d answer %d: PosteriorGivenAnswerAt %v, scalar %v", ds.Name, opt, o, wid, ans, got, f)
+						}
+						d := m.DAt(oid) + 1
+						n, mu := make([]float64, len(f)), make([]float64, len(f))
+						for i := range f {
+							n[i] = m.NAt(oid)[i] + f[i]
+							mu[i] = n[i] / d
+						}
+						byID, byName := m.Clone(), m.Clone()
+						byID.ApplyAnswerAt(oid, wid, ans)
+						byName.ApplyAnswer(o, name, ans)
+						if math.Float64bits(byID.DAt(oid)) != math.Float64bits(d) ||
+							!reflect.DeepEqual(bits(byID.NAt(oid)), bits(n)) || !reflect.DeepEqual(bits(byID.MuAt(oid)), bits(mu)) {
+							t.Fatalf("%s %+v object %s worker %d answer %d: D, N, μ = %v, %v, %v; want %v, %v, %v",
+								ds.Name, opt, o, wid, ans, byID.DAt(oid), byID.NAt(oid), byID.MuAt(oid), d, n, mu)
+						}
+						if !reflect.DeepEqual(bits(byName.MuAt(oid)), bits(mu)) || byName.DAt(oid) != d {
+							t.Fatalf("ApplyAnswer and ApplyAnswerAt disagree: %v vs %v", byName.MuAt(oid), byID.MuAt(oid))
+						}
+					}
+				}
+			}
+		}
+	}
 	ds := table1Dataset(t)
 	ds.Answers = []data.Answer{{Object: "esb", Worker: "ann", Value: "NY"}}
 	idx := data.NewIndex(ds)
 	m := Run(idx, DefaultOptions())
 	oid, _ := idx.ObjectID("statue")
 	ann, _ := idx.WorkerID("ann")
-	for _, wid := range []int{ann, -1} {
-		name, psi := "ann", m.Psi[ann]
-		if wid < 0 {
-			name, psi = "never-seen", m.DefaultPsi()
-		}
-		for ans := range m.MuAt(oid) {
-			f := m.PosteriorGivenAnswerAt(oid, psi, ans)
-			byID, byName := m.Clone(), m.Clone()
-			byID.ApplyAnswerAt(oid, wid, ans)
-			byName.ApplyAnswer("statue", name, ans)
-			if byID.DAt(oid) != m.DAt(oid)+1 {
-				t.Fatalf("D = %v, want %v", byID.DAt(oid), m.DAt(oid)+1)
-			}
-			for i := range f {
-				n := m.NAt(oid)[i] + f[i]
-				if byID.NAt(oid)[i] != n || byID.MuAt(oid)[i] != n/byID.DAt(oid) {
-					t.Fatalf("worker %d answer %d: N, μ = %v, %v; want %v, %v",
-						wid, ans, byID.NAt(oid)[i], byID.MuAt(oid)[i], n, n/byID.DAt(oid))
-				}
-				if byName.MuAt(oid)[i] != byID.MuAt(oid)[i] {
-					t.Fatalf("ApplyAnswer and ApplyAnswerAt disagree: %v vs %v", byName.MuAt(oid), byID.MuAt(oid))
-				}
-			}
-		}
-	}
 	// Clone shares φ/ψ and every page; the first fold into a page copies it —
 	// the object's rows and its neighbours' move together, m's stay put —
 	// and from then on the fold allocates nothing.

@@ -12,14 +12,14 @@ import (
 // and what a claim takes from its participant's θ is a partTab built once
 // per pass, so the per-(claim, truth) probability is a handful of lookups
 // and a multiply. A claim's row for every truth at once (pass 1: hierRow,
-// flatRow) serves two callers: the claim kernel (claimList), which turns it
-// into the claim's truth and class posteriors — the E-step's inner loop —
-// and EAI's ExpectedCondMaxAt, which fills one row per hypothetical answer
-// against a WorkerTab built once per ψ. The scalar variants
-// (sourceClaimProb, workerClaimProb) spell the model out one (claim, truth)
-// pair at a time: workerClaimProb serves the one-answer fold (ApplyAnswerAt)
-// and the single-answer posteriors, and both are the tests' references for
-// the row passes.
+// flatRow) has two readers. The claim kernel (claimList) turns it into the
+// claim's truth and class posteriors — the E-step's inner loop — and picks
+// each claim's tables inline: a call per claim measured a few percent
+// slower on BenchmarkRun. A worker's answer reads the same row through
+// answerRow: the one-answer fold (ApplyAnswerAt), the single-answer
+// posteriors and EAI's ExpectedCondMaxAt are reductions of it.
+// claimref_test.go spells the model out one (claim, truth) pair at a time
+// as the tests' reference for both.
 
 // flatObject reports whether the whole object is handled by Eq. (2): no
 // ancestor-descendant pair among its candidates (o ∉ OH), or the flat-model
@@ -107,7 +107,9 @@ func NewWorkerTab(psi [3]float64) WorkerTab { return WorkerTab{newPartTab(psi)} 
 // claimBuf is one goroutine's working rows, grown to the widest object it
 // has met: a claim's row, the E-step's μ numerators of one object, and the
 // relationship and popularity rows of a claim on an object above the
-// index's dense-table cap.
+// index's dense-table cap. A one-object answer pass starts its row on a
+// stack array (claimBuf{row: buf[:0]}), so it allocates only for an object
+// wider than the array.
 type claimBuf struct {
 	row, num, p2, p3 []float64
 	rel              []uint8
@@ -265,6 +267,42 @@ func (m *Model) claimList(ov *data.ObjectView, claims []data.Claim, tabs []partT
 	return ll
 }
 
+// answerRow is pass 1 of a worker's answer ans on object ov under table t,
+// as claimList runs it for a worker claim: it fills b's row with
+// row[tr] = P(ans | v* = tr, ψ)·μ_tr (Eqs. 3–4) and returns its sum z, the
+// answer's likelihood under μ (Eq. 6), and the row. It reads the same
+// tables: the popularity rows Pop2/Pop3, or 1/|Go| and 1/|rest| under
+// UniformWorkerErrors, taken from b's wide rows on an object above the
+// index's dense-table cap. On a flat object with one candidate that
+// candidate is every answer's truth, so the row is μ itself. Under
+// UniformWorkerErrors a flat object's wrong answer costs ψ3·(1/(|V|−1)),
+// which can round differently from claimList's θ3/(|V|−1).
+//
+//tdh:hotpath
+func (m *Model) answerRow(ov *data.ObjectView, t *partTab, ans int, mu []float64, b *claimBuf) (z float64, row []float64) {
+	flat, pop := flatObject(m, ov), !m.Opt.UniformWorkerErrors
+	row = b.rowFor(len(mu))
+	if flat && len(mu) == 1 {
+		row[0] = mu[0]
+		return row[0], row
+	}
+	rel, p2, p3 := ov.RelRow(ans), ov.InvGoSizes(), ov.InvRestSizes()
+	if pop {
+		p2, p3 = ov.Pop2Row(ans), ov.Pop3Row(ans)
+	}
+	if rel == nil {
+		rel, p2, p3 = b.wideRows(ov, ans, pop, p2, p3)
+	}
+	if !flat {
+		return t.hierRow(row, mu, rel, ov.CaseMasks(), p2, p3), row
+	}
+	wrong := 0.0
+	if !pop {
+		p3, wrong = nil, maxf(t.theta[2]*(1.0/float64(len(mu)-1)), eps)
+	}
+	return t.flatRow(row, mu, ans, p3, wrong), row
+}
+
 // hierRow is pass 1 of a claim on an object with the hierarchy (Eqs. 1 and
 // 3): row[tr] = max(P(c | v* = tr), eps)·μ_tr for the claim's relationship
 // row rel, under this participant's table, the object's case masks and the
@@ -307,93 +345,17 @@ func (t *partTab) flatRow(row, mu []float64, c int, p3 []float64, wrong float64)
 	return z
 }
 
-// sourceClaimProb implements Eqs. (1) and (2): P(v_o^s = c | v*_o = tr, φs).
-//
-//tdh:hotpath
-func (m *Model) sourceClaimProb(ov *data.ObjectView, c, tr int, phi [3]float64) float64 {
-	nV := ov.NumValues()
-	if flatObject(m, ov) {
-		if nV <= 1 {
-			return 1
-		}
-		if c == tr {
-			return phi[0] + phi[1]
-		}
-		return maxf(phi[2]/float64(nV-1), eps)
-	}
-	mask := ov.CaseMask(tr)
-	scale := caseScale(phi, mask&1 != 0, mask&2 != 0)
-	switch ov.Rel(c, tr) {
-	case 1:
-		return maxf(scale*phi[0], eps)
-	case 2:
-		return maxf(scale*phi[1]*ov.InvGoSize(tr), eps)
-	default:
-		if mask&2 == 0 {
-			return eps
-		}
-		return maxf(scale*phi[2]*ov.InvRestSize(tr), eps)
-	}
-}
-
-// workerClaimProb implements Eqs. (3) and (4): P(v_o^w = c | v*_o = tr, ψw).
-//
-//tdh:hotpath
-func (m *Model) workerClaimProb(ov *data.ObjectView, c, tr int, psi [3]float64) float64 {
-	nV := ov.NumValues()
-	if flatObject(m, ov) {
-		if nV <= 1 {
-			return 1
-		}
-		if c == tr {
-			return psi[0] + psi[1]
-		}
-		p3 := 1.0 / float64(nV-1)
-		if !m.Opt.UniformWorkerErrors {
-			p3 = ov.Pop3(c, tr)
-		}
-		return maxf(psi[2]*p3, eps)
-	}
-	mask := ov.CaseMask(tr)
-	scale := caseScale(psi, mask&1 != 0, mask&2 != 0)
-	switch ov.Rel(c, tr) {
-	case 1:
-		return maxf(scale*psi[0], eps)
-	case 2:
-		p2 := ov.InvGoSize(tr)
-		if !m.Opt.UniformWorkerErrors {
-			p2 = ov.Pop2(c, tr)
-		}
-		return maxf(scale*psi[1]*p2, eps)
-	default:
-		if mask&2 == 0 {
-			return eps
-		}
-		p3 := ov.InvRestSize(tr)
-		if !m.Opt.UniformWorkerErrors {
-			p3 = ov.Pop3(c, tr)
-		}
-		return maxf(scale*psi[2]*p3, eps)
-	}
-}
-
 // AnswerLikelihoodAt computes P(v_o^w = c | ψ, μo) = Σ_v P(c|v*, ψ)·μ_{o,v}
 // (Eq. 6) for candidate index c of object oid — the distribution a worker's
-// next answer is expected to follow (Eq. 15), which ExpectedCondMaxAt fuses
-// and the tests take as its reference.
+// next answer is expected to follow (Eq. 15), which ExpectedCondMaxAt fuses.
 //
 //tdh:hotpath
 func (m *Model) AnswerLikelihoodAt(oid int, psi [3]float64, c int) float64 {
-	return m.answerLikelihood(m.Idx.ViewAt(oid), m.MuAt(oid), psi, c)
-}
-
-//tdh:hotpath
-func (m *Model) answerLikelihood(ov *data.ObjectView, mu []float64, psi [3]float64, c int) float64 {
-	p := 0.0
-	for tr := range mu {
-		p += m.workerClaimProb(ov, c, tr, psi) * mu[tr]
-	}
-	return p
+	var buf [16]float64
+	b := claimBuf{row: buf[:0]}
+	t := newPartTab(psi)
+	z, _ := m.answerRow(m.Idx.ViewAt(oid), &t, c, m.MuAt(oid), &b)
+	return z
 }
 
 //tdh:hotpath

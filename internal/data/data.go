@@ -163,8 +163,9 @@ func (d *Dataset) Validate() error {
 	return nil
 }
 
-// Scale returns a dataset duplicated k times (objects and sources renamed
-// per copy), used by the paper's Figure 13 scalability experiment.
+// Scale returns a dataset duplicated k times (objects, sources and workers
+// renamed per copy, every other field carried as Clone carries it), used by
+// the paper's Figure 13 scalability experiment.
 func (d *Dataset) Scale(k int) *Dataset {
 	if k <= 1 {
 		return d.Clone()
@@ -175,13 +176,20 @@ func (d *Dataset) Scale(k int) *Dataset {
 		Domains: map[string]string{},
 		H:       d.H,
 	}
+	if d.Candidates != nil {
+		out.Candidates = make(map[string][]string, k*len(d.Candidates))
+	}
 	for i := 0; i < k; i++ {
 		suf := fmt.Sprintf("#%d", i)
 		for _, r := range d.Records {
 			out.Records = append(out.Records, Record{r.Object + suf, r.Source + suf, r.Value})
 		}
 		for _, a := range d.Answers {
-			out.Answers = append(out.Answers, Answer{Object: a.Object + suf, Worker: a.Worker + suf, Value: a.Value})
+			a.Object, a.Worker = a.Object+suf, a.Worker+suf
+			out.Answers = append(out.Answers, a)
+		}
+		for o, vals := range d.Candidates {
+			out.Candidates[o+suf] = append([]string(nil), vals...)
 		}
 		for o, t := range d.Truth {
 			out.Truth[o+suf] = t

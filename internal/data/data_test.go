@@ -1,6 +1,7 @@
 package data
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/hierarchy"
@@ -108,5 +109,55 @@ func TestScale(t *testing.T) {
 	}
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestScaleKeepsEveryField: every copy Scale makes carries every field of
+// the dataset — records, answers with their multi-truth Values and numeric
+// Num, truth, domains and candidate seeds (an object seeded by candidates
+// alone included) — under the copy's names; Scale(1) is the dataset itself.
+func TestScaleKeepsEveryField(t *testing.T) {
+	num := 42.5
+	ds := tinyDataset(t)
+	ds.Answers = append(ds.Answers,
+		Answer{Object: "statue", Worker: "emma", Value: "NY", Values: []string{"NY", "LA"}},
+		Answer{Object: "statue", Worker: "finn", Value: "42.5", Num: &num})
+	ds.Candidates = map[string][]string{"abbey": {"London", "Manchester"}, "statue": {"UK"}}
+	for _, c := range []struct {
+		k    int
+		name string
+		sufs []string
+	}{
+		{1, "tiny", []string{""}},
+		{2, "tiny-x2", []string{"#0", "#1"}},
+	} {
+		s := ds.Scale(c.k)
+		var want Dataset
+		want.Truth, want.Domains, want.Candidates = map[string]string{}, map[string]string{}, map[string][]string{}
+		for _, suf := range c.sufs {
+			for _, r := range ds.Records {
+				want.Records = append(want.Records, Record{r.Object + suf, r.Source + suf, r.Value})
+			}
+			for _, a := range ds.Answers {
+				a.Object, a.Worker = a.Object+suf, a.Worker+suf
+				want.Answers = append(want.Answers, a)
+			}
+			for o, v := range ds.Truth {
+				want.Truth[o+suf] = v
+			}
+			for o, v := range ds.Domains {
+				want.Domains[o+suf] = v
+			}
+			for o, v := range ds.Candidates {
+				want.Candidates[o+suf] = v
+			}
+		}
+		want.Name, want.H = c.name, ds.H
+		if !reflect.DeepEqual(s, &want) {
+			t.Errorf("Scale(%d) = %+v\nwant %+v", c.k, s, &want)
+		}
+		if got, w := len(s.Objects()), c.k*len(ds.Objects()); got != w {
+			t.Errorf("Scale(%d) has %d objects, want %d", c.k, got, w)
+		}
 	}
 }

@@ -89,9 +89,6 @@ type RefitPolicy struct {
 	// BatchSize caps how many queued items (answers and mutations) one
 	// coordinator cycle drains before publishing a snapshot (default 64).
 	BatchSize int
-	// QueueSize is the ingest queue's buffer; /answer blocks (backpressure)
-	// while it is full (default 1024).
-	QueueSize int
 	// RejectQueueDepth, when > 0, is the admission-control bound: POST
 	// /answer returns 429 with a Retry-After header (and increments
 	// tdh_ingest_rejected_total) once the ingest queue holds at least this
@@ -104,7 +101,9 @@ const (
 	defaultMaxAnswers   = 64
 	defaultMaxStaleness = 2 * time.Second
 	defaultBatchSize    = 64
-	defaultQueueSize    = 1024
+	// queueSize is the ingest queue's buffer; /answer blocks (backpressure)
+	// while it is full.
+	queueSize = 1024
 )
 
 func (p RefitPolicy) withDefaults() RefitPolicy {
@@ -116,9 +115,6 @@ func (p RefitPolicy) withDefaults() RefitPolicy {
 	}
 	if p.BatchSize <= 0 {
 		p.BatchSize = defaultBatchSize
-	}
-	if p.QueueSize <= 0 {
-		p.QueueSize = defaultQueueSize
 	}
 	return p
 }

@@ -306,7 +306,7 @@ func newPipeline(cfg Config) (*pipeline, error) {
 		workers:      newWorkerState(),
 		addedObjects: map[string]int{},
 		addedClaims:  map[[2]string]bool{},
-		ingestCh:     make(chan ingestItem, cfg.Policy.QueueSize),
+		ingestCh:     make(chan ingestItem, queueSize),
 		kickCh:       make(chan struct{}, 1),
 		refreshCh:    make(chan refreshReq),
 		quitCh:       make(chan struct{}),
