@@ -198,8 +198,7 @@ func BenchmarkPlanAdvance(b *testing.B) {
 	var touched []int
 	for i := 0; i < 64; i++ {
 		oid := (i * 131) % 16
-		o := idx.Objects[oid]
-		m2.ApplyAnswer(o, fmt.Sprintf("bw-%d", i%8), 0)
+		m2.ApplyAnswerAt(oid, -1, 0) // workers the index has never seen
 		touched = append(touched, oid)
 	}
 	res2 := infer.ViewOf(m2, nil)

@@ -14,11 +14,11 @@
 //	curl 'localhost:8080/v1/campaigns/cities/task?worker=alice'
 //
 // Everything about one campaign — truth model, inference and assignment
-// algorithms, questions per task, refit policy, ingest batch size, admission
-// control — is set per campaign in the create body (campaign.Spec); the
-// flags here configure only the process. Every campaign on disk is recovered
-// at boot (event logs replayed); on shutdown all campaigns close
-// concurrently, each flushing its ingest queue into a final snapshot.
+// algorithms, questions per task, refit policy, admission control — is set
+// per campaign in the create body (campaign.Spec); the flags here configure
+// only the process. Every campaign on disk is recovered at boot (event logs
+// replayed); on shutdown all campaigns close concurrently, each flushing its
+// ingest queue into a final snapshot.
 package main
 
 import (

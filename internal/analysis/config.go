@@ -110,7 +110,6 @@ func DefaultPipelineonly() PipelineonlyConfig {
 			"internal/campaign",
 		},
 		Restricted: []string{
-			"internal/core.Model.ApplyAnswer",
 			"internal/core.Model.ApplyAnswerAt",
 			"internal/core.Model.Grow",
 			"internal/data.Index.Extend",

@@ -153,7 +153,7 @@ func TestLemma41UpperBound(t *testing.T) {
 				continue
 			}
 			eai := eaiAt(f.m, i, &tab, float64(nObj))
-			ub := (1 - f.m.MaxConfidence(o)) / (float64(nObj) * (f.m.DOf(o) + 1))
+			ub := (1 - f.m.MaxConfidenceAt(i)) / (float64(nObj) * (f.m.DAt(i) + 1))
 			if eai > ub+1e-12 {
 				t.Fatalf("EAI(%s,%s)=%v exceeds UEAI=%v", w, o, eai, ub)
 			}

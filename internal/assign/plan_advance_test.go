@@ -28,9 +28,11 @@ func foldAnswers(f *fixture, nAns int) (*infer.Result, []int) {
 	var touched []int
 	for i := 0; i < nAns; i++ {
 		oid := (i * 7) % len(f.idx.Objects)
-		o := f.idx.Objects[oid]
-		w := f.workers[i%len(f.workers)]
-		m.ApplyAnswer(o, w, i%len(f.idx.View(o).CI.Values))
+		wid, ok := f.idx.WorkerID(f.workers[i%len(f.workers)])
+		if !ok {
+			wid = -1 // a worker the index has never seen
+		}
+		m.ApplyAnswerAt(oid, wid, i%len(f.idx.ViewAt(oid).CI.Values))
 		touched = append(touched, oid)
 	}
 	return infer.ViewOf(m, nil), touched

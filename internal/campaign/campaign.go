@@ -74,8 +74,9 @@ func (s State) valid() bool {
 
 // PolicySpec is the JSON-friendly shape of server.RefitPolicy (durations as
 // milliseconds), persisted per campaign. Zero values take the server
-// defaults; negative values disable, mirroring RefitPolicy. A "queue_size"
-// key, from before the ingest queue's buffer became a constant, is ignored.
+// defaults; negative values disable, mirroring RefitPolicy. The
+// "queue_size" and "batch_size" keys, from before the ingest queue's buffer
+// and a cycle's drain cap became constants, are ignored.
 type PolicySpec struct {
 	// RefitAnswers and RefitStalenessMS are RefitPolicy's two refit
 	// triggers, both counted from the last installed refit; the refit they
@@ -88,7 +89,6 @@ type PolicySpec struct {
 	// nothing.
 	RefitAnswers     int   `json:"refit_answers,omitempty"`
 	RefitStalenessMS int64 `json:"refit_staleness_ms,omitempty"`
-	BatchSize        int   `json:"batch_size,omitempty"`
 	// Shards is read by nothing. It stays so existing specs and
 	// campaign.json files still parse.
 	//
@@ -105,7 +105,6 @@ func (p PolicySpec) refitPolicy() server.RefitPolicy {
 	return server.RefitPolicy{
 		MaxAnswers:       p.RefitAnswers,
 		MaxStaleness:     time.Duration(p.RefitStalenessMS) * time.Millisecond,
-		BatchSize:        p.BatchSize,
 		RejectQueueDepth: p.RejectQueueDepth,
 	}
 }

@@ -297,10 +297,11 @@ func TestPersistMetaRenameFailureLeavesNoTemp(t *testing.T) {
 	}
 }
 
-// TestLegacyQueueSizeLoads: campaign.json files written while the ingest
-// queue's buffer was a policy field carry "queue_size". The key is ignored,
-// and such a campaign boots live with the rest of its policy intact.
-func TestLegacyQueueSizeLoads(t *testing.T) {
+// TestLegacyPolicyKeysLoad: campaign.json files written while the ingest
+// queue's buffer and a cycle's drain cap were policy fields carry
+// "queue_size" and "batch_size". Both keys are ignored, and such a campaign
+// boots live with the rest of its policy intact.
+func TestLegacyPolicyKeysLoad(t *testing.T) {
 	dir := t.TempDir()
 	m := mustOpen(t, dir)
 	if _, err := m.Create(Spec{ID: "legacy"}, testDataset("legacy", 3)); err != nil {
@@ -330,10 +331,10 @@ func TestLegacyQueueSizeLoads(t *testing.T) {
 	defer m2.Close()
 	c, ok := m2.Get("legacy")
 	if !ok || c.State() != StateLive {
-		t.Fatal("a campaign.json carrying queue_size must boot live")
+		t.Fatal("a campaign.json carrying queue_size and batch_size must boot live")
 	}
-	if p := c.Meta().Policy; p.RefitAnswers != 8 || p.BatchSize != 4 {
-		t.Fatalf("policy = %+v, want refit_answers 8 and batch_size 4", p)
+	if p := c.Meta().Policy; p.RefitAnswers != 8 {
+		t.Fatalf("policy = %+v, want refit_answers 8", p)
 	}
 	if truths := c.Server().Truths(); len(truths) != 3 {
 		t.Fatalf("legacy campaign serves %d truths, want 3", len(truths))

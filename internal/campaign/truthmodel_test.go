@@ -202,16 +202,37 @@ func TestEndToEndTruthModelsCrashRecovery(t *testing.T) {
 		}
 	}
 
+	// numericMAE reads the numeric campaign's error against its gold
+	// standard from /stats.
+	numericMAE := func(h http.Handler) float64 {
+		t.Helper()
+		var st struct {
+			Quality map[string]float64 `json:"quality"`
+		}
+		body := doReq(t, h, "GET", "/v1/campaigns/e2e-num/stats", "").Body.Bytes()
+		if err := json.Unmarshal(body, &st); err != nil {
+			t.Fatalf("numeric stats = %s (err %v)", body, err)
+		}
+		mae, ok := st.Quality["mae"]
+		if !ok {
+			t.Fatalf("numeric stats carry no mae: %s", body)
+		}
+		return mae
+	}
+	sourcesOnlyMAE := numericMAE(h)
+
 	// answerBody builds the model-typed payload for (worker w, object o).
+	// The numeric crowd is honest: its readings straddle the gold 10.2.
 	answerBody := func(id string, w, o int) string {
 		worker := fmt.Sprintf("w%02d", w)
 		switch id {
 		case "e2e-num":
 			object := fmt.Sprintf("%s-n%02d", id, o)
+			reading := [...]float64{10.125, 10.175, 10.225, 10.275}[w]
 			if o%2 == 0 { // alternate the two numeric spellings
-				return fmt.Sprintf(`{"worker":%q,"object":%q,"num":%g}`, worker, object, 10.0+float64(w)/10)
+				return fmt.Sprintf(`{"worker":%q,"object":%q,"num":%g}`, worker, object, reading)
 			}
-			return fmt.Sprintf(`{"worker":%q,"object":%q,"value":"%g"}`, worker, object, 10.0+float64(w)/10)
+			return fmt.Sprintf(`{"worker":%q,"object":%q,"value":"%g"}`, worker, object, reading)
 		case "e2e-set":
 			object := fmt.Sprintf("%s-o%02d", id, o)
 			return fmt.Sprintf(`{"worker":%q,"object":%q,"values":["NY","USA"]}`, worker, object)
@@ -291,10 +312,16 @@ func TestEndToEndTruthModelsCrashRecovery(t *testing.T) {
 	if err := json.Unmarshal(body, &num); err != nil || len(num) != objects {
 		t.Fatalf("numeric truths = %s (err %v)", body, err)
 	}
-	// The workers' readings cluster near 10; the replayed answers must pull
-	// CRH well below the biased source's 19.
+	// The workers' readings cluster around 10.2; the replayed answers must
+	// pull CRH well below the biased source's 19.
 	if est := num["e2e-num-n00"]; est <= 0 || est >= 19 {
 		t.Fatalf("numeric estimate = %g, want within the claimed range", est)
+	}
+	// The recovered fit weighs the workers as pseudo-sources beside the
+	// sources, so it must sit closer to the gold standard than the
+	// sources-only fit did, against the biased source.
+	if mae := numericMAE(h2); mae >= sourcesOnlyMAE {
+		t.Fatalf("numeric MAE %g with the workers' answers, %g from the sources alone: the answers must pull the estimate toward the truth", mae, sourcesOnlyMAE)
 	}
 	var sets map[string][]string
 	body = doReq(t, h2, "GET", "/v1/campaigns/e2e-set/truths", "").Body.Bytes()

@@ -267,23 +267,8 @@ func TestEmptyAndDegenerate(t *testing.T) {
 	if got := m.Truths()["o"]; got != "v" {
 		t.Fatalf("single-claim truth = %q", got)
 	}
-	if got := m.MaxConfidence("o"); got != 1 {
+	if got := m.MaxConfidenceAt(0); got != 1 {
 		t.Fatalf("single-candidate confidence = %v, want 1", got)
-	}
-}
-
-func TestSortedSourcesByReliability(t *testing.T) {
-	ds := table1Dataset(t)
-	idx := data.NewIndex(ds)
-	m := Run(idx, DefaultOptions())
-	sorted := m.SortedSourcesByReliability()
-	if len(sorted) != len(idx.SourceNames) {
-		t.Fatal("wrong length")
-	}
-	for i := 1; i < len(sorted); i++ {
-		if m.PhiOf(sorted[i-1])[0] < m.PhiOf(sorted[i])[0] {
-			t.Fatal("not sorted by phi1")
-		}
 	}
 }
 

@@ -217,12 +217,11 @@ func TestGrowTransfersFittedState(t *testing.T) {
 
 	// Incremental EM picks new objects up: one answer moves μ and D.
 	newOid := grown.NumObjects() - 1
-	o := grown.Objects[newOid]
 	before := g.DAt(newOid)
 	g2 := g.Clone()
-	g2.ApplyAnswer(o, "brand-new-worker", 0)
+	g2.ApplyAnswerAt(newOid, -1, 0) // a brand-new worker
 	if g2.DAt(newOid) != before+1 {
-		t.Fatalf("ApplyAnswer on grown object: D %v -> %v", before, g2.DAt(newOid))
+		t.Fatalf("ApplyAnswerAt on grown object: D %v -> %v", before, g2.DAt(newOid))
 	}
 	if g2.MaxConfidenceAt(newOid) <= 0 {
 		t.Fatal("grown object has zero confidence after an answer")

@@ -59,17 +59,9 @@ func (m *Model) CondConfidence(o string, psi [3]float64, ans int) []float64 {
 	return out
 }
 
-// CondMaxConfidence returns max_v μ_{o,v | v_o^w = ans} without allocating.
-func (m *Model) CondMaxConfidence(o string, psi [3]float64, ans int) float64 {
-	oid, ok := m.Idx.ObjectID(o)
-	if !ok {
-		return 0
-	}
-	return m.CondMaxConfidenceAt(oid, psi, ans)
-}
-
-// CondMaxConfidenceAt is CondMaxConfidence by dense object ID: the max over
-// v of (N_{o,v} + f_v)/(D_o+1) for the answer's posterior f.
+// CondMaxConfidenceAt returns max_v μ_{o,v | v_o^w = ans} without
+// allocating: the max over v of (N_{o,v} + f_v)/(D_o+1) for the answer's
+// posterior f.
 //
 //tdh:hotpath
 func (m *Model) CondMaxConfidenceAt(oid int, psi [3]float64, ans int) float64 {
@@ -116,22 +108,6 @@ func (m *Model) ExpectedCondMaxAt(oid int, wt *WorkerTab) float64 {
 		exp += pAns * (best / d)
 	}
 	return exp
-}
-
-// ApplyAnswer permanently folds a real answer into the sufficient
-// statistics and confidences with one incremental step, by name: the
-// spelling for tests and one-off callers. Unknown objects are ignored;
-// unknown workers answer at the prior-mean ψ.
-func (m *Model) ApplyAnswer(o, w string, ans int) {
-	oid, ok := m.Idx.ObjectID(o)
-	if !ok {
-		return
-	}
-	wid, ok := m.Idx.WorkerID(w)
-	if !ok {
-		wid = -1
-	}
-	m.ApplyAnswerAt(oid, wid, ans)
 }
 
 // ApplyAnswerAt is the fold itself, by dense IDs (wid < 0: a worker the

@@ -106,7 +106,7 @@ func TestCondConfidenceMatchesManualUpdate(t *testing.T) {
 	cond := m.CondConfidence(o, psi, ans)
 	f := m.PosteriorGivenAnswerAt(ov.ID, psi, ans)
 	for i := range cond {
-		want := (m.NOf(o)[i] + f[i]) / (m.DOf(o) + 1)
+		want := (m.NAt(ov.ID)[i] + f[i]) / (m.DAt(ov.ID) + 1)
 		if math.Abs(cond[i]-want) > 1e-12 {
 			t.Fatalf("CondConfidence[%d] = %v, want %v", i, cond[i], want)
 		}
@@ -119,15 +119,15 @@ func TestCondConfidenceMatchesManualUpdate(t *testing.T) {
 	if math.Abs(sum-1) > 1e-9 {
 		t.Fatalf("conditional confidence not normalized: %v (sum %v)", cond, sum)
 	}
-	// CondMaxConfidence agrees with max of CondConfidence.
+	// CondMaxConfidenceAt agrees with max of CondConfidence.
 	mx := 0.0
 	for _, p := range cond {
 		if p > mx {
 			mx = p
 		}
 	}
-	if got := m.CondMaxConfidence(o, psi, ans); math.Abs(got-mx) > 1e-12 {
-		t.Fatalf("CondMaxConfidence = %v, want %v", got, mx)
+	if got := m.CondMaxConfidenceAt(ov.ID, psi, ans); math.Abs(got-mx) > 1e-12 {
+		t.Fatalf("CondMaxConfidenceAt = %v, want %v", got, mx)
 	}
 }
 
@@ -161,8 +161,8 @@ func TestCondConfidenceDampedByClaims(t *testing.T) {
 	ansF := candPos(ovF.CI, "NY")
 	ovM := data.NewIndex(many).View("o")
 	ansM := candPos(ovM.CI, "NY")
-	shiftFew := mf.CondMaxConfidence("o", psi, ansF) - mf.MaxConfidence("o")
-	shiftMany := mm.CondMaxConfidence("o", psi, ansM) - mm.MaxConfidence("o")
+	shiftFew := mf.CondMaxConfidenceAt(ovF.ID, psi, ansF) - mf.MaxConfidenceAt(ovF.ID)
+	shiftMany := mm.CondMaxConfidenceAt(ovM.ID, psi, ansM) - mm.MaxConfidenceAt(ovM.ID)
 	if shiftFew <= shiftMany {
 		t.Fatalf("few-claims shift %v must exceed many-claims shift %v", shiftFew, shiftMany)
 	}
@@ -176,9 +176,9 @@ func TestApplyAnswer(t *testing.T) {
 	ov := idx.View(o)
 	london := candPos(ov.CI, "London")
 	before := m.MuOf(o)[london]
-	dBefore := m.DOf(o)
-	m.ApplyAnswer(o, "fresh-worker", london)
-	if m.DOf(o) != dBefore+1 {
+	dBefore := m.DAt(ov.ID)
+	m.ApplyAnswerAt(ov.ID, -1, london) // a worker the index has never seen
+	if m.DAt(ov.ID) != dBefore+1 {
 		t.Fatalf("D must grow by one")
 	}
 	if m.MuOf(o)[london] <= before {
@@ -189,7 +189,7 @@ func TestApplyAnswer(t *testing.T) {
 		sum += p
 	}
 	if math.Abs(sum-1) > 1e-9 {
-		t.Fatalf("mu not normalized after ApplyAnswer: %v", m.MuOf(o))
+		t.Fatalf("mu not normalized after ApplyAnswerAt: %v", m.MuOf(o))
 	}
 }
 
@@ -237,9 +237,8 @@ func TestIncrementalApproximatesFullEM(t *testing.T) {
 // claimref_test.go's refPosterior, D += 1, μ = N/D, bit for bit — under
 // every foldOptions variant on every foldDatasets fixture, for a fitted
 // worker and for one the index has never seen (wid = -1, the prior-mean ψ).
-// It also pins PosteriorGivenAnswerAt to the same reference, shows the
-// name-keyed ApplyAnswer is the same call, that Clone shares what a fold
-// cannot write, and that the fold allocates nothing.
+// It also pins PosteriorGivenAnswerAt to the same reference, and shows that
+// Clone shares what a fold cannot write and that the fold allocates nothing.
 func TestApplyAnswerAtIsTheFold(t *testing.T) {
 	bits := func(xs []float64) []uint64 {
 		out := make([]uint64, len(xs))
@@ -259,9 +258,9 @@ func TestApplyAnswerAtIsTheFold(t *testing.T) {
 					wids = append(wids, oid%len(m.Psi))
 				}
 				for _, wid := range wids {
-					name, psi := "never-seen", m.DefaultPsi()
+					psi := m.DefaultPsi()
 					if wid >= 0 {
-						name, psi = idx.WorkerNames[wid], m.Psi[wid]
+						psi = m.Psi[wid]
 					}
 					for ans := range m.MuAt(oid) {
 						f := m.refPosterior(oid, psi, ans)
@@ -274,16 +273,12 @@ func TestApplyAnswerAtIsTheFold(t *testing.T) {
 							n[i] = m.NAt(oid)[i] + f[i]
 							mu[i] = n[i] / d
 						}
-						byID, byName := m.Clone(), m.Clone()
+						byID := m.Clone()
 						byID.ApplyAnswerAt(oid, wid, ans)
-						byName.ApplyAnswer(o, name, ans)
 						if math.Float64bits(byID.DAt(oid)) != math.Float64bits(d) ||
 							!reflect.DeepEqual(bits(byID.NAt(oid)), bits(n)) || !reflect.DeepEqual(bits(byID.MuAt(oid)), bits(mu)) {
 							t.Fatalf("%s %+v object %s worker %d answer %d: D, N, μ = %v, %v, %v; want %v, %v, %v",
 								ds.Name, opt, o, wid, ans, byID.DAt(oid), byID.NAt(oid), byID.MuAt(oid), d, n, mu)
-						}
-						if !reflect.DeepEqual(bits(byName.MuAt(oid)), bits(mu)) || byName.DAt(oid) != d {
-							t.Fatalf("ApplyAnswer and ApplyAnswerAt disagree: %v vs %v", byName.MuAt(oid), byID.MuAt(oid))
 						}
 					}
 				}

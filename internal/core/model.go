@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"repro/internal/cow"
 	"repro/internal/data"
 )
@@ -14,8 +12,8 @@ import (
 //
 // All parameters are dense and ID-indexed: object, source and worker IDs
 // are positions in Idx.Objects / Idx.SourceNames / Idx.WorkerNames. The
-// per-object state is read through MuAt / NAt / DAt (by name: MuOf, NOf,
-// DOf); φ and ψ are plain slices.
+// per-object state is read through MuAt / NAt / DAt (μ also by name:
+// MuOf); φ and ψ are plain slices.
 //
 // μ, N and D live in copy-on-write pages of 256 objects (internal/cow). A
 // fit — Run, NewModel, Grow, Load — allocates them as three flat arrays,
@@ -60,10 +58,10 @@ type Model struct {
 // every model cloned from — the published ones concurrent task assigners
 // read lock-free — keeps reading what it always held.
 //
-// Who may write what: a clone may be folded into (ApplyAnswer,
-// ApplyAnswerAt) and nothing else — it has no flat arrays, so an EM step on
-// it panics, and one on m would write the shared φ/ψ and, through the flat
-// arrays, the pages the clone still shares. m itself is sealed by the call:
+// Who may write what: a clone may be folded into (ApplyAnswerAt) and
+// nothing else — it has no flat arrays, so an EM step on it panics, and
+// one on m would write the shared φ/ψ and, through the flat arrays, the
+// pages the clone still shares. m itself is sealed by the call:
 // a later write to it of any kind would show through every clone. Grow,
 // which may add participants, builds its own arrays.
 func (m *Model) Clone() *Model {
@@ -107,22 +105,6 @@ func (m *Model) MuOf(o string) []float64 {
 		return m.MuAt(oid)
 	}
 	return nil
-}
-
-// NOf returns N_{o,·} by object name, or nil for unknown objects.
-func (m *Model) NOf(o string) []float64 {
-	if oid, ok := m.Idx.ObjectID(o); ok {
-		return m.NAt(oid)
-	}
-	return nil
-}
-
-// DOf returns D_o by object name, or 0 for unknown objects.
-func (m *Model) DOf(o string) float64 {
-	if oid, ok := m.Idx.ObjectID(o); ok {
-		return m.DAt(oid)
-	}
-	return 0
 }
 
 // DefaultPhi returns the prior-mean source trustworthiness, used to
@@ -176,20 +158,7 @@ func (m *Model) TruthAt(oid int) string {
 	return ""
 }
 
-// Confidence returns μ_{o,·} aligned with Idx.View(o).CI.Values, or nil for
-// unknown objects.
-func (m *Model) Confidence(o string) []float64 { return m.MuOf(o) }
-
-// MaxConfidence returns max_v μ_{o,v} (used by the UEAI bound).
-func (m *Model) MaxConfidence(o string) float64 {
-	oid, ok := m.Idx.ObjectID(o)
-	if !ok {
-		return 0
-	}
-	return m.MaxConfidenceAt(oid)
-}
-
-// MaxConfidenceAt is MaxConfidence by dense object ID.
+// MaxConfidenceAt returns max_v μ_{o,v} (used by the UEAI bound).
 func (m *Model) MaxConfidenceAt(oid int) float64 {
 	mx := 0.0
 	for _, p := range m.MuAt(oid) {
@@ -198,13 +167,4 @@ func (m *Model) MaxConfidenceAt(oid int) float64 {
 		}
 	}
 	return mx
-}
-
-// SortedSourcesByReliability returns sources in non-increasing φ_{s,1}.
-func (m *Model) SortedSourcesByReliability() []string {
-	out := append([]string(nil), m.Idx.SourceNames...)
-	sort.SliceStable(out, func(i, j int) bool {
-		return m.PhiOf(out[i])[0] > m.PhiOf(out[j])[0]
-	})
-	return out
 }

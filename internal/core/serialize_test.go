@@ -47,7 +47,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		}
 	}
 	psi := m.DefaultPsi()
-	if math.Abs(m.CondMaxConfidence("statue", psi, 0)-got.CondMaxConfidence("statue", psi, 0)) > 1e-15 {
+	statue, _ := idx.ObjectID("statue")
+	if math.Abs(m.CondMaxConfidenceAt(statue, psi, 0)-got.CondMaxConfidenceAt(statue, psi, 0)) > 1e-15 {
 		t.Fatal("incremental EM differs after load")
 	}
 }

@@ -105,7 +105,7 @@ func captureFolded(m *core.Model) []foldedObject {
 // own model, uncopied (TestInferencerGolden in internal/infer pins what
 // every inferencer's result holds); folds share the fitted trust maps, and
 // growth rebuilds them to list the participants it added. Every fold equals
-// ApplyAnswer over a clone, one answer after another, bit for bit, and
+// ApplyAnswerAt over a clone, one answer after another, bit for bit, and
 // leaves the state it was opened over as it was.
 func TestViewEqualsCopy(t *testing.T) {
 	for name, ds := range map[string]*data.Dataset{
@@ -132,15 +132,20 @@ func TestViewEqualsCopy(t *testing.T) {
 				prev := st.Res().Model.(*core.Model)
 				before, want := captureFolded(prev), prev.Clone()
 				for _, a := range batch {
-					ans, _ := want.Idx.View(a.Object).CI.Pos(a.Value)
-					want.ApplyAnswer(a.Object, a.Worker, ans)
+					ov := want.Idx.View(a.Object)
+					ans, _ := ov.CI.Pos(a.Value)
+					wid, ok := want.Idx.WorkerID(a.Worker)
+					if !ok {
+						wid = -1 // a worker the index has never seen
+					}
+					want.ApplyAnswerAt(ov.ID, wid, ans)
 				}
 				var ok bool
 				if st, ok = eng.ApplyAnswers(st, idx, batch); !ok {
 					t.Fatal("TDH state refused to fold")
 				}
 				if !reflect.DeepEqual(captureFolded(st.Res().Model.(*core.Model)), captureFolded(want)) {
-					t.Fatalf("fold %d differs from ApplyAnswer one answer after another", round)
+					t.Fatalf("fold %d differs from ApplyAnswerAt one answer after another", round)
 				}
 				if !reflect.DeepEqual(captureFolded(prev), before) {
 					t.Fatalf("fold %d wrote the state it was opened over", round)

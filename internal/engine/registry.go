@@ -11,8 +11,7 @@ import (
 )
 
 // CategoricalInferencers returns the ten single-truth algorithms of the
-// paper's Table 3 in row order. This is the canonical list — the
-// experiments package's InferencersInPaperOrder delegates here.
+// paper's Table 3 in row order. This is the canonical list.
 func CategoricalInferencers() []infer.Inferencer {
 	return []infer.Inferencer{
 		infer.NewTDH(),

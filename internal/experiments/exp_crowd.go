@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/crowd"
 	"repro/internal/data"
+	"repro/internal/engine"
 	"repro/internal/synth"
 )
 
@@ -15,9 +16,9 @@ func runCombo(cfg Config, ds *data.Dataset, combo Combo, workers []synth.Worker,
 	if !ok {
 		panic("experiments: unknown inferencer " + combo.Inference)
 	}
-	asg, ok := AssignerByName(combo.Assignment)
-	if !ok {
-		panic("experiments: unknown assigner " + combo.Assignment)
+	asg, err := engine.NewAssigner(engine.Categorical, combo.Assignment)
+	if err != nil {
+		panic("experiments: " + err.Error())
 	}
 	// Scale the per-worker question count with the dataset scale so the
 	// answers-per-object ratio matches the paper's setting (5 questions ×

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/data"
+	"repro/internal/engine"
 	"repro/internal/eval"
 	"repro/internal/infer"
 )
@@ -68,7 +69,7 @@ func Table3(cfg Config) *Report {
 	for i, ds := range dss {
 		idxs[i] = data.NewIndex(ds)
 	}
-	for _, alg := range InferencersInPaperOrder() {
+	for _, alg := range engine.CategoricalInferencers() {
 		row := Row{Label: alg.Name()}
 		for i, ds := range dss {
 			res := alg.Infer(idxs[i])

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/data"
+	"repro/internal/engine"
 	"repro/internal/eval"
 	"repro/internal/infer"
 	"repro/internal/multitruth"
@@ -23,7 +24,7 @@ func Table5(cfg Config) *Report {
 		Cols:  []string{"BP-P", "BP-R", "BP-F1", "HG-P", "HG-R", "HG-F1"},
 	}
 	var discoverers []multitruth.Discoverer
-	for _, a := range InferencersInPaperOrder() {
+	for _, a := range engine.CategoricalInferencers() {
 		discoverers = append(discoverers, multitruth.FromSingleTruth{Inf: a})
 	}
 	discoverers = append(discoverers,

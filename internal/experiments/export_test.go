@@ -95,20 +95,20 @@ func TestAblationSmoke(t *testing.T) {
 		t.Fatalf("reports = %d", len(reps))
 	}
 	model := reps[0]
-	tdh := model.MustCell("TDH", "BP-Acc")
-	flat := model.MustCell("TDH-FLAT", "BP-Acc")
+	tdh := cell(t, model, "TDH", "BP-Acc")
+	flat := cell(t, model, "TDH-FLAT", "BP-Acc")
 	if tdh < flat-0.02 {
 		t.Errorf("hierarchy ablation should not beat TDH: %v vs %v", tdh, flat)
 	}
 	inc := reps[1]
 	for _, row := range inc.Rows {
-		agree := inc.MustCell(row.Label, "winnerAgree")
+		agree := cell(t, inc, row.Label, "winnerAgree")
 		// The tiny test scale samples only a handful of objects, so accept
 		// a loose bound here; the paper-scale run shows ≈1.0 agreement.
 		if agree < 0.5 {
 			t.Errorf("%s: incremental EM winner agreement %v too low", row.Label, agree)
 		}
-		speedup := inc.MustCell(row.Label, "speedup")
+		speedup := cell(t, inc, row.Label, "speedup")
 		if speedup < 10 {
 			t.Errorf("%s: speedup %v implausibly low", row.Label, speedup)
 		}
@@ -127,7 +127,7 @@ func TestFig12Smoke(t *testing.T) {
 			t.Fatalf("rows = %d, want the 10 plotted combos", len(rep.Rows))
 		}
 		for _, row := range rep.Rows {
-			total := rep.MustCell(row.Label, "total(s)")
+			total := cell(t, rep, row.Label, "total(s)")
 			if total <= 0 {
 				t.Fatalf("%s: non-positive timing", row.Label)
 			}
@@ -142,8 +142,8 @@ func TestFig11Smoke(t *testing.T) {
 	cfg.Rounds = 4
 	reps := Fig11(cfg)
 	for _, rep := range reps {
-		lo := rep.MustCell("TDH+EAI", "pi=0.5")
-		hi := rep.MustCell("TDH+EAI", "pi=1.0")
+		lo := cell(t, rep, "TDH+EAI", "pi=0.5")
+		hi := cell(t, rep, "TDH+EAI", "pi=1.0")
 		if hi+0.05 < lo {
 			t.Errorf("%s: accuracy at πp=1.0 (%v) should not trail πp=0.5 (%v)", rep.Title, hi, lo)
 		}

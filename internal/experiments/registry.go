@@ -1,38 +1,20 @@
 package experiments
 
 import (
-	"repro/internal/assign"
 	"repro/internal/data"
 	"repro/internal/engine"
 	"repro/internal/infer"
 	"repro/internal/synth"
 )
 
-// InferencersInPaperOrder returns the ten truth-inference algorithms of
-// Table 3 in the paper's row order. The canonical list lives in the
-// per-truth-model engine registry (internal/engine); this is its
-// categorical view.
-func InferencersInPaperOrder() []infer.Inferencer {
-	return engine.CategoricalInferencers()
-}
-
 // InferencerByName looks an algorithm up by its paper name.
 func InferencerByName(name string) (infer.Inferencer, bool) {
-	for _, a := range InferencersInPaperOrder() {
+	for _, a := range engine.CategoricalInferencers() {
 		if a.Name() == name {
 			return a, true
 		}
 	}
 	return nil, false
-}
-
-// AssignerByName returns the task-assignment algorithm by paper name.
-func AssignerByName(name string) (assign.Assigner, bool) {
-	a, err := engine.NewAssigner(engine.Categorical, name)
-	if err != nil {
-		return nil, false
-	}
-	return a, true
 }
 
 // Combo is one (inference, assignment) pair of Table 4.
@@ -48,7 +30,7 @@ func Table4Combos() []Combo {
 	for _, ti := range []string{"TDH", "DOCS", "LCA", "POPACCU", "ACCU"} {
 		out = append(out, Combo{ti, "QASCA"})
 	}
-	for _, a := range InferencersInPaperOrder() {
+	for _, a := range engine.CategoricalInferencers() {
 		out = append(out, Combo{a.Name(), "ME"})
 	}
 	return out

@@ -79,15 +79,6 @@ func (r *Report) Cell(label, col string) (float64, bool) {
 	return 0, false
 }
 
-// MustCell is Cell that panics when missing — for experiment-internal use.
-func (r *Report) MustCell(label, col string) float64 {
-	v, ok := r.Cell(label, col)
-	if !ok {
-		panic(fmt.Sprintf("experiments: missing cell (%q, %q) in %s", label, col, r.ID))
-	}
-	return v
-}
-
 // Print renders the report as an aligned text table.
 func (r *Report) Print(w io.Writer) {
 	fmt.Fprintf(w, "== %s: %s ==\n", r.ID, r.Title)

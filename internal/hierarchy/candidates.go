@@ -71,11 +71,6 @@ func (ci *CandidateIndex) IsAncestorOf(i, j int) bool {
 	return false
 }
 
-// NotDescSize returns |¬Do(v)| = |Vo| - |Do(v)| - 1 for candidate i.
-func (ci *CandidateIndex) NotDescSize(i int) int {
-	return len(ci.Values) - len(ci.Desc[i]) - 1
-}
-
 // ValueTable is the kernel behind every CandidateIndex: the distinct values
 // of many candidate sets over one tree, each resolved against the tree once.
 // A value's ID is its position in Names (string order, so sorting IDs sorts

@@ -40,10 +40,6 @@ func TestCandidateIndexBasics(t *testing.T) {
 	if !ci.IsAncestorOf(ny, li) || ci.IsAncestorOf(li, ny) || ci.IsAncestorOf(la, li) {
 		t.Fatal("IsAncestorOf wrong")
 	}
-	// ¬Do(NY) = {LA}: not LibertyIsland (descendant), not NY itself.
-	if got := ci.NotDescSize(ny); got != 1 {
-		t.Fatalf("NotDescSize(NY) = %d, want 1", got)
-	}
 }
 
 func TestCandidateIndexFlat(t *testing.T) {

@@ -136,15 +136,6 @@ func (t *Tree) Ancestors(v string) []string {
 	}
 }
 
-// AncestorsWithRoot is Ancestors but includes the root as the last element.
-func (t *Tree) AncestorsWithRoot(v string) []string {
-	out := t.Ancestors(v)
-	if t.Contains(v) && v != t.root {
-		out = append(out, t.root)
-	}
-	return out
-}
-
 // IsAncestor reports whether a is a proper ancestor of d. The root is an
 // ancestor of every other node.
 func (t *Tree) IsAncestor(a, d string) bool {
@@ -200,19 +191,6 @@ func (t *Tree) Nodes() []string {
 	out := make([]string, 0, len(t.depth))
 	for v := range t.depth {
 		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Leaves returns every node with no children, excluding the root unless the
-// tree is a single node.
-func (t *Tree) Leaves() []string {
-	var out []string
-	for v := range t.depth {
-		if len(t.children[v]) == 0 && v != t.root {
-			out = append(out, v)
-		}
 	}
 	sort.Strings(out)
 	return out

@@ -2,7 +2,6 @@ package hierarchy
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -85,10 +84,6 @@ func TestAncestors(t *testing.T) {
 	if got := tr.Ancestors("USA"); len(got) != 0 {
 		t.Fatalf("Ancestors(USA) = %v, want empty (root excluded)", got)
 	}
-	withRoot := tr.AncestorsWithRoot("LibertyIsland")
-	if len(withRoot) != 3 || withRoot[2] != Root {
-		t.Fatalf("AncestorsWithRoot = %v", withRoot)
-	}
 	if got := tr.Ancestors("ghost"); got != nil {
 		t.Fatalf("Ancestors(unknown) = %v, want nil", got)
 	}
@@ -144,18 +139,8 @@ func TestLCAAndDistance(t *testing.T) {
 	}
 }
 
-func TestLeavesNodesPath(t *testing.T) {
+func TestNodesPath(t *testing.T) {
 	tr := buildGeo(t)
-	leaves := tr.Leaves()
-	want := map[string]bool{"LibertyIsland": true, "LA": true, "Westminster": true}
-	if len(leaves) != len(want) {
-		t.Fatalf("Leaves = %v", leaves)
-	}
-	for _, l := range leaves {
-		if !want[l] {
-			t.Fatalf("unexpected leaf %q", l)
-		}
-	}
 	if got := len(tr.Nodes()); got != 8 {
 		t.Fatalf("Nodes count = %d", got)
 	}
@@ -224,7 +209,7 @@ func TestQuickTreeInvariants(t *testing.T) {
 				return false
 			}
 			// depth == number of ancestors including root
-			if u != Root && tr.Depth(u) != len(tr.AncestorsWithRoot(u)) {
+			if tr.Depth(u) != len(tr.PathToRoot(u))-1 {
 				return false
 			}
 			// d(u,v) = depth(u)+depth(v)-2·depth(lca)
@@ -236,19 +221,5 @@ func TestQuickTreeInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestWriteDOT(t *testing.T) {
-	tr := buildGeo(t)
-	var sb strings.Builder
-	if err := tr.WriteDOT(&sb, "geo", map[string]string{"NY": "lightblue"}); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"digraph", `"USA" -> "NY"`, "lightblue", `"NY" -> "LibertyIsland"`} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("DOT output missing %q:\n%s", want, out)
-		}
 	}
 }

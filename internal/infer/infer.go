@@ -148,20 +148,6 @@ func (r *Result) setTrust(p provider, v float64) {
 	}
 }
 
-// trustOf fetches a provider's trust with a default.
-func (r *Result) trustOf(p provider, def float64) float64 {
-	var m map[string]float64
-	if p.isWorker {
-		m = r.WorkerTrust
-	} else {
-		m = r.SourceTrust
-	}
-	if v, ok := m[p.name]; ok {
-		return v
-	}
-	return def
-}
-
 // normalize scales a slice into a probability distribution in place;
 // all-zero slices become uniform.
 func normalize(xs []float64) {

@@ -133,8 +133,8 @@ func TestIngestStorm(t *testing.T) {
 		K:           2,
 		Seed:        1,
 		OpenAnswers: true,
-		// Small batches + frequent refits keep every pipeline path hot.
-		Policy: RefitPolicy{MaxAnswers: 40, MaxStaleness: -1, BatchSize: 8},
+		// Frequent refits keep every pipeline path hot.
+		Policy: RefitPolicy{MaxAnswers: 40, MaxStaleness: -1},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -328,7 +328,6 @@ func TestAdmissionControl(t *testing.T) {
 		Policy: RefitPolicy{
 			MaxAnswers:       -1, // no refits: keep every cycle on the slow path
 			MaxStaleness:     -1,
-			BatchSize:        2,
 			RejectQueueDepth: 4,
 		},
 	})

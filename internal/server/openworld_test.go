@@ -51,7 +51,7 @@ func newOpenWorldServer(t *testing.T, log EventSink) (*Server, string) {
 		Seed:        11,
 		OpenAnswers: true,
 		Log:         log,
-		Policy:      RefitPolicy{MaxAnswers: 32, MaxStaleness: 20 * time.Millisecond, BatchSize: 8},
+		Policy:      RefitPolicy{MaxAnswers: 32, MaxStaleness: 20 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -496,7 +496,7 @@ func TestGrowthWaitsOutFit(t *testing.T) {
 			s, err := New(Config{
 				Dataset: c.ds, Engine: gatedEngine{Engine: probe, gate: gate, calls: calls},
 				Assigner: assign.ME{}, K: 10, OpenAnswers: true,
-				Policy: RefitPolicy{MaxAnswers: 9, MaxStaleness: -1, BatchSize: 4},
+				Policy: RefitPolicy{MaxAnswers: 9, MaxStaleness: -1},
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -68,7 +68,7 @@ import (
 // is a flip and it keeps the floor.
 
 // RefitPolicy controls when the pipeline escalates from incremental
-// confidence updates to a full EM refit, and how ingestion is buffered.
+// confidence updates to a full EM refit, and when ingestion sheds load.
 // Zero-value fields take the defaults documented per field. Both refit
 // triggers run from the installed fit: a refit starts once either fires and
 // no other is in flight, and runs beside the coordinator until it lands.
@@ -86,9 +86,6 @@ type RefitPolicy struct {
 	// disables staleness refits), however far the count threshold has
 	// doubled: the hard bound on how long a fit may stay stale.
 	MaxStaleness time.Duration
-	// BatchSize caps how many queued items (answers and mutations) one
-	// coordinator cycle drains before publishing a snapshot (default 64).
-	BatchSize int
 	// RejectQueueDepth, when > 0, is the admission-control bound: POST
 	// /answer returns 429 with a Retry-After header (and increments
 	// tdh_ingest_rejected_total) once the ingest queue holds at least this
@@ -100,7 +97,9 @@ type RefitPolicy struct {
 const (
 	defaultMaxAnswers   = 64
 	defaultMaxStaleness = 2 * time.Second
-	defaultBatchSize    = 64
+	// batchSize caps how many queued items (answers and mutations) one
+	// coordinator cycle drains before publishing a snapshot.
+	batchSize = 64
 	// queueSize is the ingest queue's buffer; /answer blocks (backpressure)
 	// while it is full.
 	queueSize = 1024
@@ -112,9 +111,6 @@ func (p RefitPolicy) withDefaults() RefitPolicy {
 	}
 	if p.MaxStaleness == 0 {
 		p.MaxStaleness = defaultMaxStaleness
-	}
-	if p.BatchSize <= 0 {
-		p.BatchSize = defaultBatchSize
 	}
 	return p
 }
@@ -266,26 +262,23 @@ func (p *pipeline) publish(touched []int, refit bool) {
 	if p.held {
 		wm = max(p.fitSeq, prev.Watermark)
 	}
-	sn := &Snapshot{
-		Idx: p.idx, St: p.st, Res: p.st.Res(), Round: p.round,
-		// PublishedAt is observability metadata (snapshot age in /stats);
-		// replay rebuilds state from the log, never timestamps.
-		//tdh:wallclock snapshot age metadata; never fed back into replayed state
-		Answers: p.applied, Mutations: p.mutApplied, PublishedAt: time.Now(),
-		Watermark: wm,
-	}
+	res := p.st.Res()
+	// PublishedAt is observability metadata (snapshot age in /stats);
+	// replay rebuilds state from the log, never timestamps.
+	//tdh:wallclock snapshot age metadata; never fed back into replayed state
+	publishedAt := time.Now()
 	planStart := time.Now()
 	p.stamps.planStart = planStart
 	var plan *assign.Plan
 	switch {
 	case refit:
-		plan = assign.NewPlan(sn.Idx, sn.Res)
+		plan = assign.NewPlan(p.idx, res)
 		p.metrics().planBuilds.Inc()
-	case sn.Idx == prev.Idx && sn.Res == prev.Res:
+	case p.idx == prev.Idx && res == prev.Res:
 		plan = prev.Plan() // nothing moved: the previous plan is exact
 	default:
 		var adv bool
-		plan, adv = prev.Plan().Advance(sn.Idx, sn.Res, touched)
+		plan, adv = prev.Plan().Advance(p.idx, res, touched)
 		if adv {
 			p.metrics().planAdvances.Inc()
 		} else {
@@ -296,7 +289,11 @@ func (p *pipeline) publish(touched []int, refit bool) {
 	p.metrics().ueaiMax.Set(plan.UEAIMax())
 	p.metrics().observeStage(stagePlan, planStart)
 	p.stamps.planEnd = time.Now()
-	sn.setPlan(plan)
+	sn := &Snapshot{
+		Idx: p.idx, St: p.st, Res: res, Round: p.round,
+		Answers: p.applied, Mutations: p.mutApplied, PublishedAt: publishedAt,
+		Watermark: wm, plan: plan,
+	}
 	p.s.current.Store(sn)
 	p.metrics().publishes[refit].Inc()
 	p.metrics().observeStage(stagePublish, pubStart)
@@ -761,7 +758,7 @@ func (p *pipeline) loop() {
 	for {
 		select {
 		case <-p.s.kickCh:
-			p.runCycle(p.policy.BatchSize)
+			p.runCycle(batchSize)
 			if p.shouldRefit(time.Now()) {
 				p.launchFit()
 			}

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"sync"
 	"time"
 
 	"repro/internal/assign"
@@ -20,10 +19,9 @@ import (
 // writes a clone of the sealed model, never the model itself, and the
 // published Result is a view over that sealed model — sharing its rows, not
 // copying them — so the guarantee rests on the engine never writing a state
-// it has returned. Two things are filled lazily, in mechanism but not in
-// contract: the assignment plan and the state's name-keyed truths map are
-// each materialized at most once, behind a sync.Once, and immutable from
-// then on.
+// it has returned. One thing is filled lazily, in mechanism but not in
+// contract: the state's name-keyed truths map is materialized at most once,
+// behind a sync.Once, and immutable from then on.
 type Snapshot struct {
 	// Idx is the candidate-set index the St was computed against: its
 	// result's rows are shaped by it (St.Res().Rows.Index() == Idx), which
@@ -56,37 +54,20 @@ type Snapshot struct {
 	// number (assigned at enqueue, monotonic) folded into this snapshot. An
 	// accepted item with sequence s is visible — its answer counted, its
 	// mutation indexed, its effect on truths published — exactly when a
-	// snapshot with Watermark >= s is current. Zero on snapshots constructed
-	// outside the pipeline (tests, embedders).
+	// snapshot with Watermark >= s is current.
 	Watermark int64
 
-	planOnce sync.Once
-	plan     *assign.Plan
+	plan *assign.Plan
 }
 
 // Plan returns the snapshot's shared assignment plan — the worker-
 // independent precompute (UEAI bounds in scan order, per-object max-
 // confidence and entropy rankings, cold-worker EAI scores) that every
 // /task request against this snapshot reads instead of rebuilding
-// O(|O| log |O|) state per request. The pipeline attaches a prewarmed plan
-// (built, advanced from the previous snapshot's, or reused) to every
-// snapshot before publishing it, so this is a plain read on the request
-// path; the lazy build only runs for snapshots constructed outside the
-// pipeline (tests, embedders).
-//
-//tdh:mutator attaches the lazily built plan exactly once behind sync.Once; every reader sees the same plan
-func (sn *Snapshot) Plan() *assign.Plan {
-	sn.planOnce.Do(func() { sn.plan = assign.NewPlan(sn.Idx, sn.Res) })
-	return sn.plan
-}
-
-// setPlan attaches a pipeline-maintained plan before publication, winning
-// the once so later Plan() calls return it unchanged.
-//
-//tdh:mutator wins the sync.Once before the snapshot is published; no reader exists yet
-func (sn *Snapshot) setPlan(p *assign.Plan) {
-	sn.planOnce.Do(func() { sn.plan = p })
-}
+// O(|O| log |O|) state per request. The pipeline builds every snapshot
+// with a prewarmed plan (built, advanced from the previous snapshot's, or
+// reused).
+func (sn *Snapshot) Plan() *assign.Plan { return sn.plan }
 
 // snap loads the current snapshot; it is never nil after New.
 func (s *Server) snap() *Snapshot { return s.current.Load() }

@@ -322,7 +322,7 @@ func TestNumericTrustEndpoint(t *testing.T) {
 	}
 	s, err := New(Config{
 		Dataset: &data.Dataset{Name: "stock", Records: attr.Records}, Engine: eng, Assigner: assign.ME{},
-		OpenAnswers: true, Policy: RefitPolicy{MaxAnswers: 8, MaxStaleness: -1, BatchSize: 4},
+		OpenAnswers: true, Policy: RefitPolicy{MaxAnswers: 8, MaxStaleness: -1},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -111,43 +111,6 @@ func pickDistractor(rng *rand.Rand, t *hierarchy.Tree, truth string, allNodes []
 	return ""
 }
 
-// weightedCoverage draws n distinct objects with probability proportional
-// to weights (without replacement, by rejection — fine for the small n of
-// the long-tail sources that use it).
-func weightedCoverage(rng *rand.Rand, objects []string, weights []float64, n int) []string {
-	if n >= len(objects) {
-		return append([]string(nil), objects...)
-	}
-	total := 0.0
-	for _, w := range weights {
-		total += w
-	}
-	picked := map[int]bool{}
-	out := make([]string, 0, n)
-	for len(out) < n {
-		u := rng.Float64() * total
-		i := 0
-		for ; i < len(weights)-1; i++ {
-			u -= weights[i]
-			if u <= 0 {
-				break
-			}
-		}
-		if picked[i] {
-			// Rejection; fall back to a uniform probe to bound the loop.
-			for tries := 0; tries < 8 && picked[i]; tries++ {
-				i = rng.Intn(len(objects))
-			}
-			if picked[i] {
-				continue
-			}
-		}
-		picked[i] = true
-		out = append(out, objects[i])
-	}
-	return out
-}
-
 // coverage draws, for a source claiming n objects out of objects, a random
 // subset of size n (n clamped to len(objects)).
 func coverage(rng *rand.Rand, objects []string, n int) []string {
