@@ -75,22 +75,25 @@ func BenchmarkEAIAssignNoPruning(b *testing.B) {
 // attached, K = 5, and one worker with a fitted ψ per call, in turn. Such a
 // worker scores objects itself (the plan caches only the prior-mean ψ), so
 // the call is Algorithm 1's scan with one EAI evaluation per object the
-// bound does not prune; evaluated/op and pruned/op report how far it walks.
+// bound does not prune; evaluated/op and pruned/op report how far it walks,
+// and settled/op how many of its evaluations the no-flip certificate
+// answered with an O(|V|) read.
 func BenchmarkEAITask(b *testing.B) {
 	base := assignmentContext(b, 1, 256, 25)
 	plan := assign.NewPlan(base.Idx, base.Res)
 	plan.Prewarm()
-	var evaluated, pruned int
+	var evaluated, pruned, settled int
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ctx := *base
 		ctx.Plan, ctx.Workers, ctx.Seed = plan, base.Workers[i%len(base.Workers):][:1], int64(i)
 		_, st := assign.EAI{}.AssignWithStats(&ctx)
-		evaluated, pruned = evaluated+st.Evaluated, pruned+st.Pruned
+		evaluated, pruned, settled = evaluated+st.Evaluated, pruned+st.Pruned, settled+st.Settled
 	}
 	b.ReportMetric(float64(evaluated)/float64(b.N), "evaluated/op")
 	b.ReportMetric(float64(pruned)/float64(b.N), "pruned/op")
+	b.ReportMetric(float64(settled)/float64(b.N), "settled/op")
 }
 
 // BenchmarkIncrementalEM times the one-answer incremental EM step (Eqs.

@@ -152,7 +152,7 @@ func TestLemma41UpperBound(t *testing.T) {
 			if i%3 != 0 { // sample for speed
 				continue
 			}
-			eai := eaiAt(f.m, i, &tab, float64(nObj))
+			eai, _ := eaiAt(f.m, i, &tab, float64(nObj))
 			ub := (1 - f.m.MaxConfidenceAt(i)) / (float64(nObj) * (f.m.DAt(i) + 1))
 			if eai > ub+1e-12 {
 				t.Fatalf("EAI(%s,%s)=%v exceeds UEAI=%v", w, o, eai, ub)
@@ -173,7 +173,7 @@ func TestQuickEAINonNegativeBounded(t *testing.T) {
 			if i%7 != 0 {
 				continue
 			}
-			e := eaiAt(fx.m, i, &tab, float64(nObj))
+			e, _ := eaiAt(fx.m, i, &tab, float64(nObj))
 			if e < 0 || e > 1.0/float64(nObj)+1e-12 {
 				return false
 			}

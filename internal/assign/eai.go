@@ -45,6 +45,11 @@ func (e EAI) Name() string {
 type EAIStats struct {
 	Evaluated int // EAI(w,o) computations performed
 	Pruned    int // evaluations skipped by the UEAI bound
+	// Settled counts the evaluations the no-flip certificate answered
+	// (core.Model.SettledAt): a subset of Evaluated, each an O(|V|) read
+	// instead of the expected-max fill. A cold worker's reads of the plan's
+	// precomputed scores are not among them.
+	Settled int
 }
 
 // eaiEntry is a (score, object ID) pair in a per-worker min-heap. Object
@@ -175,7 +180,11 @@ scan:
 				if cached[wi] {
 					score = defScores.At(int(cur))
 				} else {
-					score = eaiAt(m, int(cur), &tabs[wi], nObj)
+					var settled bool
+					score, settled = eaiAt(m, int(cur), &tabs[wi], nObj)
+					if settled {
+						stats.Settled++
+					}
 				}
 				stats.Evaluated++
 				if len(heaps[wi]) < ctx.K {
@@ -247,18 +256,24 @@ func (s answeredSets) has(wi, oid int) bool {
 
 // eaiAt computes EAI(w, o) per Eqs. (14)–(15) with the incremental EM,
 // entirely on ID-indexed model state, for the worker whose ψ tab was built
-// from.
+// from. On an object the no-flip certificate settles (core.Model.SettledAt)
+// the clamped score is 0 for every worker, so it returns 0 after one read of
+// the object's N row, with settled set, instead of filling |V| answer rows.
 //
 //tdh:hotpath
-func eaiAt(m *core.Model, oid int, tab *core.WorkerTab, nObj float64) float64 {
-	score := (m.ExpectedCondMaxAt(oid, tab) - maxOf(m.MuAt(oid))) / nObj
-	// Clamp the numerical noise floor: when no single answer can move the
-	// argmax, the exact expectation is zero but floating-point evaluation
-	// leaves ±1e-12-grade residue that would otherwise order the heap
-	// arbitrarily. With a hard zero, equal-score objects keep the UEAI scan
-	// order (most uncertain per collected claim first).
+func eaiAt(m *core.Model, oid int, tab *core.WorkerTab, nObj float64) (score float64, settled bool) {
+	if m.SettledAt(oid) {
+		return 0, true
+	}
+	score = (m.ExpectedCondMaxAt(oid, tab) - maxOf(m.MuAt(oid))) / nObj
+	// Clamp the numerical noise floor: an uncertified object whose exact
+	// expectation is zero (no single answer moves its argmax, though the
+	// certificate could not show it) leaves ±1e-12-grade residue that would
+	// otherwise order the heap arbitrarily. With a hard zero, equal-score
+	// objects keep the UEAI scan order (most uncertain per collected claim
+	// first).
 	if score < 1e-9/nObj {
 		score = 0
 	}
-	return score
+	return score, false
 }

@@ -33,7 +33,8 @@ func (e EAI) EstimateImprovement(ctx *Context, assignment map[string][]string) f
 		tab := core.NewWorkerTab(m.PsiOf(w))
 		for _, o := range objs {
 			if oid, ok := m.Idx.ObjectID(o); ok {
-				total += eaiAt(m, oid, &tab, n)
+				score, _ := eaiAt(m, oid, &tab, n)
+				total += score
 			}
 		}
 	}

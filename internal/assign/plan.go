@@ -54,6 +54,9 @@ type Plan struct {
 	// carrying its bound inline.
 	ueai     cow.Vec[float64]
 	ueaiRank cow.Ranking
+	// settled counts the objects the no-flip certificate settles
+	// (core.Model.SettledAt); 0 when M is nil.
+	settled int
 
 	// eaiDefault is EAI(w, o) per object for a worker at the prior-mean ψ —
 	// the score EVERY cold worker shares, since a worker with no answer
@@ -87,6 +90,22 @@ func (p *Plan) UEAIMax() float64 {
 	return 0
 }
 
+// Settled is the number of objects the no-flip certificate settles
+// (core.Model.SettledAt): no single further answer moves their truth before
+// the next refit. 0 when the result carries no TDH model.
+func (p *Plan) Settled() int { return p.settled }
+
+// countSettled counts the model's settled objects, O(Σ|Vo|).
+func countSettled(m *core.Model) int {
+	n := 0
+	for oid := range m.NumObjects() {
+		if m.SettledAt(oid) {
+			n++
+		}
+	}
+	return n
+}
+
 // defaultScores returns the cold-worker EAI score cache, computing it on
 // first use (goroutine-safe; the plan is shared by concurrent requests).
 // Nil when the plan has no TDH model.
@@ -104,7 +123,7 @@ func (p *Plan) defaultScores() *cow.Vec[float64] {
 func (p *Plan) scoreAll() []float64 {
 	scores := make([]float64, p.Idx.NumObjects())
 	for oid := range scores {
-		scores[oid] = eaiAt(p.M, oid, &p.defaultTab, float64(len(scores)))
+		scores[oid], _ = eaiAt(p.M, oid, &p.defaultTab, float64(len(scores)))
 	}
 	return scores
 }
@@ -165,6 +184,7 @@ func NewPlan(idx *data.Index, res *infer.Result) *Plan {
 		ranked[oid] = cow.Entry{Key: ueai[oid], ID: int32(oid)}
 	}
 	p.ueai, p.ueaiRank = cow.Paged(ueai), cow.NewRanking(ranked)
+	p.settled = countSettled(p.M)
 	return p
 }
 
@@ -252,6 +272,15 @@ func (p *Plan) Advance(idx *data.Index, res *infer.Result, touched []int) (advan
 		np.ueai.Set(oid, b)
 	}
 	np.ueaiRank = p.ueaiRank.Update(moves)
+	np.settled = p.settled
+	for _, oid := range ts {
+		if p.M.SettledAt(oid) {
+			np.settled--
+		}
+		if m.SettledAt(oid) {
+			np.settled++
+		}
+	}
 	// Carry the cold-worker score cache forward: untouched objects score
 	// identically (same model rows, same |O|), so only touched entries need
 	// the incremental-EM evaluation. p.defaultScores() fills the previous
@@ -260,7 +289,8 @@ func (p *Plan) Advance(idx *data.Index, res *infer.Result, touched []int) (advan
 	if np.defaultPsi == p.defaultPsi {
 		scores := p.defaultScores().Clone()
 		for _, oid := range ts {
-			scores.Set(oid, eaiAt(m, oid, &np.defaultTab, nObj))
+			score, _ := eaiAt(m, oid, &np.defaultTab, nObj)
+			scores.Set(oid, score)
 		}
 		np.eaiDefaultOnce.Do(func() { np.eaiDefault = scores })
 	}
@@ -294,6 +324,7 @@ func (np *Plan) grow(p *Plan, ts []int) {
 	}
 	np.ueai = cow.Paged(ueai)
 	np.ueaiRank = rerank(p.ueaiRank, ueai, nPrev)
+	np.settled = countSettled(np.M)
 	if np.defaultPsi == p.defaultPsi {
 		// Same rule as the fold case: a plan derived in the pipeline
 		// goroutine carries a filled cache, so no request pays the fill.

@@ -66,6 +66,9 @@ func comparePlans(t *testing.T, tag string, got, want *Plan) {
 	if (got.M == nil) != (want.M == nil) {
 		t.Fatalf("%s: model presence differs", tag)
 	}
+	if got.Settled() != want.Settled() {
+		t.Fatalf("%s: Settled %d != %d", tag, got.Settled(), want.Settled())
+	}
 	if got.M == nil {
 		return
 	}
@@ -109,10 +112,11 @@ func compareAssignments(t *testing.T, tag string, f *fixture, idx *data.Index, r
 
 // TestPlanAdvanceMatchesNewPlanAfterAnswers: advancing the previous
 // snapshot's plan around an incremental answer fold reproduces NewPlan on
-// both seed datasets.
+// both seed datasets. 200 answers move objects into and out of the no-flip
+// certificate's settled set, which Advance counts by its touched objects.
 func TestPlanAdvanceMatchesNewPlanAfterAnswers(t *testing.T) {
 	for fi, f := range planFixtures(t) {
-		for _, nAns := range []int{1, 9} {
+		for _, nAns := range []int{1, 9, 200} {
 			tag := fmt.Sprintf("fixture %d, %d answers", fi, nAns)
 			prev := NewPlan(f.idx, f.res)
 			prev.Prewarm()

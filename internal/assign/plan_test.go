@@ -245,7 +245,9 @@ func TestPlannerEAIBitIdenticalToLegacy(t *testing.T) {
 					t.Fatalf("fixture %d (%s, preplanned=%v): planner %v != legacy %v",
 						fi, e.Name(), preplanned, got, want)
 				}
-				if gotStats != wantStats {
+				// The legacy scan has no no-flip certificate: Settled is the
+				// planner's own, a subset of what both evaluated.
+				if gotStats.Evaluated != wantStats.Evaluated || gotStats.Pruned != wantStats.Pruned || gotStats.Settled > gotStats.Evaluated {
 					t.Fatalf("fixture %d (%s, preplanned=%v): stats %+v != legacy %+v",
 						fi, e.Name(), preplanned, gotStats, wantStats)
 				}

@@ -1,6 +1,10 @@
 package core
 
-import "repro/internal/data"
+import (
+	"math"
+
+	"repro/internal/data"
+)
 
 // Incremental EM (Section 4.2): instead of re-running the full EM after a
 // hypothetical extra answer (o, w, v'), perform a single EM step touching
@@ -85,7 +89,9 @@ func (m *Model) CondMaxConfidenceAt(oid int, psi [3]float64, ans int) float64 {
 // answer's row (answerRow) has as its sum both P(v′) (Eq. 6) and the
 // normaliser of Eq. 16 that the conditional max divides by. The division by
 // D_o+1 comes once, after the max: correctly rounded division by a positive
-// number is monotone, so max(a_i)/d is the bits of max(a_i/d).
+// number is monotone, so max(a_i)/d is the bits of max(a_i/d). On an object
+// SettledAt certifies, the result is max_v μ_{o,v} up to float residue for
+// every worker, so EAI does not call it there (SettledAt).
 //
 //tdh:hotpath
 func (m *Model) ExpectedCondMaxAt(oid int, wt *WorkerTab) float64 {
@@ -108,6 +114,69 @@ func (m *Model) ExpectedCondMaxAt(oid int, wt *WorkerTab) float64 {
 		exp += pAns * (best / d)
 	}
 	return exp
+}
+
+// SettledAt is the no-flip certificate of object oid: it reports whether
+// the largest entry N_1 of NAt(oid) exceeds every other entry by at least 1,
+// so no single further answer, from any worker, moves the object's argmax.
+// An object with one candidate is settled. It reads the N row once: O(|V|).
+// It certifies only objects whose answer mass is bounded (answerMassBounded).
+//
+// Proof. One folded answer a adds its truth posterior f(a), entries in
+// [0, 1], to N and 1 to D (ApplyAnswerAt, Eq. 17). The test is on N itself,
+// the floats the fold adds to, and in the form N_2 + 1 ≤ N_1 (N_2 the
+// runner-up), so it carries over to float evaluation: rounding is monotone,
+// so N_j + f_j(a) ≤ N_2 + 1 ≤ N_1 ≤ N_1 + f_1(a) for every j ≠ 1, and the
+// max in ExpectedCondMaxAt is N_1 + f_1(a) for every answer. Write
+// row_v(a) = μ_v·P(a | v, ψ) (answerRow), P(a) = Σ_v row_v(a) and
+// s_v = Σ_a P(a | v, ψ) over the candidates. Then f_1(a) = row_1(a)/P(a),
+// Σ_a P(a) = Σ_v μ_v·s_v and Σ_a P(a)·f_1(a) = μ_1·s_1, so Eq. 15 is
+//
+//	E = (N_1·Σ_v μ_v·s_v + μ_1·s_1) / (D + 1).
+//
+// On a bounded object every s_v ≤ 1 + δ with δ = |V|·eps, and μ = N/D is a
+// distribution (γ ≥ 1 keeps N ≥ 0), so E ≤ (1 + δ)·(N_1 + μ_1)/(D + 1) =
+// (1 + δ)·μ_1: E − max μ ≤ δ ≤ 5e-10. EAI = (E − max μ)/|O| therefore lies
+// under eaiAt's clamp floor 1e-9/|O| and clamps to exactly 0, float residue
+// of a few ulps included — the floor is there for such residue.
+//
+//tdh:hotpath
+func (m *Model) SettledAt(oid int) bool {
+	if m.Opt.Gamma < 1 || !m.answerMassBounded(m.Idx.ViewAt(oid)) {
+		return false
+	}
+	first, second := math.Inf(-1), math.Inf(-1)
+	for _, v := range m.NAt(oid) {
+		if v > first {
+			first, second = v, first
+		} else if v > second {
+			second = v
+		}
+	}
+	return second+1 <= first
+}
+
+// settledMaxValues is the widest object SettledAt certifies: eps·500 = 5e-10
+// keeps the answer-mass slack δ = |V|·eps at half EAI's clamp floor.
+const settledMaxValues = 500
+
+// answerMassBounded reports whether the claim model is proven to put at most
+// 1 + |V|·eps of a worker's answer mass on ov's candidates for every truth v
+// (s_v in SettledAt): the exact, generalized and wrong classes take shares
+// ψ1, ψ2, ψ3 renormalised over the possible ones (caseScale), split by
+// distributions over their members (1/|Go| or Pop2, 1/|rest| or Pop3), and
+// each eps floor adds at most eps (TestAnswerMassAtMostOne). Two cases are
+// out: an object wider than settledMaxValues, and a hierarchical object under
+// FlatModel with popularity-weighted worker errors, whose flat wrong answers
+// read Pop3(c|v) for ancestors c too, a table normalised over non-ancestors
+// only, so s_v exceeds 1 there.
+//
+//tdh:hotpath
+func (m *Model) answerMassBounded(ov *data.ObjectView) bool {
+	if ov.NumValues() > settledMaxValues {
+		return false
+	}
+	return !(m.Opt.FlatModel && !m.Opt.UniformWorkerErrors && ov.Hier())
 }
 
 // ApplyAnswerAt is the fold itself, by dense IDs (wid < 0: a worker the

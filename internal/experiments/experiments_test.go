@@ -262,6 +262,9 @@ func TestFig13Shape(t *testing.T) {
 			if evalP > evalNo {
 				t.Fatalf("%s: pruning evaluated more EAI scores (%v > %v)", row.Label, evalP, evalNo)
 			}
+			if settled, ok := rep.Cell(row.Label, "evalSettled"); !ok || settled > evalP {
+				t.Fatalf("%s: evalSettled %v (present %v) must not exceed evalPrune %v", row.Label, settled, ok, evalP)
+			}
 		}
 	}
 }

@@ -48,10 +48,13 @@ type serverMetrics struct {
 	planBuilds      *obs.Counter // publishes that built the assignment plan from scratch
 	planAdvances    *obs.Counter // publishes that advanced the previous snapshot's plan
 	ueaiMax         *obs.Gauge   // head of the served plan's UEAI ranking
+	settledObjects  *obs.Gauge   // objects the served plan's no-flip certificate settles
 
 	// One observation per /task an EAI assigner served: EAI evaluations
-	// Algorithm 1 ran and evaluations the UEAI bound skipped (EAIStats).
+	// Algorithm 1 ran, those the no-flip certificate answered, and
+	// evaluations the UEAI bound skipped (EAIStats).
 	eaiEvaluated *obs.Histogram
+	eaiSettled   *obs.Histogram
 	eaiPruned    *obs.Histogram
 
 	stageDur   map[string]*obs.Histogram // pipeline stage -> duration histogram
@@ -112,6 +115,11 @@ func newServerMetrics(s *Server, reg *obs.Registry) *serverMetrics {
 			"largest Lemma 4.1 bound of the served plan: no task it can hand out adds more than this to the expected accuracy (0 without a TDH model)"),
 		eaiEvaluated: reg.Histogram("tdh_eai_evaluated",
 			"EAI evaluations one /task ran in Algorithm 1's scan (for a cold worker, reads of the plan's precomputed scores)",
+			append([]float64{0}, obs.ExpBuckets(1, 2, 15)...)),
+		settledObjects: reg.Gauge("tdh_settled_objects",
+			"objects of the served plan no single further answer can flip before the next refit (the no-flip certificate; 0 without a TDH model)"),
+		eaiSettled: reg.Histogram("tdh_eai_settled",
+			"EAI evaluations of one /task the no-flip certificate answered with an O(|V|) read (never a cold worker's cached reads)",
 			append([]float64{0}, obs.ExpBuckets(1, 2, 15)...)),
 		eaiPruned: reg.Histogram("tdh_eai_pruned",
 			"EAI evaluations one /task skipped by the Lemma 4.1 bound",

@@ -86,7 +86,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		`tdh_refit_drift_count{param="worker_trust"}`,
 		"# TYPE tdh_refit_answers_threshold gauge",
 		"# TYPE tdh_eai_evaluated histogram",
+		"# TYPE tdh_eai_settled histogram",
 		"# TYPE tdh_eai_pruned histogram",
+		"# TYPE tdh_settled_objects gauge",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("/metrics missing %q", want)
@@ -94,13 +96,16 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	// The one /task ran EAI: one observation in each series, and a scan
 	// that evaluated at least the K objects it handed out.
-	for _, id := range []string{"tdh_eai_evaluated_count", "tdh_eai_pruned_count"} {
+	for _, id := range []string{"tdh_eai_evaluated_count", "tdh_eai_settled_count", "tdh_eai_pruned_count"} {
 		if n := seriesValue(t, out, id); n != 1 {
 			t.Errorf("%s %d, want 1", id, n)
 		}
 	}
 	if n := seriesValue(t, out, "tdh_eai_evaluated_sum"); n < int64(len(tasks)) {
 		t.Errorf("tdh_eai_evaluated_sum %d below the %d tasks served", n, len(tasks))
+	}
+	if n, ev := seriesValue(t, out, "tdh_eai_settled_sum"), seriesValue(t, out, "tdh_eai_evaluated_sum"); n > ev {
+		t.Errorf("tdh_eai_settled_sum %d above tdh_eai_evaluated_sum %d", n, ev)
 	}
 	// The refresh landed a fit over the boot fit's state: one comparison at
 	// least, the same count in every step-1 series.
@@ -226,6 +231,9 @@ func TestStatsReadsTheRegistry(t *testing.T) {
 	// the plan being served, nothing recomputed at scrape time.
 	if got, head := seriesFloat(t, out, "tdh_ueai_max"), s.Snapshot().Plan().UEAIMax(); got != head || head <= 0 {
 		t.Errorf("tdh_ueai_max = %v, the served plan's largest UEAI bound is %v", got, head)
+	}
+	if got, want := seriesFloat(t, out, "tdh_settled_objects"), s.Snapshot().Plan().Settled(); got != float64(want) || want <= 0 {
+		t.Errorf("tdh_settled_objects = %v, the served plan settles %d objects", got, want)
 	}
 	if st.Answers != total || st.AddedObjects != 1 || st.AddedRecords != 1 || st.PlanBuilds < 1 {
 		t.Errorf("stats = %d answers, %d objects, %d records, %d plan builds; want %d, 1, 1, >=1",

@@ -287,6 +287,7 @@ func (p *pipeline) publish(touched []int, refit bool) {
 	}
 	plan.Prewarm()
 	p.metrics().ueaiMax.Set(plan.UEAIMax())
+	p.metrics().settledObjects.Set(float64(plan.Settled()))
 	p.metrics().observeStage(stagePlan, planStart)
 	p.stamps.planEnd = time.Now()
 	sn := &Snapshot{

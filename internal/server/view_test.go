@@ -375,7 +375,10 @@ func TestNumericTrustEndpoint(t *testing.T) {
 	if st := s.Stats(); st.PlanAdvances == 0 || st.PlanBuilds != 2 {
 		t.Fatalf("numeric folds must advance the plan, refits build it: %+v", st)
 	}
-	if got := seriesFloat(t, scrapeMetrics(t, ts.URL), "tdh_ueai_max"); got != 0 {
-		t.Fatalf("tdh_ueai_max = %v on a campaign with no TDH model", got)
+	out := scrapeMetrics(t, ts.URL)
+	for _, id := range []string{"tdh_ueai_max", "tdh_settled_objects"} {
+		if got := seriesFloat(t, out, id); got != 0 {
+			t.Fatalf("%s = %v on a campaign with no TDH model", id, got)
+		}
 	}
 }
