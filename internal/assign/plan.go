@@ -265,15 +265,11 @@ func (p *Plan) Advance(idx *data.Index, res *infer.Result, touched []int) (advan
 		return np, true
 	}
 	nObj := float64(n)
-	np.ueai = p.ueai.Clone()
+	np.ueai, np.settled = p.ueai.Clone(), p.settled
 	for i, oid := range ts {
 		b := ueaiBound(m, oid, nObj)
 		moves[i] = cow.Rekey{ID: int32(oid), Old: p.ueai.At(oid), New: b}
 		np.ueai.Set(oid, b)
-	}
-	np.ueaiRank = p.ueaiRank.Update(moves)
-	np.settled = p.settled
-	for _, oid := range ts {
 		if p.M.SettledAt(oid) {
 			np.settled--
 		}
@@ -281,6 +277,7 @@ func (p *Plan) Advance(idx *data.Index, res *infer.Result, touched []int) (advan
 			np.settled++
 		}
 	}
+	np.ueaiRank = p.ueaiRank.Update(moves)
 	// Carry the cold-worker score cache forward: untouched objects score
 	// identically (same model rows, same |O|), so only touched entries need
 	// the incremental-EM evaluation. p.defaultScores() fills the previous
@@ -300,7 +297,8 @@ func (p *Plan) Advance(idx *data.Index, res *infer.Result, touched []int) (advan
 // grow fills a plan advanced across index growth (Advance's n > nPrev case)
 // from the previous plan p: the per-object arrays are rebuilt at the new
 // size — confidences and entropies of untouched objects carried over, every
-// Lemma 4.1 bound and cold-worker score recomputed under the new |O| — and
+// Lemma 4.1 bound and cold-worker score recomputed under the new |O|, the
+// settled objects counted afresh — and
 // each ranking is rebuilt by cow.NewRanking from the previous ranking's
 // order re-keyed, which is already sorted but for the touched and the new
 // objects.

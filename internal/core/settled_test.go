@@ -13,10 +13,10 @@ import (
 // settled object's full EAI score clamps to 0. The tests below check each.
 
 // sweepPsis are the worker trustworthiness values the certificate tests
-// score under: the prior mean, the three corners, and up to four of the
-// model's fitted ψ.
+// score under: the prior mean, the three corners, and one of the model's
+// fitted ψ.
 func sweepPsis(m *Model) [][3]float64 {
-	return append([][3]float64{m.DefaultPsi(), {0.98, 0.01, 0.01}, {0.01, 0.98, 0.01}, {0.01, 0.01, 0.98}}, m.Psi[:min(len(m.Psi), 4)]...)
+	return append([][3]float64{m.DefaultPsi(), {0.98, 0.01, 0.01}, {0.01, 0.98, 0.01}, {0.01, 0.01, 0.98}}, m.Psi[:min(len(m.Psi), 1)]...)
 }
 
 // TestAnswerMassAtMostOne pins s_v = Σ_a P(a | v, ψ) ≤ 1 + |V|·eps (plus
@@ -36,12 +36,18 @@ func TestAnswerMassAtMostOne(t *testing.T) {
 	for _, opt := range foldOptions() {
 		for _, ds := range append(foldDatasets(), singleCandidateAnswered()) {
 			m := Run(data.NewIndex(ds), opt)
-			for _, psi := range sweepPsis(m) {
+			for pi, psi := range sweepPsis(m) {
 				tab := newPartTab(psi)
 				var b claimBuf
 				for oid := 0; oid < m.NumObjects(); oid++ {
 					ov, mu := m.Idx.ViewAt(oid), m.MuAt(oid)
 					if ov.RelRow(0) == nil && ov.NumValues() > 1 {
+						// Above the table cap every Pop3 read is O(|V|), so a
+						// ψ costs O(|V|³) here: the prior mean and the first
+						// corner cover the wide rows.
+						if pi > 1 {
+							continue
+						}
 						wide++
 					}
 					ref, kern := make([]float64, len(mu)), make([]float64, len(mu))
@@ -128,8 +134,8 @@ func TestSettledScoresZero(t *testing.T) {
 }
 
 // TestSettledAt pins the certificate's test: a gap of at least 1 between
-// the two largest entries of N, wherever they sit, and no tie; and every
-// object with a single candidate is settled.
+// the two largest entries of N, wherever they sit, and no tie; every object
+// with a single candidate is settled; nothing is under γ < 1.
 func TestSettledAt(t *testing.T) {
 	m := Run(data.NewIndex(singleCandidateAnswered()), DefaultOptions())
 	oid, singles := -1, 0
@@ -167,5 +173,13 @@ func TestSettledAt(t *testing.T) {
 		if got := m.SettledAt(oid); got != c.want {
 			t.Errorf("SettledAt over N %v = %v, want %v", n, got, c.want)
 		}
+	}
+	// Below γ = 1 an N entry can be negative, μ is no distribution, and the
+	// proof does not hold.
+	clear(n)
+	n[0] = 5
+	m.Opt.Gamma = 0.5
+	if m.SettledAt(oid) {
+		t.Errorf("SettledAt over N %v with γ = 0.5 = true, want false", n)
 	}
 }
