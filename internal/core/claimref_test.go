@@ -9,7 +9,7 @@ import "repro/internal/data"
 // sourceClaimProb implements Eqs. (1) and (2): P(v_o^s = c | v*_o = tr, φs).
 func (m *Model) sourceClaimProb(ov *data.ObjectView, c, tr int, phi [3]float64) float64 {
 	nV := ov.NumValues()
-	if flatObject(m, ov) {
+	if !ov.Hier() {
 		if nV <= 1 {
 			return 1
 		}
@@ -36,7 +36,7 @@ func (m *Model) sourceClaimProb(ov *data.ObjectView, c, tr int, phi [3]float64) 
 // workerClaimProb implements Eqs. (3) and (4): P(v_o^w = c | v*_o = tr, ψw).
 func (m *Model) workerClaimProb(ov *data.ObjectView, c, tr int, psi [3]float64) float64 {
 	nV := ov.NumValues()
-	if flatObject(m, ov) {
+	if !ov.Hier() {
 		if nV <= 1 {
 			return 1
 		}

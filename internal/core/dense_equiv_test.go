@@ -81,13 +81,9 @@ func refPop3(ov *data.ObjectView, v, tr int) float64 {
 	return float64(ov.ValueCount[v]) / float64(den)
 }
 
-func (r *refEngine) flat(ov *data.ObjectView) bool {
-	return r.opt.FlatModel || !ov.CI.Hier
-}
-
 func (r *refEngine) sourceProb(ov *data.ObjectView, c, tr int, phi [3]float64) float64 {
 	nV := ov.CI.NumValues()
-	if r.flat(ov) {
+	if !ov.CI.Hier {
 		if nV <= 1 {
 			return 1
 		}
@@ -114,7 +110,7 @@ func (r *refEngine) sourceProb(ov *data.ObjectView, c, tr int, phi [3]float64) f
 
 func (r *refEngine) workerProb(ov *data.ObjectView, c, tr int, psi [3]float64) float64 {
 	nV := ov.CI.NumValues()
-	if r.flat(ov) {
+	if !ov.CI.Hier {
 		if nV <= 1 {
 			return 1
 		}
@@ -180,7 +176,7 @@ func (r *refEngine) posterior(ov *data.ObjectView, mu []float64, c int, theta [3
 
 func (r *refEngine) classPost(ov *data.ObjectView, c int, theta [3]float64, f []float64) [3]float64 {
 	var g [3]float64
-	if r.flat(ov) {
+	if !ov.CI.Hier {
 		split := theta[0] + theta[1]
 		if split <= 0 {
 			split = 1
@@ -465,11 +461,11 @@ func TestDenseEngineMatchesSeedWithWorkersAndAblations(t *testing.T) {
 	ds := withTruthAnswers(synth.BirthPlaces(synth.BirthPlacesConfig{Seed: 5, Scale: 0.02}))
 	for _, opt := range []Options{
 		DefaultOptions(),
-		func() Options { o := DefaultOptions(); o.FlatModel = true; return o }(),
 		func() Options { o := DefaultOptions(); o.UniformWorkerErrors = true; return o }(),
 	} {
 		checkDenseMatchesReference(t, ds, opt)
 	}
+	checkDenseMatchesReference(t, flatInput(ds), DefaultOptions())
 }
 
 // singleCandidateAnswered is BirthPlaces with two worker answers on every
@@ -491,16 +487,16 @@ func singleCandidateAnswered() *data.Dataset {
 
 // TestDenseEngineMatchesSeedWideAndSingleCandidate covers the two claim
 // kernel paths the synthetic workloads reach least: an object above the
-// dense-table cap (wideDataset, with both ablations) and answered objects
-// with a single candidate.
+// dense-table cap (wideDataset, also under uniform worker errors and
+// stripped of its hierarchy) and answered objects with a single candidate.
 func TestDenseEngineMatchesSeedWideAndSingleCandidate(t *testing.T) {
 	for _, opt := range []Options{
 		DefaultOptions(),
-		func() Options { o := DefaultOptions(); o.FlatModel = true; return o }(),
 		func() Options { o := DefaultOptions(); o.UniformWorkerErrors = true; return o }(),
 	} {
 		checkDenseMatchesReference(t, wideDataset(), opt)
 	}
+	checkDenseMatchesReference(t, flatInput(wideDataset()), DefaultOptions())
 	checkDenseMatchesReference(t, singleCandidateAnswered(), DefaultOptions())
 }
 

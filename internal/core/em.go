@@ -231,13 +231,11 @@ func (m *Model) initObjectMu(oid int, counts []float64) []float64 {
 	total := 0.0
 	for i := range mu {
 		mu[i] = counts[i] + 1
-		if !m.Opt.FlatModel {
-			for _, j := range ov.CI.Anc[i] {
-				mu[i] += 0.5 * counts[j]
-			}
-			for _, j := range ov.CI.Desc[i] {
-				mu[i] += 0.5 * counts[j]
-			}
+		for _, j := range ov.CI.Anc[i] {
+			mu[i] += 0.5 * counts[j]
+		}
+		for _, j := range ov.CI.Desc[i] {
+			mu[i] += 0.5 * counts[j]
 		}
 		total += mu[i]
 	}

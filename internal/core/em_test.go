@@ -148,12 +148,10 @@ func TestWorkerAnswersShiftConfidence(t *testing.T) {
 	}
 }
 
-func TestFlatModelAblation(t *testing.T) {
+func TestFlatAblation(t *testing.T) {
 	ds := table1Dataset(t)
 	idx := data.NewIndex(ds)
-	opt := DefaultOptions()
-	opt.FlatModel = true
-	m := Run(idx, opt)
+	m := Run(data.NewIndex(flatInput(ds)), DefaultOptions())
 	// Flat model sees three unrelated values for the statue: a 1/1/1 tie
 	// that the hierarchy would have resolved. The winner is then decided by
 	// smoothed popularity, not by hierarchical support — LibertyIsland no

@@ -120,7 +120,7 @@ func (m *Model) ExpectedCondMaxAt(oid int, wt *WorkerTab) float64 {
 // the largest entry N_1 of NAt(oid) exceeds every other entry by at least 1,
 // so no single further answer, from any worker, moves the object's argmax.
 // An object with one candidate is settled. It reads the N row once: O(|V|).
-// It certifies only objects whose answer mass is bounded (answerMassBounded).
+// It certifies no object wider than settledMaxValues.
 //
 // Proof. One folded answer a adds its truth posterior f(a), entries in
 // [0, 1], to N and 1 to D (ApplyAnswerAt, Eq. 17). The test is on N itself,
@@ -134,19 +134,26 @@ func (m *Model) ExpectedCondMaxAt(oid int, wt *WorkerTab) float64 {
 //
 //	E = (N_1·Σ_v μ_v·s_v + μ_1·s_1) / (D + 1).
 //
-// On a bounded object every s_v ≤ 1 + δ with δ = |V|·eps, and μ = N/D is a
-// distribution (γ ≥ 1 keeps N ≥ 0), so E ≤ (1 + δ)·(N_1 + μ_1)/(D + 1) =
-// (1 + δ)·μ_1: E − max μ ≤ δ ≤ 5e-10. EAI = (E − max μ)/|O| therefore lies
+// The claim model puts at most 1 + |V|·eps of a worker's answer mass on the
+// candidates for every truth v: the exact, generalized and wrong classes
+// take shares ψ1, ψ2, ψ3 renormalised over the possible ones (caseScale),
+// split by distributions over their members (1/|Go| or Pop2, 1/|rest| or
+// Pop3; on a flat object every other candidate is in the rest), and each
+// eps floor adds at most eps (TestAnswerMassAtMostOne). So every
+// s_v ≤ 1 + δ with δ = |V|·eps, and μ = N/D is a distribution (γ ≥ 1 keeps
+// N ≥ 0), so E ≤ (1 + δ)·(N_1 + μ_1)/(D + 1) = (1 + δ)·μ_1:
+// E − max μ ≤ δ ≤ 5e-10. EAI = (E − max μ)/|O| therefore lies
 // under eaiAt's clamp floor 1e-9/|O| and clamps to exactly 0, float residue
 // of a few ulps included — the floor is there for such residue.
 //
 //tdh:hotpath
 func (m *Model) SettledAt(oid int) bool {
-	if m.Opt.Gamma < 1 || !m.answerMassBounded(m.Idx.ViewAt(oid)) {
+	n := m.NAt(oid)
+	if m.Opt.Gamma < 1 || len(n) > settledMaxValues {
 		return false
 	}
 	first, second := math.Inf(-1), math.Inf(-1)
-	for _, v := range m.NAt(oid) {
+	for _, v := range n {
 		if v > first {
 			first, second = v, first
 		} else if v > second {
@@ -159,25 +166,6 @@ func (m *Model) SettledAt(oid int) bool {
 // settledMaxValues is the widest object SettledAt certifies: eps·500 = 5e-10
 // keeps the answer-mass slack δ = |V|·eps at half EAI's clamp floor.
 const settledMaxValues = 500
-
-// answerMassBounded reports whether the claim model is proven to put at most
-// 1 + |V|·eps of a worker's answer mass on ov's candidates for every truth v
-// (s_v in SettledAt): the exact, generalized and wrong classes take shares
-// ψ1, ψ2, ψ3 renormalised over the possible ones (caseScale), split by
-// distributions over their members (1/|Go| or Pop2, 1/|rest| or Pop3), and
-// each eps floor adds at most eps (TestAnswerMassAtMostOne). Two cases are
-// out: an object wider than settledMaxValues, and a hierarchical object under
-// FlatModel with popularity-weighted worker errors, whose flat wrong answers
-// read Pop3(c|v) for ancestors c too, a table normalised over non-ancestors
-// only, so s_v exceeds 1 there.
-//
-//tdh:hotpath
-func (m *Model) answerMassBounded(ov *data.ObjectView) bool {
-	if ov.NumValues() > settledMaxValues {
-		return false
-	}
-	return !(m.Opt.FlatModel && !m.Opt.UniformWorkerErrors && ov.Hier())
-}
 
 // ApplyAnswerAt is the fold itself, by dense IDs (wid < 0: a worker the
 // index has never seen, who answers at the prior-mean ψ): one incremental

@@ -31,27 +31,25 @@ func TestPosteriorGivenAnswer(t *testing.T) {
 }
 
 // foldOptions are the model variants whose answer rows take different
-// branches: FlatModel sends every object through the flat row,
-// UniformWorkerErrors through the 1/|Go|, 1/|rest| factors, and the two
-// together every object through the flat row's uniform wrong-answer product
-// ψ3·(1/(|V|−1)) (on the Heritages fixture alone its few flat objects would
-// let the E-step's θ3/(|V|−1) pass).
+// branches: the default popularity rows Pop2/Pop3, and UniformWorkerErrors'
+// 1/|Go|, 1/|rest| factors.
 func foldOptions() []Options {
-	flat, uniform := DefaultOptions(), DefaultOptions()
-	flat.FlatModel, uniform.UniformWorkerErrors = true, true
-	both := flat
-	both.UniformWorkerErrors = true
-	return []Options{DefaultOptions(), flat, uniform, both}
+	uniform := DefaultOptions()
+	uniform.UniformWorkerErrors = true
+	return []Options{DefaultOptions(), uniform}
 }
 
 // foldDatasets are the fixtures of the fold checks: the wide fixture's
 // 260-candidate object takes the row pass's spill path and the kernel's wide
-// rows, and Heritages carries fitted workers.
+// rows, and Heritages carries fitted workers. Each comes also stripped of its
+// hierarchy, which sends every object through the flat row, and under
+// UniformWorkerErrors through its uniform wrong-answer product ψ3·(1/(|V|−1))
+// (on Heritages alone its few flat objects would let the E-step's
+// θ3/(|V|−1) pass).
 func foldDatasets() []*data.Dataset {
-	return []*data.Dataset{
-		wideDataset(),
-		withTruthAnswers(synth.Heritages(synth.HeritagesConfig{Seed: 5, Scale: 0.05})),
-	}
+	wide := wideDataset()
+	her := withTruthAnswers(synth.Heritages(synth.HeritagesConfig{Seed: 5, Scale: 0.05}))
+	return []*data.Dataset{wide, her, flatInput(wide), flatInput(her)}
 }
 
 // TestExpectedCondMaxIsItsDefinition pins ExpectedCondMaxAt's fused pass to

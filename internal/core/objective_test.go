@@ -188,10 +188,9 @@ func refLogPosterior(m *Model) float64 {
 
 // TestLogPosteriorMatchesScalarReference: the objective read off the claim
 // kernel's z equals the scalar claim model's, to 1e-12 relative, at the
-// initialization and at the fit, on every fixture of TestRunGolden.
+// initialization and at the fit, on every fixture of TestRunGolden and on
+// each stripped of its hierarchy.
 func TestLogPosteriorMatchesScalarReference(t *testing.T) {
-	flat := DefaultOptions()
-	flat.FlatModel = true
 	uniform := DefaultOptions()
 	uniform.UniformWorkerErrors = true
 	for _, ds := range []*data.Dataset{
@@ -201,13 +200,15 @@ func TestLogPosteriorMatchesScalarReference(t *testing.T) {
 		withTruthAnswers(synth.Heritages(synth.HeritagesConfig{Seed: 5, Scale: 0.05})),
 		wideDataset(),
 	} {
-		idx := data.NewIndex(ds)
-		for _, opt := range []Options{DefaultOptions(), flat, uniform} {
-			for _, m := range []*Model{NewModel(idx, opt), Run(idx, opt)} {
-				got, want := m.LogPosterior(), refLogPosterior(m)
-				if math.Abs(got-want) > 1e-12*math.Abs(want) {
-					t.Errorf("%s (flat %v, uniform %v, %d evaluations): LogPosterior %v, scalar reference %v",
-						ds.Name, opt.FlatModel, opt.UniformWorkerErrors, m.Iterations, got, want)
+		for _, in := range []*data.Dataset{ds, flatInput(ds)} {
+			idx := data.NewIndex(in)
+			for _, opt := range []Options{DefaultOptions(), uniform} {
+				for _, m := range []*Model{NewModel(idx, opt), Run(idx, opt)} {
+					got, want := m.LogPosterior(), refLogPosterior(m)
+					if math.Abs(got-want) > 1e-12*math.Abs(want) {
+						t.Errorf("%s (hierarchy %v, uniform %v, %d evaluations): LogPosterior %v, scalar reference %v",
+							ds.Name, in.H != nil, opt.UniformWorkerErrors, m.Iterations, got, want)
+					}
 				}
 			}
 		}

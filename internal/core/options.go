@@ -45,9 +45,6 @@ type Options struct {
 	// Tol is the convergence threshold on the max absolute confidence
 	// change of one evaluation; default 1e-7.
 	Tol float64
-	// FlatModel, when true, ignores the hierarchy entirely and degrades TDH
-	// to a flat correct/wrong model (ablation hook; zero value = paper model).
-	FlatModel bool
 	// UniformWorkerErrors, when true, replaces the source-popularity
 	// distributions Pop2/Pop3 of the worker model (Eq. 3) with uniform
 	// choices (ablation for the source→worker dependency; zero value =

@@ -19,17 +19,11 @@ import (
 // answerRow: the one-answer fold (ApplyAnswerAt), the single-answer
 // posteriors and EAI's ExpectedCondMaxAt are reductions of it.
 // claimref_test.go spells the model out one (claim, truth) pair at a time
-// as the tests' reference for both.
-
-// flatObject reports whether the whole object is handled by Eq. (2): no
-// ancestor-descendant pair among its candidates (o ∉ OH), or the flat-model
-// ablation. Eq. (2) merges the exact and generalized cases so that φ₂ is
-// not underestimated on such objects.
-//
-//tdh:hotpath
-func flatObject(m *Model, ov *data.ObjectView) bool {
-	return m.Opt.FlatModel || !ov.Hier()
-}
+// as the tests' reference for both. An object with no ancestor-descendant
+// pair among its candidates (o ∉ OH, !ov.Hier()) takes Eq. (2), which merges
+// the exact and generalized cases so that φ₂ is not underestimated on it;
+// the flat ablation is TDH on an index built without the hierarchy, where
+// every object is such an object.
 
 // caseScale renormalizes the trustworthiness mass over the relationship
 // classes that are actually possible for a hypothesized truth: a truth with
@@ -186,7 +180,7 @@ func (m *Model) claimList(ov *data.ObjectView, claims []data.Claim, tabs []partT
 	if len(claims) == 0 {
 		return 0
 	}
-	flat := flatObject(m, ov)
+	flat := !ov.Hier()
 	if flat && len(mu) == 1 {
 		for k, cl := range claims {
 			if acc == nil {
@@ -280,7 +274,7 @@ func (m *Model) claimList(ov *data.ObjectView, claims []data.Claim, tabs []partT
 //
 //tdh:hotpath
 func (m *Model) answerRow(ov *data.ObjectView, t *partTab, ans int, mu []float64, b *claimBuf) (z float64, row []float64) {
-	flat, pop := flatObject(m, ov), !m.Opt.UniformWorkerErrors
+	flat, pop := !ov.Hier(), !m.Opt.UniformWorkerErrors
 	row = b.rowFor(len(mu))
 	if flat && len(mu) == 1 {
 		row[0] = mu[0]

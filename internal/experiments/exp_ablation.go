@@ -15,11 +15,13 @@ import (
 // Ablations beyond the paper's own evaluation, covering the design choices
 // DESIGN.md §5 calls out:
 //
-//   - ablation-model: TDH against TDH-FLAT (no hierarchy: the third
-//     trustworthiness component removed) and TDH-NOPOP (uniform worker
-//     errors instead of the popularity mixing of Eq. 3), plus the lineage
-//     pairs SUMS→ASUMS (hierarchy adaptation of the fixpoint) and
-//     SIMPLELCA→LCA (guess distribution).
+//   - ablation-model: TDH against TDH-FLAT (TDH itself on the dataset with
+//     its hierarchy stripped: every pair of candidates unrelated, so Eq. 2
+//     on every object, popularity over all other candidates and ties broken
+//     by name) and TDH-NOPOP (uniform worker errors instead of the
+//     popularity mixing of Eq. 3), plus the lineage pairs SUMS→ASUMS
+//     (hierarchy adaptation of the fixpoint) and SIMPLELCA→LCA (guess
+//     distribution). A row is an algorithm and the input it reads.
 //   - ablation-incremental: fidelity and speed of the single-step
 //     incremental EM (Section 4.2) against fully re-running EM with the
 //     hypothetical answer.
@@ -37,17 +39,18 @@ func ablationModel(cfg Config) *Report {
 			"HG-Acc", "HG-GenAcc", "HG-AvgDist",
 		},
 	}
-	flat := infer.NewTDH()
-	flat.Opt.FlatModel = true
 	noPop := infer.NewTDH()
 	noPop.Opt.UniformWorkerErrors = true
-	algs := []infer.Inferencer{
-		infer.NewTDH(), flat, noPop,
-		infer.ASUMS{}, infer.Sums{},
-		infer.LCA{}, infer.SimpleLCA{},
+	rows := []struct {
+		alg  infer.Inferencer
+		flat bool
+	}{
+		{infer.NewTDH(), false}, {infer.NewTDH(), true}, {noPop, false},
+		{infer.ASUMS{}, false}, {infer.Sums{}, false},
+		{infer.LCA{}, false}, {infer.SimpleLCA{}, false},
 	}
 	dss := datasets(cfg)
-	idxs := make([]*data.Index, len(dss))
+	idxs, flats := make([]*data.Index, len(dss)), make([]*data.Index, len(dss))
 	for i, ds := range dss {
 		// Pre-collect one answer per object from a simulated pool so the
 		// worker-model ablation (NOPOP) actually has worker answers to
@@ -62,12 +65,22 @@ func ablationModel(cfg Config) *Report {
 			})
 		}
 		idxs[i] = data.NewIndex(ds)
+		flat := *ds
+		flat.H = nil
+		flats[i] = data.NewIndex(&flat)
 	}
-	for _, alg := range algs {
-		row := Row{Label: alg.Name()}
+	for _, r := range rows {
+		row := Row{Label: r.alg.Name()}
+		if r.flat {
+			row.Label += "-FLAT"
+		}
 		for i, ds := range dss {
-			res := alg.Infer(idxs[i])
-			sc := eval.Evaluate(ds, idxs[i], res.Truths)
+			idx := idxs[i]
+			if r.flat {
+				idx = flats[i]
+			}
+			// Scored against the hierarchical dataset whatever the input.
+			sc := eval.Evaluate(ds, idxs[i], r.alg.Infer(idx).Truths)
 			row.Cells = append(row.Cells, sc.Accuracy, sc.GenAccuracy, sc.AvgDistance)
 		}
 		rep.Rows = append(rep.Rows, row)

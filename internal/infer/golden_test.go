@@ -13,15 +13,14 @@ import (
 )
 
 // goldenInferencers is every registered categorical inferencer — TDH, its
-// two ablations and the baselines — plus the lineage baselines the ablation
-// experiment runs (SUMS, SIMPLELCA, ACCU-NODEP).
+// NOPOP ablation and the baselines — plus the lineage baselines the ablation
+// experiment runs (SUMS, SIMPLELCA, ACCU-NODEP). The FLAT ablation is not an
+// inferencer but an input: TDH on flatInput.
 func goldenInferencers() []Inferencer {
-	flat := NewTDH()
-	flat.Opt.FlatModel = true
 	noPop := NewTDH()
 	noPop.Opt.UniformWorkerErrors = true
 	return []Inferencer{
-		NewTDH(), flat, noPop,
+		NewTDH(), noPop,
 		Vote{}, LCA{}, DOCS{}, ASUMS{}, MDC{}, Accu{DetectDependence: true}, PopAccu{}, LFC{}, CRH{},
 		Sums{}, SimpleLCA{}, Accu{},
 	}
@@ -46,6 +45,15 @@ func goldenTable1(t testing.TB) *data.Dataset {
 			{Object: "abbey", Source: "quora", Value: "Manchester"},
 		},
 	}
+}
+
+// flatInput is ds with its hierarchy stripped: the same objects, candidates
+// and claims, every pair of candidates unrelated. TDH on it is the TDH-FLAT
+// ablation.
+func flatInput(ds *data.Dataset) *data.Dataset {
+	flat := *ds
+	flat.Name, flat.H = ds.Name+"/flat", nil
+	return &flat
 }
 
 // withGoldenAnswers gives every other object one worker answer (objects
@@ -135,11 +143,16 @@ func TestInferencerGolden(t *testing.T) {
 		}},
 	}
 	for _, f := range fixtures {
-		idx := data.NewIndex(withGoldenAnswers(f.ds))
+		ds := withGoldenAnswers(f.ds)
+		idx := data.NewIndex(ds)
 		for _, alg := range goldenInferencers() {
 			if got := resultHash(idx, alg.Infer(idx)); got != f.want[alg.Name()] {
 				t.Errorf("%s/%s: hash %#x, want %#x", f.name, alg.Name(), got, f.want[alg.Name()])
 			}
+		}
+		flat := data.NewIndex(flatInput(ds))
+		if got := resultHash(flat, NewTDH().Infer(flat)); got != f.want["TDH-FLAT"] {
+			t.Errorf("%s/TDH-FLAT: hash %#x, want %#x", f.name, got, f.want["TDH-FLAT"])
 		}
 	}
 }

@@ -352,9 +352,9 @@ func TestNamesAreStable(t *testing.T) {
 	if !names["TDH"] || !names["VOTE"] || !names["ACCU"] {
 		t.Fatal("paper names missing")
 	}
-	flat := NewTDH()
-	flat.Opt.FlatModel = true
-	if flat.Name() != "TDH-FLAT" {
+	noPop := NewTDH()
+	noPop.Opt.UniformWorkerErrors = true
+	if noPop.Name() != "TDH-NOPOP" {
 		t.Fatal("ablation name wrong")
 	}
 }

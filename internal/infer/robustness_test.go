@@ -7,14 +7,14 @@ import (
 )
 
 // allInferencers is the full algorithm matrix, including the extra lineage
-// baselines (SUMS, SIMPLELCA) and the TDH ablations.
+// baselines (SUMS, SIMPLELCA) and the TDH-NOPOP ablation. The tests below
+// also run it on every dataset stripped of its hierarchy (flatInput), which
+// covers the TDH-FLAT ablation.
 func allInferencers() []Inferencer {
-	flat := NewTDH()
-	flat.Opt.FlatModel = true
 	noPop := NewTDH()
 	noPop.Opt.UniformWorkerErrors = true
 	return []Inferencer{
-		NewTDH(), flat, noPop,
+		NewTDH(), noPop,
 		Vote{}, LCA{}, SimpleLCA{}, DOCS{}, ASUMS{}, Sums{}, MDC{},
 		Accu{DetectDependence: true}, Accu{}, PopAccu{}, LFC{}, CRH{},
 	}
@@ -108,6 +108,10 @@ func TestRobustnessMatrix(t *testing.T) {
 			H:     tree,
 		},
 	}
+	// Each again stripped of its hierarchy (the range reads the list once).
+	for _, ds := range gauntlet {
+		gauntlet = append(gauntlet, flatInput(ds))
+	}
 	for _, ds := range gauntlet {
 		idx := data.NewIndex(ds)
 		for _, alg := range allInferencers() {
@@ -137,24 +141,26 @@ func TestRobustnessMatrix(t *testing.T) {
 }
 
 // TestTrustRanges: trust estimates must stay in [0, 1] for every algorithm
-// on a realistic dataset.
+// on a realistic dataset, with and without its hierarchy.
 func TestTrustRanges(t *testing.T) {
 	ds := reliableVsNoisy(t)
 	ds.Answers = append(ds.Answers,
 		data.Answer{Object: "o1", Worker: "w1", Value: "NY"},
 		data.Answer{Object: "o2", Worker: "w1", Value: "NY"},
 	)
-	idx := data.NewIndex(ds)
-	for _, alg := range allInferencers() {
-		res := alg.Infer(idx)
-		for s, v := range res.SourceTrust {
-			if v < -1e-9 || v > 1+1e-9 {
-				t.Errorf("%s: source trust(%s) = %v out of range", alg.Name(), s, v)
+	for _, in := range []*data.Dataset{ds, flatInput(ds)} {
+		idx := data.NewIndex(in)
+		for _, alg := range allInferencers() {
+			res := alg.Infer(idx)
+			for s, v := range res.SourceTrust {
+				if v < -1e-9 || v > 1+1e-9 {
+					t.Errorf("%s on %s: source trust(%s) = %v out of range", alg.Name(), in.Name, s, v)
+				}
 			}
-		}
-		for w, v := range res.WorkerTrust {
-			if v < -1e-9 || v > 1+1e-9 {
-				t.Errorf("%s: worker trust(%s) = %v out of range", alg.Name(), w, v)
+			for w, v := range res.WorkerTrust {
+				if v < -1e-9 || v > 1+1e-9 {
+					t.Errorf("%s on %s: worker trust(%s) = %v out of range", alg.Name(), in.Name, w, v)
+				}
 			}
 		}
 	}

@@ -18,9 +18,6 @@ func NewTDH() TDH { return TDH{Opt: core.DefaultOptions()} }
 
 // Name implements Inferencer.
 func (t TDH) Name() string {
-	if t.Opt.FlatModel {
-		return "TDH-FLAT"
-	}
 	if t.Opt.UniformWorkerErrors {
 		return "TDH-NOPOP"
 	}
