@@ -137,7 +137,7 @@ func TestRunGolden(t *testing.T) {
 	}{
 		{"birthplaces", bp, DefaultOptions(), 0x60435dbda2940f9d},
 		{"birthplaces+answers", bpAns, DefaultOptions(), 0xd41181b348224f13},
-		{"birthplaces+answers/flat", bpAnsFlat, DefaultOptions(), 0x6fa301b1504c725c},
+		{"birthplaces+answers/flat", bpAnsFlat, DefaultOptions(), 0xb344b93ec67e094e},
 		{"birthplaces+answers/uniform", bpAns, uniform, 0x4dcde2c245998a4c},
 		{"heritages", her, DefaultOptions(), 0xba877298ca6ba9},
 		{"heritages+answers", herAns, DefaultOptions(), 0x90b1d89684aee200},
