@@ -141,7 +141,7 @@ func TestRunGolden(t *testing.T) {
 		{"birthplaces+answers/uniform", bpAns, uniform, 0x4dcde2c245998a4c},
 		{"heritages", her, DefaultOptions(), 0xba877298ca6ba9},
 		{"heritages+answers", herAns, DefaultOptions(), 0x90b1d89684aee200},
-		{"heritages+answers/flat", herAnsFlat, DefaultOptions(), 0x91c6086fba476150},
+		{"heritages+answers/flat", herAnsFlat, DefaultOptions(), 0xcf607db2c6e6b39c},
 		{"heritages+answers/uniform", herAns, uniform, 0xc1b1b94a70ec0d5b},
 		{"wide", wideDataset, DefaultOptions(), 0x546cd6d5e3b3413},
 		{"wide/flat", wideFlat, DefaultOptions(), 0x86aea1c6e745e61d},
