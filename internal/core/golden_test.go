@@ -144,7 +144,7 @@ func TestRunGolden(t *testing.T) {
 		{"heritages+answers/flat", herAnsFlat, DefaultOptions(), 0xcf607db2c6e6b39c},
 		{"heritages+answers/uniform", herAns, uniform, 0xc1b1b94a70ec0d5b},
 		{"wide", wideDataset, DefaultOptions(), 0x546cd6d5e3b3413},
-		{"wide/flat", wideFlat, DefaultOptions(), 0x86aea1c6e745e61d},
+		{"wide/flat", wideFlat, DefaultOptions(), 0xa2dc2e5c6cb9aaf0},
 		{"wide/uniform", wideDataset, uniform, 0xf7d4167cd8ee153a},
 	} {
 		for _, goroutines := range []int{1, 4} {
