@@ -121,7 +121,7 @@ func TestInferencerGolden(t *testing.T) {
 		want map[string]uint64
 	}{
 		{"table1", goldenTable1(t), map[string]uint64{
-			"TDH": 0xaf870d852408ce7b, "TDH-FLAT": 0xbc4befa5fdff9bfb, "TDH-NOPOP": 0xaf870d852408ce7b,
+			"TDH": 0xaf870d852408ce7b, "TDH-FLAT": 0xaeaad08abd3cd685, "TDH-NOPOP": 0xaf870d852408ce7b,
 			"VOTE": 0x76a57bed06a4ea38, "LCA": 0x101efea382a5a59c, "DOCS": 0xac6f43d5f6c50eb,
 			"ASUMS": 0x4409c1b0b091dbe8, "MDC": 0x57730e9e7c9911ca, "ACCU": 0x11cefffef174651d,
 			"POPACCU": 0xf24b325fba27008, "LFC": 0x6c6120616170f5ef, "CRH": 0x5f1d8ac5ec51083e,
