@@ -128,7 +128,7 @@ func TestInferencerGolden(t *testing.T) {
 			"SUMS": 0x1d4b0a7465b31bdf, "SIMPLELCA": 0x3ca659393b31bc69, "ACCU-NODEP": 0xac18da5a801fbd83,
 		}},
 		{"birthplaces", synth.BirthPlaces(synth.BirthPlacesConfig{Seed: 9, Scale: 0.05}), map[string]uint64{
-			"TDH": 0x5d7e37efb1fbb0fd, "TDH-FLAT": 0xa2bd1a793eaec3eb, "TDH-NOPOP": 0x57a94980ee08d3c0,
+			"TDH": 0x5d7e37efb1fbb0fd, "TDH-FLAT": 0x9677eb9ad0816dc6, "TDH-NOPOP": 0x57a94980ee08d3c0,
 			"VOTE": 0x17406828a86d1208, "LCA": 0xd56c0881dd693689, "DOCS": 0xa98ea18266ced15a,
 			"ASUMS": 0x57413ca1a08bc490, "MDC": 0xee8c7695780f7639, "ACCU": 0xa91d817025b03d48,
 			"POPACCU": 0x191275cb51c1e3ae, "LFC": 0x4e3ad417498a3f11, "CRH": 0x5f1ac782db8a4239,
