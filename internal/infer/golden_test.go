@@ -135,7 +135,7 @@ func TestInferencerGolden(t *testing.T) {
 			"SUMS": 0xc25213481f641a28, "SIMPLELCA": 0xc52b2595584e74da, "ACCU-NODEP": 0x3aa9c01f4943a647,
 		}},
 		{"heritages", synth.Heritages(synth.HeritagesConfig{Seed: 9, Scale: 0.1}), map[string]uint64{
-			"TDH": 0x966079c70244ad8f, "TDH-FLAT": 0xdbe150a438186f02, "TDH-NOPOP": 0x9f50fd274016db35,
+			"TDH": 0x966079c70244ad8f, "TDH-FLAT": 0x67ccbebe7c4d58e6, "TDH-NOPOP": 0x9f50fd274016db35,
 			"VOTE": 0xd2ce11ab28e235e0, "LCA": 0x18d9926c88374b42, "DOCS": 0xeed3ee0f257159e1,
 			"ASUMS": 0x518b76b0ab9e7891, "MDC": 0xa9240ba5b01979c7, "ACCU": 0x2781cf7087ce16e4,
 			"POPACCU": 0x6f819fe6863bafa4, "LFC": 0xd2f1346b21ad5e4f, "CRH": 0xd5984852c6853a02,
