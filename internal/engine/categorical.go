@@ -31,9 +31,10 @@ func (e *categorical) Model() TruthModel { return Categorical }
 func (e *categorical) Name() string      { return e.inf.Name() }
 
 // catState is a categorical round: the inference result, whose Model — for
-// TDH — is the model the state folds and grows. A fitted state's result
-// carries the inferencer's truths map; a folded or grown one is a view over
-// the model (infer.ViewOf), whose truths map is materialised on first use.
+// TDH — is the model the state folds and grows. A folded or grown state's
+// result is a view over the model (infer.ViewOf). Every state serves the
+// truths map materialised from its rows on first use, fitted or not, so
+// /truths and the quality score keep one shape across folds.
 type catState struct {
 	res *infer.Result
 
@@ -45,14 +46,11 @@ func (st *catState) Res() *infer.Result { return st.res }
 
 func (st *catState) Truths() any { return st.truthMap() }
 
-// truthMap is the name-keyed truths: the inferencer's own map after a fit,
-// built from the result's rows at most once after a fold.
+// truthMap is the name-keyed truths (infer.Result.TruthMap: objects without
+// a truth are absent), built from the result's rows at most once.
 //
 //tdh:mutator fills the lazily materialised truths exactly once behind sync.Once; no reader can observe a partial fill
 func (st *catState) truthMap() map[string]string {
-	if st.res.Truths != nil {
-		return st.res.Truths
-	}
 	st.truthsOnce.Do(func() { st.truths = st.res.TruthMap() })
 	return st.truths
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"strconv"
 	"testing"
 
@@ -181,6 +182,39 @@ func TestViewEqualsCopy(t *testing.T) {
 			fold(99, 5)
 			requireServesModel(t, "fold after grow", st, idx)
 		})
+	}
+}
+
+// TestFoldKeepsTruthsShape: the state one fold seals serves /truths with the
+// fitted state's key set, and scores the same quality, on Heritages with an
+// object seeded with no candidates — no truth — that has gold. The fold
+// answers an object's own truth, so no truth moves.
+func TestFoldKeepsTruthsShape(t *testing.T) {
+	ds := synth.Heritages(synth.HeritagesConfig{Seed: 3, Scale: 0.05})
+	ds.Candidates = map[string][]string{"zz-empty": {}}
+	ds.Truth["zz-empty"] = "hg:country-1"
+	idx := data.NewIndex(ds)
+	eng := NewCategorical(infer.NewTDH())
+	fitted := eng.Fit(idx)
+	o := idx.Objects[0]
+	answer := data.Answer{Object: o, Worker: "zz-worker", Value: fitted.Truths().(map[string]string)[o]}
+	folded, ok := eng.ApplyAnswers(fitted, idx, []data.Answer{answer})
+	if !ok {
+		t.Fatal("TDH state refused to fold")
+	}
+	keys := func(st State) []string {
+		var out []string
+		for k := range st.Truths().(map[string]string) {
+			out = append(out, k)
+		}
+		sort.Strings(out)
+		return out
+	}
+	if got, want := keys(folded), keys(fitted); !reflect.DeepEqual(got, want) {
+		t.Fatalf("a fold changed the /truths key set: %d keys, the fit served %d", len(got), len(want))
+	}
+	if got, want := folded.Quality(ds, idx), fitted.Quality(ds, idx); !reflect.DeepEqual(got, want) {
+		t.Fatalf("a fold that moves no truth changed the quality: %v, the fit scored %v", got, want)
 	}
 }
 
