@@ -7,8 +7,8 @@
 //	go test -run='^$' -bench=. -benchmem .
 //
 // Serving is measured end to end by the benchmark/ module (BENCHMARK.json),
-// the paper's tables and figures by cmd/bench, and single kernels by their
-// packages' own benchmarks.
+// the paper's tables and figures by cmd/experiments, and single kernels by
+// their packages' own benchmarks.
 package repro_bench
 
 import (

@@ -1,10 +1,10 @@
-// Command bench regenerates the paper's tables and figures from the
+// Command experiments regenerates the paper's tables and figures from the
 // synthetic workloads. Examples:
 //
-//	bench -exp table3              # one experiment at the default scale
-//	bench -exp all -scale 1.0      # full paper-scale run of everything
-//	bench -list                    # show available experiment IDs
-//	bench -exp fig12 -cpuprofile cpu.pprof -memprofile mem.pprof
+//	experiments -exp table3              # one experiment at the default scale
+//	experiments -exp all -scale 1.0      # full paper-scale run of everything
+//	experiments -list                    # show available experiment IDs
+//	experiments -exp fig12 -cpuprofile cpu.pprof -memprofile mem.pprof
 package main
 
 import (
@@ -38,12 +38,12 @@ func main() {
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "bench: cpuprofile:", err)
+			fmt.Fprintln(os.Stderr, "experiments: cpuprofile:", err)
 			os.Exit(1)
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "bench: cpuprofile:", err)
+			fmt.Fprintln(os.Stderr, "experiments: cpuprofile:", err)
 			os.Exit(1)
 		}
 		defer pprof.StopCPUProfile()
@@ -70,18 +70,18 @@ func main() {
 	if *memprofile != "" {
 		f, merr := os.Create(*memprofile)
 		if merr != nil {
-			fmt.Fprintln(os.Stderr, "bench: memprofile:", merr)
+			fmt.Fprintln(os.Stderr, "experiments: memprofile:", merr)
 			os.Exit(1)
 		}
 		runtime.GC() // materialize the steady-state live set
 		if merr := pprof.WriteHeapProfile(f); merr != nil {
-			fmt.Fprintln(os.Stderr, "bench: memprofile:", merr)
+			fmt.Fprintln(os.Stderr, "experiments: memprofile:", merr)
 			os.Exit(1)
 		}
 		f.Close()
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "bench:", err)
+		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 }

@@ -281,16 +281,3 @@ func TestTable6Shape(t *testing.T) {
 		}
 	}
 }
-
-func TestRunAndRunAllUnknown(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Run(&buf, "nope", tinyCfg()); err == nil {
-		t.Fatal("unknown experiment must error")
-	}
-	if err := Run(&buf, "fig1", tinyCfg()); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "fig1") {
-		t.Fatal("output missing report")
-	}
-}

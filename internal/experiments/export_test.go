@@ -74,16 +74,28 @@ func TestRenderFormats(t *testing.T) {
 	}
 }
 
+// TestRunFormatted runs an experiment by ID in the CSV and text formats (the
+// text output names the report), and an unknown ID in each, which errors.
 func TestRunFormatted(t *testing.T) {
-	var buf bytes.Buffer
-	if err := RunFormatted(&buf, "fig1", "csv", tinyCfg()); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "GenAccuracy") {
-		t.Fatal("CSV output missing header")
-	}
-	if err := RunFormatted(&buf, "ghost", "csv", tinyCfg()); err == nil {
-		t.Fatal("unknown experiment must error")
+	for _, c := range []struct {
+		id, format string
+		want       string // a substring of the output; "" = must error
+	}{
+		{"fig1", "csv", "GenAccuracy"},
+		{"fig1", "text", "fig1"},
+		{"ghost", "csv", ""},
+		{"nope", "text", ""},
+	} {
+		var buf bytes.Buffer
+		err := RunFormatted(&buf, c.id, c.format, tinyCfg())
+		switch {
+		case c.want == "" && err == nil:
+			t.Errorf("%s as %s: unknown experiment must error", c.id, c.format)
+		case c.want != "" && err != nil:
+			t.Errorf("%s as %s: %v", c.id, c.format, err)
+		case !strings.Contains(buf.String(), c.want):
+			t.Errorf("%s as %s: output missing %q", c.id, c.format, c.want)
+		}
 	}
 }
 

@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"fmt"
-	"io"
-	"sort"
-)
+import "sort"
 
 // Runner maps experiment IDs to their drivers.
 var Runner = map[string]func(Config) []*Report{
@@ -33,16 +29,4 @@ func IDs() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Run executes one experiment by ID and prints its reports.
-func Run(w io.Writer, id string, cfg Config) error {
-	f, ok := Runner[id]
-	if !ok {
-		return fmt.Errorf("experiments: unknown experiment %q (have %v)", id, IDs())
-	}
-	for _, rep := range f(cfg) {
-		rep.Print(w)
-	}
-	return nil
 }
