@@ -1,8 +1,8 @@
 // Package repro_bench holds the hot-path benchmarks no single package owns:
 // EAI assignment with and without the UEAI pruning bound and for one
-// returning worker's /task, the one-answer incremental EM fold every served
-// answer runs, the tracing overhead on the ingest path, and one coordinator
-// cycle (fold, seal, plan advance) across corpus sizes.
+// returning or one never-seen worker's /task, the one-answer incremental EM
+// fold every served answer runs, the tracing overhead on the ingest path, and
+// one coordinator cycle (fold, seal, plan advance) across corpus sizes.
 //
 //	go test -run='^$' -bench=. -benchmem .
 //
@@ -94,6 +94,46 @@ func BenchmarkEAITask(b *testing.B) {
 	b.ReportMetric(float64(evaluated)/float64(b.N), "evaluated/op")
 	b.ReportMetric(float64(pruned)/float64(b.N), "pruned/op")
 	b.ReportMetric(float64(settled)/float64(b.N), "settled/op")
+}
+
+// BenchmarkEAIColdTask is one GET /task for a worker the campaign has never
+// seen, as ingest_publish serves its sessions: BirthPlaces ×2 (12,010
+// objects) fitted on its sources alone, the snapshot's prewarmed plan
+// attached, K = 5, and a new worker per call. Such a worker sits at the
+// prior-mean ψ, so the scan reads the plan's cold-worker score cache instead
+// of evaluating EAI; evaluated/op reports how far it walks. settled/op is
+// how many of those evaluations the no-flip certificate alone would answer:
+// the same scan, counted once before the timer on a plan of its own, which
+// scores every evaluation with eaiAt (the walk is the same, since the cache
+// holds the floats eaiAt returns).
+func BenchmarkEAIColdTask(b *testing.B) {
+	idx := data.NewIndex(synth.BirthPlaces(synth.BirthPlacesConfig{Seed: 7, Scale: 2}))
+	res := infer.NewTDH().Infer(idx)
+	plan := assign.NewPlan(idx, res)
+	plan.Prewarm()
+	base := assign.Context{Idx: idx, Res: res, K: 5, Seed: 7}
+	workers := make([]string, 64)
+	for i := range workers {
+		workers[i] = fmt.Sprintf("cold-%d", i)
+	}
+	uncached := base
+	uncached.Workers = workers[:1]
+	_, ref := assign.EAI{}.AssignWithStats(&uncached)
+	evaluated := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ctx := base
+		ctx.Plan, ctx.Workers = plan, workers[i%len(workers):][:1]
+		_, st := assign.EAI{}.AssignWithStats(&ctx)
+		evaluated += st.Evaluated
+	}
+	b.StopTimer()
+	if evaluated != ref.Evaluated*b.N {
+		b.Fatalf("the cached scan evaluated %d per call, the uncached one %d", evaluated/b.N, ref.Evaluated)
+	}
+	b.ReportMetric(float64(evaluated)/float64(b.N), "evaluated/op")
+	b.ReportMetric(float64(ref.Settled), "settled/op")
 }
 
 // BenchmarkIncrementalEM times the one-answer incremental EM step (Eqs.
