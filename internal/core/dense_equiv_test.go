@@ -592,7 +592,13 @@ func TestRunReachesPlainFixedPoint(t *testing.T) {
 // nor do the other users of the claim kernel: finish, Grow's local step on
 // a rebuilt object, and LogPosterior. The wide fixture adds the rows an
 // object above the dense-table cap materialises. Fanned out over two
-// goroutines, a cycle and finish allocate only their goroutine starts.
+// goroutines, a cycle and finish allocate only their goroutine starts (the
+// closure of each go statement). Which chunks a goroutine takes depends on
+// scheduling, so a claim buffer grown on demand could meet a wider object
+// than before in any cycle: under a full parallel test run that showed as 5
+// allocations, the row and numerator growth on top of the 3 starts, rarely
+// and at random. newScratch therefore sizes every goroutine's buffers for
+// the widest object up front (claimBufs).
 func TestStepSteadyStateAllocs(t *testing.T) {
 	for _, ds := range []*data.Dataset{synth.BirthPlaces(synth.BirthPlacesConfig{Seed: 2, Scale: 0.02}), wideDataset()} {
 		idx := data.NewIndex(ds)

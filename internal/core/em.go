@@ -338,7 +338,7 @@ func newScratch(m *Model, goroutines int) *emScratch {
 	}
 	nParams := len(m.muFlat) + 3*len(m.Phi) + 3*len(m.Psi)
 	return &emScratch{
-		claimKernel: claimKernel{bufs: make([]claimBuf, goroutines)},
+		claimKernel: claimKernel{bufs: claimBufs(m.Idx, goroutines)},
 		srcG:        make([][3]float64, m.Idx.NumSourceClaims()),
 		wkrG:        make([][3]float64, m.Idx.NumWorkerClaims()),
 		cuts:        cutRanges(m.Idx, chunks),
@@ -347,6 +347,34 @@ func newScratch(m *Model, goroutines int) *emScratch {
 		th1:         make([]float64, nParams),
 		th2:         make([]float64, nParams),
 	}
+}
+
+// claimBufs returns one claimBuf per goroutine, each already as wide as the
+// index's widest object. Which chunks a goroutine takes depends on
+// scheduling, so a buffer left to grow on demand could meet a wider object
+// than any before in any evaluation, not only the first, and a fanned-out
+// step would allocate at random long after its first pass. A goroutine's
+// row and numerators are cut from one slab with a cache line of padding at
+// either end: allocated back to back, two goroutines' narrow rows shared a
+// cache line, and the fit ran about a fifth slower on two goroutines
+// (BenchmarkRun/birthplaces-x1, whose widest object has 4 candidates).
+func claimBufs(idx *data.Index, goroutines int) []claimBuf {
+	const pad = 8 // float64s in a 64-byte cache line
+	n, wide := 0, false
+	for _, ov := range idx.Views {
+		n = max(n, ov.NumValues())
+		wide = wide || ov.RelRow(0) == nil // above the dense-table cap: wideRows' rows too
+	}
+	bufs := make([]claimBuf, goroutines)
+	for g := range bufs {
+		b := &bufs[g]
+		slab := make([]float64, pad+2*n+pad)
+		b.row, b.num = slab[pad:pad+n:pad+n], slab[pad+n:pad+2*n:pad+2*n]
+		if wide {
+			b.rel, b.p2, b.p3 = make([]uint8, n), make([]float64, n), make([]float64, n)
+		}
+	}
+	return bufs
 }
 
 // cutRanges cuts the object IDs into n contiguous, non-empty ranges

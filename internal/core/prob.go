@@ -99,7 +99,8 @@ type WorkerTab struct{ t partTab }
 func NewWorkerTab(psi [3]float64) WorkerTab { return WorkerTab{newPartTab(psi)} }
 
 // claimBuf is one goroutine's working rows, grown to the widest object it
-// has met: a claim's row, the E-step's μ numerators of one object, and the
+// has met (a fit's are sized for the widest object up front, claimBufs): a
+// claim's row, the E-step's μ numerators of one object, and the
 // relationship and popularity rows of a claim on an object above the
 // index's dense-table cap. A one-object answer pass starts its row on a
 // stack array (claimBuf{row: buf[:0]}), so it allocates only for an object
