@@ -27,8 +27,8 @@ func sweepPsis(m *Model) [][3]float64 {
 // the dense-table cap), Heritages with fitted workers, each also stripped of
 // its hierarchy, and BirthPlaces with single-candidate objects, and requires
 // the exact, generalisation (Pop2) and wrong (Pop3) classes, the wide rows
-// and the stripped inputs under Pop3 to have been met. No fixture is wider than
-// settledMaxValues, so SettledAt may certify every object here.
+// and the stripped inputs under Pop3 to have been met. No fixture is wider
+// than settledMaxValues, so SettledAt may certify every object here.
 func TestAnswerMassAtMostOne(t *testing.T) {
 	var classes [4]int
 	wide, flat, maxSlack := 0, 0, 0.0
@@ -86,9 +86,9 @@ func TestAnswerMassAtMostOne(t *testing.T) {
 // TestSettledScoresZero is the certificate's end-to-end check: over a
 // seeded sweep of BirthPlaces and Heritages fits with crowd answers, each
 // also stripped of its hierarchy, under every option set and the sweep ψ
-// plus seeded random ψ, every object
-// SettledAt certifies has the full EAI score (ExpectedCondMaxAt − max μ)/|O|
-// below eaiAt's clamp floor 1e-9/|O|, so the clamped score is exactly 0.
+// plus seeded random ψ, every object SettledAt certifies has the full EAI
+// score (ExpectedCondMaxAt − max μ)/|O| below eaiAt's clamp floor 1e-9/|O|,
+// so the clamped score is exactly 0.
 func TestSettledScoresZero(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	settled, total := 0, 0

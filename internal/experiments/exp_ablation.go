@@ -41,16 +41,17 @@ func ablationModel(cfg Config) *Report {
 	}
 	noPop := infer.NewTDH()
 	noPop.Opt.UniformWorkerErrors = true
+	// Input 0 is the dataset, input 1 the dataset stripped of its hierarchy.
 	rows := []struct {
-		alg  infer.Inferencer
-		flat bool
+		alg   infer.Inferencer
+		input int
 	}{
-		{infer.NewTDH(), false}, {infer.NewTDH(), true}, {noPop, false},
-		{infer.ASUMS{}, false}, {infer.Sums{}, false},
-		{infer.LCA{}, false}, {infer.SimpleLCA{}, false},
+		{infer.NewTDH(), 0}, {infer.NewTDH(), 1}, {noPop, 0},
+		{infer.ASUMS{}, 0}, {infer.Sums{}, 0},
+		{infer.LCA{}, 0}, {infer.SimpleLCA{}, 0},
 	}
 	dss := datasets(cfg)
-	idxs, flats := make([]*data.Index, len(dss)), make([]*data.Index, len(dss))
+	idxs := make([][2]*data.Index, len(dss))
 	for i, ds := range dss {
 		// Pre-collect one answer per object from a simulated pool so the
 		// worker-model ablation (NOPOP) actually has worker answers to
@@ -64,23 +65,15 @@ func ablationModel(cfg Config) *Report {
 				Object: o, Worker: w.Name, Value: w.Answer(rng, ds, idx0.View(o)),
 			})
 		}
-		idxs[i] = data.NewIndex(ds)
 		flat := *ds
 		flat.H = nil
-		flats[i] = data.NewIndex(&flat)
+		idxs[i] = [2]*data.Index{data.NewIndex(ds), data.NewIndex(&flat)}
 	}
 	for _, r := range rows {
-		row := Row{Label: r.alg.Name()}
-		if r.flat {
-			row.Label += "-FLAT"
-		}
+		row := Row{Label: r.alg.Name() + [2]string{"", "-FLAT"}[r.input]}
 		for i, ds := range dss {
-			idx := idxs[i]
-			if r.flat {
-				idx = flats[i]
-			}
 			// Scored against the hierarchical dataset whatever the input.
-			sc := eval.Evaluate(ds, idxs[i], r.alg.Infer(idx).Truths)
+			sc := eval.Evaluate(ds, idxs[i][0], r.alg.Infer(idxs[i][r.input]).Truths)
 			row.Cells = append(row.Cells, sc.Accuracy, sc.GenAccuracy, sc.AvgDistance)
 		}
 		rep.Rows = append(rep.Rows, row)
