@@ -16,6 +16,7 @@ import (
 	"math/rand"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -100,12 +101,12 @@ func BenchmarkEAITask(b *testing.B) {
 // seen, as ingest_publish serves its sessions: BirthPlaces ×2 (12,010
 // objects) fitted on its sources alone, the snapshot's prewarmed plan
 // attached, K = 5, and a new worker per call. Such a worker sits at the
-// prior-mean ψ, so the scan reads the plan's cold-worker score cache instead
-// of evaluating EAI; evaluated/op reports how far it walks. settled/op is
-// how many of those evaluations the no-flip certificate alone would answer:
-// the same scan, counted once before the timer on a plan of its own, which
-// scores every evaluation with eaiAt (the walk is the same, since the cache
-// holds the floats eaiAt returns).
+// prior-mean ψ, so the call reads the head of the plan's cold-worker score
+// ranking instead of walking Algorithm 1's scan; evaluated/op reports how
+// many ranking entries it read. Each call's assignment must equal the
+// scan's for that worker: the same call without a plan, run before the
+// timer, which scores every object it visits with eaiAt. settled/op is how
+// many of that scan's evaluations the no-flip certificate answered.
 func BenchmarkEAIColdTask(b *testing.B) {
 	idx := data.NewIndex(synth.BirthPlaces(synth.BirthPlacesConfig{Seed: 7, Scale: 2}))
 	res := infer.NewTDH().Infer(idx)
@@ -113,24 +114,28 @@ func BenchmarkEAIColdTask(b *testing.B) {
 	plan.Prewarm()
 	base := assign.Context{Idx: idx, Res: res, K: 5, Seed: 7}
 	workers := make([]string, 64)
+	want := make([][]string, len(workers))
+	var ref assign.EAIStats
 	for i := range workers {
 		workers[i] = fmt.Sprintf("cold-%d", i)
+		scan := base
+		scan.Workers = workers[i:][:1]
+		var out map[string][]string
+		out, ref = assign.EAI{}.AssignWithStats(&scan)
+		want[i] = out[workers[i]]
 	}
-	uncached := base
-	uncached.Workers = workers[:1]
-	_, ref := assign.EAI{}.AssignWithStats(&uncached)
 	evaluated := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ctx := base
-		ctx.Plan, ctx.Workers = plan, workers[i%len(workers):][:1]
-		_, st := assign.EAI{}.AssignWithStats(&ctx)
+		w := i % len(workers)
+		ctx.Plan, ctx.Workers = plan, workers[w:][:1]
+		out, st := assign.EAI{}.AssignWithStats(&ctx)
+		if !slices.Equal(out[workers[w]], want[w]) {
+			b.Fatalf("%s: the plan assigned %v, the scan %v", workers[w], out[workers[w]], want[w])
+		}
 		evaluated += st.Evaluated
-	}
-	b.StopTimer()
-	if evaluated != ref.Evaluated*b.N {
-		b.Fatalf("the cached scan evaluated %d per call, the uncached one %d", evaluated/b.N, ref.Evaluated)
 	}
 	b.ReportMetric(float64(evaluated)/float64(b.N), "evaluated/op")
 	b.ReportMetric(float64(ref.Settled), "settled/op")

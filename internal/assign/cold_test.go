@@ -1,12 +1,15 @@
 package assign
 
 import (
+	"container/heap"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/cow"
 	"repro/internal/data"
 	"repro/internal/infer"
 	"repro/internal/synth"
@@ -217,4 +220,63 @@ func TestColdTopKIsTheScan(t *testing.T) {
 		t.Fatalf("an edge case never decided a call: %+v", cases)
 	}
 	t.Logf("calls decided by fewer than K unanswered: %d, a K-th score of 0: %d, a tie at it: %d", cases.fewer, cases.zero, cases.tie)
+}
+
+// TestColdTopKIsTheHeap checks the closed form against Algorithm 1's heap
+// for one worker, run directly over random scores and bounds: few distinct
+// values, so scores tie often — at 0 and above — and tied scores carry
+// bounds in an order unrelated to their IDs, with every bound at least its
+// score (Lemma 4.1), random answered sets and K from 1 to 12.
+func TestColdTopKIsTheHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := range 3000 {
+		n := 1 + rng.Intn(80)
+		scores, bounds := make([]float64, n), make([]float64, n)
+		answered := make(answeredSets, 1)
+		answered[0] = make([]uint64, (n+63)/64)
+		for oid := range n {
+			scores[oid] = float64(max(rng.Intn(6)-2, 0)) / 4
+			bounds[oid] = scores[oid] + float64(rng.Intn(4))/4
+			if rng.Intn(4) == 0 {
+				answered[0][oid>>6] |= 1 << (oid & 63)
+			}
+		}
+		p := &Plan{eaiDefault: cow.Paged(scores), coldRank: rank(scores), ueai: cow.Paged(bounds), ueaiRank: rank(bounds)}
+		k := 1 + rng.Intn(12)
+		got, _ := p.coldTopK(answered, 0, k)
+		slices.Sort(got)
+		if want := heapTopK(p, scores, answered, k); !slices.Equal(got, want) {
+			t.Fatalf("trial %d (K=%d, scores %v, bounds %v): closed form %v, heap %v", trial, k, scores, bounds, got, want)
+		}
+	}
+}
+
+// heapTopK is AssignWithStats' scan for one worker with pruning on, over
+// the plan's UEAI order and the given scores: the reference coldTopK
+// returns, IDs ascending.
+func heapTopK(p *Plan, scores []float64, answered answeredSets, k int) []int32 {
+	var h eaiHeap
+scan:
+	for _, chunk := range p.ueaiRank.Chunks() {
+		for _, en := range chunk {
+			if len(h) >= k && h[0].score > en.Key {
+				break scan
+			}
+			if answered.has(0, int(en.ID)) || len(h) >= k && h[0].score >= en.Key {
+				continue
+			}
+			if s := scores[en.ID]; len(h) < k {
+				heap.Push(&h, eaiEntry{s, en.ID})
+			} else if s > h[0].score {
+				heap.Pop(&h)
+				heap.Push(&h, eaiEntry{s, en.ID})
+			}
+		}
+	}
+	ids := make([]int32, 0, len(h))
+	for _, en := range h {
+		ids = append(ids, en.oid)
+	}
+	slices.Sort(ids)
+	return ids
 }

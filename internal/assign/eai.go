@@ -1,7 +1,9 @@
 package assign
 
 import (
+	"cmp"
 	"container/heap"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -24,7 +26,10 @@ import (
 // The UEAI bounds and their decreasing-bound scan order are worker-
 // independent, so they live in the shared Plan (precomputed once per
 // snapshot); an Assign call only walks that order, filters each worker's
-// answered set, and evaluates EAI where the bound admits it.
+// answered set, and evaluates EAI where the bound admits it. One worker at
+// the prior-mean ψ — every cold /task — is answered from the attached
+// plan's cold-worker score ranking instead, in closed form (coldTopK), with
+// the assignment the walk would return.
 type EAI struct {
 	// DisablePruning computes EAI for every (worker, object) pair —
 	// the ablation measured in Figure 13.
@@ -43,12 +48,13 @@ func (e EAI) Name() string {
 // assignment: the Figure 13 experiment reports pruning effectiveness from
 // it, and the crowd server observes it per /task.
 type EAIStats struct {
-	Evaluated int // EAI(w,o) computations performed
-	Pruned    int // evaluations skipped by the UEAI bound
+	// Evaluated counts the EAI(w,o) computations performed; for a call
+	// answered in closed form (coldTopK), the plan's ranking entries read.
+	Evaluated int
+	Pruned    int // evaluations skipped by the UEAI bound; 0 in closed form
 	// Settled counts the evaluations the no-flip certificate answered
 	// (core.Model.SettledAt): a subset of Evaluated, each an O(|V|) read
-	// instead of the expected-max fill. A cold worker's reads of the plan's
-	// precomputed scores are not among them.
+	// instead of the expected-max fill; 0 in closed form.
 	Settled int
 }
 
@@ -108,30 +114,20 @@ func (e EAI) AssignWithStats(ctx *Context) (map[string][]string, EAIStats) {
 	})
 	wids := workerIDs(ctx.Idx, workers)
 	answered := newAnsweredSets(ctx.Idx, wids)
-	psis := make([][3]float64, len(workers))
-	tabs := make([]core.WorkerTab, len(workers))
-	cached := make([]bool, len(workers))
-	anyCached := false
-	// The cold-worker score cache applies only to a pre-attached (shared,
-	// typically prewarmed) plan: filling it inside a per-call fallback
-	// build would evaluate EAI for every object up front, defeating the
-	// very pruning Lemma 4.1 provides — and the Figure 13 ablation that
-	// measures it.
-	attached := ctx.Plan == p
-	for i, w := range workers {
-		psis[i] = m.PsiOf(w)
-		// Workers at the prior-mean ψ (every cold worker) read the plan's
-		// precomputed scores; eaiAt with the same inputs returns the same
-		// float, so the cache changes nothing but the evaluation cost.
-		cached[i] = attached && p.M == m && psis[i] == p.defaultPsi
-		anyCached = anyCached || cached[i]
-		if !cached[i] {
-			tabs[i] = core.NewWorkerTab(psis[i])
-		}
+	// One worker at the prior-mean ψ on an attached (shared, prewarmed)
+	// plan reads the cold-worker ranking. A per-call fallback build does
+	// not: filling its cache would evaluate EAI for every object up front,
+	// defeating the very pruning Lemma 4.1 provides — and the Figure 13
+	// ablation that measures it.
+	if len(workers) == 1 && ctx.Plan == p && p.M != nil && !e.DisablePruning && m.PsiOf(workers[0]) == p.defaultPsi {
+		ids, read := p.coldTopK(answered, 0, ctx.K)
+		stats.Evaluated = read
+		out[workers[0]] = objectNames(ctx.Idx, ids)
+		return out, stats
 	}
-	var defScores *cow.Vec[float64]
-	if anyCached {
-		defScores = p.defaultScores()
+	tabs := make([]core.WorkerTab, len(workers))
+	for i, w := range workers {
+		tabs[i] = core.NewWorkerTab(m.PsiOf(w))
 	}
 	heaps := make([]eaiHeap, len(workers))
 
@@ -176,15 +172,9 @@ scan:
 					stats.Pruned++
 					continue // cannot beat this worker's current minimum
 				}
-				var score float64
-				if cached[wi] {
-					score = defScores.At(int(cur))
-				} else {
-					var settled bool
-					score, settled = eaiAt(m, int(cur), &tabs[wi], nObj)
-					if settled {
-						stats.Settled++
-					}
+				score, settled := eaiAt(m, int(cur), &tabs[wi], nObj)
+				if settled {
+					stats.Settled++
 				}
 				stats.Evaluated++
 				if len(heaps[wi]) < ctx.K {
@@ -205,14 +195,107 @@ scan:
 		for _, en := range heaps[wi] {
 			ids = append(ids, en.oid)
 		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		objs := make([]string, len(ids))
-		for i, oid := range ids {
-			objs[i] = ctx.Idx.Objects[oid]
-		}
-		out[w] = objs
+		out[w] = objectNames(ctx.Idx, ids)
 	}
 	return out, stats
+}
+
+// objectNames sorts ids and returns their object names: an assignment in
+// name order.
+func objectNames(idx *data.Index, ids []int32) []string {
+	slices.Sort(ids)
+	objs := make([]string, len(ids))
+	for i, oid := range ids {
+		objs[i] = idx.Objects[oid]
+	}
+	return objs
+}
+
+// coldTopK is the EAI assignment of worker wi of answered, at the plan's
+// prior-mean ψ, under the UEAI bound, read off the plan's cold-worker score
+// ranking: the object IDs Algorithm 1's scan returns for that worker, and
+// how many ranking entries it read.
+//
+// Let U be the unanswered objects, s their cached scores (all ≥ 0: eaiAt
+// clamps the noise floor to 0) and, when |U| ≥ K, T the K-th largest score
+// in U, with c objects of U scoring above it. The scan returns
+//   - every object of U scoring above T, and, of the first K objects of U
+//     scoring ≥ T in UEAI order, the K − c with the lowest IDs among those
+//     scoring exactly T;
+//   - all of U when |U| < K (it never fills the heap).
+//
+// Why: until the heap holds K entries every unanswered object enters it.
+// While fewer than K objects ≥ T have been met, the heap holds an entry
+// below T, so its minimum is below T: each object ≥ T enters, evicting an
+// entry below T, and none ≥ T is evicted. At the K-th object ≥ T in scan
+// order the heap therefore holds exactly the first K of them. From then on
+// its minimum is T (it holds at most c − 1 objects above T before the last
+// one arrives): an object scoring T cannot enter (entry needs score > min),
+// and each later object above T evicts the minimum under eaiHeap.Less — the
+// highest-ID entry scoring T. The prune test (minimum ≥ bound) and the
+// break (minimum > bound) skip only objects that could not enter anyway,
+// since score ≤ bound (Lemma 4.1).
+//
+// Reading it costs O(K + the answered objects met + the ties at T):
+//   - T > 0: walk coldRank (score descending, ID ascending) to the first
+//     entry below T, collecting the unanswered ones — the objects ≥ T —
+//     and order that group by (bound descending, ID ascending);
+//   - otherwise the walk reaches the zeros first, having collected every
+//     positive object of U (c < K of them), and the first K unanswered
+//     entries of ueaiRank are the first K objects ≥ T = 0 in UEAI order.
+func (p *Plan) coldTopK(answered answeredSets, wi, k int) (ids []int32, read int) {
+	p.defaultScores()
+	var group []cow.Entry // the unanswered objects ≥ T, or every positive one
+walk:
+	for _, chunk := range p.coldRank.Chunks() {
+		for _, en := range chunk {
+			read++
+			if en.Key <= 0 || len(group) >= k && en.Key < group[k-1].Key {
+				break walk
+			}
+			if !answered.has(wi, int(en.ID)) {
+				group = append(group, en)
+			}
+		}
+	}
+	ids = make([]int32, 0, k)
+	var ties []int32 // of the first K objects ≥ T in UEAI order, those scoring T
+	if len(group) >= k {
+		t := group[k-1].Key
+		slices.SortFunc(group, func(a, b cow.Entry) int {
+			return cmp.Or(cmp.Compare(p.ueai.At(int(b.ID)), p.ueai.At(int(a.ID))), cmp.Compare(a.ID, b.ID))
+		})
+		for i, en := range group {
+			if en.Key > t {
+				ids = append(ids, en.ID)
+			} else if i < k {
+				ties = append(ties, en.ID)
+			}
+		}
+	} else {
+		for _, en := range group {
+			ids = append(ids, en.ID)
+		}
+		met := 0
+	scan:
+		for _, chunk := range p.ueaiRank.Chunks() {
+			for _, en := range chunk {
+				if met == k {
+					break scan
+				}
+				read++
+				if answered.has(wi, int(en.ID)) {
+					continue
+				}
+				met++
+				if p.eaiDefault.At(int(en.ID)) <= 0 {
+					ties = append(ties, en.ID)
+				}
+			}
+		}
+	}
+	slices.Sort(ties)
+	return append(ids, ties[:min(k-len(ids), len(ties))]...), read
 }
 
 // answeredSets holds, for each worker of one Assign call, a bitset over the

@@ -17,14 +17,15 @@ import (
 // Lemma 4.1 with the decreasing-bound scan order of Algorithm 1.
 //
 // The crowd server builds one Plan per published Snapshot and attaches it
-// to every assignment Context, so a cold-worker /task request is a bounded
-// scan over shared read-only state instead of an O(|O| log |O|) per-request
-// heap-and-map rebuild. A Plan is immutable after NewPlan / Advance:
-// assigners only read it, which is what lets concurrent /task requests
-// share one.
+// to every assignment Context, so a /task request reads shared read-only
+// state instead of an O(|O| log |O|) per-request heap-and-map rebuild: a
+// worker with a fitted ψ walks the UEAI order, and a worker at the
+// prior-mean ψ reads the head of the cold-worker score ranking (coldTopK).
+// A Plan is immutable after NewPlan / Advance: assigners only read it,
+// which is what lets concurrent /task requests share one.
 //
 // Everything per object is persistent (internal/cow): the score arrays are
-// copy-on-write pages of 256 objects and the two rankings tables of sorted
+// copy-on-write pages of 256 objects and the rankings tables of sorted
 // chunks of at most 512 entries, so the plan Advance derives shares all of
 // it with this one except the pages and chunks the touched objects lie in.
 type Plan struct {
@@ -60,15 +61,19 @@ type Plan struct {
 
 	// eaiDefault is EAI(w, o) per object for a worker at the prior-mean ψ —
 	// the score EVERY cold worker shares, since a worker with no answer
-	// history sits exactly at the prior. It turns a cold /task request from
-	// |O| incremental-EM evaluations into |O| array reads; workers with
-	// fitted ψ still evaluate per call. Filled on first use behind a
-	// sync.Once (callers without cold workers never pay for it); the server
-	// prewarms it at publish time so no request bears the fill. defaultPsi
-	// tags the ψ the cache is valid for, and defaultTab is its claim table,
-	// built once per plan for the fill and for Advance's rescoring.
+	// history sits exactly at the prior — and coldRank ranks every object
+	// by it (score descending, ID ascending on ties). Together they turn a
+	// cold /task request from Algorithm 1's walk into a read of the
+	// ranking's head, O(K) entries (coldTopK); workers with fitted ψ still
+	// evaluate per call. Both are filled on first use behind one sync.Once
+	// (callers without cold workers never pay for them); the server
+	// prewarms them at publish time so no request bears the fill.
+	// defaultPsi tags the ψ the cache is valid for, and defaultTab is its
+	// claim table, built once per plan for the fill and for Advance's
+	// rescoring.
 	eaiDefaultOnce sync.Once
 	eaiDefault     cow.Vec[float64]
+	coldRank       cow.Ranking
 	defaultPsi     [3]float64
 	defaultTab     core.WorkerTab
 }
@@ -106,16 +111,19 @@ func countSettled(m *core.Model) int {
 	return n
 }
 
-// defaultScores returns the cold-worker EAI score cache, computing it on
-// first use (goroutine-safe; the plan is shared by concurrent requests).
-// Nil when the plan has no TDH model.
+// defaultScores returns the cold-worker EAI score cache, computing it and
+// coldRank on first use (goroutine-safe; the plan is shared by concurrent
+// requests). Nil when the plan has no TDH model.
 //
 //tdh:mutator fills the lazy cold-worker cache exactly once behind sync.Once; no reader can observe a partial fill
 func (p *Plan) defaultScores() *cow.Vec[float64] {
 	if p.M == nil {
 		return nil
 	}
-	p.eaiDefaultOnce.Do(func() { p.eaiDefault = cow.Paged(p.scoreAll()) })
+	p.eaiDefaultOnce.Do(func() {
+		scores := p.scoreAll()
+		p.eaiDefault, p.coldRank = cow.Paged(scores), rank(scores)
+	})
 	return &p.eaiDefault
 }
 
@@ -129,8 +137,8 @@ func (p *Plan) scoreAll() []float64 {
 }
 
 // Prewarm fills the lazy parts of the plan (the cold-worker EAI score
-// cache) so no request pays the first-use cost. The server calls it from
-// the pipeline goroutine right before publishing a snapshot.
+// cache and its ranking) so no request pays the first-use cost. The server
+// calls it from the pipeline goroutine right before publishing a snapshot.
 func (p *Plan) Prewarm() { p.defaultScores() }
 
 // ueaiBound is the Lemma 4.1 bound of object oid among nObj objects.
@@ -161,31 +169,38 @@ func newPlan(idx *data.Index, res *infer.Result) *Plan {
 // inference result, whose rows must be shaped by idx (it panics otherwise).
 // Cost: O(Σ|Vo|) for the confidence scans plus O(|O| log |O|) for the two
 // rankings, one allocation per array and one sort per ranking — paid once
-// per published fit, off the request path.
+// per published fit, off the request path. The cold-worker scores and
+// their ranking are lazy (Prewarm).
 func NewPlan(idx *data.Index, res *infer.Result) *Plan {
 	n := idx.NumObjects()
 	p := newPlan(idx, res)
-	maxMu, ent, ranked := make([]float64, n), make([]float64, n), make([]cow.Entry, n)
+	maxMu, ent := make([]float64, n), make([]float64, n)
 	for oid := range maxMu {
 		mu := p.Row(oid)
 		maxMu[oid], ent[oid] = maxOf(mu), entropy(mu)
-		ranked[oid] = cow.Entry{Key: ent[oid], ID: int32(oid)}
 	}
-	p.maxMu, p.ent, p.entRank = cow.Paged(maxMu), cow.Paged(ent), cow.NewRanking(ranked)
+	p.maxMu, p.ent, p.entRank = cow.Paged(maxMu), cow.Paged(ent), rank(ent)
 
 	if p.M == nil {
 		return p
 	}
 	nObj := float64(n)
 	ueai := make([]float64, n)
-	ranked = make([]cow.Entry, n) // NewRanking kept the first
 	for oid := range ueai {
 		ueai[oid] = ueaiBound(p.M, oid, nObj)
-		ranked[oid] = cow.Entry{Key: ueai[oid], ID: int32(oid)}
 	}
-	p.ueai, p.ueaiRank = cow.Paged(ueai), cow.NewRanking(ranked)
+	p.ueai, p.ueaiRank = cow.Paged(ueai), rank(ueai)
 	p.settled = countSettled(p.M)
 	return p
+}
+
+// rank ranks objects 0..len(keys)-1 by keys.
+func rank(keys []float64) cow.Ranking {
+	ranked := make([]cow.Entry, len(keys))
+	for oid, k := range keys {
+		ranked[oid] = cow.Entry{Key: k, ID: int32(oid)}
+	}
+	return cow.NewRanking(ranked)
 }
 
 // Advance derives the plan for (idx, res) from this plan — the previous
@@ -196,19 +211,19 @@ func NewPlan(idx *data.Index, res *infer.Result) *Plan {
 //
 // Cost. With the object count unchanged — every fold — the new plan clones
 // the page tables of the score arrays (a slice header per 256 objects) and
-// the chunk tables of the two rankings (one per ≤ 512 entries), copies the
-// page each touched object lies in, once, and re-ranks the touched objects
-// in one cow.Ranking.Update per ranking: every chunk that loses an old
-// (key, ID) or gains a new one is rebuilt once, by one merge. That is at
-// most O(|touched| · (page + chunk + log |O|)) and no allocation
-// proportional to |O|. When the index
-// grew, the 1/|O| factor of Lemma 4.1 moves every bound, so the score arrays
-// are rebuilt (untouched confidences and entropies carried over, bounds and
-// cold-worker scores recomputed) and both rankings go through the ranking's
-// bulk constructor again, seeded with the previous order: O(|O|), and rare —
-// open-world growth, not the fold.
+// the chunk tables of the three rankings (entropy, UEAI bound, cold-worker
+// score; one per ≤ 512 entries), copies the page each touched object lies
+// in, once, and re-ranks the touched objects in one cow.Ranking.Update per
+// ranking: every chunk that loses an old (key, ID) or gains a new one is
+// rebuilt once, by one merge. That is at most O(|touched| · (page + chunk +
+// log |O|)) and no allocation proportional to |O|. When the index grew,
+// the 1/|O| factor of Lemma 4.1 moves every bound, so the score arrays are
+// rebuilt (untouched confidences and entropies carried over, bounds and
+// cold-worker scores recomputed) and every ranking goes through the
+// ranking's bulk constructor again, seeded with the previous order: O(|O|),
+// and rare — open-world growth, not the fold.
 //
-// Order contract. Both rankings are strict total orders — key descending,
+// Order contract. Every ranking is a strict total order — key descending,
 // dense ID ascending on equal keys — so a ranking is a function of its keys
 // alone: re-ranking the touched objects in place yields exactly the sequence
 // a full sort of all keys would.
@@ -278,18 +293,22 @@ func (p *Plan) Advance(idx *data.Index, res *infer.Result, touched []int) (advan
 		}
 	}
 	np.ueaiRank = p.ueaiRank.Update(moves)
-	// Carry the cold-worker score cache forward: untouched objects score
-	// identically (same model rows, same |O|), so only touched entries need
-	// the incremental-EM evaluation. p.defaultScores() fills the previous
-	// cache if nothing ever had — Advance runs in the pipeline goroutine, so
-	// that one-time cost stays off the request path either way.
+	// Carry the cold-worker score cache and its ranking forward: untouched
+	// objects score identically (same model rows, same |O|), so only
+	// touched entries need the incremental-EM evaluation and a re-rank.
+	// p.defaultScores() fills the previous cache if nothing ever had —
+	// Advance runs in the pipeline goroutine, so that one-time cost stays
+	// off the request path either way.
 	if np.defaultPsi == p.defaultPsi {
-		scores := p.defaultScores().Clone()
-		for _, oid := range ts {
+		prev := p.defaultScores()
+		scores := prev.Clone()
+		for i, oid := range ts {
 			score, _ := eaiAt(m, oid, &np.defaultTab, nObj)
+			moves[i] = cow.Rekey{ID: int32(oid), Old: prev.At(oid), New: score}
 			scores.Set(oid, score)
 		}
-		np.eaiDefaultOnce.Do(func() { np.eaiDefault = scores })
+		coldRank := p.coldRank.Update(moves)
+		np.eaiDefaultOnce.Do(func() { np.eaiDefault, np.coldRank = scores, coldRank })
 	}
 	return np, true
 }
@@ -298,10 +317,9 @@ func (p *Plan) Advance(idx *data.Index, res *infer.Result, touched []int) (advan
 // from the previous plan p: the per-object arrays are rebuilt at the new
 // size — confidences and entropies of untouched objects carried over, every
 // Lemma 4.1 bound and cold-worker score recomputed under the new |O|, the
-// settled objects counted afresh — and
-// each ranking is rebuilt by cow.NewRanking from the previous ranking's
-// order re-keyed, which is already sorted but for the touched and the new
-// objects.
+// settled objects counted afresh — and each ranking is rebuilt by
+// cow.NewRanking from the previous ranking's order re-keyed, which is
+// already sorted but for the touched and the new objects.
 func (np *Plan) grow(p *Plan, ts []int) {
 	n, nPrev := np.Idx.NumObjects(), p.Idx.NumObjects()
 	maxMu := p.maxMu.AppendTo(make([]float64, 0, n))[:n]
@@ -326,7 +344,11 @@ func (np *Plan) grow(p *Plan, ts []int) {
 	if np.defaultPsi == p.defaultPsi {
 		// Same rule as the fold case: a plan derived in the pipeline
 		// goroutine carries a filled cache, so no request pays the fill.
-		np.eaiDefaultOnce.Do(func() { np.eaiDefault = cow.Paged(np.scoreAll()) })
+		// The previous plan's ranking seeds the new one's sort.
+		p.defaultScores()
+		scores := np.scoreAll()
+		coldRank := rerank(p.coldRank, scores, nPrev)
+		np.eaiDefaultOnce.Do(func() { np.eaiDefault, np.coldRank = cow.Paged(scores), coldRank })
 	}
 }
 

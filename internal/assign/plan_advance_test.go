@@ -90,6 +90,15 @@ func comparePlans(t *testing.T, tag string, got, want *Plan) {
 		t.Fatalf("%s: defaultPsi differs", tag)
 	}
 	floatsClose(t, tag+": eaiDefault", got.defaultScores().AppendTo(nil), want.defaultScores().AppendTo(nil))
+	gotCold, wantCold := got.coldRank.AppendTo(nil), want.coldRank.AppendTo(nil)
+	if len(gotCold) != len(wantCold) {
+		t.Fatalf("%s: coldRank length %d != %d", tag, len(gotCold), len(wantCold))
+	}
+	for i := range gotCold {
+		if gotCold[i].ID != wantCold[i].ID || math.Abs(gotCold[i].Key-wantCold[i].Key) > 1e-9 {
+			t.Fatalf("%s: coldRank[%d] %+v != %+v", tag, i, gotCold[i], wantCold[i])
+		}
+	}
 }
 
 // compareAssignments runs EAI, ME and QASCA against both plans and requires

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/csv"
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -111,6 +112,23 @@ func TestAblationSmoke(t *testing.T) {
 	flat := cell(t, model, "TDH-FLAT", "BP-Acc")
 	if tdh < flat-0.02 {
 		t.Errorf("hierarchy ablation should not beat TDH: %v vs %v", tdh, flat)
+	}
+	// The note on the expected order states what the cells show, per
+	// dataset and per inequality.
+	for _, col := range []string{"BP-Acc", "HG-Acc"} {
+		i := slices.IndexFunc(model.Notes, func(n string) bool { return strings.HasPrefix(n, col+" ") })
+		if i < 0 {
+			t.Fatalf("no note on the %s order in %q", col, model.Notes)
+		}
+		for _, pair := range [][2]string{{"TDH", "TDH-NOPOP"}, {"TDH-NOPOP", "TDH-FLAT"}} {
+			verdict := "holds"
+			if cell(t, model, pair[0], col) < cell(t, model, pair[1], col) {
+				verdict = "does not hold"
+			}
+			if want := pair[0] + " ≥ " + pair[1] + " " + verdict; !strings.Contains(model.Notes[i], want) {
+				t.Errorf("note %q does not say %q", model.Notes[i], want)
+			}
+		}
 	}
 	inc := reps[1]
 	for _, row := range inc.Rows {

@@ -114,15 +114,15 @@ func newServerMetrics(s *Server, reg *obs.Registry) *serverMetrics {
 		ueaiMax: reg.Gauge("tdh_ueai_max",
 			"largest Lemma 4.1 bound of the served plan: no task it can hand out adds more than this to the expected accuracy (0 without a TDH model)"),
 		eaiEvaluated: reg.Histogram("tdh_eai_evaluated",
-			"EAI evaluations one /task ran in Algorithm 1's scan (for a cold worker, reads of the plan's precomputed scores)",
+			"EAI evaluations one /task ran in Algorithm 1's scan (for a cold worker, the entries of the plan's cold-worker score ranking it read)",
 			append([]float64{0}, obs.ExpBuckets(1, 2, 15)...)),
 		settledObjects: reg.Gauge("tdh_settled_objects",
 			"objects of the served plan no single further answer can flip before the next refit (the no-flip certificate; 0 without a TDH model)"),
 		eaiSettled: reg.Histogram("tdh_eai_settled",
-			"EAI evaluations of one /task the no-flip certificate answered with an O(|V|) read (never a cold worker's cached reads)",
+			"EAI evaluations of one /task the no-flip certificate answered with an O(|V|) read (0 for a cold worker)",
 			append([]float64{0}, obs.ExpBuckets(1, 2, 15)...)),
 		eaiPruned: reg.Histogram("tdh_eai_pruned",
-			"EAI evaluations one /task skipped by the Lemma 4.1 bound",
+			"EAI evaluations one /task skipped by the Lemma 4.1 bound (0 for a cold worker)",
 			append([]float64{0}, obs.ExpBuckets(1, 2, 15)...)),
 		stageDur:  make(map[string]*obs.Histogram, 5),
 		batchSize: reg.Histogram("tdh_pipeline_batch_size", "answers folded per publish cycle", obs.SizeBuckets()),

@@ -94,8 +94,10 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
-	// The one /task ran EAI: one observation in each series, and a scan
-	// that evaluated at least the K objects it handed out.
+	// The one /task ran EAI for a cold worker, at the prior-mean ψ: one
+	// observation in each series. The plan answered it in closed form from
+	// its cold-worker score ranking, so it read at least the K entries it
+	// handed out, and neither pruned nor settled any evaluation.
 	for _, id := range []string{"tdh_eai_evaluated_count", "tdh_eai_settled_count", "tdh_eai_pruned_count"} {
 		if n := seriesValue(t, out, id); n != 1 {
 			t.Errorf("%s %d, want 1", id, n)
@@ -104,8 +106,10 @@ func TestMetricsEndpoint(t *testing.T) {
 	if n := seriesValue(t, out, "tdh_eai_evaluated_sum"); n < int64(len(tasks)) {
 		t.Errorf("tdh_eai_evaluated_sum %d below the %d tasks served", n, len(tasks))
 	}
-	if n, ev := seriesValue(t, out, "tdh_eai_settled_sum"), seriesValue(t, out, "tdh_eai_evaluated_sum"); n > ev {
-		t.Errorf("tdh_eai_settled_sum %d above tdh_eai_evaluated_sum %d", n, ev)
+	for _, id := range []string{"tdh_eai_settled_sum", "tdh_eai_pruned_sum"} {
+		if n := seriesValue(t, out, id); n != 0 {
+			t.Errorf("%s %d after one cold worker's /task, want 0", id, n)
+		}
 	}
 	// The refresh landed a fit over the boot fit's state: one comparison at
 	// least, the same count in every step-1 series.
