@@ -1,6 +1,7 @@
 package assign
 
 import (
+	"cmp"
 	"container/heap"
 	"fmt"
 	"math/rand"
@@ -82,7 +83,7 @@ func (c *coldCases) add(p *Plan, answered []uint64, k int) {
 		c.fewer++
 		return
 	}
-	slices.SortFunc(scores, func(a, b float64) int { return -cmpFloat(a, b) })
+	slices.SortFunc(scores, func(a, b float64) int { return cmp.Compare(b, a) })
 	t := scores[k-1]
 	if t == 0 {
 		c.zero++
@@ -99,16 +100,6 @@ func (c *coldCases) add(p *Plan, answered []uint64, k int) {
 	if t > 0 && at > k-above {
 		c.tie++
 	}
-}
-
-func cmpFloat(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
 }
 
 // TestColdTopKIsTheScan pins what an attached, prewarmed plan returns to a
@@ -138,7 +129,7 @@ func TestColdTopKIsTheScan(t *testing.T) {
 			byScore[oid] = int32(oid)
 		}
 		slices.SortStableFunc(byScore, func(a, b int32) int {
-			return -cmpFloat(p0.defaultScores().At(int(a)), p0.defaultScores().At(int(b)))
+			return cmp.Compare(p0.defaultScores().At(int(b)), p0.defaultScores().At(int(a)))
 		})
 		positive := 0
 		for positive < len(byScore) && p0.defaultScores().At(int(byScore[positive])) > 0 {

@@ -195,13 +195,7 @@ func NewPlan(idx *data.Index, res *infer.Result) *Plan {
 }
 
 // rank ranks objects 0..len(keys)-1 by keys.
-func rank(keys []float64) cow.Ranking {
-	ranked := make([]cow.Entry, len(keys))
-	for oid, k := range keys {
-		ranked[oid] = cow.Entry{Key: k, ID: int32(oid)}
-	}
-	return cow.NewRanking(ranked)
-}
+func rank(keys []float64) cow.Ranking { return rerank(cow.Ranking{}, keys, 0) }
 
 // Advance derives the plan for (idx, res) from this plan — the previous
 // snapshot's — recomputing only the entries of the objects in touched and

@@ -101,10 +101,11 @@ func ablationOrder(rep *Report, col string, scale float64) string {
 	}
 	verdicts := make([]string, 2)
 	for i := range verdicts {
-		verdicts[i] = labels[i] + " ≥ " + labels[i+1] + " holds"
+		verdict := "holds"
 		if acc[i] < acc[i+1] {
-			verdicts[i] = labels[i] + " ≥ " + labels[i+1] + " does not hold"
+			verdict = "does not hold"
 		}
+		verdicts[i] = labels[i] + " ≥ " + labels[i+1] + " " + verdict
 	}
 	return fmt.Sprintf("%s at scale %g: TDH %.4f, TDH-NOPOP %.4f, TDH-FLAT %.4f; of the expected TDH ≥ TDH-NOPOP ≥ TDH-FLAT, %s",
 		col, scale, acc[0], acc[1], acc[2], strings.Join(verdicts, ", "))
