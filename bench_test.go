@@ -72,17 +72,16 @@ func BenchmarkEAIAssignNoPruning(b *testing.B) {
 
 // BenchmarkEAITask is one GET /task for a returning worker, as the server
 // assigns it: Heritages ×1 fitted with a campaign's worth of answers (25
-// from each of 256 workers, ~8 per object), the snapshot's prewarmed plan
-// attached, K = 5, and one worker with a fitted ψ per call, in turn. Such a
-// worker scores objects itself (the plan caches only the prior-mean ψ), so
-// the call is Algorithm 1's scan with one EAI evaluation per object the
-// bound does not prune; evaluated/op and pruned/op report how far it walks,
-// and settled/op how many of its evaluations the no-flip certificate
-// answered with an O(|V|) read.
+// from each of 256 workers, ~8 per object), the plan an EAI campaign
+// publishes (assign.PlanFor) attached, K = 5, and one worker with a fitted
+// ψ per call, in turn. Such a worker scores objects itself (the plan
+// caches only the prior-mean ψ), so the call is Algorithm 1's scan with one
+// EAI evaluation per object the bound does not prune; evaluated/op and
+// pruned/op report how far it walks, and settled/op how many of its
+// evaluations the no-flip certificate answered with an O(|V|) read.
 func BenchmarkEAITask(b *testing.B) {
 	base := assignmentContext(b, 1, 256, 25)
-	plan := assign.NewPlan(base.Idx, base.Res)
-	plan.Prewarm()
+	plan := assign.PlanFor(assign.EAI{}, base.Idx, base.Res)
 	var evaluated, pruned, settled int
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -99,19 +98,18 @@ func BenchmarkEAITask(b *testing.B) {
 
 // BenchmarkEAIColdTask is one GET /task for a worker the campaign has never
 // seen, as ingest_publish serves its sessions: BirthPlaces ×2 (12,010
-// objects) fitted on its sources alone, the snapshot's prewarmed plan
-// attached, K = 5, and a new worker per call. Such a worker sits at the
-// prior-mean ψ, so the call reads the head of the plan's cold-worker score
-// ranking instead of walking Algorithm 1's scan; evaluated/op reports how
-// many ranking entries it read. Each call's assignment must equal the
+// objects) fitted on its sources alone, the plan an EAI campaign publishes
+// (assign.PlanFor) attached, K = 5, and a new worker per call. Such a
+// worker sits at the prior-mean ψ, so the call reads the head of the plan's
+// cold-worker score ranking instead of walking Algorithm 1's scan;
+// evaluated/op reports how many ranking entries it read. Each call's assignment must equal the
 // scan's for that worker: the same call without a plan, run before the
 // timer, which scores every object it visits with eaiAt. settled/op is how
 // many of that scan's evaluations the no-flip certificate answered.
 func BenchmarkEAIColdTask(b *testing.B) {
 	idx := data.NewIndex(synth.BirthPlaces(synth.BirthPlacesConfig{Seed: 7, Scale: 2}))
 	res := infer.NewTDH().Infer(idx)
-	plan := assign.NewPlan(idx, res)
-	plan.Prewarm()
+	plan := assign.PlanFor(assign.EAI{}, idx, res)
 	base := assign.Context{Idx: idx, Res: res, K: 5, Seed: 7}
 	workers := make([]string, 64)
 	want := make([][]string, len(workers))
@@ -224,12 +222,14 @@ func BenchmarkTracedIngest(b *testing.B) {
 
 // BenchmarkPlanAdvance compares the two ways a publish can obtain its
 // assignment plan after an incremental fold touching a small object set:
-// building from scratch (NewPlan + Prewarm — O(Σ|Vo| + |O| log |O|) plus
-// |O| cold-worker EAI evaluations) versus advancing the previous snapshot's
-// plan around the touched objects (page-table clones + O(batch) page copies
-// and re-ranks).
+// building from scratch (O(Σ|Vo| + |O| log |O|) per part, plus |O|
+// cold-worker EAI evaluations for EAI's cold cache) versus advancing the
+// previous snapshot's plan around the touched objects (page-table clones +
+// O(batch) page copies and re-ranks). Each plan is the one a campaign
+// publishes (assign.PlanFor): EAI's rows build the bounds, the cold cache
+// and the settled count; ME's rows the entropy ranking alone, no cold cache.
 // The dataset is BirthPlaces at ≥10k objects — the regime where the
-// per-publish NewPlan was the wall between publish rate and corpus size.
+// per-publish build was the wall between publish rate and corpus size.
 func BenchmarkPlanAdvance(b *testing.B) {
 	ds := synth.BirthPlaces(synth.BirthPlacesConfig{Seed: 7, Scale: 2})
 	idx := data.NewIndex(ds)
@@ -251,23 +251,23 @@ func BenchmarkPlanAdvance(b *testing.B) {
 	}
 	res2 := infer.ViewOf(m2, nil)
 
-	prev := assign.NewPlan(idx, res)
-	prev.Prewarm()
-	b.Run("NewPlan", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			p := assign.NewPlan(idx, res2)
-			p.Prewarm()
-		}
-	})
-	b.Run("Advance", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			p, ok := prev.Advance(idx, res2, touched)
-			if !ok {
-				b.Fatal("Advance fell back to a full build")
+	for _, asg := range []assign.Assigner{assign.EAI{}, assign.ME{}} {
+		prev := assign.PlanFor(asg, idx, res)
+		b.Run("NewPlan/"+asg.Name(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				assign.PlanFor(asg, idx, res2)
 			}
-			p.Prewarm()
-		}
-	})
+		})
+		b.Run("Advance/"+asg.Name(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, ok := prev.Advance(idx, res2, touched); !ok {
+					b.Fatal("Advance fell back to a full build")
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkSealCycle times one coordinator cycle as the server pipeline runs
@@ -298,8 +298,8 @@ func BenchmarkSealCycle(b *testing.B) {
 	}
 }
 
-// sealCycle is a fitted BirthPlaces campaign with its prewarmed plan: the
-// state one coordinator cycle starts from.
+// sealCycle is a fitted BirthPlaces EAI campaign with the plan it publishes
+// (assign.PlanFor): the state one coordinator cycle starts from.
 type sealCycle struct {
 	idx  *data.Index
 	eng  engine.Engine
@@ -314,13 +314,12 @@ func newSealCycle(tb testing.TB, scale float64) *sealCycle {
 	opts.MaxIter = 3 // cycle cost does not depend on fit quality
 	c.eng = engine.NewCategorical(infer.TDH{Opt: opts})
 	c.st = c.eng.Fit(c.idx)
-	c.plan = assign.NewPlan(c.idx, c.st.Res())
-	c.plan.Prewarm()
+	c.plan = assign.PlanFor(assign.EAI{}, c.idx, c.st.Res())
 	return c
 }
 
 // run is cycle i as the pipeline runs it: open an epoch over the current
-// state, fold three answers, seal, advance and prewarm the plan.
+// state, fold three answers, seal, advance the plan.
 func (c *sealCycle) run(tb testing.TB, i int) (open, fold, seal, advance time.Duration) {
 	batch := make([]data.Answer, 3)
 	for j := range batch {
@@ -340,13 +339,12 @@ func (c *sealCycle) run(tb testing.TB, i int) (open, fold, seal, advance time.Du
 	if c.plan, ok = c.plan.Advance(c.idx, c.st.Res(), ep.Touched()); !ok {
 		tb.Fatal("Advance fell back to a full build")
 	}
-	c.plan.Prewarm()
 	return t1.Sub(t0), t2.Sub(t1), t3.Sub(t2), time.Since(t3)
 }
 
 // TestSealCycleIsDeltaProportional pins the cycle's cost structurally, in
-// bytes allocated, not in time: one open → fold(3 answers) → seal → Advance →
-// Prewarm cycle over 12,010 objects may allocate at most twice what it does
+// bytes allocated, not in time: one open → fold(3 answers) → seal → Advance
+// cycle over 12,010 objects may allocate at most twice what it does
 // over 1,201, and at most 160 KB (the flat Model.Clone + Plan.Advance it
 // replaced allocated 1.87 MB at 12k objects, 197 KB at 1.2k). What is left
 // to grow with |O| is the page and chunk tables, a slice header per 256

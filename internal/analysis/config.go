@@ -25,6 +25,8 @@ func DefaultSnapshotmut() SnapshotmutConfig {
 		Allowed: []string{
 			// Plan construction and delta maintenance.
 			"internal/assign.NewPlan",
+			"internal/assign.PlanFor",
+			"internal/assign.build",
 			"internal/assign.Plan.Advance",
 			"internal/assign.Plan.grow",
 			// Model construction, the EM itself, incremental folds and
@@ -120,7 +122,6 @@ func DefaultPipelineonly() PipelineonlyConfig {
 			"internal/engine.Epoch.Fold",
 			"internal/engine.Epoch.Seal",
 			"internal/assign.Plan.Advance",
-			"internal/assign.Plan.Prewarm",
 		},
 	}
 }

@@ -4,13 +4,17 @@
 // (max-entropy / uncertainty sampling) and MB (DOCS's assigner).
 //
 // All assigners run dense-ID-based over a shared, immutable Plan — the
-// worker-independent precompute (UEAI bounds and scan order, per-object
-// max-confidence and entropy, confidence rows read by object ID) that the
-// crowd server builds once per published snapshot and attaches to the
-// Context. Per request, an assigner only does the worker-dependent part:
+// worker-independent precompute that the crowd server builds once per
+// published snapshot and attaches to the Context. A plan serves one
+// assigner and holds only what that assigner reads (PlanFor): EAI's UEAI
+// bounds in scan order and cold-worker scores, ME's entropy ranking, MB's
+// entropies, QASCA's max confidences; every plan reads confidence rows by
+// object ID. Per request, an assigner only does the worker-dependent part:
 // filtering the worker's answered set and scoring/ranking against the plan.
-// Callers that do not provide a Plan (the crowd loop, experiments) get one
-// built on the fly, so the name-keyed Assigner interface is unchanged.
+// Callers that do not provide a Plan (the crowd loop, experiments), or
+// provide one built for another assigner, get one built on the fly with the
+// calling assigner's parts, so the name-keyed Assigner interface is
+// unchanged.
 package assign
 
 import (
@@ -31,11 +35,12 @@ type Context struct {
 	// Plan, when set, is the precomputed worker-independent plan for
 	// (Idx, Res) — the server attaches the snapshot-resident plan here so
 	// /task serving never rebuilds it per request. Assigners fall back to
-	// building one when it is absent or belongs to a different snapshot.
+	// building one when it is absent, belongs to a different snapshot, or
+	// lacks the parts they read (it was built for another assigner).
 	Plan *Plan
 	// PlanFallbacks, when non-nil, is incremented every time an attached
-	// Plan turned out stale (Idx/Res mismatch) and a full plan was rebuilt
-	// in-line. The server wires its counter here so a plan-threading
+	// Plan turned out stale (Idx/Res mismatch) or built for another
+	// assigner, and a plan was rebuilt in-line. The server wires its counter here so a plan-threading
 	// regression shows up in /stats instead of only as latency.
 	PlanFallbacks *atomic.Int64
 	// Workers are the workers available this round.

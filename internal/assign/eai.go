@@ -94,7 +94,7 @@ func (e EAI) Assign(ctx *Context) map[string][]string {
 
 // AssignWithStats is Assign plus pruning statistics.
 func (e EAI) AssignWithStats(ctx *Context) (map[string][]string, EAIStats) {
-	p := ctx.plan()
+	p := ctx.plan(bounds)
 	m := p.M
 	if m == nil {
 		m = ctx.Res.Model.(*core.Model)
@@ -114,12 +114,10 @@ func (e EAI) AssignWithStats(ctx *Context) (map[string][]string, EAIStats) {
 	})
 	wids := workerIDs(ctx.Idx, workers)
 	answered := newAnsweredSets(ctx.Idx, wids)
-	// One worker at the prior-mean ψ on an attached (shared, prewarmed)
-	// plan reads the cold-worker ranking. A per-call fallback build does
-	// not: filling its cache would evaluate EAI for every object up front,
-	// defeating the very pruning Lemma 4.1 provides — and the Figure 13
-	// ablation that measures it.
-	if len(workers) == 1 && ctx.Plan == p && p.M != nil && !e.DisablePruning && m.PsiOf(workers[0]) == p.defaultPsi {
+	// One worker at the prior-mean ψ on a plan holding the cold-worker
+	// cache (the served EAI plan) reads its ranking. A per-call fallback
+	// build holds no cache (eaiServed says why), so it walks the scan.
+	if len(workers) == 1 && p.reads&coldCache != 0 && p.M != nil && !e.DisablePruning && m.PsiOf(workers[0]) == p.defaultPsi {
 		ids, read := p.coldTopK(answered, 0, ctx.K)
 		stats.Evaluated = read
 		out[workers[0]] = objectNames(ctx.Idx, ids)
@@ -244,7 +242,6 @@ func objectNames(idx *data.Index, ids []int32) []string {
 //     positive object of U (c < K of them), and the first K unanswered
 //     entries of ueaiRank are the first K objects ≥ T = 0 in UEAI order.
 func (p *Plan) coldTopK(answered answeredSets, wi, k int) (ids []int32, read int) {
-	p.defaultScores()
 	var group []cow.Entry // the unanswered objects ≥ T, or every positive one
 walk:
 	for _, chunk := range p.coldRank.Chunks() {

@@ -25,7 +25,7 @@ func (MB) Name() string { return "MB" }
 // *infer.DOCSState (MB is DOCS-specific, as in the paper); without one it
 // falls back to the scalar worker trust.
 func (MB) Assign(ctx *Context) map[string][]string {
-	p := ctx.plan()
+	p := ctx.plan(entropies)
 	st, _ := ctx.Res.Model.(*infer.DOCSState)
 	out := make(map[string][]string, len(ctx.Workers))
 	wids := workerIDs(ctx.Idx, ctx.Workers)

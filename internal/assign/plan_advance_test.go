@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/cow"
 	"repro/internal/data"
 	"repro/internal/infer"
 )
@@ -50,14 +51,29 @@ func floatsClose(t *testing.T, tag string, got, want []float64) {
 	}
 }
 
-// comparePlans pins an advanced plan to its from-scratch twin.
+// defaultScores is the plan's cold-worker score cache, nil when the plan
+// holds none.
+func (p *Plan) defaultScores() *cow.Vec[float64] {
+	if p.reads&coldCache == 0 || p.M == nil {
+		return nil
+	}
+	return &p.eaiDefault
+}
+
+// comparePlans pins an advanced plan to its from-scratch twin, part by part
+// over the parts both hold; the confidence rows and the model always.
 func comparePlans(t *testing.T, tag string, got, want *Plan) {
 	t.Helper()
-	if !reflect.DeepEqual(got.entRank.AppendTo(nil), want.entRank.AppendTo(nil)) {
+	both := got.reads & want.reads
+	if both&entRanking != 0 && !reflect.DeepEqual(got.entRank.AppendTo(nil), want.entRank.AppendTo(nil)) {
 		t.Fatalf("%s: entRank differs", tag)
 	}
-	floatsClose(t, tag+": MaxMu", got.maxMu.AppendTo(nil), want.maxMu.AppendTo(nil))
-	floatsClose(t, tag+": Ent", got.ent.AppendTo(nil), want.ent.AppendTo(nil))
+	if both&maxConf != 0 {
+		floatsClose(t, tag+": MaxMu", got.maxMu.AppendTo(nil), want.maxMu.AppendTo(nil))
+	}
+	if both&entropies != 0 {
+		floatsClose(t, tag+": Ent", got.ent.AppendTo(nil), want.ent.AppendTo(nil))
+	}
 	for oid := range want.Idx.Objects {
 		if !reflect.DeepEqual(got.Row(oid), want.Row(oid)) {
 			t.Fatalf("%s: Mu rows differ", tag)
@@ -66,25 +82,30 @@ func comparePlans(t *testing.T, tag string, got, want *Plan) {
 	if (got.M == nil) != (want.M == nil) {
 		t.Fatalf("%s: model presence differs", tag)
 	}
-	if got.Settled() != want.Settled() {
-		t.Fatalf("%s: Settled %d != %d", tag, got.Settled(), want.Settled())
-	}
 	if got.M == nil {
 		return
 	}
-	floatsClose(t, tag+": ueai", got.ueai.AppendTo(nil), want.ueai.AppendTo(nil))
-	gotOrder, wantOrder := got.ueaiRank.AppendTo(nil), want.ueaiRank.AppendTo(nil)
-	if len(gotOrder) != len(wantOrder) {
-		t.Fatalf("%s: ueaiRank length %d != %d", tag, len(gotOrder), len(wantOrder))
+	if both&bounds != 0 {
+		floatsClose(t, tag+": ueai", got.ueai.AppendTo(nil), want.ueai.AppendTo(nil))
+		gotOrder, wantOrder := got.ueaiRank.AppendTo(nil), want.ueaiRank.AppendTo(nil)
+		if len(gotOrder) != len(wantOrder) {
+			t.Fatalf("%s: ueaiRank length %d != %d", tag, len(gotOrder), len(wantOrder))
+		}
+		for i := range gotOrder {
+			if gotOrder[i].ID != wantOrder[i].ID {
+				t.Fatalf("%s: ueaiRank[%d] oid %d != %d (scan order diverged)",
+					tag, i, gotOrder[i].ID, wantOrder[i].ID)
+			}
+			if math.Abs(gotOrder[i].Key-wantOrder[i].Key) > 1e-9 {
+				t.Fatalf("%s: ueaiRank[%d] bound %g != %g", tag, i, gotOrder[i].Key, wantOrder[i].Key)
+			}
+		}
 	}
-	for i := range gotOrder {
-		if gotOrder[i].ID != wantOrder[i].ID {
-			t.Fatalf("%s: ueaiRank[%d] oid %d != %d (scan order diverged)",
-				tag, i, gotOrder[i].ID, wantOrder[i].ID)
-		}
-		if math.Abs(gotOrder[i].Key-wantOrder[i].Key) > 1e-9 {
-			t.Fatalf("%s: ueaiRank[%d] bound %g != %g", tag, i, gotOrder[i].Key, wantOrder[i].Key)
-		}
+	if both&coldCache == 0 {
+		return
+	}
+	if got.Settled() != want.Settled() {
+		t.Fatalf("%s: Settled %d != %d", tag, got.Settled(), want.Settled())
 	}
 	if got.defaultPsi != want.defaultPsi {
 		t.Fatalf("%s: defaultPsi differs", tag)

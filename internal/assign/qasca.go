@@ -39,7 +39,7 @@ func (QASCA) Name() string { return "QASCA" }
 
 // Assign implements Assigner.
 func (q QASCA) Assign(ctx *Context) map[string][]string {
-	p := ctx.plan()
+	p := ctx.plan(maxConf)
 	rng := rand.New(rand.NewSource(ctx.Seed))
 	out := make(map[string][]string, len(ctx.Workers))
 	wids := workerIDs(ctx.Idx, ctx.Workers)

@@ -2,7 +2,8 @@
 // per-cycle state of the crowd server: a paged copy-on-write vector, which
 // the TDH fold model (internal/core) keeps μ, N and D in and the assignment
 // plan (internal/assign) its per-object scores, and a chunked ranking
-// (ranking.go), which the plan keeps its two scan orders in.
+// (ranking.go), which the plan keeps the rankings its assigner reads in
+// (entropy for ME; UEAI bound and cold-worker score for EAI).
 //
 // Both exist for one reason: a coordinator cycle publishes a new version of
 // a campaign-sized state after touching a handful of objects, and every

@@ -78,7 +78,7 @@ type Config struct {
 type State interface {
 	// Res is the assigner-facing view — the per-object rows and truths (an
 	// infer.Dense by object ID), trust maps, and (when the engine has one)
-	// the fitted model — which is what assign.NewPlan and every Assigner
+	// the fitted model — which is what assign.PlanFor and every Assigner
 	// consume. Never nil, and its Rows never nil.
 	//
 	// Rows is the fitted *core.Model for TDH, an infer.Table for the

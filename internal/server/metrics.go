@@ -47,8 +47,8 @@ type serverMetrics struct {
 	ingestRejected  *obs.Counter
 	planBuilds      *obs.Counter // publishes that built the assignment plan from scratch
 	planAdvances    *obs.Counter // publishes that advanced the previous snapshot's plan
-	ueaiMax         *obs.Gauge   // head of the served plan's UEAI ranking
-	settledObjects  *obs.Gauge   // objects the served plan's no-flip certificate settles
+	ueaiMax         *obs.Gauge   // head of the served plan's UEAI ranking; 0 unless EAI
+	settledObjects  *obs.Gauge   // objects the served plan's no-flip certificate settles; 0 unless EAI
 
 	// One observation per /task an EAI assigner served: EAI evaluations
 	// Algorithm 1 ran, those the no-flip certificate answered, and
@@ -112,12 +112,12 @@ func newServerMetrics(s *Server, reg *obs.Registry) *serverMetrics {
 		planAdvances: reg.Counter("tdh_plan_advances_total",
 			"publishes that advanced the previous snapshot's assignment plan"),
 		ueaiMax: reg.Gauge("tdh_ueai_max",
-			"largest Lemma 4.1 bound of the served plan: no task it can hand out adds more than this to the expected accuracy (0 without a TDH model)"),
+			"largest Lemma 4.1 bound of the served plan: no task it can hand out adds more than this to the expected accuracy (0 unless the campaign assigns by EAI on a TDH model)"),
 		eaiEvaluated: reg.Histogram("tdh_eai_evaluated",
 			"EAI evaluations one /task ran in Algorithm 1's scan (for a cold worker, the entries of the plan's cold-worker score ranking it read)",
 			append([]float64{0}, obs.ExpBuckets(1, 2, 15)...)),
 		settledObjects: reg.Gauge("tdh_settled_objects",
-			"objects of the served plan no single further answer can flip before the next refit (the no-flip certificate; 0 without a TDH model)"),
+			"objects of the served plan no single further answer can flip before the next refit (the no-flip certificate; 0 unless the campaign assigns by EAI on a TDH model)"),
 		eaiSettled: reg.Histogram("tdh_eai_settled",
 			"EAI evaluations of one /task the no-flip certificate answered with an O(|V|) read (0 for a cold worker)",
 			append([]float64{0}, obs.ExpBuckets(1, 2, 15)...)),
@@ -164,7 +164,7 @@ func newServerMetrics(s *Server, reg *obs.Registry) *serverMetrics {
 			"inference pipeline stage durations", obs.LatencyBuckets(), "stage", stage)
 	}
 	reg.CounterFunc("tdh_plan_fallbacks_total",
-		"/task requests that found a stale attached plan and rebuilt one in-line (nonzero means plan threading regressed)",
+		"/task requests that found a stale attached plan, or one built for another assigner, and rebuilt one in-line (nonzero means plan threading regressed)",
 		func() float64 { return float64(s.planFallbacks.Load()) })
 	reg.GaugeFunc("tdh_snapshot_age_seconds",
 		"age of the published snapshot every read is served from",

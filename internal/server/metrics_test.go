@@ -245,6 +245,57 @@ func TestStatsReadsTheRegistry(t *testing.T) {
 	}
 }
 
+// TestPlanGaugesAreEAIOnly: tdh_ueai_max and tdh_settled_objects read parts
+// only the plan of an EAI campaign holds — the UEAI ranking, and the settled
+// count that comes with the cold-worker cache. A campaign assigning by ME on
+// the same TDH model publishes plans with the entropy ranking alone, so it
+// reads both gauges as 0 through its boot build, the advances its folds
+// publish and a refit's rebuild, where the EAI twin reads both positive: its
+// plans never hold a settled count, so no cold-worker cache was built.
+func TestPlanGaugesAreEAIOnly(t *testing.T) {
+	for _, asg := range []assign.Assigner{assign.EAI{}, assign.ME{}} {
+		eai := asg.Name() == "EAI"
+		s, err := New(Config{
+			Dataset: synth.Heritages(synth.HeritagesConfig{Seed: 3, Scale: 0.06}),
+			Engine:  engine.NewCategorical(infer.NewTDH()), Assigner: asg, K: 3, Seed: 3,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(s.Handler())
+		check := func(stage string) {
+			t.Helper()
+			out := scrapeMetrics(t, ts.URL)
+			ueai, settled := seriesFloat(t, out, "tdh_ueai_max"), seriesFloat(t, out, "tdh_settled_objects")
+			plan := s.Snapshot().Plan()
+			if ueai != plan.UEAIMax() || settled != float64(plan.Settled()) {
+				t.Errorf("%s, %s: gauges read %v and %v, the served plan %v and %d", asg.Name(), stage, ueai, settled, plan.UEAIMax(), plan.Settled())
+			}
+			if (ueai > 0) != eai || (settled > 0) != eai {
+				t.Errorf("%s, %s: tdh_ueai_max = %v, tdh_settled_objects = %v; want both positive under EAI alone", asg.Name(), stage, ueai, settled)
+			}
+		}
+		check("boot")
+		tasks := fetchTasks(t, ts.URL, "g-0")
+		for _, task := range tasks {
+			if resp := postJSON(t, ts.URL+"/answer", data.Answer{Worker: "g-0", Object: task.Object, Value: task.Candidates[0]}); resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s: POST /answer = %s", asg.Name(), resp.Status)
+			}
+		}
+		waitApplied(t, s, len(tasks), 0)
+		check("after folds")
+		if _, err := s.Refresh(); err != nil {
+			t.Fatal(err)
+		}
+		check("after a refit")
+		if st := s.Stats(); st.PlanAdvances < 1 || st.PlanFallbacks != 0 {
+			t.Errorf("%s: %d plan advances, %d fallbacks; want >= 1 and 0", asg.Name(), st.PlanAdvances, st.PlanFallbacks)
+		}
+		ts.Close()
+		s.Close()
+	}
+}
+
 // TestEMGaugesReadTheModel pins the inference-health series to their one
 // source, the published model: tdh_em_iterations and tdh_em_final_delta are
 // the Iterations and FinalDelta of the last refit's *core.Model, a default

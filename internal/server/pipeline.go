@@ -32,8 +32,9 @@ import (
 // sealed state, see engine.State.Res), and the snapshot's assignment plan is
 // Advance'd around the epoch's touched objects — O(batch · (page + chunk +
 // log |O|)), the persistent arrays and rankings of assign.Plan — instead of
-// rebuilt from scratch (O(Σ|Vo| + |O| log |O|)); every publish prewarms the
-// plan in the pipeline goroutine so no /task request ever pays a plan build
+// rebuilt from scratch (O(Σ|Vo| + |O| log |O|)); the plan holds only what the
+// campaign's assigner reads (assign.PlanFor), and every publish completes it
+// in the pipeline goroutine, so no /task request ever pays a plan build
 // in-line. Full refits — the MAP-EM from scratch (core.Run: always a cold,
 // deterministic function of the dataset, so a replayed log refits to the
 // state the live process published), fanned out over the cores once the
@@ -238,11 +239,12 @@ type cycleStamps struct {
 func (p *pipeline) metrics() *serverMetrics { return p.s.metrics }
 
 // publish makes the pipeline's current state visible to readers, with its
-// assignment plan already attached and prewarmed — built, reused or advanced
-// in this goroutine so no /task request ever pays for it in-line:
+// assignment plan already attached — built, reused or advanced in this
+// goroutine so no /task request ever pays for it in-line:
 //
 //   - when refit is set — a fit was just installed, the boot fit included —
-//     the plan is built from scratch;
+//     the plan is built from scratch, with the parts the campaign's
+//     assigner reads (assign.PlanFor);
 //   - when the cycle left index and result untouched (an engine with no
 //     incremental path publishing its previous state), the previous plan is
 //     exact and is reused outright;
@@ -272,7 +274,7 @@ func (p *pipeline) publish(touched []int, refit bool) {
 	var plan *assign.Plan
 	switch {
 	case refit:
-		plan = assign.NewPlan(p.idx, res)
+		plan = assign.PlanFor(p.s.cfg.Assigner, p.idx, res)
 		p.metrics().planBuilds.Inc()
 	case p.idx == prev.Idx && res == prev.Res:
 		plan = prev.Plan() // nothing moved: the previous plan is exact
@@ -285,7 +287,6 @@ func (p *pipeline) publish(touched []int, refit bool) {
 			p.metrics().planBuilds.Inc()
 		}
 	}
-	plan.Prewarm()
 	p.metrics().ueaiMax.Set(plan.UEAIMax())
 	p.metrics().settledObjects.Set(float64(plan.Settled()))
 	p.metrics().observeStage(stagePlan, planStart)
@@ -311,7 +312,7 @@ const (
 	// slowPublishAfter is the publish-duration threshold for the slow-publish
 	// warning. A publish is plan maintenance plus one pointer store, and plan
 	// maintenance after a fold costs what the batch touched, so one this slow
-	// is a from-scratch NewPlan (a refit, a fallback) or an O(|O|) growth
+	// is a from-scratch plan build (a refit, a fallback) or an O(|O|) growth
 	// advance on a campaign large enough for that to fall behind ingest.
 	slowPublishAfter = 500 * time.Millisecond
 	// stallAfter is how long queued items may sit without the watermark

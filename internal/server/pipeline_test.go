@@ -758,7 +758,7 @@ func stateDump(st engine.State, n int) string {
 
 // BenchmarkOneAnswerCycle times one coordinator cycle between refits as the
 // pipeline runs it — apply (ingest, open an epoch, fold, seal) and publish
-// (plan advance and prewarm, snapshot store) — on Heritages ×1 at one and
+// (plan advance, snapshot store) — on Heritages ×1 at one and
 // at sixteen answers per cycle. With refits off the coordinator, cycles
 // this small are most of what it does; their ns/op and B/op are what a
 // page- or chunk-size change (internal/cow) would move.

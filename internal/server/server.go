@@ -156,8 +156,8 @@ type Server struct {
 	ingestWG   sync.WaitGroup
 	closeOnce  sync.Once
 
-	// planFallbacks counts /task requests that found a stale attached plan (a
-	// threading regression). The assigner increments it through
+	// planFallbacks counts /task requests that found a stale attached plan,
+	// or one built for another assigner (a threading regression). The assigner increments it through
 	// assign.Context; the registry exports it at scrape time.
 	planFallbacks atomic.Int64
 
@@ -845,8 +845,9 @@ type Stats struct {
 	// PlanAdvances / PlanBuilds
 	// split publishes by whether the assignment plan was advanced from the
 	// previous snapshot's or built from scratch; PlanFallbacks counts /task
-	// requests that found a stale attached plan and rebuilt one in-line
-	// (always 0 unless plan threading regresses).
+	// requests that found a stale attached plan, or one built for another
+	// assigner, and rebuilt one in-line (always 0 unless plan threading
+	// regresses).
 	Shards          int   `json:"shards"`
 	ShardQueueDepth []int `json:"shard_queue_depth"`
 	SnapshotAgeMS   int64 `json:"snapshot_age_ms"`

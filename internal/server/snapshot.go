@@ -61,12 +61,13 @@ type Snapshot struct {
 }
 
 // Plan returns the snapshot's shared assignment plan — the worker-
-// independent precompute (UEAI bounds in scan order, per-object max-
-// confidence and entropy rankings, cold-worker EAI scores) that every
-// /task request against this snapshot reads instead of rebuilding
-// O(|O| log |O|) state per request. The pipeline builds every snapshot
-// with a prewarmed plan (built, advanced from the previous snapshot's, or
-// reused).
+// independent precompute the campaign's assigner reads (assign.PlanFor:
+// under EAI the UEAI bounds in scan order and the cold-worker EAI scores;
+// under ME the entropy ranking; under MB the entropies; under QASCA the
+// max confidences) that every /task request against this snapshot reads
+// instead of rebuilding O(|O| log |O|) state per request. The pipeline
+// builds every snapshot with its plan complete (built, advanced from the
+// previous snapshot's, or reused).
 func (sn *Snapshot) Plan() *assign.Plan { return sn.plan }
 
 // snap loads the current snapshot; it is never nil after New.
