@@ -102,7 +102,7 @@ func (c *coldCases) add(p *Plan, answered []uint64, k int) {
 	}
 }
 
-// TestColdTopKIsTheScan pins what an attached, prewarmed plan returns to a
+// TestColdTopKIsTheScan pins what an attached plan returns to a
 // prior-ψ worker — the worker every cold /task serves — to Algorithm 1's
 // scan: the same call without a plan, which scores every object it visits
 // with eaiAt. It covers prior-ψ workers with answered sets (indexed through
@@ -123,7 +123,6 @@ func TestColdTopKIsTheScan(t *testing.T) {
 		idx0 := data.NewIndex(c.ds)
 		res0 := infer.NewTDH().Infer(idx0)
 		p0 := NewPlan(idx0, res0)
-		p0.Prewarm()
 		byScore := make([]int32, idx0.NumObjects())
 		for oid := range byScore {
 			byScore[oid] = int32(oid)
@@ -138,7 +137,6 @@ func TestColdTopKIsTheScan(t *testing.T) {
 		idx, m, workers := coldWorkers(idx0, res0.Rows.(*core.Model), byScore, positive)
 		res := infer.ViewOf(m, nil)
 		fresh := NewPlan(idx, res)
-		fresh.Prewarm()
 
 		// A fold of further answers, from the cold workers and from workers
 		// the index has never seen: every ψ stays the prior mean.

@@ -34,7 +34,7 @@ func withHistory(ds *data.Dataset, n int) []string {
 
 // TestEAIGolden pins EAI to the bit for workers with history: the hash over
 // AssignWithStats' assignments and pruning statistics (with and without the
-// UEAI bound) and over the cold-worker scores Prewarm fills was recorded
+// UEAI bound) and over the plan's cold-worker scores was recorded
 // before ExpectedCondMaxAt fused its likelihood and conditional-max passes.
 func TestEAIGolden(t *testing.T) {
 	for _, c := range []struct {
@@ -65,7 +65,6 @@ func TestEAIGolden(t *testing.T) {
 			put(uint64(stats.Pruned))
 		}
 		p := NewPlan(idx, res)
-		p.Prewarm()
 		for oid := 0; oid < idx.NumObjects(); oid++ {
 			put(math.Float64bits(p.eaiDefault.At(oid)))
 		}

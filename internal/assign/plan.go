@@ -113,27 +113,33 @@ const (
 )
 
 // Row is the confidence row of object oid (nil when the result has none),
-// read-only.
+// read-only. MaxMu and Ent are its max and its entropy, read from the
+// plan's arrays: MaxMu on a plan holding max confidences (QASCA's,
+// NewPlan's), Ent on one holding entropies (MB's, ME's, NewPlan's).
 func (p *Plan) Row(oid int) []float64 { return p.d.Row(oid) }
 
-// MaxMu is the max of object oid's confidence row: read from the plan's
-// array on a plan that holds one (QASCA's, NewPlan's), computed from the
-// row on any other.
-func (p *Plan) MaxMu(oid int) float64 {
-	if p.reads&maxConf == 0 {
-		return maxOf(p.Row(oid))
-	}
-	return p.maxMu.At(oid)
-}
+func (p *Plan) MaxMu(oid int) float64 { return p.maxMu.At(oid) }
+func (p *Plan) Ent(oid int) float64   { return p.ent.At(oid) }
 
-// Ent is the entropy of object oid's confidence row: read from the plan's
-// array on a plan that holds one (ME's, MB's, NewPlan's), computed from the
-// row on any other.
-func (p *Plan) Ent(oid int) float64 {
-	if p.reads&entropies == 0 {
-		return entropy(p.Row(oid))
+// AppendParts appends every value the plan holds besides the confidence
+// rows to dst: the per-object arrays of its parts in object order (max
+// confidence, entropy, UEAI bound, cold-worker score), then each ranking's
+// entries in rank order as key and ID (entropy, UEAI, cold-worker), then
+// the settled count. A part the plan does not hold appends nothing. These
+// are the values Advance clones and writes, so a copy taken at publish is
+// what a check that a served plan is never mutated compares against.
+func (p *Plan) AppendParts(dst []float64) []float64 {
+	for _, v := range []*cow.Vec[float64]{&p.maxMu, &p.ent, &p.ueai, &p.eaiDefault} {
+		dst = v.AppendTo(dst)
 	}
-	return p.ent.At(oid)
+	for _, r := range []cow.Ranking{p.entRank, p.ueaiRank, p.coldRank} {
+		for _, chunk := range r.Chunks() {
+			for _, e := range chunk {
+				dst = append(dst, e.Key, float64(e.ID))
+			}
+		}
+	}
+	return append(dst, float64(p.settled))
 }
 
 // UEAIMax is the largest Lemma 4.1 bound of the plan — the head of the UEAI

@@ -149,7 +149,6 @@ func TestPlanAdvanceMatchesNewPlanAfterAnswers(t *testing.T) {
 		for _, nAns := range []int{1, 9, 200} {
 			tag := fmt.Sprintf("fixture %d, %d answers", fi, nAns)
 			prev := NewPlan(f.idx, f.res)
-			prev.Prewarm()
 			res2, touched := foldAnswers(f, nAns)
 			want := NewPlan(f.idx, res2)
 			got, ok := prev.Advance(f.idx, res2, touched)
@@ -162,12 +161,13 @@ func TestPlanAdvanceMatchesNewPlanAfterAnswers(t *testing.T) {
 	}
 }
 
-// TestPlanAdvanceUnwarmedPrevious: advancing a plan whose cold-worker cache
-// was never filled still matches (the advance fills it off the previous
-// plan's lazy path).
+// TestPlanAdvanceUnwarmedPrevious: advancing a plan straight from NewPlan,
+// with no call on it in between, matches. Every constructor builds the
+// cold-worker cache eagerly, so no plan is left to warm: this is the
+// four-answer fold on fixture 5.
 func TestPlanAdvanceUnwarmedPrevious(t *testing.T) {
 	f := newFixture(t, 5, true)
-	prev := NewPlan(f.idx, f.res) // no Prewarm
+	prev := NewPlan(f.idx, f.res)
 	res2, touched := foldAnswers(f, 4)
 	want := NewPlan(f.idx, res2)
 	got, ok := prev.Advance(f.idx, res2, touched)
@@ -184,7 +184,6 @@ func TestPlanAdvanceAfterGrowth(t *testing.T) {
 	for fi, f := range planFixtures(t) {
 		tag := fmt.Sprintf("fixture %d", fi)
 		prev := NewPlan(f.idx, f.res)
-		prev.Prewarm()
 
 		work := f.ds.Clone()
 		donorVals := f.idx.View(f.idx.Objects[0]).CI.Values
@@ -288,7 +287,6 @@ func TestPlanOnViewMatchesCopy(t *testing.T) {
 	for fi, f := range planFixtures(t) {
 		tag := fmt.Sprintf("fixture %d", fi)
 		prev := NewPlan(f.idx, f.res)
-		prev.Prewarm()
 		copied, touched := foldAnswers(f, 9)
 		m := copied.Model.(*core.Model)
 		view := infer.ViewOf(m, f.res)

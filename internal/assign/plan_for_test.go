@@ -155,3 +155,43 @@ func matchPlanFor(t *testing.T, tag string, asg Assigner, f *fixture, idx *data.
 		t.Fatalf("%s: %s fell back from its own plan %d times", tag, asg.Name(), n.Load())
 	}
 }
+
+// TestAppendPartsReadsEveryPart: AppendParts — what the server's
+// never-mutated checks compare — sees a write to each part a plan holds, on
+// a plan holding every part, and reads only the parts a plan holds: an EAI
+// plan's two arrays, two rankings and settled count.
+func TestAppendPartsReadsEveryPart(t *testing.T) {
+	f := newFixture(t, 3, true)
+	p := NewPlan(f.idx, f.res)
+	base := p.AppendParts(nil)
+	vec := func(v cow.Vec[float64]) cow.Vec[float64] {
+		w := v.Clone()
+		w.Set(7, w.At(7)+0.25)
+		return w
+	}
+	rekey := func(r cow.Ranking, keys cow.Vec[float64]) cow.Ranking {
+		return r.Update([]cow.Rekey{{ID: 7, Old: keys.At(7), New: keys.At(7) + 0.25}})
+	}
+	for name, write := range map[string]func(q *Plan){
+		"maxMu":      func(q *Plan) { q.maxMu = vec(q.maxMu) },
+		"ent":        func(q *Plan) { q.ent = vec(q.ent) },
+		"entRank":    func(q *Plan) { q.entRank = rekey(q.entRank, q.ent) },
+		"ueai":       func(q *Plan) { q.ueai = vec(q.ueai) },
+		"ueaiRank":   func(q *Plan) { q.ueaiRank = rekey(q.ueaiRank, q.ueai) },
+		"eaiDefault": func(q *Plan) { q.eaiDefault = vec(q.eaiDefault) },
+		"coldRank":   func(q *Plan) { q.coldRank = rekey(q.coldRank, q.eaiDefault) },
+		"settled":    func(q *Plan) { q.settled++ },
+	} {
+		q := *p
+		write(&q)
+		if reflect.DeepEqual(q.AppendParts(nil), base) {
+			t.Errorf("a write to %s left AppendParts unchanged", name)
+		}
+	}
+	if !reflect.DeepEqual(p.AppendParts(nil), base) {
+		t.Fatal("the writes above reached the plan they were made on a copy of")
+	}
+	if n, got := f.idx.NumObjects(), len(PlanFor(EAI{}, f.idx, f.res).AppendParts(nil)); got != 6*n+1 {
+		t.Fatalf("an EAI plan over %d objects appends %d values, want %d", n, got, 6*n+1)
+	}
+}

@@ -170,7 +170,8 @@ func TestQASCASamplingVariesAcrossWorkers(t *testing.T) {
 
 // TestTaskStormSharedPlan hammers one snapshot's shared plan with many
 // concurrent cold-worker /task requests (run under -race in CI): the plan
-// must never be mutated, and every worker must get a valid assignment.
+// must never be mutated — no part it holds moves, and it holds EAI's — and
+// every worker must get a valid assignment.
 func TestTaskStormSharedPlan(t *testing.T) {
 	ds := synth.Heritages(synth.HeritagesConfig{Seed: 17, Scale: 0.08})
 	s, err := New(Config{
@@ -190,7 +191,10 @@ func TestTaskStormSharedPlan(t *testing.T) {
 
 	snap := s.Snapshot()
 	plan := snap.Plan()
-	maxMuBefore, entBefore := planScores(plan)
+	before := plan.AppendParts(nil)
+	if fresh := assign.PlanFor(assign.EAI{}, snap.Idx, snap.Res).AppendParts(nil); !reflect.DeepEqual(before, fresh) || len(before) < 6*snap.Idx.NumObjects() {
+		t.Fatalf("the served plan's parts (%d values) are not the EAI plan PlanFor builds (%d values)", len(before), len(fresh))
+	}
 
 	const workers = 48
 	var wg sync.WaitGroup
@@ -234,7 +238,7 @@ func TestTaskStormSharedPlan(t *testing.T) {
 	if snap.Plan() != plan {
 		t.Fatal("snapshot rebuilt its plan mid-storm")
 	}
-	if maxMu, ent := planScores(plan); !reflect.DeepEqual(maxMuBefore, maxMu) || !reflect.DeepEqual(entBefore, ent) {
+	if !reflect.DeepEqual(plan.AppendParts(nil), before) {
 		t.Fatal("concurrent /task storm mutated the shared plan")
 	}
 }

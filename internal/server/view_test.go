@@ -37,23 +37,24 @@ func waitApplied(t *testing.T, s *Server, answers, mutations int) *Snapshot {
 }
 
 // reachable deep-copies every value a reader can reach from one snapshot:
-// the Result read API, the state's wire encoders, the plan's per-object
-// arrays and the trust maps.
+// the Result read API, the state's wire encoders, the plan's confidence
+// rows and every part it holds (assign.Plan.AppendParts: under EAI the
+// bounds, the cold-worker scores, both rankings and the settled count) and
+// the trust maps.
 type reachable struct {
 	Rows, PlanMu     [][]float64
 	Truths           []string
 	TruthMap         any
 	Confidence       []any
-	MaxMu, Ent       []float64
+	PlanParts        []float64
 	Sources, Workers map[string]float64
 }
 
-// planScores copies the plan's per-object max confidence and entropy out.
-func planScores(p *assign.Plan) (maxMu, ent []float64) {
-	for oid := range p.Idx.Objects {
-		maxMu, ent = append(maxMu, p.MaxMu(oid)), append(ent, p.Ent(oid))
-	}
-	return maxMu, ent
+// coldScores is an EAI plan's cold-worker score per object: AppendParts
+// lays such a plan out as its bounds, then these.
+func coldScores(p *assign.Plan) []float64 {
+	n := p.Idx.NumObjects()
+	return p.AppendParts(nil)[n : 2*n]
 }
 
 func captureReachable(sn *Snapshot) reachable {
@@ -69,7 +70,7 @@ func captureReachable(sn *Snapshot) reachable {
 		truths[o] = v
 	}
 	r.TruthMap = truths
-	r.MaxMu, r.Ent = planScores(sn.Plan())
+	r.PlanParts = sn.Plan().AppendParts(nil)
 	r.Sources, r.Workers = map[string]float64{}, map[string]float64{}
 	for k, v := range sn.Res.SourceTrust {
 		r.Sources[k] = v
@@ -88,7 +89,9 @@ func captureReachable(sn *Snapshot) reachable {
 // reader. Hold snapshot k — itself a folded, grown view — run 60 further
 // fold/seal cycles and 6 growths that touch the same objects, with
 // concurrent /task, /truths, /confidence and /trust readers (the -race
-// jobs run this), and require every value reachable from snapshot k to be
+// jobs run this), and require every value reachable from snapshot k — the
+// plan's bounds, cold-worker scores and their rankings included, which the
+// hot objects' positive cold-worker scores make every fold write — to be
 // bit-identical to what it was at publish. Then the same over 60 more
 // fold-only cycles from the last growth on (a growth is a fresh build; folds
 // are what share pages), with the sharing itself pinned: an untouched
@@ -100,7 +103,20 @@ func TestSnapshotImmutableUnderAliasing(t *testing.T) {
 	ds := synth.Heritages(synth.HeritagesConfig{Seed: 4, Scale: 1}) // 785 objects: four pages
 	s, ts := newFoldServer(t, ds)
 	defer s.Close()
-	hot := s.SortedObjects()[:8]
+	// The hot objects lie in the first page, the neighbour's, and have a
+	// positive cold-worker score, so their folds write the plan's cold
+	// cache and not just its bounds.
+	var hot []string
+	boot := s.Snapshot()
+	cold := coldScores(boot.Plan())
+	for oid := 0; len(hot) < 8; oid++ {
+		if oid != 200 && cold[oid] > 0 {
+			hot = append(hot, boot.Idx.Objects[oid])
+		}
+	}
+	if hi := boot.Idx.View(hot[7]).ID; hi >= 256 {
+		t.Fatalf("the first page holds under 8 objects with a positive cold-worker score (8th at ID %d)", hi)
+	}
 	answers, mutations := 0, 0
 	answer := func(round int) {
 		for i, o := range hot {
@@ -134,6 +150,9 @@ func TestSnapshotImmutableUnderAliasing(t *testing.T) {
 		t.Fatal("snapshot k is not a view: the test would not exercise aliasing")
 	}
 	before := captureReachable(held)
+	if n := held.Idx.NumObjects(); len(before.PlanParts) < 6*n {
+		t.Fatalf("the held plan holds %d part values over %d objects: it lacks EAI's bounds, cold-worker scores or their rankings", len(before.PlanParts), n)
+	}
 
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
@@ -205,9 +224,9 @@ func TestSnapshotImmutableUnderAliasing(t *testing.T) {
 	}
 	requireUnchanged("across folds and growths", held, before)
 
-	// Page sharing, from the last growth on. The hot objects are IDs 0..7;
-	// neighbour shares their page and is never answered, far1 and far2 lie in
-	// pages no fold of this phase writes.
+	// Page sharing, from the last growth on. The hot objects lie in the
+	// first page; neighbour shares it and is never answered, far1 and far2
+	// lie in pages no fold of this phase writes.
 	const neighbour, far1, far2 = 200, 300, 600
 	mid := last
 	midModel := mid.Res.Model.(*core.Model)
