@@ -73,3 +73,40 @@ func TestEAIGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestAssignerGolden pins ME, MB and QASCA to the bit for workers with
+// history: the hash over each one's assignment — MB over a DOCS fit and over
+// TDH's, where it falls back to the scalar worker trust — with no plan
+// attached and with NewPlan's attached.
+func TestAssignerGolden(t *testing.T) {
+	for _, c := range []struct {
+		ds      *data.Dataset
+		answers int
+		want    uint64
+	}{
+		{synth.Heritages(synth.HeritagesConfig{Seed: 7, Scale: 0.25}), 400, 0xa180a248cfde697},
+		{synth.BirthPlaces(synth.BirthPlacesConfig{Seed: 7, Scale: 0.05}), 300, 0x52d9b970af06ec9d},
+	} {
+		workers := withHistory(c.ds, c.answers)
+		idx := data.NewIndex(c.ds)
+		tdh, docs := infer.NewTDH().Infer(idx), infer.DOCS{}.Infer(idx)
+		h := fnv.New64a()
+		for _, run := range []struct {
+			asg Assigner
+			res *infer.Result
+		}{{ME{}, tdh}, {MB{}, docs}, {MB{}, tdh}, {QASCA{}, tdh}} {
+			for _, p := range []*Plan{nil, NewPlan(idx, run.res)} {
+				tasks := run.asg.Assign(&Context{Idx: idx, Res: run.res, Plan: p, Workers: workers, K: 5, Seed: 1})
+				h.Write([]byte(run.asg.Name() + "\x00"))
+				for _, w := range slices.Sorted(slices.Values(workers)) {
+					for _, o := range tasks[w] {
+						h.Write([]byte(w + "\x00" + o + "\x00"))
+					}
+				}
+			}
+		}
+		if got := h.Sum64(); got != c.want {
+			t.Errorf("%s: assigner hash %#x, want %#x", c.ds.Name, got, c.want)
+		}
+	}
+}
