@@ -28,7 +28,6 @@ func DefaultSnapshotmut() SnapshotmutConfig {
 			"internal/assign.PlanFor",
 			"internal/assign.build",
 			"internal/assign.Plan.Advance",
-			"internal/assign.Plan.grow",
 			// Model construction, the EM itself, incremental folds and
 			// open-world growth. Run and its helpers own the model until
 			// they return it.

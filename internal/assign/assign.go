@@ -6,10 +6,10 @@
 // All assigners run dense-ID-based over a shared, immutable Plan — the
 // worker-independent precompute that the crowd server builds once per
 // published snapshot and attaches to the Context. A plan serves one
-// assigner and holds only what that assigner reads (PlanFor): EAI's UEAI
-// bounds in scan order and cold-worker scores, ME's entropy ranking, MB's
-// entropies, QASCA's max confidences; every plan reads confidence rows by
-// object ID. Per request, an assigner only does the worker-dependent part:
+// assigner and holds only the rankings that assigner walks (PlanFor): EAI's
+// objects by UEAI bound (its scan order) and by cold-worker score, ME's by
+// entropy; MB and QASCA read confidence rows alone, which every plan serves
+// by object ID. Per request, an assigner only does the worker-dependent part:
 // filtering the worker's answered set and scoring/ranking against the plan.
 // Callers that do not provide a Plan (the crowd loop, experiments), or
 // provide one built for another assigner, get one built on the fly with the

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/cow"
 	"repro/internal/data"
 	"repro/internal/infer"
 	"repro/internal/synth"
@@ -74,9 +73,9 @@ type coldCases struct{ fewer, zero, tie int }
 
 func (c *coldCases) add(p *Plan, answered []uint64, k int) {
 	var scores []float64
-	for oid := range p.Idx.NumObjects() {
+	for oid, s := range p.coldScores() {
 		if answered == nil || answered[oid>>6]&(1<<(oid&63)) == 0 {
-			scores = append(scores, p.defaultScores().At(oid))
+			scores = append(scores, s)
 		}
 	}
 	if len(scores) < k {
@@ -123,15 +122,16 @@ func TestColdTopKIsTheScan(t *testing.T) {
 		idx0 := data.NewIndex(c.ds)
 		res0 := infer.NewTDH().Infer(idx0)
 		p0 := NewPlan(idx0, res0)
+		cold := p0.coldScores()
 		byScore := make([]int32, idx0.NumObjects())
 		for oid := range byScore {
 			byScore[oid] = int32(oid)
 		}
 		slices.SortStableFunc(byScore, func(a, b int32) int {
-			return cmp.Compare(p0.defaultScores().At(int(b)), p0.defaultScores().At(int(a)))
+			return cmp.Compare(cold[b], cold[a])
 		})
 		positive := 0
-		for positive < len(byScore) && p0.defaultScores().At(int(byScore[positive])) > 0 {
+		for positive < len(byScore) && cold[byScore[positive]] > 0 {
 			positive++
 		}
 		idx, m, workers := coldWorkers(idx0, res0.Rows.(*core.Model), byScore, positive)
@@ -230,9 +230,9 @@ func TestColdTopKIsTheHeap(t *testing.T) {
 				answered[0][oid>>6] |= 1 << (oid & 63)
 			}
 		}
-		p := &Plan{eaiDefault: cow.Paged(scores), coldRank: rank(scores), ueai: cow.Paged(bounds), ueaiRank: rank(bounds)}
+		p := &Plan{coldRank: rank(scores), ueaiRank: rank(bounds)}
 		k := 1 + rng.Intn(12)
-		got, _ := p.coldTopK(answered, 0, k)
+		got, _ := p.coldTopK(answered, 0, k, func(oid int) float64 { return bounds[oid] })
 		slices.Sort(got)
 		if want := heapTopK(p, scores, answered, k); !slices.Equal(got, want) {
 			t.Fatalf("trial %d (K=%d, scores %v, bounds %v): closed form %v, heap %v", trial, k, scores, bounds, got, want)

@@ -23,8 +23,8 @@ import (
 // decreasing ψ_{w,1}, with per-worker min-heaps of size K; the UEAI bound
 // prunes EAI evaluations that cannot enter a heap.
 //
-// The UEAI bounds and their decreasing-bound scan order are worker-
-// independent, so they live in the shared Plan (precomputed once per
+// The decreasing-bound scan order, each entry carrying its bound, is
+// worker-independent, so it lives in the shared Plan (precomputed once per
 // snapshot); an Assign call only walks that order, filters each worker's
 // answered set, and evaluates EAI where the bound admits it. One worker at
 // the prior-mean ψ — every cold /task — is answered from the attached
@@ -118,7 +118,7 @@ func (e EAI) AssignWithStats(ctx *Context) (map[string][]string, EAIStats) {
 	// cache (the served EAI plan) reads its ranking. A per-call fallback
 	// build holds no cache (eaiServed says why), so it walks the scan.
 	if len(workers) == 1 && p.reads&coldCache != 0 && p.M != nil && !e.DisablePruning && m.PsiOf(workers[0]) == p.defaultPsi {
-		ids, read := p.coldTopK(answered, 0, ctx.K)
+		ids, read := p.coldTopK(answered, 0, ctx.K, p.boundAt)
 		stats.Evaluated = read
 		out[workers[0]] = objectNames(ctx.Idx, ids)
 		return out, stats
@@ -161,12 +161,12 @@ scan:
 			if !e.DisablePruning && full() && minOverAll() > en.Key {
 				break scan // no remaining object can displace anything (Alg. 1, l.8)
 			}
-			cur := en.ID
+			cur, bound := en.ID, en.Key
 			for wi := 0; wi < len(workers) && cur >= 0; wi++ {
 				if answered.has(wi, int(cur)) {
 					continue
 				}
-				if !e.DisablePruning && len(heaps[wi]) >= ctx.K && heaps[wi][0].score >= p.ueai.At(int(cur)) {
+				if !e.DisablePruning && len(heaps[wi]) >= ctx.K && heaps[wi][0].score >= bound {
 					stats.Pruned++
 					continue // cannot beat this worker's current minimum
 				}
@@ -183,7 +183,9 @@ scan:
 				if score > heaps[wi][0].score {
 					displaced := heap.Pop(&heaps[wi]).(eaiEntry)
 					heap.Push(&heaps[wi], eaiEntry{score, cur})
-					cur = displaced.oid // hand the evicted object to the next worker
+					// Hand the evicted object, and its bound, to the next worker.
+					cur = displaced.oid
+					bound = p.boundAt(int(cur))
 				}
 			}
 		}
@@ -212,7 +214,8 @@ func objectNames(idx *data.Index, ids []int32) []string {
 // coldTopK is the EAI assignment of worker wi of answered, at the plan's
 // prior-mean ψ, under the UEAI bound, read off the plan's cold-worker score
 // ranking: the object IDs Algorithm 1's scan returns for that worker, and
-// how many ranking entries it read.
+// how many ranking entries it read. boundAt is each object's Lemma 4.1
+// bound, the key of the plan's UEAI ranking (Plan.boundAt).
 //
 // Let U be the unanswered objects, s their cached scores (all ≥ 0: eaiAt
 // clamps the noise floor to 0) and, when |U| ≥ K, T the K-th largest score
@@ -237,12 +240,18 @@ func objectNames(idx *data.Index, ids []int32) []string {
 // Reading it costs O(K + the answered objects met + the ties at T):
 //   - T > 0: walk coldRank (score descending, ID ascending) to the first
 //     entry below T, collecting the unanswered ones — the objects ≥ T —
-//     and order that group by (bound descending, ID ascending);
+//     with their bounds, and order that group by (bound descending, ID
+//     ascending);
 //   - otherwise the walk reaches the zeros first, having collected every
 //     positive object of U (c < K of them), and the first K unanswered
-//     entries of ueaiRank are the first K objects ≥ T = 0 in UEAI order.
-func (p *Plan) coldTopK(answered answeredSets, wi, k int) (ids []int32, read int) {
-	var group []cow.Entry // the unanswered objects ≥ T, or every positive one
+//     entries of ueaiRank are the first K objects ≥ T = 0 in UEAI order:
+//     those outside the group score 0.
+func (p *Plan) coldTopK(answered answeredSets, wi, k int, boundAt func(oid int) float64) (ids []int32, read int) {
+	type member struct {
+		cow.Entry
+		bound float64
+	}
+	var group []member // the unanswered objects ≥ T, or every positive one
 walk:
 	for _, chunk := range p.coldRank.Chunks() {
 		for _, en := range chunk {
@@ -251,7 +260,7 @@ walk:
 				break walk
 			}
 			if !answered.has(wi, int(en.ID)) {
-				group = append(group, en)
+				group = append(group, member{en, boundAt(int(en.ID))})
 			}
 		}
 	}
@@ -259,19 +268,19 @@ walk:
 	var ties []int32 // of the first K objects ≥ T in UEAI order, those scoring T
 	if len(group) >= k {
 		t := group[k-1].Key
-		slices.SortFunc(group, func(a, b cow.Entry) int {
-			return cmp.Or(cmp.Compare(p.ueai.At(int(b.ID)), p.ueai.At(int(a.ID))), cmp.Compare(a.ID, b.ID))
+		slices.SortFunc(group, func(a, b member) int {
+			return cmp.Or(cmp.Compare(b.bound, a.bound), cmp.Compare(a.ID, b.ID))
 		})
-		for i, en := range group {
-			if en.Key > t {
-				ids = append(ids, en.ID)
+		for i, m := range group {
+			if m.Key > t {
+				ids = append(ids, m.ID)
 			} else if i < k {
-				ties = append(ties, en.ID)
+				ties = append(ties, m.ID)
 			}
 		}
 	} else {
-		for _, en := range group {
-			ids = append(ids, en.ID)
+		for _, m := range group {
+			ids = append(ids, m.ID)
 		}
 		met := 0
 	scan:
@@ -285,7 +294,7 @@ walk:
 					continue
 				}
 				met++
-				if p.eaiDefault.At(int(en.ID)) <= 0 {
+				if !slices.Contains(ids, en.ID) {
 					ties = append(ties, en.ID)
 				}
 			}

@@ -34,8 +34,9 @@ func withHistory(ds *data.Dataset, n int) []string {
 
 // TestEAIGolden pins EAI to the bit for workers with history: the hash over
 // AssignWithStats' assignments and pruning statistics (with and without the
-// UEAI bound) and over the plan's cold-worker scores was recorded
-// before ExpectedCondMaxAt fused its likelihood and conditional-max passes.
+// UEAI bound) and over the plan's cold-worker scores (its cold-worker
+// ranking's keys, laid out by object ID) was recorded before
+// ExpectedCondMaxAt fused its likelihood and conditional-max passes.
 func TestEAIGolden(t *testing.T) {
 	for _, c := range []struct {
 		ds      *data.Dataset
@@ -64,9 +65,8 @@ func TestEAIGolden(t *testing.T) {
 			put(uint64(stats.Evaluated))
 			put(uint64(stats.Pruned))
 		}
-		p := NewPlan(idx, res)
-		for oid := 0; oid < idx.NumObjects(); oid++ {
-			put(math.Float64bits(p.eaiDefault.At(oid)))
+		for _, s := range NewPlan(idx, res).coldScores() {
+			put(math.Float64bits(s))
 		}
 		if got := h.Sum64(); got != c.want {
 			t.Errorf("%s: EAI hash %#x, want %#x", c.ds.Name, got, c.want)

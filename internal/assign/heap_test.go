@@ -79,8 +79,8 @@ func TestPlanUEAIOrderSorted(t *testing.T) {
 		if a.Key < b.Key || (a.Key == b.Key && a.ID >= b.ID) {
 			t.Fatalf("entry %d out of order: (%v,%d) before (%v,%d)", i, a.Key, a.ID, b.Key, b.ID)
 		}
-		if p.ueai.At(int(a.ID)) != a.Key {
-			t.Fatalf("ueai[%d] = %v disagrees with order entry %v", a.ID, p.ueai.At(int(a.ID)), a.Key)
+		if p.boundAt(int(a.ID)) != a.Key {
+			t.Fatalf("bound of %d = %v disagrees with order entry %v", a.ID, p.boundAt(int(a.ID)), a.Key)
 		}
 	}
 }
@@ -98,7 +98,7 @@ func TestPlanEntropyOrderDeterministic(t *testing.T) {
 		t.Fatal("entropy ranking with ties must be deterministic")
 	}
 	for i := 1; i < len(order); i++ {
-		if a.Ent(int(order[i].ID)) > a.Ent(int(order[i-1].ID)) {
+		if order[i].Key != a.entropyAt(int(order[i].ID)) || order[i].Key > order[i-1].Key {
 			t.Fatal("not sorted by entropy")
 		}
 	}

@@ -13,9 +13,9 @@ import (
 //	score(w,o) = H(μ_o) - Σ_{v'} P(v'|q_{w,d}, μ_o) · H(μ_o | v')
 //
 // where the answer model is the DOCS one: correct with probability
-// q_{w,d(o)}, otherwise uniform over the remaining candidates. The prior
-// entropies H(μ_o) and the confidence rows come precomputed from the
-// shared Plan; only the worker-quality-dependent expectation runs per call.
+// q_{w,d(o)}, otherwise uniform over the remaining candidates. The
+// confidence rows come from the shared Plan; the prior entropy H(μ_o) is
+// read off the row with the worker-quality-dependent expectation, per call.
 type MB struct{}
 
 // Name implements Assigner.
@@ -25,7 +25,7 @@ func (MB) Name() string { return "MB" }
 // *infer.DOCSState (MB is DOCS-specific, as in the paper); without one it
 // falls back to the scalar worker trust.
 func (MB) Assign(ctx *Context) map[string][]string {
-	p := ctx.plan(entropies)
+	p := ctx.plan(0)
 	st, _ := ctx.Res.Model.(*infer.DOCSState)
 	out := make(map[string][]string, len(ctx.Workers))
 	wids := workerIDs(ctx.Idx, ctx.Workers)
@@ -59,7 +59,7 @@ func (MB) Assign(ctx *Context) map[string][]string {
 				q = workerTrustOf(ctx.Res, w, 0.7)
 			}
 			wrong := (1 - q) / float64(n-1)
-			h0 := p.Ent(oid)
+			h0 := entropy(mu)
 			expH := 0.0
 			if cap(post) < n {
 				post = make([]float64, n)

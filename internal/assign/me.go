@@ -14,5 +14,5 @@ func (ME) Name() string { return "ME" }
 
 // Assign implements Assigner.
 func (ME) Assign(ctx *Context) map[string][]string {
-	return dealOut(ctx, ctx.plan(meParts).entRank)
+	return dealOut(ctx, ctx.plan(entRanking).entRank)
 }

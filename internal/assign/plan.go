@@ -11,12 +11,14 @@ import (
 
 // Plan is the worker-independent half of a task-assignment round,
 // precomputed once per (Index, Result) pair for the assigner that reads it:
-// confidence rows read by dense object ID, plus the derived structures
-// (parts) that assigner reads and no others — QASCA's per-object max
-// confidence, MB's entropies, ME's entropy ranking, and, when the result
-// carries a TDH model, EAI's Lemma 4.1 bounds in Algorithm 1's
-// decreasing-bound scan order. PlanFor builds the set an assigner reads;
-// NewPlan builds every part.
+// confidence rows read by dense object ID, plus the rankings (parts) that
+// assigner walks and no others — ME's entropy ranking and, when the result
+// carries a TDH model, EAI's objects by decreasing Lemma 4.1 bound (the
+// order Algorithm 1 scans) and by cold-worker score. PlanFor builds the set
+// an assigner reads; NewPlan builds every part. A ranking entry carries its
+// key, so the plan holds no per-object score array: a key it needs outside
+// the walk it recomputes from the snapshot (entropyAt, boundAt,
+// coldScoreAt).
 //
 // The crowd server builds one Plan per published Snapshot for its
 // campaign's assigner and attaches it to every assignment Context, so a
@@ -27,10 +29,10 @@ import (
 // after it is built or advanced: assigners only read it, which is what lets
 // concurrent /task requests share one.
 //
-// Everything per object is persistent (internal/cow): the score arrays are
-// copy-on-write pages of 256 objects and the rankings tables of sorted
-// chunks of at most 512 entries, so the plan Advance derives shares all of
-// it with this one except the pages and chunks the touched objects lie in.
+// Every ranking is persistent (internal/cow): a table of sorted chunks of
+// at most 512 entries, so the plan Advance derives shares all of it with
+// this one except the chunks the touched objects' entries move out of or
+// into.
 type Plan struct {
 	// Idx and Res identify the snapshot the plan was computed from;
 	// assigners rebuild the plan when either differs from their Context.
@@ -48,9 +50,6 @@ type Plan struct {
 	// from it and holds none of its own, so it never pins memory of any
 	// result but the one it serves.
 	d infer.Dense
-	// maxMu and ent are the per-object max confidence (part maxConf) and
-	// Shannon entropy (part entropies).
-	maxMu, ent cow.Vec[float64]
 
 	// entRank ranks every object by decreasing entropy, dense ID ascending
 	// on ties (the name order for a built index; Index.Extend appends new
@@ -58,49 +57,41 @@ type Plan struct {
 	// entRanking).
 	entRank cow.Ranking
 
-	// EAI's bounds (part bounds), zero when M is nil: ueai is the Lemma 4.1
-	// bound (1-maxμ)/(|O|·(D_o+1)) per object; ueaiRank ranks every object
-	// by decreasing bound — the order Algorithm 1 pops them, each entry
-	// carrying its bound inline.
-	ueai     cow.Vec[float64]
+	// ueaiRank ranks every object by decreasing Lemma 4.1 bound
+	// (1-maxμ)/(|O|·(D_o+1)) — the order Algorithm 1 pops them, each entry
+	// carrying its bound (part bounds). Zero when M is nil.
 	ueaiRank cow.Ranking
 
 	// The served EAI plan's cold-worker cache (part coldCache), zero when M
-	// is nil. eaiDefault is EAI(w, o) per object for a worker at the
+	// is nil. coldRank ranks every object by EAI(w, o) for a worker at the
 	// prior-mean ψ — the score EVERY cold worker shares, since a worker with
-	// no answer history sits exactly at the prior — and coldRank ranks every
-	// object by it (score descending, ID ascending on ties). Together they
-	// turn a cold /task request from Algorithm 1's walk into a read of the
-	// ranking's head, O(K) entries (coldTopK); workers with fitted ψ still
-	// evaluate per call. defaultPsi tags the ψ the cache is valid for, and
-	// defaultTab is its claim table, built once per plan for the fill and
-	// for Advance's rescoring. settled counts the objects the no-flip
+	// no answer history sits exactly at the prior — score descending, ID
+	// ascending on ties. It turns a cold /task request from Algorithm 1's
+	// walk into a read of the ranking's head, O(K) entries (coldTopK);
+	// workers with fitted ψ still evaluate per call. defaultPsi tags the ψ
+	// the cache is valid for, and defaultTab is its claim table, built once
+	// per plan for the scores. settled counts the objects the no-flip
 	// certificate settles (core.Model.SettledAt).
-	eaiDefault cow.Vec[float64]
 	coldRank   cow.Ranking
 	defaultPsi [3]float64
 	defaultTab core.WorkerTab
 	settled    int
 }
 
-// parts is a set of the derived structures a plan can hold. Each assigner
-// reads a fixed set; a plan is built for one set and holds nothing outside
-// it, so a campaign's publishes maintain only what its assigner reads.
+// parts is a set of the rankings a plan can hold. Each assigner reads a
+// fixed set; a plan is built for one set and holds nothing outside it, so a
+// campaign's publishes maintain only what its assigner reads. MB and QASCA
+// read confidence rows alone, which every plan serves.
 type parts uint8
 
 const (
-	// maxConf is maxMu: QASCA.
-	maxConf parts = 1 << iota
-	// entropies is ent: MB.
-	entropies
-	// entRanking is entRank: ME. Its keys are ent, so a set holding it
-	// holds entropies too.
-	entRanking
-	// bounds is ueai and ueaiRank: every EAI call.
+	// entRanking is entRank: ME.
+	entRanking parts = 1 << iota
+	// bounds is ueaiRank: every EAI call.
 	bounds
-	// coldCache is eaiDefault, coldRank and settled: the served EAI plan's
-	// closed-form cold /task and its settled-objects gauge. Its closed form
-	// reads the bounds, so a set holding it holds bounds too.
+	// coldCache is coldRank and settled: the served EAI plan's closed-form
+	// cold /task and its settled-objects gauge. Its closed form reads the
+	// bounds, so a set holding it holds bounds too.
 	coldCache
 
 	// eaiServed is what a campaign serving EAI publishes. A per-call EAI
@@ -108,30 +99,37 @@ const (
 	// every object up front, defeating the very pruning Lemma 4.1 provides —
 	// and the Figure 13 ablation that measures it.
 	eaiServed = bounds | coldCache
-	meParts   = entropies | entRanking
-	allParts  = maxConf | entropies | entRanking | bounds | coldCache
+	allParts  = entRanking | bounds | coldCache
 )
 
 // Row is the confidence row of object oid (nil when the result has none),
-// read-only. MaxMu and Ent are its max and its entropy, read from the
-// plan's arrays: MaxMu on a plan holding max confidences (QASCA's,
-// NewPlan's), Ent on one holding entropies (MB's, ME's, NewPlan's).
+// read-only.
 func (p *Plan) Row(oid int) []float64 { return p.d.Row(oid) }
 
-func (p *Plan) MaxMu(oid int) float64 { return p.maxMu.At(oid) }
-func (p *Plan) Ent(oid int) float64   { return p.ent.At(oid) }
+// entropyAt is object oid's entropy under the plan's snapshot: ME's key.
+func (p *Plan) entropyAt(oid int) float64 { return entropy(p.Row(oid)) }
+
+// boundAt is object oid's Lemma 4.1 bound under the plan's snapshot: the
+// key of the UEAI ranking. It needs the model.
+func (p *Plan) boundAt(oid int) float64 {
+	return (1 - p.M.MaxConfidenceAt(oid)) / (float64(p.Idx.NumObjects()) * (p.M.DAt(oid) + 1))
+}
+
+// coldScoreAt is object oid's EAI score for a worker at the prior-mean ψ
+// under the plan's snapshot: the key of the cold-worker ranking. It needs
+// the model and a plan holding the cold cache (defaultTab).
+func (p *Plan) coldScoreAt(oid int) float64 {
+	score, _ := eaiAt(p.M, oid, &p.defaultTab, float64(p.Idx.NumObjects()))
+	return score
+}
 
 // AppendParts appends every value the plan holds besides the confidence
-// rows to dst: the per-object arrays of its parts in object order (max
-// confidence, entropy, UEAI bound, cold-worker score), then each ranking's
-// entries in rank order as key and ID (entropy, UEAI, cold-worker), then
-// the settled count. A part the plan does not hold appends nothing. These
-// are the values Advance clones and writes, so a copy taken at publish is
-// what a check that a served plan is never mutated compares against.
+// rows to dst: each ranking's entries in rank order as key and ID (entropy,
+// UEAI, cold-worker), then the settled count — two values per ranked
+// object. A part the plan does not hold appends nothing. These are the
+// values Advance rebuilds chunk by chunk, so a copy taken at publish is what
+// a check that a served plan is never mutated compares against.
 func (p *Plan) AppendParts(dst []float64) []float64 {
-	for _, v := range []*cow.Vec[float64]{&p.maxMu, &p.ent, &p.ueai, &p.eaiDefault} {
-		dst = v.AppendTo(dst)
-	}
 	for _, r := range []cow.Ranking{p.entRank, p.ueaiRank, p.coldRank} {
 		for _, chunk := range r.Chunks() {
 			for _, e := range chunk {
@@ -180,24 +178,10 @@ func (p *Plan) each(f func(oid int) float64) []float64 {
 	return out
 }
 
-// scoreAll evaluates the cold-worker EAI score of every object.
-func (p *Plan) scoreAll() []float64 {
-	nObj := float64(p.Idx.NumObjects())
-	return p.each(func(oid int) float64 {
-		score, _ := eaiAt(p.M, oid, &p.defaultTab, nObj)
-		return score
-	})
-}
-
 // Prewarm does nothing: a plan holds its cold-worker cache from the moment
 // it is built. It is kept for the benchmark harness's layer probe
 // (benchmark/layers.go), which still times it, and goes with that call.
 func (p *Plan) Prewarm() {}
-
-// ueaiBound is the Lemma 4.1 bound of object oid among nObj objects.
-func ueaiBound(m *core.Model, oid int, nObj float64) float64 {
-	return (1 - m.MaxConfidenceAt(oid)) / (nObj * (m.DAt(oid) + 1))
-}
 
 // foreignResult is the panic of every plan constructor and of Advance on a
 // result whose rows are shaped by another index than the plan's: every
@@ -228,54 +212,41 @@ func newPlan(idx *data.Index, res *infer.Result, reads parts) *Plan {
 func NewPlan(idx *data.Index, res *infer.Result) *Plan { return build(idx, res, allParts) }
 
 // PlanFor builds the plan a campaign serving asg publishes: the parts asg
-// reads and no others. For EAI that is the bounds with their scan order,
-// the cold-worker cache and the settled count; for ME the entropy ranking;
-// for MB the entropies; for QASCA the max confidences. An assigner this
-// package does not define gets every part. res's rows must be shaped by idx
-// (it panics otherwise).
+// reads and no others. For EAI that is the UEAI ranking, the cold-worker
+// ranking and the settled count; for ME the entropy ranking; for MB and
+// QASCA, which read confidence rows alone, none. An assigner this package
+// does not define gets every part. res's rows must be shaped by idx (it
+// panics otherwise).
 func PlanFor(asg Assigner, idx *data.Index, res *infer.Result) *Plan {
 	reads := allParts
 	switch asg.(type) {
 	case EAI:
 		reads = eaiServed
 	case ME:
-		reads = meParts
-	case MB:
-		reads = entropies
-	case QASCA:
-		reads = maxConf
+		reads = entRanking
+	case MB, QASCA:
+		reads = 0
 	}
 	return build(idx, res, reads)
 }
 
-// build computes the parts in reads from scratch. Cost: O(Σ|Vo|) per
-// confidence scan (max, entropy, bound) and O(|O| log |O|) per ranking, one
-// allocation per array and one sort per ranking, plus |O| cold-worker EAI
-// evaluations for a cold cache — paid once per published fit, off the
-// request path.
+// build computes the parts in reads from scratch. Cost: O(Σ|Vo|) per key
+// scan (entropy, bound) and O(|O| log |O|) per ranking, one sort per
+// ranking, plus |O| cold-worker EAI evaluations for a cold cache — paid
+// once per published fit, off the request path.
 func build(idx *data.Index, res *infer.Result, reads parts) *Plan {
 	p := newPlan(idx, res, reads)
-	if reads&maxConf != 0 {
-		p.maxMu = cow.Paged(p.each(func(oid int) float64 { return maxOf(p.Row(oid)) }))
-	}
-	if reads&entropies != 0 {
-		ent := p.each(func(oid int) float64 { return entropy(p.Row(oid)) })
-		p.ent = cow.Paged(ent)
-		if reads&entRanking != 0 {
-			p.entRank = rank(ent)
-		}
+	if reads&entRanking != 0 {
+		p.entRank = rank(p.each(p.entropyAt))
 	}
 	if p.M == nil {
 		return p
 	}
 	if reads&bounds != 0 {
-		nObj := float64(idx.NumObjects())
-		ueai := p.each(func(oid int) float64 { return ueaiBound(p.M, oid, nObj) })
-		p.ueai, p.ueaiRank = cow.Paged(ueai), rank(ueai)
+		p.ueaiRank = rank(p.each(p.boundAt))
 	}
 	if reads&coldCache != 0 {
-		scores := p.scoreAll()
-		p.eaiDefault, p.coldRank = cow.Paged(scores), rank(scores)
+		p.coldRank = rank(p.each(p.coldScoreAt))
 		p.settled = countSettled(p.M)
 	}
 	return p
@@ -285,25 +256,25 @@ func build(idx *data.Index, res *infer.Result, reads parts) *Plan {
 func rank(keys []float64) cow.Ranking { return rerank(cow.Ranking{}, keys, 0) }
 
 // Advance derives the plan for (idx, res) from this plan — the previous
-// snapshot's — recomputing only the entries of the objects in touched and
-// re-ranking only them, instead of a full O(Σ|Vo| + |O| log |O|) rebuild.
-// The derived plan holds the same parts as this one. It is the
-// publish-rate path of the crowd server: an incremental publish touches
-// O(batch) objects.
+// snapshot's — re-ranking only the objects in touched instead of a full
+// O(Σ|Vo| + |O| log |O|) rebuild. The derived plan holds the same parts as
+// this one. It is the publish-rate path of the crowd server: an incremental
+// publish touches O(batch) objects.
 //
-// Cost. With the object count unchanged — every fold — the new plan clones
-// the page tables of the score arrays it holds (a slice header per 256
-// objects) and the chunk tables of its rankings (one per ≤ 512 entries),
-// copies the page each touched object lies in, once, and re-ranks the
-// touched objects in one cow.Ranking.Update per ranking: every chunk that
-// loses an old (key, ID) or gains a new one is rebuilt once, by one merge.
-// That is at most O(|touched| · (page + chunk + log |O|)) per part and no
+// Cost. With the object count unchanged — every fold — each ranking the
+// plan holds moves its touched objects in one cow.Ranking.Update, from the
+// key under this plan's snapshot to the key under the new one: every chunk
+// that loses an old (key, ID) or gains a new one is rebuilt once, by one
+// merge, and the rest of the chunk table is shared. The old key is
+// recomputed rather than stored: a fold conditions a copy of the model and
+// never writes the state this plan reads, so entropyAt, boundAt and
+// coldScoreAt on this plan return, bit for bit, the keys its rankings hold.
+// That is O(|touched| · (key + chunk + log |O|)) per ranking and no
 // allocation proportional to |O|. When the index grew, the 1/|O| factor of
-// Lemma 4.1 moves every bound, so the score arrays are rebuilt (untouched
-// confidences and entropies carried over, bounds and cold-worker scores
-// recomputed) and every ranking goes through the ranking's bulk
-// constructor again, seeded with the previous order: O(|O|), and rare —
-// open-world growth, not the fold.
+// Lemma 4.1 moves every bound and cold-worker score, and when the prior-mean
+// ψ moved every cold-worker score does: such a ranking goes through the
+// bulk constructor again with every key recomputed, seeded with the
+// previous order — O(|O|), and rare (open-world growth, not the fold).
 //
 // Order contract. Every ranking is a strict total order — key descending,
 // dense ID ascending on equal keys — so a ranking is a function of its keys
@@ -317,7 +288,7 @@ func rank(keys []float64) cow.Ranking { return rerank(cow.Ranking{}, keys, 0) }
 // touched lists every changed dense ID (IDs ≥ the previous object count are
 // treated as touched regardless). Under that contract the advanced plan is
 // exactly what a build of the same parts for (idx, res) would be — same
-// values, same ranking orders — which the server's equivalence suite pins.
+// keys, same ranking orders — which the server's equivalence suite pins.
 //
 // It panics when res's rows are shaped by another index than idx. When a
 // precondition fails (index shrank, model attached/detached — the cases
@@ -342,116 +313,45 @@ func (p *Plan) Advance(idx *data.Index, res *infer.Result, touched []int) (advan
 		}
 	}
 	ts := normalizeTouched(touched, nPrev, n)
-	if n > nPrev {
-		np.grow(p, ts)
-		return np, true
-	}
-
-	reads := np.reads
+	grown := n > nPrev
 	moves := make([]cow.Rekey, len(ts))
-	if reads&maxConf != 0 {
-		np.maxMu = p.maxMu.Clone()
-		for _, oid := range ts {
-			np.maxMu.Set(oid, maxOf(np.Row(oid)))
+	// rekey derives the ranking r of p by key for np: re-keyed in place, or
+	// rebuilt from every key when they all moved.
+	rekey := func(r cow.Ranking, key func(*Plan, int) float64, all bool) cow.Ranking {
+		if all {
+			return rerank(r, np.each(func(oid int) float64 { return key(np, oid) }), nPrev)
 		}
-	}
-	if reads&entropies != 0 {
-		np.ent = p.ent.Clone()
 		for i, oid := range ts {
-			e := entropy(np.Row(oid))
-			moves[i] = cow.Rekey{ID: int32(oid), Old: p.ent.At(oid), New: e}
-			np.ent.Set(oid, e)
+			moves[i] = cow.Rekey{ID: int32(oid), Old: key(p, oid), New: key(np, oid)}
 		}
-		if reads&entRanking != 0 {
-			np.entRank = p.entRank.Update(moves)
-		}
+		return r.Update(moves)
 	}
-	m := np.M
-	if m == nil {
-		return np, true
-	}
-	nObj := float64(n)
-	if reads&bounds != 0 {
-		np.ueai = p.ueai.Clone()
-		for i, oid := range ts {
-			b := ueaiBound(m, oid, nObj)
-			moves[i] = cow.Rekey{ID: int32(oid), Old: p.ueai.At(oid), New: b}
-			np.ueai.Set(oid, b)
-		}
-		np.ueaiRank = p.ueaiRank.Update(moves)
-	}
-	if reads&coldCache == 0 {
-		return np, true
-	}
-	np.settled = p.settled
-	for _, oid := range ts {
-		if p.M.SettledAt(oid) {
-			np.settled--
-		}
-		if m.SettledAt(oid) {
-			np.settled++
-		}
-	}
-	if np.defaultPsi != p.defaultPsi {
-		// Every cold-worker score moved; the previous ranking only seeds
-		// the sort.
-		scores := np.scoreAll()
-		np.eaiDefault, np.coldRank = cow.Paged(scores), rerank(p.coldRank, scores, n)
-		return np, true
-	}
-	// Untouched objects score identically (same model rows, same |O|, same
-	// ψ), so only touched entries need the incremental-EM evaluation and a
-	// re-rank.
-	np.eaiDefault = p.eaiDefault.Clone()
-	for i, oid := range ts {
-		score, _ := eaiAt(m, oid, &np.defaultTab, nObj)
-		moves[i] = cow.Rekey{ID: int32(oid), Old: p.eaiDefault.At(oid), New: score}
-		np.eaiDefault.Set(oid, score)
-	}
-	np.coldRank = p.coldRank.Update(moves)
-	return np, true
-}
-
-// grow fills a plan advanced across index growth (Advance's n > nPrev case)
-// from the previous plan p, part by part: the per-object arrays are rebuilt
-// at the new size — confidences and entropies of untouched objects carried
-// over, every Lemma 4.1 bound and cold-worker score recomputed under the
-// new |O|, the settled objects counted afresh — and each ranking is rebuilt
-// by cow.NewRanking from the previous ranking's order re-keyed, which is
-// already sorted but for the touched and the new objects.
-func (np *Plan) grow(p *Plan, ts []int) {
-	n, nPrev := np.Idx.NumObjects(), p.Idx.NumObjects()
-	// carried is prev at the new size, its touched entries recomputed by f.
-	carried := func(prev cow.Vec[float64], f func([]float64) float64) []float64 {
-		out := prev.AppendTo(make([]float64, 0, n))[:n]
-		for _, oid := range ts {
-			out[oid] = f(np.Row(oid))
-		}
-		return out
-	}
-	if np.reads&maxConf != 0 {
-		np.maxMu = cow.Paged(carried(p.maxMu, maxOf))
-	}
-	if np.reads&entropies != 0 {
-		ent := carried(p.ent, entropy)
-		np.ent = cow.Paged(ent)
-		if np.reads&entRanking != 0 {
-			np.entRank = rerank(p.entRank, ent, nPrev)
-		}
+	if np.reads&entRanking != 0 {
+		// Entropy has no |O| factor, but an object the previous plan did not
+		// rank has no old key.
+		np.entRank = rekey(p.entRank, (*Plan).entropyAt, grown)
 	}
 	if np.M == nil {
-		return
+		return np, true
 	}
 	if np.reads&bounds != 0 {
-		nObj := float64(n)
-		ueai := np.each(func(oid int) float64 { return ueaiBound(np.M, oid, nObj) })
-		np.ueai, np.ueaiRank = cow.Paged(ueai), rerank(p.ueaiRank, ueai, nPrev)
+		np.ueaiRank = rekey(p.ueaiRank, (*Plan).boundAt, grown)
 	}
 	if np.reads&coldCache != 0 {
-		scores := np.scoreAll()
-		np.eaiDefault, np.coldRank = cow.Paged(scores), rerank(p.coldRank, scores, nPrev)
-		np.settled = countSettled(np.M)
+		np.coldRank = rekey(p.coldRank, (*Plan).coldScoreAt, grown || np.defaultPsi != p.defaultPsi)
+		// Whether an object is settled reads its N row alone, which only
+		// touched objects change.
+		np.settled = p.settled
+		for _, oid := range ts {
+			if oid < nPrev && p.M.SettledAt(oid) {
+				np.settled--
+			}
+			if np.M.SettledAt(oid) {
+				np.settled++
+			}
+		}
 	}
+	return np, true
 }
 
 // rerank ranks objects 0..len(keys)-1 by keys, visiting them in prev's order

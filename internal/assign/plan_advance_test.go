@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/cow"
 	"repro/internal/data"
 	"repro/internal/infer"
 )
@@ -51,13 +50,14 @@ func floatsClose(t *testing.T, tag string, got, want []float64) {
 	}
 }
 
-// defaultScores is the plan's cold-worker score cache, nil when the plan
-// holds none.
-func (p *Plan) defaultScores() *cow.Vec[float64] {
-	if p.reads&coldCache == 0 || p.M == nil {
-		return nil
+// coldScores is the plan's cold-worker score per object: the keys of its
+// cold-worker ranking laid out by object ID.
+func (p *Plan) coldScores() []float64 {
+	scores := make([]float64, p.Idx.NumObjects())
+	for _, en := range p.coldRank.AppendTo(nil) {
+		scores[en.ID] = en.Key
 	}
-	return &p.eaiDefault
+	return scores
 }
 
 // comparePlans pins an advanced plan to its from-scratch twin, part by part
@@ -67,12 +67,6 @@ func comparePlans(t *testing.T, tag string, got, want *Plan) {
 	both := got.reads & want.reads
 	if both&entRanking != 0 && !reflect.DeepEqual(got.entRank.AppendTo(nil), want.entRank.AppendTo(nil)) {
 		t.Fatalf("%s: entRank differs", tag)
-	}
-	if both&maxConf != 0 {
-		floatsClose(t, tag+": MaxMu", got.maxMu.AppendTo(nil), want.maxMu.AppendTo(nil))
-	}
-	if both&entropies != 0 {
-		floatsClose(t, tag+": Ent", got.ent.AppendTo(nil), want.ent.AppendTo(nil))
 	}
 	for oid := range want.Idx.Objects {
 		if !reflect.DeepEqual(got.Row(oid), want.Row(oid)) {
@@ -86,7 +80,6 @@ func comparePlans(t *testing.T, tag string, got, want *Plan) {
 		return
 	}
 	if both&bounds != 0 {
-		floatsClose(t, tag+": ueai", got.ueai.AppendTo(nil), want.ueai.AppendTo(nil))
 		gotOrder, wantOrder := got.ueaiRank.AppendTo(nil), want.ueaiRank.AppendTo(nil)
 		if len(gotOrder) != len(wantOrder) {
 			t.Fatalf("%s: ueaiRank length %d != %d", tag, len(gotOrder), len(wantOrder))
@@ -110,7 +103,6 @@ func comparePlans(t *testing.T, tag string, got, want *Plan) {
 	if got.defaultPsi != want.defaultPsi {
 		t.Fatalf("%s: defaultPsi differs", tag)
 	}
-	floatsClose(t, tag+": eaiDefault", got.defaultScores().AppendTo(nil), want.defaultScores().AppendTo(nil))
 	gotCold, wantCold := got.coldRank.AppendTo(nil), want.coldRank.AppendTo(nil)
 	if len(gotCold) != len(wantCold) {
 		t.Fatalf("%s: coldRank length %d != %d", tag, len(gotCold), len(wantCold))
@@ -141,12 +133,13 @@ func compareAssignments(t *testing.T, tag string, f *fixture, idx *data.Index, r
 }
 
 // TestPlanAdvanceMatchesNewPlanAfterAnswers: advancing the previous
-// snapshot's plan around an incremental answer fold reproduces NewPlan on
-// both seed datasets. 200 answers move objects into and out of the no-flip
+// snapshot's plan — straight from NewPlan, with no call on it in between —
+// around an incremental answer fold reproduces NewPlan on both seed
+// datasets. 200 answers move objects into and out of the no-flip
 // certificate's settled set, which Advance counts by its touched objects.
 func TestPlanAdvanceMatchesNewPlanAfterAnswers(t *testing.T) {
 	for fi, f := range planFixtures(t) {
-		for _, nAns := range []int{1, 9, 200} {
+		for _, nAns := range []int{1, 4, 9, 200} {
 			tag := fmt.Sprintf("fixture %d, %d answers", fi, nAns)
 			prev := NewPlan(f.idx, f.res)
 			res2, touched := foldAnswers(f, nAns)
@@ -159,22 +152,6 @@ func TestPlanAdvanceMatchesNewPlanAfterAnswers(t *testing.T) {
 			compareAssignments(t, tag, f, f.idx, res2, got, want)
 		}
 	}
-}
-
-// TestPlanAdvanceUnwarmedPrevious: advancing a plan straight from NewPlan,
-// with no call on it in between, matches. Every constructor builds the
-// cold-worker cache eagerly, so no plan is left to warm: this is the
-// four-answer fold on fixture 5.
-func TestPlanAdvanceUnwarmedPrevious(t *testing.T) {
-	f := newFixture(t, 5, true)
-	prev := NewPlan(f.idx, f.res)
-	res2, touched := foldAnswers(f, 4)
-	want := NewPlan(f.idx, res2)
-	got, ok := prev.Advance(f.idx, res2, touched)
-	if !ok {
-		t.Fatal("Advance fell back to a full build")
-	}
-	comparePlans(t, "unwarmed", got, want)
 }
 
 // TestPlanAdvanceAfterGrowth: the open-world publish — Extend the index

@@ -16,21 +16,14 @@ import (
 // than its reads tag.
 func held(p *Plan) parts {
 	var h parts
-	has := func(v cow.Vec[float64]) bool { return len(v.AppendTo(nil)) > 0 }
 	ranked := func(r cow.Ranking) bool { return len(r.Chunks()) > 0 }
-	if has(p.maxMu) {
-		h |= maxConf
-	}
-	if has(p.ent) {
-		h |= entropies
-	}
 	if ranked(p.entRank) {
 		h |= entRanking
 	}
-	if has(p.ueai) || ranked(p.ueaiRank) {
+	if ranked(p.ueaiRank) {
 		h |= bounds
 	}
-	if has(p.eaiDefault) || ranked(p.coldRank) || p.settled != 0 {
+	if ranked(p.coldRank) || p.settled != 0 {
 		h |= coldCache
 	}
 	return h
@@ -38,9 +31,11 @@ func held(p *Plan) parts {
 
 // TestPlanForHoldsOnlyItsParts: the plan a campaign publishes holds what its
 // assigner reads and nothing else — ME on TDH gets no cold cache and no UEAI
-// ranking, an EAI plan no entropy ranking — a call by another assigner on it
-// builds its own (counted as a fallback) and assigns as with no plan, and an
-// Advance that falls back rebuilds the same parts.
+// ranking, an EAI plan no entropy ranking, MB and QASCA no ranking at all —
+// a call by another assigner that reads a ranking the plan lacks builds its
+// own (counted as a fallback) and assigns as with no plan, MB and QASCA
+// assign off any plan of the snapshot without a fallback, and an Advance
+// that falls back rebuilds the same parts.
 func TestPlanForHoldsOnlyItsParts(t *testing.T) {
 	f := newFixture(t, 3, true)
 	crh := infer.CRH{}.Infer(f.idx)
@@ -51,18 +46,18 @@ func TestPlanForHoldsOnlyItsParts(t *testing.T) {
 		want parts
 	}{
 		{"TDH+EAI", EAI{}, f.res, eaiServed},
-		{"TDH+ME", ME{}, f.res, meParts},
-		{"TDH+MB", MB{}, f.res, entropies},
-		{"TDH+QASCA", QASCA{}, f.res, maxConf},
-		{"CRH+ME", ME{}, crh, meParts},
+		{"TDH+ME", ME{}, f.res, entRanking},
+		{"TDH+MB", MB{}, f.res, 0},
+		{"TDH+QASCA", QASCA{}, f.res, 0},
+		{"CRH+ME", ME{}, crh, entRanking},
 	} {
 		p := PlanFor(c.asg, f.idx, c.res)
 		if p.reads != c.want || held(p) != c.want {
-			t.Errorf("%s: plan reads %05b and holds %05b, want %05b", c.name, p.reads, held(p), c.want)
+			t.Errorf("%s: plan reads %03b and holds %03b, want %03b", c.name, p.reads, held(p), c.want)
 		}
 	}
 	if all := held(NewPlan(f.idx, f.res)); all != allParts {
-		t.Errorf("NewPlan holds %05b, want every part %05b", all, allParts)
+		t.Errorf("NewPlan holds %03b, want every part %03b", all, allParts)
 	}
 
 	eaiPlan := PlanFor(EAI{}, f.idx, f.res)
@@ -77,11 +72,16 @@ func TestPlanForHoldsOnlyItsParts(t *testing.T) {
 		t.Fatalf("ME on an EAI plan assigns %v, with no plan %v", got, want)
 	}
 	if held(eaiPlan) != eaiServed {
-		t.Fatalf("the ME call wrote parts into the attached EAI plan: %05b", held(eaiPlan))
+		t.Fatalf("the ME call wrote parts into the attached EAI plan: %03b", held(eaiPlan))
 	}
 	EAI{}.Assign(ctx)
+	for _, asg := range []Assigner{MB{}, QASCA{}} {
+		if got, want := asg.Assign(ctx), asg.Assign(f.ctx(2)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s on an EAI plan assigns %v, with no plan %v", asg.Name(), got, want)
+		}
+	}
 	if n.Load() != 1 {
-		t.Fatalf("EAI on its own plan counted a fallback: %d", n.Load())
+		t.Fatalf("EAI, MB or QASCA on the EAI plan counted a fallback: %d", n.Load()-1)
 	}
 
 	other := newBirthPlacesFixture(t, 3, true) // different object names
@@ -94,7 +94,7 @@ func TestPlanForHoldsOnlyItsParts(t *testing.T) {
 		t.Fatal("Advance onto an index with foreign object names must fall back")
 	}
 	if fallback.reads != eaiServed || held(fallback) != eaiServed {
-		t.Fatalf("an Advance fallback from an EAI plan reads %05b and holds %05b, want %05b", fallback.reads, held(fallback), eaiServed)
+		t.Fatalf("an Advance fallback from an EAI plan reads %03b and holds %03b, want %03b", fallback.reads, held(fallback), eaiServed)
 	}
 	comparePlans(t, "EAI fallback", fallback, PlanFor(EAI{}, big.idx, big.res))
 }
@@ -141,7 +141,7 @@ func matchPlanFor(t *testing.T, tag string, asg Assigner, f *fixture, idx *data.
 	t.Helper()
 	want := PlanFor(asg, idx, res)
 	if got.reads != want.reads || held(got) != held(want) {
-		t.Fatalf("%s: advanced plan reads %05b and holds %05b, PlanFor's %05b and %05b", tag, got.reads, held(got), want.reads, held(want))
+		t.Fatalf("%s: advanced plan reads %03b and holds %03b, PlanFor's %03b and %03b", tag, got.reads, held(got), want.reads, held(want))
 	}
 	comparePlans(t, tag, got, want)
 	var n atomic.Int64
@@ -159,28 +159,19 @@ func matchPlanFor(t *testing.T, tag string, asg Assigner, f *fixture, idx *data.
 // TestAppendPartsReadsEveryPart: AppendParts — what the server's
 // never-mutated checks compare — sees a write to each part a plan holds, on
 // a plan holding every part, and reads only the parts a plan holds: an EAI
-// plan's two arrays, two rankings and settled count.
+// plan's two rankings and settled count.
 func TestAppendPartsReadsEveryPart(t *testing.T) {
 	f := newFixture(t, 3, true)
 	p := NewPlan(f.idx, f.res)
 	base := p.AppendParts(nil)
-	vec := func(v cow.Vec[float64]) cow.Vec[float64] {
-		w := v.Clone()
-		w.Set(7, w.At(7)+0.25)
-		return w
-	}
-	rekey := func(r cow.Ranking, keys cow.Vec[float64]) cow.Ranking {
-		return r.Update([]cow.Rekey{{ID: 7, Old: keys.At(7), New: keys.At(7) + 0.25}})
+	rekey := func(r cow.Ranking, key func(int) float64) cow.Ranking {
+		return r.Update([]cow.Rekey{{ID: 7, Old: key(7), New: key(7) + 0.25}})
 	}
 	for name, write := range map[string]func(q *Plan){
-		"maxMu":      func(q *Plan) { q.maxMu = vec(q.maxMu) },
-		"ent":        func(q *Plan) { q.ent = vec(q.ent) },
-		"entRank":    func(q *Plan) { q.entRank = rekey(q.entRank, q.ent) },
-		"ueai":       func(q *Plan) { q.ueai = vec(q.ueai) },
-		"ueaiRank":   func(q *Plan) { q.ueaiRank = rekey(q.ueaiRank, q.ueai) },
-		"eaiDefault": func(q *Plan) { q.eaiDefault = vec(q.eaiDefault) },
-		"coldRank":   func(q *Plan) { q.coldRank = rekey(q.coldRank, q.eaiDefault) },
-		"settled":    func(q *Plan) { q.settled++ },
+		"entRank":  func(q *Plan) { q.entRank = rekey(q.entRank, q.entropyAt) },
+		"ueaiRank": func(q *Plan) { q.ueaiRank = rekey(q.ueaiRank, q.boundAt) },
+		"coldRank": func(q *Plan) { q.coldRank = rekey(q.coldRank, q.coldScoreAt) },
+		"settled":  func(q *Plan) { q.settled++ },
 	} {
 		q := *p
 		write(&q)
@@ -191,7 +182,7 @@ func TestAppendPartsReadsEveryPart(t *testing.T) {
 	if !reflect.DeepEqual(p.AppendParts(nil), base) {
 		t.Fatal("the writes above reached the plan they were made on a copy of")
 	}
-	if n, got := f.idx.NumObjects(), len(PlanFor(EAI{}, f.idx, f.res).AppendParts(nil)); got != 6*n+1 {
-		t.Fatalf("an EAI plan over %d objects appends %d values, want %d", n, got, 6*n+1)
+	if n, got := f.idx.NumObjects(), len(PlanFor(EAI{}, f.idx, f.res).AppendParts(nil)); got != 4*n+1 {
+		t.Fatalf("an EAI plan over %d objects appends %d values, want %d", n, got, 4*n+1)
 	}
 }

@@ -334,16 +334,13 @@ func TestPlanQASCADeterministicAcrossBuilds(t *testing.T) {
 }
 
 // TestPlanImmutableUnderAssign: assigning for many workers must never
-// mutate the shared plan's arrays (the server serves one plan to all
+// mutate the shared plan's parts (the server serves one plan to all
 // concurrent /task requests; the -race storm test covers the concurrent
 // side, this pins the single-threaded contract).
 func TestPlanImmutableUnderAssign(t *testing.T) {
 	f := newFixture(t, 71, true)
 	plan := NewPlan(f.idx, f.res)
-	snapUEAI := plan.ueai.AppendTo(nil)
-	snapOrder := plan.ueaiRank.AppendTo(nil)
-	snapMaxMu := plan.maxMu.AppendTo(nil)
-	snapEnt := plan.ent.AppendTo(nil)
+	snap := plan.AppendParts(nil)
 	for i := 0; i < 4; i++ {
 		ctx := f.ctx(3)
 		ctx.Plan = plan
@@ -352,10 +349,7 @@ func TestPlanImmutableUnderAssign(t *testing.T) {
 		QASCA{}.Assign(ctx)
 		ME{}.Assign(ctx)
 	}
-	if !reflect.DeepEqual(snapUEAI, plan.ueai.AppendTo(nil)) ||
-		!reflect.DeepEqual(snapOrder, plan.ueaiRank.AppendTo(nil)) ||
-		!reflect.DeepEqual(snapMaxMu, plan.maxMu.AppendTo(nil)) ||
-		!reflect.DeepEqual(snapEnt, plan.ent.AppendTo(nil)) {
+	if !reflect.DeepEqual(snap, plan.AppendParts(nil)) {
 		t.Fatal("Assign mutated the shared plan")
 	}
 }

@@ -30,8 +30,8 @@ func qascaWorkerQuality(ctx *Context, w string) float64 {
 // QASCA runs on top of any probabilistic inference result: with a TDH
 // model it uses the full worker answer model; otherwise it falls back to a
 // scalar worker-accuracy answer model built from Result.WorkerTrust. The
-// confidence rows and their maxima come from the shared Plan; only the
-// per-worker sampling and ranking happen per call.
+// confidence rows come from the shared Plan; the per-worker sampling, each
+// row's max and the ranking happen per call.
 type QASCA struct{}
 
 // Name implements Assigner.
@@ -39,7 +39,7 @@ func (QASCA) Name() string { return "QASCA" }
 
 // Assign implements Assigner.
 func (q QASCA) Assign(ctx *Context) map[string][]string {
-	p := ctx.plan(maxConf)
+	p := ctx.plan(0)
 	rng := rand.New(rand.NewSource(ctx.Seed))
 	out := make(map[string][]string, len(ctx.Workers))
 	wids := workerIDs(ctx.Idx, ctx.Workers)
@@ -100,7 +100,7 @@ func (q QASCA) Assign(ctx *Context) map[string][]string {
 					}
 				}
 			}
-			cand = append(cand, scored{int32(oid), best - p.MaxMu(oid)})
+			cand = append(cand, scored{int32(oid), best - maxOf(mu)})
 		}
 		sort.Slice(cand, func(i, j int) bool {
 			if cand[i].s != cand[j].s {

@@ -1,9 +1,9 @@
 // Package cow holds the two persistent (path-copying) structures under the
 // per-cycle state of the crowd server: a paged copy-on-write vector, which
-// the TDH fold model (internal/core) keeps μ, N and D in and the assignment
-// plan (internal/assign) its per-object scores, and a chunked ranking
-// (ranking.go), which the plan keeps the rankings its assigner reads in
-// (entropy for ME; UEAI bound and cold-worker score for EAI).
+// the TDH fold model (internal/core) keeps μ, N and D in, and a chunked
+// ranking (ranking.go), which the assignment plan (internal/assign) keeps
+// the rankings its assigner reads in (entropy for ME; UEAI bound and
+// cold-worker score for EAI).
 //
 // Both exist for one reason: a coordinator cycle publishes a new version of
 // a campaign-sized state after touching a handful of objects, and every

@@ -30,9 +30,9 @@ import (
 // the fold copies the pages of 256 objects its answers land in (core.Model.
 // Clone), sealing copies nothing (the published result is a view over the
 // sealed state, see engine.State.Res), and the snapshot's assignment plan is
-// Advance'd around the epoch's touched objects — O(batch · (page + chunk +
-// log |O|)), the persistent arrays and rankings of assign.Plan — instead of
-// rebuilt from scratch (O(Σ|Vo| + |O| log |O|)); the plan holds only what the
+// Advance'd around the epoch's touched objects — O(batch · (key + chunk +
+// log |O|)), the persistent rankings of assign.Plan — instead of rebuilt
+// from scratch (O(Σ|Vo| + |O| log |O|)); the plan holds only what the
 // campaign's assigner reads (assign.PlanFor), and every publish completes it
 // in the pipeline goroutine, so no /task request ever pays a plan build
 // in-line. Full refits — the MAP-EM from scratch (core.Run: always a cold,

@@ -62,10 +62,10 @@ type Snapshot struct {
 
 // Plan returns the snapshot's shared assignment plan — the worker-
 // independent precompute the campaign's assigner reads (assign.PlanFor:
-// under EAI the UEAI bounds in scan order and the cold-worker EAI scores;
-// under ME the entropy ranking; under MB the entropies; under QASCA the
-// max confidences) that every /task request against this snapshot reads
-// instead of rebuilding O(|O| log |O|) state per request. The pipeline
+// under EAI the objects ranked by UEAI bound and by cold-worker EAI score;
+// under ME by entropy; under MB and QASCA no ranking, only the confidence
+// rows) that every /task request against this snapshot reads instead of
+// rebuilding O(|O| log |O|) state per request. The pipeline
 // builds every snapshot with its plan complete (built, advanced from the
 // previous snapshot's, or reused).
 func (sn *Snapshot) Plan() *assign.Plan { return sn.plan }

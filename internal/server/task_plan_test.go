@@ -192,7 +192,7 @@ func TestTaskStormSharedPlan(t *testing.T) {
 	snap := s.Snapshot()
 	plan := snap.Plan()
 	before := plan.AppendParts(nil)
-	if fresh := assign.PlanFor(assign.EAI{}, snap.Idx, snap.Res).AppendParts(nil); !reflect.DeepEqual(before, fresh) || len(before) < 6*snap.Idx.NumObjects() {
+	if fresh := assign.PlanFor(assign.EAI{}, snap.Idx, snap.Res).AppendParts(nil); !reflect.DeepEqual(before, fresh) || len(before) < 4*snap.Idx.NumObjects() {
 		t.Fatalf("the served plan's parts (%d values) are not the EAI plan PlanFor builds (%d values)", len(before), len(fresh))
 	}
 

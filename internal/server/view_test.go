@@ -39,8 +39,7 @@ func waitApplied(t *testing.T, s *Server, answers, mutations int) *Snapshot {
 // reachable deep-copies every value a reader can reach from one snapshot:
 // the Result read API, the state's wire encoders, the plan's confidence
 // rows and every part it holds (assign.Plan.AppendParts: under EAI the
-// bounds, the cold-worker scores, both rankings and the settled count) and
-// the trust maps.
+// UEAI and cold-worker rankings and the settled count) and the trust maps.
 type reachable struct {
 	Rows, PlanMu     [][]float64
 	Truths           []string
@@ -51,10 +50,16 @@ type reachable struct {
 }
 
 // coldScores is an EAI plan's cold-worker score per object: AppendParts
-// lays such a plan out as its bounds, then these.
+// lays such a plan out as its UEAI ranking, then its cold-worker ranking,
+// each as (key, ID) pairs.
 func coldScores(p *assign.Plan) []float64 {
 	n := p.Idx.NumObjects()
-	return p.AppendParts(nil)[n : 2*n]
+	pairs := p.AppendParts(nil)[2*n : 4*n]
+	scores := make([]float64, n)
+	for i := 0; i < len(pairs); i += 2 {
+		scores[int(pairs[i+1])] = pairs[i]
+	}
+	return scores
 }
 
 func captureReachable(sn *Snapshot) reachable {
@@ -90,8 +95,8 @@ func captureReachable(sn *Snapshot) reachable {
 // fold/seal cycles and 6 growths that touch the same objects, with
 // concurrent /task, /truths, /confidence and /trust readers (the -race
 // jobs run this), and require every value reachable from snapshot k — the
-// plan's bounds, cold-worker scores and their rankings included, which the
-// hot objects' positive cold-worker scores make every fold write — to be
+// plan's UEAI and cold-worker rankings included, which the hot objects'
+// positive cold-worker scores make every fold re-key — to be
 // bit-identical to what it was at publish. Then the same over 60 more
 // fold-only cycles from the last growth on (a growth is a fresh build; folds
 // are what share pages), with the sharing itself pinned: an untouched
@@ -104,7 +109,7 @@ func TestSnapshotImmutableUnderAliasing(t *testing.T) {
 	s, ts := newFoldServer(t, ds)
 	defer s.Close()
 	// The hot objects lie in the first page, the neighbour's, and have a
-	// positive cold-worker score, so their folds write the plan's cold
+	// positive cold-worker score, so their folds re-rank the plan's cold
 	// cache and not just its bounds.
 	var hot []string
 	boot := s.Snapshot()
@@ -150,8 +155,8 @@ func TestSnapshotImmutableUnderAliasing(t *testing.T) {
 		t.Fatal("snapshot k is not a view: the test would not exercise aliasing")
 	}
 	before := captureReachable(held)
-	if n := held.Idx.NumObjects(); len(before.PlanParts) < 6*n {
-		t.Fatalf("the held plan holds %d part values over %d objects: it lacks EAI's bounds, cold-worker scores or their rankings", len(before.PlanParts), n)
+	if n := held.Idx.NumObjects(); len(before.PlanParts) < 4*n {
+		t.Fatalf("the held plan holds %d part values over %d objects: it lacks EAI's UEAI or cold-worker ranking", len(before.PlanParts), n)
 	}
 
 	stop := make(chan struct{})
