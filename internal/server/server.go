@@ -832,12 +832,7 @@ type Stats struct {
 	// name (accuracy / gen_accuracy / avg_distance for categorical, mae /
 	// re for numeric, precision / recall / f1 for multi-truth).
 	Quality map[string]float64 `json:"quality,omitempty"`
-	// Accuracy, GenAccuracy and AvgDistance mirror the categorical Quality
-	// entries at the top level, where pre-engine clients read them.
-	Accuracy    float64 `json:"accuracy,omitempty"`
-	GenAccuracy float64 `json:"gen_accuracy,omitempty"`
-	AvgDistance float64 `json:"avg_distance,omitempty"`
-	HasGold     bool    `json:"has_gold"`
+	HasGold bool               `json:"has_gold"`
 	// Pipeline / plan-maintenance observability. Shards is always 1 and
 	// ShardQueueDepth the one ingest queue's accepted-but-unfolded depth, a
 	// one-element list: the shape clients of the sharded pipeline parse.
@@ -858,13 +853,11 @@ type Stats struct {
 	// scraping /metrics: UptimeSeconds since this server instance booted;
 	// Watermarks is the served snapshot's visibility watermark as a
 	// one-element list (an item acknowledged with (shard 0, seq) is visible
-	// once Watermarks[0] >= seq); FoldedSeq is the same list under the name
-	// older clients poll; LastPublishUnixMS is when the served snapshot was
-	// published. A nonzero ShardQueueDepth with Watermarks unchanged across
+	// once Watermarks[0] >= seq); LastPublishUnixMS is when the served
+	// snapshot was published. A nonzero ShardQueueDepth with Watermarks unchanged across
 	// polls is a stalled pipeline.
 	UptimeSeconds     float64 `json:"uptime_seconds"`
 	Watermarks        []int64 `json:"watermark"`
-	FoldedSeq         []int64 `json:"folded_seq"`
 	LastPublishUnixMS int64   `json:"last_publish_unix_ms"`
 }
 
@@ -904,7 +897,6 @@ func (s *Server) Stats() Stats {
 		PlanFallbacks:    s.planFallbacks.Load(),
 		Watermarks:       []int64{snap.Watermark},
 	}
-	st.FoldedSeq = st.Watermarks
 	st.UptimeSeconds = time.Since(s.startTime).Seconds() //tdh:wallclock diagnostics gauge in /stats
 	if !snap.PublishedAt.IsZero() {
 		st.SnapshotAgeMS = time.Since(snap.PublishedAt).Milliseconds() //tdh:wallclock diagnostics gauge in /stats
@@ -912,9 +904,6 @@ func (s *Server) Stats() Stats {
 	}
 	if st.HasGold {
 		st.Quality = snap.St.Quality(base, snap.Idx)
-		st.Accuracy = st.Quality["accuracy"]
-		st.GenAccuracy = st.Quality["gen_accuracy"]
-		st.AvgDistance = st.Quality["avg_distance"]
 	}
 	return st
 }

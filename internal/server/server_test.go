@@ -120,7 +120,7 @@ func TestTaskAnswerFlow(t *testing.T) {
 	if st.Answers != 1 {
 		t.Fatalf("answers = %d", st.Answers)
 	}
-	if !st.HasGold || st.Accuracy == 0 {
+	if !st.HasGold || st.Quality["accuracy"] == 0 {
 		t.Fatalf("stats missing quality: %+v", st)
 	}
 	postJSON(t, ts.URL+"/refresh", nil)
@@ -315,8 +315,8 @@ func TestCampaignImprovesAccuracy(t *testing.T) {
 	if st.Applied != st.Answers {
 		t.Fatalf("refresh must fold all answers: applied %d, accepted %d", st.Applied, st.Answers)
 	}
-	if st.Accuracy <= st0.Accuracy {
-		t.Fatalf("campaign should improve accuracy: %v -> %v", st0.Accuracy, st.Accuracy)
+	if st.Quality["accuracy"] <= st0.Quality["accuracy"] {
+		t.Fatalf("campaign should improve accuracy: %v -> %v", st0.Quality["accuracy"], st.Quality["accuracy"])
 	}
 }
 
