@@ -3,6 +3,7 @@ package assign
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -138,6 +139,45 @@ func TestEAIPruningEquivalence(t *testing.T) {
 		if sWith.Evaluated > sNo.Evaluated {
 			t.Fatalf("pruning must not evaluate more: %d > %d", sWith.Evaluated, sNo.Evaluated)
 		}
+	}
+}
+
+// TestWalkHandsOnTheEvictedBound pins the bound the walk hands on with an
+// evicted object: that object's own, not the walked entry's. Three workers,
+// K = 1, objects 0–3 walked in that order with bounds 1, 0.9, 0.5, 0.2 and
+// the scores below (each at most its bound). At object 2, worker A evicts
+// object 0 (bound 1) and hands it to B, whose heap minimum 0.6 lies between
+// the walked entry's bound 0.5 and object 0's bound 1: B must evaluate it
+// (0.8 > 0.6), evict object 1 and hand that to C, whose heap then holds a
+// 0 — so the walk never ends early at object 3. Pruning on must return
+// what pruning off does.
+func TestWalkHandsOnTheEvictedBound(t *testing.T) {
+	bounds := []float64{1, 0.9, 0.5, 0.2}
+	scores := [][]float64{
+		{0.1, 0.05, 0.3, 0}, // A
+		{0.8, 0.6, 0, 0},    // B
+		{0.2, 0, 0, 0},      // C
+	}
+	p := &Plan{ueaiRank: rank(bounds)}
+	assigned := func(prune bool) [][]int32 {
+		var stats EAIStats
+		heaps := p.walk(make(answeredSets, len(scores)), 1, prune, func(wi int, oid int32) float64 {
+			return scores[wi][oid]
+		}, func(oid int) float64 { return bounds[oid] }, &stats)
+		out := make([][]int32, len(heaps))
+		for wi, h := range heaps {
+			for _, en := range h {
+				out[wi] = append(out[wi], en.oid)
+			}
+		}
+		return out
+	}
+	want := [][]int32{{2}, {0}, {1}}
+	if got := assigned(true); !reflect.DeepEqual(got, want) {
+		t.Fatalf("with pruning: %v, want %v", got, want)
+	}
+	if got := assigned(false); !reflect.DeepEqual(got, want) {
+		t.Fatalf("without pruning: %v, want %v", got, want)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -65,15 +66,15 @@ func coldWorkers(idx *data.Index, m *core.Model, byScore []int32, positive int) 
 	return idx2, m.Grow(idx2, touched), workers
 }
 
-// coldCases counts, for one prior-ψ worker's call, which edge of the closed
-// form decides it: fewer than k unanswered objects, a K-th largest score of
-// 0, or more objects tied at a positive K-th score than the call has slots
-// left for them.
-type coldCases struct{ fewer, zero, tie int }
+// topKCases counts, for one worker's call with the given score per object,
+// which edge of the closed form decides it: fewer than k unanswered
+// objects, a K-th largest score of 0, or more objects tied at a positive
+// K-th score than the call has slots left for them.
+type topKCases struct{ fewer, zero, tie int }
 
-func (c *coldCases) add(p *Plan, answered []uint64, k int) {
+func (c *topKCases) add(perObject []float64, answered []uint64, k int) {
 	var scores []float64
-	for oid, s := range p.coldScores() {
+	for oid, s := range perObject {
 		if answered == nil || answered[oid>>6]&(1<<(oid&63)) == 0 {
 			scores = append(scores, s)
 		}
@@ -111,7 +112,7 @@ func (c *coldCases) add(p *Plan, answered []uint64, k int) {
 // K-th score, a K-th score of 0 and fewer than K unanswered objects each
 // decided some call.
 func TestColdTopKIsTheScan(t *testing.T) {
-	var cases coldCases
+	var cases topKCases
 	for _, c := range []struct {
 		name string
 		ds   *data.Dataset
@@ -200,7 +201,130 @@ func TestColdTopKIsTheScan(t *testing.T) {
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("%s %s, worker %s, K=%d: plan %v, scan %v", c.name, st.name, w, k, got[w], want[w])
 					}
-					cases.add(st.plan, answered, k)
+					cases.add(st.plan.coldScores(), answered, k)
+				}
+			}
+		}
+	}
+	if cases.tie == 0 || cases.zero == 0 || cases.fewer == 0 {
+		t.Fatalf("an edge case never decided a call: %+v", cases)
+	}
+	t.Logf("calls decided by fewer than K unanswered: %d, a K-th score of 0: %d, a tie at it: %d", cases.fewer, cases.zero, cases.tie)
+}
+
+// fittedWorkers appends to ds answers from a pool of nWorkers workers that
+// each answer perWorker distinct objects, and from "zz-all-but-7", who
+// answers every object but seven (so fewer than K remain for K > 7): after
+// a fit every one of them has a fitted ψ. It returns the workers' names.
+func fittedWorkers(ds *data.Dataset, nWorkers, perWorker int) []string {
+	pool := synth.NewWorkerPool(synth.WorkerPoolConfig{Seed: 5, Count: nWorkers, Pi: 0.75})
+	idx := data.NewIndex(ds)
+	rng := rand.New(rand.NewSource(5))
+	var names []string
+	for _, w := range pool {
+		names = append(names, w.Name)
+		for _, oid := range rng.Perm(idx.NumObjects())[:perWorker] {
+			ov := idx.ViewAt(oid)
+			ds.Answers = append(ds.Answers, data.Answer{Object: ov.Object, Worker: w.Name, Value: w.Answer(rng, ds, ov)})
+		}
+	}
+	for oid := 7; oid < idx.NumObjects(); oid++ {
+		ov := idx.ViewAt(oid)
+		ds.Answers = append(ds.Answers, data.Answer{Object: ov.Object, Worker: "zz-all-but-7", Value: pool[0].Answer(rng, ds, ov)})
+	}
+	return append(names, "zz-all-but-7")
+}
+
+// TestFittedTopKIsTheScan pins what the plan an EAI campaign publishes
+// (PlanFor) returns to a worker with a fitted ψ — every returning worker's
+// /task — to Algorithm 1's scan: the same call without a plan, which scores
+// every object it visits with eaiAt. It covers Heritages ×1 at about 3 and
+// about 9 crowd answers per object, on the plan built for the fit, on the plan
+// advanced over a fold of further answers, and on the plan advanced across
+// index growth by three objects that share one candidate set and have no
+// claims (so they tie), for K ∈ {1, 3, 5, 10, 40}; and it requires that a
+// tie at a positive K-th score, a K-th score of 0 and fewer than K
+// unanswered objects each decided some call.
+func TestFittedTopKIsTheScan(t *testing.T) {
+	var cases topKCases
+	for _, c := range []struct {
+		name      string
+		perWorker int
+	}{{"Heritages ×1, ~3 answers per object", 60}, {"Heritages ×1, ~9 answers per object", 250}} {
+		ds := synth.Heritages(synth.HeritagesConfig{Seed: 7, Scale: 1})
+		workers := fittedWorkers(ds, 24, c.perWorker)
+		idx := data.NewIndex(ds)
+		res := infer.NewTDH().Infer(idx)
+		m := res.Rows.(*core.Model)
+		fresh := PlanFor(EAI{}, idx, res)
+
+		// A fold of further answers from the pool: each ψ stays as fitted.
+		folded := m.Clone()
+		var touched []int
+		for i := range 60 {
+			oid := (i * 13) % idx.NumObjects()
+			wid, _ := idx.WorkerID(workers[i%len(workers)])
+			folded.ApplyAnswerAt(oid, wid, i%len(idx.ViewAt(oid).CI.Values))
+			touched = append(touched, oid)
+		}
+		resFolded := infer.ViewOf(folded, nil)
+		advanced, ok := fresh.Advance(idx, resFolded, touched)
+		if !ok {
+			t.Fatalf("%s: Advance over a fold fell back to a full build", c.name)
+		}
+
+		// Growth: three objects with one donor's candidates and no claims.
+		donor := idx.ViewAt(0).CI.Values
+		mu := data.Mutation{Candidates: map[string][]string{}}
+		for _, o := range []string{"zzz-grown-a", "zzz-grown-b", "zzz-grown-c"} {
+			mu.Candidates[o] = slices.Clone(donor)
+		}
+		work := idx.DS.Clone()
+		work.Candidates = mu.Candidates
+		idxGrown, grown := idx.Extend(work, mu)
+		resGrown := infer.ViewOf(folded.Grow(idxGrown, grown), nil)
+		grownPlan, ok := advanced.Advance(idxGrown, resGrown, grown)
+		if !ok {
+			t.Fatalf("%s: Advance across growth fell back to a full build", c.name)
+		}
+
+		for _, st := range []struct {
+			name string
+			idx  *data.Index
+			res  *infer.Result
+			plan *Plan
+		}{
+			{"fresh", idx, res, fresh},
+			{"advanced", idx, resFolded, advanced},
+			{"grown", idxGrown, resGrown, grownPlan},
+		} {
+			m := st.res.Rows.(*core.Model)
+			n := float64(st.idx.NumObjects())
+			for _, w := range workers {
+				psi := m.PsiOf(w)
+				if psi == m.DefaultPsi() {
+					t.Fatalf("%s %s: worker %s is at the prior-mean ψ", c.name, st.name, w)
+				}
+				wid, _ := st.idx.WorkerID(w)
+				answered := newAnsweredSets(st.idx, []int{wid})[0]
+				tab := core.NewWorkerTab(psi)
+				scores := make([]float64, st.idx.NumObjects())
+				for oid := range scores {
+					scores[oid], _ = eaiAt(m, oid, &tab, n)
+				}
+				for _, k := range []int{1, 3, 5, 10, 40} {
+					var fallbacks atomic.Int64
+					ctx := &Context{Idx: st.idx, Res: st.res, Plan: st.plan, PlanFallbacks: &fallbacks, Workers: []string{w}, K: k, Seed: 1}
+					got, stats := EAI{}.AssignWithStats(ctx)
+					ctx.Plan = nil
+					want, _ := EAI{}.AssignWithStats(ctx)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s %s, worker %s, K=%d: plan %v, scan %v", c.name, st.name, w, k, got[w], want[w])
+					}
+					if fallbacks.Load() != 0 || stats.Settled != 0 {
+						t.Fatalf("%s %s, worker %s, K=%d: %d plan fallbacks, %d settled evaluations; want the plan's closed form", c.name, st.name, w, k, fallbacks.Load(), stats.Settled)
+					}
+					cases.add(scores, answered, k)
 				}
 			}
 		}
@@ -240,9 +364,43 @@ func TestColdTopKIsTheHeap(t *testing.T) {
 	}
 }
 
+// TestFittedTopKIsTheHeap checks fittedTopK against Algorithm 1's heap for
+// one worker, run directly over random scores and bounds as
+// TestColdTopKIsTheHeap does, with a quarter of the objects settled: keyed
+// −1 in the cold-worker ranking and scoring 0. The cold-worker keys of the
+// others are drawn apart from the worker's scores, so the walk's order says
+// nothing about them, and an unsettled object may score 0.
+func TestFittedTopKIsTheHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for trial := range 3000 {
+		n := 1 + rng.Intn(80)
+		cold, scores, bounds := make([]float64, n), make([]float64, n), make([]float64, n)
+		answered := make(answeredSets, 1)
+		answered[0] = make([]uint64, (n+63)/64)
+		for oid := range n {
+			cold[oid] = float64(rng.Intn(4)) / 4
+			scores[oid] = float64(max(rng.Intn(6)-2, 0)) / 4
+			if rng.Intn(4) == 0 {
+				cold[oid], scores[oid] = -1, 0
+			}
+			bounds[oid] = scores[oid] + float64(rng.Intn(4))/4
+			if rng.Intn(4) == 0 {
+				answered[0][oid>>6] |= 1 << (oid & 63)
+			}
+		}
+		p := &Plan{coldRank: rank(cold), ueaiRank: rank(bounds)}
+		k := 1 + rng.Intn(12)
+		got, _ := p.fittedTopK(answered, 0, k, func(oid int32) float64 { return scores[oid] }, func(oid int) float64 { return bounds[oid] })
+		slices.Sort(got)
+		if want := heapTopK(p, scores, answered, k); !slices.Equal(got, want) {
+			t.Fatalf("trial %d (K=%d, cold keys %v, scores %v, bounds %v): closed form %v, heap %v", trial, k, cold, scores, bounds, got, want)
+		}
+	}
+}
+
 // heapTopK is AssignWithStats' scan for one worker with pruning on, over
-// the plan's UEAI order and the given scores: the reference coldTopK
-// returns, IDs ascending.
+// the plan's UEAI order and the given scores: the reference coldTopK and
+// fittedTopK return, IDs ascending.
 func heapTopK(p *Plan, scores []float64, answered answeredSets, k int) []int32 {
 	var h eaiHeap
 scan:

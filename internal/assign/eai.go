@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/cow"
 	"repro/internal/data"
 )
 
@@ -25,11 +24,14 @@ import (
 //
 // The decreasing-bound scan order, each entry carrying its bound, is
 // worker-independent, so it lives in the shared Plan (precomputed once per
-// snapshot); an Assign call only walks that order, filters each worker's
-// answered set, and evaluates EAI where the bound admits it. One worker at
-// the prior-mean ψ — every cold /task — is answered from the attached
-// plan's cold-worker score ranking instead, in closed form (coldTopK), with
-// the assignment the walk would return.
+// snapshot); an Assign call for several workers — or with pruning off, or
+// on a plan built per call — walks that order, filters each worker's
+// answered set, and evaluates EAI where the bound admits it. One worker on
+// an attached served plan — every /task — is answered from the plan in
+// closed form instead, with the assignment the walk would return (topK):
+// at the prior-mean ψ (a cold worker) from the cold-worker score ranking
+// (coldTopK), and at a fitted ψ (a returning worker) by scoring only the
+// unsettled objects that ranking holds (fittedTopK).
 type EAI struct {
 	// DisablePruning computes EAI for every (worker, object) pair —
 	// the ablation measured in Figure 13.
@@ -48,13 +50,17 @@ func (e EAI) Name() string {
 // assignment: the Figure 13 experiment reports pruning effectiveness from
 // it, and the crowd server observes it per /task.
 type EAIStats struct {
-	// Evaluated counts the EAI(w,o) computations performed; for a call
-	// answered in closed form (coldTopK), the plan's ranking entries read.
+	// Evaluated counts the EAI(w,o) computations performed; for a cold
+	// worker's call answered in closed form (coldTopK), the plan's ranking
+	// entries read.
 	Evaluated int
-	Pruned    int // evaluations skipped by the UEAI bound; 0 in closed form
+	// Pruned counts the evaluations the UEAI bound skipped; 0 for a cold
+	// worker's call.
+	Pruned int
 	// Settled counts the evaluations the no-flip certificate answered
 	// (core.Model.SettledAt): a subset of Evaluated, each an O(|V|) read
-	// instead of the expected-max fill; 0 in closed form.
+	// instead of the expected-max fill. A one-worker call answered in
+	// closed form evaluates no settled object, so it reads 0.
 	Settled int
 }
 
@@ -114,12 +120,20 @@ func (e EAI) AssignWithStats(ctx *Context) (map[string][]string, EAIStats) {
 	})
 	wids := workerIDs(ctx.Idx, workers)
 	answered := newAnsweredSets(ctx.Idx, wids)
-	// One worker at the prior-mean ψ on a plan holding the cold-worker
-	// cache (the served EAI plan) reads its ranking. A per-call fallback
-	// build holds no cache (eaiServed says why), so it walks the scan.
-	if len(workers) == 1 && p.reads&coldCache != 0 && p.M != nil && !e.DisablePruning && m.PsiOf(workers[0]) == p.defaultPsi {
-		ids, read := p.coldTopK(answered, 0, ctx.K, p.boundAt)
-		stats.Evaluated = read
+	// One worker on a plan holding the cold-worker cache (the served EAI
+	// plan) is answered in closed form. A per-call fallback build holds no
+	// cache (eaiServed says why), so it walks the scan.
+	if len(workers) == 1 && p.reads&coldCache != 0 && p.M != nil && !e.DisablePruning {
+		var ids []int32
+		if psi := m.PsiOf(workers[0]); psi == p.defaultPsi {
+			ids, stats.Evaluated = p.coldTopK(answered, 0, ctx.K, p.boundAt)
+		} else {
+			tab := core.NewWorkerTab(psi)
+			ids, stats = p.fittedTopK(answered, 0, ctx.K, func(oid int32) float64 {
+				score, _ := eaiAt(m, int(oid), &tab, nObj)
+				return score
+			}, p.boundAt)
+		}
 		out[workers[0]] = objectNames(ctx.Idx, ids)
 		return out, stats
 	}
@@ -127,11 +141,37 @@ func (e EAI) AssignWithStats(ctx *Context) (map[string][]string, EAIStats) {
 	for i, w := range workers {
 		tabs[i] = core.NewWorkerTab(m.PsiOf(w))
 	}
-	heaps := make([]eaiHeap, len(workers))
+	heaps := p.walk(answered, ctx.K, !e.DisablePruning, func(wi int, oid int32) float64 {
+		score, settled := eaiAt(m, int(oid), &tabs[wi], nObj)
+		if settled {
+			stats.Settled++
+		}
+		return score
+	}, p.boundAt, &stats)
+	for wi, w := range workers {
+		ids := make([]int32, 0, len(heaps[wi]))
+		for _, en := range heaps[wi] {
+			ids = append(ids, en.oid)
+		}
+		out[w] = objectNames(ctx.Idx, ids)
+	}
+	return out, stats
+}
 
+// walk is Algorithm 1's scan for the workers of answered, in that order
+// (decreasing ψ_{w,1}): it visits the plan's UEAI ranking and keeps a
+// min-heap of at most k entries per worker, handing an object a full
+// worker's heap rejects, or the entry it evicts, to the next worker.
+// score(wi, oid) is EAI(w, o) for worker wi and boundAt each object's
+// Lemma 4.1 bound (Plan.boundAt), the key of the UEAI ranking. With prune
+// set, the bound skips the evaluations that cannot enter a heap (score ≤
+// bound), and ends the walk once no remaining object can (Alg. 1, l.8).
+// It counts evaluations and skips in stats.
+func (p *Plan) walk(answered answeredSets, k int, prune bool, score func(wi int, oid int32) float64, boundAt func(oid int) float64, stats *EAIStats) []eaiHeap {
+	heaps := make([]eaiHeap, len(answered))
 	full := func() bool {
 		for i := range heaps {
-			if len(heaps[i]) < ctx.K {
+			if len(heaps[i]) < k {
 				return false
 			}
 		}
@@ -158,46 +198,36 @@ func (e EAI) AssignWithStats(ctx *Context) (map[string][]string, EAIStats) {
 scan:
 	for _, chunk := range p.ueaiRank.Chunks() {
 		for _, en := range chunk {
-			if !e.DisablePruning && full() && minOverAll() > en.Key {
+			if prune && full() && minOverAll() > en.Key {
 				break scan // no remaining object can displace anything (Alg. 1, l.8)
 			}
 			cur, bound := en.ID, en.Key
-			for wi := 0; wi < len(workers) && cur >= 0; wi++ {
+			for wi := 0; wi < len(heaps) && cur >= 0; wi++ {
 				if answered.has(wi, int(cur)) {
 					continue
 				}
-				if !e.DisablePruning && len(heaps[wi]) >= ctx.K && heaps[wi][0].score >= bound {
+				if prune && len(heaps[wi]) >= k && heaps[wi][0].score >= bound {
 					stats.Pruned++
 					continue // cannot beat this worker's current minimum
 				}
-				score, settled := eaiAt(m, int(cur), &tabs[wi], nObj)
-				if settled {
-					stats.Settled++
-				}
+				s := score(wi, cur)
 				stats.Evaluated++
-				if len(heaps[wi]) < ctx.K {
-					heap.Push(&heaps[wi], eaiEntry{score, cur})
+				if len(heaps[wi]) < k {
+					heap.Push(&heaps[wi], eaiEntry{s, cur})
 					cur = -1
 					break
 				}
-				if score > heaps[wi][0].score {
+				if s > heaps[wi][0].score {
 					displaced := heap.Pop(&heaps[wi]).(eaiEntry)
-					heap.Push(&heaps[wi], eaiEntry{score, cur})
+					heap.Push(&heaps[wi], eaiEntry{s, cur})
 					// Hand the evicted object, and its bound, to the next worker.
 					cur = displaced.oid
-					bound = p.boundAt(int(cur))
+					bound = boundAt(int(cur))
 				}
 			}
 		}
 	}
-	for wi, w := range workers {
-		ids := make([]int32, 0, len(heaps[wi]))
-		for _, en := range heaps[wi] {
-			ids = append(ids, en.oid)
-		}
-		out[w] = objectNames(ctx.Idx, ids)
-	}
-	return out, stats
+	return heaps
 }
 
 // objectNames sorts ids and returns their object names: an assignment in
@@ -211,15 +241,103 @@ func objectNames(idx *data.Index, ids []int32) []string {
 	return objs
 }
 
+// candidate is an object a one-worker closed form hands to topK: its EAI
+// score for that worker and its Lemma 4.1 bound.
+type candidate struct {
+	score, bound float64
+	oid          int32
+}
+
 // coldTopK is the EAI assignment of worker wi of answered, at the plan's
-// prior-mean ψ, under the UEAI bound, read off the plan's cold-worker score
-// ranking: the object IDs Algorithm 1's scan returns for that worker, and
-// how many ranking entries it read. boundAt is each object's Lemma 4.1
-// bound, the key of the plan's UEAI ranking (Plan.boundAt).
+// prior-mean ψ, read off the plan's cold-worker score ranking: the object
+// IDs Algorithm 1's scan returns for that worker (topK), and how many
+// ranking entries it read. boundAt is each object's Lemma 4.1 bound, the
+// key of the plan's UEAI ranking (Plan.boundAt).
 //
-// Let U be the unanswered objects, s their cached scores (all ≥ 0: eaiAt
-// clamps the noise floor to 0) and, when |U| ≥ K, T the K-th largest score
-// in U, with c objects of U scoring above it. The scan returns
+// It walks coldRank (score descending, ID ascending) to the first entry
+// below the K-th unanswered score T, or to the first not above 0,
+// collecting the unanswered objects it passes: every one scoring ≥ T when
+// T > 0, every positive one otherwise. That costs O(K + the answered
+// objects met + the ties at T) entries.
+func (p *Plan) coldTopK(answered answeredSets, wi, k int, boundAt func(oid int) float64) (ids []int32, read int) {
+	var group []candidate
+walk:
+	for _, chunk := range p.coldRank.Chunks() {
+		for _, en := range chunk {
+			read++
+			if en.Key <= 0 || len(group) >= k && en.Key < group[k-1].score {
+				break walk
+			}
+			if !answered.has(wi, int(en.ID)) {
+				group = append(group, candidate{en.Key, boundAt(int(en.ID)), en.ID})
+			}
+		}
+	}
+	ids, tail := p.topK(answered, wi, k, group)
+	return ids, read + tail
+}
+
+// fittedTopK is the EAI assignment of worker wi of answered, at any ψ,
+// from the plan: the object IDs Algorithm 1's scan returns for that worker
+// (topK), and its evaluations and bound skips. score(oid) is the worker's
+// EAI score and boundAt each object's Lemma 4.1 bound (Plan.boundAt).
+//
+// A settled object scores 0 for every worker, so only the non-negative
+// prefix of coldRank — the unsettled objects — can score above 0. It
+// scores the unanswered objects of that prefix, skipping one whose bound
+// lies below the K-th best score met so far (score ≤ bound, so it cannot
+// reach the final K-th score T), and keeps the positive scores at least
+// that K-th best: every object scoring ≥ T when T > 0, every positive one
+// otherwise. Only a score that reached the K-th best of its time is kept,
+// and nothing else evaluated is kept or sorted.
+func (p *Plan) fittedTopK(answered answeredSets, wi, k int, score func(oid int32) float64, boundAt func(oid int) float64) (ids []int32, stats EAIStats) {
+	var group []candidate
+	best := make([]float64, 0, k) // the k largest positive scores met, descending
+walk:
+	for _, chunk := range p.coldRank.Chunks() {
+		for _, en := range chunk {
+			if en.Key < 0 {
+				break walk // settled from here on
+			}
+			if answered.has(wi, int(en.ID)) {
+				continue
+			}
+			bound := boundAt(int(en.ID))
+			if len(best) == k && bound < best[k-1] {
+				stats.Pruned++
+				continue
+			}
+			s := score(en.ID)
+			stats.Evaluated++
+			if s <= 0 || len(best) == k && s < best[k-1] {
+				continue
+			}
+			group = append(group, candidate{s, bound, en.ID})
+			if len(best) < k {
+				best = append(best, s)
+			}
+			i := len(best) - 1
+			for ; i > 0 && best[i-1] < s; i-- {
+				best[i] = best[i-1]
+			}
+			best[i] = s
+		}
+	}
+	ids, _ = p.topK(answered, wi, k, group)
+	return ids, stats
+}
+
+// topK is the EAI assignment of worker wi of answered under the UEAI bound
+// — the object IDs Algorithm 1's scan returns for that one worker — given
+// group, the unanswered objects with a positive score of which it holds
+// every one scoring ≥ T below (every positive one when T = 0), in any
+// order; and how many UEAI ranking entries it read. Nothing here depends on
+// the worker's ψ, so it serves a cold worker (coldTopK) and a returning one
+// (fittedTopK) alike.
+//
+// Let U be the unanswered objects, s their scores (all ≥ 0: eaiAt clamps
+// the noise floor to 0) and, when |U| ≥ K, T the K-th largest score in U,
+// with c objects of U scoring above it. The scan returns
 //   - every object of U scoring above T, and, of the first K objects of U
 //     scoring ≥ T in UEAI order, the K − c with the lowest IDs among those
 //     scoring exactly T;
@@ -235,52 +353,40 @@ func objectNames(idx *data.Index, ids []int32) []string {
 // and each later object above T evicts the minimum under eaiHeap.Less — the
 // highest-ID entry scoring T. The prune test (minimum ≥ bound) and the
 // break (minimum > bound) skip only objects that could not enter anyway,
-// since score ≤ bound (Lemma 4.1).
+// since score ≤ bound (Lemma 4.1). The argument uses the scores only through
+// their order and score ≤ bound, never the worker's ψ.
 //
-// Reading it costs O(K + the answered objects met + the ties at T):
-//   - T > 0: walk coldRank (score descending, ID ascending) to the first
-//     entry below T, collecting the unanswered ones — the objects ≥ T —
-//     with their bounds, and order that group by (bound descending, ID
-//     ascending);
-//   - otherwise the walk reaches the zeros first, having collected every
-//     positive object of U (c < K of them), and the first K unanswered
-//     entries of ueaiRank are the first K objects ≥ T = 0 in UEAI order:
-//     those outside the group score 0.
-func (p *Plan) coldTopK(answered answeredSets, wi, k int, boundAt func(oid int) float64) (ids []int32, read int) {
-	type member struct {
-		cow.Entry
-		bound float64
-	}
-	var group []member // the unanswered objects ≥ T, or every positive one
-walk:
-	for _, chunk := range p.coldRank.Chunks() {
-		for _, en := range chunk {
-			read++
-			if en.Key <= 0 || len(group) >= k && en.Key < group[k-1].Key {
-				break walk
-			}
-			if !answered.has(wi, int(en.ID)) {
-				group = append(group, member{en, boundAt(int(en.ID))})
-			}
-		}
-	}
+// Reading it off group:
+//   - T > 0: group holds at least K objects, its K-th largest score is T,
+//     and ordering its objects ≥ T by (bound descending, ID ascending) — the
+//     UEAI order — gives the first K of them;
+//   - otherwise group is every positive object of U (c < K of them), and
+//     the first K unanswered entries of ueaiRank are the first K objects
+//     ≥ T = 0 in UEAI order: those outside group score 0.
+func (p *Plan) topK(answered answeredSets, wi, k int, group []candidate) (ids []int32, read int) {
 	ids = make([]int32, 0, k)
 	var ties []int32 // of the first K objects ≥ T in UEAI order, those scoring T
 	if len(group) >= k {
-		t := group[k-1].Key
-		slices.SortFunc(group, func(a, b member) int {
-			return cmp.Or(cmp.Compare(b.bound, a.bound), cmp.Compare(a.ID, b.ID))
+		slices.SortFunc(group, func(a, b candidate) int { return cmp.Compare(b.score, a.score) })
+		t := group[k-1].score
+		n := k
+		for n < len(group) && group[n].score == t {
+			n++
+		}
+		group = group[:n]
+		slices.SortFunc(group, func(a, b candidate) int {
+			return cmp.Or(cmp.Compare(b.bound, a.bound), cmp.Compare(a.oid, b.oid))
 		})
-		for i, m := range group {
-			if m.Key > t {
-				ids = append(ids, m.ID)
+		for i, c := range group {
+			if c.score > t {
+				ids = append(ids, c.oid)
 			} else if i < k {
-				ties = append(ties, m.ID)
+				ties = append(ties, c.oid)
 			}
 		}
 	} else {
-		for _, m := range group {
-			ids = append(ids, m.ID)
+		for _, c := range group {
+			ids = append(ids, c.oid)
 		}
 		met := 0
 	scan:

@@ -23,9 +23,10 @@ import (
 // The crowd server builds one Plan per published Snapshot for its
 // campaign's assigner and attaches it to every assignment Context, so a
 // /task request reads shared read-only state instead of an
-// O(|O| log |O|) per-request heap-and-map rebuild: under EAI a worker with
-// a fitted ψ walks the UEAI order, and a worker at the prior-mean ψ reads
-// the head of the cold-worker score ranking (coldTopK). A Plan is immutable
+// O(|O| log |O|) per-request heap-and-map rebuild: under EAI a worker at
+// the prior-mean ψ reads the head of the cold-worker score ranking
+// (coldTopK), and a worker with a fitted ψ scores only the objects that
+// ranking holds unsettled (fittedTopK). A Plan is immutable
 // after it is built or advanced: assigners only read it, which is what lets
 // concurrent /task requests share one.
 //
@@ -66,12 +67,14 @@ type Plan struct {
 	// is nil. coldRank ranks every object by EAI(w, o) for a worker at the
 	// prior-mean ψ — the score EVERY cold worker shares, since a worker with
 	// no answer history sits exactly at the prior — score descending, ID
-	// ascending on ties. It turns a cold /task request from Algorithm 1's
-	// walk into a read of the ranking's head, O(K) entries (coldTopK);
-	// workers with fitted ψ still evaluate per call. defaultPsi tags the ψ
-	// the cache is valid for, and defaultTab is its claim table, built once
-	// per plan for the scores. settled counts the objects the no-flip
-	// certificate settles (core.Model.SettledAt).
+	// ascending on ties, with a settled object (core.Model.SettledAt) keyed
+	// −1 (coldScoreAt): its non-negative prefix is exactly the unsettled
+	// objects. It turns a cold /task request from Algorithm 1's walk into a
+	// read of the ranking's head, O(K) entries (coldTopK), and a returning
+	// worker's into EAI evaluations of that prefix alone (fittedTopK): a
+	// settled object scores 0 for every ψ. defaultPsi tags the ψ the cache
+	// is valid for, and defaultTab is its claim table, built once per plan
+	// for the scores. settled counts the settled objects.
 	coldRank   cow.Ranking
 	defaultPsi [3]float64
 	defaultTab core.WorkerTab
@@ -90,8 +93,8 @@ const (
 	// bounds is ueaiRank: every EAI call.
 	bounds
 	// coldCache is coldRank and settled: the served EAI plan's closed-form
-	// cold /task and its settled-objects gauge. Its closed form reads the
-	// bounds, so a set holding it holds bounds too.
+	// one-worker /task and its settled-objects gauge. Its closed form reads
+	// the bounds, so a set holding it holds bounds too.
 	coldCache
 
 	// eaiServed is what a campaign serving EAI publishes. A per-call EAI
@@ -115,11 +118,15 @@ func (p *Plan) boundAt(oid int) float64 {
 	return (1 - p.M.MaxConfidenceAt(oid)) / (float64(p.Idx.NumObjects()) * (p.M.DAt(oid) + 1))
 }
 
-// coldScoreAt is object oid's EAI score for a worker at the prior-mean ψ
-// under the plan's snapshot: the key of the cold-worker ranking. It needs
-// the model and a plan holding the cold cache (defaultTab).
+// coldScoreAt is the key of object oid in the cold-worker ranking under the
+// plan's snapshot: its EAI score for a worker at the prior-mean ψ, or −1
+// when the object is settled (its score is 0 for every ψ). It needs the
+// model and a plan holding the cold cache (defaultTab).
 func (p *Plan) coldScoreAt(oid int) float64 {
-	score, _ := eaiAt(p.M, oid, &p.defaultTab, float64(p.Idx.NumObjects()))
+	score, settled := eaiAt(p.M, oid, &p.defaultTab, float64(p.Idx.NumObjects()))
+	if settled {
+		return -1
+	}
 	return score
 }
 

@@ -51,11 +51,12 @@ func floatsClose(t *testing.T, tag string, got, want []float64) {
 }
 
 // coldScores is the plan's cold-worker score per object: the keys of its
-// cold-worker ranking laid out by object ID.
+// cold-worker ranking laid out by object ID, a settled object's −1 read as
+// its score 0.
 func (p *Plan) coldScores() []float64 {
 	scores := make([]float64, p.Idx.NumObjects())
 	for _, en := range p.coldRank.AppendTo(nil) {
-		scores[en.ID] = en.Key
+		scores[en.ID] = max(en.Key, 0)
 	}
 	return scores
 }

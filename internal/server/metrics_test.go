@@ -86,7 +86,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		`tdh_refit_drift_count{param="worker_trust"}`,
 		"# TYPE tdh_refit_answers_threshold gauge",
 		"# TYPE tdh_eai_evaluated histogram",
-		"# TYPE tdh_eai_settled histogram",
 		"# TYPE tdh_eai_pruned histogram",
 		"# TYPE tdh_settled_objects gauge",
 	} {
@@ -97,8 +96,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	// The one /task ran EAI for a cold worker, at the prior-mean ψ: one
 	// observation in each series. The plan answered it in closed form from
 	// its cold-worker score ranking, so it read at least the K entries it
-	// handed out, and neither pruned nor settled any evaluation.
-	for _, id := range []string{"tdh_eai_evaluated_count", "tdh_eai_settled_count", "tdh_eai_pruned_count"} {
+	// handed out, and pruned no evaluation.
+	for _, id := range []string{"tdh_eai_evaluated_count", "tdh_eai_pruned_count"} {
 		if n := seriesValue(t, out, id); n != 1 {
 			t.Errorf("%s %d, want 1", id, n)
 		}
@@ -106,10 +105,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	if n := seriesValue(t, out, "tdh_eai_evaluated_sum"); n < int64(len(tasks)) {
 		t.Errorf("tdh_eai_evaluated_sum %d below the %d tasks served", n, len(tasks))
 	}
-	for _, id := range []string{"tdh_eai_settled_sum", "tdh_eai_pruned_sum"} {
-		if n := seriesValue(t, out, id); n != 0 {
-			t.Errorf("%s %d after one cold worker's /task, want 0", id, n)
-		}
+	if n := seriesValue(t, out, "tdh_eai_pruned_sum"); n != 0 {
+		t.Errorf("tdh_eai_pruned_sum %d after one cold worker's /task, want 0", n)
 	}
 	// The refresh landed a fit over the boot fit's state: one comparison at
 	// least, the same count in every step-1 series.

@@ -51,13 +51,13 @@ type reachable struct {
 
 // coldScores is an EAI plan's cold-worker score per object: AppendParts
 // lays such a plan out as its UEAI ranking, then its cold-worker ranking,
-// each as (key, ID) pairs.
+// each as (key, ID) pairs, a settled object keyed −1 for its score 0.
 func coldScores(p *assign.Plan) []float64 {
 	n := p.Idx.NumObjects()
 	pairs := p.AppendParts(nil)[2*n : 4*n]
 	scores := make([]float64, n)
 	for i := 0; i < len(pairs); i += 2 {
-		scores[int(pairs[i+1])] = pairs[i]
+		scores[int(pairs[i+1])] = max(pairs[i], 0)
 	}
 	return scores
 }
