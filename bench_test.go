@@ -76,12 +76,11 @@ func BenchmarkEAIAssignNoPruning(b *testing.B) {
 // from each of 256 workers, ~8 per object), the plan an EAI campaign
 // publishes (assign.PlanFor) attached, K = 5, and one worker with a fitted
 // ψ per call, in turn. Such a worker is answered in closed form from the
-// plan: it scores only the unanswered objects the plan holds unsettled
-// (the rest score 0 for every worker), skipping those whose Lemma 4.1
-// bound falls below its running K-th best score. evaluated/op and
-// pruned/op report that work, and settled/op is 0: no settled object is
-// scored. Each call's assignment must equal the scan's for that worker:
-// the same call without a plan, run before the timer.
+// plan: it scores every unanswered object the plan holds unsettled (the
+// rest score 0 for every worker). evaluated/op reports that work, and
+// settled/op is 0: no settled object is scored. Each call's assignment
+// must equal the scan's for that worker: the same call without a plan,
+// run before the timer.
 func BenchmarkEAITask(b *testing.B) { benchmarkFittedTask(b, 25) }
 
 // BenchmarkEAISparseTask is BenchmarkEAITask early in a campaign: 2
@@ -99,7 +98,7 @@ func benchmarkFittedTask(b *testing.B, perWorker int) {
 		scan.Workers = base.Workers[i:][:1]
 		want[i] = assign.EAI{}.Assign(&scan)[w]
 	}
-	var evaluated, pruned, settled int
+	var evaluated, settled int
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -110,10 +109,9 @@ func benchmarkFittedTask(b *testing.B, perWorker int) {
 		if got := out[base.Workers[w]]; !slices.Equal(got, want[w]) {
 			b.Fatalf("%s: the plan assigned %v, the scan %v", base.Workers[w], got, want[w])
 		}
-		evaluated, pruned, settled = evaluated+st.Evaluated, pruned+st.Pruned, settled+st.Settled
+		evaluated, settled = evaluated+st.Evaluated, settled+st.Settled
 	}
 	b.ReportMetric(float64(evaluated)/float64(b.N), "evaluated/op")
-	b.ReportMetric(float64(pruned)/float64(b.N), "pruned/op")
 	b.ReportMetric(float64(settled)/float64(b.N), "settled/op")
 }
 
@@ -249,8 +247,8 @@ func BenchmarkTracedIngest(b *testing.B) {
 // table clone and one re-rank of the touched objects from their key under
 // the previous snapshot, recomputed, to their key under the new one). Each
 // plan is the one a campaign publishes (assign.PlanFor): EAI's rows build
-// the UEAI ranking, the cold-worker ranking and the settled count; ME's rows
-// the entropy ranking alone, no cold cache.
+// the UEAI ranking and the cold-worker ranking; ME's rows the entropy
+// ranking alone, no cold cache.
 // The dataset is BirthPlaces at ≥10k objects — the regime where the
 // per-publish build was the wall between publish rate and corpus size.
 func BenchmarkPlanAdvance(b *testing.B) {

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/cow"
 	"repro/internal/data"
 	"repro/internal/infer"
 	"repro/internal/synth"
@@ -394,6 +395,54 @@ func TestFittedTopKIsTheHeap(t *testing.T) {
 		slices.Sort(got)
 		if want := heapTopK(p, scores, answered, k); !slices.Equal(got, want) {
 			t.Fatalf("trial %d (K=%d, cold keys %v, scores %v, bounds %v): closed form %v, heap %v", trial, k, cold, scores, bounds, got, want)
+		}
+	}
+}
+
+// TestSettledIsTheNegativeTail checks Settled's count of the cold-worker
+// ranking's −1 tail against a count of the keys, on rankings of several
+// chunks: a tail that is empty, everything, or starts on either side of a
+// chunk edge, and the uneven chunks Update leaves as keys move in and out
+// of it.
+func TestSettledIsTheNegativeTail(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{0, 1, 511, 512, 513, 1500} {
+		for _, settled := range []int{0, 1, 511, 512, 513, n / 2, n - 1, n} {
+			if settled < 0 || settled > n {
+				continue
+			}
+			keys := make([]float64, n)
+			for i, oid := range rng.Perm(n) {
+				keys[oid] = float64(rng.Intn(8)) / 8
+				if i < settled {
+					keys[oid] = -1
+				}
+			}
+			p := &Plan{coldRank: rank(keys)}
+			for step := range 20 {
+				want := 0
+				for _, key := range keys {
+					if key < 0 {
+						want++
+					}
+				}
+				if got := p.Settled(); got != want {
+					t.Fatalf("n=%d, %d settled, step %d: Settled %d, the keys hold %d", n, settled, step, got, want)
+				}
+				if n == 0 {
+					break
+				}
+				moves := make([]cow.Rekey, 0, 40)
+				for _, oid := range rng.Perm(n)[:min(n, 40)] {
+					key := float64(rng.Intn(8)) / 8
+					if rng.Intn(2) == 0 {
+						key = -1
+					}
+					moves = append(moves, cow.Rekey{ID: int32(oid), Old: keys[oid], New: key})
+					keys[oid] = key
+				}
+				p.coldRank = p.coldRank.Update(moves)
+			}
 		}
 	}
 }

@@ -54,8 +54,8 @@ type EAIStats struct {
 	// worker's call answered in closed form (coldTopK), the plan's ranking
 	// entries read.
 	Evaluated int
-	// Pruned counts the evaluations the UEAI bound skipped; 0 for a cold
-	// worker's call.
+	// Pruned counts the evaluations the UEAI bound skipped, in Algorithm
+	// 1's walk only: a one-worker call answered in closed form reads 0.
 	Pruned int
 	// Settled counts the evaluations the no-flip certificate answered
 	// (core.Model.SettledAt): a subset of Evaluated, each an O(|V|) read
@@ -129,7 +129,7 @@ func (e EAI) AssignWithStats(ctx *Context) (map[string][]string, EAIStats) {
 			ids, stats.Evaluated = p.coldTopK(answered, 0, ctx.K, p.boundAt)
 		} else {
 			tab := core.NewWorkerTab(psi)
-			ids, stats = p.fittedTopK(answered, 0, ctx.K, func(oid int32) float64 {
+			ids, stats.Evaluated = p.fittedTopK(answered, 0, ctx.K, func(oid int32) float64 {
 				score, _ := eaiAt(m, int(oid), &tab, nObj)
 				return score
 			}, p.boundAt)
@@ -241,11 +241,11 @@ func objectNames(idx *data.Index, ids []int32) []string {
 	return objs
 }
 
-// candidate is an object a one-worker closed form hands to topK: its EAI
-// score for that worker and its Lemma 4.1 bound.
+// candidate is an object a one-worker closed form hands to topK, with its
+// EAI score for that worker.
 type candidate struct {
-	score, bound float64
-	oid          int32
+	score float64
+	oid   int32
 }
 
 // coldTopK is the EAI assignment of worker wi of answered, at the plan's
@@ -269,28 +269,27 @@ walk:
 				break walk
 			}
 			if !answered.has(wi, int(en.ID)) {
-				group = append(group, candidate{en.Key, boundAt(int(en.ID)), en.ID})
+				group = append(group, candidate{en.Key, en.ID})
 			}
 		}
 	}
-	ids, tail := p.topK(answered, wi, k, group)
+	ids, tail := p.topK(answered, wi, k, group, boundAt)
 	return ids, read + tail
 }
 
 // fittedTopK is the EAI assignment of worker wi of answered, at any ψ,
 // from the plan: the object IDs Algorithm 1's scan returns for that worker
-// (topK), and its evaluations and bound skips. score(oid) is the worker's
-// EAI score and boundAt each object's Lemma 4.1 bound (Plan.boundAt).
+// (topK), and how many scores it evaluated. score(oid) is the worker's EAI
+// score and boundAt each object's Lemma 4.1 bound (Plan.boundAt).
 //
 // A settled object scores 0 for every worker, so only the non-negative
 // prefix of coldRank — the unsettled objects — can score above 0. It
-// scores the unanswered objects of that prefix, skipping one whose bound
-// lies below the K-th best score met so far (score ≤ bound, so it cannot
-// reach the final K-th score T), and keeps the positive scores at least
-// that K-th best: every object scoring ≥ T when T > 0, every positive one
-// otherwise. Only a score that reached the K-th best of its time is kept,
-// and nothing else evaluated is kept or sorted.
-func (p *Plan) fittedTopK(answered answeredSets, wi, k int, score func(oid int32) float64, boundAt func(oid int) float64) (ids []int32, stats EAIStats) {
+// scores every unanswered object of that prefix and keeps the positive
+// scores at least the K-th best met so far: every object scoring ≥ T when
+// T > 0, every positive one otherwise. Only a score that reached the K-th
+// best of its time is kept, and nothing else evaluated is kept or sorted.
+// No bound is read: in cold-worker order a skip by bound rarely fires.
+func (p *Plan) fittedTopK(answered answeredSets, wi, k int, score func(oid int32) float64, boundAt func(oid int) float64) (ids []int32, evaluated int) {
 	var group []candidate
 	best := make([]float64, 0, k) // the k largest positive scores met, descending
 walk:
@@ -302,17 +301,12 @@ walk:
 			if answered.has(wi, int(en.ID)) {
 				continue
 			}
-			bound := boundAt(int(en.ID))
-			if len(best) == k && bound < best[k-1] {
-				stats.Pruned++
-				continue
-			}
 			s := score(en.ID)
-			stats.Evaluated++
+			evaluated++
 			if s <= 0 || len(best) == k && s < best[k-1] {
 				continue
 			}
-			group = append(group, candidate{s, bound, en.ID})
+			group = append(group, candidate{s, en.ID})
 			if len(best) < k {
 				best = append(best, s)
 			}
@@ -323,17 +317,18 @@ walk:
 			best[i] = s
 		}
 	}
-	ids, _ = p.topK(answered, wi, k, group)
-	return ids, stats
+	ids, _ = p.topK(answered, wi, k, group, boundAt)
+	return ids, evaluated
 }
 
 // topK is the EAI assignment of worker wi of answered under the UEAI bound
 // — the object IDs Algorithm 1's scan returns for that one worker — given
 // group, the unanswered objects with a positive score of which it holds
 // every one scoring ≥ T below (every positive one when T = 0), in any
-// order; and how many UEAI ranking entries it read. Nothing here depends on
-// the worker's ψ, so it serves a cold worker (coldTopK) and a returning one
-// (fittedTopK) alike.
+// order; and how many UEAI ranking entries it read. boundAt (Plan.boundAt)
+// is read only to order ties at T. Nothing here depends on the worker's ψ,
+// so it serves a cold worker (coldTopK) and a returning one (fittedTopK)
+// alike.
 //
 // Let U be the unanswered objects, s their scores (all ≥ 0: eaiAt clamps
 // the noise floor to 0) and, when |U| ≥ K, T the K-th largest score in U,
@@ -359,11 +354,12 @@ walk:
 // Reading it off group:
 //   - T > 0: group holds at least K objects, its K-th largest score is T,
 //     and ordering its objects ≥ T by (bound descending, ID ascending) — the
-//     UEAI order — gives the first K of them;
+//     UEAI order — gives the first K of them; when exactly K score ≥ T, the
+//     first K are all of them, and no bound is read;
 //   - otherwise group is every positive object of U (c < K of them), and
 //     the first K unanswered entries of ueaiRank are the first K objects
 //     ≥ T = 0 in UEAI order: those outside group score 0.
-func (p *Plan) topK(answered answeredSets, wi, k int, group []candidate) (ids []int32, read int) {
+func (p *Plan) topK(answered answeredSets, wi, k int, group []candidate, boundAt func(oid int) float64) (ids []int32, read int) {
 	ids = make([]int32, 0, k)
 	var ties []int32 // of the first K objects ≥ T in UEAI order, those scoring T
 	if len(group) >= k {
@@ -374,9 +370,22 @@ func (p *Plan) topK(answered answeredSets, wi, k int, group []candidate) (ids []
 			n++
 		}
 		group = group[:n]
-		slices.SortFunc(group, func(a, b candidate) int {
-			return cmp.Or(cmp.Compare(b.bound, a.bound), cmp.Compare(a.oid, b.oid))
-		})
+		if n > k { // ties at T overflow the K places: order as UEAI does
+			type bounded struct {
+				bound float64
+				candidate
+			}
+			inOrder := make([]bounded, n)
+			for i, c := range group {
+				inOrder[i] = bounded{boundAt(int(c.oid)), c}
+			}
+			slices.SortFunc(inOrder, func(a, b bounded) int {
+				return cmp.Or(cmp.Compare(b.bound, a.bound), cmp.Compare(a.oid, b.oid))
+			})
+			for i, c := range inOrder {
+				group[i] = c.candidate
+			}
+		}
 		for i, c := range group {
 			if c.score > t {
 				ids = append(ids, c.oid)

@@ -2,6 +2,7 @@ package assign
 
 import (
 	"slices"
+	"sort"
 
 	"repro/internal/core"
 	"repro/internal/cow"
@@ -15,10 +16,11 @@ import (
 // assigner walks and no others — ME's entropy ranking and, when the result
 // carries a TDH model, EAI's objects by decreasing Lemma 4.1 bound (the
 // order Algorithm 1 scans) and by cold-worker score. PlanFor builds the set
-// an assigner reads; NewPlan builds every part. A ranking entry carries its
-// key, so the plan holds no per-object score array: a key it needs outside
-// the walk it recomputes from the snapshot (entropyAt, boundAt,
-// coldScoreAt).
+// an assigner reads; NewPlan builds every part. A plan is its rankings: an
+// entry carries its key, so the plan holds no per-object score array — a
+// key it needs outside the walk it recomputes from the snapshot
+// (entropyAt, boundAt, coldScoreAt) — and no count the rankings hold
+// already (Settled reads the cold-worker ranking's −1 tail).
 //
 // The crowd server builds one Plan per published Snapshot for its
 // campaign's assigner and attaches it to every assignment Context, so a
@@ -72,13 +74,13 @@ type Plan struct {
 	// objects. It turns a cold /task request from Algorithm 1's walk into a
 	// read of the ranking's head, O(K) entries (coldTopK), and a returning
 	// worker's into EAI evaluations of that prefix alone (fittedTopK): a
-	// settled object scores 0 for every ψ. defaultPsi tags the ψ the cache
-	// is valid for, and defaultTab is its claim table, built once per plan
-	// for the scores. settled counts the settled objects.
+	// settled object scores 0 for every ψ. Its −1 tail is the settled
+	// objects, which Settled counts. defaultPsi tags the ψ the cache is
+	// valid for, and defaultTab is its claim table, built once per plan for
+	// the scores.
 	coldRank   cow.Ranking
 	defaultPsi [3]float64
 	defaultTab core.WorkerTab
-	settled    int
 }
 
 // parts is a set of the rankings a plan can hold. Each assigner reads a
@@ -92,9 +94,9 @@ const (
 	entRanking parts = 1 << iota
 	// bounds is ueaiRank: every EAI call.
 	bounds
-	// coldCache is coldRank and settled: the served EAI plan's closed-form
-	// one-worker /task and its settled-objects gauge. Its closed form reads
-	// the bounds, so a set holding it holds bounds too.
+	// coldCache is coldRank: the served EAI plan's closed-form one-worker
+	// /task and, off its −1 tail, its settled-objects gauge. Its closed form
+	// reads the bounds, so a set holding it holds bounds too.
 	coldCache
 
 	// eaiServed is what a campaign serving EAI publishes. A per-call EAI
@@ -132,10 +134,10 @@ func (p *Plan) coldScoreAt(oid int) float64 {
 
 // AppendParts appends every value the plan holds besides the confidence
 // rows to dst: each ranking's entries in rank order as key and ID (entropy,
-// UEAI, cold-worker), then the settled count — two values per ranked
-// object. A part the plan does not hold appends nothing. These are the
-// values Advance rebuilds chunk by chunk, so a copy taken at publish is what
-// a check that a served plan is never mutated compares against.
+// UEAI, cold-worker) — two values per ranked object. A part the plan does
+// not hold appends nothing. These are the values Advance rebuilds chunk by
+// chunk, so a copy taken at publish is what a check that a served plan is
+// never mutated compares against.
 func (p *Plan) AppendParts(dst []float64) []float64 {
 	for _, r := range []cow.Ranking{p.entRank, p.ueaiRank, p.coldRank} {
 		for _, chunk := range r.Chunks() {
@@ -144,7 +146,7 @@ func (p *Plan) AppendParts(dst []float64) []float64 {
 			}
 		}
 	}
-	return append(dst, float64(p.settled))
+	return dst
 }
 
 // UEAIMax is the largest Lemma 4.1 bound of the plan — the head of the UEAI
@@ -163,15 +165,18 @@ func (p *Plan) UEAIMax() float64 {
 // the next refit. Only a served EAI plan counts them (PlanFor with EAI, or
 // NewPlan); it is 0 on any other plan and when the result carries no TDH
 // model.
-func (p *Plan) Settled() int { return p.settled }
-
-// countSettled counts the model's settled objects, O(Σ|Vo|).
-func countSettled(m *core.Model) int {
+//
+// coldScoreAt keys exactly the settled objects −1 and every other object
+// ≥ 0, so they are the cold-worker ranking's negative tail: Settled counts
+// it from the last chunk back, O(1) per chunk of it, binary-searching the
+// chunk it starts in.
+func (p *Plan) Settled() int {
 	n := 0
-	for oid := range m.NumObjects() {
-		if m.SettledAt(oid) {
-			n++
+	for _, c := range slices.Backward(p.coldRank.Chunks()) {
+		if c[0].Key >= 0 {
+			return n + len(c) - sort.Search(len(c), func(j int) bool { return c[j].Key < 0 })
 		}
+		n += len(c)
 	}
 	return n
 }
@@ -219,11 +224,10 @@ func newPlan(idx *data.Index, res *infer.Result, reads parts) *Plan {
 func NewPlan(idx *data.Index, res *infer.Result) *Plan { return build(idx, res, allParts) }
 
 // PlanFor builds the plan a campaign serving asg publishes: the parts asg
-// reads and no others. For EAI that is the UEAI ranking, the cold-worker
-// ranking and the settled count; for ME the entropy ranking; for MB and
-// QASCA, which read confidence rows alone, none. An assigner this package
-// does not define gets every part. res's rows must be shaped by idx (it
-// panics otherwise).
+// reads and no others. For EAI that is the UEAI ranking and the cold-worker
+// ranking; for ME the entropy ranking; for MB and QASCA, which read
+// confidence rows alone, none. An assigner this package does not define
+// gets every part. res's rows must be shaped by idx (it panics otherwise).
 func PlanFor(asg Assigner, idx *data.Index, res *infer.Result) *Plan {
 	reads := allParts
 	switch asg.(type) {
@@ -254,7 +258,6 @@ func build(idx *data.Index, res *infer.Result, reads parts) *Plan {
 	}
 	if reads&coldCache != 0 {
 		p.coldRank = rank(p.each(p.coldScoreAt))
-		p.settled = countSettled(p.M)
 	}
 	return p
 }
@@ -346,17 +349,6 @@ func (p *Plan) Advance(idx *data.Index, res *infer.Result, touched []int) (advan
 	}
 	if np.reads&coldCache != 0 {
 		np.coldRank = rekey(p.coldRank, (*Plan).coldScoreAt, grown || np.defaultPsi != p.defaultPsi)
-		// Whether an object is settled reads its N row alone, which only
-		// touched objects change.
-		np.settled = p.settled
-		for _, oid := range ts {
-			if oid < nPrev && p.M.SettledAt(oid) {
-				np.settled--
-			}
-			if np.M.SettledAt(oid) {
-				np.settled++
-			}
-		}
 	}
 	return np, true
 }

@@ -23,7 +23,7 @@ func held(p *Plan) parts {
 	if ranked(p.ueaiRank) {
 		h |= bounds
 	}
-	if ranked(p.coldRank) || p.settled != 0 {
+	if ranked(p.coldRank) {
 		h |= coldCache
 	}
 	return h
@@ -159,7 +159,7 @@ func matchPlanFor(t *testing.T, tag string, asg Assigner, f *fixture, idx *data.
 // TestAppendPartsReadsEveryPart: AppendParts — what the server's
 // never-mutated checks compare — sees a write to each part a plan holds, on
 // a plan holding every part, and reads only the parts a plan holds: an EAI
-// plan's two rankings and settled count.
+// plan's two rankings.
 func TestAppendPartsReadsEveryPart(t *testing.T) {
 	f := newFixture(t, 3, true)
 	p := NewPlan(f.idx, f.res)
@@ -171,7 +171,6 @@ func TestAppendPartsReadsEveryPart(t *testing.T) {
 		"entRank":  func(q *Plan) { q.entRank = rekey(q.entRank, q.entropyAt) },
 		"ueaiRank": func(q *Plan) { q.ueaiRank = rekey(q.ueaiRank, q.boundAt) },
 		"coldRank": func(q *Plan) { q.coldRank = rekey(q.coldRank, q.coldScoreAt) },
-		"settled":  func(q *Plan) { q.settled++ },
 	} {
 		q := *p
 		write(&q)
@@ -182,7 +181,7 @@ func TestAppendPartsReadsEveryPart(t *testing.T) {
 	if !reflect.DeepEqual(p.AppendParts(nil), base) {
 		t.Fatal("the writes above reached the plan they were made on a copy of")
 	}
-	if n, got := f.idx.NumObjects(), len(PlanFor(EAI{}, f.idx, f.res).AppendParts(nil)); got != 4*n+1 {
-		t.Fatalf("an EAI plan over %d objects appends %d values, want %d", n, got, 4*n+1)
+	if n, got := f.idx.NumObjects(), len(PlanFor(EAI{}, f.idx, f.res).AppendParts(nil)); got != 4*n {
+		t.Fatalf("an EAI plan over %d objects appends %d values, want %d", n, got, 4*n)
 	}
 }

@@ -50,10 +50,9 @@ type serverMetrics struct {
 	ueaiMax         *obs.Gauge   // head of the served plan's UEAI ranking; 0 unless EAI
 	settledObjects  *obs.Gauge   // objects the served plan's no-flip certificate settles; 0 unless EAI
 
-	// One observation per /task an EAI assigner served: EAI evaluations it
-	// ran and those the UEAI bound skipped (EAIStats).
+	// One observation per /task an EAI assigner served: the EAI
+	// evaluations it ran (EAIStats.Evaluated).
 	eaiEvaluated *obs.Histogram
-	eaiPruned    *obs.Histogram
 
 	stageDur   map[string]*obs.Histogram // pipeline stage -> duration histogram
 	batchSize  *obs.Histogram            // answers folded per publish cycle
@@ -112,13 +111,10 @@ func newServerMetrics(s *Server, reg *obs.Registry) *serverMetrics {
 		ueaiMax: reg.Gauge("tdh_ueai_max",
 			"largest Lemma 4.1 bound of the served plan: no task it can hand out adds more than this to the expected accuracy (0 unless the campaign assigns by EAI on a TDH model)"),
 		eaiEvaluated: reg.Histogram("tdh_eai_evaluated",
-			"EAI evaluations one /task ran: a returning worker's, of the objects the no-flip certificate leaves unsettled; for a cold worker, the entries of the plan's cold-worker score ranking it read",
+			"EAI evaluations one /task ran: for a returning worker, one per unanswered object the no-flip certificate leaves unsettled; for a cold worker, the entries of the plan's cold-worker score ranking it read",
 			append([]float64{0}, obs.ExpBuckets(1, 2, 15)...)),
 		settledObjects: reg.Gauge("tdh_settled_objects",
 			"objects of the served plan no single further answer can flip before the next refit (the no-flip certificate; 0 unless the campaign assigns by EAI on a TDH model)"),
-		eaiPruned: reg.Histogram("tdh_eai_pruned",
-			"EAI evaluations one /task skipped by the Lemma 4.1 bound (0 for a cold worker)",
-			append([]float64{0}, obs.ExpBuckets(1, 2, 15)...)),
 		stageDur:  make(map[string]*obs.Histogram, 5),
 		batchSize: reg.Histogram("tdh_pipeline_batch_size", "answers folded per publish cycle", obs.SizeBuckets()),
 		visibility: reg.Histogram("tdh_visibility_seconds",

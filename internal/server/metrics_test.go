@@ -86,7 +86,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		`tdh_refit_drift_count{param="worker_trust"}`,
 		"# TYPE tdh_refit_answers_threshold gauge",
 		"# TYPE tdh_eai_evaluated histogram",
-		"# TYPE tdh_eai_pruned histogram",
 		"# TYPE tdh_settled_objects gauge",
 	} {
 		if !strings.Contains(out, want) {
@@ -94,19 +93,13 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 	// The one /task ran EAI for a cold worker, at the prior-mean ψ: one
-	// observation in each series. The plan answered it in closed form from
-	// its cold-worker score ranking, so it read at least the K entries it
-	// handed out, and pruned no evaluation.
-	for _, id := range []string{"tdh_eai_evaluated_count", "tdh_eai_pruned_count"} {
-		if n := seriesValue(t, out, id); n != 1 {
-			t.Errorf("%s %d, want 1", id, n)
-		}
+	// observation. The plan answered it in closed form from its cold-worker
+	// score ranking, so it read at least the K entries it handed out.
+	if n := seriesValue(t, out, "tdh_eai_evaluated_count"); n != 1 {
+		t.Errorf("tdh_eai_evaluated_count %d, want 1", n)
 	}
 	if n := seriesValue(t, out, "tdh_eai_evaluated_sum"); n < int64(len(tasks)) {
 		t.Errorf("tdh_eai_evaluated_sum %d below the %d tasks served", n, len(tasks))
-	}
-	if n := seriesValue(t, out, "tdh_eai_pruned_sum"); n != 0 {
-		t.Errorf("tdh_eai_pruned_sum %d after one cold worker's /task, want 0", n)
 	}
 	// The refresh landed a fit over the boot fit's state: one comparison at
 	// least, the same count in every step-1 series.
@@ -243,12 +236,13 @@ func TestStatsReadsTheRegistry(t *testing.T) {
 }
 
 // TestPlanGaugesAreEAIOnly: tdh_ueai_max and tdh_settled_objects read parts
-// only the plan of an EAI campaign holds — the UEAI ranking, and the settled
-// count that comes with the cold-worker cache. A campaign assigning by ME on
-// the same TDH model publishes plans with the entropy ranking alone, so it
-// reads both gauges as 0 through its boot build, the advances its folds
-// publish and a refit's rebuild, where the EAI twin reads both positive: its
-// plans never hold a settled count, so no cold-worker cache was built.
+// only the plan of an EAI campaign holds — the UEAI ranking, and the
+// cold-worker ranking whose −1 tail is the settled count. A campaign
+// assigning by ME on the same TDH model publishes plans with the entropy
+// ranking alone, so it reads both gauges as 0 through its boot build, the
+// advances its folds publish and a refit's rebuild, where the EAI twin
+// reads both positive: its plans never count a settled object, so no
+// cold-worker ranking was built.
 func TestPlanGaugesAreEAIOnly(t *testing.T) {
 	for _, asg := range []assign.Assigner{assign.EAI{}, assign.ME{}} {
 		eai := asg.Name() == "EAI"

@@ -176,17 +176,28 @@ func TestMutationValidation(t *testing.T) {
 	}
 }
 
-// failingSink fails the first append of each kind, then succeeds.
+// failingSink fails the first ansFails, objFails and recFails appends of
+// each kind, then succeeds and keeps the event.
 type failingSink struct {
 	mu        sync.Mutex
+	ansFails  int
 	objFails  int
 	recFails  int
+	ansEvents []data.Answer
 	objEvents [][]string
 	recEvents []data.Record
 }
 
-// Append accepts answers: the sink's failures are for mutations only.
-func (f *failingSink) Append(data.Answer) error { return nil }
+func (f *failingSink) Append(a data.Answer) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.ansFails > 0 {
+		f.ansFails--
+		return errors.New("disk on fire")
+	}
+	f.ansEvents = append(f.ansEvents, a)
+	return nil
+}
 
 func (f *failingSink) AppendAddObject(o string, c []string) error {
 	f.mu.Lock()
@@ -234,6 +245,59 @@ func TestMutationLogFailureRollsBackReservation(t *testing.T) {
 	defer sink.mu.Unlock()
 	if len(sink.objEvents) != 1 || len(sink.recEvents) != 1 {
 		t.Fatalf("sink saw %d/%d events", len(sink.objEvents), len(sink.recEvents))
+	}
+}
+
+// TestAnswerLogFailureRollsBackReservation: on a campaign that accepts
+// answers to assigned objects only, a failed durable append of an answer
+// returns 500, counts no accepted answer and hands the object back to the
+// worker's pending list, so a retry is accepted; after Close the answer is
+// logged and applied exactly once.
+func TestAnswerLogFailureRollsBackReservation(t *testing.T) {
+	sink := &failingSink{ansFails: 1}
+	s, err := New(Config{
+		Dataset: openWorldDataset(), Engine: engine.NewCategorical(infer.NewTDH()),
+		Assigner: assign.EAI{}, K: 3, Seed: 11, Log: sink,
+		Policy: RefitPolicy{MaxAnswers: -1, MaxStaleness: -1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	tasks := fetchTasks(t, ts.URL, "w1")
+	if len(tasks) == 0 {
+		t.Fatal("no task for w1")
+	}
+	a := data.Answer{Worker: "w1", Object: tasks[0].Object, Value: tasks[0].Candidates[0]}
+	if resp := postJSON(t, ts.URL+"/answer", a); resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("first attempt: %d, want 500", resp.StatusCode)
+	}
+	if n := s.Stats().Answers; n != 0 {
+		t.Fatalf("answers_accepted = %d after a failed append, want 0", n)
+	}
+	pending := false
+	for _, task := range fetchTasks(t, ts.URL, "w1") {
+		pending = pending || task.Object == a.Object
+	}
+	if !pending {
+		t.Fatalf("%s is not back in w1's pending tasks after the failed append", a.Object)
+	}
+	if resp := postJSON(t, ts.URL+"/answer", a); resp.StatusCode != http.StatusOK {
+		t.Fatalf("retry: %d, want 200", resp.StatusCode)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st, sn := s.Stats(), s.Snapshot(); st.Answers != 1 || st.Applied != 1 || sn.Answers != 1 {
+		t.Fatalf("after Close: %d answers accepted, %d applied, the snapshot folded %d; want 1 each", st.Answers, st.Applied, sn.Answers)
+	}
+	sink.mu.Lock()
+	defer sink.mu.Unlock()
+	if len(sink.ansEvents) != 1 || sink.ansEvents[0].Object != a.Object || sink.ansEvents[0].Value != a.Value {
+		t.Fatalf("the log holds %+v, want the one answer %+v", sink.ansEvents, a)
 	}
 }
 

@@ -431,7 +431,6 @@ func (s *Server) handleTask(w http.ResponseWriter, r *http.Request) {
 			out, st := eai.AssignWithStats(ctx)
 			assigned = out[worker]
 			s.metrics.eaiEvaluated.Observe(float64(st.Evaluated))
-			s.metrics.eaiPruned.Observe(float64(st.Pruned))
 		} else {
 			assigned = s.cfg.Assigner.Assign(ctx)[worker]
 		}

@@ -39,7 +39,7 @@ func waitApplied(t *testing.T, s *Server, answers, mutations int) *Snapshot {
 // reachable deep-copies every value a reader can reach from one snapshot:
 // the Result read API, the state's wire encoders, the plan's confidence
 // rows and every part it holds (assign.Plan.AppendParts: under EAI the
-// UEAI and cold-worker rankings and the settled count) and the trust maps.
+// UEAI and cold-worker rankings) and the trust maps.
 type reachable struct {
 	Rows, PlanMu     [][]float64
 	Truths           []string
