@@ -1,47 +1,28 @@
 // Command tdhlint runs the repo's invariant analyzer suite
 // (internal/analysis): snapshotmut, detreplay, pipelineonly, hotpathalloc
-// and tdhnote.
-//
-// Standalone, over import path patterns (exit 1 on findings):
+// and tdhnote, over import path patterns (default ./...):
 //
 //	go run ./cmd/tdhlint ./...
 //
-// Or as a vet tool, one package at a time with full go/test integration:
-//
-//	go build -o /tmp/tdhlint ./cmd/tdhlint
-//	go vet -vettool=/tmp/tdhlint ./...
+// It takes no flags. Exit 0 is a clean tree, 1 means findings (printed to
+// stdout), and 2 means the suite could not run: a flag argument, or
+// patterns that did not load or type-check.
 package main
 
 import (
-	"crypto/sha256"
 	"fmt"
-	"io"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"repro/internal/analysis"
 )
 
 func main() {
-	var patterns []string
-	for _, arg := range os.Args[1:] {
-		switch {
-		case arg == "-V=full" || arg == "--V=full":
-			printVersion()
-			return
-		case arg == "-flags" || arg == "--flags":
-			// The vet driver asks which flags the tool supports and then
-			// only passes those; this tool takes none.
-			fmt.Println("[]")
-			return
-		case strings.HasSuffix(arg, ".cfg"):
-			// Unitchecker protocol: analyze one compilation unit.
-			os.Exit(analysis.RunUnit(arg, analysis.Suite(), os.Stderr))
-		case strings.HasPrefix(arg, "-"):
-			// Tolerate unknown driver flags.
-		default:
-			patterns = append(patterns, arg)
+	patterns := os.Args[1:]
+	for _, arg := range patterns {
+		if strings.HasPrefix(arg, "-") {
+			fmt.Fprintf(os.Stderr, "tdhlint: unknown flag %s\nusage: tdhlint [package patterns] (default ./...)\n", arg)
+			os.Exit(2)
 		}
 	}
 	if len(patterns) == 0 {
@@ -50,24 +31,10 @@ func main() {
 	n, err := analysis.RunStandalone(".", patterns, analysis.Suite(), os.Stdout)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tdhlint: %v\n", err)
-		os.Exit(3)
+		os.Exit(2)
 	}
 	if n > 0 {
 		fmt.Fprintf(os.Stderr, "tdhlint: %d finding(s)\n", n)
 		os.Exit(1)
 	}
-}
-
-// printVersion implements the vet driver's tool-identity handshake: the
-// output must contain "version" and a content hash so the build cache
-// invalidates when the tool changes.
-func printVersion() {
-	h := sha256.New()
-	if exe, err := os.Executable(); err == nil {
-		if f, err := os.Open(exe); err == nil {
-			io.Copy(h, f)
-			f.Close()
-		}
-	}
-	fmt.Printf("%s version devel tdhlint buildID=%x\n", filepath.Base(os.Args[0]), h.Sum(nil)[:16])
 }

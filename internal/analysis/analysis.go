@@ -3,8 +3,8 @@
 // the invariant analyzers that make the scale story checkable at compile
 // time. The real golang.org/x/tools framework is deliberately not vendored
 // — the module has zero dependencies and keeps it that way; the subset
-// needed here (per-package syntax + types passes, a testdata harness, the
-// `go vet -vettool` unitchecker protocol) is small and self-contained.
+// needed here (per-package syntax + types passes, a `go list` driver, a
+// testdata harness) is small and self-contained.
 //
 // The enforced invariants (see each analyzer's Doc):
 //

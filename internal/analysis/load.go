@@ -14,14 +14,13 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sort"
-	"strings"
 )
 
-// The standalone driver: packages are enumerated and compiled with
+// The driver: packages are enumerated and compiled with
 // `go list -deps -export -json`, then each target package is parsed and
 // type-checked from source while its dependencies are imported from the
-// compiler's export data — the same split the cmd/vet unitchecker uses,
-// reimplemented here because golang.org/x/tools is not a dependency.
+// compiler's export data — the split golang.org/x/tools' checkers use,
+// reimplemented here because that module is not a dependency.
 
 // listedPackage is the subset of `go list -json` output the driver needs.
 type listedPackage struct {
@@ -92,8 +91,9 @@ func (e *exportImporter) Import(path string) (*types.Package, error) {
 
 // RunStandalone loads the packages matching patterns (relative to dir),
 // runs every analyzer over each non-dependency package, and prints
-// sorted diagnostics to w. Findings in _test.go files are dropped — tests
-// deliberately poke at internals. Returns the number of diagnostics.
+// sorted diagnostics to w. Only a package's GoFiles are loaded, so
+// _test.go files are never analyzed: tests deliberately poke at
+// internals. Returns the number of diagnostics.
 func RunStandalone(dir string, patterns []string, analyzers []*Analyzer, w io.Writer) (int, error) {
 	pkgs, err := goList(dir, patterns)
 	if err != nil {
@@ -141,6 +141,8 @@ func (d printedDiag) String() string {
 	return fmt.Sprintf("%s: %s: %s", d.pos, d.analyzer, d.msg)
 }
 
+// analyzePackage parses and type-checks one package from source, runs the
+// suite over it and returns its diagnostics in position order.
 func analyzePackage(fset *token.FileSet, imp *exportImporter, p *listedPackage, analyzers []*Analyzer) ([]printedDiag, error) {
 	var files []*ast.File
 	for _, name := range p.GoFiles {
@@ -157,7 +159,24 @@ func analyzePackage(fset *token.FileSet, imp *exportImporter, p *listedPackage, 
 	if err != nil {
 		return nil, err
 	}
-	diags := runAnalyzers(fset, files, pkg, info, analyzers)
+	notes := CollectNotes(fset, files)
+	var diags []printedDiag
+	for _, a := range analyzers {
+		pass := &Pass{
+			Analyzer:  a,
+			Fset:      fset,
+			Files:     files,
+			Pkg:       pkg,
+			TypesInfo: info,
+			Notes:     notes,
+		}
+		pass.Report = func(d Diagnostic) {
+			diags = append(diags, printedDiag{pos: fset.Position(d.Pos), analyzer: a.Name, msg: d.Message})
+		}
+		if err := a.Run(pass); err != nil {
+			diags = append(diags, printedDiag{analyzer: a.Name, msg: "analyzer error: " + err.Error()})
+		}
+	}
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i].pos, diags[j].pos
 		if a.Filename != b.Filename {
@@ -179,32 +198,4 @@ func newTypesInfo() *types.Info {
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 		Implicits:  map[ast.Node]types.Object{},
 	}
-}
-
-// runAnalyzers runs the suite over one type-checked package and collects
-// diagnostics, dropping any in _test.go files.
-func runAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer) []printedDiag {
-	notes := CollectNotes(fset, files)
-	var out []printedDiag
-	for _, a := range analyzers {
-		pass := &Pass{
-			Analyzer:  a,
-			Fset:      fset,
-			Files:     files,
-			Pkg:       pkg,
-			TypesInfo: info,
-			Notes:     notes,
-		}
-		pass.Report = func(d Diagnostic) {
-			pos := fset.Position(d.Pos)
-			if strings.HasSuffix(pos.Filename, "_test.go") {
-				return
-			}
-			out = append(out, printedDiag{pos: pos, analyzer: a.Name, msg: d.Message})
-		}
-		if err := a.Run(pass); err != nil {
-			out = append(out, printedDiag{analyzer: a.Name, msg: "analyzer error: " + err.Error()})
-		}
-	}
-	return out
 }

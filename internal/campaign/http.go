@@ -23,54 +23,29 @@ import (
 //	POST   /v1/campaigns/{id}/resume   paused -> live
 //	POST   /v1/campaigns/{id}/close    live|paused -> closed (terminal)
 //
-// Data plane, per campaign, backed by the embedded server.Handler:
-//
-//	GET  /v1/campaigns/{id}/task?worker=W
-//	POST /v1/campaigns/{id}/answer
-//	POST /v1/campaigns/{id}/objects | records   (open-world growth)
-//	GET  /v1/campaigns/{id}/truths | confidence | trust | stats
-//	GET  /v1/campaigns/{id}/metrics             (this campaign's registry)
-//	GET  /v1/campaigns/{id}/trace               (recent traces as span trees)
-//	POST /v1/campaigns/{id}/refresh
+// Data plane, per campaign: every route of the embedded server.Handler's
+// table (server.RouteFor) under /v1/campaigns/{id}: task, answer, objects,
+// records, truths, confidence, trust, stats, refresh, metrics and trace.
 //
 // Plus GET /metrics at the top level: every booted campaign's registry
 // aggregated under a campaign label, with manager-level gauges
 // (metrics.go).
 //
 // Lifecycle is enforced here: draft campaigns serve nothing (409); paused
-// and closed campaigns reject task hand-out, answer/mutation ingestion and
-// refresh with 409 while reads keep serving. A request with a known path
-// but wrong method gets 405 with an Allow header on every route: the Go
-// ServeMux handles the method-scoped patterns, and endpointMethods covers
-// the catch-all proxy.
+// and closed campaigns reject the data-plane routes that write (task
+// hand-out, answer/mutation ingestion, refresh) with 409 while reads keep
+// serving. A request with a known path but wrong method gets 405 with an
+// Allow header on every route: the Go ServeMux handles the method-scoped
+// patterns, and the catch-all proxy the rest.
 
-// mutatingEndpoint names the per-campaign endpoints that advance campaign
-// state and are therefore gated to live campaigns only.
-var mutatingEndpoint = map[string]bool{
-	"task": true, "answer": true, "refresh": true, "objects": true, "records": true,
-}
-
-// endpointMethods maps every known per-campaign endpoint to its one allowed
-// method, so the catch-all proxy route can answer wrong-method requests
-// with 405 + Allow instead of a misleading 404/409. The lifecycle verbs
-// appear here too: their POST patterns are registered on the mux, so only
-// their wrong-method requests fall through to the catch-all.
-var endpointMethods = map[string]string{
-	"task":       http.MethodGet,
-	"metrics":    http.MethodGet,
-	"trace":      http.MethodGet,
-	"answer":     http.MethodPost,
-	"objects":    http.MethodPost,
-	"records":    http.MethodPost,
-	"truths":     http.MethodGet,
-	"confidence": http.MethodGet,
-	"trust":      http.MethodGet,
-	"stats":      http.MethodGet,
-	"refresh":    http.MethodPost,
-	"start":      http.MethodPost,
-	"pause":      http.MethodPost,
-	"resume":     http.MethodPost,
-	"close":      http.MethodPost,
+// lifecycleVerbs are the per-campaign POST endpoints that move a campaign
+// between states. Their patterns are registered on the mux, so only their
+// wrong-method requests fall through to the catch-all proxy.
+var lifecycleVerbs = map[string]func(*Manager, string) error{
+	"start":  (*Manager).Start,
+	"pause":  (*Manager).Pause,
+	"resume": (*Manager).Resume,
+	"close":  (*Manager).CloseCampaign,
 }
 
 // Handler returns the /v1 API handler.
@@ -81,10 +56,9 @@ func (m *Manager) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/campaigns", m.handleCreate)
 	mux.HandleFunc("GET /v1/campaigns/{id}", m.handleGet)
 	mux.HandleFunc("DELETE /v1/campaigns/{id}", m.handleDelete)
-	mux.HandleFunc("POST /v1/campaigns/{id}/start", m.lifecycle(m.Start))
-	mux.HandleFunc("POST /v1/campaigns/{id}/pause", m.lifecycle(m.Pause))
-	mux.HandleFunc("POST /v1/campaigns/{id}/resume", m.lifecycle(m.Resume))
-	mux.HandleFunc("POST /v1/campaigns/{id}/close", m.lifecycle(m.CloseCampaign))
+	for verb, op := range lifecycleVerbs {
+		mux.HandleFunc("POST /v1/campaigns/{id}/"+verb, m.lifecycle(op))
+	}
 	mux.HandleFunc("/v1/campaigns/{id}/{endpoint}", m.handleProxy)
 	return mux
 }
@@ -210,10 +184,10 @@ func (m *Manager) handleCreate(w http.ResponseWriter, r *http.Request) {
 }
 
 // lifecycle adapts a manager transition to an HTTP handler.
-func (m *Manager) lifecycle(op func(id string) error) http.HandlerFunc {
+func (m *Manager) lifecycle(op func(*Manager, string) error) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		id := r.PathValue("id")
-		if err := op(id); err != nil {
+		if err := op(m, id); err != nil {
 			httpError(w, statusFor(err, http.StatusInternalServerError), err.Error())
 			return
 		}
@@ -233,17 +207,20 @@ func (m *Manager) handleProxy(w http.ResponseWriter, r *http.Request) {
 	}
 	state, h := c.serveInfo()
 	endpoint := r.PathValue("endpoint")
-	allow, known := endpointMethods[endpoint]
+	route, known := server.RouteFor("/" + endpoint)
+	if lifecycleVerbs[endpoint] != nil {
+		route, known = server.Route{Method: http.MethodPost}, true // only a wrong method reaches here
+	}
 	if !known {
 		// Before the lifecycle gate: a path that exists in no state is 404 in
 		// every state, not "is a draft".
 		httpError(w, http.StatusNotFound, fmt.Sprintf("unknown endpoint %q", endpoint))
 		return
 	}
-	if r.Method != allow {
-		w.Header().Set("Allow", allow)
+	if r.Method != route.Method {
+		w.Header().Set("Allow", route.Method)
 		httpError(w, http.StatusMethodNotAllowed,
-			fmt.Sprintf("method %s not allowed for %s; use %s", r.Method, endpoint, allow))
+			fmt.Sprintf("method %s not allowed for %s; use %s", r.Method, endpoint, route.Method))
 		return
 	}
 	switch {
@@ -251,7 +228,7 @@ func (m *Manager) handleProxy(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusConflict,
 			fmt.Sprintf("campaign %q is a draft; POST /v1/campaigns/%s/start first", id, id))
 		return
-	case state != StateLive && mutatingEndpoint[endpoint]:
+	case state != StateLive && route.Writes:
 		httpError(w, http.StatusConflict,
 			fmt.Sprintf("campaign %q is %s; %s is only served while live", id, state, endpoint))
 		return

@@ -78,13 +78,6 @@ const (
 	driftWorkerTrust = "worker_trust"
 )
 
-// httpRoutes are the instrumented data/read-plane routes, label values for
-// tdh_http_request_duration_seconds and tdh_http_responses_total.
-var httpRoutes = []string{
-	"/task", "/answer", "/objects", "/records",
-	"/truths", "/confidence", "/trust", "/stats", "/refresh",
-}
-
 var statusClasses = [5]string{"1xx", "2xx", "3xx", "4xx", "5xx"}
 
 // newServerMetrics registers every instrument on reg. Called once from New;
@@ -94,8 +87,8 @@ func newServerMetrics(s *Server, reg *obs.Registry) *serverMetrics {
 		reg:      reg,
 		tracer:   s.tracer,
 		inFlight: reg.Gauge("tdh_http_in_flight_requests", "requests currently being served"),
-		httpDur:  make(map[string]*obs.Histogram, len(httpRoutes)),
-		httpResp: make(map[string][5]*obs.Counter, len(httpRoutes)),
+		httpDur:  make(map[string]*obs.Histogram, len(routes)),
+		httpResp: make(map[string][5]*obs.Counter, len(routes)),
 		answersAccepted: reg.Counter("tdh_answers_accepted_total",
 			"crowd answers accepted (acknowledged durable and queued for inference)"),
 		objectsAdded: reg.Counter("tdh_mutations_accepted_total",
@@ -140,15 +133,17 @@ func newServerMetrics(s *Server, reg *obs.Registry) *serverMetrics {
 			"largest change a landed refit made to one parameter against the published state it replaced",
 			obs.ExpBuckets(1e-7, 10, 8), "param", param)
 	}
-	for _, route := range httpRoutes {
-		m.httpDur[route] = reg.Histogram("tdh_http_request_duration_seconds",
-			"HTTP request latency by route", obs.LatencyBuckets(), "route", route)
-		var cs [5]*obs.Counter
-		for i, class := range statusClasses {
-			cs[i] = reg.Counter("tdh_http_responses_total",
-				"HTTP responses by route and status class", "route", route, "class", class)
+	for _, rt := range routes {
+		if rt.Instrumented {
+			m.httpDur[rt.Path] = reg.Histogram("tdh_http_request_duration_seconds",
+				"HTTP request latency by route", obs.LatencyBuckets(), "route", rt.Path)
+			var cs [5]*obs.Counter
+			for i, class := range statusClasses {
+				cs[i] = reg.Counter("tdh_http_responses_total",
+					"HTTP responses by route and status class", "route", rt.Path, "class", class)
+			}
+			m.httpResp[rt.Path] = cs
 		}
-		m.httpResp[route] = cs
 	}
 	for _, stage := range []string{stageDrain, stageFold, stagePublish, stagePlan, stageRefit} {
 		m.stageDur[stage] = reg.Histogram("tdh_pipeline_stage_seconds",
@@ -197,7 +192,7 @@ func (w *statusWriter) WriteHeader(code int) {
 // their request with the span tree GET /trace returns.
 //
 //tdh:wallclock request latency measurement is observability only; never feeds replayed state
-func (m *serverMetrics) instrument(route string, h http.HandlerFunc) http.Handler {
+func (m *serverMetrics) instrument(route string, h http.Handler) http.Handler {
 	dur, resp := m.httpDur[route], m.httpResp[route]
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		m.inFlight.Add(1)
@@ -206,7 +201,7 @@ func (m *serverMetrics) instrument(route string, h http.HandlerFunc) http.Handle
 		w.Header().Set("Traceparent", tc.Header())
 		r = r.WithContext(trace.NewContext(r.Context(), tc))
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		h(sw, r)
+		h.ServeHTTP(sw, r)
 		dur.Observe(time.Since(start).Seconds())
 		class := sw.code/100 - 1
 		if class < 0 || class >= len(resp) {
@@ -215,6 +210,10 @@ func (m *serverMetrics) instrument(route string, h http.HandlerFunc) http.Handle
 		resp[class].Inc()
 		m.inFlight.Add(-1)
 	})
+}
+
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	s.metrics.reg.Handler().ServeHTTP(w, r)
 }
 
 // Metrics exposes the server's metrics registry (the campaign layer scrapes

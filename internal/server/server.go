@@ -366,28 +366,53 @@ func (s *Server) Refresh() (*Snapshot, error) {
 	}
 }
 
-// Handler returns the HTTP handler for the service. Every route runs
-// behind the metrics middleware (per-route latency histogram, status-class
-// counters, in-flight gauge); GET /metrics serves the registry in the
-// Prometheus text format and is deliberately not self-instrumented.
+// A Route is one endpoint of the data plane, served by Handler at Path and
+// proxied under /v1/campaigns/{id}. The diagnostics (/metrics, /trace) are
+// not instrumented, so reading them perturbs no latency histogram.
+type Route struct {
+	Method, Path string
+	Instrumented bool // behind the metrics middleware, labelled route=Path
+	Writes       bool // advances campaign state: served only while live
+	serve        func(*Server, http.ResponseWriter, *http.Request)
+}
+
+// routes is the data plane, stated once: Handler's mux, the HTTP metrics'
+// route labels and the campaign proxy's checks (RouteFor) derive from it.
+var routes = []Route{
+	{http.MethodGet, "/task", true, true, (*Server).handleTask},
+	{http.MethodPost, "/answer", true, true, (*Server).handleAnswer},
+	{http.MethodPost, "/objects", true, true, (*Server).handleAddObject},
+	{http.MethodPost, "/records", true, true, (*Server).handleAddRecord},
+	{http.MethodGet, "/truths", true, false, (*Server).handleTruths},
+	{http.MethodGet, "/confidence", true, false, (*Server).handleConfidence},
+	{http.MethodGet, "/trust", true, false, (*Server).handleTrust},
+	{http.MethodGet, "/stats", true, false, (*Server).handleStats},
+	{http.MethodPost, "/refresh", true, true, (*Server).handleRefresh},
+	{http.MethodGet, "/metrics", false, false, (*Server).handleMetrics},
+	{http.MethodGet, "/trace", false, false, (*Server).handleTrace},
+}
+
+// RouteFor returns the data-plane route at path ("/task"), if there is one.
+func RouteFor(path string) (Route, bool) {
+	for _, rt := range routes {
+		if rt.Path == path {
+			return rt, true
+		}
+	}
+	return Route{}, false
+}
+
+// Handler returns the HTTP handler for the service: one method-scoped
+// pattern per route.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	handle := func(pattern, route string, h http.HandlerFunc) {
-		mux.Handle(pattern, s.metrics.instrument(route, h))
+	for _, rt := range routes {
+		var h http.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { rt.serve(s, w, r) })
+		if rt.Instrumented {
+			h = s.metrics.instrument(rt.Path, h)
+		}
+		mux.Handle(rt.Method+" "+rt.Path, h)
 	}
-	handle("GET /task", "/task", s.handleTask)
-	handle("POST /answer", "/answer", s.handleAnswer)
-	handle("POST /objects", "/objects", s.handleAddObject)
-	handle("POST /records", "/records", s.handleAddRecord)
-	handle("GET /truths", "/truths", s.handleTruths)
-	handle("GET /confidence", "/confidence", s.handleConfidence)
-	handle("GET /trust", "/trust", s.handleTrust)
-	handle("GET /stats", "/stats", s.handleStats)
-	handle("POST /refresh", "/refresh", s.handleRefresh)
-	mux.Handle("GET /metrics", s.metrics.reg.Handler())
-	// The trace endpoint is deliberately not self-instrumented, like
-	// /metrics (the campaign proxy serves it as GET /v1/campaigns/{id}/trace).
-	mux.Handle("GET /trace", http.HandlerFunc(s.handleTrace))
 	return mux
 }
 

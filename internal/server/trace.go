@@ -71,8 +71,7 @@ func traceToJSON(t *trace.Trace) traceJSON {
 	return traceJSON{TraceID: t.ID.String(), Root: root}
 }
 
-// handleTrace serves the recent-trace ring. Uninstrumented by design (like
-// /metrics): reading diagnostics must not perturb the latency histograms.
+// handleTrace serves the recent-trace ring.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	limit := 32
 	if q := r.URL.Query().Get("limit"); q != "" {
