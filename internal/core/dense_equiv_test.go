@@ -36,8 +36,8 @@ func refRelationship(ov *data.ObjectView, c, tr int) int {
 	if c == tr {
 		return 1
 	}
-	for _, a := range ov.CI.Anc[tr] {
-		if a == c {
+	for _, a := range ov.CI.Anc(tr) {
+		if int(a) == c {
 			return 2
 		}
 	}
@@ -46,7 +46,7 @@ func refRelationship(ov *data.ObjectView, c, tr int) int {
 
 func refPop2(ov *data.ObjectView, v, tr int) float64 {
 	den := 0
-	for _, a := range ov.CI.Anc[tr] {
+	for _, a := range ov.CI.Anc(tr) {
 		den += ov.ValueCount[a]
 	}
 	if den == 0 {
@@ -61,9 +61,9 @@ func refPop2(ov *data.ObjectView, v, tr int) float64 {
 func refPop3(ov *data.ObjectView, v, tr int) float64 {
 	den := 0
 	wrong := 0
-	isAncOfTr := make(map[int]bool, len(ov.CI.Anc[tr]))
-	for _, a := range ov.CI.Anc[tr] {
-		isAncOfTr[a] = true
+	isAncOfTr := make(map[int]bool, len(ov.CI.Anc(tr)))
+	for _, a := range ov.CI.Anc(tr) {
+		isAncOfTr[int(a)] = true
 	}
 	for i, c := range ov.ValueCount {
 		if i == tr || isAncOfTr[i] {

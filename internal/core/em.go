@@ -231,10 +231,10 @@ func (m *Model) initObjectMu(oid int, counts []float64) []float64 {
 	total := 0.0
 	for i := range mu {
 		mu[i] = counts[i] + 1
-		for _, j := range ov.CI.Anc[i] {
+		for _, j := range ov.CI.Anc(i) {
 			mu[i] += 0.5 * counts[j]
 		}
-		for _, j := range ov.CI.Desc[i] {
+		for _, j := range ov.CI.Desc(i) {
 			mu[i] += 0.5 * counts[j]
 		}
 		total += mu[i]
@@ -560,7 +560,8 @@ func (m *Model) eStepObjects(scr *emScratch, g, c int) {
 	maxDelta := 0.0
 	for oid := scr.cuts[c]; oid < scr.cuts[c+1]; oid++ {
 		ov := idx.ViewAt(oid)
-		mu, num := m.muRow(oid), b.numFor(ov.CI.NumValues())
+		mu := m.muRow(oid)
+		num := b.numFor(len(mu))
 		m.claimList(ov, ov.SourceClaims, scr.src, false, mu, num, scr.srcG[idx.SrcClaimStart[oid]:idx.SrcClaimStart[oid+1]], b)
 		m.claimList(ov, ov.WorkerClaims, scr.wkr, true, mu, num, scr.wkrG[idx.WkrClaimStart[oid]:idx.WkrClaimStart[oid+1]], b)
 		if d := m.updateMu(mu, num, len(ov.SourceClaims)+len(ov.WorkerClaims)); d > maxDelta {

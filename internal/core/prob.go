@@ -13,9 +13,9 @@ import (
 // per pass, so the per-(claim, truth) probability is a handful of lookups
 // and a multiply. A claim's row for every truth at once (pass 1: hierRow,
 // flatRow) has two readers. The claim kernel (claimList) turns it into the
-// claim's truth and class posteriors — the E-step's inner loop — and picks
-// each claim's tables inline: a call per claim measured a few percent
-// slower on BenchmarkRun. A worker's answer reads the same row through
+// claim's truth and class posteriors — the E-step's inner loop — takes an
+// object's tables once and slices each claim's rows out of them inline: a
+// call per claim measured a few percent slower on BenchmarkRun. A worker's answer reads the same row through
 // answerRow: the one-answer fold (ApplyAnswerAt), the single-answer
 // posteriors and EAI's ExpectedCondMaxAt are reductions of it.
 // claimref_test.go spells the model out one (claim, truth) pair at a time
@@ -199,20 +199,31 @@ func (m *Model) claimList(ov *data.ObjectView, claims []data.Claim, tabs []partT
 	// the generalized and wrong classes: 1/|Go| and 1/|rest| for a source or
 	// under UniformWorkerErrors, the popularity rows Pop2/Pop3 for a worker
 	// (Eq. 3). On a flat object p3 is the worker's Pop3 or nil, uniform over
-	// the other candidates (Eq. 2).
+	// the other candidates (Eq. 2). The object's tables are taken once, and
+	// a claim slices its rows out of them: p2s and p3s are the per-truth
+	// factors, or a worker's popularity tables.
 	pop := worker && !m.Opt.UniformWorkerErrors
-	invGo, invRest := ov.InvGoSizes(), ov.InvRestSizes()
-	if flat {
-		invGo, invRest = nil, nil
+	nV := len(mu)
+	rels := ov.RelTable()
+	var p2s, p3s []float64
+	switch {
+	case pop:
+		p2s, p3s = ov.PopTables()
+	case !flat:
+		p2s, p3s = ov.InvGoSizes(), ov.InvRestSizes()
 	}
-	row, masks := b.rowFor(len(mu)), ov.CaseMasks()
+	row, masks := b.rowFor(nV), ov.CaseMasks()
 	for k, cl := range claims {
 		c, t := int(cl.Val), &tabs[cl.Part]
-		rel, p2, p3 := ov.RelRow(c), invGo, invRest
-		if pop {
-			p2, p3 = ov.Pop2Row(c), ov.Pop3Row(c)
-		}
-		if rel == nil {
+		var rel []uint8
+		p2, p3 := p2s, p3s
+		if rels != nil {
+			lo := c * nV
+			rel = rels[lo : lo+nV]
+			if pop {
+				p2, p3 = p2s[lo:lo+nV], p3s[lo:lo+nV]
+			}
+		} else {
 			rel, p2, p3 = b.wideRows(ov, c, pop, p2, p3)
 		}
 		var z float64
@@ -281,12 +292,16 @@ func (m *Model) answerRow(ov *data.ObjectView, t *partTab, ans int, mu []float64
 		row[0] = mu[0]
 		return row[0], row
 	}
-	rel, p2, p3 := ov.RelRow(ans), ov.InvGoSizes(), ov.InvRestSizes()
-	if pop {
-		p2, p3 = ov.Pop2Row(ans), ov.Pop3Row(ans)
+	var p2, p3 []float64
+	if !pop {
+		p2, p3 = ov.InvGoSizes(), ov.InvRestSizes()
 	}
-	if rel == nil {
+	rel := ov.RelRow(ans)
+	switch {
+	case rel == nil:
 		rel, p2, p3 = b.wideRows(ov, ans, pop, p2, p3)
+	case pop:
+		p2, p3 = ov.Pop2Row(ans), ov.Pop3Row(ans)
 	}
 	if !flat {
 		return t.hierRow(row, mu, rel, ov.CaseMasks(), p2, p3), row

@@ -206,7 +206,7 @@ func (b *builder) views(idx *Index, procs, objFinal, srcFinal, wkrFinal []int32)
 	cands := make([]int32, 0, len(b.recs)+len(b.anss)+len(b.extras)+len(b.seeds))
 	candEnd := make([]int32, len(procs))
 	pairs := make([]int32, len(procs))
-	var nVals, nPairs, nDense, nWords int
+	var nVals, nLinks, nDense, nWords int
 	for k, p := range procs {
 		start := len(cands)
 		add := func(v int32) {
@@ -237,7 +237,7 @@ func (b *builder) views(idx *Index, procs, objFinal, srcFinal, wkrFinal []int32)
 		candEnd[k] = int32(len(cands))
 		nV := len(ids)
 		nVals += nV
-		nPairs += int(pairs[k])
+		nLinks += hierarchy.LinksLen(nV, int(pairs[k]))
 		nWords += nV * ancWordsFor(nV)
 		if nV <= maxDenseTableValues {
 			nDense += nV * nV
@@ -250,8 +250,8 @@ func (b *builder) views(idx *Index, procs, objFinal, srcFinal, wkrFinal []int32)
 		views:  make([]ObjectView, len(procs)),
 		cis:    make([]hierarchy.CandidateIndex, len(procs)),
 		strs:   make([]string, nVals),
-		rows:   make([][]int, 2*nVals),
-		ints:   make([]int, nVals+2*nPairs),
+		links:  make([]int32, nLinks),
+		ints:   make([]int, nVals),
 		bytes:  make([]uint8, nVals+nDense),
 		floats: make([]float64, 2*nVals+2*nDense),
 		words:  make([]uint64, nWords),
@@ -278,9 +278,7 @@ func (b *builder) views(idx *Index, procs, objFinal, srcFinal, wkrFinal []int32)
 		for i, v := range ids {
 			ci.Values[i] = vt.Names[v]
 		}
-		ci.Anc = carve(&s.rows, len(ids))
-		ci.Desc = carve(&s.rows, len(ids))
-		vt.Link(ci, ids, pos, carve(&s.ints, 2*int(pairs[k])))
+		vt.Link(ci, ids, pos, carve(&s.links, hierarchy.LinksLen(len(ids), int(pairs[k]))))
 
 		tag := int32(k + 1)
 		ov.ValueCount = carve(&s.ints, len(ids))
@@ -343,7 +341,7 @@ type slabs struct {
 	views  []ObjectView
 	cis    []hierarchy.CandidateIndex
 	strs   []string
-	rows   [][]int
+	links  []int32
 	ints   []int
 	bytes  []uint8
 	floats []float64
@@ -385,45 +383,49 @@ func ancWordsFor(nV int) int { return (nV + 63) / 64 }
 // fillTables carves the view's parameter-independent tables from the slabs
 // and computes them. Everything the EM inner loop needs per (claim, truth)
 // becomes a lookup: relationship class, case-possibility mask, 1/|Go|,
-// 1/|rest|, and the popularity distributions.
+// 1/|rest|, and the popularity distributions. The layout of b, f and w is
+// ObjectView's.
 func (ov *ObjectView) fillTables(s *slabs) {
 	nV := ov.CI.NumValues()
-	ov.hier = ov.CI.Hier
-	ov.ancWords = ancWordsFor(nV)
-	ov.ancBits = carve(&s.words, nV*ov.ancWords)
-	ov.caseMask = carve(&s.bytes, nV)
-	ov.invGo = carve(&s.floats, nV)
-	ov.invRest = carve(&s.floats, nV)
+	ov.nV, ov.hier = int32(nV), ov.CI.Hier
+	nn := 0
+	if ov.dense() {
+		nn = nV * nV
+	}
+	words := ancWordsFor(nV)
+	ov.b = carve(&s.bytes, nV+nn)
+	ov.f = carve(&s.floats, 2*nV+2*nn)
+	ov.w = carve(&s.words, nV*words)
+	caseMask, invGo, invRest := ov.b[:nV], ov.f[:nV], ov.f[nV:2*nV]
 	total := 0
 	for _, c := range ov.ValueCount {
 		total += c
 	}
 	for tr := 0; tr < nV; tr++ {
-		row := ov.ancBits[tr*ov.ancWords:]
-		for _, a := range ov.CI.Anc[tr] {
+		row := ov.w[tr*words:]
+		for _, a := range ov.CI.Anc(tr) {
 			row[a/64] |= 1 << (a % 64)
 		}
 		g := ov.CI.GoSize(tr)
 		rest := nV - g - 1
 		if g > 0 {
-			ov.caseMask[tr] |= 1
-			ov.invGo[tr] = 1 / float64(g)
+			caseMask[tr] |= 1
+			invGo[tr] = 1 / float64(g)
 		}
 		if rest > 0 {
-			ov.caseMask[tr] |= 2
-			ov.invRest[tr] = 1 / float64(rest)
+			caseMask[tr] |= 2
+			invRest[tr] = 1 / float64(rest)
 		}
 	}
-	if nV > maxDenseTableValues {
+	if nn == 0 {
 		return
 	}
-	ov.rel = carve(&s.bytes, nV*nV)
-	ov.pop2 = carve(&s.floats, nV*nV)
-	ov.pop3 = carve(&s.floats, nV*nV)
+	rel := ov.RelTable()
+	pop2, pop3 := ov.PopTables()
 	for tr := 0; tr < nV; tr++ {
 		// Denominators shared by every claim column at this truth.
 		ancCount := 0
-		for _, a := range ov.CI.Anc[tr] {
+		for _, a := range ov.CI.Anc(tr) {
 			ancCount += ov.ValueCount[a]
 		}
 		goSize := ov.CI.GoSize(tr)
@@ -433,21 +435,21 @@ func (ov *ObjectView) fillTables(s *slabs) {
 			k := c*nV + tr
 			switch {
 			case c == tr:
-				ov.rel[k] = 1
+				rel[k] = 1
 			case ov.IsCandAncestor(c, tr):
-				ov.rel[k] = 2
+				rel[k] = 2
 			default:
-				ov.rel[k] = 3
+				rel[k] = 3
 			}
 			if ancCount > 0 {
-				ov.pop2[k] = float64(ov.ValueCount[c]) / float64(ancCount)
+				pop2[k] = float64(ov.ValueCount[c]) / float64(ancCount)
 			} else if goSize > 0 {
-				ov.pop2[k] = 1 / float64(goSize)
+				pop2[k] = 1 / float64(goSize)
 			}
 			if restCount > 0 {
-				ov.pop3[k] = float64(ov.ValueCount[c]) / float64(restCount)
+				pop3[k] = float64(ov.ValueCount[c]) / float64(restCount)
 			} else if wrong > 0 {
-				ov.pop3[k] = 1 / float64(wrong)
+				pop3[k] = 1 / float64(wrong)
 			}
 		}
 	}

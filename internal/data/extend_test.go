@@ -166,8 +166,7 @@ func checkSameView(t testing.TB, grown, scratch *Index, o string) {
 		got, want any
 	}{
 		{"candidates", g.CI.Values, s.CI.Values},
-		{"Anc", g.CI.Anc, s.CI.Anc},
-		{"Desc", g.CI.Desc, s.CI.Desc},
+		{"links", g.CI.Links, s.CI.Links},
 		{"Hier", g.CI.Hier, s.CI.Hier},
 		{"value counts", g.ValueCount, s.ValueCount},
 		{"source claims", claimSet(grown, g, true), claimSet(scratch, s, true)},
@@ -181,7 +180,15 @@ func checkSameView(t testing.TB, grown, scratch *Index, o string) {
 		}
 	}
 	nV := s.CI.NumValues()
+	if g.NumValues() != nV || s.NumValues() != nV || g.Hier() != s.CI.Hier || s.Hier() != s.CI.Hier {
+		t.Fatalf("%q: |Vo| %d/%d or Hier %v/%v read off the views disagree with the candidate index",
+			o, g.NumValues(), s.NumValues(), g.Hier(), s.Hier())
+	}
 	for c := 0; c < nV; c++ {
+		if !reflect.DeepEqual(g.CI.Anc(c), s.CI.Anc(c)) || !reflect.DeepEqual(g.CI.Desc(c), s.CI.Desc(c)) {
+			t.Fatalf("%q: Anc/Desc of candidate %d: grown %v/%v scratch %v/%v",
+				o, c, g.CI.Anc(c), g.CI.Desc(c), s.CI.Anc(c), s.CI.Desc(c))
+		}
 		if !reflect.DeepEqual(g.RelRow(c), s.RelRow(c)) ||
 			!reflect.DeepEqual(g.Pop2Row(c), s.Pop2Row(c)) ||
 			!reflect.DeepEqual(g.Pop3Row(c), s.Pop3Row(c)) {
@@ -206,18 +213,13 @@ func checkCarved(t testing.TB, idx *Index) {
 			ok   bool
 		}{
 			{"Values", carved(ov.CI.Values)},
-			{"Anc", carved(ov.CI.Anc)},
-			{"Desc", carved(ov.CI.Desc)},
+			{"Links", carved(ov.CI.Links)},
 			{"ValueCount", carved(ov.ValueCount)},
 			{"SourceClaims", carved(ov.SourceClaims)},
 			{"WorkerClaims", carved(ov.WorkerClaims)},
-			{"rel", carved(ov.rel)},
-			{"pop2", carved(ov.pop2)},
-			{"pop3", carved(ov.pop3)},
-			{"caseMask", carved(ov.caseMask)},
-			{"invGo", carved(ov.invGo)},
-			{"invRest", carved(ov.invRest)},
-			{"ancBits", carved(ov.ancBits)},
+			{"b", carved(ov.b)},
+			{"f", carved(ov.f)},
+			{"w", carved(ov.w)},
 		}
 		for _, p := range pieces {
 			if !p.ok {
@@ -225,7 +227,7 @@ func checkCarved(t testing.TB, idx *Index) {
 			}
 		}
 		for c := range ov.CI.Values {
-			if !carved(ov.CI.Anc[c]) || !carved(ov.CI.Desc[c]) {
+			if !carved(ov.CI.Anc(c)) || !carved(ov.CI.Desc(c)) {
 				t.Fatalf("%q Anc/Desc[%d]: cap != len", ov.Object, c)
 			}
 		}

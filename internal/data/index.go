@@ -4,10 +4,10 @@ import "repro/internal/hierarchy"
 
 // maxDenseTableValues caps the candidate-set size for which the O(|Vo|²)
 // relationship/popularity tables are materialized — 17 bytes per (claim,
-// truth) entry, so the cap bounds the per-object table cost at ~1.1 MB.
-// Larger candidate sets (possible with free-text or numeric workloads)
-// fall back to the ancestor bitsets, which stay O(|Vo|²/64) bits and still
-// avoid per-call allocation.
+// truth) entry (one relationship byte, two popularity float64s), so the cap
+// bounds the per-object table cost at ~1.1 MB. Larger candidate sets
+// (possible with free-text or numeric workloads) fall back to the ancestor
+// bitsets, which stay O(|Vo|²/64) bits and still avoid per-call allocation.
 const maxDenseTableValues = 256
 
 // Claim is one deduplicated (participant, value) claim on an object, in the
@@ -27,6 +27,16 @@ type Claim struct {
 // an index Extend derives shares every untouched view with its parent.
 // Every slice is a capacity-limited piece of an index-wide slab (cap ==
 // len), shared with the views built alongside it.
+//
+// The tables are three pieces, one per element kind, each cut at offsets
+// that are functions of |Vo| alone (see fillTables):
+//
+//	b = caseMask (|Vo|) | rel (|Vo|²)
+//	f = invGo (|Vo|) | invRest (|Vo|) | pop2 (|Vo|²) | pop3 (|Vo|²)
+//	w = the ancestor bitsets, ancWordsFor(|Vo|) words per truth
+//
+// where the |Vo|² tables are indexed [c*|Vo|+tr] (claim c, truth tr) and
+// left out above maxDenseTableValues.
 type ObjectView struct {
 	Object string
 	// ID is the dense object ID: the position of Object in Index.Objects.
@@ -42,15 +52,11 @@ type ObjectView struct {
 	ValueCount []int
 
 	// Precomputed parameter-independent tables (see fillTables).
-	rel      []uint8   // rel[c*|Vo|+tr] ∈ {1,2,3}; nil above maxDenseTableValues
-	pop2     []float64 // pop2[c*|Vo|+tr] = Pop2(c|tr); nil above the cap
-	pop3     []float64 // pop3[c*|Vo|+tr] = Pop3(c|tr); nil above the cap
-	caseMask []uint8   // per truth: bit0 = generalization possible, bit1 = wrong possible
-	invGo    []float64 // per truth: 1/|Go(tr)|, 0 when |Go(tr)| = 0
-	invRest  []float64 // per truth: 1/(|Vo|-|Go(tr)|-1), 0 when empty
-	ancBits  []uint64  // ancestor bitsets: bit c of row tr set iff c ∈ Go(tr)
-	ancWords int       // words per ancBits row
-	hier     bool      // CI.Hier, kept beside the tables (see Hier)
+	b    []uint8   // caseMask | rel
+	f    []float64 // invGo | invRest | pop2 | pop3
+	w    []uint64  // ancestor bitsets: bit c of row tr set iff c ∈ Go(tr)
+	nV   int32     // |Vo|
+	hier bool      // CI.Hier, kept beside the tables (see Hier)
 }
 
 // Hier is CI.Hier (o ∈ OH) and NumValues is CI.NumValues() (|Vo|), read
@@ -60,8 +66,11 @@ type ObjectView struct {
 // the rest, where the hardware prefetcher does not follow a scan.
 func (ov *ObjectView) Hier() bool { return ov.hier }
 
-// NumValues is |Vo|: the view holds one case mask per candidate.
-func (ov *ObjectView) NumValues() int { return len(ov.caseMask) }
+// NumValues is |Vo|.
+func (ov *ObjectView) NumValues() int { return int(ov.nV) }
+
+// dense reports whether the view holds the |Vo|² tables.
+func (ov *ObjectView) dense() bool { return ov.nV <= maxDenseTableValues }
 
 // findClaim binary-searches a Part-sorted claim slice.
 func findClaim(claims []Claim, part int32) (int, bool) {
@@ -103,7 +112,7 @@ func (ov *ObjectView) Argmax(h *hierarchy.Tree, row []float64) int {
 // IsCandAncestor reports whether candidate c is a proper ancestor of
 // candidate tr within the candidate set (c ∈ Go(tr)), in O(1).
 func (ov *ObjectView) IsCandAncestor(c, tr int) bool {
-	return ov.ancBits[tr*ov.ancWords+c/64]&(1<<(c%64)) != 0
+	return ov.w[tr*ancWordsFor(int(ov.nV))+c/64]&(1<<(c%64)) != 0
 }
 
 // Rel classifies candidate c against the hypothesized truth tr:
@@ -112,8 +121,9 @@ func (ov *ObjectView) Rel(c, tr int) uint8 {
 	if c == tr {
 		return 1
 	}
-	if ov.rel != nil {
-		return ov.rel[c*ov.NumValues()+tr]
+	if ov.dense() {
+		n := int(ov.nV)
+		return ov.b[n+c*n+tr]
 	}
 	if ov.IsCandAncestor(c, tr) {
 		return 2
@@ -121,52 +131,87 @@ func (ov *ObjectView) Rel(c, tr int) uint8 {
 	return 3
 }
 
+// RelTable returns the object's relationship table, indexed [c*|Vo|+tr]
+// as Rel(c, tr), or nil above the dense-table cap. A kernel over many
+// claims of one object takes it once and slices a row per claim, as RelRow
+// does.
+func (ov *ObjectView) RelTable() []uint8 {
+	if !ov.dense() {
+		return nil
+	}
+	return ov.b[ov.nV:]
+}
+
+// PopTables returns the object's popularity tables, indexed [c*|Vo|+tr] as
+// Pop2(c, tr) and Pop3(c, tr), or nils above the dense-table cap; Pop2Row
+// and Pop3Row are their rows.
+func (ov *ObjectView) PopTables() (pop2, pop3 []float64) {
+	if !ov.dense() {
+		return nil, nil
+	}
+	n := int(ov.nV)
+	mid := 2*n + n*n
+	return ov.f[2*n : mid : mid], ov.f[mid:]
+}
+
 // RelRow returns the relationship row for claim c (indexed by truth), or nil
 // when the object is above the dense-table cap.
 func (ov *ObjectView) RelRow(c int) []uint8 {
-	if ov.rel == nil {
+	if !ov.dense() {
 		return nil
 	}
-	nV := ov.NumValues()
-	return ov.rel[c*nV : (c+1)*nV]
+	n := int(ov.nV)
+	lo := n + c*n
+	return ov.b[lo : lo+n]
 }
 
 // CaseMask returns the possibility mask of truth tr: bit0 set when
 // generalized claims are possible (|Go(tr)| > 0), bit1 set when wrong claims
 // are possible (|Vo| - |Go(tr)| - 1 > 0).
-func (ov *ObjectView) CaseMask(tr int) uint8 { return ov.caseMask[tr] }
+func (ov *ObjectView) CaseMask(tr int) uint8 { return ov.b[tr] }
 
 // InvGoSize returns 1/|Go(tr)|, or 0 when tr has no candidate ancestors.
-func (ov *ObjectView) InvGoSize(tr int) float64 { return ov.invGo[tr] }
+func (ov *ObjectView) InvGoSize(tr int) float64 { return ov.f[tr] }
 
 // InvRestSize returns 1/(|Vo|-|Go(tr)|-1), or 0 when no wrong value exists.
-func (ov *ObjectView) InvRestSize(tr int) float64 { return ov.invRest[tr] }
+func (ov *ObjectView) InvRestSize(tr int) float64 { return ov.f[int(ov.nV)+tr] }
 
 // CaseMasks returns the per-truth possibility masks (see CaseMask).
-func (ov *ObjectView) CaseMasks() []uint8 { return ov.caseMask }
+func (ov *ObjectView) CaseMasks() []uint8 {
+	n := int(ov.nV)
+	return ov.b[:n:n]
+}
 
 // InvGoSizes returns the per-truth 1/|Go(tr)| table.
-func (ov *ObjectView) InvGoSizes() []float64 { return ov.invGo }
+func (ov *ObjectView) InvGoSizes() []float64 {
+	n := int(ov.nV)
+	return ov.f[:n:n]
+}
 
 // InvRestSizes returns the per-truth 1/(|Vo|-|Go(tr)|-1) table.
-func (ov *ObjectView) InvRestSizes() []float64 { return ov.invRest }
+func (ov *ObjectView) InvRestSizes() []float64 {
+	n := int(ov.nV)
+	return ov.f[n : 2*n : 2*n]
+}
 
 // Pop2Row returns Pop2(c|·) indexed by truth, or nil above the table cap.
 func (ov *ObjectView) Pop2Row(c int) []float64 {
-	if ov.pop2 == nil {
+	if !ov.dense() {
 		return nil
 	}
-	nV := ov.NumValues()
-	return ov.pop2[c*nV : (c+1)*nV]
+	n := int(ov.nV)
+	lo := 2*n + c*n
+	return ov.f[lo : lo+n]
 }
 
 // Pop3Row returns Pop3(c|·) indexed by truth, or nil above the table cap.
 func (ov *ObjectView) Pop3Row(c int) []float64 {
-	if ov.pop3 == nil {
+	if !ov.dense() {
 		return nil
 	}
-	nV := ov.NumValues()
-	return ov.pop3[c*nV : (c+1)*nV]
+	n := int(ov.nV)
+	lo := 2*n + n*n + c*n
+	return ov.f[lo : lo+n]
 }
 
 // Pop2 returns Pop2(v|v*) — among source records whose value is a candidate
@@ -174,11 +219,12 @@ func (ov *ObjectView) Pop3Row(c int) []float64 {
 // candidate indices). Falls back to uniform over Go(truth) when no source
 // generalized the truth. A table lookup below maxDenseTableValues.
 func (ov *ObjectView) Pop2(v, tr int) float64 {
-	if ov.pop2 != nil {
-		return ov.pop2[v*ov.NumValues()+tr]
+	if ov.dense() {
+		n := int(ov.nV)
+		return ov.f[2*n+v*n+tr]
 	}
 	den := 0
-	for _, a := range ov.CI.Anc[tr] {
+	for _, a := range ov.CI.Anc(tr) {
 		den += ov.ValueCount[a]
 	}
 	if den == 0 {
@@ -196,8 +242,9 @@ func (ov *ObjectView) Pop2(v, tr int) float64 {
 // below maxDenseTableValues; the fallback uses the ancestor bitsets instead
 // of allocating a membership map.
 func (ov *ObjectView) Pop3(v, tr int) float64 {
-	if ov.pop3 != nil {
-		return ov.pop3[v*ov.NumValues()+tr]
+	if ov.dense() {
+		n := int(ov.nV)
+		return ov.f[2*n+n*n+v*n+tr]
 	}
 	den := 0
 	wrong := 0

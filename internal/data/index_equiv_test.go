@@ -3,6 +3,7 @@ package data_test
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -255,7 +256,9 @@ func TestNewIndexAllocs(t *testing.T) {
 
 // BenchmarkNewIndex times one full index build at the workloads' sizes:
 // crowd_batch's BirthPlaces, ingest_publish's 12k-object BirthPlaces and
-// ingest_refit's Heritages with its final answer count.
+// ingest_refit's Heritages with its final answer count. liveB/object is what
+// a built index keeps resident per object (liveBytes): the heap a campaign
+// and every fit it runs hold for as long as the index is served.
 func BenchmarkNewIndex(b *testing.B) {
 	for _, c := range []struct {
 		name string
@@ -273,13 +276,30 @@ func BenchmarkNewIndex(b *testing.B) {
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			ds := c.ds()
+			var idx *data.Index
+			live := liveBytes(func() { idx = data.NewIndex(ds) })
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				data.NewIndex(ds)
 			}
+			b.ReportMetric(float64(live)/float64(idx.NumObjects()), "liveB/object")
 		})
 	}
+}
+
+// liveBytes is the heap that build leaves live: the heap in use after a
+// collection just after build returns, less the heap in use after one just
+// before it ran. build must keep what it measures reachable, and nothing
+// else may run meanwhile.
+func liveBytes(build func()) int64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	build()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	return int64(after.HeapAlloc) - int64(before.HeapAlloc)
 }
 
 // BenchmarkExtend times two Extend shapes: one open-world growth op — a new

@@ -28,28 +28,40 @@ func refCandidateIndex(t *hierarchy.Tree, candidates []string) (*hierarchy.Candi
 			vals[j], vals[j-1] = vals[j-1], vals[j]
 		}
 	}
-	ci := &hierarchy.CandidateIndex{
-		Values: vals,
-		Anc:    make([][]int, len(vals)),
-		Desc:   make([][]int, len(vals)),
-	}
+	ci := &hierarchy.CandidateIndex{Values: vals}
 	pos := make(map[string]int, len(vals))
 	for i, v := range vals {
 		pos[v] = i
 	}
+	anc := make([][]int32, len(vals))
+	desc := make([][]int32, len(vals))
 	for i, v := range vals {
 		if t == nil || !t.Contains(v) {
 			continue
 		}
 		for _, a := range t.Ancestors(v) {
 			if j, ok := pos[a]; ok {
-				ci.Anc[i] = append(ci.Anc[i], j)
-				ci.Desc[j] = append(ci.Desc[j], i)
+				anc[i] = append(anc[i], int32(j))
+				desc[j] = append(desc[j], int32(i))
 				ci.Hier = true
 			}
 		}
 	}
+	if ci.Hier {
+		ci.Links = refLinks(append(anc, desc...))
+	}
 	return ci, pos
+}
+
+// refLinks lays lists out as a CandidateIndex's Links: one end offset per
+// list, then the lists back to back.
+func refLinks(lists [][]int32) []int32 {
+	links := make([]int32, len(lists))
+	for j, l := range lists {
+		links = append(links, l...)
+		links[j] = int32(len(links))
+	}
+	return links
 }
 
 func refNewIndex(ds *Dataset) *Index {
@@ -182,41 +194,44 @@ extras:
 
 func refPrecompute(ov *ObjectView) {
 	nV := ov.CI.NumValues()
-	ov.hier = ov.CI.Hier
-	ov.ancWords = (nV + 63) / 64
-	ov.ancBits = make([]uint64, nV*ov.ancWords)
-	ov.caseMask = make([]uint8, nV)
-	ov.invGo = make([]float64, nV)
-	ov.invRest = make([]float64, nV)
+	ov.nV, ov.hier = int32(nV), ov.CI.Hier
+	ancWords := (nV + 63) / 64
+	ancBits := make([]uint64, nV*ancWords)
+	caseMask := make([]uint8, nV)
+	invGo := make([]float64, nV)
+	invRest := make([]float64, nV)
 	total := 0
 	for _, c := range ov.ValueCount {
 		total += c
 	}
 	for tr := 0; tr < nV; tr++ {
-		row := ov.ancBits[tr*ov.ancWords:]
-		for _, a := range ov.CI.Anc[tr] {
+		row := ancBits[tr*ancWords:]
+		for _, a := range ov.CI.Anc(tr) {
 			row[a/64] |= 1 << (a % 64)
 		}
 		g := ov.CI.GoSize(tr)
 		rest := nV - g - 1
 		if g > 0 {
-			ov.caseMask[tr] |= 1
-			ov.invGo[tr] = 1 / float64(g)
+			caseMask[tr] |= 1
+			invGo[tr] = 1 / float64(g)
 		}
 		if rest > 0 {
-			ov.caseMask[tr] |= 2
-			ov.invRest[tr] = 1 / float64(rest)
+			caseMask[tr] |= 2
+			invRest[tr] = 1 / float64(rest)
 		}
 	}
+	ov.w = ancBits
+	ov.b = caseMask
+	ov.f = append(invGo, invRest...)
 	if nV > maxDenseTableValues {
 		return
 	}
-	ov.rel = make([]uint8, nV*nV)
-	ov.pop2 = make([]float64, nV*nV)
-	ov.pop3 = make([]float64, nV*nV)
+	rel := make([]uint8, nV*nV)
+	pop2 := make([]float64, nV*nV)
+	pop3 := make([]float64, nV*nV)
 	for tr := 0; tr < nV; tr++ {
 		ancCount := 0
-		for _, a := range ov.CI.Anc[tr] {
+		for _, a := range ov.CI.Anc(tr) {
 			ancCount += ov.ValueCount[a]
 		}
 		goSize := ov.CI.GoSize(tr)
@@ -226,24 +241,26 @@ func refPrecompute(ov *ObjectView) {
 			k := c*nV + tr
 			switch {
 			case c == tr:
-				ov.rel[k] = 1
-			case ov.IsCandAncestor(c, tr):
-				ov.rel[k] = 2
+				rel[k] = 1
+			case ancBits[tr*ancWords+c/64]&(1<<(c%64)) != 0:
+				rel[k] = 2
 			default:
-				ov.rel[k] = 3
+				rel[k] = 3
 			}
 			if ancCount > 0 {
-				ov.pop2[k] = float64(ov.ValueCount[c]) / float64(ancCount)
+				pop2[k] = float64(ov.ValueCount[c]) / float64(ancCount)
 			} else if goSize > 0 {
-				ov.pop2[k] = 1 / float64(goSize)
+				pop2[k] = 1 / float64(goSize)
 			}
 			if restCount > 0 {
-				ov.pop3[k] = float64(ov.ValueCount[c]) / float64(restCount)
+				pop3[k] = float64(ov.ValueCount[c]) / float64(restCount)
 			} else if wrong > 0 {
-				ov.pop3[k] = 1 / float64(wrong)
+				pop3[k] = 1 / float64(wrong)
 			}
 		}
 	}
+	ov.b = append(ov.b, rel...)
+	ov.f = append(append(ov.f, pop2...), pop3...)
 }
 
 func refBuildDerived(idx *Index) {

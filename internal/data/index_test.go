@@ -192,7 +192,7 @@ func objectsOfWorker(idx *Index, w string) []string {
 // precomputed tables must agree entry for entry.
 func naivePop2(ov *ObjectView, v, tr int) float64 {
 	den := 0
-	for _, a := range ov.CI.Anc[tr] {
+	for _, a := range ov.CI.Anc(tr) {
 		den += ov.ValueCount[a]
 	}
 	if den == 0 {
@@ -207,8 +207,8 @@ func naivePop2(ov *ObjectView, v, tr int) float64 {
 func naivePop3(ov *ObjectView, v, tr int) float64 {
 	den, wrong := 0, 0
 	isAnc := map[int]bool{}
-	for _, a := range ov.CI.Anc[tr] {
-		isAnc[a] = true
+	for _, a := range ov.CI.Anc(tr) {
+		isAnc[int(a)] = true
 	}
 	for i, c := range ov.ValueCount {
 		if i == tr || isAnc[i] {
@@ -230,8 +230,8 @@ func naiveRel(ov *ObjectView, c, tr int) uint8 {
 	if c == tr {
 		return 1
 	}
-	for _, a := range ov.CI.Anc[tr] {
-		if a == c {
+	for _, a := range ov.CI.Anc(tr) {
+		if int(a) == c {
 			return 2
 		}
 	}

@@ -11,19 +11,28 @@ import "slices"
 // directly under the root: they have no candidate ancestors or descendants.
 //
 // NewCandidateIndex builds one on its own; data.NewIndex builds every
-// object's through the same ValueTable kernel, with the lists carved from
-// index-wide slabs.
+// object's through the same ValueTable kernel, with the link arrays carved
+// from one index-wide slab.
 type CandidateIndex struct {
 	// Values is the candidate set Vo in sorted order.
 	Values []string
-	// Anc[i] lists indices of candidates that are proper ancestors of
-	// Values[i], excluding the root: Go(v), parent first.
-	Anc [][]int
-	// Desc[i] lists indices of candidates that are proper descendants of
-	// Values[i] in ascending order: Do(v).
-	Desc [][]int
+	// Links holds every Go and Do list of the set in one CSR array, nil
+	// when no candidate is related to another (o ∉ OH). With n = |Vo| it is
+	// ends | anc | desc: ends[j] is the end offset, into Links, of list j —
+	// Anc(j) for j < n, Desc(j-n) above — and each list starts where the one
+	// before it ends, the first at 2n. Read it through Anc and Desc.
+	Links []int32
 	// Hier reports whether any ancestor-descendant pair exists (o ∈ OH).
 	Hier bool
+}
+
+// LinksLen is the length of the Links array of a candidate set of n values
+// with the given number of ancestor-descendant pairs: 0 without a pair.
+func LinksLen(n, pairs int) int {
+	if pairs == 0 {
+		return 0
+	}
+	return 2*n + 2*pairs
 }
 
 // NewCandidateIndex builds the index for candidates over tree t. The
@@ -40,12 +49,8 @@ func NewCandidateIndex(t *Tree, candidates []string) *CandidateIndex {
 	for i := range ids {
 		ids[i], pos[i] = int32(i), int32(i+1)
 	}
-	ci := &CandidateIndex{
-		Values: vals,
-		Anc:    make([][]int, len(vals)),
-		Desc:   make([][]int, len(vals)),
-	}
-	vt.Link(ci, ids, pos, make([]int, 2*vt.Pairs(ids, pos)))
+	ci := &CandidateIndex{Values: vals}
+	vt.Link(ci, ids, pos, make([]int32, LinksLen(len(vals), vt.Pairs(ids, pos))))
 	return ci
 }
 
@@ -58,13 +63,41 @@ func (ci *CandidateIndex) Pos(v string) (int, bool) {
 // NumValues returns |Vo|.
 func (ci *CandidateIndex) NumValues() int { return len(ci.Values) }
 
+// Anc lists the indices of the candidates that are proper ancestors of
+// Values[i], excluding the root: Go(v), parent first. The list is a
+// capacity-limited piece of Links, nil when the object has no related
+// candidates.
+func (ci *CandidateIndex) Anc(i int) []int32 {
+	if ci.Links == nil {
+		return nil
+	}
+	lo := int32(2 * len(ci.Values))
+	if i > 0 {
+		lo = ci.Links[i-1]
+	}
+	hi := ci.Links[i]
+	return ci.Links[lo:hi:hi]
+}
+
+// Desc lists the indices of the candidates that are proper descendants of
+// Values[i] in ascending order: Do(v). Like Anc, it is a capacity-limited
+// piece of Links, nil when the object has no related candidates.
+func (ci *CandidateIndex) Desc(i int) []int32 {
+	if ci.Links == nil {
+		return nil
+	}
+	n := len(ci.Values)
+	lo, hi := ci.Links[n+i-1], ci.Links[n+i]
+	return ci.Links[lo:hi:hi]
+}
+
 // GoSize returns |Go(v)| for the candidate at index i.
-func (ci *CandidateIndex) GoSize(i int) int { return len(ci.Anc[i]) }
+func (ci *CandidateIndex) GoSize(i int) int { return len(ci.Anc(i)) }
 
 // IsAncestorOf reports whether candidate i is a proper ancestor of candidate j.
 func (ci *CandidateIndex) IsAncestorOf(i, j int) bool {
-	for _, a := range ci.Anc[j] {
-		if a == i {
+	for _, a := range ci.Anc(j) {
+		if int(a) == i {
 			return true
 		}
 	}
@@ -87,7 +120,7 @@ type ValueTable struct {
 
 	ancStart []int32 // ancestors of id: anc[ancStart[id]:ancStart[id+1]]
 	anc      []int32
-	descN    []int // Link scratch: per-candidate descendant counts
+	descN    []int32 // Link scratch: per-candidate descendant counts, then cursors
 }
 
 // NewValueTable resolves the ancestors of every value of names, which must
@@ -126,46 +159,45 @@ func (vt *ValueTable) Pairs(ids, pos []int32) int {
 	return n
 }
 
-// Link fills ci.Anc, ci.Desc and ci.Hier for the candidate set ids, whose
-// names ci.Values already holds. ci.Anc and ci.Desc must be zeroed and
-// len(ids) long; ints must hold exactly 2·Pairs(ids, pos) elements and backs
-// every non-empty list as a capacity-limited piece. Lists of candidates with
-// no related candidate stay nil.
-func (vt *ValueTable) Link(ci *CandidateIndex, ids, pos []int32, ints []int) {
-	n := len(ints) / 2
-	anc, desc := ints[:n:n], ints[n:]
-	if cap(vt.descN) < len(ids) {
-		vt.descN = make([]int, len(ids))
+// Link fills ci.Links and ci.Hier for the candidate set ids, whose names
+// ci.Values already holds. links must hold exactly
+// LinksLen(len(ids), Pairs(ids, pos)) elements and becomes ci.Links; an
+// empty one (no pair) leaves ci.Links nil.
+func (vt *ValueTable) Link(ci *CandidateIndex, ids, pos []int32, links []int32) {
+	ci.Links, ci.Hier = nil, len(links) > 0
+	if len(links) == 0 {
+		return
 	}
-	descN := vt.descN[:len(ids)]
+	n := len(ids)
+	if cap(vt.descN) < n {
+		vt.descN = make([]int32, n)
+	}
+	descN := vt.descN[:n]
 	clear(descN)
-	k := 0
+	// The Anc lists, in candidate order, each ending at ends[i].
+	k := int32(2 * n)
 	for i, v := range ids {
-		start := k
 		for _, a := range vt.ancestors(v) {
 			if p := pos[a]; p != 0 {
-				anc[k] = int(p - 1)
+				links[k] = p - 1
 				descN[p-1]++
 				k++
 			}
 		}
-		if k > start {
-			ci.Anc[i] = anc[start:k:k]
-		}
+		links[i] = k
 	}
-	ci.Hier = k > 0
-	// Each Desc list gets an empty piece with exactly its capacity, and the
-	// candidates are appended in ascending order.
-	off := 0
+	// The Desc lists follow: descN becomes each list's fill cursor, and the
+	// candidates are written in ascending order.
 	for j, c := range descN {
-		if c > 0 {
-			ci.Desc[j] = desc[off : off : off+c]
-			off += c
-		}
+		descN[j] = k
+		k += c
+		links[n+j] = k
 	}
-	for i, as := range ci.Anc {
-		for _, j := range as {
-			ci.Desc[j] = append(ci.Desc[j], i)
+	ci.Links = links
+	for i := range ids {
+		for _, j := range ci.Anc(i) {
+			links[descN[j]] = int32(i)
+			descN[j]++
 		}
 	}
 }

@@ -28,14 +28,14 @@ func TestCandidateIndexBasics(t *testing.T) {
 	li := candPos(ci, "LibertyIsland")
 	ny := candPos(ci, "NY")
 	la := candPos(ci, "LA")
-	if ci.GoSize(li) != 1 || ci.Anc[li][0] != ny {
-		t.Fatalf("Go(LibertyIsland) wrong: %v", ci.Anc[li])
+	if ci.GoSize(li) != 1 || int(ci.Anc(li)[0]) != ny {
+		t.Fatalf("Go(LibertyIsland) wrong: %v", ci.Anc(li))
 	}
 	if ci.GoSize(ny) != 0 || ci.GoSize(la) != 0 {
 		t.Fatal("NY and LA have no candidate ancestors")
 	}
-	if len(ci.Desc[ny]) != 1 || ci.Desc[ny][0] != li {
-		t.Fatalf("Do(NY) wrong: %v", ci.Desc[ny])
+	if len(ci.Desc(ny)) != 1 || int(ci.Desc(ny)[0]) != li {
+		t.Fatalf("Do(NY) wrong: %v", ci.Desc(ny))
 	}
 	if !ci.IsAncestorOf(ny, li) || ci.IsAncestorOf(li, ny) || ci.IsAncestorOf(la, li) {
 		t.Fatal("IsAncestorOf wrong")
@@ -49,7 +49,7 @@ func TestCandidateIndexFlat(t *testing.T) {
 		t.Fatal("unrelated candidates: Hier must be false")
 	}
 	for i := range ci.Values {
-		if ci.GoSize(i) != 0 || len(ci.Desc[i]) != 0 {
+		if ci.GoSize(i) != 0 || len(ci.Desc(i)) != 0 {
 			t.Fatal("flat index must have no relations")
 		}
 	}
@@ -99,11 +99,11 @@ func TestQuickCandidateIndex(t *testing.T) {
 		}
 		for i := range ci.Values {
 			// Desc ascending; Anc parent first, i.e. strictly shallower.
-			if !slices.IsSorted(ci.Desc[i]) {
+			if !slices.IsSorted(ci.Desc(i)) {
 				return false
 			}
-			for k := 1; k < len(ci.Anc[i]); k++ {
-				if tr.Depth(ci.Values[ci.Anc[i][k]]) >= tr.Depth(ci.Values[ci.Anc[i][k-1]]) {
+			for k := 1; k < len(ci.Anc(i)); k++ {
+				if tr.Depth(ci.Values[ci.Anc(i)[k]]) >= tr.Depth(ci.Values[ci.Anc(i)[k-1]]) {
 					return false
 				}
 			}
@@ -113,14 +113,14 @@ func TestQuickCandidateIndex(t *testing.T) {
 			for j, vj := range ci.Values {
 				isAnc := tr.IsAncestor(vi, vj)
 				inAnc := false
-				for _, a := range ci.Anc[j] {
-					if a == i {
+				for _, a := range ci.Anc(j) {
+					if int(a) == i {
 						inAnc = true
 					}
 				}
 				inDesc := false
-				for _, d := range ci.Desc[i] {
-					if d == j {
+				for _, d := range ci.Desc(i) {
+					if int(d) == j {
 						inDesc = true
 					}
 				}

@@ -50,7 +50,7 @@ func (a ASUMS) Infer(idx *data.Index) *Result {
 			for _, cl := range claimsOf(idx, oid) {
 				t := trust[cl.p]
 				b[cl.c] += t
-				for _, anc := range ov.CI.Anc[cl.c] {
+				for _, anc := range ov.CI.Anc(cl.c) {
 					b[anc] += t // hierarchical support
 				}
 			}

@@ -37,7 +37,7 @@ func (f FromSingleTruth) Discover(idx *data.Index) map[string][]string {
 		// unclaimed closure levels are not answerable by any algorithm.
 		if ov := idx.View(o); ov != nil {
 			if vi, ok := ov.CI.Pos(v); ok {
-				for _, ai := range ov.CI.Anc[vi] {
+				for _, ai := range ov.CI.Anc(vi) {
 					set = append(set, ov.CI.Values[ai])
 				}
 			}
@@ -78,7 +78,7 @@ func claimersOf(idx *data.Index, ov *data.ObjectView, closure bool) (providers [
 		for ; j < len(cls) && cls[j].name == cls[i].name; j++ {
 			row[cls[j].c] = true
 			if closure {
-				for _, a := range ov.CI.Anc[cls[j].c] {
+				for _, a := range ov.CI.Anc(cls[j].c) {
 					row[a] = true
 				}
 			}

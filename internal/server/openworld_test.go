@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -174,6 +176,82 @@ func TestMutationValidation(t *testing.T) {
 	if resp := postJSON(t, base+"/records", data.Record{Object: "fresh", Source: "s1", Value: "eu-city-2"}); resp.StatusCode != http.StatusConflict {
 		t.Fatalf("duplicate record: %d, want 409", resp.StatusCode)
 	}
+}
+
+// TestNewDoesNotWriteCallerDataset: New grows a working dataset that shares
+// the caller's records, answers and candidate seeds instead of copying them,
+// so each of the pipeline's appends must reallocate. The caller's slices get
+// spare capacity here, which an unclipped share would write into: answers, a
+// seed added to an object the caller seeded, a new object, a record and a
+// refit must leave the dataset as it was, spare capacity included.
+func TestNewDoesNotWriteCallerDataset(t *testing.T) {
+	ds := openWorldDataset()
+	ds.Domains = map[string]string{}
+	ds.Records = slices.Grow(ds.Records, 8)
+	ds.Answers = append(make([]data.Answer, 0, 8), data.Answer{Object: "hq-00", Worker: "w-boot", Value: "eu-city-0"})
+	ds.Candidates = map[string][]string{"hq-seeded": append(make([]string, 0, 8), "eu-city-5", "us-city-5")}
+	before := toCapacity(ds)
+
+	s, err := New(Config{
+		Dataset:     ds,
+		Engine:      engine.NewCategorical(infer.NewTDH()),
+		Assigner:    assign.EAI{},
+		Seed:        11,
+		OpenAnswers: true,
+		Policy:      RefitPolicy{MaxAnswers: -1, MaxStaleness: -1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+
+	for _, a := range []data.Answer{
+		{Object: "hq-00", Worker: "w-1", Value: "us-city-0"},
+		{Object: "hq-01", Worker: "w-1", Value: "eu-city-1"},
+		{Object: "hq-seeded", Worker: "w-2", Value: "eu-city-5"},
+	} {
+		if resp := postJSON(t, ts.URL+"/answer", a); resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST /answer %+v: %d", a, resp.StatusCode)
+		}
+	}
+	if resp := postJSON(t, ts.URL+"/objects", AddObjectRequest{
+		Object: "hq-new", Candidates: []string{"eu-city-7", "us-city-7"},
+	}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /objects: %d", resp.StatusCode)
+	}
+	if resp := postJSON(t, ts.URL+"/records", data.Record{
+		Object: "hq-seeded", Source: "late-src", Value: "us-city-5",
+	}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /records: %d", resp.StatusCode)
+	}
+	// POST /objects refuses a known object with 409, so a seed added to
+	// the seeded object is queued the way the handler queues an accepted
+	// one: stageMutations appends it to that object's candidate slice.
+	s.enqueue(ingestItem{mut: &mutation{object: "hq-seeded", candidates: []string{"eu-city-6"}}, at: time.Now()})
+	waitApplied(t, s, 3, 3)
+	if _, err := s.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Snapshot().Idx.View("hq-seeded").CI.Values; !slices.Contains(got, "eu-city-6") {
+		t.Fatalf("the queued seed never reached the index: hq-seeded candidates %v", got)
+	}
+	if after := toCapacity(ds); !reflect.DeepEqual(after, before) {
+		t.Fatalf("the caller's dataset was written:\nbefore %+v\nafter  %+v", before, after)
+	}
+}
+
+// toCapacity deep-copies ds with every slice it owns read out to its
+// capacity, so a write into spare capacity shows in a comparison.
+func toCapacity(ds *data.Dataset) *data.Dataset {
+	c := ds.Clone()
+	c.Records = slices.Clone(ds.Records[:cap(ds.Records)])
+	c.Answers = slices.Clone(ds.Answers[:cap(ds.Answers)])
+	for o, vals := range ds.Candidates {
+		c.Candidates[o] = slices.Clone(vals[:cap(vals)])
+	}
+	return c
 }
 
 // failingSink fails the first ansFails, objFails and recFails appends of

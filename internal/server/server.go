@@ -50,6 +50,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -73,6 +74,10 @@ type EventSink interface {
 
 // Config wires a Server.
 type Config struct {
+	// Dataset is the campaign's data at boot. The server never writes it:
+	// it grows a working copy that shares the dataset's backing arrays until
+	// its first append to each. So the caller must not modify the dataset
+	// (its slices, its maps or the candidate slices in them) after New.
 	Dataset *data.Dataset
 	// Engine is the truth-model engine the campaign runs (fit, incremental
 	// fold, growth, answer validation, wire encoding).
@@ -330,10 +335,28 @@ func newPipeline(cfg Config) (*pipeline, error) {
 		sh := s.workers.shardFor(a.Worker)
 		sh.markAnswered(a.Worker, a.Object)
 	}
-	p := &pipeline{s: s, policy: cfg.Policy, work: cfg.Dataset.Clone(), threshold: cfg.Policy.MaxAnswers}
+	p := &pipeline{s: s, policy: cfg.Policy, work: workingCopy(cfg.Dataset), threshold: cfg.Policy.MaxAnswers}
 	s.metrics.refitThreshold.Set(float64(p.threshold))
 	p.refit() // initial inference, published before New returns
 	return p, nil
+}
+
+// workingCopy is the pipeline's working dataset over ds, without copying
+// a record or an answer: a struct copy whose Records and Answers are
+// clipped, so the pipeline's first append to either reallocates, and whose
+// Candidates map is a copy with every value slice clipped, so neither a new
+// object nor a seed appended to an existing one reaches ds. The Truth and
+// Domains maps are shared; the pipeline only reads them.
+func workingCopy(ds *data.Dataset) *data.Dataset {
+	w := *ds
+	w.Records, w.Answers = slices.Clip(ds.Records), slices.Clip(ds.Answers)
+	if ds.Candidates != nil {
+		w.Candidates = make(map[string][]string, len(ds.Candidates))
+		for o, vals := range ds.Candidates {
+			w.Candidates[o] = slices.Clip(vals)
+		}
+	}
+	return &w
 }
 
 // Close drains the ingest queue into a final snapshot and stops the
