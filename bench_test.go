@@ -2,8 +2,9 @@
 // EAI assignment with and without the UEAI pruning bound and for one
 // returning (late or early in a campaign) or one never-seen worker's /task,
 // the one-answer incremental EM fold every served answer runs, the tracing
-// overhead on the ingest path, and one coordinator cycle (fold, seal, plan
-// advance) across corpus sizes.
+// overhead on the ingest path, one coordinator cycle (fold, seal, plan
+// advance) and the plan advance of one open-world growth across corpus
+// sizes.
 //
 //	go test -run='^$' -bench=. -benchmem .
 //
@@ -14,6 +15,7 @@ package repro_bench
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"net/http/httptest"
 	"runtime"
@@ -291,6 +293,36 @@ func BenchmarkPlanAdvance(b *testing.B) {
 	}
 }
 
+// BenchmarkPlanGrowth times the plan advance of one open-world publish: the
+// index extended by one object declared without a claim (POST /objects), the
+// state grown onto it, and the plan a campaign assigning by EAI or ME
+// publishes (assign.PlanFor) advanced over it, at 1.2k, 12k and 48k
+// objects. Growth moves no key of an object it leaves untouched, so Advance
+// inserts the new object and re-ranks the touched ones, as a fold does;
+// what is left to grow with |O| is a chunk table per ranking and the check
+// that the extended index kept the object names.
+// TestGrowthAdvanceIsDeltaProportional pins the curve in bytes.
+func BenchmarkPlanGrowth(b *testing.B) {
+	var cycles []*sealCycle
+	for _, scale := range []float64{0.2, 2, 8} {
+		cycles = append(cycles, newSealCycle(b, scale))
+	}
+	for _, asg := range []assign.Assigner{assign.EAI{}, assign.ME{}} {
+		for _, c := range cycles {
+			prev := assign.PlanFor(asg, c.idx, c.st.Res())
+			idx, res, touched := c.growth(b)
+			b.Run(fmt.Sprintf("%s/objects=%d", asg.Name(), c.idx.NumObjects()), func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					if _, ok := prev.Advance(idx, res, touched); !ok {
+						b.Fatal("Advance fell back to a full build")
+					}
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkSealCycle times one coordinator cycle as the server pipeline runs
 // it — open an epoch, fold three answers, seal, advance the previous
 // snapshot's plan around the touched objects — at 1.2k, 12k and 48k objects,
@@ -337,6 +369,26 @@ func newSealCycle(tb testing.TB, scale float64) *sealCycle {
 	c.st = c.eng.Fit(c.idx)
 	c.plan = assign.PlanFor(assign.EAI{}, c.idx, c.st.Res())
 	return c
+}
+
+// growth is one open-world publish on c's campaign: the index extended by
+// one object declared with object 0's candidates and no claim, the state
+// grown onto it, and the touched object IDs.
+func (c *sealCycle) growth(tb testing.TB) (*data.Index, *infer.Result, []int) {
+	const name = "zzz-grown-object"
+	vals := slices.Clone(c.idx.ViewAt(0).CI.Values)
+	ds := *c.idx.DS
+	ds.Candidates = maps.Clone(ds.Candidates)
+	if ds.Candidates == nil {
+		ds.Candidates = map[string][]string{}
+	}
+	ds.Candidates[name] = vals
+	idx, touched := c.idx.Extend(&ds, data.Mutation{Candidates: map[string][]string{name: vals}})
+	st, ok := c.eng.Grow(c.st, idx, touched)
+	if !ok {
+		tb.Fatal("TDH state refused to grow")
+	}
+	return idx, st.Res(), touched
 }
 
 // run is cycle i as the pipeline runs it: open an epoch over the current
@@ -395,5 +447,43 @@ func TestSealCycleIsDeltaProportional(t *testing.T) {
 	}
 	if large > 96<<10 {
 		t.Fatalf("a cycle allocates %.0f bytes at %d objects, over the 96 KB budget", large, nLarge)
+	}
+}
+
+// TestGrowthAdvanceIsDeltaProportional pins the plan advance of one
+// open-world publish (BenchmarkPlanGrowth) in bytes allocated: for the plan
+// an EAI and an ME campaign publishes, advancing over one new object at
+// 48,040 objects may allocate at most twice what it does at 12,010, and at
+// most 64 KB. Ranking by keys with Eq. 14's 1/|O| factor moved every key on
+// growth, and re-ranking them all allocated 2.3 MB per EAI advance at 48k
+// objects; a growth path that re-keys every object fails here.
+func TestGrowthAdvanceIsDeltaProportional(t *testing.T) {
+	perAdvance := func(c *sealCycle, asg assign.Assigner) float64 {
+		prev := assign.PlanFor(asg, c.idx, c.st.Res())
+		idx, res, touched := c.growth(t)
+		const advances = 16
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range advances {
+			if _, ok := prev.Advance(idx, res, touched); !ok {
+				t.Fatal("Advance fell back to a full build")
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / advances
+	}
+	small, large := newSealCycle(t, 2), newSealCycle(t, 8)
+	if n, N := small.idx.NumObjects(), large.idx.NumObjects(); n != 12010 || N != 48040 {
+		t.Fatalf("fixture sizes moved: %d and %d objects", n, N)
+	}
+	for _, asg := range []assign.Assigner{assign.EAI{}, assign.ME{}} {
+		s, l := perAdvance(small, asg), perAdvance(large, asg)
+		t.Logf("%s: bytes per growth advance: %.0f at 12010 objects, %.0f at 48040", asg.Name(), s, l)
+		if l > 2*s {
+			t.Errorf("%s: a growth advance allocates %.0f bytes at 48040 objects, more than twice the %.0f at 12010: growth re-keys per object again", asg.Name(), l, s)
+		}
+		if l > 64<<10 {
+			t.Errorf("%s: a growth advance allocates %.0f bytes at 48040 objects, over the 64 KB budget", asg.Name(), l)
+		}
 	}
 }

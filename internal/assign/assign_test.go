@@ -158,7 +158,7 @@ func TestWalkHandsOnTheEvictedBound(t *testing.T) {
 		{0.8, 0.6, 0, 0},    // B
 		{0.2, 0, 0, 0},      // C
 	}
-	p := &Plan{ueaiRank: rank(bounds)}
+	p := &Plan{ueaiRank: rankKeys(bounds)}
 	assigned := func(prune bool) [][]int32 {
 		var stats EAIStats
 		heaps := p.walk(make(answeredSets, len(scores)), 1, prune, func(wi int, oid int32) float64 {
@@ -192,7 +192,8 @@ func TestLemma41UpperBound(t *testing.T) {
 			if i%3 != 0 { // sample for speed
 				continue
 			}
-			eai, _ := eaiAt(f.m, i, &tab, float64(nObj))
+			eai, _ := eaiAt(f.m, i, &tab) // |O|·EAI: divided to the paper's unit
+			eai /= float64(nObj)
 			ub := (1 - f.m.MaxConfidenceAt(i)) / (float64(nObj) * (f.m.DAt(i) + 1))
 			if eai > ub+1e-12 {
 				t.Fatalf("EAI(%s,%s)=%v exceeds UEAI=%v", w, o, eai, ub)
@@ -213,7 +214,8 @@ func TestQuickEAINonNegativeBounded(t *testing.T) {
 			if i%7 != 0 {
 				continue
 			}
-			e, _ := eaiAt(fx.m, i, &tab, float64(nObj))
+			e, _ := eaiAt(fx.m, i, &tab) // |O|·EAI: divided to the paper's unit
+			e /= float64(nObj)
 			if e < 0 || e > 1.0/float64(nObj)+1e-12 {
 				return false
 			}

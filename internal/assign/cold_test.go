@@ -300,7 +300,6 @@ func TestFittedTopKIsTheScan(t *testing.T) {
 			{"grown", idxGrown, resGrown, grownPlan},
 		} {
 			m := st.res.Rows.(*core.Model)
-			n := float64(st.idx.NumObjects())
 			for _, w := range workers {
 				psi := m.PsiOf(w)
 				if psi == m.DefaultPsi() {
@@ -311,7 +310,7 @@ func TestFittedTopKIsTheScan(t *testing.T) {
 				tab := core.NewWorkerTab(psi)
 				scores := make([]float64, st.idx.NumObjects())
 				for oid := range scores {
-					scores[oid], _ = eaiAt(m, oid, &tab, n)
+					scores[oid], _ = eaiAt(m, oid, &tab)
 				}
 				for _, k := range []int{1, 3, 5, 10, 40} {
 					var fallbacks atomic.Int64
@@ -355,7 +354,7 @@ func TestColdTopKIsTheHeap(t *testing.T) {
 				answered[0][oid>>6] |= 1 << (oid & 63)
 			}
 		}
-		p := &Plan{coldRank: rank(scores), ueaiRank: rank(bounds)}
+		p := &Plan{coldRank: rankKeys(scores), ueaiRank: rankKeys(bounds)}
 		k := 1 + rng.Intn(12)
 		got, _ := p.coldTopK(answered, 0, k, func(oid int) float64 { return bounds[oid] })
 		slices.Sort(got)
@@ -389,7 +388,7 @@ func TestFittedTopKIsTheHeap(t *testing.T) {
 				answered[0][oid>>6] |= 1 << (oid & 63)
 			}
 		}
-		p := &Plan{coldRank: rank(cold), ueaiRank: rank(bounds)}
+		p := &Plan{coldRank: rankKeys(cold), ueaiRank: rankKeys(bounds)}
 		k := 1 + rng.Intn(12)
 		got, _ := p.fittedTopK(answered, 0, k, func(oid int32) float64 { return scores[oid] }, func(oid int) float64 { return bounds[oid] })
 		slices.Sort(got)
@@ -418,7 +417,7 @@ func TestSettledIsTheNegativeTail(t *testing.T) {
 					keys[oid] = -1
 				}
 			}
-			p := &Plan{coldRank: rank(keys)}
+			p := &Plan{coldRank: rankKeys(keys)}
 			for step := range 20 {
 				want := 0
 				for _, key := range keys {
@@ -441,10 +440,19 @@ func TestSettledIsTheNegativeTail(t *testing.T) {
 					moves = append(moves, cow.Rekey{ID: int32(oid), Old: keys[oid], New: key})
 					keys[oid] = key
 				}
-				p.coldRank = p.coldRank.Update(moves)
+				p.coldRank = p.coldRank.Update(moves, nil)
 			}
 		}
 	}
+}
+
+// rankKeys ranks objects 0..len(keys)-1 by keys, as Plan.rank does.
+func rankKeys(keys []float64) cow.Ranking {
+	entries := make([]cow.Entry, len(keys))
+	for oid, key := range keys {
+		entries[oid] = cow.Entry{Key: key, ID: int32(oid)}
+	}
+	return cow.NewRanking(entries)
 }
 
 // heapTopK is AssignWithStats' scan for one worker with pruning on, over

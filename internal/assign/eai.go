@@ -16,7 +16,10 @@ import (
 //	EAI(w,o) = ( E[max_v μ_{o,v|w}] - max_v μ_{o,v} ) / |O|     (Eq. 14)
 //
 // with the expectation over the worker's answer distribution (Eq. 15) and
-// the conditional confidence from one incremental EM step (Eq. 18).
+// the conditional confidence from one incremental EM step (Eq. 18). The
+// 1/|O| factor is the same for every pair, so this package scores, bounds
+// and ranks by |O|·EAI and |O|·UEAI, and divides by |O| only where a value
+// leaves it (Plan.UEAIMax, EstimateImprovement).
 // Assignment follows Algorithm 1: objects are scanned in decreasing order
 // of the upper bound UEAI(o) (Lemma 4.1) and handed to workers in
 // decreasing ψ_{w,1}, with per-worker min-heaps of size K; the UEAI bound
@@ -106,9 +109,8 @@ func (e EAI) AssignWithStats(ctx *Context) (map[string][]string, EAIStats) {
 		m = ctx.Res.Model.(*core.Model)
 	}
 	var stats EAIStats
-	nObj := float64(len(ctx.Idx.Objects))
 	out := make(map[string][]string, len(ctx.Workers))
-	if len(ctx.Workers) == 0 || ctx.K <= 0 || nObj == 0 {
+	if len(ctx.Workers) == 0 || ctx.K <= 0 || len(ctx.Idx.Objects) == 0 {
 		return out, stats
 	}
 
@@ -130,7 +132,7 @@ func (e EAI) AssignWithStats(ctx *Context) (map[string][]string, EAIStats) {
 		} else {
 			tab := core.NewWorkerTab(psi)
 			ids, stats.Evaluated = p.fittedTopK(answered, 0, ctx.K, func(oid int32) float64 {
-				score, _ := eaiAt(m, int(oid), &tab, nObj)
+				score, _ := eaiAt(m, int(oid), &tab)
 				return score
 			}, p.boundAt)
 		}
@@ -142,7 +144,7 @@ func (e EAI) AssignWithStats(ctx *Context) (map[string][]string, EAIStats) {
 		tabs[i] = core.NewWorkerTab(m.PsiOf(w))
 	}
 	heaps := p.walk(answered, ctx.K, !e.DisablePruning, func(wi int, oid int32) float64 {
-		score, settled := eaiAt(m, int(oid), &tabs[wi], nObj)
+		score, settled := eaiAt(m, int(oid), &tabs[wi])
 		if settled {
 			stats.Settled++
 		}
@@ -458,25 +460,26 @@ func (s answeredSets) has(wi, oid int) bool {
 	return row != nil && row[uint(oid)>>6]&(1<<(uint(oid)&63)) != 0
 }
 
-// eaiAt computes EAI(w, o) per Eqs. (14)–(15) with the incremental EM,
-// entirely on ID-indexed model state, for the worker whose ψ tab was built
-// from. On an object the no-flip certificate settles (core.Model.SettledAt)
-// the clamped score is 0 for every worker, so it returns 0 after one read of
-// the object's N row, with settled set, instead of filling |V| answer rows.
+// eaiAt computes |O|·EAI(w, o) = E[max_v μ_{o,v|w}] − max_v μ_{o,v} per
+// Eqs. (14)–(15) with the incremental EM, entirely on ID-indexed model
+// state, for the worker whose ψ tab was built from. On an object the no-flip
+// certificate settles (core.Model.SettledAt) the clamped score is 0 for
+// every worker, so it returns 0 after one read of the object's N row, with
+// settled set, instead of filling |V| answer rows.
 //
 //tdh:hotpath
-func eaiAt(m *core.Model, oid int, tab *core.WorkerTab, nObj float64) (score float64, settled bool) {
+func eaiAt(m *core.Model, oid int, tab *core.WorkerTab) (score float64, settled bool) {
 	if m.SettledAt(oid) {
 		return 0, true
 	}
-	score = (m.ExpectedCondMaxAt(oid, tab) - maxOf(m.MuAt(oid))) / nObj
+	score = m.ExpectedCondMaxAt(oid, tab) - maxOf(m.MuAt(oid))
 	// Clamp the numerical noise floor: an uncertified object whose exact
 	// expectation is zero (no single answer moves its argmax, though the
 	// certificate could not show it) leaves ±1e-12-grade residue that would
 	// otherwise order the heap arbitrarily. With a hard zero, equal-score
 	// objects keep the UEAI scan order (most uncertain per collected claim
 	// first).
-	if score < 1e-9/nObj {
+	if score < 1e-9 {
 		score = 0
 	}
 	return score, false

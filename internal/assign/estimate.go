@@ -19,8 +19,9 @@ func sortedWorkers(assignment map[string][]string) []string {
 }
 
 // EstimateImprovement reports EAI's own expected accuracy gain for an
-// assignment: the sum of EAI(w,o) over the issued tasks (already scaled by
-// 1/|O| per Eq. 14). Figure 7 compares this estimate to the realized gain.
+// assignment: the sum of EAI(w,o) over the issued tasks, each eaiAt score
+// divided by |O| per Eq. 14. Figure 7 compares this estimate to the realized
+// gain.
 func (e EAI) EstimateImprovement(ctx *Context, assignment map[string][]string) float64 {
 	m, ok := ctx.Res.Model.(*core.Model)
 	if !ok {
@@ -33,8 +34,8 @@ func (e EAI) EstimateImprovement(ctx *Context, assignment map[string][]string) f
 		tab := core.NewWorkerTab(m.PsiOf(w))
 		for _, o := range objs {
 			if oid, ok := m.Idx.ObjectID(o); ok {
-				score, _ := eaiAt(m, oid, &tab, n)
-				total += score
+				score, _ := eaiAt(m, oid, &tab)
+				total += score / n
 			}
 		}
 	}

@@ -60,9 +60,13 @@ type Plan struct {
 	// entRanking).
 	entRank cow.Ranking
 
-	// ueaiRank ranks every object by decreasing Lemma 4.1 bound
-	// (1-maxμ)/(|O|·(D_o+1)) — the order Algorithm 1 pops them, each entry
-	// carrying its bound (part bounds). Zero when M is nil.
+	// ueaiRank ranks every object by decreasing Lemma 4.1 bound, kept as
+	// |O|·UEAI(o) = (1-maxμ)/(D_o+1) — the order Algorithm 1 pops them, each
+	// entry carrying its bound (part bounds). Zero when M is nil. Every EAI
+	// key of a plan, here and in coldRank, is |O| times the paper's value
+	// (Eq. 14's 1/|O| is a uniform positive factor and orders nothing), so
+	// growing the index moves no key; a value is divided by |O| only where
+	// it leaves the package (UEAIMax, EAI.EstimateImprovement).
 	ueaiRank cow.Ranking
 
 	// The served EAI plan's cold-worker cache (part coldCache), zero when M
@@ -114,18 +118,18 @@ func (p *Plan) Row(oid int) []float64 { return p.d.Row(oid) }
 // entropyAt is object oid's entropy under the plan's snapshot: ME's key.
 func (p *Plan) entropyAt(oid int) float64 { return entropy(p.Row(oid)) }
 
-// boundAt is object oid's Lemma 4.1 bound under the plan's snapshot: the
-// key of the UEAI ranking. It needs the model.
+// boundAt is object oid's Lemma 4.1 bound times |O| under the plan's
+// snapshot: the key of the UEAI ranking. It needs the model.
 func (p *Plan) boundAt(oid int) float64 {
-	return (1 - p.M.MaxConfidenceAt(oid)) / (float64(p.Idx.NumObjects()) * (p.M.DAt(oid) + 1))
+	return (1 - p.M.MaxConfidenceAt(oid)) / (p.M.DAt(oid) + 1)
 }
 
 // coldScoreAt is the key of object oid in the cold-worker ranking under the
-// plan's snapshot: its EAI score for a worker at the prior-mean ψ, or −1
-// when the object is settled (its score is 0 for every ψ). It needs the
-// model and a plan holding the cold cache (defaultTab).
+// plan's snapshot: its EAI score times |O| for a worker at the prior-mean
+// ψ, or −1 when the object is settled (its score is 0 for every ψ). It
+// needs the model and a plan holding the cold cache (defaultTab).
 func (p *Plan) coldScoreAt(oid int) float64 {
-	score, settled := eaiAt(p.M, oid, &p.defaultTab, float64(p.Idx.NumObjects()))
+	score, settled := eaiAt(p.M, oid, &p.defaultTab)
 	if settled {
 		return -1
 	}
@@ -150,12 +154,13 @@ func (p *Plan) AppendParts(dst []float64) []float64 {
 }
 
 // UEAIMax is the largest Lemma 4.1 bound of the plan — the head of the UEAI
-// ranking: no task the plan can hand out adds more than this to the expected
-// accuracy. 0 when the plan holds no bounds (it serves another assigner than
-// EAI, or the result carries no TDH model) or ranks no object.
+// ranking, divided by |O|: no task the plan can hand out adds more than this
+// to the expected accuracy. 0 when the plan holds no bounds (it serves
+// another assigner than EAI, or the result carries no TDH model) or ranks no
+// object.
 func (p *Plan) UEAIMax() float64 {
 	if chunks := p.ueaiRank.Chunks(); len(chunks) > 0 {
-		return chunks[0][0].Key
+		return chunks[0][0].Key / float64(p.Idx.NumObjects())
 	}
 	return 0
 }
@@ -181,13 +186,13 @@ func (p *Plan) Settled() int {
 	return n
 }
 
-// each evaluates f at every object of the plan's index.
-func (p *Plan) each(f func(oid int) float64) []float64 {
-	out := make([]float64, p.Idx.NumObjects())
-	for oid := range out {
-		out[oid] = f(oid)
+// rank ranks every object of the plan's index by key.
+func (p *Plan) rank(key func(oid int) float64) cow.Ranking {
+	entries := make([]cow.Entry, p.Idx.NumObjects())
+	for oid := range entries {
+		entries[oid] = cow.Entry{Key: key(oid), ID: int32(oid)}
 	}
-	return out
+	return cow.NewRanking(entries)
 }
 
 // Prewarm does nothing: a plan holds its cold-worker cache from the moment
@@ -248,43 +253,40 @@ func PlanFor(asg Assigner, idx *data.Index, res *infer.Result) *Plan {
 func build(idx *data.Index, res *infer.Result, reads parts) *Plan {
 	p := newPlan(idx, res, reads)
 	if reads&entRanking != 0 {
-		p.entRank = rank(p.each(p.entropyAt))
+		p.entRank = p.rank(p.entropyAt)
 	}
 	if p.M == nil {
 		return p
 	}
 	if reads&bounds != 0 {
-		p.ueaiRank = rank(p.each(p.boundAt))
+		p.ueaiRank = p.rank(p.boundAt)
 	}
 	if reads&coldCache != 0 {
-		p.coldRank = rank(p.each(p.coldScoreAt))
+		p.coldRank = p.rank(p.coldScoreAt)
 	}
 	return p
 }
 
-// rank ranks objects 0..len(keys)-1 by keys.
-func rank(keys []float64) cow.Ranking { return rerank(cow.Ranking{}, keys, 0) }
-
 // Advance derives the plan for (idx, res) from this plan — the previous
-// snapshot's — re-ranking only the objects in touched instead of a full
-// O(Σ|Vo| + |O| log |O|) rebuild. The derived plan holds the same parts as
-// this one. It is the publish-rate path of the crowd server: an incremental
-// publish touches O(batch) objects.
+// snapshot's — re-ranking only the objects in touched and inserting the
+// objects the index grew by, instead of a full O(Σ|Vo| + |O| log |O|)
+// rebuild. The derived plan holds the same parts as this one. It is the
+// publish-rate path of the crowd server: an incremental publish touches
+// O(batch) objects, and an open-world one adds a few.
 //
-// Cost. With the object count unchanged — every fold — each ranking the
-// plan holds moves its touched objects in one cow.Ranking.Update, from the
-// key under this plan's snapshot to the key under the new one: every chunk
-// that loses an old (key, ID) or gains a new one is rebuilt once, by one
-// merge, and the rest of the chunk table is shared. The old key is
-// recomputed rather than stored: a fold conditions a copy of the model and
-// never writes the state this plan reads, so entropyAt, boundAt and
-// coldScoreAt on this plan return, bit for bit, the keys its rankings hold.
-// That is O(|touched| · (key + chunk + log |O|)) per ranking and no
-// allocation proportional to |O|. When the index grew, the 1/|O| factor of
-// Lemma 4.1 moves every bound and cold-worker score, and when the prior-mean
-// ψ moved every cold-worker score does: such a ranking goes through the
-// bulk constructor again with every key recomputed, seeded with the
-// previous order — O(|O|), and rare (open-world growth, not the fold).
+// Cost. Each ranking the plan holds moves its touched objects, from the key
+// under this plan's snapshot to the key under the new one, and takes in the
+// new objects (IDs ≥ the previous object count) at their keys, in one
+// cow.Ranking.Update: every chunk that loses an old (key, ID) or gains a
+// new one is rebuilt once, by one merge, and the rest of the chunk table is
+// shared. No key carries Eq. 14's 1/|O| (see ueaiRank), so growth moves no
+// untouched key. The old key is recomputed rather than stored: a fold or a
+// growth conditions a copy of the model and never writes the state this
+// plan reads, so entropyAt, boundAt and coldScoreAt on this plan return, bit
+// for bit, the keys its rankings hold. That is O(|touched ∪ new| · (key +
+// chunk + log |O|)) per ranking and no allocation proportional to |O|; the
+// check that a derived index kept the object names is O(|O|) compares on
+// the pointer fast path.
 //
 // Order contract. Every ranking is a strict total order — key descending,
 // dense ID ascending on equal keys — so a ranking is a function of its keys
@@ -295,20 +297,21 @@ func rank(keys []float64) cow.Ranking { return rerank(cow.Ranking{}, keys, 0) }
 // the plan's own index or one derived from it by data.Index.Extend (dense
 // IDs of untouched objects stable), res's confidence rows and model state
 // for untouched objects are bit-identical to the previous result's, and
-// touched lists every changed dense ID (IDs ≥ the previous object count are
-// treated as touched regardless). Under that contract the advanced plan is
-// exactly what a build of the same parts for (idx, res) would be — same
-// keys, same ranking orders — which the server's equivalence suite pins.
+// touched lists every changed dense ID below the previous object count
+// (IDs from it up are inserted regardless). Under that contract the advanced
+// plan is exactly what a build of the same parts for (idx, res) would be —
+// same keys, same ranking orders — which the server's equivalence suite
+// pins.
 //
 // It panics when res's rows are shaped by another index than idx. When a
-// precondition fails (index shrank, model attached/detached — the cases
-// where entries cannot be carried over) it builds the same parts from
-// scratch and reports advanced = false.
+// precondition fails (index shrank, model attached/detached, prior-mean ψ
+// moved — the cases where entries cannot be carried over) it builds the
+// same parts from scratch and reports advanced = false.
 func (p *Plan) Advance(idx *data.Index, res *infer.Result, touched []int) (advanced *Plan, ok bool) {
 	np := newPlan(idx, res, p.reads)
 	n := idx.NumObjects()
 	nPrev := p.Idx.NumObjects()
-	if n < nPrev || (np.M != nil) != (p.M != nil) {
+	if n < nPrev || (np.M != nil) != (p.M != nil) || np.defaultPsi != p.defaultPsi {
 		return build(idx, res, p.reads), false
 	}
 	if idx != p.Idx {
@@ -322,63 +325,41 @@ func (p *Plan) Advance(idx *data.Index, res *infer.Result, touched []int) (advan
 			}
 		}
 	}
-	ts := normalizeTouched(touched, nPrev, n)
-	grown := n > nPrev
-	moves := make([]cow.Rekey, len(ts))
-	// rekey derives the ranking r of p by key for np: re-keyed in place, or
-	// rebuilt from every key when they all moved.
-	rekey := func(r cow.Ranking, key func(*Plan, int) float64, all bool) cow.Ranking {
-		if all {
-			return rerank(r, np.each(func(oid int) float64 { return key(np, oid) }), nPrev)
-		}
+	ts := normalizeTouched(touched, nPrev)
+	moves, added := make([]cow.Rekey, len(ts)), make([]cow.Entry, n-nPrev)
+	// rekey derives the ranking r of p by key for np.
+	rekey := func(r cow.Ranking, key func(*Plan, int) float64) cow.Ranking {
 		for i, oid := range ts {
 			moves[i] = cow.Rekey{ID: int32(oid), Old: key(p, oid), New: key(np, oid)}
 		}
-		return r.Update(moves)
+		for i := range added {
+			added[i] = cow.Entry{Key: key(np, nPrev+i), ID: int32(nPrev + i)}
+		}
+		return r.Update(moves, added)
 	}
 	if np.reads&entRanking != 0 {
-		// Entropy has no |O| factor, but an object the previous plan did not
-		// rank has no old key.
-		np.entRank = rekey(p.entRank, (*Plan).entropyAt, grown)
+		np.entRank = rekey(p.entRank, (*Plan).entropyAt)
 	}
 	if np.M == nil {
 		return np, true
 	}
 	if np.reads&bounds != 0 {
-		np.ueaiRank = rekey(p.ueaiRank, (*Plan).boundAt, grown)
+		np.ueaiRank = rekey(p.ueaiRank, (*Plan).boundAt)
 	}
 	if np.reads&coldCache != 0 {
-		np.coldRank = rekey(p.coldRank, (*Plan).coldScoreAt, grown || np.defaultPsi != p.defaultPsi)
+		np.coldRank = rekey(p.coldRank, (*Plan).coldScoreAt)
 	}
 	return np, true
 }
 
-// rerank ranks objects 0..len(keys)-1 by keys, visiting them in prev's order
-// (then the objects prev does not rank, IDs nPrev and up) so the bulk
-// constructor's sort starts from a nearly sorted sequence.
-func rerank(prev cow.Ranking, keys []float64, nPrev int) cow.Ranking {
-	ranked := prev.AppendTo(make([]cow.Entry, 0, len(keys)))
-	for i := range ranked {
-		ranked[i].Key = keys[ranked[i].ID]
-	}
-	for oid := nPrev; oid < len(keys); oid++ {
-		ranked = append(ranked, cow.Entry{Key: keys[oid], ID: int32(oid)})
-	}
-	return cow.NewRanking(ranked)
-}
-
-// normalizeTouched sorts and dedups the caller's touched IDs, drops
-// out-of-range entries, and forces every ID the previous plan did not cover
-// (fresh objects from index growth) to count as touched.
-func normalizeTouched(touched []int, nPrev, n int) []int {
-	out := make([]int, 0, len(touched)+n-nPrev)
+// normalizeTouched sorts and dedups the caller's touched IDs and drops the
+// entries outside the previous plan's objects 0..nPrev-1.
+func normalizeTouched(touched []int, nPrev int) []int {
+	out := make([]int, 0, len(touched))
 	for _, t := range touched {
 		if t >= 0 && t < nPrev {
 			out = append(out, t)
 		}
-	}
-	for oid := nPrev; oid < n; oid++ {
-		out = append(out, oid)
 	}
 	slices.Sort(out)
 	return slices.Compact(out)

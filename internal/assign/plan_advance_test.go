@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -63,13 +64,13 @@ func settledByCertificate(m *core.Model) int {
 	return n
 }
 
-// coldScores is the plan's cold-worker score per object: the keys of its
-// cold-worker ranking laid out by object ID, a settled object's −1 read as
-// its score 0.
+// coldScores is the plan's cold-worker score per object, in the served unit
+// EAI: the keys of its cold-worker ranking (|O|·EAI) laid out by object ID
+// and divided by |O|, a settled object's −1 read as its score 0.
 func (p *Plan) coldScores() []float64 {
 	scores := make([]float64, p.Idx.NumObjects())
 	for _, en := range p.coldRank.AppendTo(nil) {
-		scores[en.ID] = max(en.Key, 0)
+		scores[en.ID] = max(en.Key, 0) / float64(len(scores))
 	}
 	return scores
 }
@@ -186,33 +187,83 @@ func TestPlanAdvanceUnwarmedPrevious(t *testing.T) {
 	compareAssignments(t, "unwarmed", f, f.idx, res2, got, want)
 }
 
-// TestPlanAdvanceAfterGrowth: the open-world publish — Extend the index
-// with a new object and a new record, Grow the model, then advance the
-// plan across the size change.
+// TestPlanAdvanceAfterGrowth: the open-world publish chain. Extend the
+// index by three new objects and a new record on an old one in one cycle
+// (Grow the model), fold answers on new and old objects, then grow by one
+// more object: after every step the plans an EAI, an ME and an all-parts
+// campaign advance hold, bit for bit, the rankings a build of the same
+// parts gives for that snapshot (PlanFor, NewPlan), and assign as it does.
 func TestPlanAdvanceAfterGrowth(t *testing.T) {
 	for fi, f := range planFixtures(t) {
-		tag := fmt.Sprintf("fixture %d", fi)
-		prev := NewPlan(f.idx, f.res)
-
-		work := f.ds.Clone()
-		donorVals := f.idx.View(f.idx.Objects[0]).CI.Values
-		mu := data.Mutation{
-			Candidates: map[string][]string{"zzz-grown-object": append([]string(nil), donorVals...)},
-			Records:    []data.Record{{Object: f.idx.Objects[1], Source: "grown-src", Value: donorVals[0]}},
+		work, idx, m := f.ds.Clone(), f.idx, f.m
+		if work.Candidates == nil {
+			work.Candidates = map[string][]string{}
 		}
-		work.Candidates = map[string][]string{"zzz-grown-object": append([]string(nil), donorVals...)}
-		work.Records = append(work.Records, mu.Records...)
-		idx2, touched := f.idx.Extend(work, mu)
-		m2 := f.m.Grow(idx2, touched)
-		res2 := infer.ViewOf(m2, nil)
-
-		want := NewPlan(idx2, res2)
-		got, ok := prev.Advance(idx2, res2, touched)
-		if !ok {
-			t.Fatalf("%s: Advance fell back to a full build", tag)
+		donor := idx.View(idx.Objects[0]).CI.Values
+		grow := func(objects ...string) []int {
+			mu := data.Mutation{
+				Candidates: map[string][]string{},
+				Records:    []data.Record{{Object: idx.Objects[1], Source: "src-" + objects[0], Value: donor[0]}},
+			}
+			for _, o := range objects {
+				mu.Candidates[o] = slices.Clone(donor)
+				work.Candidates[o] = slices.Clone(donor)
+			}
+			work.Records = append(work.Records, mu.Records...)
+			var touched []int
+			idx, touched = idx.Extend(work, mu)
+			m = m.Grow(idx, touched)
+			return touched
 		}
-		comparePlans(t, tag, got, want)
-		compareAssignments(t, tag, f, idx2, res2, got, want)
+		fold := func(nAns int) []int {
+			m = m.Clone()
+			var touched []int
+			for i := range nAns {
+				oid := idx.NumObjects() - 1 - (i*5)%idx.NumObjects() // the new objects first
+				wid, ok := idx.WorkerID(f.workers[i%len(f.workers)])
+				if !ok {
+					wid = -1
+				}
+				m.ApplyAnswerAt(oid, wid, i%len(idx.ViewAt(oid).CI.Values))
+				touched = append(touched, oid)
+			}
+			return touched
+		}
+		builds := map[string]func(*data.Index, *infer.Result) *Plan{
+			"EAI": func(idx *data.Index, res *infer.Result) *Plan { return PlanFor(EAI{}, idx, res) },
+			"ME":  func(idx *data.Index, res *infer.Result) *Plan { return PlanFor(ME{}, idx, res) },
+			"all": NewPlan,
+		}
+		plans := map[string]*Plan{}
+		for name, build := range builds {
+			plans[name] = build(idx, f.res)
+		}
+		for _, st := range []struct {
+			name string
+			do   func() []int
+		}{
+			{"grow by 3", func() []int { return grow("zzz-grown-a", "zzz-grown-b", "zzz-grown-c") }},
+			{"fold 12", func() []int { return fold(12) }},
+			{"grow by 1", func() []int { return grow("zzz-grown-d") }},
+		} {
+			nPrev := idx.NumObjects()
+			touched := st.do()
+			res := infer.ViewOf(m, nil)
+			for name, build := range builds {
+				tag := fmt.Sprintf("fixture %d, %s plan, %s (%d → %d objects)", fi, name, st.name, nPrev, idx.NumObjects())
+				got, ok := plans[name].Advance(idx, res, touched)
+				if !ok {
+					t.Fatalf("%s: Advance fell back to a full build", tag)
+				}
+				want := build(idx, res)
+				if !reflect.DeepEqual(got.AppendParts(nil), want.AppendParts(nil)) {
+					t.Fatalf("%s: the advanced rankings differ from the built ones", tag)
+				}
+				comparePlans(t, tag, got, want)
+				compareAssignments(t, tag, f, idx, res, got, want)
+				plans[name] = got
+			}
+		}
 	}
 }
 
@@ -253,6 +304,17 @@ func TestPlanAdvanceFallsBack(t *testing.T) {
 		t.Fatal("Advance across a model detach must fall back")
 	}
 	comparePlans(t, "detached-model fallback", got, NewPlan(f.idx, noModel))
+
+	// Prior-mean ψ moved: a model under another Opt.Beta gives every object
+	// another cold-worker score.
+	reBeta := f.m.Clone()
+	reBeta.Opt.Beta[0] *= 2
+	betaRes := infer.ViewOf(reBeta, nil)
+	got, ok = NewPlan(f.idx, f.res).Advance(f.idx, betaRes, nil)
+	if ok {
+		t.Fatal("Advance across a change of the prior-mean ψ must fall back")
+	}
+	comparePlans(t, "prior-mean ψ fallback", got, NewPlan(f.idx, betaRes))
 }
 
 // TestPlanFallbackCounter: Context.PlanFallbacks counts stale attached

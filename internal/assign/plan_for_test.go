@@ -165,7 +165,7 @@ func TestAppendPartsReadsEveryPart(t *testing.T) {
 	p := NewPlan(f.idx, f.res)
 	base := p.AppendParts(nil)
 	rekey := func(r cow.Ranking, key func(int) float64) cow.Ranking {
-		return r.Update([]cow.Rekey{{ID: 7, Old: key(7), New: key(7) + 0.25}})
+		return r.Update([]cow.Rekey{{ID: 7, Old: key(7), New: key(7) + 0.25}}, nil)
 	}
 	for name, write := range map[string]func(q *Plan){
 		"entRank":  func(q *Plan) { q.entRank = rekey(q.entRank, q.entropyAt) },

@@ -18,10 +18,11 @@ import "repro/internal/data"
 //
 // The result is a model the streaming layers can use immediately: the
 // incremental EM (ApplyAnswerAt) folds answers for new objects in O(|Vo|)
-// on the claim row pass, and the EAI planner's UEAI bound (1-maxμ)/(|O|(D+1))
-// ranks fresh objects near the top of the scan — the cold-object path —
-// since their D is small. Touched objects converge fully at the next
-// policy-triggered refit; Grow keeps them consistent, not optimal.
+// on the claim row pass, and the EAI planner's UEAI bound, ranked as
+// |O|·UEAI = (1-maxμ)/(D+1), ranks fresh objects near the top of the
+// scan — the cold-object path — since their D is small. Touched objects
+// converge fully at the next policy-triggered refit; Grow keeps them
+// consistent, not optimal.
 //
 // Grow never mutates m and shares no page with it: it is a fresh build, flat
 // arrays and all, read out of m — a fitted model or a folded clone — through

@@ -142,9 +142,9 @@ func (m *Model) ExpectedCondMaxAt(oid int, wt *WorkerTab) float64 {
 // eps floor adds at most eps (TestAnswerMassAtMostOne). So every
 // s_v ≤ 1 + δ with δ = |V|·eps, and μ = N/D is a distribution (γ ≥ 1 keeps
 // N ≥ 0), so E ≤ (1 + δ)·(N_1 + μ_1)/(D + 1) = (1 + δ)·μ_1:
-// E − max μ ≤ δ ≤ 5e-10. EAI = (E − max μ)/|O| therefore lies
-// under eaiAt's clamp floor 1e-9/|O| and clamps to exactly 0, float residue
-// of a few ulps included — the floor is there for such residue.
+// E − max μ ≤ δ ≤ 5e-10. |O|·EAI = E − max μ, the score eaiAt computes,
+// therefore lies under its clamp floor 1e-9 and clamps to exactly 0, float
+// residue of a few ulps included — the floor is there for such residue.
 //
 //tdh:hotpath
 func (m *Model) SettledAt(oid int) bool {

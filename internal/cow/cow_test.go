@@ -1,6 +1,7 @@
 package cow
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -128,7 +129,7 @@ func TestRankingIsASort(t *testing.T) {
 				step++
 			}
 			was := len(r.Chunks())
-			r = r.Update(changes)
+			r = r.Update(changes, nil)
 			switch now := len(r.Chunks()); {
 			case now > was:
 				splits++
@@ -158,6 +159,92 @@ func TestRankingIsASort(t *testing.T) {
 	}
 }
 
+// TestRankingUpdateInserts: Update with insertions — into an empty ranking,
+// at keys that tie ranked entries (on either side of their IDs), in batches
+// that overflow a full chunk, beside moves of ranked objects — iterates
+// after every call exactly as NewRanking over the same live keys does, every
+// chunk within maxChunk, and leaves the version it was called on as it was.
+func TestRankingUpdateInserts(t *testing.T) {
+	for _, tc := range []struct{ n, ranked int }{{1, 0}, {1300, 0}, {1200, 512}, {3000, 1500}} {
+		rng := rand.New(rand.NewSource(int64(tc.n + tc.ranked)))
+		keys := map[int32]float64{} // the live keys
+		var ranked []int32
+		ids := rng.Perm(tc.n)
+		var ents []Entry
+		for _, id := range ids[:tc.ranked] {
+			k := float64(rng.Intn(tc.n/8 + 1))
+			keys[int32(id)], ranked = k, append(ranked, int32(id))
+			ents = append(ents, Entry{k, int32(id)})
+		}
+		unranked := ids[tc.ranked:]
+		r := NewRanking(ents)
+		live := func() []Entry {
+			ents := make([]Entry, 0, len(keys))
+			for id, k := range keys {
+				ents = append(ents, Entry{k, id})
+			}
+			return NewRanking(ents).AppendTo(nil)
+		}
+		checkRanking(t, "built", r, live())
+		splits := 0
+		for step := 0; len(unranked) > 0; step++ {
+			tag := fmt.Sprintf("n=%d, %d ranked at first, step %d", tc.n, tc.ranked, step)
+			// The first batch into an empty ranking takes every object; later
+			// ones take one to eight, and now and then 600 at one key.
+			batch := 1 + rng.Intn(8)
+			if len(ranked) == 0 || rng.Intn(20) == 0 {
+				batch = 600
+			}
+			if len(ranked) == 0 && tc.n > 1 {
+				batch = tc.n
+			}
+			pile := float64(rng.Intn(tc.n/8 + 1))
+			var added []Entry
+			for _, id := range unranked[:min(batch, len(unranked))] {
+				var k float64
+				switch {
+				case batch == 600:
+					k = pile // one chunk takes them all: it overflows
+				case len(ranked) > 0 && rng.Intn(2) == 0:
+					k = keys[ranked[rng.Intn(len(ranked))]] // a tie
+				default:
+					k = float64(rng.Intn(tc.n/8+1)) + rng.Float64()
+				}
+				added = append(added, Entry{k, int32(id)})
+			}
+			unranked = unranked[len(added):]
+			var moves []Rekey
+			moved := map[int32]bool{}
+			for range rng.Intn(4) {
+				if len(ranked) == 0 {
+					break
+				}
+				id := ranked[rng.Intn(len(ranked))]
+				if moved[id] {
+					continue
+				}
+				moved[id] = true
+				c := Rekey{ID: id, Old: keys[id], New: float64(rng.Intn(tc.n/8 + 1))}
+				moves, keys[id] = append(moves, c), c.New
+			}
+			for _, e := range added {
+				keys[e.ID], ranked = e.Key, append(ranked, e.ID)
+			}
+			before, was := r.AppendTo(nil), len(r.Chunks())
+			next := r.Update(moves, added)
+			checkRanking(t, tag+", the version updated", r, before)
+			checkRanking(t, tag, next, live())
+			if len(next.Chunks()) > was {
+				splits++
+			}
+			r = next
+		}
+		if tc.n > maxChunk && splits == 0 {
+			t.Fatalf("n=%d: no insertion split a chunk", tc.n)
+		}
+	}
+}
+
 // TestRankingUpdateRejectsAStaleKey: the caller owns the keys; one that does
 // not match what the ranking holds is a bug the ranking refuses to hide.
 func TestRankingUpdateRejectsAStaleKey(t *testing.T) {
@@ -167,7 +254,7 @@ func TestRankingUpdateRejectsAStaleKey(t *testing.T) {
 			t.Fatal("Update accepted an old key the object is not ranked by")
 		}
 	}()
-	r.Update([]Rekey{{ID: 1, Old: 5, New: 0}})
+	r.Update([]Rekey{{ID: 1, Old: 5, New: 0}}, nil)
 }
 
 // TestVecCopyOnWrite: a clone shares every page until it writes one, copies

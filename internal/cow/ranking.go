@@ -60,25 +60,26 @@ type Rekey struct {
 	Old, New float64
 }
 
-// Update returns the ranking with every change applied, each object at most
-// once per call. The changes are sorted into removals and insertions and
-// every chunk they fall in is rebuilt once, by one merge, however many of
-// them it takes (cut in even pieces when it outgrows maxChunk, dropped when
-// emptied); every other chunk is shared with r, which is not written. Old
-// must be the key the object is ranked by in r — the caller keeps the keys.
-// Cost: O(chunks + Σ rebuilt chunk sizes + |changes| log |changes|).
-func (r Ranking) Update(changes []Rekey) Ranking {
-	edits, k := make([]Entry, 2*len(changes)), 0
-	for _, c := range changes {
+// Update returns the ranking with every move applied and every entry of
+// added inserted, each object at most once per call: a moved object must be
+// ranked in r by its Old key, an added one must not be ranked in r at all.
+// The changes are sorted into removals and insertions and every chunk they
+// fall in is rebuilt once, by one merge, however many of them it takes (cut
+// in even pieces when it outgrows maxChunk, dropped when emptied); every
+// other chunk is shared with r, which is not written. The caller keeps the
+// keys. Cost: O(chunks + Σ rebuilt chunk sizes + |changes| log |changes|).
+func (r Ranking) Update(moves []Rekey, added []Entry) Ranking {
+	edits, k := make([]Entry, 2*len(moves)+len(added)), 0
+	for _, c := range moves {
 		if c.Old != c.New {
-			edits[k], edits[len(changes)+k] = Entry{c.Old, c.ID}, Entry{c.New, c.ID}
+			edits[k], edits[len(moves)+k] = Entry{c.Old, c.ID}, Entry{c.New, c.ID}
 			k++
 		}
 	}
-	if k == 0 {
+	del, ins := edits[:k], append(edits[len(moves):len(moves)+k], added...)
+	if len(ins) == 0 {
 		return r
 	}
-	del, ins := edits[:k], edits[len(changes):len(changes)+k]
 	slices.SortFunc(del, compare)
 	slices.SortFunc(ins, compare)
 

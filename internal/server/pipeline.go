@@ -311,9 +311,9 @@ func (p *pipeline) publish(touched []int, refit bool) {
 const (
 	// slowPublishAfter is the publish-duration threshold for the slow-publish
 	// warning. A publish is plan maintenance plus one pointer store, and plan
-	// maintenance after a fold costs what the batch touched, so one this slow
-	// is a from-scratch plan build (a refit, a fallback) or an O(|O|) growth
-	// advance on a campaign large enough for that to fall behind ingest.
+	// maintenance after a fold or a growth costs what the batch touched and
+	// added, so one this slow is a from-scratch plan build (a refit, a
+	// fallback) on a campaign large enough for that to fall behind ingest.
 	slowPublishAfter = 500 * time.Millisecond
 	// stallAfter is how long queued items may sit without the watermark
 	// advancing before the stall warning fires.
